@@ -26,7 +26,9 @@ class VnAlgebra:
 
     The basis is orthonormal under trace(a* b). The optional generator list
     is kept because commutation with the generators already pins down the
-    commutant, which keeps the stacked kernel problems small.
+    commutant, which keeps the stacked kernel problems small. Instances are
+    immutable after construction, so ``commutant`` stores its result on the
+    instance, one per tolerance.
     """
 
     def __init__(self, ambient_dim: int, basis, generators=None,
@@ -43,6 +45,7 @@ class VnAlgebra:
         else:
             self.generators = np.asarray(generators, dtype=complex).reshape(
                 -1, self.ambient_dim, self.ambient_dim)
+        self._commutants: dict[nk.Tolerance, VnAlgebra] = {}
         if check:
             self._check_light(tol)
 
@@ -139,11 +142,17 @@ def trivial_algebra(n: int) -> VnAlgebra:
 
 
 def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
-    """Relative commutant of the algebra inside the ambient matrices."""
-    n = a.ambient_dim
-    mats = list(a.generators) + [g.conj().T for g in a.generators]
-    basis = nk.commuting_null_space([(g, g) for g in mats], (n, n), tol)
-    return VnAlgebra(n, basis, tol=tol)
+    """Relative commutant of the algebra inside the ambient matrices.
+
+    Computed once per algebra and tolerance. The result's own store starts
+    empty, so the commutant of the commutant is always computed afresh.
+    """
+    cached = a._commutants.get(tol)
+    if cached is None:
+        n = a.ambient_dim
+        basis = nk.commutant_space(a.generators, n, tol)
+        cached = a._commutants[tol] = VnAlgebra(n, basis, tol=tol)
+    return cached
 
 
 def equals(a: VnAlgebra, b: VnAlgebra,
@@ -218,8 +227,7 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL,
                 if not z.contains(p, tol):
                     raise DegenerateCenterElement(
                         "cluster projection leaves the center span")
-                compressed = nk.orthonormalize(
-                    np.einsum("ij,bjk,kl->bil", p, a.basis, p), tol)
+                compressed = nk.orthonormalize(p @ a.basis @ p, tol)
                 d_i = compressed.shape[0]
                 a_i = int(round(np.sqrt(d_i)))
                 if a_i * a_i != d_i:

@@ -103,8 +103,8 @@ class Correspondence:
             self.rho_prime_of(np.eye(self.right.ambient_dim)) - eye))
         if res > tol.bound(np.sqrt(h)):
             raise InvalidCorrespondence(f"commutant action not unital, residual {res:.3e}")
-        ab = np.einsum("aij,bjk->abik", self.rho, self.rho_prime)
-        ba = np.einsum("bij,ajk->abik", self.rho_prime, self.rho)
+        ab = self.rho[:, None] @ self.rho_prime[None, :]
+        ba = self.rho_prime[None, :] @ self.rho[:, None]
         res = float(np.linalg.norm((ab - ba).reshape(ab.shape[0] * ab.shape[1], -1),
                                    axis=1).max()) if ab.size else 0.0
         if res > tol.bound(1.0):

@@ -32,8 +32,8 @@ class Endomorphism:
                 f"images shape {self.basis_images.shape} does not match "
                 f"domain basis shape {domain.basis.shape}")
         # coefficient_matrix[i, j] = <b_i, theta(b_j)>
-        self.coefficient_matrix = np.einsum(
-            "dij,eij->de", domain.basis.conj(), self.basis_images)
+        self.coefficient_matrix = domain.flat.conj() @ \
+            self.basis_images.reshape(domain.dim, -1).T
 
     def __call__(self, x) -> np.ndarray:
         """Apply to an ambient matrix lying in the domain span."""
@@ -71,19 +71,19 @@ def make(domain: VnAlgebra, images, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endom
     if res > tol.bound(np.sqrt(n)):
         raise NotUnital(f"identity maps with residual {res:.3e}")
 
-    prods = np.einsum("aij,bjk->abik", domain.basis, domain.basis)
-    coeffs = np.einsum("dij,abij->dab", domain.flat.conj().reshape(d, n, n), prods)
-    lhs = np.einsum("dab,dij->abij", coeffs, images)
-    rhs = np.einsum("aij,bjk->abik", images, images)
-    res = float(np.linalg.norm((lhs - rhs).reshape(d * d, -1), axis=1).max())
+    # row (a, b): theta(b_a b_b) through the coefficients of b_a b_b, against
+    # theta(b_a) theta(b_b)
+    prods = (domain.basis[:, None] @ domain.basis[None, :]).reshape(d * d, -1)
+    lhs = (prods @ domain.flat.conj().T) @ flat
+    rhs = (images[:, None] @ images[None, :]).reshape(d * d, -1)
+    res = float(np.linalg.norm(lhs - rhs, axis=1).max())
     if res > tol.bound(1.0):
         raise NotMultiplicative(f"worst product residual {res:.3e} on basis pairs")
 
-    adj_coeffs = np.einsum("dij,aij->da", domain.flat.conj().reshape(d, n, n),
-                           domain.basis.conj().transpose(0, 2, 1))
-    lhs_star = np.einsum("da,dij->aij", adj_coeffs, images)
-    rhs_star = images.conj().transpose(0, 2, 1)
-    res = float(np.linalg.norm((lhs_star - rhs_star).reshape(d, -1), axis=1).max())
+    adjoints = domain.basis.conj().transpose(0, 2, 1).reshape(d, -1)
+    lhs_star = (adjoints @ domain.flat.conj().T) @ flat
+    rhs_star = images.conj().transpose(0, 2, 1).reshape(d, -1)
+    res = float(np.linalg.norm(lhs_star - rhs_star, axis=1).max())
     if res > tol.bound(1.0):
         raise NotStar(f"worst adjoint residual {res:.3e} on basis elements")
     return theta
@@ -131,13 +131,25 @@ def compose(f: Endomorphism, g: Endomorphism,
     return make(f.domain, images, tol)
 
 
-def power(f: Endomorphism, k: int, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
+def iterates(f: Endomorphism, k: int) -> list[Endomorphism]:
+    """The list [id, f, f f, ..., f^k], composed on coefficient matrices.
+
+    No law check runs here: callers validate f once with ``make`` before
+    the first iterate is used, and composites of a valid map are valid.
+    """
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
-    result = identity(f.domain)
+    out = [identity(f.domain)]
     for _ in range(k):
-        result = compose(f, result, tol)
-    return result
+        out.append(Endomorphism(f.domain, np.einsum(
+            "de,eij->dij", out[-1].coefficient_matrix.T, f.basis_images)))
+    return out
+
+
+def power(f: Endomorphism, k: int, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
+    if k > 0:
+        make(f.domain, f.basis_images, tol)
+    return iterates(f, k)[-1]
 
 
 def is_faithful(f: Endomorphism, tol: nk.Tolerance = nk.DEFAULT_TOL) -> bool:

@@ -73,21 +73,21 @@ def validate(values, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Multiplier:
         raise GridMismatch(f"expected a square grid of size >= 2, got {grid.shape}")
     moduli = np.abs(np.abs(grid) - 1.0)
     worst_mod = float(moduli.max())
-    if worst_mod > UNIMODULAR_TOL:
+    if not worst_mod <= UNIMODULAR_TOL:  # a NaN entry fails here too
         s, t = np.unravel_index(int(moduli.argmax()), grid.shape)
         raise NotUnimodular(
             f"|m({s},{t})| = {abs(grid[s, t]):.15f} deviates from one "
             f"by {worst_mod:.3e}")
     res = cocycle_residuals(grid)
     worst_coc = float(res.max())
-    if worst_coc > tol.bound(1.0):
+    if not worst_coc <= tol.bound(1.0):
         r, s, t = np.unravel_index(int(res.argmax()), res.shape)
         raise CocycleViolation(
             f"cocycle identity fails at ({r},{s},{t}), residual {worst_coc:.3e}",
             triple=(int(r), int(s), int(t)), residual=worst_coc)
     worst_bnd = float(max(np.abs(grid[0, :] - grid[0, 0]).max(),
                           np.abs(grid[:, 0] - grid[0, 0]).max()))
-    if worst_bnd > tol.bound(1.0):
+    if not worst_bnd <= tol.bound(1.0):
         raise BoundaryViolation(
             f"row or column zero is not constant, residual {worst_bnd:.3e}")
     return Multiplier(grid, {"unimodular": worst_mod, "cocycle": worst_coc,
@@ -109,7 +109,7 @@ def coboundary(f, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Multiplier:
     if f.size < 3 or f.size % 2 == 0:
         raise GridMismatch(
             f"need an odd number >= 3 of scalars, got {f.size}")
-    if np.abs(np.abs(f) - 1.0).max() > UNIMODULAR_TOL:
+    if not np.abs(np.abs(f) - 1.0).max() <= UNIMODULAR_TOL:
         raise NotUnimodular("family values must have modulus one")
     n = (f.size - 1) // 2
     idx = np.arange(n + 1)
@@ -155,7 +155,7 @@ def trivialize(m: Multiplier) -> np.ndarray:
     lhs = m.values * f[np.minimum(sums, n)]
     rhs = np.multiply.outer(f, f)
     worst = float(np.where(mask, np.abs(lhs - rhs), 0.0).max())
-    if worst > TRIVIALIZE_TOL:
+    if not worst <= TRIVIALIZE_TOL:
         raise TrivializationResidual(
             f"splitting family fails certification, residual {worst:.3e}")
     return f
@@ -224,7 +224,7 @@ def family_from_phases(phases, v,
     """The family U_t = phases[t] v^t for a fixed unitary v."""
     v = nk.as_matrix(v, "v")
     phases = np.asarray(phases, dtype=complex).reshape(-1)
-    if np.abs(np.abs(phases) - 1.0).max() > UNIMODULAR_TOL:
+    if not np.abs(np.abs(phases) - 1.0).max() <= UNIMODULAR_TOL:
         raise NotUnimodular("phases must have modulus one")
     maps = []
     power = np.eye(v.shape[0], dtype=complex)

@@ -139,29 +139,101 @@ def commuting_null_space(pairs, shape: tuple[int, int],
     """
     rows, cols = shape
     dim = rows * cols
-    h = np.zeros((dim, dim), dtype=complex)
-    eye_r = np.eye(rows)
-    eye_c = np.eye(cols)
-    gross = 0.0
+    lefts, rights = [], []
     for i, (left, right) in enumerate(pairs):
         l = as_matrix(left, f"pair {i} left")
         r = as_matrix(right, f"pair {i} right")
         if l.shape != (rows, rows) or r.shape != (cols, cols):
             raise DimensionMismatch(
                 f"pair {i}: shapes {l.shape} x {r.shape} do not act on {shape}")
-        h += np.kron(l.conj().T @ l, eye_c)
-        h += np.kron(eye_r, (r @ r.conj().T).conj())
-        h -= np.kron(l.conj().T, r.T)
-        h -= np.kron(l, r.conj())
-        gross += float(np.linalg.norm(l)) ** 2 + float(np.linalg.norm(r)) ** 2
-    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+        lefts.append(l)
+        rights.append(r)
+    h, gross = _normal_matrix(lefts, rights, rows, cols)
+    h += h.conj().T
+    h *= 0.5
+    vals, vecs = np.linalg.eigh(h)
+    keep = vals <= _kernel_cut(vals, dim, gross, tol)
+    return vecs[:, keep].T.reshape(-1, rows, cols)
+
+
+def commutant_space(mats, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of {x: g @ x == x @ g for every g and every g*}.
+
+    The same kernel as commuting_null_space over the pairs (g, g) and
+    (g*, g*), solved as a real problem of the same size. The constraint set
+    is closed under adjoints, so the normal matrix commutes with x -> x*
+    and is real symmetric, with the same spectrum, in the orthonormal basis
+    of Hermitian matrices: diagonal units, (e_ab + e_ba)/sqrt2 and
+    i(e_ab - e_ba)/sqrt2 for a < b. A real eigensolve costs about a quarter
+    of the complex one, and its kernel vectors give a Hermitian basis.
+    Returns an array of shape (k, n, n).
+    """
+    gens = []
+    for i, g in enumerate(mats):
+        g = as_matrix(g, f"matrix {i}")
+        if g.shape != (n, n):
+            raise DimensionMismatch(f"matrix {i}: shape {g.shape} does not act on {(n, n)}")
+        gens.append(g)
+    gens += [g.conj().T for g in gens]
+    dim = n * n
+    h, gross = _normal_matrix(gens, gens, n, n)
+    # change of basis h -> P* h P, P the Hermitian basis above: the entry
+    # pairs (a, b), (b, a) for a < b mix, the diagonal stays
+    iu, ju = np.triu_indices(n, 1)
+    upper, lower = iu * n + ju, ju * n + iu
+    half = np.sqrt(0.5)
+    a, b = h[:, upper], h[:, lower]
+    h[:, upper] = half * (a + b)
+    h[:, lower] = 1j * half * (a - b)
+    a, b = h[upper], h[lower]
+    h[upper] = half * (a + b)
+    h[lower] = -1j * half * (a - b)
+    del a, b
+    q = np.ascontiguousarray(h.real)
+    del h
+    q += q.T
+    q *= 0.5
+    vals, vecs = np.linalg.eigh(q)
+    keep = vals <= _kernel_cut(vals, dim, gross, tol)
+    t = vecs[:, keep].T
+    out = t.astype(complex)
+    out[:, upper] = half * (t[:, upper] + 1j * t[:, lower])
+    out[:, lower] = half * (t[:, upper] - 1j * t[:, lower])
+    return out.reshape(-1, n, n)
+
+
+def _normal_matrix(lefts, rights, rows: int, cols: int) -> tuple[np.ndarray, float]:
+    """Sum over pairs of C* C, C: x -> l x - x r on row-major x, before
+    symmetrization, and the summed squared norms of the pair terms."""
+    dim = rows * cols
+    if not lefts:
+        return np.zeros((dim, dim), dtype=complex), 0.0
+    # the normal matrix is built in place: at large shapes each
+    # (rows*cols)^2 temporary is a sizeable share of peak memory
+    l = np.array(lefts)
+    r = np.array(rights)
+    k = l.shape[0]
+    l_adj = l.conj().transpose(0, 2, 1)
+    # the sum over pairs of kron(l*, r^T) is one product over the pair
+    # index; its adjoint is the sum of kron(l, conj(r))
+    cross = l_adj.reshape(k, -1).T @ r.transpose(0, 2, 1).reshape(k, -1)
+    h = cross.reshape(rows, rows, cols, cols).transpose(0, 2, 1, 3).reshape(dim, dim)
+    del cross
+    h += h.conj().T
+    np.negative(h, out=h)
+    h += np.kron((l_adj @ l).sum(axis=0), np.eye(cols))
+    h += np.kron(np.eye(rows),
+                 (r @ r.conj().transpose(0, 2, 1)).sum(axis=0).conj())
+    gross = float(np.linalg.norm(l)) ** 2 + float(np.linalg.norm(r)) ** 2
+    return h, gross
+
+
+def _kernel_cut(vals, dim: int, gross: float, tol: Tolerance) -> float:
+    """Largest eigenvalue of a normal matrix that still counts as zero."""
     top = float(vals[-1]) if vals.size else 0.0
     # cancellation noise scales with the summed term magnitudes, not with
     # the (possibly exactly zero) assembled matrix itself
-    cut = max(tol.eps ** 2 * max(top, 1.0),
-              dim * np.finfo(float).eps * gross)
-    keep = vals <= cut
-    return vecs[:, keep].T.reshape(-1, rows, cols)
+    return max(tol.eps ** 2 * max(top, 1.0), dim * np.finfo(float).eps * gross)
 
 
 def orthonormalize(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

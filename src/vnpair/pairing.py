@@ -17,7 +17,6 @@ from . import algebra as alg
 from . import correspondence as corr
 from . import endo as endo_mod
 from . import numkernel as nk
-from . import prodsys as ps
 from .errors import (CocycleResidual, DomainsNotCommutant, NotFaithful,
                      NotPairedInput, NotUnitary, NotUnitaryImage,
                      PairingCheckFailed, RelationB, RelationBPrime)
@@ -73,6 +72,11 @@ def _check_unitary(u, n, tol: nk.Tolerance) -> np.ndarray:
     return u
 
 
+def _worst(moved, images) -> float:
+    """Largest Frobenius distance between matching slices of two stacks."""
+    return float(np.linalg.norm(moved - images, axis=(1, 2)).max())
+
+
 def _commutant_domains(theta, theta_prime, tol: nk.Tolerance):
     b = theta.domain
     bp = theta_prime.domain
@@ -90,35 +94,34 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
 
     u* b u must equal theta(b) on the basis of B, u b' u* must equal
     theta_prime(b') on the basis of B', and the same relations must hold
-    for u^k against the k-th iterates up to the horizon.
+    for u^k against the k-th iterates up to the horizon. Both maps pass the
+    endomorphism law check once, at every horizon, before their iterates
+    are compared.
     """
     b, bp = _commutant_domains(theta, theta_prime, tol)
     n = b.ambient_dim
     u = _check_unitary(u, n, tol)
-    worst_b = max(float(np.linalg.norm(u.conj().T @ x @ u - theta(x)))
-                  for x in b.basis)
+    worst_b = _worst(u.conj().T @ b.basis @ u, theta.basis_images)
     if worst_b > tol.bound(1.0):
         raise RelationB(
             f"u* b u does not implement the map on B, residual {worst_b:.3e}")
-    worst_bp = max(float(np.linalg.norm(u @ y @ u.conj().T - theta_prime(y)))
-                   for y in bp.basis)
+    worst_bp = _worst(u @ bp.basis @ u.conj().T, theta_prime.basis_images)
     if worst_bp > tol.bound(1.0):
         raise RelationBPrime(
             f"u b' u* does not implement the map on B', residual {worst_bp:.3e}")
+    # the law check runs once per map; its iterates are then valid as composed
+    endo_mod.make(b, theta.basis_images, tol)
+    endo_mod.make(bp, theta_prime.basis_images, tol)
+    powers = endo_mod.iterates(theta, max(horizon, 1))
+    powers_prime = endo_mod.iterates(theta_prime, max(horizon, 1))
     worst_pow = 0.0
     uk = u.copy()
-    th = theta
-    thp = theta_prime
-    for _ in range(2, horizon + 1):
+    for k in range(2, horizon + 1):
         uk = uk @ u
-        th = endo_mod.compose(theta, th, tol)
-        thp = endo_mod.compose(theta_prime, thp, tol)
-        for x in b.basis:
-            worst_pow = max(worst_pow, float(
-                np.linalg.norm(uk.conj().T @ x @ uk - th(x))))
-        for y in bp.basis:
-            worst_pow = max(worst_pow, float(
-                np.linalg.norm(uk @ y @ uk.conj().T - thp(y))))
+        worst_pow = max(worst_pow,
+                        _worst(uk.conj().T @ b.basis @ uk, powers[k].basis_images),
+                        _worst(uk @ bp.basis @ uk.conj().T,
+                               powers_prime[k].basis_images))
     if worst_pow > tol.bound(1.0):
         raise RelationB(
             f"powers of u fail to implement the iterates, residual {worst_pow:.3e}")
@@ -173,29 +176,18 @@ def isomorphism_from_pairing(u, theta, theta_prime,
     return CorrespondenceIso(source, target, u, residuals=worst)
 
 
-def _eq33_residuals(u, theta, theta_prime, tol: nk.Tolerance) -> dict:
-    """Rebuild the dilation-level map and compare with multiplication by u.
+def _eq33_residuals(u, theta) -> dict:
+    """Solve for the dilation-level map and compare with multiplication by u.
 
-    The map sends the dilated simple tensor built from (x, y, h) through the
-    product of the source system on one side and through the image elements
-    acting on the dilation space on the other; solving for it on a spanning
-    family must return left multiplication by u.
+    On the simple tensor b_i (tensor) b_j (tensor) h the product of the
+    endomorphism system gives theta(b_i) b_j h, and the identity dilation of
+    the commutant system gives b_i u b_j h. The map solved for on this
+    spanning family must return left multiplication by u.
     """
-    b = theta.domain
-    n = b.ambient_dim
-    p = ps.from_endomorphism(theta, 1, tol)
-    pf = ps.commutant_system(ps.from_endomorphism(theta_prime, 1, tol), tol)
-    wf = ps.identity_right_dilation(pf, tol)
-    v1 = p.products[(0, 1)]
-    t01 = p.tensors[(0, 1)]
-    src, dst = [], []
-    for xi in p.members[0].element_space:
-        left = v1 @ t01.embed_matrix(xi)
-        for xj in p.members[1].element_space:
-            src.append(left @ xj)
-            dst.append(xi @ (wf.maps[1] @ wf.tensors[1].embed_matrix(u @ xj)))
-    src = np.concatenate(src, axis=1)
-    dst = np.concatenate(dst, axis=1)
+    b = theta.domain.basis
+    n = b.shape[1]
+    src = np.einsum("aij,cjk->iack", theta.basis_images, b).reshape(n, -1)
+    dst = np.einsum("aij,cjk->iack", b @ u, b).reshape(n, -1)
     u33 = nk.lstsq_map(src, dst)
     solve = float(np.linalg.norm(u33 @ src - dst))
     return {"eq33_solve": solve, "eq33_match": float(np.linalg.norm(u33 - u))}
@@ -224,7 +216,7 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
     except (NotUnitary, RelationB, RelationBPrime) as exc:
         raise PairingCheckFailed(
             f"recovered unitary fails the pairing relations: {exc}") from exc
-    eq33 = _eq33_residuals(u, theta, theta_prime, tol)
+    eq33 = _eq33_residuals(u, theta)
     bad = {k: v for k, v in eq33.items() if v > tol.bound(np.sqrt(n))}
     if bad:
         raise PairingCheckFailed(f"dilation-level map deviates: {bad}")
@@ -295,11 +287,9 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
         raise CocycleResidual(
             f"link is not in the algebra, residual {report.residual:.3e}",
             step=1, residual=float(report.residual))
-    powers1 = [endo_mod.identity(b), theta1]
-    powers2 = [endo_mod.identity(b), theta2]
-    for _ in range(horizon - 1):
-        powers1.append(endo_mod.compose(theta1, powers1[-1], tol))
-        powers2.append(endo_mod.compose(theta2, powers2[-1], tol))
+    # can_pair validated both maps in check_pairing before pairing them
+    powers1 = endo_mod.iterates(theta1, max(horizon, 1))
+    powers2 = endo_mod.iterates(theta2, max(horizon, 1))
     family = [c1]
     for s in range(1, horizon):
         family.append(family[-1] @ powers1[s](c1))

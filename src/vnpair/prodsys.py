@@ -193,9 +193,8 @@ def from_endomorphism(theta, horizon: int,
         raise DimensionMismatch(f"horizon must be at least 1, got {horizon}")
     b = theta.domain
     bp = alg.commutant(b, tol)
-    powers = [endo_mod.identity(b)]
-    for _ in range(horizon):
-        powers.append(endo_mod.compose(theta, powers[-1], tol))
+    endo_mod.make(b, theta.basis_images, tol)
+    powers = endo_mod.iterates(theta, horizon)
     members = [corr.of_endomorphism(p, right_commutant=bp, tol=tol) for p in powers]
 
     def action(s, t, x):
@@ -530,9 +529,8 @@ def bhat_system(theta, gamma, horizon: int,
         raise NotUnitVector(f"vector norm {norm:.12f} differs from one")
     if not endo_mod.is_automorphism(theta, tol):
         raise NotFaithful("the map is not an automorphism")
-    powers = [endo_mod.identity(b)]
-    for _ in range(horizon):
-        powers.append(endo_mod.compose(theta, powers[-1], tol))
+    endo_mod.make(b, theta.basis_images, tol)
+    powers = endo_mod.iterates(theta, max(horizon, 0))
     pr = np.outer(gamma, gamma.conj())
     spaces = []
     for t in range(horizon + 1):
@@ -690,9 +688,8 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
             raise ProductSystemLawError(
                 f"comparison map {t} is not unitary onto its member, "
                 f"residual {res:.3e}")
-    powers = [endo_mod.identity(b)]
-    for _ in range(p.horizon):
-        powers.append(endo_mod.compose(p.source, powers[-1], tol))
+    endo_mod.make(b, p.source.basis_images, tol)
+    powers = endo_mod.iterates(p.source, p.horizon)
     worst_b = worst_bp = 0.0
     for t in range(p.horizon + 1):
         for base in b.basis:

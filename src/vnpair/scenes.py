@@ -39,11 +39,20 @@ def encode_vector(v) -> list:
     return [encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
 
 
+def _is_number(obj) -> bool:
+    # bool is a subclass of int, but true and false are not numbers here
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
+def _is_int(obj) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def decode_complex(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return complex(obj)
     if (isinstance(obj, list) and len(obj) == 2
-            and all(isinstance(p, (int, float)) for p in obj)):
+            and all(_is_number(p) for p in obj)):
         return complex(obj[0], obj[1])
     raise ParseError(f"{where}: expected a number or [re, im], got {obj!r}")
 
@@ -179,14 +188,14 @@ def parse_scene(data) -> Scene:
     if unknown:
         raise ParseError(f"scene: unknown keys {sorted(unknown)}")
     ambient = data.get("ambient_dim")
-    if not isinstance(ambient, int) or ambient < 1:
+    if not _is_int(ambient) or ambient < 1:
         raise ParseError("scene.ambient_dim: expected a positive integer")
     tolerance = data.get("tolerance")
-    if tolerance is not None and (not isinstance(tolerance, (int, float))
-                                  or tolerance <= 0):
+    if tolerance is not None and (not _is_number(tolerance)
+                                  or not tolerance > 0):
         raise ParseError("scene.tolerance: expected a positive number")
     seed = data.get("seed")
-    if seed is not None and (not isinstance(seed, int) or seed < 0):
+    if seed is not None and (not _is_int(seed) or seed < 0):
         raise ParseError("scene.seed: expected a nonnegative integer")
 
     def algebra_item(obj, where):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vnpair import algebra as alg
+from vnpair import numkernel as nk
 from vnpair.errors import DimensionMismatch, InvalidAlgebra
 
 
@@ -36,6 +37,24 @@ def test_trivial_algebra_commutant_is_everything():
     c = alg.commutant(alg.trivial_algebra(3))
     assert c.dim == 9
     assert alg.equals(c, alg.full_matrix_algebra(3)).ok
+
+
+def test_commutant_is_stored_per_tolerance():
+    """The commutant is computed once per algebra and tolerance, and the
+    bicommutant is a fresh computation, never the original object."""
+    a = alg.random_algebra(6, [(2, 1), (1, 2), (1, 2)], seed=4)
+    tol = nk.Tolerance(1e-9)
+    c = alg.commutant(a, tol)
+    assert alg.commutant(a, tol) is c
+    assert alg.commutant(a, nk.Tolerance(1e-9)) is c
+    loose = alg.commutant(a, nk.Tolerance(1e-7))
+    assert loose is not c
+    assert alg.equals(loose, c).ok
+    cc = alg.commutant(c, tol)
+    assert cc is not a
+    assert alg.equals(cc, a).ok
+    assert alg.commutant(cc, tol) is not c
+    assert alg.equals(alg.commutant(cc, tol), c).ok
 
 
 def test_contains_and_project():

@@ -135,6 +135,12 @@ def scene_dir(tmp_path_factory):
         "unitaries": {"u": enc(np.array([[1, 1], [0, 1]], dtype=complex))},
     })
     dump("badkeys", {"ambient_dim": 2, "nonsense": 1})
+    dump("bool_ambient", {"ambient_dim": True, "grids": {"m": enc(grid)}})
+    dump("bool_tol", {"ambient_dim": 2, "tolerance": True,
+                      "grids": {"m": enc(grid)}})
+    nan_grid = scenes.encode_matrix(grid)
+    nan_grid[2][3] = [float("nan"), 0.0]
+    dump("multnan", {"ambient_dim": 2, "grids": {"m": nan_grid}})
     (root / "notjson.json").write_text("{this is not json")
     return root
 
@@ -340,6 +346,27 @@ def test_parse_errors_exit_two(scene_dir, args, fragment):
     assert report["status"] == "fail"
     assert report["error"]["type"] == "ParseError"
     assert fragment in report["error"]["message"]
+
+
+@pytest.mark.parametrize("name, field", [("bool_ambient", "ambient_dim"),
+                                         ("bool_tol", "tolerance")])
+@pytest.mark.parametrize("extra", [[], ["--tol", "1e-9"]])
+def test_boolean_scene_fields_exit_two(scene_dir, name, field, extra):
+    code, out, _ = run_cli(["mult-check", "--input", path(scene_dir, name)]
+                           + extra)
+    assert code == 2
+    report = json.loads(out)
+    assert report["error"]["type"] == "ParseError"
+    assert f"scene.{field}" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["mult-check", "mult-trivialize"])
+def test_nan_grid_is_rejected(scene_dir, command):
+    code, out, _ = run_cli([command, "--input", path(scene_dir, "multnan")])
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    assert report["error"]["type"] == "NotUnimodular"
 
 
 def test_unknown_command_rejected():

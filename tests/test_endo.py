@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from vnpair import algebra as alg
 from vnpair import endo
 from vnpair import numkernel as nk
+from vnpair import selftest
 from vnpair.errors import (AlgebraNotInvariant, DimensionMismatch,
                            DomainMismatch, ImageOutsideAlgebra,
                            InconsistentGeneratorImages, NotMultiplicative,
@@ -54,6 +55,33 @@ def test_power_of_involution_is_identity():
                        theta.coefficient_matrix)
     with pytest.raises(ValueError):
         endo.power(theta, -1)
+
+
+def test_iterates_match_repeated_composition():
+    b = alg.random_algebra(6, [(2, 1), (1, 2), (1, 2)], seed=8)
+    u = selftest.unitary_inside(b, np.random.default_rng(3))
+    theta = endo.from_unitary(b, u)
+    chain = endo.iterates(theta, 4)
+    assert len(chain) == 5
+    assert np.allclose(chain[0].basis_images, b.basis)
+    composed = endo.identity(b)
+    for k in range(1, 5):
+        composed = endo.compose(theta, composed)
+        assert np.allclose(chain[k].basis_images, composed.basis_images,
+                           atol=1e-12)
+        assert np.allclose(chain[k].basis_images,
+                           endo.power(theta, k).basis_images, atol=1e-12)
+    assert len(endo.iterates(theta, 0)) == 1
+    with pytest.raises(ValueError):
+        endo.iterates(theta, -1)
+
+
+def test_power_rejects_an_invalid_map_at_positive_exponents():
+    d2 = diag_algebra_2()
+    outside = endo.Endomorphism(d2, np.array([SWAP, SWAP]))
+    with pytest.raises(ImageOutsideAlgebra):
+        endo.power(outside, 3)
+    assert np.allclose(endo.power(outside, 0).basis_images, d2.basis)
 
 
 def test_from_unitary_rejects_nonunitary():

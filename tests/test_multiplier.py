@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from vnpair import multiplier as mult
 from vnpair import numkernel as nk
 from vnpair.errors import (CocycleViolation, GridMismatch, NotScalar,
-                           NotUnimodular, NotUnitary)
+                           NotUnimodular, NotUnitary, TrivializationResidual)
 
 THETA = 2.0 * np.pi / 7.0
 
@@ -67,6 +67,27 @@ def test_validate_rejects_off_modulus_even_at_loose_tolerance():
     grid = 1.001 * quadratic_grid(4)
     with pytest.raises(NotUnimodular):
         mult.validate(grid, nk.Tolerance(0.5))
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (0, 3), (2, 3), (5, 5)])
+@pytest.mark.parametrize("bad", [np.nan, complex(np.nan, 0.0), np.inf])
+def test_validate_rejects_non_finite_entries(cell, bad):
+    """A NaN compares false against every bound; it must still fail."""
+    grid = quadratic_grid(5)
+    grid[cell] = bad
+    with pytest.raises(NotUnimodular):
+        mult.validate(grid)
+
+
+def test_non_finite_inputs_never_pass():
+    with pytest.raises(NotUnimodular):
+        mult.coboundary([1.0, np.nan, 1.0])
+    with pytest.raises(NotUnimodular):
+        mult.family_from_phases([1.0, np.nan], np.eye(2))
+    grid = quadratic_grid(4)
+    grid[1, 2] = np.nan
+    with pytest.raises(TrivializationResidual), np.errstate(invalid="ignore"):
+        mult.trivialize(mult.Multiplier(grid))
 
 
 def test_validate_rejects_cocycle_corruption():

@@ -118,6 +118,43 @@ def test_commuting_null_space_shape_check():
         nk.commuting_null_space([(np.eye(2), np.eye(3))], (2, 2))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_commutant_space_matches_complex_route(seed):
+    # a generic element of a block algebra M_k (+) C, rotated: the commutant
+    # has dimension 2 for the scalar parts plus (n - k)^2 - 1 for the corner
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(1, n + 1))
+    d = np.zeros((n, n), dtype=complex)
+    d[:k, :k] = nk.random_complex((k, k), rng)
+    d[k:, k:] = 3.0 * np.eye(n - k)
+    u = nk.random_unitary(n, seed=seed)
+    gens = [u @ d @ u.conj().T]
+    if seed % 2:
+        gens.append(np.eye(n, dtype=complex))
+    real = nk.commutant_space(gens, n)
+    mats = gens + [g.conj().T for g in gens]
+    cplx = nk.commuting_null_space([(g, g) for g in mats], (n, n))
+    assert real.shape == cplx.shape
+    f = real.reshape(real.shape[0], -1)
+    c = cplx.reshape(cplx.shape[0], -1)
+    assert np.linalg.norm(f @ f.conj().T - np.eye(f.shape[0])) < 1e-12
+    assert np.linalg.norm(f - (f @ c.conj().T) @ c) < 1e-10
+    assert np.linalg.norm(real - real.conj().transpose(0, 2, 1)) < 1e-12
+
+
+def test_commutant_space_of_nothing_is_everything():
+    basis = nk.commutant_space([], 3)
+    flat = basis.reshape(basis.shape[0], -1)
+    assert basis.shape[0] == 9
+    assert np.linalg.norm(flat @ flat.conj().T - np.eye(9)) < 1e-12
+
+
+def test_commutant_space_shape_check():
+    with pytest.raises(DimensionMismatch):
+        nk.commutant_space([np.eye(3)], 2)
+
+
 def test_orthonormalize_drops_dependent():
     e11 = np.diag([1.0, 0.0]).astype(complex)
     basis = nk.orthonormalize([e11, 2 * e11, np.eye(2, dtype=complex)])

@@ -5,9 +5,13 @@ from vnpair import algebra as alg
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import pairing as pr
-from vnpair.errors import (CocycleResidual, DomainsNotCommutant, NotFaithful,
-                           NotPairedInput, NotUnitary, NotUnitaryImage,
-                           PairingCheckFailed, RelationB, RelationBPrime)
+from vnpair import prodsys as ps
+from vnpair import selftest as st
+from vnpair.errors import (CocycleResidual, DomainsNotCommutant,
+                           ImageOutsideAlgebra, InvalidCorrespondence,
+                           NotFaithful, NotPairedInput, NotUnitary,
+                           NotUnitaryImage, PairingCheckFailed, RelationB,
+                           RelationBPrime)
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -204,3 +208,91 @@ def test_cocycle_link_rejects_unpaired_input():
     ident = endo.identity(d2)
     with pytest.raises(NotPairedInput):
         pr.cocycle_link(theta_swap, ident, ident, horizon=3)
+
+
+def eq33_via_dilation(u, theta, theta_prime, tol=nk.DEFAULT_TOL):
+    """The eq33 residuals through the dilation-level construction.
+
+    Builds the horizon-1 system of theta, the commutant system of the one of
+    theta_prime and its identity right dilation, then solves for the map
+    that sends x (tensor) y (tensor) h through the product on one side and
+    through x acting on the dilated u y on the other.
+    """
+    p = ps.from_endomorphism(theta, 1, tol)
+    pf = ps.commutant_system(ps.from_endomorphism(theta_prime, 1, tol), tol)
+    wf = ps.identity_right_dilation(pf, tol)
+    v1 = p.products[(0, 1)]
+    t01 = p.tensors[(0, 1)]
+    src, dst = [], []
+    for xi in p.members[0].element_space:
+        left = v1 @ t01.embed_matrix(xi)
+        for xj in p.members[1].element_space:
+            src.append(left @ xj)
+            dst.append(xi @ (wf.maps[1] @ wf.tensors[1].embed_matrix(u @ xj)))
+    src = np.concatenate(src, axis=1)
+    dst = np.concatenate(dst, axis=1)
+    u33 = nk.lstsq_map(src, dst)
+    return {"eq33_solve": float(np.linalg.norm(u33 @ src - dst)),
+            "eq33_match": float(np.linalg.norm(u33 - u))}
+
+
+def paired_sample(blocks, seed):
+    """theta = Ad u* on B and theta' = Ad u on B' for a normalizing u."""
+    n = sum(a * m for a, m in blocks)
+    frame = nk.random_unitary(n, seed)
+    gens, _ = alg.block_basis(blocks)
+    b = alg.from_generators(
+        n, np.einsum("ij,bjk,kl->bil", frame, gens, frame.conj().T))
+    rng = np.random.default_rng(seed)
+    u = st.normalizing_unitary(st.AlgebraSample(tuple(blocks), frame, b), rng)
+    bp = alg.commutant(b)
+    return (b, u, endo.from_unitary(b, u, "adjoint"),
+            endo.from_unitary(bp, u, "direct"), rng)
+
+
+# every B is noncommutative, so a unitary of B can move the map on B
+EQ33_CASES = [
+    ([(2, 1), (1, 1), (1, 1)], 41),
+    ([(2, 1), (1, 2)], 42),
+    ([(1, 2), (1, 2), (2, 1)], 43),
+    ([(2, 1), (2, 1), (1, 2)], 44),
+    ([(2, 2), (2, 2)], 45),
+]
+
+
+@pytest.mark.parametrize("blocks, seed", EQ33_CASES)
+def test_eq33_agrees_with_dilation_construction(blocks, seed):
+    """The direct residuals match the dilation-level ones on paired inputs,
+    and also where they are far from zero: for w = c u with c a unitary of
+    B, w still implements theta' (so both constructions see the same
+    spanning family) but not theta, and the map solved for is not w."""
+    tol = nk.DEFAULT_TOL
+    b, u, theta, theta_prime, rng = paired_sample(blocks, seed)
+    n = b.ambient_dim
+    cert = pr.pairing_from_isomorphism(u, theta, theta_prime)
+    oracle = eq33_via_dilation(u, theta, theta_prime)
+    for key in ("eq33_solve", "eq33_match"):
+        assert abs(cert.residuals[key] - oracle[key]) <= tol.bound(np.sqrt(n))
+    w = st.unitary_inside(b, rng) @ u
+    direct = pr._eq33_residuals(w, theta)
+    oracle = eq33_via_dilation(w, theta, theta_prime)
+    assert direct["eq33_solve"] > 1e-3
+    for key in ("eq33_solve", "eq33_match"):
+        assert abs(direct[key] - oracle[key]) <= tol.bound(np.sqrt(n))
+
+
+def test_check_pairing_rejects_map_leaving_the_algebra():
+    """Ad u* with u* B u outside B passes both relations by construction;
+    the law check on the maps has to catch it at every horizon."""
+    b = alg.random_algebra(4, [(1, 2), (1, 2)], seed=3)
+    bp = alg.commutant(b)
+    u = nk.random_unitary(4, 5)
+    theta = endo.Endomorphism(
+        b, np.einsum("ij,bjk,kl->bil", u.conj().T, b.basis, u))
+    theta_prime = endo.Endomorphism(
+        bp, np.einsum("ij,bjk,kl->bil", u, bp.basis, u.conj().T))
+    for horizon in (1, 4):
+        with pytest.raises(ImageOutsideAlgebra):
+            pr.check_pairing(u, theta, theta_prime, horizon=horizon)
+    with pytest.raises(InvalidCorrespondence):
+        pr.can_pair(theta, theta_prime)

@@ -89,6 +89,29 @@ def test_decode_complex_forms():
             scenes.decode_complex(bad, "x")
 
 
+@pytest.mark.parametrize("field", ["ambient_dim", "tolerance", "seed"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_booleans_are_not_numbers(field, flag):
+    """JSON true/false decode to bool, a subclass of int; they must not pass."""
+    data = full_scene_data()
+    data[field] = flag
+    with pytest.raises(ParseError, match=f"scene.{field}"):
+        scenes.parse_scene(data)
+
+
+def test_boolean_matrix_entries_rejected():
+    for bad in (True, [True, 0.0], [0.0, False]):
+        with pytest.raises(ParseError):
+            scenes.decode_complex(bad, "x")
+
+
+def test_nan_tolerance_rejected():
+    data = full_scene_data()
+    data["tolerance"] = float("nan")
+    with pytest.raises(ParseError, match="scene.tolerance"):
+        scenes.parse_scene(data)
+
+
 def test_decode_matrix_rejects_ragged_rows():
     with pytest.raises(ParseError):
         scenes.decode_matrix([[1.0, 2.0], [3.0]], "m")
