@@ -32,7 +32,7 @@ class VnAlgebra:
     """
 
     def __init__(self, ambient_dim: int, basis, generators=None,
-                 tol: nk.Tolerance = nk.DEFAULT_TOL, check: bool = True):
+                 tol: nk.Tolerance = nk.DEFAULT_TOL):
         self.ambient_dim = int(ambient_dim)
         self.basis = np.asarray(basis, dtype=complex)
         if self.basis.ndim != 3 or self.basis.shape[1:] != (self.ambient_dim, self.ambient_dim):
@@ -46,8 +46,7 @@ class VnAlgebra:
             self.generators = np.asarray(generators, dtype=complex).reshape(
                 -1, self.ambient_dim, self.ambient_dim)
         self._commutants: dict[nk.Tolerance, VnAlgebra] = {}
-        if check:
-            self._check_light(tol)
+        self._check_light(tol)
 
     @property
     def dim(self) -> int:
@@ -57,17 +56,17 @@ class VnAlgebra:
         # orthonormality, identity membership, and adjoint closure; the
         # quadratic product-closure check lives in validate()
         gram = self.flat @ self.flat.conj().T
-        res = float(np.linalg.norm(gram - np.eye(self.dim)))
-        if res > tol.bound(float(np.sqrt(self.dim))):
-            raise InvalidAlgebra(f"basis not orthonormal, gram residual {res:.3e}")
+        nk.require(float(np.linalg.norm(gram - np.eye(self.dim))),
+                   tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
+                   "basis not orthonormal, gram residual {:.3e}")
         eye = np.eye(self.ambient_dim, dtype=complex)
-        res = self.contains(eye, tol).residual
-        if res > tol.bound(float(np.sqrt(self.ambient_dim))):
-            raise InvalidAlgebra(f"identity outside span, residual {res:.3e}")
+        nk.require(self.contains(eye, tol).residual,
+                   tol.bound(float(np.sqrt(self.ambient_dim))), InvalidAlgebra,
+                   "identity outside span, residual {:.3e}")
         adj = self.basis.conj().transpose(0, 2, 1).reshape(self.dim, -1)
-        res = float(np.linalg.norm(adj - (adj @ self.flat.conj().T) @ self.flat))
-        if res > tol.bound(float(np.sqrt(self.dim))):
-            raise InvalidAlgebra(f"span not adjoint closed, residual {res:.3e}")
+        nk.require(float(np.linalg.norm(adj - (adj @ self.flat.conj().T) @ self.flat)),
+                   tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
+                   "span not adjoint closed, residual {:.3e}")
 
     def coefficients(self, x) -> np.ndarray:
         """Coefficient vector of x against the orthonormal basis."""
@@ -86,12 +85,10 @@ class VnAlgebra:
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
         """Full invariant check including product closure; raises on failure."""
         worst = {"product_closure": 0.0}
-        prods = np.einsum("aij,bjk->abik", self.basis, self.basis).reshape(-1, self.flat.shape[1])
-        resid = prods - (prods @ self.flat.conj().T) @ self.flat
-        worst["product_closure"] = float(np.abs(np.linalg.norm(resid, axis=1)).max())
-        if worst["product_closure"] > tol.bound(1.0):
-            raise InvalidAlgebra(
-                f"span not closed under products, residual {worst['product_closure']:.3e}")
+        prods = np.einsum("aij,bjk->abik", self.basis, self.basis)
+        worst["product_closure"] = nk.require(
+            nk.span_residual(prods, self.flat), tol.bound(1.0),
+            InvalidAlgebra, "span not closed under products, residual {:.3e}")
         return worst
 
     def __repr__(self) -> str:
@@ -192,10 +189,6 @@ class BlockSignature:
     blocks: tuple[tuple[int, int], ...]
     central_projections: np.ndarray
 
-    @property
-    def transposed(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(((m, a) for a, m in self.blocks), reverse=True))
-
 
 def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL,
                     seed: int = 0) -> BlockSignature:
@@ -235,9 +228,9 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL,
                         f"compressed corner dimension {d_i} is not a square")
                 rank = float(np.trace(p).real)
                 m_i = int(round(rank / a_i))
-                if abs(m_i * a_i - rank) > 1e-6:
-                    raise DegenerateCenterElement(
-                        f"projection rank {rank:.6f} not divisible by block size {a_i}")
+                nk.require(abs(m_i * a_i - rank), 1e-6, DegenerateCenterElement,
+                           "projection rank {1:.6f} not divisible by block size {2}",
+                           rank, a_i)
                 blocks.append((a_i, m_i))
                 projections.append(p)
             if sum(ai * mi for ai, mi in blocks) != n or \
@@ -253,7 +246,7 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL,
         f"no separating central element after {MAX_CENTER_RETRIES} draws: {last_error}")
 
 
-def block_basis(blocks, offset_of=None) -> tuple[np.ndarray, list[int]]:
+def block_basis(blocks) -> tuple[np.ndarray, list[int]]:
     """Matrix-unit generators for the block-diagonal model algebra.
 
     For each block (a, m) the model occupies an a*m slot in which the

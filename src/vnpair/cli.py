@@ -2,52 +2,28 @@
 
 Every command reads a scene file (``--input``), runs one library
 operation, and writes a report object to stdout with a one-line summary
-on stderr. Commands look up scene entries by fixed names:
-
-    algebra-commutant    algebra "a"
-    algebra-blocks       algebra "a"
-    endo-validate        endomorphism "theta"
-    corr-of-endo         endomorphism "theta"
-    corr-intertwiners    endomorphism "theta"
-    corr-commutant       endomorphism "theta"
-    corr-tensor          endomorphisms "theta", "eta"
-    corr-iso             endomorphisms "theta", "eta"
-    prodsys-build        endomorphism "theta"            (--horizon, default 4)
-    prodsys-commutant    endomorphism "theta"            (--horizon, default 4)
-    bhat                 endomorphism "theta", vector "gamma"   (--horizon)
-    dilation-commutant   endomorphism "theta", unitary "u"      (--horizon)
-    mult-check           grid "m"
-    mult-trivialize      grid "m"
-    mult-extract         family "u"
-    pair                 endomorphisms "theta", "theta_prime"
-    pair-check           unitary "u", endomorphisms "theta", "theta_prime"
-    cocycle-link         endomorphisms "theta1", "theta2", "theta_prime"
-                                                         (--horizon, default 6)
-    symmetry-check       unitary "u", algebra "a"
-    selftest             no scene; --seed and --cap control the run
+on stderr. Commands look up scene entries by fixed names; ``vnpair -h``
+lists them, from the ``_COMMANDS`` table below.
 
 Exit codes: 0 when the report status is ok, which includes negative
 mathematical answers such as NotPaired; 1 when a validation check fails;
 2 when the scene cannot be read or parsed. The default tolerance can be
 overridden by the ``VNPAIR_TOL`` environment variable, the scene's
-``tolerance`` field, or ``--tol``, in increasing order of precedence.
+``tolerance`` field, or ``--tol``, in increasing order of precedence; the
+scene's objects are built at that same tolerance.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
-
-import numpy as np
 
 from . import algebra as alg
 from . import correspondence as corr
 from . import endo as endo_mod
 from . import errors
 from . import multiplier as mult
-from . import numkernel as nk
 from . import pairing
 from . import prodsys
 from . import scenes
@@ -95,8 +71,7 @@ def _cmd_algebra_blocks(scene, opts):
 
 
 def _cmd_endo_validate(scene, opts):
-    theta = scene.endomorphism("theta")
-    endo_mod.make(theta.domain, theta.basis_images, opts.tol)
+    theta = scene.endomorphism("theta")  # validated when the scene was built
     return {"basis_images": _enc_many(theta.basis_images),
             "faithful": endo_mod.is_faithful(theta, opts.tol),
             "automorphism": endo_mod.is_automorphism(theta, opts.tol)}, {}
@@ -114,14 +89,10 @@ def _cmd_corr_of_endo(scene, opts):
 
 
 def _cmd_corr_intertwiners(scene, opts):
+    # also corr-commutant: the intertwiner space is the commutant of the
+    # twisted correspondence, field for field
     e = corr.intertwiner_space(scene.endomorphism("theta"), tol=opts.tol)
     return _corr_payload(e), e.validate(opts.tol)
-
-
-def _cmd_corr_commutant(scene, opts):
-    e = corr.of_endomorphism(scene.endomorphism("theta"), tol=opts.tol)
-    c = corr.commutant(e)
-    return _corr_payload(c), c.validate(opts.tol)
 
 
 def _cmd_corr_tensor(scene, opts):
@@ -148,14 +119,14 @@ def _cmd_corr_iso(scene, opts):
 def _cmd_prodsys_build(scene, opts):
     theta = scene.endomorphism("theta")
     p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
-    return _system_payload(p), p.validate(opts.tol)
+    return _system_payload(p), dict(p.residuals)
 
 
 def _cmd_prodsys_commutant(scene, opts):
     theta = scene.endomorphism("theta")
     p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
     q = prodsys.commutant_system(p, opts.tol)
-    diag = q.validate(opts.tol)
+    diag = dict(q.residuals)
     diag["order_reversal"] = max(
         prodsys.commutant_order_residual(p, q, s, t, opts.tol)
         for s in range(p.horizon + 1) for t in range(p.horizon + 1 - s))
@@ -178,7 +149,7 @@ def _cmd_dilation_commutant(scene, opts):
     u = scene.unitary("u")
     p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
     w = prodsys.right_dilation_from_unitary(p, u, tol=opts.tol)
-    diag = {"dilation_" + k: v for k, v in w.validate(opts.tol).items()}
+    diag = {"dilation_" + k: v for k, v in w.residuals.items()}
     result = prodsys.commutant_via_dilation(p, w, seed=opts.seed, tol=opts.tol)
     payload = {"carriers": [m.carrier_dim for m in result.system.members],
                "xi": _enc(result.xi),
@@ -195,12 +166,7 @@ def _cmd_mult_check(scene, opts):
 def _cmd_mult_trivialize(scene, opts):
     m = mult.validate(scene.grid("m"), opts.tol)
     f = mult.trivialize(m)
-    idx = np.arange(m.horizon + 1)
-    sums = np.add.outer(idx, idx)
-    lhs = m.values * f[np.minimum(sums, m.horizon)]
-    residual = float(np.where(sums <= m.horizon,
-                              np.abs(lhs - np.multiply.outer(f, f)), 0.0).max())
-    return {"f": scenes.encode_vector(f)}, {"splitting": residual}
+    return {"f": scenes.encode_vector(f)}, {"splitting": mult.splitting_residual(m, f)}
 
 
 def _cmd_mult_extract(scene, opts):
@@ -245,35 +211,42 @@ def _cmd_symmetry_check(scene, opts):
     return {"down": down, "up": up, "agree": down == up}, {}
 
 
-# command -> (handler, default horizon or None when the flag is unused)
+# command -> (handler, default horizon or None when the flag is unused,
+# scene entries the command reads)
 _COMMANDS = {
-    "algebra-commutant": (_cmd_algebra_commutant, None),
-    "algebra-blocks": (_cmd_algebra_blocks, None),
-    "endo-validate": (_cmd_endo_validate, None),
-    "corr-of-endo": (_cmd_corr_of_endo, None),
-    "corr-intertwiners": (_cmd_corr_intertwiners, None),
-    "corr-commutant": (_cmd_corr_commutant, None),
-    "corr-tensor": (_cmd_corr_tensor, None),
-    "corr-iso": (_cmd_corr_iso, None),
-    "prodsys-build": (_cmd_prodsys_build, 4),
-    "prodsys-commutant": (_cmd_prodsys_commutant, 4),
-    "bhat": (_cmd_bhat, 4),
-    "dilation-commutant": (_cmd_dilation_commutant, 4),
-    "mult-check": (_cmd_mult_check, None),
-    "mult-trivialize": (_cmd_mult_trivialize, None),
-    "mult-extract": (_cmd_mult_extract, None),
-    "pair": (_cmd_pair, None),
-    "pair-check": (_cmd_pair_check, 4),
-    "cocycle-link": (_cmd_cocycle_link, 6),
-    "symmetry-check": (_cmd_symmetry_check, None),
+    "algebra-commutant": (_cmd_algebra_commutant, None, 'algebra "a"'),
+    "algebra-blocks": (_cmd_algebra_blocks, None, 'algebra "a"'),
+    "endo-validate": (_cmd_endo_validate, None, 'endomorphism "theta"'),
+    "corr-of-endo": (_cmd_corr_of_endo, None, 'endomorphism "theta"'),
+    "corr-intertwiners": (_cmd_corr_intertwiners, None, 'endomorphism "theta"'),
+    "corr-commutant": (_cmd_corr_intertwiners, None, 'endomorphism "theta"'),
+    "corr-tensor": (_cmd_corr_tensor, None, 'endomorphisms "theta", "eta"'),
+    "corr-iso": (_cmd_corr_iso, None, 'endomorphisms "theta", "eta"'),
+    "prodsys-build": (_cmd_prodsys_build, 4, 'endomorphism "theta"'),
+    "prodsys-commutant": (_cmd_prodsys_commutant, 4, 'endomorphism "theta"'),
+    "bhat": (_cmd_bhat, 4, 'endomorphism "theta", vector "gamma"'),
+    "dilation-commutant": (_cmd_dilation_commutant, 4,
+                           'endomorphism "theta", unitary "u"'),
+    "mult-check": (_cmd_mult_check, None, 'grid "m"'),
+    "mult-trivialize": (_cmd_mult_trivialize, None, 'grid "m"'),
+    "mult-extract": (_cmd_mult_extract, None, 'family "u"'),
+    "pair": (_cmd_pair, None, 'endomorphisms "theta", "theta_prime"'),
+    "pair-check": (_cmd_pair_check, 4,
+                   'unitary "u", endomorphisms "theta", "theta_prime"'),
+    "cocycle-link": (_cmd_cocycle_link, 6,
+                     'endomorphisms "theta1", "theta2", "theta_prime"'),
+    "symmetry-check": (_cmd_symmetry_check, None, 'unitary "u", algebra "a"'),
 }
 
 
-class _Options:
-    def __init__(self, tol, seed, horizon):
-        self.tol = tol
-        self.seed = seed
-        self.horizon = horizon
+def _command_table() -> str:
+    """Help epilog: the scene entries and default horizon of each command."""
+    lines = ["commands and the scene entries they read:"]
+    for name, (_, horizon, entries) in _COMMANDS.items():
+        flag = f"  (--horizon, default {horizon})" if horizon is not None else ""
+        lines.append(f"  {name:<20} {entries}{flag}")
+    lines.append(f"  {'selftest':<20} no scene; --seed and --cap control the run")
+    return "\n".join(lines)
 
 
 def _jsonsafe(obj):
@@ -287,25 +260,6 @@ def _jsonsafe(obj):
     return obj
 
 
-def _resolve_tol(arg_tol, scene) -> nk.Tolerance:
-    if arg_tol is not None:
-        eps = arg_tol
-    elif scene is not None and scene.tolerance is not None:
-        eps = scene.tolerance
-    elif os.environ.get("VNPAIR_TOL"):
-        raw = os.environ["VNPAIR_TOL"]
-        try:
-            eps = float(raw)
-        except ValueError:
-            raise ParseError(f"VNPAIR_TOL is not a number: {raw!r}")
-    else:
-        return nk.DEFAULT_TOL
-    if not 0.0 < eps < 1.0:
-        raise ParseError(
-            f"tolerance must lie strictly between 0 and 1, got {eps}")
-    return nk.Tolerance(eps=eps)
-
-
 def _emit(report: dict, out_path, stderr_line: str) -> None:
     text = json.dumps(_jsonsafe(report), indent=2, sort_keys=False)
     print(text)
@@ -316,7 +270,7 @@ def _emit(report: dict, out_path, stderr_line: str) -> None:
 
 
 def _run_selftest(args, started: float) -> int:
-    tol = _resolve_tol(args.tol, None)
+    tol = scenes.resolve_tolerance(args.tol, None)
     seed = args.seed if args.seed is not None else 0
     results = selftest_mod.run_all(seed=seed, cap=args.cap, tol=tol,
                                    log=sys.stderr)
@@ -338,8 +292,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vnpair",
         description="Operator-algebra scene processor; see the package "
-                    "README for scene file structure and command naming "
-                    "conventions.")
+                    "README for scene file\nstructure and command naming "
+                    "conventions.",
+        epilog=_command_table(),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=sorted(_COMMANDS) + ["selftest"])
     parser.add_argument("--input", help="scene file (JSON)")
     parser.add_argument("--out", help="also write the report to this file")
@@ -370,14 +326,14 @@ def main(argv=None) -> int:
         if args.input is None:
             raise ParseError("--input is required for every command "
                              "except selftest")
-        scene = scenes.load_scene(args.input)
-        handler, default_horizon = _COMMANDS[args.command]
+        scene = scenes.load_scene(args.input, args.tol)
+        handler, default_horizon, _ = _COMMANDS[args.command]
         horizon = args.horizon if args.horizon is not None else default_horizon
         if horizon is not None and horizon < 1:
             raise ParseError(f"--horizon must be at least 1, got {horizon}")
         seed = args.seed if args.seed is not None else \
             (scene.seed if scene.seed is not None else 0)
-        opts = _Options(_resolve_tol(args.tol, scene), seed, horizon)
+        opts = argparse.Namespace(tol=scene.tol, seed=seed, horizon=horizon)
         payload, diagnostics = handler(scene, opts)
     except ParseError as exc:
         return fail(exc, 2)

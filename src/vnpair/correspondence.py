@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import algebra as alg
+from . import endo as endo_mod
 from . import numkernel as nk
 from .errors import (AlgebraMismatch, DimensionMismatch, GramNotPSD,
                      InvalidCorrespondence, NotIntertwining, NotIsometric,
@@ -31,27 +32,6 @@ MAX_POLAR_RETRIES = 8
 def rep_apply(domain: alg.VnAlgebra, images: np.ndarray, x) -> np.ndarray:
     """Apply the representation with the given basis images to x in span."""
     return np.tensordot(domain.coefficients(x), images, axes=(0, 0))
-
-
-def rep_residuals(domain: alg.VnAlgebra, images: np.ndarray) -> dict:
-    """Worst-case unitality, multiplicativity, and adjoint residuals."""
-    d, n = domain.dim, domain.ambient_dim
-    h = images.shape[1]
-    out = {}
-    unit = rep_apply(domain, images, np.eye(n))
-    out["unital"] = float(np.linalg.norm(unit - np.eye(h)))
-    prods = np.einsum("aij,bjk->abik", domain.basis, domain.basis)
-    coeffs = np.einsum("dij,abij->dab", domain.basis.conj(), prods)
-    lhs = np.einsum("dab,dij->abij", coeffs, images)
-    rhs = np.einsum("aij,bjk->abik", images, images)
-    out["multiplicative"] = float(
-        np.linalg.norm((lhs - rhs).reshape(d * d, -1), axis=1).max())
-    adj_coeffs = np.einsum("dij,aij->da", domain.basis.conj(),
-                           domain.basis.conj().transpose(0, 2, 1))
-    lhs_star = np.einsum("da,dij->aij", adj_coeffs, images)
-    rhs_star = images.conj().transpose(0, 2, 1)
-    out["star"] = float(np.linalg.norm((lhs_star - rhs_star).reshape(d, -1), axis=1).max())
-    return out
 
 
 class Correspondence:
@@ -97,18 +77,17 @@ class Correspondence:
         h = self.carrier_dim
         eye = np.eye(h)
         res = float(np.linalg.norm(self.rho_of(np.eye(self.left.ambient_dim)) - eye))
-        if res > tol.bound(np.sqrt(h)):
-            raise InvalidCorrespondence(f"left action not unital, residual {res:.3e}")
-        res = float(np.linalg.norm(
-            self.rho_prime_of(np.eye(self.right.ambient_dim)) - eye))
-        if res > tol.bound(np.sqrt(h)):
-            raise InvalidCorrespondence(f"commutant action not unital, residual {res:.3e}")
+        nk.require(res, tol.bound(np.sqrt(h)), InvalidCorrespondence,
+                   "left action not unital, residual {:.3e}")
+        res = float(np.linalg.norm(self.rho_prime_of(np.eye(self.right.ambient_dim)) - eye))
+        nk.require(res, tol.bound(np.sqrt(h)), InvalidCorrespondence,
+                   "commutant action not unital, residual {:.3e}")
         ab = self.rho[:, None] @ self.rho_prime[None, :]
         ba = self.rho_prime[None, :] @ self.rho[:, None]
         res = float(np.linalg.norm((ab - ba).reshape(ab.shape[0] * ab.shape[1], -1),
                                    axis=1).max()) if ab.size else 0.0
-        if res > tol.bound(1.0):
-            raise InvalidCorrespondence(f"ranges do not commute, residual {res:.3e}")
+        nk.require(res, tol.bound(1.0), InvalidCorrespondence,
+                   "ranges do not commute, residual {:.3e}")
 
     def rho_of(self, a) -> np.ndarray:
         return rep_apply(self.left, self.rho, a)
@@ -131,24 +110,19 @@ class Correspondence:
         """Full invariant check; raises InvalidCorrespondence on failure."""
         worst = {}
         worst.update({"rho_" + k: v for k, v in
-                      rep_residuals(self.left, self.rho).items()})
-        worst.update({"rho_prime_" + k: v for k, v in
-                      rep_residuals(self.right_commutant, self.rho_prime).items()})
+                      endo_mod.hom_residuals(self.left, self.rho).items()})
+        worst.update({"rho_prime_" + k: v for k, v in endo_mod.hom_residuals(
+            self.right_commutant, self.rho_prime).items()})
         x = self.element_space
         # inner products of elements land in the right algebra
         inner = np.einsum("iab,jac->ijbc", x.conj(), x)
-        flat = inner.reshape(-1, self.right.ambient_dim ** 2)
-        resid = flat - (flat @ self.right.flat.conj().T) @ self.right.flat
-        worst["inner_in_right"] = float(
-            np.linalg.norm(resid, axis=1).max()) if flat.size else 0.0
+        worst["inner_in_right"] = nk.span_residual(inner, self.right.flat)
         # elements reach the whole carrier
         cols = x.transpose(1, 0, 2).reshape(self.carrier_dim, -1)
         worst["nondegenerate"] = 0.0 if nk.numeric_rank(cols, tol) == self.carrier_dim \
             else 1.0
-        bad = {k: v for k, v in worst.items() if v > tol.bound(1.0)}
-        if bad:
-            raise InvalidCorrespondence(f"invariants violated: {bad}")
-        return worst
+        return nk.require_laws(worst, tol.bound(1.0), InvalidCorrespondence,
+                               "invariants violated: {}")
 
 
 def of_endomorphism(theta, right_commutant=None,
@@ -171,22 +145,11 @@ def intertwiner_space(theta, right_commutant=None,
     """Correspondence over the commutant whose elements intertwine the map.
 
     The element space consists of the x with theta(b) x = x b; the commutant
-    algebra acts by plain multiplication on both sides.
+    algebra acts by plain multiplication on both sides. These are the fields
+    of the commutant of the twisted correspondence, whose construction runs
+    the same checks.
     """
-    b = theta.domain
-    bp = right_commutant if right_commutant is not None else alg.commutant(b, tol)
-    return Correspondence(left=bp, right=bp, left_commutant=b, right_commutant=b,
-                          rho=bp.basis, rho_prime=theta.basis_images,
-                          carrier_dim=b.ambient_dim, tol=tol)
-
-
-def identity_correspondence(b, right_commutant=None,
-                            tol: nk.Tolerance = nk.DEFAULT_TOL) -> Correspondence:
-    """The algebra itself as a correspondence over itself."""
-    bp = right_commutant if right_commutant is not None else alg.commutant(b, tol)
-    return Correspondence(left=b, right=b, left_commutant=bp, right_commutant=bp,
-                          rho=b.basis, rho_prime=bp.basis,
-                          carrier_dim=b.ambient_dim, tol=tol)
+    return commutant(of_endomorphism(theta, right_commutant, tol))
 
 
 def commutant(e: Correspondence) -> Correspondence:
@@ -226,8 +189,9 @@ class TensorProduct:
         gram = (gram + gram.conj().T) / 2.0
         lam, vec = np.linalg.eigh(gram)
         top = float(lam[-1]) if lam.size else 0.0
-        if lam.size and lam[0] < -tol.eps * max(top, 1.0):
-            raise GramNotPSD(f"Gram matrix eigenvalue {lam[0]:.3e} below zero")
+        if lam.size:
+            nk.require(-lam[0], tol.eps * max(top, 1.0), GramNotPSD,
+                       "Gram matrix eigenvalue {1:.3e} below zero", lam[0])
         keep = lam > tol.eps * max(top, 1.0)
         lam_kept, vec_kept = lam[keep], vec[:, keep]
         self.carrier_dim = int(lam_kept.size)
@@ -266,12 +230,9 @@ class TensorProduct:
         raw = np.einsum("piu,uv->piv", self._phi3, op)
         return raw.reshape(self.carrier_dim, -1) @ self.phi_pinv
 
-    def embed(self, x, h) -> np.ndarray:
-        """Quotient coordinates of the simple tensor x (tensor) h."""
-        return self.embed_matrix(x) @ np.asarray(h, dtype=complex)
-
     def embed_matrix(self, x) -> np.ndarray:
-        """Matrix h -> embed(x, h), shape (carrier_dim, f.carrier_dim)."""
+        """Matrix taking h to the quotient coordinates of the simple tensor
+        x (tensor) h, shape (carrier_dim, f.carrier_dim)."""
         a = self.e.element_coefficients(x)
         return np.tensordot(a, self._phi3, axes=(0, 1))
 
@@ -279,12 +240,6 @@ class TensorProduct:
 def tensor_product(e: Correspondence, f: Correspondence,
                    tol: nk.Tolerance = nk.DEFAULT_TOL) -> TensorProduct:
     return TensorProduct(e, f, tol)
-
-
-def tensor(e: Correspondence, f: Correspondence,
-           tol: nk.Tolerance = nk.DEFAULT_TOL) -> Correspondence:
-    """Interior tensor product, returning just the resulting correspondence."""
-    return TensorProduct(e, f, tol).corr
 
 
 def tensor_commutant_iso(e: Correspondence, f: Correspondence,
@@ -315,22 +270,21 @@ def tensor_commutant_iso(e: Correspondence, f: Correspondence,
     src = np.concatenate(src, axis=1)
     dst = np.concatenate(dst, axis=1)
     w = nk.lstsq_map(src, dst)
-    res = float(np.linalg.norm(w @ src - dst))
-    if res > tol.bound(float(np.linalg.norm(src)), float(np.linalg.norm(dst))):
-        raise NotIsometric(f"spanning identity fails, residual {res:.3e}")
+    nk.require(float(np.linalg.norm(w @ src - dst)),
+               tol.bound(float(np.linalg.norm(src)), float(np.linalg.norm(dst))),
+               NotIsometric, "spanning identity fails, residual {:.3e}")
     if w.shape[0] != w.shape[1]:
         raise NotIsometric(f"carrier dimensions differ: {w.shape}")
-    res = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[0])))
-    if res > tol.bound(np.sqrt(w.shape[0])):
-        raise NotIsometric(f"not unitary, residual {res:.3e}")
+    nk.require(nk.unitarity_residual(w), tol.bound(np.sqrt(w.shape[0])), NotIsometric,
+               "not unitary, residual {:.3e}")
     for img1, img2 in zip(t1.corr.rho, t2.corr.rho_prime):
-        r = float(np.linalg.norm(w @ img1 - img2 @ w))
-        if r > tol.bound(nk.frobenius(img1)):
-            raise NotIntertwining(f"left-algebra intertwining fails, residual {r:.3e}")
+        nk.require(float(np.linalg.norm(w @ img1 - img2 @ w)),
+                   tol.bound(nk.frobenius(img1)), NotIntertwining,
+                   "left-algebra intertwining fails, residual {:.3e}")
     for img1, img2 in zip(t1.corr.rho_prime, t2.corr.rho):
-        r = float(np.linalg.norm(w @ img1 - img2 @ w))
-        if r > tol.bound(nk.frobenius(img1)):
-            raise NotIntertwining(f"commutant intertwining fails, residual {r:.3e}")
+        nk.require(float(np.linalg.norm(w @ img1 - img2 @ w)),
+                   tol.bound(nk.frobenius(img1)), NotIntertwining,
+                   "commutant intertwining fails, residual {:.3e}")
     return w
 
 
@@ -421,10 +375,7 @@ def find_isomorphism(e: Correspondence, f: Correspondence,
             u = nk.polar_unitary(t, tol)
         except SingularInput:
             continue
-        res = max(float(np.linalg.norm(u @ be - bf @ u))
-                  for be, bf in zip(e.rho, rho_f))
-        res = max(res, max(float(np.linalg.norm(u @ be - bf @ u))
-                           for be, bf in zip(e.rho_prime, rho_prime_f)))
+        res = nk.worst(*(float(np.linalg.norm(u @ be - bf @ u)) for bf, be in pairs))
         if res <= tol.bound(1.0):
             return IsoDecision(unitary=u, table_left=te, table_right=tf)
     raise PolarRetryExhausted(

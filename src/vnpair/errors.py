@@ -7,7 +7,14 @@ where it is useful programmatically, as attributes.
 
 
 class VnpairError(Exception):
-    """Base class for all package-specific failures."""
+    """Base class for all package-specific failures.
+
+    Keyword arguments become attributes of the error.
+    """
+
+    def __init__(self, message: str = "", **attrs):
+        super().__init__(message)
+        self.__dict__.update(attrs)
 
 
 # ---------------------------------------------------------------- numerics
@@ -111,10 +118,7 @@ class NotFaithful(VnpairError):
 class NoUnitVector(VnpairError):
     """The intertwiner space contains no isometry; carries the obstruction."""
 
-    def __init__(self, message, required=None, available=None):
-        super().__init__(message)
-        self.required = required
-        self.available = available
+    required = available = None
 
 
 class ProductSystemLawError(VnpairError):
@@ -130,10 +134,7 @@ class NotUnimodular(VnpairError):
 class CocycleViolation(VnpairError):
     """The two-variable cocycle identity fails at some grid triple."""
 
-    def __init__(self, message, triple=None, residual=None):
-        super().__init__(message)
-        self.triple = triple
-        self.residual = residual
+    triple = residual = None
 
 
 class BoundaryViolation(VnpairError):
@@ -177,10 +178,7 @@ class NotPairedInput(VnpairError):
 class CocycleResidual(VnpairError):
     """The operator cocycle identities fail beyond tolerance."""
 
-    def __init__(self, message, step=None, residual=None):
-        super().__init__(message)
-        self.step = step
-        self.residual = residual
+    step = residual = None
 
 
 class DomainsNotCommutant(VnpairError):

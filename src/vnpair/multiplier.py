@@ -72,24 +72,21 @@ def validate(values, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Multiplier:
     if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] < 2:
         raise GridMismatch(f"expected a square grid of size >= 2, got {grid.shape}")
     moduli = np.abs(np.abs(grid) - 1.0)
-    worst_mod = float(moduli.max())
-    if not worst_mod <= UNIMODULAR_TOL:  # a NaN entry fails here too
-        s, t = np.unravel_index(int(moduli.argmax()), grid.shape)
-        raise NotUnimodular(
-            f"|m({s},{t})| = {abs(grid[s, t]):.15f} deviates from one "
-            f"by {worst_mod:.3e}")
+    # argmax picks the first NaN entry when there is one, and so does max
+    s, t = np.unravel_index(int(moduli.argmax()), grid.shape)
+    worst_mod = nk.require(float(moduli.max()), UNIMODULAR_TOL, NotUnimodular,
+                           "|m({1},{2})| = {3:.15f} deviates from one by {0:.3e}",
+                           s, t, abs(grid[s, t]))
     res = cocycle_residuals(grid)
     worst_coc = float(res.max())
-    if not worst_coc <= tol.bound(1.0):
-        r, s, t = np.unravel_index(int(res.argmax()), res.shape)
-        raise CocycleViolation(
-            f"cocycle identity fails at ({r},{s},{t}), residual {worst_coc:.3e}",
-            triple=(int(r), int(s), int(t)), residual=worst_coc)
-    worst_bnd = float(max(np.abs(grid[0, :] - grid[0, 0]).max(),
-                          np.abs(grid[:, 0] - grid[0, 0]).max()))
-    if not worst_bnd <= tol.bound(1.0):
-        raise BoundaryViolation(
-            f"row or column zero is not constant, residual {worst_bnd:.3e}")
+    triple = tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
+    nk.require(worst_coc, tol.bound(1.0), CocycleViolation,
+               "cocycle identity fails at ({1},{2},{3}), residual {0:.3e}",
+               *triple, triple=triple, residual=worst_coc)
+    worst_bnd = nk.require(float(nk.worst(np.abs(grid[0, :] - grid[0, 0]).max(),
+                                          np.abs(grid[:, 0] - grid[0, 0]).max())),
+                           tol.bound(1.0), BoundaryViolation,
+                           "row or column zero is not constant, residual {:.3e}")
     return Multiplier(grid, {"unimodular": worst_mod, "cocycle": worst_coc,
                              "boundary": worst_bnd})
 
@@ -109,8 +106,8 @@ def coboundary(f, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Multiplier:
     if f.size < 3 or f.size % 2 == 0:
         raise GridMismatch(
             f"need an odd number >= 3 of scalars, got {f.size}")
-    if not np.abs(np.abs(f) - 1.0).max() <= UNIMODULAR_TOL:
-        raise NotUnimodular("family values must have modulus one")
+    nk.require(np.abs(np.abs(f) - 1.0).max(), UNIMODULAR_TOL, NotUnimodular,
+               "family values must have modulus one")
     n = (f.size - 1) // 2
     idx = np.arange(n + 1)
     grid = np.multiply.outer(f[:n + 1], f[:n + 1]) / f[np.add.outer(idx, idx)]
@@ -134,6 +131,15 @@ def inverse(m: Multiplier, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Multiplier:
     return validate(m.values.conj(), tol)
 
 
+def splitting_residual(m: Multiplier, f) -> float:
+    """Worst |m(s,t) f(s+t) - f(s) f(t)| over s+t <= N."""
+    n = m.horizon
+    idx = np.arange(n + 1)
+    sums = np.add.outer(idx, idx)
+    lhs = m.values * f[np.minimum(sums, n)]
+    return float(np.where(sums <= n, np.abs(lhs - np.multiply.outer(f, f)), 0.0).max())
+
+
 def trivialize(m: Multiplier) -> np.ndarray:
     """Unit-modulus f(0..N) with m(s,t) f(s+t) = f(s) f(t) on the grid.
 
@@ -149,15 +155,8 @@ def trivialize(m: Multiplier) -> np.ndarray:
     for t in range(1, n):
         f[t + 1] = f[t] / normalized[1, t]
     f = f * base
-    idx = np.arange(n + 1)
-    sums = np.add.outer(idx, idx)
-    mask = sums <= n
-    lhs = m.values * f[np.minimum(sums, n)]
-    rhs = np.multiply.outer(f, f)
-    worst = float(np.where(mask, np.abs(lhs - rhs), 0.0).max())
-    if not worst <= TRIVIALIZE_TOL:
-        raise TrivializationResidual(
-            f"splitting family fails certification, residual {worst:.3e}")
+    nk.require(splitting_residual(m, f), TRIVIALIZE_TOL, TrivializationResidual,
+               "splitting family fails certification, residual {:.3e}")
     return f
 
 
@@ -175,27 +174,12 @@ class ProjectiveUnitaryFamily:
         d = self.maps[0].shape[0]
         self.dim = d
         self.horizon = len(self.maps) - 1
-        eye = np.eye(d)
         for t, u in enumerate(self.maps):
             if u.shape != (d, d):
                 raise GridMismatch(f"U_{t} has shape {u.shape}, expected {(d, d)}")
-            res = float(np.linalg.norm(u.conj().T @ u - eye))
-            if res > tol.bound(np.sqrt(d)):
-                raise NotUnitary(f"U_{t} is not unitary, residual {res:.3e}")
+            nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(d)), NotUnitary,
+                       "U_{1} is not unitary, residual {0:.3e}", t)
         self._scalar_table(self.horizon, self.horizon, tol)
-
-    def scalar_of(self, s: int, t: int,
-                  tol: nk.Tolerance = nk.DEFAULT_TOL) -> complex:
-        """The scalar lambda with U_t U_s = lambda U_{s+t}, modulus one."""
-        prod = self.maps[t] @ self.maps[s]
-        lam = complex(np.trace(self.maps[s + t].conj().T @ prod) / self.dim)
-        defect = float(np.linalg.norm(prod - lam * self.maps[s + t]))
-        if defect > tol.bound(np.sqrt(self.dim)) or \
-                abs(abs(lam) - 1.0) > tol.bound(1.0):
-            raise NotScalar(
-                f"U_{t} U_{s} is not a scalar multiple of U_{s + t}, "
-                f"defect {defect:.3e}")
-        return lam / abs(lam)
 
     def _scalar_table(self, n_s: int, n_t: int,
                       tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
@@ -210,11 +194,10 @@ class ProjectiveUnitaryFamily:
         score = np.where(mask, np.maximum(
             defect / tol.bound(np.sqrt(self.dim)),
             np.abs(np.abs(lam) - 1.0) / tol.bound(1.0)), 0.0)
-        if score.max() > 1.0:
-            s, t = np.unravel_index(int(score.argmax()), score.shape)
-            raise NotScalar(
-                f"U_{t} U_{s} is not a scalar multiple of U_{s + t}, "
-                f"defect {defect[s, t]:.3e}")
+        s, t = np.unravel_index(int(score.argmax()), score.shape)
+        nk.require(float(score.max()), 1.0, NotScalar,
+                   "U_{2} U_{1} is not a scalar multiple of U_{3}, defect {4:.3e}",
+                   s, t, s + t, defect[s, t])
         lam = np.where(mask, lam, 1.0)
         return lam / np.abs(lam)
 
@@ -224,8 +207,8 @@ def family_from_phases(phases, v,
     """The family U_t = phases[t] v^t for a fixed unitary v."""
     v = nk.as_matrix(v, "v")
     phases = np.asarray(phases, dtype=complex).reshape(-1)
-    if not np.abs(np.abs(phases) - 1.0).max() <= UNIMODULAR_TOL:
-        raise NotUnimodular("phases must have modulus one")
+    nk.require(np.abs(np.abs(phases) - 1.0).max(), UNIMODULAR_TOL, NotUnimodular,
+               "phases must have modulus one")
     maps = []
     power = np.eye(v.shape[0], dtype=complex)
     for t in range(phases.size):

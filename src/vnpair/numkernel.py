@@ -63,13 +63,60 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product trace(a* b), conjugate linear in a."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"hs_inner: shapes {a.shape} and {b.shape} differ")
-    return complex(np.vdot(a, b))
+def require(residual: float, bound: float, error_cls, message: str, /,
+            *values, **attrs) -> float:
+    """The one verdict rule: pass when residual <= bound, else raise.
+
+    A NaN residual or bound fails. The message is formatted only on
+    failure, as message.format(residual, *values); attrs go to the error
+    constructor. Returns the residual, so callers can keep it.
+    """
+    if not residual <= bound:
+        raise error_cls(message.format(residual, *values), **attrs)
+    return residual
+
+
+def require_laws(residuals: dict, bound: float, error_cls, message: str) -> dict:
+    """require for a dict of named residuals against one bound.
+
+    The message is formatted with the dict of the failing laws only.
+    Returns residuals unchanged.
+    """
+    bad = {k: v for k, v in residuals.items() if not v <= bound}
+    if bad:
+        raise error_cls(message.format(bad))
+    return residuals
+
+
+def worst(*values: float) -> float:
+    """The largest value, or NaN when any value is NaN.
+
+    Builtin max drops a NaN that follows a number, so a loop of max calls
+    would turn a NaN residual into a pass.
+    """
+    out = values[0]
+    for v in values[1:]:
+        if out == out and not v <= out:
+            out = v
+    return out
+
+
+def unitarity_residual(u) -> float:
+    """Frobenius norm of u* u - I, I of the column size of u.
+
+    Small only for isometries; whether a non-square u may pass is the
+    caller's rule.
+    """
+    u = np.asarray(u)
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1])))
+
+
+def span_residual(rows, basis_flat) -> float:
+    """Worst distance of the rows (flattened) from the span of the
+    orthonormal rows of basis_flat; 0.0 when there are no rows."""
+    rows = np.asarray(rows).reshape(-1, basis_flat.shape[1])
+    resid = rows - (rows @ basis_flat.conj().T) @ basis_flat
+    return float(np.linalg.norm(resid, axis=1).max()) if rows.size else 0.0
 
 
 def approx_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> MatchReport:
@@ -86,7 +133,9 @@ def mul_constraint(left, right) -> np.ndarray:
     """Matrix of x -> left @ x - x @ right on row-major flattened x.
 
     For vec taken row by row, vec(A x B) = (A kron B^T) vec(x), so the
-    constraint is kron(left, I) - kron(I, right^T).
+    constraint is kron(left, I) - kron(I, right^T). Kept with null_space as
+    the direct, stacked-SVD oracle that commuting_null_space is tested
+    against.
     """
     left = as_matrix(left, "left")
     right = as_matrix(right, "right")
@@ -105,7 +154,8 @@ def null_space(constraints: Sequence[np.ndarray], shape: tuple[int, int],
     as zero, so an all-noise constraint (for instance from subtracting two
     copies of the same normalized operator) is the zero constraint. Returns
     an array of shape (k, *shape) whose slices are orthonormal under the
-    Hilbert-Schmidt inner product.
+    Hilbert-Schmidt inner product. The package solves these problems with
+    commuting_null_space; this slower route is its test oracle.
     """
     rows, cols = shape
     dim = rows * cols
@@ -266,12 +316,7 @@ def polar_unitary(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     t = as_matrix(t, "t")
     if t.shape[0] != t.shape[1]:
         raise DimensionMismatch(f"polar_unitary: matrix must be square, got {t.shape}")
-    w, s, vh = np.linalg.svd(t)
-    if s.size == 0 or s[-1] <= tol.eps * s[0] or s[0] == 0:
-        raise SingularInput(
-            f"polar_unitary: smallest singular value {s[-1] if s.size else 0.0:.3e} "
-            f"below cutoff")
-    return w @ vh
+    return _polar(t, tol, "polar_unitary")
 
 
 def polar_isometry(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -279,10 +324,15 @@ def polar_isometry(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     t = as_matrix(t, "t")
     if t.shape[0] < t.shape[1]:
         raise DimensionMismatch(f"polar_isometry: matrix must be tall, got {t.shape}")
+    return _polar(t, tol, "polar_isometry")
+
+
+def _polar(t: np.ndarray, tol: Tolerance, name: str) -> np.ndarray:
+    """w vh from the thin SVD t = w s vh; raises when t is numerically singular."""
     w, s, vh = np.linalg.svd(t, full_matrices=False)
     if s.size == 0 or s[-1] <= tol.eps * s[0] or s[0] == 0:
         raise SingularInput(
-            f"polar_isometry: smallest singular value {s[-1] if s.size else 0.0:.3e} "
+            f"{name}: smallest singular value {s[-1] if s.size else 0.0:.3e} "
             f"below cutoff")
     return w @ vh
 
@@ -290,7 +340,8 @@ def polar_isometry(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed n x n unitary, deterministic per seed.
 
-    QR of a complex Gaussian matrix with the R-diagonal phase fix.
+    QR of a complex Gaussian matrix with the R-diagonal phase fix. The seed
+    may be a Generator, which is then advanced by the draw.
     """
     if n < 1:
         raise DimensionMismatch(f"random_unitary: n must be positive, got {n}")

@@ -66,9 +66,8 @@ def _check_unitary(u, n, tol: nk.Tolerance) -> np.ndarray:
     u = nk.as_matrix(u, "U")
     if u.shape != (n, n):
         raise NotUnitary(f"expected shape {(n, n)}, got {u.shape}")
-    res = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-    if res > tol.bound(np.sqrt(n)):
-        raise NotUnitary(f"U is not unitary, residual {res:.3e}")
+    nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(n)), NotUnitary,
+               "U is not unitary, residual {:.3e}")
     return u
 
 
@@ -101,14 +100,12 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     b, bp = _commutant_domains(theta, theta_prime, tol)
     n = b.ambient_dim
     u = _check_unitary(u, n, tol)
-    worst_b = _worst(u.conj().T @ b.basis @ u, theta.basis_images)
-    if worst_b > tol.bound(1.0):
-        raise RelationB(
-            f"u* b u does not implement the map on B, residual {worst_b:.3e}")
-    worst_bp = _worst(u @ bp.basis @ u.conj().T, theta_prime.basis_images)
-    if worst_bp > tol.bound(1.0):
-        raise RelationBPrime(
-            f"u b' u* does not implement the map on B', residual {worst_bp:.3e}")
+    worst_b = nk.require(_worst(u.conj().T @ b.basis @ u, theta.basis_images),
+                         tol.bound(1.0), RelationB,
+                         "u* b u does not implement the map on B, residual {:.3e}")
+    worst_bp = nk.require(_worst(u @ bp.basis @ u.conj().T, theta_prime.basis_images),
+                          tol.bound(1.0), RelationBPrime,
+                          "u b' u* does not implement the map on B', residual {:.3e}")
     # the law check runs once per map; its iterates are then valid as composed
     endo_mod.make(b, theta.basis_images, tol)
     endo_mod.make(bp, theta_prime.basis_images, tol)
@@ -118,13 +115,12 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     uk = u.copy()
     for k in range(2, horizon + 1):
         uk = uk @ u
-        worst_pow = max(worst_pow,
-                        _worst(uk.conj().T @ b.basis @ uk, powers[k].basis_images),
-                        _worst(uk @ bp.basis @ uk.conj().T,
-                               powers_prime[k].basis_images))
-    if worst_pow > tol.bound(1.0):
-        raise RelationB(
-            f"powers of u fail to implement the iterates, residual {worst_pow:.3e}")
+        worst_pow = nk.worst(worst_pow,
+                             _worst(uk.conj().T @ b.basis @ uk, powers[k].basis_images),
+                             _worst(uk @ bp.basis @ uk.conj().T,
+                                    powers_prime[k].basis_images))
+    nk.require(worst_pow, tol.bound(1.0), RelationB,
+               "powers of u fail to implement the iterates, residual {:.3e}")
     return PairingCertificate(unitary=u, residuals={
         "relation_b": worst_b, "relation_b_prime": worst_bp,
         "powers": worst_pow})
@@ -156,23 +152,19 @@ def isomorphism_from_pairing(u, theta, theta_prime,
     for xi in x:
         uxi = u @ xi
         for bj in b.basis:
-            worst["right_linear"] = max(worst["right_linear"], float(
+            worst["right_linear"] = nk.worst(worst["right_linear"], float(
                 np.linalg.norm(u @ (xi @ bj) - uxi @ bj)))
-            worst["left_covariant"] = max(worst["left_covariant"], float(
+            worst["left_covariant"] = nk.worst(worst["left_covariant"], float(
                 np.linalg.norm(u @ (theta(bj) @ xi) - bj @ uxi)))
     y = target.element_space
-    flat_moved = moved.reshape(moved.shape[0], -1)
-    flat_y = y.reshape(y.shape[0], -1)
     if y.shape[0] != x.shape[0]:
         worst["target_span"] = 1.0
     else:
-        proj = flat_moved - (flat_moved @ flat_y.conj().T) @ flat_y
-        back = flat_y - (flat_y @ flat_moved.conj().T) @ flat_moved
-        worst["target_span"] = max(float(np.linalg.norm(proj, axis=1).max()),
-                                   float(np.linalg.norm(back, axis=1).max()))
-    bad = {k: v for k, v in worst.items() if v > tol.bound(1.0)}
-    if bad:
-        raise PairingCheckFailed(f"induced bimodule map fails: {bad}")
+        worst["target_span"] = nk.worst(
+            nk.span_residual(moved, y.reshape(y.shape[0], -1)),
+            nk.span_residual(y, moved.reshape(moved.shape[0], -1)))
+    nk.require_laws(worst, tol.bound(1.0), PairingCheckFailed,
+                    "induced bimodule map fails: {}")
     return CorrespondenceIso(source, target, u, residuals=worst)
 
 
@@ -207,20 +199,18 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
         u = iso.apply(np.eye(n, dtype=complex))
     else:
         u = np.asarray(iso, dtype=complex) @ np.eye(n, dtype=complex)
-    res = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
-    if u.shape != (n, n) or res > tol.bound(np.sqrt(n)):
-        raise NotUnitaryImage(
-            f"image of the identity is not unitary, residual {res:.3e}")
+    res = nk.unitarity_residual(u)
+    nk.require(res if u.shape == (n, n) else np.inf, tol.bound(np.sqrt(n)),
+               NotUnitaryImage, "image of the identity is not unitary, residual {1:.3e}",
+               res)
     try:
         cert = check_pairing(u, theta, theta_prime, tol=tol)
     except (NotUnitary, RelationB, RelationBPrime) as exc:
         raise PairingCheckFailed(
             f"recovered unitary fails the pairing relations: {exc}") from exc
-    eq33 = _eq33_residuals(u, theta)
-    bad = {k: v for k, v in eq33.items() if v > tol.bound(np.sqrt(n))}
-    if bad:
-        raise PairingCheckFailed(f"dilation-level map deviates: {bad}")
-    cert.residuals.update(eq33)
+    cert.residuals.update(nk.require_laws(
+        _eq33_residuals(u, theta), tol.bound(np.sqrt(n)), PairingCheckFailed,
+        "dilation-level map deviates: {}"))
     return cert
 
 
@@ -261,8 +251,8 @@ def restriction_symmetry(u, b, tol: nk.Tolerance = nk.DEFAULT_TOL):
     n = b.ambient_dim
     u = _check_unitary(u, n, tol)
     bp = alg.commutant(b, tol)
-    down = max(float(b.contains(u.conj().T @ x @ u).residual) for x in b.basis)
-    up = max(float(bp.contains(u @ y @ u.conj().T).residual) for y in bp.basis)
+    down = nk.worst(*(float(b.contains(u.conj().T @ x @ u).residual) for x in b.basis))
+    up = nk.worst(*(float(bp.contains(u @ y @ u.conj().T).residual) for y in bp.basis))
     return (down <= tol.bound(1.0), up <= tol.bound(1.0))
 
 
@@ -294,20 +284,16 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
     for s in range(1, horizon):
         family.append(family[-1] @ powers1[s](c1))
     for k, c in enumerate(family, start=1):
-        worst = max(float(np.linalg.norm(c @ powers1[k](x) @ c.conj().T
-                                         - powers2[k](x)))
-                    for x in b.basis)
-        if worst > tol.bound(1.0):
-            raise CocycleResidual(
-                f"conjugation fails at step {k}, residual {worst:.3e}",
-                step=k, residual=worst)
+        worst = _worst(c @ powers1[k].basis_images @ c.conj().T, powers2[k].basis_images)
+        nk.require(worst, tol.bound(1.0), CocycleResidual,
+                   "conjugation fails at step {1}, residual {0:.3e}", k,
+                   step=k, residual=worst)
     worst_split = 0.0
     for s in range(1, horizon):
         for t in range(1, horizon - s + 1):
-            worst_split = max(worst_split, float(np.linalg.norm(
+            worst_split = nk.worst(worst_split, float(np.linalg.norm(
                 family[s + t - 1] - family[s - 1] @ powers1[s](family[t - 1]))))
-    if worst_split > tol.bound(1.0):
-        raise CocycleResidual(
-            f"cocycle identity fails on a splitting, residual {worst_split:.3e}",
-            step=None, residual=worst_split)
+    nk.require(worst_split, tol.bound(1.0), CocycleResidual,
+               "cocycle identity fails on a splitting, residual {:.3e}",
+               step=None, residual=worst_split)
     return family

@@ -8,17 +8,21 @@ grids, vectors, and families of unitaries. Complex entries are two-element
 
 Malformed structure raises ParseError. Mathematical defects in a
 well-formed scene (a generator list that does not close, a non-unitary
-matrix) surface later, when the named object is built or used.
+matrix) surface later, when the named object is built or used. Objects are
+built at the tolerance that ``resolve_tolerance`` picks, the same one the
+commands then use.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
 from . import algebra as alg
 from . import endo as endo_mod
+from . import numkernel as nk
 from .errors import ParseError
 
 _SCENE_KEYS = {"ambient_dim", "algebras", "endomorphisms", "unitaries",
@@ -87,15 +91,37 @@ def _decode_named(section, where: str, item_fn) -> dict:
     return out
 
 
+def resolve_tolerance(flag, scene_value) -> nk.Tolerance:
+    """The tolerance policy: the flag, else the scene's tolerance field,
+    else the VNPAIR_TOL environment variable, else the default."""
+    if flag is not None:
+        eps = flag
+    elif scene_value is not None:
+        eps = scene_value
+    elif os.environ.get("VNPAIR_TOL"):
+        raw = os.environ["VNPAIR_TOL"]
+        try:
+            eps = float(raw)
+        except ValueError:
+            raise ParseError(f"VNPAIR_TOL is not a number: {raw!r}")
+    else:
+        return nk.DEFAULT_TOL
+    if not 0.0 < eps < 1.0:
+        raise ParseError(
+            f"tolerance must lie strictly between 0 and 1, got {eps}")
+    return nk.Tolerance(eps=eps)
+
+
 class Scene:
     """Parsed scene: named objects ready for the command handlers.
 
     data holds the canonical JSON form (every entry normalized to [re, im]),
-    so serializing and re-parsing gives an equal scene.
+    so serializing and re-parsing gives an equal scene. tol is the resolved
+    tolerance every object was built with.
     """
 
     def __init__(self, ambient_dim, algebras, endomorphisms, unitaries,
-                 grids, vectors, families, tolerance, seed, data):
+                 grids, vectors, families, tolerance, seed, data, tol):
         self.ambient_dim = ambient_dim
         self.algebras = algebras
         self.endomorphisms = endomorphisms
@@ -106,43 +132,37 @@ class Scene:
         self.tolerance = tolerance
         self.seed = seed
         self.data = data
+        self.tol = tol
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Scene) and self.data == other.data
 
+    def _entry(self, section: dict, kind: str, name: str):
+        if name not in section:
+            raise ParseError(f"scene has no {kind} named {name!r}")
+        return section[name]
+
     def algebra(self, name: str) -> alg.VnAlgebra:
-        if name not in self.algebras:
-            raise ParseError(f"scene has no algebra named {name!r}")
-        return self.algebras[name]
+        return self._entry(self.algebras, "algebra", name)
 
     def endomorphism(self, name: str) -> endo_mod.Endomorphism:
-        if name not in self.endomorphisms:
-            raise ParseError(f"scene has no endomorphism named {name!r}")
-        return self.endomorphisms[name]
+        return self._entry(self.endomorphisms, "endomorphism", name)
 
     def unitary(self, name: str) -> np.ndarray:
-        if name not in self.unitaries:
-            raise ParseError(f"scene has no unitary named {name!r}")
-        return self.unitaries[name]
+        return self._entry(self.unitaries, "unitary", name)
 
     def grid(self, name: str) -> np.ndarray:
-        if name not in self.grids:
-            raise ParseError(f"scene has no grid named {name!r}")
-        return self.grids[name]
+        return self._entry(self.grids, "grid", name)
 
     def vector(self, name: str) -> np.ndarray:
-        if name not in self.vectors:
-            raise ParseError(f"scene has no vector named {name!r}")
-        return self.vectors[name]
+        return self._entry(self.vectors, "vector", name)
 
     def family(self, name: str) -> list[np.ndarray]:
-        if name not in self.families:
-            raise ParseError(f"scene has no family named {name!r}")
-        return self.families[name]
+        return self._entry(self.families, "family", name)
 
 
 def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
-                        unitaries: dict):
+                        unitaries: dict, tol: nk.Tolerance):
     """Returns the endomorphism together with its canonical JSON form."""
     if not isinstance(spec_obj, dict):
         raise ParseError(f"{where}: expected an object")
@@ -154,7 +174,7 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
                 for i, g in enumerate(spec_obj["images"])]
         canonical = {"generators": [encode_matrix(g) for g in gens],
                      "images": [encode_matrix(g) for g in imgs]}
-        _, theta = endo_mod.from_generator_images(ambient, gens, imgs)
+        _, theta = endo_mod.from_generator_images(ambient, gens, imgs, tol)
         return theta, canonical
     if not isinstance(domain_name, str):
         raise ParseError(f"{where}: missing domain name")
@@ -166,7 +186,7 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
                 for i, g in enumerate(spec_obj["basis_images"])]
         canonical = {"domain": domain_name,
                      "basis_images": [encode_matrix(g) for g in imgs]}
-        return endo_mod.make(domain, np.array(imgs)), canonical
+        return endo_mod.make(domain, np.array(imgs), tol), canonical
     if "unitary" in spec_obj:
         uname = spec_obj["unitary"]
         if uname not in unitaries:
@@ -176,12 +196,17 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
             raise ParseError(f"{where}: direction must be adjoint or direct")
         canonical = {"domain": domain_name, "unitary": str(uname),
                      "direction": direction}
-        return endo_mod.from_unitary(domain, unitaries[uname], direction), canonical
+        theta = endo_mod.from_unitary(domain, unitaries[uname], direction, tol)
+        return theta, canonical
     raise ParseError(f"{where}: needs basis_images, generators+images, or unitary")
 
 
-def parse_scene(data) -> Scene:
-    """Build the named objects of a scene from its JSON form."""
+def parse_scene(data, tol_flag: float | None = None) -> Scene:
+    """Build the named objects of a scene from its JSON form.
+
+    tol_flag, when given, beats the scene's tolerance field (see
+    ``resolve_tolerance``).
+    """
     if not isinstance(data, dict):
         raise ParseError("scene: expected a JSON object at the top level")
     unknown = set(data) - _SCENE_KEYS
@@ -197,6 +222,7 @@ def parse_scene(data) -> Scene:
     seed = data.get("seed")
     if seed is not None and (not _is_int(seed) or seed < 0):
         raise ParseError("scene.seed: expected a nonnegative integer")
+    tol = resolve_tolerance(tol_flag, tolerance)
 
     def algebra_item(obj, where):
         if not isinstance(obj, dict) or "generators" not in obj:
@@ -207,7 +233,7 @@ def parse_scene(data) -> Scene:
             if g.shape != (ambient, ambient):
                 raise ParseError(f"{where}.generators[{i}]: shape {g.shape} "
                                  f"does not match ambient_dim {ambient}")
-        return alg.from_generators(ambient, gens)
+        return alg.from_generators(ambient, gens, tol)
 
     def unitary_item(obj, where):
         u = decode_matrix(obj, where)
@@ -249,7 +275,7 @@ def parse_scene(data) -> Scene:
     built = _decode_named(
         data.get("endomorphisms"), "scene.endomorphisms",
         lambda obj, where: _build_endomorphism(obj, where, ambient, algebras,
-                                               unitaries))
+                                               unitaries, tol))
     endomorphisms = {name: pair[0] for name, pair in built.items()}
 
     # canonical form rebuilt from the decoded objects, so every entry ends
@@ -259,31 +285,21 @@ def parse_scene(data) -> Scene:
         canonical["tolerance"] = float(tolerance)
     if seed is not None:
         canonical["seed"] = seed
-    if algebras:
-        canonical["algebras"] = {
-            name: {"generators": [encode_matrix(g) for g in a.generators]}
-            for name, a in sorted(algebras.items())}
-    if endomorphisms:
-        canonical["endomorphisms"] = {
-            name: built[name][1] for name in sorted(built)}
-    if unitaries:
-        canonical["unitaries"] = {name: encode_matrix(u)
-                                  for name, u in sorted(unitaries.items())}
-    if grids:
-        canonical["grids"] = {name: encode_matrix(g)
-                              for name, g in sorted(grids.items())}
-    if vectors:
-        canonical["vectors"] = {name: encode_vector(v)
-                                for name, v in sorted(vectors.items())}
-    if families:
-        canonical["families"] = {
-            name: [encode_matrix(m) for m in mats]
-            for name, mats in sorted(families.items())}
+    for key, section, encode in (
+            ("algebras", algebras,
+             lambda a: {"generators": [encode_matrix(g) for g in a.generators]}),
+            ("endomorphisms", built, lambda pair: pair[1]),
+            ("unitaries", unitaries, encode_matrix),
+            ("grids", grids, encode_matrix),
+            ("vectors", vectors, encode_vector),
+            ("families", families, lambda mats: [encode_matrix(m) for m in mats])):
+        if section:
+            canonical[key] = {name: encode(v) for name, v in sorted(section.items())}
     return Scene(ambient, algebras, endomorphisms, unitaries, grids, vectors,
-                 families, tolerance, seed, canonical)
+                 families, tolerance, seed, canonical, tol)
 
 
-def load_scene(path: str) -> Scene:
+def load_scene(path: str, tol_flag: float | None = None) -> Scene:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -291,4 +307,4 @@ def load_scene(path: str) -> Scene:
         raise ParseError(f"cannot read scene file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"scene file {path} is not valid JSON: {exc}") from exc
-    return parse_scene(data)
+    return parse_scene(data, tol_flag)

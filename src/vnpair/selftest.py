@@ -32,13 +32,6 @@ from . import scenes
 # instance generators
 
 
-def haar_unitary(n: int, rng) -> np.ndarray:
-    z = nk.random_complex((n, n), rng)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def random_blocks(rng, max_ambient: int, max_dim: int | None = None,
                   max_codim: int | None = None, max_size: int = 3):
     """Block signature [(size, multiplicity)] with capped footprints.
@@ -93,7 +86,7 @@ def sample_algebra(rng, max_ambient: int, max_dim: int | None = None,
                    max_codim: int | None = None, max_size: int = 3) -> AlgebraSample:
     blocks = random_blocks(rng, max_ambient, max_dim, max_codim, max_size)
     n = sum(a * m for a, m in blocks)
-    frame = haar_unitary(n, rng)
+    frame = nk.random_unitary(n, rng)
     gens, _ = alg.block_basis(blocks)
     conjugated = np.einsum("ij,bjk,kl->bil", frame, gens, frame.conj().T)
     return AlgebraSample(tuple(blocks), frame,
@@ -127,7 +120,7 @@ def normalizing_unitary(sample: AlgebraSample, rng) -> np.ndarray:
             target[src] = dst
     u = np.zeros((n, n), dtype=complex)
     for i, (a, m) in enumerate(blocks):
-        piece = np.kron(haar_unitary(a, rng), haar_unitary(m, rng))
+        piece = np.kron(nk.random_unitary(a, rng), nk.random_unitary(m, rng))
         j = target[i]
         u[offsets[j]:offsets[j] + a * m, offsets[i]:offsets[i] + a * m] = piece
     return sample.frame @ u @ sample.frame.conj().T
@@ -184,7 +177,7 @@ def random_correspondence(sa: AlgebraSample, sb: AlgebraSample, rng,
     h = sum(int(mults[i, j]) * a * nj
             for i, (a, _) in enumerate(sa.blocks)
             for j, (_, nj) in enumerate(sb.blocks))
-    scramble = haar_unitary(h, rng)
+    scramble = nk.random_unitary(h, rng)
 
     def rho_image(x):
         z = sa.frame.conj().T @ x @ sa.frame
@@ -378,7 +371,7 @@ def _case_trivialize(rng, tol, case_index):
                  "f": scenes.encode_vector(f)}
     else:
         d = int(rng.integers(2, 4))
-        v = haar_unitary(d, rng)
+        v = nk.random_unitary(d, rng)
         phases = np.exp(2j * np.pi * rng.random(2 * n + 1))
         family = mult.family_from_phases(phases, v, tol)
         m = mult.extract(family, tol)
@@ -509,7 +502,7 @@ def _case_cocycle_link(rng, tol):
 
 def _case_compression(rng, tol, case_index):
     n = 2 + case_index % 5
-    u = haar_unitary(n, rng)
+    u = nk.random_unitary(n, rng)
     gamma = nk.random_complex(n, rng)
     gamma = gamma / np.linalg.norm(gamma)
     scene = {"ambient_dim": n,
@@ -557,7 +550,7 @@ def _case_symmetry(rng, tol, case_index):
     if normalizing:
         u = normalizing_unitary(sample, rng)
     else:
-        u = haar_unitary(sample.ambient_dim, rng)
+        u = nk.random_unitary(sample.ambient_dim, rng)
     scene = _algebra_scene(sample, {
         "unitaries": {"u": scenes.encode_matrix(u)},
         "construction": "normalizing" if normalizing else "generic"})
@@ -687,9 +680,10 @@ def run_property(prop: Property, index: int, seed: int, count: int,
             done = case + 1
             break
         done = case + 1
-        if residual > worst:
+        # written so that a NaN residual becomes the worst value and fails
+        if not residual <= worst:
             worst = residual
-        if residual > prop.threshold:
+        if not residual <= prop.threshold:
             failure = {"property": prop.name, "case": case, "seed": seed,
                        "residual": residual, "instance": scene}
             break

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 from vnpair import algebra as alg
 from vnpair import cli
 from vnpair import multiplier as mult
+from vnpair import numkernel as nk
 from vnpair import scenes
 from vnpair import selftest as st
 
@@ -100,7 +102,7 @@ def scene_dir(tmp_path_factory):
     })
 
     full = alg.full_matrix_algebra(3)
-    w = st.haar_unitary(3, rng)
+    w = nk.random_unitary(3, rng)
     gamma = rng.normal(size=3) + 1j * rng.normal(size=3)
     gamma = gamma / np.linalg.norm(gamma)
     dump("bhat", {
@@ -125,7 +127,7 @@ def scene_dir(tmp_path_factory):
                                "grids": {"m": enc(bad)}})
 
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=17))
-    fam = mult.family_from_phases(phases, st.haar_unitary(2, rng))
+    fam = mult.family_from_phases(phases, nk.random_unitary(2, rng))
     dump("family", {"ambient_dim": 2,
                     "families": {"u": [enc(m) for m in fam.maps]}})
 
@@ -440,3 +442,43 @@ def test_selftest_subprocess_cap_one():
     assert report["command"] == "selftest"
     assert report["status"] == "ok"
     assert len(report["diagnostics"]) == 12
+
+
+def test_scene_tolerance_reaches_construction(tmp_path):
+    """A unitary whose u* u - I residual is 3e-6 passes at tolerance 1e-5
+    (bound 1.4e-5) whether the tolerance comes from the flag or the scene
+    field; the objects used to be built at the default tolerance."""
+    gens = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    u = np.diag([1.0 + 1.5e-6, 1.0])
+    scene = {"ambient_dim": 2,
+             "algebras": {"a": {"generators": [enc(g) for g in gens]}},
+             "unitaries": {"u": enc(u)},
+             "endomorphisms": {"theta": {"domain": "a", "unitary": "u",
+                                         "direction": "adjoint"}}}
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(scene))
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(dict(scene, tolerance=1e-5)))
+    report, _ = run_json(["endo-validate", "--input", str(plain), "--tol", "1e-5"])
+    assert report["payload"]["automorphism"] is True
+    run_json(["endo-validate", "--input", str(loose)])
+    code, out, _ = run_cli(["endo-validate", "--input", str(plain)])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "NotUnitary"
+
+
+def test_readme_command_table_matches_the_cli():
+    """The README lists exactly the CLI commands plus selftest, with the
+    scene entries and --horizon defaults the command table declares."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`") and cells[0].endswith("`"):
+            rows[cells[0].strip("`")] = (cells[1], cells[2])
+    assert set(rows) == set(cli._COMMANDS) | {"selftest"}
+    for name, (_, horizon, entries) in cli._COMMANDS.items():
+        assert rows[name][0].replace("`", '"') == entries, name
+        assert rows[name][1] == ("" if horizon is None else str(horizon)), name
+    help_text = cli._command_table()
+    assert all(name in help_text for name in rows)

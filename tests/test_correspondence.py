@@ -5,7 +5,8 @@ from vnpair import algebra as alg
 from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
-from vnpair.errors import AlgebraMismatch, DimensionMismatch
+from vnpair.errors import (AlgebraMismatch, DimensionMismatch,
+                           InvalidCorrespondence)
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -16,9 +17,14 @@ def diag_algebra_2():
     return alg.from_generators(2, gens)
 
 
+def identity_corr(b):
+    """The algebra as a correspondence over itself: the twist by the identity."""
+    return corr.of_endomorphism(endo.identity(b))
+
+
 def test_identity_correspondence_element_space_is_the_algebra():
     d2 = diag_algebra_2()
-    e = corr.identity_correspondence(d2)
+    e = identity_corr(d2)
     assert e.carrier_dim == 2
     x = e.element_space
     assert x.shape[0] == d2.dim
@@ -29,13 +35,13 @@ def test_identity_correspondence_element_space_is_the_algebra():
 
 def test_full_algebra_identity_elements_fill_everything():
     m2 = alg.full_matrix_algebra(2)
-    e = corr.identity_correspondence(m2)
+    e = identity_corr(m2)
     assert e.element_space.shape[0] == 4
 
 
 def test_element_coefficients_round_trip():
     d2 = diag_algebra_2()
-    e = corr.identity_correspondence(d2)
+    e = identity_corr(d2)
     x = e.element_space
     for i, xi in enumerate(x):
         c = e.element_coefficients(xi)
@@ -99,7 +105,7 @@ def test_swap_and_identity_have_the_frozen_tables():
     is, and it must consist of the two 2 x 2 permutation matrices.
     """
     d2 = diag_algebra_2()
-    e_id = corr.identity_correspondence(d2)
+    e_id = identity_corr(d2)
     e_swap = corr.of_endomorphism(endo.from_unitary(d2, SWAP))
     decision = corr.find_isomorphism(e_id, e_swap)
     assert not decision.isomorphic
@@ -113,7 +119,7 @@ def test_swap_and_identity_have_the_frozen_tables():
 
 def test_identity_copies_are_isomorphic():
     d2 = diag_algebra_2()
-    e = corr.identity_correspondence(d2)
+    e = identity_corr(d2)
     f = corr.of_endomorphism(endo.identity(d2))
     decision = corr.find_isomorphism(e, f)
     assert decision.isomorphic
@@ -125,8 +131,7 @@ def test_identity_copies_are_isomorphic():
 
 def test_full_algebra_identity_table():
     m2 = alg.full_matrix_algebra(2)
-    decision = corr.find_isomorphism(corr.identity_correspondence(m2),
-                                     corr.identity_correspondence(m2))
+    decision = corr.find_isomorphism(identity_corr(m2), identity_corr(m2))
     assert decision.isomorphic
     assert decision.table_left.counts == ((1,),)
     assert decision.table_left.left_blocks == ((2, 1),)
@@ -137,14 +142,13 @@ def test_find_isomorphism_rejects_different_algebras():
     d2 = diag_algebra_2()
     m2 = alg.full_matrix_algebra(2)
     with pytest.raises(AlgebraMismatch):
-        corr.find_isomorphism(corr.identity_correspondence(d2),
-                              corr.identity_correspondence(m2))
+        corr.find_isomorphism(identity_corr(d2), identity_corr(m2))
 
 
 def test_tensor_with_identity_is_identity():
     d2 = diag_algebra_2()
-    e = corr.identity_correspondence(d2)
-    t = corr.tensor(e, e)
+    e = identity_corr(d2)
+    t = corr.tensor_product(e, e).corr
     assert t.carrier_dim == 2
     assert corr.find_isomorphism(t, e).isomorphic
 
@@ -153,8 +157,7 @@ def test_tensor_rejects_noncomposable():
     d2 = diag_algebra_2()
     m2 = alg.full_matrix_algebra(2)
     with pytest.raises(AlgebraMismatch):
-        corr.tensor(corr.identity_correspondence(d2),
-                    corr.identity_correspondence(m2))
+        corr.tensor_product(identity_corr(d2), identity_corr(m2))
 
 
 def test_embed_matches_inner_product_metric():
@@ -167,25 +170,31 @@ def test_embed_matches_inner_product_metric():
     rng = np.random.default_rng(0)
     for xi in e.element_space[:3]:
         h = nk.random_complex(f.carrier_dim, rng)
-        v = tp.embed(xi, h)
+        v = tp.embed_matrix(xi) @ h
         metric = np.vdot(h, f.rho_of(xi.conj().T @ xi) @ h)
         assert abs(np.vdot(v, v) - metric) < 1e-10
 
 
 def test_embed_matrix_consistency():
+    """Linear in the element, and carrying the inner product:
+    embed_matrix(x)* embed_matrix(y) = rho_f(x* y)."""
     d2 = diag_algebra_2()
-    e = corr.identity_correspondence(d2)
+    e = identity_corr(d2)
     tp = corr.tensor_product(e, e)
-    x = e.element_space[0]
-    h = np.array([1.0, 2.0j])
-    assert np.allclose(tp.embed(x, h), tp.embed_matrix(x) @ h)
+    x, y = e.element_space
+    assert np.allclose(tp.embed_matrix(x + 2.0j * y),
+                       tp.embed_matrix(x) + 2.0j * tp.embed_matrix(y))
+    for a in (x, y, x + y):
+        for b in (x, y, x - 1.0j * y):
+            assert np.allclose(tp.embed_matrix(a).conj().T @ tp.embed_matrix(b),
+                               e.rho_of(a.conj().T @ b))
 
 
 def test_lifted_actions_commute_on_the_quotient():
     m2 = alg.full_matrix_algebra(2)
     u = nk.random_unitary(2, seed=8)
     e = corr.of_endomorphism(endo.from_unitary(m2, u))
-    t = corr.tensor(e, e)
+    t = corr.tensor_product(e, e).corr
     t.validate()
 
 
@@ -200,3 +209,20 @@ def test_tensor_commutant_iso_is_unitary(seed):
     iso = corr.tensor_commutant_iso(e, f)
     assert iso.shape == (tensor_dim, tensor_dim)
     assert np.linalg.norm(iso.conj().T @ iso - np.eye(tensor_dim)) < 1e-8
+
+
+def test_validate_rejects_a_nan_representation():
+    d2 = diag_algebra_2()
+    e = identity_corr(d2)
+    rho = e.rho.copy()
+    rho[1][0, 1] = np.nan
+    # the light construction check already fails; so does the full law
+    # check on a correspondence built without it
+    with pytest.raises(InvalidCorrespondence):
+        corr.Correspondence(e.left, e.right, e.left_commutant, e.right_commutant,
+                            rho, e.rho_prime, e.carrier_dim)
+    unchecked = corr.Correspondence(e.left, e.right, e.left_commutant,
+                                    e.right_commutant, rho, e.rho_prime,
+                                    e.carrier_dim, check=False)
+    with pytest.raises(InvalidCorrespondence):
+        unchecked.validate()

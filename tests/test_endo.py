@@ -111,6 +111,14 @@ def test_make_rejects_image_outside_span():
         endo.make(d2, [e01, e01.conj().T])
 
 
+def test_make_rejects_a_nan_image():
+    d2 = diag_algebra_2()
+    images = d2.basis.copy()
+    images[0][0, 0] = np.nan
+    with pytest.raises(ImageOutsideAlgebra):
+        endo.make(d2, images)
+
+
 def test_make_rejects_nonunital_map():
     d2 = diag_algebra_2()
     images = np.array([np.diag([1.0, 0.0]), np.diag([1.0, 0.0])], dtype=complex)

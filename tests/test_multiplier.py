@@ -143,7 +143,8 @@ def test_family_scalar_defects():
     v = nk.random_unitary(3, seed=6)
     fam = mult.family_from_phases(phases, v)
     assert fam.horizon == 12
-    lam = fam.scalar_of(2, 3)
+    # U_3 U_2 = lam U_5, read off the extracted grid at (2, 3)
+    lam = mult.extract(fam)[2, 3]
     assert lam == pytest.approx(phases[2] * phases[3] / phases[5])
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vnpair import numkernel as nk
-from vnpair.errors import DimensionMismatch, NotUnitary, SingularInput
+from vnpair.errors import (CocycleResidual, DimensionMismatch, NotUnitary,
+                           SingularInput)
 
 
 def test_tolerance_bound_hybrid():
@@ -17,8 +18,8 @@ def test_tolerance_bound_hybrid():
 def test_frobenius_and_inner():
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
     assert nk.frobenius(e01) == 1.0
-    assert nk.hs_inner(e01, e01) == pytest.approx(1.0)
-    assert nk.hs_inner(e01, e01.T) == pytest.approx(0.0)
+    assert np.vdot(e01, e01) == pytest.approx(1.0)
+    assert np.vdot(e01, e01.T) == pytest.approx(0.0)
 
 
 def test_approx_equal_reports_residual():
@@ -205,3 +206,65 @@ def test_commuting_null_space_contains_identity(n, seed):
     flat = basis.reshape(basis.shape[0], -1)
     eye = np.eye(n, dtype=complex).reshape(-1)
     assert np.linalg.norm(eye - flat.T @ (flat.conj() @ eye)) < 1e-8
+
+
+def test_require_passes_at_the_bound_and_fails_above_or_on_nan():
+    assert nk.require(1e-9, 1e-9, NotUnitary, "residual {:.3e}") == 1e-9
+    with pytest.raises(NotUnitary, match="residual 2.000e-09"):
+        nk.require(2e-9, 1e-9, NotUnitary, "residual {:.3e}")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NotUnitary):
+            nk.require(bad, 1e-9, NotUnitary, "residual {:.3e}")
+    with pytest.raises(NotUnitary):
+        nk.require(0.0, float("nan"), NotUnitary, "residual {:.3e}")
+
+
+def test_require_formats_only_on_failure_and_passes_attributes():
+    # a template that cannot be formatted is never formatted on success
+    nk.require(0.0, 1.0, NotUnitary, "{missing}")
+    with pytest.raises(CocycleResidual) as info:
+        nk.require(3.0, 1.0, CocycleResidual, "step {1}, residual {0:.1f}", 2,
+                   step=2, residual=3.0)
+    assert str(info.value) == "step 2, residual 3.0"
+    assert (info.value.step, info.value.residual) == (2, 3.0)
+
+
+def test_require_laws_names_the_failing_laws():
+    worst = {"a": 0.0, "b": float("nan"), "c": 2.0}
+    with pytest.raises(NotUnitary) as info:
+        nk.require_laws(worst, 1.0, NotUnitary, "violated: {}")
+    assert str(info.value) == "violated: {'b': nan, 'c': 2.0}"
+    assert nk.require_laws({"a": 1.0}, 1.0, NotUnitary, "{}") == {"a": 1.0}
+
+
+def test_worst_keeps_nan_wherever_it_comes():
+    nan = float("nan")
+    assert nk.worst(1.0, 3.0, 2.0) == 3.0 and nk.worst(0.0) == 0.0
+    for values in [(nan, 2.0), (2.0, nan), (0.0, nan, 5.0)]:
+        assert np.isnan(nk.worst(*values))
+    assert max(0.0, nan) == 0.0  # the builtin drops it
+
+
+def test_unitarity_and_span_residuals():
+    u = nk.random_unitary(4, seed=2)
+    assert nk.unitarity_residual(u) < 1e-12
+    assert nk.unitarity_residual(2 * u) == pytest.approx(3 * 2.0)
+    # an isometry passes, its adjoint (a co-isometry) does not
+    assert nk.unitarity_residual(u[:, :2]) < 1e-12
+    assert nk.unitarity_residual(u[:, :2].conj().T) == pytest.approx(np.sqrt(2))
+    basis = np.eye(4, dtype=complex)[:2]  # e_0, e_1 as rows
+    assert nk.span_residual([[1.0, 2.0, 0.0, 0.0]], basis) == 0.0
+    assert nk.span_residual([[0.0, 0.0, 3.0, 4.0]], basis) == pytest.approx(5.0)
+    assert nk.span_residual(np.zeros((0, 4)), basis) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_random_unitary_from_a_generator(n):
+    """Drawing from a Generator is the QR-with-phase-fix recipe on one
+    complex Gaussian draw, bit for bit, and advances the Generator alike."""
+    rng, ref = np.random.default_rng([5, n]), np.random.default_rng([5, n])
+    u = nk.random_unitary(n, rng)
+    q, r = np.linalg.qr(nk.random_complex((n, n), ref))
+    d = np.diagonal(r)
+    assert np.array_equal(u, q * (d / np.abs(d)))
+    assert rng.bit_generator.state == ref.bit_generator.state

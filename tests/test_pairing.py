@@ -296,3 +296,16 @@ def test_check_pairing_rejects_map_leaving_the_algebra():
             pr.check_pairing(u, theta, theta_prime, horizon=horizon)
     with pytest.raises(InvalidCorrespondence):
         pr.can_pair(theta, theta_prime)
+
+
+def test_check_pairing_rejects_a_nan_map():
+    """A map built directly with a NaN basis image used to pass as paired,
+    with relation_b reported as nan."""
+    d2 = diag_algebra_2()
+    d2p = alg.commutant(d2)
+    images = d2.basis.copy()
+    images[0][0, 0] = np.nan
+    theta = endo.Endomorphism(d2, images)
+    for horizon in (1, 4):
+        with pytest.raises(RelationB):
+            pr.check_pairing(np.eye(2), theta, endo.identity(d2p), horizon=horizon)

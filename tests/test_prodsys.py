@@ -107,11 +107,30 @@ def test_commutant_system_needs_a_faithful_source(commutant_of_inner):
 
 
 def test_left_dilation_recovers_left_action(inner_system):
+    """The products with left index zero are the left dilation: conjugating
+    the lifted left action through them gives back the iterate. validate
+    checks this as its bilinear law, and associativity on every triple."""
     _, _, _, p = inner_system
-    ld = ps.left_dilation(p)
-    worst = ld.validate()
-    assert worst["recovery"] < 1e-10
+    worst = p.validate()
+    assert worst["bilinear"] < 1e-10
     assert worst["associative"] < 1e-10
+    assert p.residuals == worst  # kept from construction
+    for t in range(p.horizon + 1):
+        v, tp = p.products[(0, t)], p.tensors[(0, t)]
+        for b, img in zip(p.algebra.basis, p.members[t].rho):
+            assert np.linalg.norm(v @ tp.lift_left(b) @ v.conj().T - img) < 1e-10
+
+
+def test_validate_rejects_a_nan_product(inner_system):
+    """A NaN entry in one product map used to vanish from every worst-case
+    residual, since max(0.0, nan) is 0.0."""
+    _, _, _, p = inner_system
+    u = p.products[(1, 1)].copy()
+    u[0, 0] = np.nan
+    q = ps.DiscreteProductSystem(p.algebra, p.members, p.tensors,
+                                 {**p.products, (1, 1): u}, source=p.source)
+    with pytest.raises(ProductSystemLawError, match="unitary"):
+        q.validate()
 
 
 def test_right_dilation_from_unitary(inner_system):

@@ -109,9 +109,32 @@ def test_replay_reruns_the_recorded_case():
         selftest.replay({"property": "no-such-property", "case": 0, "seed": 0})
 
 
+def _nan_property():
+    def build(rng, tol, case_index, salt):
+        return {"case": case_index}, lambda: float("nan") if case_index == 1 else 0.0
+
+    return selftest.Property("nan-measure", 3, 1e-8, build)
+
+
+def test_nan_residual_is_a_failure():
+    result = selftest.run_property(_nan_property(), 0, 0, 3, nk.DEFAULT_TOL)
+    assert not result.ok
+    assert result.cases == 2
+    assert np.isnan(result.worst)
+    assert result.failure["case"] == 1 and np.isnan(result.failure["residual"])
+    assert result.line().endswith("FAIL")
+
+
+def test_replay_of_a_nan_case_is_not_ok(monkeypatch):
+    monkeypatch.setattr(selftest, "PROPERTIES", [_nan_property()])
+    out = selftest.replay({"property": "nan-measure", "case": 1, "seed": 0})
+    assert np.isnan(out["residual"]) and out["ok"] is False
+    assert selftest.replay({"property": "nan-measure", "case": 0, "seed": 0})["ok"]
+
+
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(0)
-    u = selftest.haar_unitary(5, rng)
+    u = nk.random_unitary(5, rng)
     assert np.linalg.norm(u.conj().T @ u - np.eye(5)) < 1e-12
 
 
