@@ -21,17 +21,30 @@ import numpy as np
 from . import algebra as alg
 from . import endo as endo_mod
 from . import numkernel as nk
-from .errors import (AlgebraMismatch, DimensionMismatch, GramNotPSD,
-                     InvalidCorrespondence, NotIntertwining, NotIsometric,
-                     PolarRetryExhausted, SingularInput)
+from .errors import (AlgebraMismatch, DimensionMismatch, EmptyTensorProduct,
+                     GramNotPSD, InvalidCorrespondence, NotIntertwining,
+                     NotIsometric, PolarRetryExhausted, SingularInput)
 
 #: attempts at drawing an invertible element of an intertwiner space
 MAX_POLAR_RETRIES = 8
 
 
 def rep_apply(domain: alg.VnAlgebra, images: np.ndarray, x) -> np.ndarray:
-    """Apply the representation with the given basis images to x in span."""
-    return np.tensordot(domain.coefficients(x), images, axes=(0, 0))
+    """Apply the representation with the given basis images to x in span;
+    a stack of matrices x maps slice by slice."""
+    x = np.asarray(x, dtype=complex)
+    coeffs = domain.coefficients(x) if x.ndim == 2 else \
+        x.reshape(x.shape[:-2] + (domain.flat.shape[1],)) @ domain.flat.conj().T
+    return np.tensordot(coeffs, images, axes=(-1, 0))
+
+
+def inner_products(x) -> np.ndarray:
+    """x_i* x_k for every pair of a stack of elements, shape (d, d, n, n),
+    from one matrix product."""
+    d, h, n = x.shape
+    rows = x.conj().transpose(0, 2, 1).reshape(d * n, h)
+    return (rows @ x.transpose(1, 0, 2).reshape(h, d * n)).reshape(
+        d, n, d, n).transpose(0, 2, 1, 3)
 
 
 class Correspondence:
@@ -84,9 +97,7 @@ class Correspondence:
                    "commutant action not unital, residual {:.3e}")
         ab = self.rho[:, None] @ self.rho_prime[None, :]
         ba = self.rho_prime[None, :] @ self.rho[:, None]
-        res = float(np.linalg.norm((ab - ba).reshape(ab.shape[0] * ab.shape[1], -1),
-                                   axis=1).max()) if ab.size else 0.0
-        nk.require(res, tol.bound(1.0), InvalidCorrespondence,
+        nk.require(nk.worst_norm(ab - ba), tol.bound(1.0), InvalidCorrespondence,
                    "ranges do not commute, residual {:.3e}")
 
     def rho_of(self, a) -> np.ndarray:
@@ -103,8 +114,12 @@ class Correspondence:
             pairs, (self.carrier_dim, self.right.ambient_dim))
 
     def element_coefficients(self, x) -> np.ndarray:
+        """Coefficients of x in the element basis; a stack of elements x
+        gives one row per slice."""
         basis = self.element_space
-        return basis.conj().reshape(basis.shape[0], -1) @ np.asarray(x, dtype=complex).reshape(-1)
+        flat = basis.reshape(basis.shape[0], basis.shape[1] * basis.shape[2])
+        x = np.asarray(x, dtype=complex)
+        return x.reshape(x.shape[:-2] + (flat.shape[1],)) @ flat.conj().T
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
         """Full invariant check; raises InvalidCorrespondence on failure."""
@@ -115,8 +130,7 @@ class Correspondence:
             self.right_commutant, self.rho_prime).items()})
         x = self.element_space
         # inner products of elements land in the right algebra
-        inner = np.einsum("iab,jac->ijbc", x.conj(), x)
-        worst["inner_in_right"] = nk.span_residual(inner, self.right.flat)
+        worst["inner_in_right"] = nk.span_residual(inner_products(x), self.right.flat)
         # elements reach the whole carrier
         cols = x.transpose(1, 0, 2).reshape(self.carrier_dim, -1)
         worst["nondegenerate"] = 0.0 if nk.numeric_rank(cols, tol) == self.carrier_dim \
@@ -171,70 +185,73 @@ class TensorProduct:
     (carrier vector of f); their Gram matrix, evaluated through the left
     action of f on inner products, is diagonalized and eigenvalues below
     the relative cutoff are quotiented away. ``phi`` maps raw coordinates
-    isometrically onto the quotient carrier.
+    isometrically onto the quotient carrier; a quotient that keeps no
+    direction raises EmptyTensorProduct.
     """
 
     def __init__(self, e: Correspondence, f: Correspondence,
                  tol: nk.Tolerance = nk.DEFAULT_TOL):
-        if not alg.equals(e.right, f.left, tol):
+        if e.right is not f.left and not alg.equals(e.right, f.left, tol):
             raise AlgebraMismatch("right algebra of e and left algebra of f differ")
         self.e = e
         self.f = f
         x = e.element_space
-        de, hf = x.shape[0], f.carrier_dim
-        inner = np.einsum("iab,kac->ikbc", x.conj(), x)  # x_i* x_k, values in B
-        coeffs = np.einsum("dbc,ikbc->ikd", f.left.basis.conj(), inner)
-        # G[(i,j),(k,l)] = rho_f(x_i* x_k)[j,l]
-        gram = np.einsum("ikd,djl->ijkl", coeffs, f.rho).reshape(de * hf, de * hf)
-        gram = (gram + gram.conj().T) / 2.0
-        lam, vec = np.linalg.eigh(gram)
+        de, n, hf = x.shape[0], x.shape[2], f.carrier_dim
+        # G[(i,j),(k,l)] = rho_f(x_i* x_k)[j,l]: the inner products, their
+        # coefficients in the middle algebra, then the left action of f
+        coeffs = inner_products(x).reshape(de * de, n * n) @ f.left.flat.conj().T
+        gram = (coeffs @ f.rho.reshape(f.left.dim, hf * hf)).reshape(
+            de, de, hf, hf).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
+        lam, vec = np.linalg.eigh((gram + gram.conj().T) / 2.0)
         top = float(lam[-1]) if lam.size else 0.0
+        cut = tol.eps * max(top, 1.0)
         if lam.size:
-            nk.require(-lam[0], tol.eps * max(top, 1.0), GramNotPSD,
+            nk.require(-lam[0], cut, GramNotPSD,
                        "Gram matrix eigenvalue {1:.3e} below zero", lam[0])
-        keep = lam > tol.eps * max(top, 1.0)
+        keep = lam > cut
+        if not keep.any():
+            raise EmptyTensorProduct(
+                f"no direction of the {de * hf}-dimensional raw space survives: "
+                f"largest Gram eigenvalue {top:.3e}, cutoff {cut:.3e}")
         lam_kept, vec_kept = lam[keep], vec[:, keep]
         self.carrier_dim = int(lam_kept.size)
         self.phi = (np.sqrt(lam_kept)[:, None] * vec_kept.conj().T)
         self.phi_pinv = vec_kept / np.sqrt(lam_kept)[None, :]
         self.left_basis = x
-
-        rho = np.array([self.lift_left(a) for a in e.rho])
-        rho_prime = np.array([self.lift_right(r) for r in f.rho_prime])
+        # phi with its raw axis split into (element index, f-carrier index)
+        self._phi3 = self.phi.reshape(self.carrier_dim, de, hf)
         self.corr = Correspondence(
             left=e.left, right=f.right,
             left_commutant=e.left_commutant, right_commutant=f.right_commutant,
-            rho=rho, rho_prime=rho_prime, carrier_dim=self.carrier_dim, tol=tol)
-
-    def _left_coeff(self, op: np.ndarray) -> np.ndarray:
-        """Matrix of x -> op @ x on the element basis of e."""
-        x = self.e.element_space
-        moved = np.einsum("ij,bjk->bik", op, x)
-        return np.einsum("aij,bij->ab", x.conj(), moved)
-
-    @property
-    def _phi3(self) -> np.ndarray:
-        # phi with its raw axis split into (element index, f-carrier index);
-        # avoids materializing kron factors in the hot paths below
-        return self.phi.reshape(self.carrier_dim, -1, self.f.carrier_dim)
+            rho=self.lift_left(e.rho), rho_prime=self.lift_right(f.rho_prime),
+            carrier_dim=self.carrier_dim, tol=tol)
 
     def lift_left(self, op) -> np.ndarray:
-        """Operator op (tensor) id on the quotient, op acting on e's carrier."""
-        m = self._left_coeff(np.asarray(op, dtype=complex))
-        raw = np.einsum("piv,ik->pkv", self._phi3, m)
-        return raw.reshape(self.carrier_dim, -1) @ self.phi_pinv
+        """Operator op (tensor) id on the quotient, op acting on e's carrier;
+        a stack of operators lifts slice by slice."""
+        op = np.asarray(op, dtype=complex)
+        x = self.e.element_space
+        cd, de, hf = self._phi3.shape
+        flat = x.reshape(de, -1)
+        # mt[..., k, i] = <x_i, op x_k>: op on the element basis of e, transposed
+        mt = (op[..., None, :, :] @ x).reshape(op.shape[:-2] + flat.shape) @ flat.conj().T
+        raw = mt[..., None, :, :] @ self._phi3  # raw[..., p, k, v]
+        return raw.reshape(op.shape[:-2] + (cd, de * hf)) @ self.phi_pinv
 
     def lift_right(self, op) -> np.ndarray:
-        """Operator id (tensor) op on the quotient, op acting on f's carrier."""
+        """Operator id (tensor) op on the quotient, op acting on f's carrier;
+        a stack of operators lifts slice by slice."""
         op = np.asarray(op, dtype=complex)
-        raw = np.einsum("piu,uv->piv", self._phi3, op)
-        return raw.reshape(self.carrier_dim, -1) @ self.phi_pinv
+        cd, de, hf = self._phi3.shape
+        raw = self.phi.reshape(cd * de, hf) @ op
+        return raw.reshape(op.shape[:-2] + (cd, de * hf)) @ self.phi_pinv
 
     def embed_matrix(self, x) -> np.ndarray:
         """Matrix taking h to the quotient coordinates of the simple tensor
-        x (tensor) h, shape (carrier_dim, f.carrier_dim)."""
+        x (tensor) h, shape (carrier_dim, f.carrier_dim); a stack of elements
+        gives the stack of their matrices."""
         a = self.e.element_coefficients(x)
-        return np.tensordot(a, self._phi3, axes=(0, 1))
+        return np.tensordot(a, self._phi3, axes=(-1, 1))
 
 
 def tensor_product(e: Correspondence, f: Correspondence,
@@ -261,14 +278,10 @@ def tensor_commutant_iso(e: Correspondence, f: Correspondence,
         TensorProduct(commutant(f), commutant(e), tol)
     x = e.element_space
     yp = t2.e.element_space  # elements of the commutant of f
-    src = []
-    dst = []
-    for xi in x:
-        for ypj in yp:
-            src.append(t1.embed_matrix(xi) @ ypj)        # columns over g
-            dst.append(t2.embed_matrix(ypj) @ xi)
-    src = np.concatenate(src, axis=1)
-    dst = np.concatenate(dst, axis=1)
+    # columns (i, j, g): embed(x_i) y'_j g and embed(y'_j) x_i g
+    src = t1.embed_matrix(x)[:, None] @ yp[None]
+    dst = t2.embed_matrix(yp)[None] @ x[:, None]
+    src, dst = (np.moveaxis(m, 2, 0).reshape(m.shape[2], -1) for m in (src, dst))
     w = nk.lstsq_map(src, dst)
     nk.require(float(np.linalg.norm(w @ src - dst)),
                tol.bound(float(np.linalg.norm(src)), float(np.linalg.norm(dst))),
@@ -277,14 +290,13 @@ def tensor_commutant_iso(e: Correspondence, f: Correspondence,
         raise NotIsometric(f"carrier dimensions differ: {w.shape}")
     nk.require(nk.unitarity_residual(w), tol.bound(np.sqrt(w.shape[0])), NotIsometric,
                "not unitary, residual {:.3e}")
-    for img1, img2 in zip(t1.corr.rho, t2.corr.rho_prime):
-        nk.require(float(np.linalg.norm(w @ img1 - img2 @ w)),
-                   tol.bound(nk.frobenius(img1)), NotIntertwining,
-                   "left-algebra intertwining fails, residual {:.3e}")
-    for img1, img2 in zip(t1.corr.rho_prime, t2.corr.rho):
-        nk.require(float(np.linalg.norm(w @ img1 - img2 @ w)),
-                   tol.bound(nk.frobenius(img1)), NotIntertwining,
-                   "commutant intertwining fails, residual {:.3e}")
+    for img1, img2, what in ((t1.corr.rho, t2.corr.rho_prime, "left-algebra"),
+                             (t1.corr.rho_prime, t2.corr.rho, "commutant")):
+        res = np.linalg.norm(w @ img1 - img2 @ w, axis=(1, 2))
+        bounds = np.array([tol.bound(float(v)) for v in np.linalg.norm(img1, axis=(1, 2))])
+        k = int(np.argmin(res <= bounds))  # the first failure, else 0
+        nk.require(float(res[k]), float(bounds[k]), NotIntertwining,
+                   what + " intertwining fails, residual {:.3e}")
     return w
 
 

@@ -89,6 +89,10 @@ class GramNotPSD(VnpairError):
     """An interior-tensor Gram matrix has a significantly negative eigenvalue."""
 
 
+class EmptyTensorProduct(VnpairError):
+    """No eigenvalue of an interior-tensor Gram matrix survives the cutoff."""
+
+
 class NotIsometric(VnpairError):
     """A canonical map failed its inner-product preservation check."""
 

@@ -101,6 +101,13 @@ def worst(*values: float) -> float:
     return out
 
 
+def worst_norm(stack) -> float:
+    """Largest Frobenius norm of the matrices stacked along the last two
+    axes; NaN when any entry is NaN, 0.0 for an empty stack."""
+    stack = np.asarray(stack)
+    return float(np.linalg.norm(stack, axis=(-2, -1)).max()) if stack.size else 0.0
+
+
 def unitarity_residual(u) -> float:
     """Frobenius norm of u* u - I, I of the column size of u.
 

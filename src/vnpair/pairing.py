@@ -143,19 +143,15 @@ def isomorphism_from_pairing(u, theta, theta_prime,
     target = corr.commutant(corr.of_endomorphism(theta_prime,
                                                  right_commutant=b, tol=tol))
     x = source.element_space
-    worst = {"inner": 0.0, "right_linear": 0.0, "left_covariant": 0.0,
+    moved = u @ x
+    # over every pair (x_i, b_j): u (x_i b_j) = (u x_i) b_j and
+    # u theta(b_j) x_i = b_j u x_i
+    worst = {"inner": float(np.abs(corr.inner_products(moved)
+                                   - corr.inner_products(x)).max()),
+             "right_linear": nk.worst_norm(u @ (x[:, None] @ b.basis) - moved[:, None] @ b.basis),
+             "left_covariant": nk.worst_norm(
+                 u @ (theta.basis_images @ x[:, None]) - b.basis @ moved[:, None]),
              "target_span": 0.0}
-    moved = np.einsum("ij,bjk->bik", u, x)
-    inner_src = np.einsum("iab,jac->ijbc", x.conj(), x)
-    inner_dst = np.einsum("iab,jac->ijbc", moved.conj(), moved)
-    worst["inner"] = float(np.abs(inner_dst - inner_src).max())
-    for xi in x:
-        uxi = u @ xi
-        for bj in b.basis:
-            worst["right_linear"] = nk.worst(worst["right_linear"], float(
-                np.linalg.norm(u @ (xi @ bj) - uxi @ bj)))
-            worst["left_covariant"] = nk.worst(worst["left_covariant"], float(
-                np.linalg.norm(u @ (theta(bj) @ xi) - bj @ uxi)))
     y = target.element_space
     if y.shape[0] != x.shape[0]:
         worst["target_span"] = 1.0

@@ -9,7 +9,8 @@ the commutant-through-dilation pipeline.
 
 All product maps act on quotient tensor carriers; element-level products
 x . y are recovered through the embeddings, and every law is verified on
-spanning families of simple tensors.
+spanning families of simple tensors, as a few matrix products over the
+stacked element bases (one loop level per degree, none per element).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class DiscreteProductSystem:
         self.source = source
         self.residuals: dict = {}  # what validate returned at construction
         self._stacks: dict = {}
+        self._basis_prods: dict = {}
 
     def action_stack(self, s: int, t: int) -> np.ndarray:
         """prod_matrix of every element basis vector of E_s, stacked.
@@ -60,9 +62,32 @@ class DiscreteProductSystem:
         return self._stacks[key]
 
     def prod_matrix(self, s: int, t: int, x) -> np.ndarray:
-        """Matrix of h -> (x . h) from the carrier of E_t to that of E_{s+t}."""
+        """Matrix of h -> (x . h) from the carrier of E_t to that of E_{s+t};
+        a stack of elements gives the stack of their matrices."""
         coeffs = self.members[s].element_coefficients(x)
-        return np.tensordot(coeffs, self.action_stack(s, t), axes=(0, 1))
+        return np.tensordot(coeffs, self.action_stack(s, t), axes=(-1, 1))
+
+    def basis_products(self, s: int, t: int) -> tuple[np.ndarray, float]:
+        """Coefficients of every product x_k . y_l of element basis vectors
+        (x_k of E_s, y_l of E_t) in the element basis of E_{s+t}, row
+        k * d_t + l, and the worst distance of those products from that span
+        (the product closure law). Computed once per pair.
+        """
+        key = (s, t)
+        if key not in self._basis_prods:
+            stack = self.action_stack(s, t)
+            ys = self.members[t].element_space
+            basis = self.members[s + t].element_space
+            h, ds, ht = stack.shape
+            dt, n = ys.shape[0], ys.shape[2]
+            prods = (stack.transpose(1, 0, 2).reshape(ds * h, ht)
+                     @ ys.transpose(1, 0, 2).reshape(ht, dt * n)).reshape(
+                ds, h, dt, n).transpose(0, 2, 1, 3).reshape(ds * dt, h * n)
+            flat = basis.reshape(basis.shape[0], h * n)
+            coeffs = prods @ flat.conj().T
+            closure = nk.worst_norm((prods - coeffs @ flat).reshape(ds * dt, h, n))
+            self._basis_prods[key] = (coeffs, closure)
+        return self._basis_prods[key]
 
     def multiply(self, s: int, t: int, x, y) -> np.ndarray:
         """Product of an element of E_s with an element of E_t."""
@@ -70,9 +95,8 @@ class DiscreteProductSystem:
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
         """Check the whole law book; returns worst residuals, raises on failure."""
-        worst = {"unit_member": 0.0, "unitary": 0.0, "bilinear": 0.0,
-                 "left_marginal": 0.0, "right_marginal": 0.0,
-                 "associative": 0.0, "product_closure": 0.0}
+        worst = dict.fromkeys(("unit_member", "unitary", "bilinear", "left_marginal",
+                               "right_marginal", "associative", "product_closure"), 0.0)
         e0 = self.members[0]
         worst["unit_member"] = nk.worst(
             float(np.linalg.norm(e0.rho - self.algebra.basis)),
@@ -83,73 +107,62 @@ class DiscreteProductSystem:
             if u.shape != (target.carrier_dim, tp.carrier_dim):
                 raise ProductSystemLawError(
                     f"product ({s},{t}) has shape {u.shape}")
-            res = nk.unitarity_residual(u)
-            if u.shape[0] != u.shape[1]:
-                res = max(res, 1.0)
+            res, bil = _map_laws(u, (tp.corr.rho, target.rho),
+                                 (tp.corr.rho_prime, target.rho_prime))
             worst["unitary"] = nk.worst(worst["unitary"], res)
-            for img_t, img_m in [*zip(tp.corr.rho, target.rho),
-                                 *zip(tp.corr.rho_prime, target.rho_prime)]:
-                worst["bilinear"] = nk.worst(worst["bilinear"], float(
-                    np.linalg.norm(u @ img_t - img_m @ u)))
-        for t in range(self.horizon + 1):
-            member = self.members[t]
-            for x in self.members[0].element_space:
-                res = float(np.linalg.norm(
-                    self.prod_matrix(0, t, x) - member.rho_of(x)))
-                worst["left_marginal"] = nk.worst(worst["left_marginal"], res)
-            for x in member.element_space:
-                res = float(np.linalg.norm(self.prod_matrix(t, 0, x) - x))
-                worst["right_marginal"] = nk.worst(worst["right_marginal"], res)
+            worst["bilinear"] = nk.worst(worst["bilinear"], bil)
+            worst["product_closure"] = nk.worst(worst["product_closure"],
+                                                self.basis_products(s, t)[1])
+        x0 = e0.element_space
+        for t, member in enumerate(self.members):
+            worst["left_marginal"] = nk.worst(worst["left_marginal"], nk.worst_norm(
+                self.prod_matrix(0, t, x0) - member.rho_of(x0)))
+            worst["right_marginal"] = nk.worst(worst["right_marginal"], nk.worst_norm(
+                self.prod_matrix(t, 0, member.element_space) - member.element_space))
         for r in range(self.horizon + 1):
             for s in range(self.horizon + 1 - r):
                 for t in range(self.horizon + 1 - r - s):
                     worst["associative"] = nk.worst(
                         worst["associative"], self.associativity_residual(r, s, t))
-        for (s, t) in self.products:
-            basis = self.members[s + t].element_space
-            flat = basis.reshape(basis.shape[0], -1)
-            ys = self.members[t].element_space
-            stack = self.action_stack(s, t)
-            for k in range(stack.shape[1]):
-                prods = np.einsum("ac,lcn->lan", stack[:, k, :], ys)
-                worst["product_closure"] = nk.worst(worst["product_closure"],
-                                                    nk.span_residual(prods, flat))
         return nk.require_laws(worst, tol.bound(1.0), ProductSystemLawError,
                                "product system laws violated: {}")
 
     def associativity_residual(self, r: int, s: int, t: int) -> float:
-        """Worst deviation of (x y) z from x (y z) on element basis pairs.
+        """Worst deviation of (x y) z from x (y z) over all pairs of element
+        basis vectors x of E_r and y of E_s.
 
         Evaluated against the full carrier of E_t, which spans the triple
         tensor; equality on these simple tensors is equality of the two
         composite product maps.
         """
-        ys = self.members[s].element_space
-        basis = self.members[r + s].element_space
-        flat = basis.reshape(basis.shape[0], -1)
-        first = self.action_stack(r, s)
+        coeffs = self.basis_products(r, s)[0]
         inner = self.action_stack(r + s, t)
         outer_x = self.action_stack(r, s + t)
         outer_y = self.action_stack(s, t)
-        worst = 0.0
-        for k in range(first.shape[1]):
-            prods = np.einsum("ac,lcn->lan", first[:, k, :], ys)
-            coeffs = prods.reshape(prods.shape[0], -1) @ flat.conj().T
-            lhs = np.tensordot(coeffs, inner, axes=(1, 1))
-            rhs = np.einsum("ac,clb->lab", outer_x[:, k, :], outer_y)
-            res = np.linalg.norm((lhs - rhs).reshape(lhs.shape[0], -1), axis=1)
-            if res.size:
-                worst = nk.worst(worst, float(res.max()))
-        return worst
+        h, dm, ht = inner.shape
+        dr, (hm, ds, _) = outer_x.shape[1], outer_y.shape
+        lhs = coeffs @ inner.transpose(1, 0, 2).reshape(dm, h * ht)
+        rhs = (outer_x.transpose(1, 0, 2).reshape(dr * h, hm)
+               @ outer_y.reshape(hm, ds * ht)).reshape(dr, h, ds, ht).transpose(0, 2, 1, 3)
+        return nk.worst_norm(lhs.reshape(dr, ds, h, ht) - rhs)
 
 
-def _factor(tp, cols, rows: int, tol: nk.Tolerance, what: str) -> np.ndarray:
-    """The map u with u phi = target, target the columns of an element-level
-    action on simple tensors; the action must factor through the tensor
-    quotient. rows is the target dimension, used when there are no columns.
+def _map_laws(u, *pairs) -> tuple[float, float]:
+    """Unitarity residual of a map u between carriers (at least 1.0 for a
+    non-square u) and its bilinearity residual: the worst |u a - b u| over
+    each pair (a, b) of stacked images of one basis on source and target."""
+    res = nk.unitarity_residual(u)
+    if u.shape[0] != u.shape[1]:
+        res = nk.worst(res, 1.0)
+    return res, nk.worst(*(nk.worst_norm(u @ a - b @ u) for a, b in pairs))
+
+
+def _factor(tp, images, tol: nk.Tolerance, what: str) -> np.ndarray:
+    """The map u with u phi = target, target the element-level action on
+    simple tensors: images[k] is the action of the k-th element basis vector
+    of the left factor. The action must factor through the tensor quotient.
     """
-    target = np.concatenate(cols, axis=1) if cols else \
-        np.zeros((rows, 0), dtype=complex)
+    target = np.concatenate(images, axis=1)
     u = target @ tp.phi_pinv
     nk.require(float(np.linalg.norm(u @ tp.phi - target)),
                tol.bound(float(np.linalg.norm(target))), ProductSystemLawError,
@@ -163,19 +176,18 @@ def _build_system(algebra, members, action_matrix, source=None,
     """Assemble and validate tensors and product unitaries from an
     element-level action.
 
-    action_matrix(s, t, x) maps the carrier of E_t to the carrier of
-    E_{s+t} and represents h -> (x . h) for an element x of E_s.
+    action_matrix(s, t, xs) takes the stacked element basis xs of E_s and
+    returns, per slice x, the matrix of h -> (x . h) from the carrier of E_t
+    to the carrier of E_{s+t}.
     """
     n = len(members) - 1
     tensors = {}
     products = {}
     for s in range(n + 1):
         for t in range(n + 1 - s):
-            tp = corr.tensor_product(members[s], members[t], tol)
-            cols = [action_matrix(s, t, x) for x in members[s].element_space]
-            tensors[(s, t)] = tp
-            products[(s, t)] = _factor(tp, cols, members[s + t].carrier_dim, tol,
-                                       f"product ({s},{t})")
+            tp = tensors[(s, t)] = corr.tensor_product(members[s], members[t], tol)
+            products[(s, t)] = _factor(tp, action_matrix(s, t, members[s].element_space),
+                                       tol, f"product ({s},{t})")
     system = DiscreteProductSystem(algebra, members, tensors, products, source=source)
     system.residuals = system.validate(tol)
     return system
@@ -196,8 +208,8 @@ def from_endomorphism(theta, horizon: int,
     powers = endo_mod.iterates(theta, horizon)
     members = [corr.of_endomorphism(p, right_commutant=bp, tol=tol) for p in powers]
 
-    def action(s, t, x):
-        return powers[t](x)
+    def action(s, t, xs):
+        return corr.rep_apply(b, powers[t].basis_images, xs)
 
     return _build_system(b, members, action, source=theta, tol=tol)
 
@@ -216,11 +228,7 @@ def commutant_system(p: DiscreteProductSystem,
     if not endo_mod.is_faithful(p.source, tol):
         raise NotFaithful("generating endomorphism is not faithful")
     members = [corr.commutant(e) for e in p.members]
-
-    def action(s, t, x):
-        return np.asarray(x, dtype=complex)
-
-    return _build_system(p.commutant_algebra, members, action, tol=tol)
+    return _build_system(p.commutant_algebra, members, lambda s, t, xs: xs, tol=tol)
 
 
 def commutant_order_residual(p: DiscreteProductSystem, pc: DiscreteProductSystem,
@@ -259,25 +267,20 @@ class RightDilation:
         return self.space.rho_of(b)
 
     def theta_w(self, t: int, op) -> np.ndarray:
+        """w_t (id tensor op) w_t*; a stack of operators maps slice by slice."""
         w = self.maps[t]
         return w @ self.tensors[t].lift_right(op) @ w.conj().T
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
         worst = {"unitary": 0.0, "bilinear": 0.0, "unit_map": 0.0}
+        rho_b = self.rho_of(self.system.algebra.basis)
         for t in range(self.system.horizon + 1):
-            w = self.maps[t]
-            tp = self.tensors[t]
-            res = nk.unitarity_residual(w)
-            if w.shape[0] != tp.carrier_dim:
-                res = max(res, 1.0)
+            res, bil = _map_laws(self.maps[t], (self.tensors[t].corr.rho, rho_b))
             worst["unitary"] = nk.worst(worst["unitary"], res)
-            for img_t, b in zip(tp.corr.rho, self.system.algebra.basis):
-                worst["bilinear"] = nk.worst(worst["bilinear"], float(
-                    np.linalg.norm(w @ img_t - self.rho_of(b) @ w)))
-        for x in self.system.members[0].element_space:
-            res = float(np.linalg.norm(
-                self.maps[0] @ self.tensors[0].embed_matrix(x) - self.rho_of(x)))
-            worst["unit_map"] = nk.worst(worst["unit_map"], res)
+            worst["bilinear"] = nk.worst(worst["bilinear"], bil)
+        x0 = self.system.members[0].element_space
+        worst["unit_map"] = nk.worst_norm(
+            self.maps[0] @ self.tensors[0].embed_matrix(x0) - self.rho_of(x0))
         return nk.require_laws(worst, tol.bound(1.0), ProductSystemLawError,
                                "right dilation laws violated: {}")
 
@@ -287,9 +290,10 @@ def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
     """Right dilation from an element-level action on a represented space.
 
     rho_images are the basis images of a faithful unital representation of
-    the system algebra on H; action_matrix(t, x) is the matrix of
-    h -> w_t(x tensor h) on H for an element x of E_t. H enters as a
-    correspondence from the system algebra to the scalars.
+    the system algebra on H; action_matrix(t, xs) takes the stacked element
+    basis xs of E_t and returns, per slice x, the matrix of
+    h -> w_t(x tensor h) on H. H enters as a correspondence from the system
+    algebra to the scalars.
     """
     rho_images = np.asarray(rho_images, dtype=complex)
     h = rho_images.shape[1]
@@ -302,8 +306,8 @@ def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
     maps = {}
     for t in range(p.horizon + 1):
         tp = tensors[t] = corr.tensor_product(p.members[t], space, tol)
-        cols = [action_matrix(t, x) for x in p.members[t].element_space]
-        maps[t] = _factor(tp, cols, space.carrier_dim, tol, f"dilation map {t}")
+        maps[t] = _factor(tp, action_matrix(t, p.members[t].element_space), tol,
+                          f"dilation map {t}")
     dilation = RightDilation(p, space, tensors, maps)
     dilation.residuals = dilation.validate(tol)
     return dilation
@@ -319,10 +323,7 @@ def identity_right_dilation(p: DiscreteProductSystem,
     it is kept as the oracle that the direct eq33 residual of
     ``pairing`` is tested against.
     """
-    def action(t, x):
-        return np.asarray(x, dtype=complex)
-
-    return make_right_dilation(p, p.algebra.basis, action, tol=tol)
+    return make_right_dilation(p, p.algebra.basis, lambda t, xs: xs, tol=tol)
 
 
 def right_dilation_from_unitary(p: DiscreteProductSystem, u, rho_images=None,
@@ -344,8 +345,8 @@ def right_dilation_from_unitary(p: DiscreteProductSystem, u, rho_images=None,
     for _ in range(p.horizon):
         powers.append(u @ powers[-1])
 
-    def action(t, x):
-        return powers[t] @ corr.rep_apply(p.algebra, rho_images, x)
+    def action(t, xs):
+        return powers[t] @ corr.rep_apply(p.algebra, rho_images, xs)
 
     return make_right_dilation(p, rho_images, action, tol=tol)
 
@@ -354,7 +355,8 @@ class SystemRepresentation:
     """Maps eta_t from the members into operators on a fixed Hilbert space.
 
     eta respects products across degrees and the degree-zero map recovers
-    the B-valued inner products: eta_t(x)* eta_t(y) = eta_0(x* y).
+    the B-valued inner products: eta_t(x)* eta_t(y) = eta_0(x* y). Both
+    laws are checked on the stacked images of the element bases.
     """
 
     def __init__(self, system: DiscreteProductSystem, images):
@@ -367,25 +369,23 @@ class SystemRepresentation:
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
         sysm = self.system
+        imgs = self.images
         worst = {"multiplicative": 0.0, "inner": 0.0}
         for s in range(sysm.horizon + 1):
             for t in range(sysm.horizon + 1 - s):
-                for x in sysm.members[s].element_space:
-                    ex = self.eta_of(s, x)
-                    for y in sysm.members[t].element_space:
-                        lhs = ex @ self.eta_of(t, y)
-                        rhs = self.eta_of(s + t, sysm.multiply(s, t, x, y))
-                        worst["multiplicative"] = nk.worst(
-                            worst["multiplicative"], float(np.linalg.norm(lhs - rhs)))
+                # eta_s(x_k) eta_t(y_l) against eta_{s+t}(x_k . y_l)
+                lhs = imgs[s][:, None] @ imgs[t][None]
+                rhs = np.tensordot(sysm.basis_products(s, t)[0], imgs[s + t],
+                                   axes=(1, 0)).reshape(lhs.shape)
+                worst["multiplicative"] = nk.worst(worst["multiplicative"],
+                                                   nk.worst_norm(lhs - rhs))
         for t in range(sysm.horizon + 1):
-            elts = sysm.members[t].element_space
-            for x in elts:
-                ex = self.eta_of(t, x)
-                for y in elts:
-                    lhs = ex.conj().T @ self.eta_of(t, y)
-                    rhs = self.eta_of(0, x.conj().T @ y)
-                    worst["inner"] = nk.worst(worst["inner"],
-                                              float(np.linalg.norm(lhs - rhs)))
+            # eta_t(x_k)* eta_t(x_l) against eta_0(x_k* x_l)
+            lhs = imgs[t].conj().transpose(0, 2, 1)[:, None] @ imgs[t][None]
+            coeffs = sysm.members[0].element_coefficients(
+                corr.inner_products(sysm.members[t].element_space))
+            worst["inner"] = nk.worst(worst["inner"], nk.worst_norm(
+                lhs - np.tensordot(coeffs, imgs[0], axes=(-1, 0))))
         return nk.require_laws(worst, tol.bound(1.0), ProductSystemLawError,
                                "representation laws violated: {}")
 
@@ -398,33 +398,36 @@ def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilatio
     A random element a' of the commutant of the action on H must satisfy
     theta_w(t, a') eta_t(x) = eta_t(x) a'.
     """
-    images = []
-    for t in range(p.horizon + 1):
-        images.append(np.array([w.maps[t] @ w.tensors[t].embed_matrix(x)
-                                for x in p.members[t].element_space]))
+    images = [w.maps[t] @ w.tensors[t].embed_matrix(p.members[t].element_space)
+              for t in range(p.horizon + 1)]
     rep = SystemRepresentation(p, images)
     rep.validate(tol)
     h = w.carrier_dim
     comm = nk.commuting_null_space(
-        [(img, img) for img in (w.rho_of(b) for b in p.algebra.basis)],
-        (h, h), tol)
+        [(img, img) for img in w.rho_of(p.algebra.basis)], (h, h), tol)
     rng = np.random.default_rng([seed, 17])
     aprime = np.tensordot(nk.random_complex(comm.shape[0], rng), comm, axes=(0, 0))
-    worst = 0.0
-    for t in range(p.horizon + 1):
-        moved = w.theta_w(t, aprime)
-        for i in range(images[t].shape[0]):
-            worst = nk.worst(worst, float(np.linalg.norm(
-                moved @ images[t][i] - images[t][i] @ aprime)))
+    worst = nk.worst(*(nk.worst_norm(w.theta_w(t, aprime) @ images[t] - images[t] @ aprime)
+                       for t in range(p.horizon + 1)))
     nk.require(worst, tol.bound(float(np.linalg.norm(aprime))), ProductSystemLawError,
                "commutant relation fails for the dilation, residual {:.3e}")
     return rep
 
 
-def _range_basis(p) -> np.ndarray:
-    """Orthonormal basis of the range of a numerical projection."""
+def _range_basis(p, tol: nk.Tolerance, what: str) -> np.ndarray:
+    """Orthonormal basis q of the range of a numerical projection p; p q = q
+    is required.
+
+    The eigenvalue cutoff is a fixed 0.5, not a Tolerance: the spectrum of
+    a projection computed to working precision clusters at 0 and 1, and the
+    midpoint separates the clusters at every tolerance. A p far from a
+    projection fails the p q = q check instead.
+    """
     lam, vec = np.linalg.eigh((p + p.conj().T) / 2.0)
-    return vec[:, lam > 0.5]
+    q = vec[:, lam > 0.5]
+    nk.require(float(np.linalg.norm(p @ q - q)), tol.bound(1.0), ProductSystemLawError,
+               "{1} is not a projection, residual {0:.3e}", what)
+    return q
 
 
 class BhatSystem:
@@ -471,23 +474,15 @@ def bhat_system(theta, gamma, horizon: int,
     endo_mod.make(b, theta.basis_images, tol)
     powers = endo_mod.iterates(theta, max(horizon, 0))
     pr = np.outer(gamma, gamma.conj())
-    spaces = []
-    for t in range(horizon + 1):
-        p_t = powers[t](pr)
-        q = _range_basis(p_t)
-        nk.require(float(np.linalg.norm(p_t @ q - q)), tol.bound(1.0),
-                   ProductSystemLawError,
-                   "iterate {1} of the projection is not a projection, residual {0:.3e}", t)
-        spaces.append(q)
+    spaces = [_range_basis(powers[t](pr), tol, f"iterate {t} of the projection")
+              for t in range(horizon + 1)]
     products = {}
     for s in range(horizon + 1):
         for t in range(horizon + 1 - s):
-            qs, qt, qst = spaces[s], spaces[t], spaces[s + t]
-            cols = []
-            for a in range(qs.shape[1]):
-                op = powers[t](np.outer(qs[:, a], gamma.conj()))
-                cols.append(qst.conj().T @ op @ qt)
-            u = np.concatenate(cols, axis=1)
+            # columns theta^t(g_a gamma*) h over the basis g_a of space s
+            ops = corr.rep_apply(b, powers[t].basis_images,
+                                 spaces[s].T[:, :, None] * gamma.conj())
+            u = np.concatenate(spaces[s + t].conj().T @ ops @ spaces[t], axis=1)
             res = nk.unitarity_residual(u)
             nk.require(res if u.shape[0] == u.shape[1] else np.inf, tol.bound(1.0),
                        ProductSystemLawError,
@@ -503,23 +498,20 @@ def bhat_system(theta, gamma, horizon: int,
                 nk.require(float(np.linalg.norm(lhs - rhs)), tol.bound(1.0),
                            ProductSystemLawError, "compressed products not "
                            "associative at ({1},{2},{3}), residual {0:.3e}", r, s, t)
+    units = np.eye(n)[:, :, None] * gamma.conj()  # units[g] = e_g gamma*
     dilations = []
     for t in range(horizon + 1):
-        qt = spaces[t]
-        cols = [powers[t](np.outer(np.eye(n)[:, g], gamma.conj())) @ qt
-                for g in range(n)]
-        v = np.concatenate(cols, axis=1)
+        v = np.concatenate(corr.rep_apply(b, powers[t].basis_images, units) @ spaces[t],
+                           axis=1)
         res = nk.unitarity_residual(v)
         nk.require(res if v.shape[0] == v.shape[1] else np.inf, tol.bound(1.0),
                    ProductSystemLawError, "dilation map {2} not unitary, residual {1:.3e}",
                    res, t)
         dilations.append(v)
-        dt = qt.shape[1]
-        for i, base in enumerate(b.basis):
-            lifted = v @ np.kron(base, np.eye(dt)) @ v.conj().T
-            nk.require(float(np.linalg.norm(lifted - powers[t].basis_images[i])),
-                       tol.bound(1.0), ProductSystemLawError,
-                       "dilation {1} does not recover the iterate, residual {0:.3e}", t)
+        lifted = v @ np.kron(b.basis, np.eye(spaces[t].shape[1])) @ v.conj().T
+        nk.require(nk.worst_norm(lifted - powers[t].basis_images), tol.bound(1.0),
+                   ProductSystemLawError,
+                   "dilation {1} does not recover the iterate, residual {0:.3e}", t)
     return BhatSystem(spaces, products, dilations)
 
 
@@ -591,10 +583,9 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     xi = nk.as_matrix(xi, "xi")
     nk.require(nk.unitarity_residual(xi), tol.bound(np.sqrt(n)), NotUnitVector,
                "xi is not an isometry, residual {:.3e}")
-    rho_b = [w.rho_of(base) for base in b.basis]
-    nk.require(nk.worst(*(float(np.linalg.norm(rb @ xi - xi @ base))
-                          for rb, base in zip(rho_b, b.basis))),
-               tol.bound(1.0), NotUnitVector, "xi does not intertwine, residual {:.3e}")
+    rho_b = w.rho_of(b.basis)
+    nk.require(nk.worst_norm(rho_b @ xi - xi @ b.basis), tol.bound(1.0), NotUnitVector,
+               "xi does not intertwine, residual {:.3e}")
 
     rep = representation_from_right_dilation(p, w, tol, seed=seed)
     eye = np.eye(n, dtype=complex)
@@ -605,7 +596,7 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
         if t == 0:
             bases.append(xi)
             continue
-        q = _range_basis(w.theta_w(t, proj))
+        q = _range_basis(w.theta_w(t, proj), tol, f"theta_w({t}) of xi xi*")
         if q.shape[1] != n:
             raise ProductSystemLawError(
                 f"member {t} carrier has dimension {q.shape[1]}, expected {n}")
@@ -618,49 +609,37 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     endo_mod.make(b, p.source.basis_images, tol)
     powers = endo_mod.iterates(p.source, p.horizon)
     # theta_w(t, xi b' xi*) for every basis element b' of B', per t
-    lifted = [[w.theta_w(t, xi @ bprime @ xi.conj().T) for bprime in bp.basis]
-              for t in range(p.horizon + 1)]
-    worst_b = worst_bp = 0.0
-    for t, up in enumerate(upsilon):
-        for rb, base in zip(rho_b, b.basis):
-            worst_b = nk.worst(worst_b,
-                               float(np.linalg.norm(rb @ up - up @ powers[t](base))))
-        for lb, bprime in zip(lifted[t], bp.basis):
-            worst_bp = nk.worst(worst_bp, float(np.linalg.norm(lb @ up - up @ bprime)))
+    lifted = [w.theta_w(t, xi @ bp.basis @ xi.conj().T) for t in range(p.horizon + 1)]
+    worst_b = nk.worst(*(nk.worst_norm(rho_b @ up - up @ powers[t].basis_images)
+                         for t, up in enumerate(upsilon)))
+    worst_bp = nk.worst(*(nk.worst_norm(lifted[t] @ up - up @ bp.basis)
+                          for t, up in enumerate(upsilon)))
     nk.require(nk.worst(worst_b, worst_bp), tol.bound(1.0), ProductSystemLawError,
                "comparison maps fail to intertwine, residuals {1:.3e} and {2:.3e}",
                worst_b, worst_bp)
 
     members = [corr.Correspondence(
         left=bp, right=bp, left_commutant=b, right_commutant=b,
-        rho=np.array([q.conj().T @ lb @ q for lb in lifted[t]]),
-        rho_prime=np.array([q.conj().T @ rb @ q for rb in rho_b]),
+        rho=q.conj().T @ lifted[t] @ q, rho_prime=q.conj().T @ rho_b @ q,
         carrier_dim=q.shape[1], tol=tol) for t, q in enumerate(bases)]
 
-    def action(s, t, x):
-        ambient = bases[s] @ np.asarray(x, dtype=complex)
-        op = w.theta_w(t, ambient @ xi.conj().T)
+    def action(s, t, xs):
+        op = w.theta_w(t, bases[s] @ xs @ xi.conj().T)
         return bases[s + t].conj().T @ op @ bases[t]
 
     fsys = _build_system(bp, members, action, tol=tol)
 
     reference = commutant_system(p, tol)
-    nu = []
+    elts = [m.element_space for m in reference.members]
+    nu = [bases[t].conj().T @ upsilon[t] @ elts[t] for t in range(p.horizon + 1)]
     worst_prod = 0.0
-    for t in range(p.horizon + 1):
-        elts = reference.members[t].element_space
-        nu.append(np.array([bases[t].conj().T @ upsilon[t] @ x for x in elts]))
     for s in range(p.horizon + 1):
         for t in range(p.horizon + 1 - s):
-            ys = reference.members[t].element_space
-            if not ys.size:
-                continue
-            for x in reference.members[s].element_space:
-                lifted = w.theta_w(t, upsilon[s] @ x @ xi.conj().T)
-                left = upsilon[s + t] @ reference.prod_matrix(s, t, x)
-                diff = np.einsum("ab,lbn->lan", left - lifted @ upsilon[t], ys)
-                worst_prod = nk.worst(worst_prod, float(
-                    np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1).max()))
+            # (upsilon_{s+t} (x . ) - theta_w(t, upsilon_s x xi*) upsilon_t) y
+            moved = w.theta_w(t, upsilon[s] @ elts[s] @ xi.conj().T)
+            diff = upsilon[s + t] @ reference.prod_matrix(s, t, elts[s]) \
+                - moved @ upsilon[t]
+            worst_prod = nk.worst(worst_prod, nk.worst_norm(diff[:, None] @ elts[t][None]))
     nk.require(worst_prod, tol.bound(1.0), ProductSystemLawError,
                "comparison maps are not product compatible, residual {:.3e}")
     return CommutantViaDilation(fsys, reference, nu, upsilon, xi)

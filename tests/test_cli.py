@@ -371,6 +371,19 @@ def test_nan_grid_is_rejected(scene_dir, command):
     assert report["error"]["type"] == "NotUnimodular"
 
 
+@pytest.mark.parametrize("command", ["prodsys-commutant", "dilation-commutant"])
+def test_empty_tensor_quotient_is_a_json_error(scene_dir, command):
+    """At --tol 0.5 the commutant members of the full M_3 scene have a Gram
+    quotient that keeps nothing; that is a typed error with a JSON report,
+    not a traceback."""
+    code, out, _ = run_cli([command, "--input", path(scene_dir, "bhat"),
+                            "--tol", "0.5"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["status"] == "fail"
+    assert report["error"]["type"] == "EmptyTensorProduct"
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit) as info:
         run_cli(["no-such-command"])

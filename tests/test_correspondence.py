@@ -6,7 +6,7 @@ from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair.errors import (AlgebraMismatch, DimensionMismatch,
-                           InvalidCorrespondence)
+                           EmptyTensorProduct, InvalidCorrespondence)
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -158,6 +158,17 @@ def test_tensor_rejects_noncomposable():
     m2 = alg.full_matrix_algebra(2)
     with pytest.raises(AlgebraMismatch):
         corr.tensor_product(identity_corr(d2), identity_corr(m2))
+
+
+def test_empty_quotient_is_a_typed_error():
+    """The commutant of M_3 acting on C^3 has the element space C (I/sqrt 3);
+    its Gram matrix is I/3, so a cutoff of 0.5 keeps no direction, which is
+    a typed error, not a failed reshape of an empty quotient."""
+    c = corr.commutant(identity_corr(alg.full_matrix_algebra(3)))
+    assert corr.tensor_product(c, c).carrier_dim == 3
+    with pytest.raises(EmptyTensorProduct) as info:
+        corr.tensor_product(c, c, nk.Tolerance(0.5))
+    assert "largest Gram eigenvalue 3.333e-01" in str(info.value)
 
 
 def test_embed_matches_inner_product_metric():

@@ -245,6 +245,17 @@ def test_worst_keeps_nan_wherever_it_comes():
     assert max(0.0, nan) == 0.0  # the builtin drops it
 
 
+def test_worst_norm_over_stacks():
+    stack = np.zeros((2, 3, 2, 2), dtype=complex)
+    stack[1, 2] = [[3.0, 0.0], [0.0, 4.0j]]
+    assert nk.worst_norm(stack) == 5.0
+    assert nk.worst_norm(stack[0, 0]) == 0.0  # a single matrix
+    assert nk.worst_norm(np.zeros((0, 3, 3))) == 0.0
+    assert nk.worst_norm(np.zeros((4, 0, 0))) == 0.0
+    stack[0, 1, 0, 1] = np.nan
+    assert np.isnan(nk.worst_norm(stack))
+
+
 def test_unitarity_and_span_residuals():
     u = nk.random_unitary(4, seed=2)
     assert nk.unitarity_residual(u) < 1e-12

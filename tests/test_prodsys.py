@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,14 @@ def test_bhat_compression_is_one_dimensional():
         assert abs(abs(u[0, 0]) - 1.0) < 1e-10
 
 
+def test_range_basis_requires_a_projection():
+    """The 0.5 cutoff keeps an eigenvalue 0.7; p q = q then fails."""
+    p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    assert ps._range_basis(p, nk.DEFAULT_TOL, "p").shape == (3, 1)
+    with pytest.raises(ProductSystemLawError, match="q is not a projection"):
+        ps._range_basis(np.diag([1.0, 0.7, 0.2]).astype(complex), nk.DEFAULT_TOL, "q")
+
+
 def test_bhat_requires_full_algebra():
     d2 = diag_algebra_2()
     with pytest.raises(NotFullAlgebra):
@@ -270,3 +280,268 @@ def test_bhat_requires_unit_vector():
         ps.bhat_system(theta, np.array([1.0, 1.0]), horizon=2)
     with pytest.raises(DimensionMismatch):
         ps.bhat_system(theta, np.array([1.0, 0.0, 0.0]), horizon=2)
+
+
+# ---------------------------------------------------------------------------
+# Per-element oracle: the same laws as loops over element basis vectors (or
+# pairs of them), one at a time, for the stacked checks to be compared
+# against. They return the residual dicts without judging them.
+
+
+def _oracle_associativity(p, r, s, t):
+    ys = p.members[s].element_space
+    basis = p.members[r + s].element_space
+    flat = basis.reshape(basis.shape[0], -1)
+    first = p.action_stack(r, s)
+    inner = p.action_stack(r + s, t)
+    outer_x = p.action_stack(r, s + t)
+    outer_y = p.action_stack(s, t)
+    worst = 0.0
+    for k in range(first.shape[1]):
+        prods = np.einsum("ac,lcn->lan", first[:, k, :], ys)
+        coeffs = prods.reshape(prods.shape[0], -1) @ flat.conj().T
+        lhs = np.tensordot(coeffs, inner, axes=(1, 1))
+        rhs = np.einsum("ac,clb->lab", outer_x[:, k, :], outer_y)
+        res = np.linalg.norm((lhs - rhs).reshape(lhs.shape[0], -1), axis=1)
+        if res.size:
+            worst = nk.worst(worst, float(res.max()))
+    return worst
+
+
+def _oracle_system(p):
+    worst = {"unit_member": 0.0, "unitary": 0.0, "bilinear": 0.0,
+             "left_marginal": 0.0, "right_marginal": 0.0,
+             "associative": 0.0, "product_closure": 0.0}
+    e0 = p.members[0]
+    worst["unit_member"] = nk.worst(
+        float(np.linalg.norm(e0.rho - p.algebra.basis)),
+        float(np.linalg.norm(e0.rho_prime - p.commutant_algebra.basis)))
+    for (s, t), u in p.products.items():
+        tp = p.tensors[(s, t)]
+        target = p.members[s + t]
+        res = nk.unitarity_residual(u)
+        if u.shape[0] != u.shape[1]:
+            res = max(res, 1.0)
+        worst["unitary"] = nk.worst(worst["unitary"], res)
+        for img_t, img_m in [*zip(tp.corr.rho, target.rho),
+                             *zip(tp.corr.rho_prime, target.rho_prime)]:
+            worst["bilinear"] = nk.worst(worst["bilinear"], float(
+                np.linalg.norm(u @ img_t - img_m @ u)))
+    for t in range(p.horizon + 1):
+        member = p.members[t]
+        for x in p.members[0].element_space:
+            res = float(np.linalg.norm(p.prod_matrix(0, t, x) - member.rho_of(x)))
+            worst["left_marginal"] = nk.worst(worst["left_marginal"], res)
+        for x in member.element_space:
+            res = float(np.linalg.norm(p.prod_matrix(t, 0, x) - x))
+            worst["right_marginal"] = nk.worst(worst["right_marginal"], res)
+    for r in range(p.horizon + 1):
+        for s in range(p.horizon + 1 - r):
+            for t in range(p.horizon + 1 - r - s):
+                worst["associative"] = nk.worst(
+                    worst["associative"], _oracle_associativity(p, r, s, t))
+    for (s, t) in p.products:
+        basis = p.members[s + t].element_space
+        flat = basis.reshape(basis.shape[0], -1)
+        ys = p.members[t].element_space
+        stack = p.action_stack(s, t)
+        for k in range(stack.shape[1]):
+            prods = np.einsum("ac,lcn->lan", stack[:, k, :], ys)
+            worst["product_closure"] = nk.worst(worst["product_closure"],
+                                                nk.span_residual(prods, flat))
+    return worst
+
+
+def _oracle_eta(rep, t, x):
+    coeff = rep.system.members[t].element_coefficients(x)
+    return np.tensordot(coeff, rep.images[t], axes=(0, 0))
+
+
+def _oracle_representation(rep):
+    sysm = rep.system
+    worst = {"multiplicative": 0.0, "inner": 0.0}
+    for s in range(sysm.horizon + 1):
+        for t in range(sysm.horizon + 1 - s):
+            for x in sysm.members[s].element_space:
+                ex = _oracle_eta(rep, s, x)
+                for y in sysm.members[t].element_space:
+                    lhs = ex @ _oracle_eta(rep, t, y)
+                    rhs = _oracle_eta(rep, s + t, sysm.multiply(s, t, x, y))
+                    worst["multiplicative"] = nk.worst(
+                        worst["multiplicative"], float(np.linalg.norm(lhs - rhs)))
+    for t in range(sysm.horizon + 1):
+        elts = sysm.members[t].element_space
+        for x in elts:
+            ex = _oracle_eta(rep, t, x)
+            for y in elts:
+                lhs = ex.conj().T @ _oracle_eta(rep, t, y)
+                rhs = _oracle_eta(rep, 0, x.conj().T @ y)
+                worst["inner"] = nk.worst(worst["inner"],
+                                          float(np.linalg.norm(lhs - rhs)))
+    return worst
+
+
+def _oracle_dilation(w):
+    worst = {"unitary": 0.0, "bilinear": 0.0, "unit_map": 0.0}
+    for t in range(w.system.horizon + 1):
+        m = w.maps[t]
+        tp = w.tensors[t]
+        res = nk.unitarity_residual(m)
+        if m.shape[0] != tp.carrier_dim:
+            res = max(res, 1.0)
+        worst["unitary"] = nk.worst(worst["unitary"], res)
+        for img_t, b in zip(tp.corr.rho, w.system.algebra.basis):
+            worst["bilinear"] = nk.worst(worst["bilinear"], float(
+                np.linalg.norm(m @ img_t - w.rho_of(b) @ m)))
+    for x in w.system.members[0].element_space:
+        res = float(np.linalg.norm(
+            w.maps[0] @ w.tensors[0].embed_matrix(x) - w.rho_of(x)))
+        worst["unit_map"] = nk.worst(worst["unit_map"], res)
+    return worst
+
+
+def _oracle_tensor(tp):
+    """Gram matrix and lifted actions, one einsum per element or operator."""
+    x = tp.e.element_space
+    de, hf = x.shape[0], tp.f.carrier_dim
+    inner = np.einsum("iab,kac->ikbc", x.conj(), x)
+    coeffs = np.einsum("dbc,ikbc->ikd", tp.f.left.basis.conj(), inner)
+    gram = np.einsum("ikd,djl->ijkl", coeffs, tp.f.rho).reshape(de * hf, de * hf)
+    phi3 = tp.phi.reshape(tp.carrier_dim, de, hf)
+
+    def lift_left(op):
+        moved = np.einsum("ij,bjk->bik", op, x)
+        m = np.einsum("aij,bij->ab", x.conj(), moved)
+        raw = np.einsum("piv,ik->pkv", phi3, m)
+        return raw.reshape(tp.carrier_dim, -1) @ tp.phi_pinv
+
+    def lift_right(op):
+        raw = np.einsum("piu,uv->piv", phi3, op)
+        return raw.reshape(tp.carrier_dim, -1) @ tp.phi_pinv
+
+    return (gram, np.array([lift_left(a) for a in tp.e.rho]),
+            np.array([lift_right(r) for r in tp.f.rho_prime]))
+
+
+@pytest.fixture(scope="module")
+def parity_cases():
+    """(system, right dilation or None): endomorphism systems, commutant
+    systems and dilation-side systems over n in {4, 6, 8}."""
+    out = []
+    for n, blocks, horizon, seed in [(4, [(2, 1), (1, 2)], 5, 3),
+                                     (6, [(1, 2), (2, 2)], 4, 5),
+                                     (8, [(2, 2), (2, 2)], 3, 7)]:
+        b = alg.random_algebra(n, blocks, seed=seed)
+        v = unitary_in(b, seed + 10)
+        p = ps.from_endomorphism(endo.from_unitary(b, v), horizon=horizon)
+        w = ps.right_dilation_from_unitary(p, v)
+        out.append((p, w))
+        if n < 8:
+            out.append((ps.commutant_system(p), None))
+        if n != 6:
+            out.append((ps.commutant_via_dilation(p, w).system, None))
+    return out
+
+
+def _same(new, old):
+    assert list(new) == list(old)
+    for key in old:
+        assert abs(new[key] - old[key]) <= 1e-12, key
+
+
+def test_stacked_laws_match_the_per_element_oracle(parity_cases):
+    assert len(parity_cases) >= 5
+    for p, w in parity_cases:
+        _same(p.validate(), _oracle_system(p))
+        if w is not None:
+            _same(w.validate(), _oracle_dilation(w))
+            rep = ps.representation_from_right_dilation(p, w)
+            _same(rep.validate(), _oracle_representation(rep))
+
+
+def test_tensor_products_match_the_per_element_oracle(parity_cases):
+    for p, w in parity_cases:
+        tps = [p.tensors[key] for key in [(1, 1), (0, 2), (2, 1)]]
+        tps += [w.tensors[1]] if w is not None else []
+        for tp in tps:
+            gram, rho, rho_prime = _oracle_tensor(tp)
+            assert np.linalg.norm(tp.phi.conj().T @ tp.phi - gram) < 1e-12
+            assert np.linalg.norm(tp.corr.rho - rho) < 1e-12
+            assert np.linalg.norm(tp.corr.rho_prime - rho_prime) < 1e-12
+            # one operator lifts as its slice of the stack
+            assert np.linalg.norm(tp.lift_left(tp.e.rho[1]) - rho[1]) < 1e-12
+            assert np.linalg.norm(tp.lift_right(tp.f.rho_prime[0]) - rho_prime[0]) < 1e-12
+
+
+def _assert_same_failures(error, oracle):
+    """The laws named in the error are the oracle's failing ones, with the
+    oracle's residuals."""
+    failing = {k: v for k, v in oracle.items() if not v <= 1e-9}
+    assert failing
+    _same(ast.literal_eval(str(error).split(": ", 1)[1]), failing)
+
+
+def test_a_perturbed_product_fails_the_same_laws(inner_system):
+    _, _, _, p = inner_system
+    u = p.products[(1, 2)].copy()
+    u[:, 1] += 1e-3
+    q = ps.DiscreteProductSystem(p.algebra, p.members, p.tensors,
+                                 {**p.products, (1, 2): u}, source=p.source)
+    with pytest.raises(ProductSystemLawError) as info:
+        q.validate()
+    _assert_same_failures(info.value, _oracle_system(q))
+
+
+def test_a_perturbed_eta_image_fails_the_same_laws(inner_system):
+    _, v, _, p = inner_system
+    rep = ps.representation_from_right_dilation(
+        p, ps.right_dilation_from_unitary(p, v))
+    images = [img.copy() for img in rep.images]
+    images[2][1] += 1e-3
+    bad = ps.SystemRepresentation(p, images)
+    with pytest.raises(ProductSystemLawError) as info:
+        bad.validate()
+    _assert_same_failures(info.value, _oracle_representation(bad))
+
+
+def test_a_perturbed_dilation_map_fails_the_same_laws(inner_system):
+    _, v, _, p = inner_system
+    w = ps.right_dilation_from_unitary(p, v)
+    maps = {**w.maps, 0: w.maps[0] + 1e-3}
+    bad = ps.RightDilation(p, w.space, w.tensors, maps)
+    with pytest.raises(ProductSystemLawError) as info:
+        bad.validate()
+    _assert_same_failures(info.value, _oracle_dilation(bad))
+
+
+def test_nan_in_an_eta_image_or_a_dilation_map_fails(inner_system):
+    _, v, _, p = inner_system
+    w = ps.right_dilation_from_unitary(p, v)
+    rep = ps.representation_from_right_dilation(p, w)
+    images = [img.copy() for img in rep.images]
+    images[1][0, 0, 0] = np.nan
+    with pytest.raises(ProductSystemLawError):
+        ps.SystemRepresentation(p, images).validate()
+    maps = dict(w.maps)
+    maps[2] = maps[2].copy()
+    maps[2][1, 1] = np.nan
+    with pytest.raises(ProductSystemLawError):
+        ps.RightDilation(p, w.space, w.tensors, maps).validate()
+
+
+def test_representation_validate_makes_no_per_element_calls(inner_system, monkeypatch):
+    _, v, _, p = inner_system
+    rep = ps.representation_from_right_dilation(
+        p, ps.right_dilation_from_unitary(p, v))
+    calls = []
+    original = ps.SystemRepresentation.eta_of
+
+    def counted(self, t, x):
+        calls.append(t)
+        return original(self, t, x)
+
+    monkeypatch.setattr(ps.SystemRepresentation, "eta_of", counted)
+    rep.validate()
+    assert calls == []
+    rep.eta_of(1, p.members[1].element_space[0])  # the accessor itself still counts
+    assert calls == [1]
