@@ -155,7 +155,13 @@ def power(f: Endomorphism, k: int, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomo
 
 
 def is_faithful(f: Endomorphism, tol: nk.Tolerance = nk.DEFAULT_TOL) -> bool:
-    """Injectivity via the singular values of the coefficient matrix."""
+    """Injectivity via the singular values of the coefficient matrix.
+
+    A non-finite basis image raises ImageOutsideAlgebra, the class ``make``
+    gives for the same input, instead of reaching the SVD.
+    """
+    if not np.all(np.isfinite(f.coefficient_matrix)):
+        raise ImageOutsideAlgebra("basis images are not finite")
     s = np.linalg.svd(f.coefficient_matrix, compute_uv=False)
     return bool(s.size and s[0] > 0 and s[-1] > tol.eps * s[0])
 
@@ -169,11 +175,12 @@ def from_generator_images(ambient_dim: int, generators, images,
                           tol: nk.Tolerance = nk.DEFAULT_TOL):
     """Extend a map prescribed on algebra generators to all basis elements.
 
-    Closes the generated algebra while carrying candidate images along:
-    words are orthonormalized by the source component only, and the same
-    linear operations are applied to the image component. A word that
-    vanishes in the source while its image does not means the prescription
-    is not a well defined homomorphism.
+    The prescription g_i -> y_i extends to a unital *-homomorphism exactly
+    when the *-algebra generated by the pairs g_i (+) y_i in M_2n is the
+    graph of a map on the domain, that is, when it has the dimension of the
+    domain; a larger graph means a word that vanishes in the source has a
+    nonvanishing image. Both closures are ``from_generators``, so every rank
+    decision follows the tolerance.
 
     Returns the pair (algebra, endomorphism).
     """
@@ -185,48 +192,18 @@ def from_generator_images(ambient_dim: int, generators, images,
     for m in gens + imgs:
         if m.shape != (n, n):
             raise DimensionMismatch(f"expected shape {(n, n)}, got {m.shape}")
-
-    eye = np.eye(n, dtype=complex)
-    pool_x = [eye] + gens + [g.conj().T for g in gens]
-    pool_y = [eye] + imgs + [y.conj().T for y in imgs]
-
-    basis_x: list[np.ndarray] = []
-    basis_y: list[np.ndarray] = []
-
-    def absorb(x, y):
-        xr, yr = x.reshape(-1), y.reshape(-1)
-        source_scale = max(1.0, float(np.linalg.norm(xr)))
-        for _ in range(2):  # re-orthogonalize once for stability
-            for bx, by in zip(basis_x, basis_y):
-                c = np.vdot(bx, xr)
-                xr = xr - c * bx
-                yr = yr - c * by
-        nx = float(np.linalg.norm(xr))
-        if nx > tol.eps * source_scale:
-            basis_x.append(xr / nx)
-            basis_y.append(yr / nx)
-            return True
-        nk.require(float(np.linalg.norm(yr)), np.sqrt(tol.eps) * source_scale,
-                   InconsistentGeneratorImages, "a vanishing word has a nonvanishing "
-                   "image; the prescription does not define a homomorphism")
-        return False
-
-    for x, y in zip(pool_x, pool_y):
-        absorb(x, y)
-    for _ in range(2 * n * n + 2):
-        grew = False
-        snapshot = list(zip(list(basis_x), list(basis_y)))
-        for bx, by in snapshot:
-            for px, py in zip(pool_x, pool_y):
-                x = px @ bx.reshape(n, n)
-                y = py @ by.reshape(n, n)
-                grew |= absorb(x, y)
-        if not grew:
-            break
-    else:
-        raise InconsistentGeneratorImages("closure with images did not stabilize")
-
-    dom = VnAlgebra(n, np.array(basis_x).reshape(-1, n, n),
-                    generators=np.array(gens) if gens else None, tol=tol)
-    theta = make(dom, np.array(basis_y).reshape(-1, n, n), tol)
-    return dom, theta
+    pairs = np.zeros((len(gens), 2 * n, 2 * n), dtype=complex)
+    pairs[:, :n, :n] = np.reshape(gens, (-1, n, n))
+    pairs[:, n:, n:] = np.reshape(imgs, (-1, n, n))
+    dom = from_generators(n, gens, tol)
+    graph = from_generators(2 * n, pairs, tol)
+    if graph.dim != dom.dim:
+        raise InconsistentGeneratorImages(
+            f"the graph algebra has dimension {graph.dim}, the domain {dom.dim}: a "
+            f"vanishing word has a nonvanishing image; the prescription does not "
+            f"define a homomorphism")
+    # the source corners of the graph basis span the domain; the coefficients
+    # that give the domain basis from them give its images from the image corners
+    coeffs = nk.lstsq_map(graph.basis[:, :n, :n].reshape(dom.dim, -1), dom.flat)
+    images = coeffs @ graph.basis[:, n:, n:].reshape(dom.dim, -1)
+    return dom, make(dom, images.reshape(-1, n, n), tol)

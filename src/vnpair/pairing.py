@@ -71,11 +71,6 @@ def _check_unitary(u, n, tol: nk.Tolerance) -> np.ndarray:
     return u
 
 
-def _worst(moved, images) -> float:
-    """Largest Frobenius distance between matching slices of two stacks."""
-    return float(np.linalg.norm(moved - images, axis=(1, 2)).max())
-
-
 def _commutant_domains(theta, theta_prime, tol: nk.Tolerance):
     b = theta.domain
     bp = theta_prime.domain
@@ -100,10 +95,10 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     b, bp = _commutant_domains(theta, theta_prime, tol)
     n = b.ambient_dim
     u = _check_unitary(u, n, tol)
-    worst_b = nk.require(_worst(u.conj().T @ b.basis @ u, theta.basis_images),
+    worst_b = nk.require(nk.worst_norm(u.conj().T @ b.basis @ u - theta.basis_images),
                          tol.bound(1.0), RelationB,
                          "u* b u does not implement the map on B, residual {:.3e}")
-    worst_bp = nk.require(_worst(u @ bp.basis @ u.conj().T, theta_prime.basis_images),
+    worst_bp = nk.require(nk.worst_norm(u @ bp.basis @ u.conj().T - theta_prime.basis_images),
                           tol.bound(1.0), RelationBPrime,
                           "u b' u* does not implement the map on B', residual {:.3e}")
     # the law check runs once per map; its iterates are then valid as composed
@@ -115,10 +110,9 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     uk = u.copy()
     for k in range(2, horizon + 1):
         uk = uk @ u
-        worst_pow = nk.worst(worst_pow,
-                             _worst(uk.conj().T @ b.basis @ uk, powers[k].basis_images),
-                             _worst(uk @ bp.basis @ uk.conj().T,
-                                    powers_prime[k].basis_images))
+        worst_pow = nk.worst(
+            worst_pow, nk.worst_norm(uk.conj().T @ b.basis @ uk - powers[k].basis_images),
+            nk.worst_norm(uk @ bp.basis @ uk.conj().T - powers_prime[k].basis_images))
     nk.require(worst_pow, tol.bound(1.0), RelationB,
                "powers of u fail to implement the iterates, residual {:.3e}")
     return PairingCertificate(unitary=u, residuals={
@@ -247,8 +241,8 @@ def restriction_symmetry(u, b, tol: nk.Tolerance = nk.DEFAULT_TOL):
     n = b.ambient_dim
     u = _check_unitary(u, n, tol)
     bp = alg.commutant(b, tol)
-    down = nk.worst(*(float(b.contains(u.conj().T @ x @ u).residual) for x in b.basis))
-    up = nk.worst(*(float(bp.contains(u @ y @ u.conj().T).residual) for y in bp.basis))
+    down = nk.span_residual(u.conj().T @ b.basis @ u, b.flat)
+    up = nk.span_residual(u @ bp.basis @ u.conj().T, bp.flat)
     return (down <= tol.bound(1.0), up <= tol.bound(1.0))
 
 
@@ -280,7 +274,8 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
     for s in range(1, horizon):
         family.append(family[-1] @ powers1[s](c1))
     for k, c in enumerate(family, start=1):
-        worst = _worst(c @ powers1[k].basis_images @ c.conj().T, powers2[k].basis_images)
+        worst = nk.worst_norm(c @ powers1[k].basis_images @ c.conj().T
+                              - powers2[k].basis_images)
         nk.require(worst, tol.bound(1.0), CocycleResidual,
                    "conjugation fails at step {1}, residual {0:.3e}", k,
                    step=k, residual=worst)

@@ -403,8 +403,7 @@ def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilatio
     rep = SystemRepresentation(p, images)
     rep.validate(tol)
     h = w.carrier_dim
-    comm = nk.commuting_null_space(
-        [(img, img) for img in w.rho_of(p.algebra.basis)], (h, h), tol)
+    comm = nk.commutant_space(w.rho_of(p.algebra.basis), h, tol)
     rng = np.random.default_rng([seed, 17])
     aprime = np.tensordot(nk.random_complex(comm.shape[0], rng), comm, axes=(0, 0))
     worst = nk.worst(*(nk.worst_norm(w.theta_w(t, aprime) @ images[t] - images[t] @ aprime)
@@ -519,13 +518,13 @@ class CommutantViaDilation:
     """Commutant system realized inside a right dilation, with the comparison.
 
     system is the dilation-side product system; nu[t] holds the images of the
-    element basis of the t-th member of the operator-commutant system, in the
-    coordinates of the dilation-side member.
+    element basis of the t-th member of the operator-commutant system (the
+    commutant correspondence of the t-th member of the original system), in
+    the coordinates of the dilation-side member.
     """
 
-    def __init__(self, system, reference, nu, upsilon, xi):
+    def __init__(self, system, nu, upsilon, xi):
         self.system = system
-        self.reference = reference
         self.nu = nu
         self.upsilon = upsilon
         self.xi = xi
@@ -541,10 +540,14 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     intertwiner space by polar normalization when not supplied. The member
     carriers are the ranges of theta_w(t, xi xi*); the comparison maps
     nu_t(x') = eta_t(1) xi x' are verified to be unitary, to intertwine both
-    actions, and to be compatible with the products.
+    actions, and to be compatible with the products of the operator-commutant
+    system, whose elements multiply as operators; that system itself is not
+    built.
     """
     if p.source is None:
         raise NotFaithful("the pipeline needs the generating endomorphism")
+    if not endo_mod.is_faithful(p.source, tol):
+        raise NotFaithful("generating endomorphism is not faithful")
     b = p.algebra
     bp = p.commutant_algebra
     n = b.ambient_dim
@@ -606,11 +609,9 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
                        float(np.linalg.norm(q @ (q.conj().T @ up) - up)))
         nk.require(res, tol.bound(np.sqrt(n)), ProductSystemLawError,
                    "comparison map {1} is not unitary onto its member, residual {0:.3e}", t)
-    endo_mod.make(b, p.source.basis_images, tol)
-    powers = endo_mod.iterates(p.source, p.horizon)
     # theta_w(t, xi b' xi*) for every basis element b' of B', per t
     lifted = [w.theta_w(t, xi @ bp.basis @ xi.conj().T) for t in range(p.horizon + 1)]
-    worst_b = nk.worst(*(nk.worst_norm(rho_b @ up - up @ powers[t].basis_images)
+    worst_b = nk.worst(*(nk.worst_norm(rho_b @ up - up @ p.members[t].rho)
                          for t, up in enumerate(upsilon)))
     worst_bp = nk.worst(*(nk.worst_norm(lifted[t] @ up - up @ bp.basis)
                           for t, up in enumerate(upsilon)))
@@ -629,17 +630,16 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
 
     fsys = _build_system(bp, members, action, tol=tol)
 
-    reference = commutant_system(p, tol)
-    elts = [m.element_space for m in reference.members]
+    elts = [corr.commutant(e).element_space for e in p.members]
     nu = [bases[t].conj().T @ upsilon[t] @ elts[t] for t in range(p.horizon + 1)]
     worst_prod = 0.0
     for s in range(p.horizon + 1):
         for t in range(p.horizon + 1 - s):
-            # (upsilon_{s+t} (x . ) - theta_w(t, upsilon_s x xi*) upsilon_t) y
+            # (upsilon_{s+t} x - theta_w(t, upsilon_s x xi*) upsilon_t) y, where
+            # x y is the product of x in F_s and y in F_t
             moved = w.theta_w(t, upsilon[s] @ elts[s] @ xi.conj().T)
-            diff = upsilon[s + t] @ reference.prod_matrix(s, t, elts[s]) \
-                - moved @ upsilon[t]
+            diff = upsilon[s + t] @ elts[s] - moved @ upsilon[t]
             worst_prod = nk.worst(worst_prod, nk.worst_norm(diff[:, None] @ elts[t][None]))
     nk.require(worst_prod, tol.bound(1.0), ProductSystemLawError,
                "comparison maps are not product compatible, residual {:.3e}")
-    return CommutantViaDilation(fsys, reference, nu, upsilon, xi)
+    return CommutantViaDilation(fsys, nu, upsilon, xi)

@@ -208,22 +208,28 @@ def random_correspondence(sa: AlgebraSample, sb: AlgebraSample, rng,
         rho=rho, rho_prime=rho_prime, carrier_dim=h, tol=tol)
 
 
-def _algebra_scene(sample: AlgebraSample, extra=None) -> dict:
-    scene = {"ambient_dim": sample.ambient_dim,
-             "blocks": [list(b) for b in sample.blocks],
-             "algebras": {"b": {"generators": [
-                 scenes.encode_matrix(g) for g in sample.algebra.generators]}}}
+def _algebra_scene(sample: AlgebraSample, extra=None, commutant=None) -> dict:
+    """A valid scene: the sampled algebra as "a", the name the CLI's algebra
+    commands read, its commutant as "a_commutant" when given, and the extra
+    sections, so ``vnpair <command> --input`` replays the instance."""
+    algebras = {"a": sample.algebra}
+    if commutant is not None:
+        algebras["a_commutant"] = commutant
+    scene = {"ambient_dim": sample.ambient_dim, "algebras": {
+        name: {"generators": [scenes.encode_matrix(g) for g in a.generators]}
+        for name, a in algebras.items()}}
     if extra:
         scene.update(extra)
     return scene
 
 
 # ---------------------------------------------------------------------------
-# property cases: each returns (scene, measure) where measure() gives the
-# worst residual of the case
+# property cases: each takes (rng, tol, case_index, salt), salt being the
+# run seed, and returns (scene, measure) where measure() gives the worst
+# residual of the case
 
 
-def _case_bicommutant(rng, tol):
+def _case_bicommutant(rng, tol, case_index, salt):
     sample = sample_algebra(rng, max_ambient=12)
     scene = _algebra_scene(sample)
 
@@ -246,7 +252,7 @@ def _case_bicommutant(rng, tol):
     return scene, measure
 
 
-def _case_corr_involution(rng, tol):
+def _case_corr_involution(rng, tol, case_index, salt):
     sa = sample_algebra(rng, 6, max_dim=10)
     sb = sample_algebra(rng, 6, max_dim=10)
     mults = random_joint_multiplicities(rng, sa, sb, 10)
@@ -271,7 +277,7 @@ def _case_corr_involution(rng, tol):
     return scene, measure
 
 
-def _case_tensor_commutant(rng, tol):
+def _case_tensor_commutant(rng, tol, case_index, salt):
     sa = sample_algebra(rng, 6, max_dim=10)
     sb = sample_algebra(rng, 6, max_dim=10)
     sc = sample_algebra(rng, 6, max_dim=10)
@@ -300,15 +306,13 @@ def _paired_instance(rng, tol):
     scene = _algebra_scene(sample, {
         "unitaries": {"u": scenes.encode_matrix(u)},
         "endomorphisms": {
-            "theta": {"domain": "b", "unitary": "u", "direction": "adjoint"},
-            "theta_prime": {"domain": "b_commutant", "unitary": "u",
-                            "direction": "direct"}}})
-    scene["algebras"]["b_commutant"] = {
-        "generators": [scenes.encode_matrix(g) for g in bp.generators]}
+            "theta": {"domain": "a", "unitary": "u", "direction": "adjoint"},
+            "theta_prime": {"domain": "a_commutant", "unitary": "u",
+                            "direction": "direct"}}}, commutant=bp)
     return sample, u, theta, theta_prime, scene
 
 
-def _case_pair_roundtrip(rng, tol):
+def _case_pair_roundtrip(rng, tol, case_index, salt):
     _, u, theta, theta_prime, scene = _paired_instance(rng, tol)
 
     def measure():
@@ -329,7 +333,7 @@ def _case_pair_roundtrip(rng, tol):
     return scene, measure
 
 
-def _case_masa_negative(rng, tol):
+def _case_masa_negative(rng, tol, case_index, salt):
     d2 = alg.from_generators(2, [np.diag([1.0 + 0j, 0.0]),
                                  np.diag([0.0, 1.0 + 0j])])
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -362,7 +366,7 @@ def _case_masa_negative(rng, tol):
     return scene, measure
 
 
-def _case_trivialize(rng, tol, case_index):
+def _case_trivialize(rng, tol, case_index, salt):
     n = 64
     if case_index % 2 == 0:
         f = np.exp(2j * np.pi * rng.random(2 * n + 1))
@@ -391,7 +395,7 @@ def _case_trivialize(rng, tol, case_index):
     return scene, measure
 
 
-def _case_power_family(rng, tol):
+def _case_power_family(rng, tol, case_index, salt):
     _, u, theta, theta_prime, scene = _paired_instance(rng, tol)
 
     def measure():
@@ -417,21 +421,21 @@ def _case_power_family(rng, tol):
     return scene, measure
 
 
-def _case_dilation_commutant(rng, tol, seed_key):
+def _case_dilation_commutant(rng, tol, case_index, salt):
     sample = sample_algebra(rng, 8, max_dim=10, max_codim=10)
     b = sample.algebra
     u = unitary_inside(b, rng)
     scene = _algebra_scene(sample, {
         "unitaries": {"u": scenes.encode_matrix(u)},
-        "endomorphisms": {"theta": {"domain": "b", "unitary": "u",
+        "endomorphisms": {"theta": {"domain": "a", "unitary": "u",
                                     "direction": "adjoint"}}})
 
     def measure():
         theta = endo_mod.from_unitary(b, u, "adjoint", tol)
         p = ps.from_endomorphism(theta, 4, tol)
         w = ps.right_dilation_from_unitary(p, u, tol=tol)
-        out = ps.commutant_via_dilation(p, w, seed=seed_key, tol=tol)
-        ref = out.reference
+        out = ps.commutant_via_dilation(p, w, seed=salt, tol=tol)
+        ref = ps.commutant_system(p, tol)
         worst = 0.0
         for t, nu_t in enumerate(out.nu):
             flat = nu_t.reshape(nu_t.shape[0], -1)
@@ -466,7 +470,7 @@ def _case_dilation_commutant(rng, tol, seed_key):
     return scene, measure
 
 
-def _case_cocycle_link(rng, tol):
+def _case_cocycle_link(rng, tol, case_index, salt):
     sample = sample_algebra(rng, 8, max_dim=10, max_codim=10)
     b = sample.algebra
     u1 = normalizing_unitary(sample, rng)
@@ -474,7 +478,12 @@ def _case_cocycle_link(rng, tol):
     u2 = u1 @ twist.conj().T
     scene = _algebra_scene(sample, {
         "unitaries": {"u1": scenes.encode_matrix(u1),
-                      "u2": scenes.encode_matrix(u2)}})
+                      "u2": scenes.encode_matrix(u2)},
+        "endomorphisms": {
+            "theta1": {"domain": "a", "unitary": "u1", "direction": "adjoint"},
+            "theta2": {"domain": "a", "unitary": "u2", "direction": "adjoint"},
+            "theta_prime": {"domain": "a_commutant", "unitary": "u1",
+                            "direction": "direct"}}}, commutant=alg.commutant(b, tol))
 
     def measure():
         theta1 = endo_mod.from_unitary(b, u1, "adjoint", tol)
@@ -500,7 +509,7 @@ def _case_cocycle_link(rng, tol):
     return scene, measure
 
 
-def _case_compression(rng, tol, case_index):
+def _case_compression(rng, tol, case_index, salt):
     n = 2 + case_index % 5
     u = nk.random_unitary(n, rng)
     gamma = nk.random_complex(n, rng)
@@ -544,16 +553,14 @@ def _case_compression(rng, tol, case_index):
     return scene, measure
 
 
-def _case_symmetry(rng, tol, case_index):
+def _case_symmetry(rng, tol, case_index, salt):
     sample = sample_algebra(rng, 8)
     normalizing = case_index % 2 == 0
     if normalizing:
         u = normalizing_unitary(sample, rng)
     else:
         u = nk.random_unitary(sample.ambient_dim, rng)
-    scene = _algebra_scene(sample, {
-        "unitaries": {"u": scenes.encode_matrix(u)},
-        "construction": "normalizing" if normalizing else "generic"})
+    scene = _algebra_scene(sample, {"unitaries": {"u": scenes.encode_matrix(u)}})
 
     def measure():
         down, up = pairing.restriction_symmetry(u, sample.algebra, tol)
@@ -568,7 +575,7 @@ def _case_symmetry(rng, tol, case_index):
     return scene, measure
 
 
-def _case_multiplier_group(rng, tol):
+def _case_multiplier_group(rng, tol, case_index, salt):
     n = 32
     fs = [np.exp(2j * np.pi * rng.random(2 * n + 1)) for _ in range(3)]
     scene = {"construction": "three coboundary grids",
@@ -605,34 +612,19 @@ class Property:
     build: object  # (rng, tol, case_index, salt) -> (scene, measure)
 
 
-def _wrap(fn, with_index=False, with_salt=False):
-    def build(rng, tol, case_index, salt):
-        if with_index:
-            return fn(rng, tol, case_index)
-        if with_salt:
-            return fn(rng, tol, salt)
-        return fn(rng, tol)
-    return build
-
-
 PROPERTIES: list[Property] = [
-    Property("algebra-bicommutant", 200, 1e-8, _wrap(_case_bicommutant)),
-    Property("correspondence-double-commutant", 100, 0.0,
-             _wrap(_case_corr_involution)),
-    Property("tensor-commutant-order", 100, 1e-8, _wrap(_case_tensor_commutant)),
-    Property("pairing-round-trip", 100, 1e-8, _wrap(_case_pair_roundtrip)),
-    Property("masa-unpairable", 1, 1e-8, _wrap(_case_masa_negative)),
-    Property("multiplier-trivialize", 100, 1e-10,
-             _wrap(_case_trivialize, with_index=True)),
-    Property("pairing-power-family", 50, 1e-8, _wrap(_case_power_family)),
-    Property("dilation-commutant", 50, 1e-8,
-             _wrap(_case_dilation_commutant, with_salt=True)),
-    Property("cocycle-link", 50, 1e-8, _wrap(_case_cocycle_link)),
-    Property("compression-system", 50, 1e-10,
-             _wrap(_case_compression, with_index=True)),
-    Property("restriction-symmetry", 200, 1e-8,
-             _wrap(_case_symmetry, with_index=True)),
-    Property("multiplier-group", 1, 1e-12, _wrap(_case_multiplier_group)),
+    Property("algebra-bicommutant", 200, 1e-8, _case_bicommutant),
+    Property("correspondence-double-commutant", 100, 0.0, _case_corr_involution),
+    Property("tensor-commutant-order", 100, 1e-8, _case_tensor_commutant),
+    Property("pairing-round-trip", 100, 1e-8, _case_pair_roundtrip),
+    Property("masa-unpairable", 1, 1e-8, _case_masa_negative),
+    Property("multiplier-trivialize", 100, 1e-10, _case_trivialize),
+    Property("pairing-power-family", 50, 1e-8, _case_power_family),
+    Property("dilation-commutant", 50, 1e-8, _case_dilation_commutant),
+    Property("cocycle-link", 50, 1e-8, _case_cocycle_link),
+    Property("compression-system", 50, 1e-10, _case_compression),
+    Property("restriction-symmetry", 200, 1e-8, _case_symmetry),
+    Property("multiplier-group", 1, 1e-12, _case_multiplier_group),
 ]
 
 

@@ -198,6 +198,48 @@ def test_from_generator_images_rejects_scaling():
         endo.from_generator_images(2, [SWAP], [2.0 * SWAP])
 
 
+@pytest.mark.parametrize("delta, error", [(1e-3, InconsistentGeneratorImages),
+                                          (1e-6, InconsistentGeneratorImages),
+                                          (1e-12, None)])
+def test_from_generator_images_inconsistency_follows_the_tolerance(delta, error):
+    """SWAP -> (1 + delta) SWAP sends the word SWAP^2 = 1 to (1 + delta)^2 1;
+    the prescription is rejected as soon as delta clears eps, not sqrt(eps)."""
+    tol = nk.Tolerance(1e-9)
+    if error is None:
+        _, theta = endo.from_generator_images(2, [SWAP], [(1 + delta) * SWAP], tol)
+        assert np.allclose(theta(SWAP), SWAP, atol=1e-10)
+    else:
+        with pytest.raises(error):
+            endo.from_generator_images(2, [SWAP], [(1 + delta) * SWAP], tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_generator_images_recovers_a_normalizing_conjugation(seed):
+    """Generators of a sampled algebra sent to v* g v, v normalizing: the
+    domain is the algebra the generators generate and the map is Ad v*."""
+    rng = np.random.default_rng([seed, 41])
+    sample = selftest.sample_algebra(rng, 8)
+    v = selftest.normalizing_unitary(sample, rng)
+    gens = list(sample.algebra.generators)
+    dom, theta = endo.from_generator_images(
+        sample.ambient_dim, gens, [v.conj().T @ g @ v for g in gens])
+    assert alg.equals(dom, alg.from_generators(sample.ambient_dim, gens))
+    for x in dom.basis:
+        assert np.linalg.norm(theta(x) - v.conj().T @ x @ v) < 1e-10
+
+
+def test_is_faithful_rejects_a_nan_image():
+    """A NaN image used to reach the SVD and raise numpy's LinAlgError."""
+    d2 = diag_algebra_2()
+    images = d2.basis.copy()
+    images[0][0, 0] = np.nan
+    theta = endo.Endomorphism(d2, images)
+    with pytest.raises(ImageOutsideAlgebra):
+        endo.is_faithful(theta)
+    with pytest.raises(ImageOutsideAlgebra):
+        endo.is_automorphism(theta)
+
+
 def test_from_generator_images_counts_arguments():
     with pytest.raises(DimensionMismatch):
         endo.from_generator_images(2, [SWAP], [SWAP, SWAP])

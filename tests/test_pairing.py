@@ -309,3 +309,13 @@ def test_check_pairing_rejects_a_nan_map():
     for horizon in (1, 4):
         with pytest.raises(RelationB):
             pr.check_pairing(np.eye(2), theta, endo.identity(d2p), horizon=horizon)
+
+
+def test_can_pair_rejects_a_nan_map():
+    """The faithfulness check used to raise numpy's LinAlgError on a NaN image."""
+    d2 = diag_algebra_2()
+    images = d2.basis.copy()
+    images[0][0, 0] = np.nan
+    theta = endo.Endomorphism(d2, images)
+    with pytest.raises(ImageOutsideAlgebra):
+        pr.can_pair(theta, endo.identity(alg.commutant(d2)))

@@ -177,7 +177,7 @@ def test_commutant_via_dilation_pipeline(inner_system):
     w = ps.right_dilation_from_unitary(p, v)
     cv = ps.commutant_via_dilation(p, w)
     assert [m.carrier_dim for m in cv.system.members] == [4, 4, 4, 4]
-    assert corr.find_isomorphism(cv.system.members[1], cv.reference.members[1])
+    assert corr.find_isomorphism(cv.system.members[1], ps.commutant_system(p).members[1])
     # comparison maps are isometries from the reference carriers
     for up in cv.upsilon:
         assert np.linalg.norm(up.conj().T @ up - np.eye(b.ambient_dim)) < 1e-10
@@ -545,3 +545,37 @@ def test_representation_validate_makes_no_per_element_calls(inner_system, monkey
     assert calls == []
     rep.eta_of(1, p.members[1].element_space[0])  # the accessor itself still counts
     assert calls == [1]
+
+
+def test_commutant_via_dilation_builds_one_system(inner_system, monkeypatch):
+    """No operator-commutant system and no second law check of the source:
+    the comparison reads the commutant member spaces and the member actions."""
+    _, v, _, p = inner_system
+    w = ps.right_dilation_from_unitary(p, v)
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ps, "commutant_system",
+                        counting("commutant_system", ps.commutant_system))
+    monkeypatch.setattr(endo, "make", counting("make", endo.make))
+    cv = ps.commutant_via_dilation(p, w)
+    assert calls == []
+    assert not hasattr(cv, "reference")
+    assert [m.carrier_dim for m in cv.system.members] == [4, 4, 4, 4]
+
+
+def test_commutant_via_dilation_rejects_a_non_faithful_source():
+    """theta(x) = x[0, 0] 1 on the diagonal algebra is a valid endomorphism
+    with a valid one-dimensional dilation; the source check comes first."""
+    d2 = diag_algebra_2()
+    theta = endo.make(d2, np.array([b[0, 0] * np.eye(2) for b in d2.basis]))
+    p = ps.from_endomorphism(theta, horizon=2)
+    rho = np.array([[[b[0, 0]]] for b in d2.basis])
+    w = ps.right_dilation_from_unitary(p, np.eye(1), rho_images=rho)
+    with pytest.raises(NotFaithful):
+        ps.commutant_via_dilation(p, w)

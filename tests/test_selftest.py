@@ -1,11 +1,15 @@
+import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
 
 from vnpair import algebra as alg
+from vnpair import cli
 from vnpair import numkernel as nk
 from vnpair import pairing
+from vnpair import scenes
 from vnpair import selftest
 from vnpair.errors import InvalidAlgebra, ParseError
 
@@ -171,3 +175,53 @@ def test_random_correspondence_has_prescribed_carrier():
                    for j, (_, nj) in enumerate(sb.blocks))
     assert e.carrier_dim == expected
     e.validate()
+
+
+ALGEBRA_PROPERTIES = ["algebra-bicommutant", "pairing-round-trip", "pairing-power-family",
+                      "dilation-commutant", "cocycle-link", "restriction-symmetry"]
+
+
+def _instance(name, case=0, seed=0):
+    """The serialized instance of one case, as a failure report would carry it."""
+    index = EXPECTED_ORDER.index(name)
+    prop = selftest.PROPERTIES[index]
+    scene, _ = prop.build(np.random.default_rng([seed, index, case]), nk.DEFAULT_TOL,
+                          case, seed)
+    return scene
+
+
+def _replay_cli(command, scene, tmp_path):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(scene))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, "--input", str(path)])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("name", ALGEBRA_PROPERTIES)
+def test_algebra_instances_are_scenes(name):
+    scene = scenes.parse_scene(_instance(name))
+    assert scene.algebra("a").ambient_dim == scene.ambient_dim
+
+
+def test_pairing_instance_replays_through_the_cli(tmp_path):
+    code, report = _replay_cli("pair", _instance("pairing-round-trip"), tmp_path)
+    assert code == 0
+    assert report["payload"]["outcome"] == "Paired"
+
+
+def test_bicommutant_instance_recovers_its_blocks(tmp_path):
+    """The instance no longer spells out its blocks; algebra-blocks finds them."""
+    sample = selftest.sample_algebra(np.random.default_rng([0, 0, 0]), max_ambient=12)
+    code, report = _replay_cli("algebra-blocks", _instance("algebra-bicommutant"), tmp_path)
+    assert code == 0
+    assert report["payload"]["blocks"] == [list(b) for b in sorted(sample.blocks, reverse=True)]
+
+
+@pytest.mark.parametrize("name, command", [("dilation-commutant", "dilation-commutant"),
+                                           ("cocycle-link", "cocycle-link"),
+                                           ("restriction-symmetry", "symmetry-check")])
+def test_instances_replay_their_command(name, command, tmp_path):
+    code, report = _replay_cli(command, _instance(name), tmp_path)
+    assert code == 0 and report["status"] == "ok"
