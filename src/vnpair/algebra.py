@@ -1,10 +1,11 @@
 """Finite-dimensional *-algebras of matrices acting on C^n.
 
 An algebra is stored as an orthonormal basis of its span under the
-Hilbert-Schmidt inner product. Commutants come from the joint kernel of
-commutation constraints; the block structure (sizes and multiplicities of
-the simple summands) comes from the spectral decomposition of a generic
-Hermitian element of the center.
+Hilbert-Schmidt inner product. Commutants are ranges of the trace-averaging
+projection x -> sum_i b_i x b_i* S^-1 (S = sum_i b_i b_i*) over that basis,
+so no eigenproblem on n^2 unknowns is solved; the block structure (sizes
+and multiplicities of the simple summands) comes from the spectral
+decomposition of a generic Hermitian element of the center.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ class VnAlgebra:
     """Unital *-subalgebra of the n x n complex matrices.
 
     The basis is orthonormal under trace(a* b). The optional generator list
-    is kept because commutation with the generators already pins down the
-    commutant, which keeps the stacked kernel problems small. Instances are
+    serves only the law check of ``commutant``: commutation with the
+    generators and their adjoints already pins down the commutant, and there
+    are usually far fewer generators than basis elements. Instances are
     immutable after construction, so ``commutant`` stores its result on the
     instance, one per tolerance.
     """
@@ -141,13 +143,21 @@ def trivial_algebra(n: int) -> VnAlgebra:
 def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
     """Relative commutant of the algebra inside the ambient matrices.
 
-    Computed once per algebra and tolerance. The result's own store starts
-    empty, so the commutant of the commutant is always computed afresh.
+    The range of the averaging projection over the algebra's basis (see
+    ``numkernel.intertwiners``): its dimension is a rounded trace, its
+    Hermitian basis the orthonormalized image of seeded Hermitian probes,
+    and the result is checked to commute with the generators and their
+    adjoints. Computed once per algebra and tolerance. The result's own
+    store starts empty, so the commutant of the commutant is always
+    computed afresh.
     """
     cached = a._commutants.get(tol)
     if cached is None:
         n = a.ambient_dim
-        basis = nk.commutant_space(a.generators, n, tol)
+        # the basis is exactly Hermitian, and for Hermitian x the residual
+        # of g* x - x g* is that of g x - x g, so the generators check both
+        basis = nk.intertwiners([(a.basis, a.basis)], (n, n), tol,
+                                laws=(a.generators, a.generators))
         cached = a._commutants[tol] = VnAlgebra(n, basis, tol=tol)
     return cached
 

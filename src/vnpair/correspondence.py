@@ -108,10 +108,11 @@ class Correspondence:
 
     @cached_property
     def element_space(self) -> np.ndarray:
-        """Orthonormal basis of {x: rho_prime(b') x = x b' for all b'}."""
-        pairs = list(zip(self.rho_prime, self.right_commutant.basis))
-        return nk.commuting_null_space(
-            pairs, (self.carrier_dim, self.right.ambient_dim))
+        """Orthonormal basis of {x: rho_prime(b') x = x b' for all b'}, the
+        range of the averaging projection over the basis of the right
+        commutant."""
+        return nk.intertwiners([(self.rho_prime, self.right_commutant.basis)],
+                               (self.carrier_dim, self.right.ambient_dim))
 
     def element_coefficients(self, x) -> np.ndarray:
         """Coefficients of x in the element basis; a stack of elements x
@@ -373,11 +374,11 @@ def find_isomorphism(e: Correspondence, f: Correspondence,
     if te.counts != tf.counts or te.carrier_dim != tf.carrier_dim:
         return IsoDecision(unitary=None, table_left=te, table_right=tf)
 
-    rho_f = np.array([rep_apply(f.left, f.rho, b) for b in e.left.basis])
-    rho_prime_f = np.array([rep_apply(f.right_commutant, f.rho_prime, b)
-                            for b in e.right_commutant.basis])
+    rho_f = rep_apply(f.left, f.rho, e.left.basis)
+    rho_prime_f = rep_apply(f.right_commutant, f.rho_prime, e.right_commutant.basis)
+    kernel = nk.intertwiners([(rho_f, e.rho), (rho_prime_f, e.rho_prime)],
+                             (f.carrier_dim, e.carrier_dim), tol)
     pairs = list(zip(rho_f, e.rho)) + list(zip(rho_prime_f, e.rho_prime))
-    kernel = nk.commuting_null_space(pairs, (f.carrier_dim, e.carrier_dim), tol)
     if kernel.shape[0] == 0:
         raise PolarRetryExhausted("intertwiner space is zero despite equal tables")
     for attempt in range(MAX_POLAR_RETRIES):

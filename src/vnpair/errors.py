@@ -27,6 +27,13 @@ class SingularInput(VnpairError):
     """A matrix required to be invertible is numerically singular."""
 
 
+class NonIntegralRank(VnpairError):
+    """The trace of an averaging projection, its rank, is not an integer
+    within bound; carries the trace, the rounded rank and the bound."""
+
+    trace = rank = bound = None
+
+
 # ---------------------------------------------------------------- algebras
 
 class NonConvergence(VnpairError):
@@ -98,7 +105,7 @@ class NotIsometric(VnpairError):
 
 
 class NotIntertwining(VnpairError):
-    """A canonical map failed its bimodule intertwining check."""
+    """A canonical map or an intertwiner basis failed its intertwining check."""
 
 
 class PolarRetryExhausted(VnpairError):

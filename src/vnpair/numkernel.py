@@ -3,21 +3,40 @@
 All higher layers route their linear algebra through the helpers here so
 that rank decisions, orthonormalization, and residual reports share one
 convention: comparison bounds are ``eps`` scaled by ``max(1, operand
-norms)``, and rank cutoffs are relative to the largest singular value.
-Everything is complex double precision; inputs are validated for shape and
-finiteness and are never mutated.
+norms)``, and rank cutoffs are relative to the largest singular value,
+except in ``intertwiners``, whose rank is a trace rounded within a stated
+bound. Everything is complex double precision; inputs are validated for
+shape and finiteness and are never mutated.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .errors import DimensionMismatch, SingularInput
+from .errors import (DimensionMismatch, NonIntegralRank, NotIntertwining,
+                     SingularInput)
 
 DEFAULT_EPS = 1e-9
+
+#: seed of the probes that intertwiners projects, so that every span it
+#: returns is a deterministic function of its input
+PROBE_SEED = 0
+
+#: the rank bound of intertwiners stays clear of the half-way point between
+#: two integers, so that a loose tolerance can never make it round silently
+MAX_RANK_SLACK = 0.25
+
+#: intertwiners projects k + min(k, OVERSAMPLE) probes for a rank-k range:
+#: in range coordinates they form a k x (k + p) Gaussian draw, whose smallest
+#: singular value stays near sqrt(k + p) - sqrt(k), while that of a square
+#: draw can be arbitrarily small and would multiply the rounding error of
+#: the projection by its inverse
+OVERSAMPLE = 10
+
+#: complex entries one contraction temporary of intertwiners may hold (4 MB)
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -136,63 +155,237 @@ def approx_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> MatchReport:
     return MatchReport(residual <= tol.bound(frobenius(a), frobenius(b)), residual)
 
 
-def mul_constraint(left, right) -> np.ndarray:
-    """Matrix of x -> left @ x - x @ right on row-major flattened x.
+def intertwiners(groups, shape: tuple[int, int], tol: Tolerance = DEFAULT_TOL,
+                 laws=None) -> np.ndarray:
+    """Orthonormal basis of {x: l @ x == x @ r for every pair of every group}.
 
-    For vec taken row by row, vec(A x B) = (A kron B^T) vec(x), so the
-    constraint is kron(left, I) - kron(I, right^T). Kept with null_space as
-    the direct, stacked-SVD oracle that commuting_null_space is tested
-    against.
-    """
-    left = as_matrix(left, "left")
-    right = as_matrix(right, "right")
-    p, q = left.shape[0], right.shape[0]
-    if left.shape != (p, p) or right.shape != (q, q):
-        raise DimensionMismatch("mul_constraint: left and right must be square")
-    return np.kron(left, np.eye(q)) - np.kron(np.eye(p), right.T)
+    Each group (lefts, rights) holds the images rho_f(b_i) on C^rows and
+    rho_e(b_i) on C^cols of one trace-orthonormal basis b_i of a *-algebra
+    B under two unital *-representations. With S = sum b_i b_i*, central
+    and invertible in B, the averaging map
 
+        E(x) = sum_i rho_f(b_i) x rho_e(b_i)* rho_e(S)^-1
 
-def null_space(constraints: Sequence[np.ndarray], shape: tuple[int, int],
-               tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the joint kernel of stacked linear constraints.
+    is the Hilbert-Schmidt orthogonal projection onto the group's fixed
+    space, by the quasi-basis identity sum x b_i (x) b_i* = sum b_i (x) b_i* x
+    (Pimsner-Popa 1986, Watatani 1990). One or two groups are accepted; two
+    groups must act commutingly, as the two sides of a correspondence do, so
+    that the product of their projections projects onto the joint fixed
+    space. No (rows*cols)^2 eigenproblem is solved:
 
-    Each constraint acts on the row-major flattening of an unknown of the
-    given shape; singular values below eps times max(largest, 1) are treated
-    as zero, so an all-noise constraint (for instance from subtracting two
-    copies of the same normalized operator) is the zero constraint. Returns
-    an array of shape (k, *shape) whose slices are orthonormal under the
-    Hilbert-Schmidt inner product. The package solves these problems with
-    commuting_null_space; this slower route is its test oracle.
+    - the rank k is the trace of that product, rounded. A trace further
+      than min(MAX_RANK_SLACK, tol.bound(g)) from an integer in
+      [0, rows*cols], g the summed magnitudes of the trace's terms, raises
+      NonIntegralRank carrying the trace, k and the bound;
+    - the range is spanned by the top k left singular vectors of the image
+      of m = k + min(k, OVERSAMPLE) Gaussian probes drawn from PROBE_SEED.
+      Each map is applied in the cheaper of two orders: directly, about
+      d*m*rows*cols*(rows + cols) flops for d basis images, or through the
+      assembled (rows*cols)^2 superoperator, about (d + m)*(rows*cols)^2;
+    - for one group with lefts is rights the fixed space is a *-algebra
+      (a commutant): the probes are Hermitian and the range is
+      orthonormalized in real Hermitian coordinates (diagonal units,
+      (e_ab + e_ba)/sqrt2 and i(e_ab - e_ba)/sqrt2 for a < b), so the basis
+      is Hermitian;
+    - the law l x = x r is checked on every basis element for every pair of
+      laws, a (lefts, rights) pair of stacks that defaults to all pairs of
+      all groups; a failure raises NotIntertwining.
+
+    Returns an array of shape (k, rows, cols).
     """
     rows, cols = shape
-    dim = rows * cols
-    mats = [as_matrix(c, f"constraint {i}") for i, c in enumerate(constraints)]
-    for i, c in enumerate(mats):
-        if c.shape[1] != dim:
-            raise DimensionMismatch(
-                f"constraint {i}: {c.shape[1]} columns, unknown has {dim} entries")
-    if mats:
-        stacked = np.vstack(mats)
+    if not 1 <= len(groups) <= 2:
+        raise DimensionMismatch(f"intertwiners: one or two groups, got {len(groups)}")
+    hermitian = len(groups) == 1 and groups[0][0] is groups[0][1]
+    stacks = [_group_stacks(l, r, rows, cols, i) for i, (l, r) in enumerate(groups)]
+    maps = [(l, _averaging_right(r, i)) for i, (l, r) in enumerate(stacks)]
+    k = _averaging_rank(maps, rows * cols, tol)
+    if k == 0:
+        return np.zeros((0, rows, cols), dtype=complex)
+    if k == rows * cols:
+        # the fixed space is everything: the coordinate basis, no probes
+        basis = _hermitian_matrices(np.eye(k), rows) if hermitian else \
+            np.eye(k, dtype=complex)
     else:
-        stacked = np.zeros((0, dim), dtype=complex)
-    # the full right factor is only needed when the stack has fewer rows
-    # than the unknown has entries; otherwise skip the huge left factor
-    _, s, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < dim)
-    rank = int(np.sum(s > tol.eps * max(float(s[0]), 1.0))) if s.size else 0
-    return vh[rank:].conj().reshape(-1, rows, cols)
+        rng = np.random.default_rng(PROBE_SEED)
+        m = k + min(k, OVERSAMPLE)
+        if hermitian:
+            images = _hermitian_matrices(rng.standard_normal((m, rows * cols)), rows)
+        else:
+            images = random_complex((m, rows * cols), rng)
+        images = images.reshape(m, rows, cols)
+        for lefts, cmaps in maps:
+            images = _average(lefts, cmaps, images)
+        flat = images.reshape(m, rows * cols)
+        basis = _hermitian_matrices(_top_range(_hermitian_coordinates(flat, rows), k), rows) \
+            if hermitian else _top_range(flat, k)
+    basis = basis.reshape(k, rows, cols)
+    if laws is None:
+        law_l = np.concatenate([l for l, _ in stacks])
+        law_r = np.concatenate([r for _, r in stacks])
+    else:
+        law_l, law_r = _group_stacks(*laws, rows, cols, "laws")
+    scale = max(float(np.linalg.norm(law_l, axis=(1, 2)).max(initial=0.0)),
+                float(np.linalg.norm(law_r, axis=(1, 2)).max(initial=0.0)))
+    bound = tol.bound(scale)
+    residual = _law_residual(law_l, law_r, basis)
+    require(residual, bound, NotIntertwining,
+            "averaged range breaks its intertwining law, residual {:.3e}",
+            residual=residual, bound=bound)
+    return basis
+
+
+def _top_range(rows, k: int) -> np.ndarray:
+    """Orthonormal rows spanning the top-k singular subspace of the rows:
+    QR of their transpose, then the SVD of the small triangular factor."""
+    q, r = np.linalg.qr(rows.T)
+    u, _, _ = np.linalg.svd(r)
+    return (q @ u[:, :k]).T
+
+
+def _group_stacks(lefts, rights, rows: int, cols: int, name):
+    """Validated complex stacks (d, rows, rows) and (d, cols, cols)."""
+    l = np.asarray(lefts, dtype=complex)
+    r = np.asarray(rights, dtype=complex)
+    if l.ndim != 3 or l.shape[1:] != (rows, rows) or r.shape != (l.shape[0], cols, cols):
+        raise DimensionMismatch(
+            f"group {name}: shapes {l.shape} x {r.shape} do not act on {(rows, cols)}")
+    if not (np.all(np.isfinite(l)) and np.all(np.isfinite(r))):
+        raise DimensionMismatch(f"group {name}: entries must be finite")
+    return l, r
+
+
+def _averaging_right(rights, name) -> np.ndarray:
+    """The right factors rho_e(b_i)* rho_e(S)^-1 of the averaging map."""
+    adj = rights.conj().transpose(0, 2, 1)
+    try:
+        s_inv = np.linalg.inv((rights @ adj).sum(axis=0))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInput(f"group {name}: sum of r r* is singular") from exc
+    return adj @ s_inv
+
+
+def _averaging_rank(maps, dim: int, tol: Tolerance) -> int:
+    """Trace of the product of the averaging maps, rounded under its bound.
+
+    The map x -> l x c has trace tr(l) tr(c); for two groups the product's
+    terms are tr(l1_i l2_j) tr(c2_j c1_i).
+    """
+    if len(maps) == 1:
+        (l, c), = maps
+        terms = np.trace(l, axis1=1, axis2=2) * np.trace(c, axis1=1, axis2=2)
+    else:
+        (l1, c1), (l2, c2) = maps
+        tl = l1.reshape(len(l1), -1) @ l2.transpose(0, 2, 1).reshape(len(l2), -1).T
+        tc = c1.transpose(0, 2, 1).reshape(len(c1), -1) @ c2.reshape(len(c2), -1).T
+        terms = tl * tc
+    trace = complex(terms.sum())
+    rank = int(round(trace.real)) if np.isfinite(trace) else -1
+    bound = min(MAX_RANK_SLACK, tol.bound(float(np.abs(terms).sum())))
+    deviation = abs(trace - rank) if 0 <= rank <= dim else float("inf")
+    require(deviation, bound, NonIntegralRank,
+            "averaging trace {1:.6g} is not within {2:.3e} of a rank in [0, {3}]",
+            trace, bound, dim, trace=trace, rank=rank, bound=bound)
+    return rank
+
+
+def _average(lefts, cmaps, y) -> np.ndarray:
+    """sum_i lefts[i] @ y[p] @ cmaps[i] for every probe p, in the
+    contraction order that costs fewer flops."""
+    d, rows, _ = lefts.shape
+    m, _, cols = y.shape
+    if (d + m) * rows * cols < d * m * (rows + cols):
+        # the map as one matrix, s[a, (c, e), b] = sum_i lefts[i, a, c] cmaps[i, e, b]
+        s = (lefts.reshape(d, -1).T @ cmaps.reshape(d, -1)).reshape(rows, rows * cols, cols)
+        return (y.reshape(m, -1) @ s).transpose(1, 0, 2)
+    out = np.zeros(y.shape, dtype=complex)
+    for probes, terms in _chunk_pairs(m, d, rows * cols):
+        l, c, yp = lefts[terms], cmaps[terms], y[probes]
+        g, h = l.shape[0], yp.shape[0]
+        # y c_i for every i of the chunk, then one product with [l_1 | l_2 | ...]
+        yc = (yp.reshape(h * rows, cols) @ c.transpose(1, 0, 2).reshape(cols, g * cols))
+        yc = yc.reshape(h, rows, g, cols).transpose(0, 2, 1, 3).reshape(h, g * rows, cols)
+        out[probes] += l.transpose(1, 0, 2).reshape(rows, g * rows) @ yc
+    return out
+
+
+def _law_residual(lefts, rights, basis) -> float:
+    """Worst Frobenius norm of l x - x r over all law pairs and basis
+    elements, from two matrix products per chunk."""
+    k, rows, cols = basis.shape
+    out = 0.0
+    for elements, pairs in _chunk_pairs(k, lefts.shape[0], rows * cols):
+        x, l, r = basis[elements], lefts[pairs], rights[pairs]
+        h, g = x.shape[0], l.shape[0]
+        lx = (l.reshape(g * rows, rows) @ x.transpose(1, 0, 2).reshape(rows, h * cols))
+        xr = (x.reshape(h * rows, cols) @ r.transpose(1, 0, 2).reshape(cols, g * cols))
+        diff = lx.reshape(g, rows, h, cols) - xr.reshape(h, rows, g, cols).transpose(2, 1, 0, 3)
+        out = worst(out, float(np.linalg.norm(diff, axis=(1, 3)).max()))
+    return out
+
+
+def _chunk_pairs(outer: int, inner: int, size: int):
+    """Slices (a, b) covering outer x inner index pairs in blocks whose
+    len(a) * len(b) * size stays within _CHUNK, or one index pair."""
+    astep = max(1, _CHUNK // size)
+    for a0 in range(0, outer, astep):
+        a = slice(a0, min(outer, a0 + astep))
+        bstep = max(1, _CHUNK // ((a.stop - a.start) * size))
+        for b0 in range(0, inner, bstep):
+            yield a, slice(b0, min(inner, b0 + bstep))
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_frame(n: int):
+    """Flat positions of the diagonal, of e_ab and of e_ba for a < b
+    (read-only, shared by every call for this n)."""
+    iu, ju = np.triu_indices(n, 1)
+    frame = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
+    for positions in frame:
+        positions.setflags(write=False)
+    return frame
+
+
+def _hermitian_matrices(t, n: int) -> np.ndarray:
+    """Flattened Hermitian matrices with the real coordinates t (rows): the
+    diagonal units, (e_ab + e_ba)/sqrt2 at the position of e_ab and
+    i(e_ab - e_ba)/sqrt2 at the position of e_ba, a < b."""
+    diag, upper, lower = _hermitian_frame(n)
+    half = np.sqrt(0.5)
+    out = np.zeros(t.shape, dtype=complex)
+    out[:, diag] = t[:, diag]
+    tu, tl = t[:, upper], t[:, lower]
+    out[:, upper] = half * (tu + 1j * tl)
+    out[:, lower] = half * (tu - 1j * tl)
+    return out
+
+
+def _hermitian_coordinates(x, n: int) -> np.ndarray:
+    """Real coordinates of the Hermitian parts of flattened matrices x; the
+    inverse of _hermitian_matrices on Hermitian input."""
+    diag, upper, lower = _hermitian_frame(n)
+    half = np.sqrt(0.5)
+    t = np.empty(x.shape)
+    t[:, diag] = x[:, diag].real
+    xu, xl = x[:, upper], x[:, lower]
+    t[:, upper] = half * (xu + xl).real
+    t[:, lower] = half * (xu - xl).imag
+    return t
 
 
 def commuting_null_space(pairs, shape: tuple[int, int],
                          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {x: left @ x == x @ right for every pair}.
 
-    Solves the same problem as null_space over stacked mul_constraint
-    matrices, but assembles the normal matrix sum of C* C directly from
-    kron identities, so the eigenproblem stays (rows*cols) square no
-    matter how many pairs there are. Eigenvalues are squared singular
-    values; the zero cutoff combines the usual relative threshold with
-    the eigensolver noise floor, which the spectral gaps of the intended
-    inputs (images of orthonormal operator bases) clear by a wide margin.
+    The dense route: assembles the normal matrix sum of C* C, C: x -> l x -
+    x r, from kron identities and solves one (rows*cols)^2 eigenproblem,
+    O((rows*cols)^3). Eigenvalues are squared singular values; the zero
+    cutoff combines the usual relative threshold with the eigensolver noise
+    floor, which the spectral gaps of the intended inputs (images of
+    orthonormal operator bases) clear by a wide margin. The package solves
+    these problems with intertwiners; this function stays here only because
+    the benchmark's tracing wraps it, and the tests use it as the dense
+    oracle.
     """
     rows, cols = shape
     dim = rows * cols
@@ -211,52 +404,6 @@ def commuting_null_space(pairs, shape: tuple[int, int],
     vals, vecs = np.linalg.eigh(h)
     keep = vals <= _kernel_cut(vals, dim, gross, tol)
     return vecs[:, keep].T.reshape(-1, rows, cols)
-
-
-def commutant_space(mats, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of {x: g @ x == x @ g for every g and every g*}.
-
-    The same kernel as commuting_null_space over the pairs (g, g) and
-    (g*, g*), solved as a real problem of the same size. The constraint set
-    is closed under adjoints, so the normal matrix commutes with x -> x*
-    and is real symmetric, with the same spectrum, in the orthonormal basis
-    of Hermitian matrices: diagonal units, (e_ab + e_ba)/sqrt2 and
-    i(e_ab - e_ba)/sqrt2 for a < b. A real eigensolve costs about a quarter
-    of the complex one, and its kernel vectors give a Hermitian basis.
-    Returns an array of shape (k, n, n).
-    """
-    gens = []
-    for i, g in enumerate(mats):
-        g = as_matrix(g, f"matrix {i}")
-        if g.shape != (n, n):
-            raise DimensionMismatch(f"matrix {i}: shape {g.shape} does not act on {(n, n)}")
-        gens.append(g)
-    gens += [g.conj().T for g in gens]
-    dim = n * n
-    h, gross = _normal_matrix(gens, gens, n, n)
-    # change of basis h -> P* h P, P the Hermitian basis above: the entry
-    # pairs (a, b), (b, a) for a < b mix, the diagonal stays
-    iu, ju = np.triu_indices(n, 1)
-    upper, lower = iu * n + ju, ju * n + iu
-    half = np.sqrt(0.5)
-    a, b = h[:, upper], h[:, lower]
-    h[:, upper] = half * (a + b)
-    h[:, lower] = 1j * half * (a - b)
-    a, b = h[upper], h[lower]
-    h[upper] = half * (a + b)
-    h[lower] = -1j * half * (a - b)
-    del a, b
-    q = np.ascontiguousarray(h.real)
-    del h
-    q += q.T
-    q *= 0.5
-    vals, vecs = np.linalg.eigh(q)
-    keep = vals <= _kernel_cut(vals, dim, gross, tol)
-    t = vecs[:, keep].T
-    out = t.astype(complex)
-    out[:, upper] = half * (t[:, upper] + 1j * t[:, lower])
-    out[:, lower] = half * (t[:, upper] - 1j * t[:, lower])
-    return out.reshape(-1, n, n)
 
 
 def _normal_matrix(lefts, rights, rows: int, cols: int) -> tuple[np.ndarray, float]:

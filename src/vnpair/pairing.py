@@ -165,11 +165,20 @@ def _eq33_residuals(u, theta) -> dict:
     endomorphism system gives theta(b_i) b_j h, and the identity dilation of
     the commutant system gives b_i u b_j h. The map solved for on this
     spanning family must return left multiplication by u.
+
+    The family [theta(b_i) b_j] has d^2 n columns; it is solved on
+    [theta(b_i) S^1/2] -> [b_i u S^1/2], S = sum_j b_j b_j*, with d n
+    columns. Since sum_j X b_j (Y b_j)* = X S Y*, both families have the
+    same Gram matrices, hence the same least-squares solution and the same
+    residual norm.
     """
     b = theta.domain.basis
     n = b.shape[1]
-    src = np.einsum("aij,cjk->iack", theta.basis_images, b).reshape(n, -1)
-    dst = np.einsum("aij,cjk->iack", b @ u, b).reshape(n, -1)
+    s = (b @ b.conj().transpose(0, 2, 1)).sum(axis=0)
+    lam, vec = np.linalg.eigh((s + s.conj().T) / 2.0)
+    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+    src = (theta.basis_images @ root).transpose(1, 0, 2).reshape(n, -1)
+    dst = (b @ u @ root).transpose(1, 0, 2).reshape(n, -1)
     u33 = nk.lstsq_map(src, dst)
     solve = float(np.linalg.norm(u33 @ src - dst))
     return {"eq33_solve": solve, "eq33_match": float(np.linalg.norm(u33 - u))}

@@ -313,19 +313,6 @@ def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
     return dilation
 
 
-def identity_right_dilation(p: DiscreteProductSystem,
-                            tol: nk.Tolerance = nk.DEFAULT_TOL) -> RightDilation:
-    """Elements act on the ambient space as the matrices they are.
-
-    This is a dilation exactly when the members carry the untwisted left
-    action, as the member-wise commutants of an endomorphism system do; the
-    bilinearity check rejects anything else. No package code builds it:
-    it is kept as the oracle that the direct eq33 residual of
-    ``pairing`` is tested against.
-    """
-    return make_right_dilation(p, p.algebra.basis, lambda t, xs: xs, tol=tol)
-
-
 def right_dilation_from_unitary(p: DiscreteProductSystem, u, rho_images=None,
                                 tol: nk.Tolerance = nk.DEFAULT_TOL) -> RightDilation:
     """w_t(x tensor g) = u^t rho(x) g for a unitary u on the represented space.
@@ -403,7 +390,8 @@ def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilatio
     rep = SystemRepresentation(p, images)
     rep.validate(tol)
     h = w.carrier_dim
-    comm = nk.commutant_space(w.rho_of(p.algebra.basis), h, tol)
+    action = w.rho_of(p.algebra.basis)
+    comm = nk.intertwiners([(action, action)], (h, h), tol)
     rng = np.random.default_rng([seed, 17])
     aprime = np.tensordot(nk.random_complex(comm.shape[0], rng), comm, axes=(0, 0))
     worst = nk.worst(*(nk.worst_norm(w.theta_w(t, aprime) @ images[t] - images[t] @ aprime)
@@ -553,7 +541,7 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     n = b.ambient_dim
     h = w.carrier_dim
     rho_imgs = w.space.rho
-    inter = nk.commuting_null_space(list(zip(rho_imgs, b.basis)), (h, n), tol)
+    inter = nk.intertwiners([(rho_imgs, b.basis)], (h, n), tol)
 
     def _multiplicities():
         sig = alg.block_decompose(b, tol, seed=seed)

@@ -143,11 +143,18 @@ def _irrep_component(z: np.ndarray, offset: int, size: int, mul: int) -> np.ndar
 
 
 def random_joint_multiplicities(rng, sa: AlgebraSample, sb: AlgebraSample,
-                                carrier_cap: int) -> np.ndarray:
-    """Nonnegative multiplicity grid with at least one nonzero entry."""
+                                carrier_cap: int, rows=None) -> np.ndarray:
+    """Nonnegative multiplicity grid with at least one nonzero entry.
+
+    The first entry is the cheapest one in the given rows (all rows by
+    default), so a grid drawn with rows = the blocks another grid reaches
+    composes with it to a nonzero tensor product.
+    """
     costs = np.array([[a * nj for (_, nj) in sb.blocks] for (a, _) in sa.blocks])
     k = np.zeros_like(costs)
-    i0, j0 = np.unravel_index(np.argmin(costs), costs.shape)
+    rows = np.arange(len(costs)) if rows is None else np.asarray(rows)
+    i, j0 = np.unravel_index(np.argmin(costs[rows]), (len(rows), costs.shape[1]))
+    i0 = rows[i]
     k[i0, j0] = 1
     budget = carrier_cap - costs[i0, j0]
     for _ in range(6):
@@ -286,8 +293,12 @@ def _case_tensor_commutant(rng, tol, case_index, salt):
              "right_blocks": [list(b) for b in sc.blocks]}
 
     def measure():
-        e = random_correspondence(sa, sb, rng, carrier_cap=10, tol=tol)
-        f = random_correspondence(sb, sc, rng, carrier_cap=10, tol=tol)
+        mults_e = random_joint_multiplicities(rng, sa, sb, 10)
+        e = random_correspondence(sa, sb, rng, mults=mults_e, tol=tol)
+        # f starts in a middle block that e reaches, else e (x) f = 0
+        mults_f = random_joint_multiplicities(rng, sb, sc, 10,
+                                              rows=np.flatnonzero(mults_e.any(axis=0)))
+        f = random_correspondence(sb, sc, rng, mults=mults_f, tol=tol)
         w = corr.tensor_commutant_iso(e, f, tol)
         eye = np.eye(w.shape[0])
         return max(float(np.linalg.norm(w.conj().T @ w - eye)),

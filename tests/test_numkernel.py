@@ -1,10 +1,17 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as orc
+from vnpair import algebra as alg
+from vnpair import correspondence as corr
 from vnpair import numkernel as nk
-from vnpair.errors import (CocycleResidual, DimensionMismatch, NotUnitary,
-                           SingularInput)
+from vnpair import selftest
+from vnpair.errors import (CocycleResidual, DimensionMismatch, NonIntegralRank,
+                           NotIntertwining, NotUnitary, SingularInput)
 
 
 def test_tolerance_bound_hybrid():
@@ -40,18 +47,18 @@ def test_mul_constraint_frozen():
         [0, 0, -1, 0],
         [0, 0, 0, -2],
     ], dtype=complex)
-    assert np.allclose(nk.mul_constraint(left, right), expected)
+    assert np.allclose(orc.mul_constraint(left, right), expected)
 
 
 def test_mul_constraint_rejects_nonsquare():
     with pytest.raises(DimensionMismatch):
-        nk.mul_constraint(np.zeros((2, 3)), np.eye(3))
+        orc.mul_constraint(np.zeros((2, 3)), np.eye(3))
 
 
 def test_null_space_diagonal_commutant():
     # matrices commuting with diag(1, 2) are exactly the diagonal ones
     d = np.diag([1.0, 2.0]).astype(complex)
-    basis = nk.null_space([nk.mul_constraint(d, d)], (2, 2))
+    basis = orc.null_space([orc.mul_constraint(d, d)], (2, 2))
     assert basis.shape[0] == 2
     for x in basis:
         assert np.allclose(d @ x, x @ d)
@@ -61,8 +68,8 @@ def test_null_space_diagonal_commutant():
 def test_null_space_orthonormal_and_annihilated():
     rng = np.random.default_rng(0)
     mats = [nk.random_complex((3, 3), rng) for _ in range(2)]
-    constraints = [nk.mul_constraint(m, m) for m in mats]
-    basis = nk.null_space(constraints, (3, 3))
+    constraints = [orc.mul_constraint(m, m) for m in mats]
+    basis = orc.null_space(constraints, (3, 3))
     flat = basis.reshape(basis.shape[0], -1)
     assert np.allclose(flat @ flat.conj().T, np.eye(basis.shape[0]))
     for c in constraints:
@@ -74,9 +81,9 @@ def test_null_space_all_noise_is_zero_constraint():
     # the kernel must still be everything
     rng = np.random.default_rng(1)
     x = nk.random_complex((2, 2), rng)
-    noise = nk.mul_constraint(x, x) - nk.mul_constraint(x.copy(), x.copy())
+    noise = orc.mul_constraint(x, x) - orc.mul_constraint(x.copy(), x.copy())
     assert np.abs(noise).max() < 1e-14
-    basis = nk.null_space([noise + 1e-17], (2, 2))
+    basis = orc.null_space([noise + 1e-17], (2, 2))
     assert basis.shape[0] == 4
 
 
@@ -93,7 +100,7 @@ def test_commuting_null_space_matches_stacked_route(seed):
         left = nk.random_complex((n, n), rng)
         pairs.append((left, s_inv @ left @ s_mat))
     fast = nk.commuting_null_space(pairs, (n, n))
-    slow = nk.null_space([nk.mul_constraint(l, r) for l, r in pairs],
+    slow = orc.null_space([orc.mul_constraint(l, r) for l, r in pairs],
                          (n, n))
     assert fast.shape[0] >= 1
     assert fast.shape == slow.shape
@@ -133,7 +140,7 @@ def test_commutant_space_matches_complex_route(seed):
     gens = [u @ d @ u.conj().T]
     if seed % 2:
         gens.append(np.eye(n, dtype=complex))
-    real = nk.commutant_space(gens, n)
+    real = orc.commutant_space(gens, n)
     mats = gens + [g.conj().T for g in gens]
     cplx = nk.commuting_null_space([(g, g) for g in mats], (n, n))
     assert real.shape == cplx.shape
@@ -145,7 +152,7 @@ def test_commutant_space_matches_complex_route(seed):
 
 
 def test_commutant_space_of_nothing_is_everything():
-    basis = nk.commutant_space([], 3)
+    basis = orc.commutant_space([], 3)
     flat = basis.reshape(basis.shape[0], -1)
     assert basis.shape[0] == 9
     assert np.linalg.norm(flat @ flat.conj().T - np.eye(9)) < 1e-12
@@ -153,7 +160,7 @@ def test_commutant_space_of_nothing_is_everything():
 
 def test_commutant_space_shape_check():
     with pytest.raises(DimensionMismatch):
-        nk.commutant_space([np.eye(3)], 2)
+        orc.commutant_space([np.eye(3)], 2)
 
 
 def test_orthonormalize_drops_dependent():
@@ -279,3 +286,144 @@ def test_random_unitary_from_a_generator(n):
     d = np.diagonal(r)
     assert np.array_equal(u, q * (d / np.abs(d)))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# the averaging kernel against the dense oracles
+
+SIGNATURES = [
+    [(1, 6)],                      # trivial: the commutant is everything
+    [(6, 1)],                      # full: the commutant is the scalars
+    [(1, 1)] * 8,                  # MASA
+    [(3, 1), (1, 5)],              # unbalanced
+    [(2, 3), (1, 1), (3, 2)],
+    [(4, 1), (1, 4), (2, 2)],
+    [(1, 24)],
+    [(12, 1)],
+    [(1, 1)] * 24,
+    [(12, 1), (1, 12)],
+    [(3, 4), (4, 3)],
+]
+
+
+@pytest.mark.parametrize("blocks", SIGNATURES, ids=str)
+def test_intertwiners_commutant_matches_the_dense_oracle(blocks):
+    n = sum(a * m for a, m in blocks)
+    b = alg.random_algebra(n, blocks, seed=n)
+    fast = nk.intertwiners([(b.basis, b.basis)], (n, n))
+    assert orc.span_distance(fast, orc.commutant_space(b.generators, n)) <= 1e-10
+    assert fast.shape[0] == sum(m * m for _, m in blocks)
+    flat = fast.reshape(fast.shape[0], -1)
+    assert np.linalg.norm(flat @ flat.conj().T - np.eye(len(flat))) < 1e-12
+    assert np.linalg.norm(fast - fast.conj().transpose(0, 2, 1)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_intertwiners_element_space_is_rectangular(seed):
+    """Carrier h and right ambient n differ; the one-group kernel agrees
+    with the dense route on {x: rho'(b') x = x b'}."""
+    rng = np.random.default_rng([seed, 61])
+    sa = selftest.sample_algebra(rng, 5, max_dim=8)
+    sb = selftest.sample_algebra(rng, 5, max_dim=8)
+    e = selftest.random_correspondence(sa, sb, rng, carrier_cap=9)
+    shape = (e.carrier_dim, e.right.ambient_dim)
+    dense = nk.commuting_null_space(list(zip(e.rho_prime, e.right_commutant.basis)), shape)
+    assert e.element_space.shape[1:] == shape
+    assert orc.span_distance(e.element_space, dense) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_intertwiners_two_groups_give_the_isomorphism_space(seed):
+    """The kernel of find_isomorphism: both actions of a correspondence
+    against those of a unitarily scrambled copy, as two groups."""
+    rng = np.random.default_rng([seed, 67])
+    sa = selftest.sample_algebra(rng, 5, max_dim=8)
+    sb = selftest.sample_algebra(rng, 5, max_dim=8)
+    e = selftest.random_correspondence(sa, sb, rng, carrier_cap=9)
+    v = nk.random_unitary(e.carrier_dim, rng)
+    f = corr.Correspondence(e.left, e.right, e.left_commutant, e.right_commutant,
+                            v @ e.rho @ v.conj().T, v @ e.rho_prime @ v.conj().T,
+                            e.carrier_dim)
+    groups = [(f.rho, e.rho), (f.rho_prime, e.rho_prime)]
+    shape = (f.carrier_dim, e.carrier_dim)
+    fast = nk.intertwiners(groups, shape)
+    dense = nk.commuting_null_space([p for l, r in groups for p in zip(l, r)], shape)
+    assert fast.shape[0] >= 1
+    assert orc.span_distance(fast, dense) <= 1e-10
+    assert corr.find_isomorphism(e, f).isomorphic
+
+
+def test_intertwiners_commutant_at_n48_is_the_block_model():
+    """n = 48, blocks (4, 6) and (6, 4): the commutant of the rotated model
+    is the rotated 1_a (x) M_m, with no (n^2)^2 problem anywhere."""
+    blocks = [(4, 6), (6, 4)]
+    n = 48
+    b = alg.random_algebra(n, blocks, seed=48)
+    u = nk.random_unitary(n, 48)  # the rotation random_algebra applies
+    model, offset = [], 0
+    for a, m in blocks:
+        for l in range(m):
+            for l2 in range(m):
+                x = np.zeros((n, n), dtype=complex)
+                for k in range(a):
+                    x[offset + k * m + l, offset + k * m + l2] = 1.0 / np.sqrt(a)
+                model.append(u @ x @ u.conj().T)
+        offset += a * m
+    c = alg.commutant(b)
+    assert c.dim == 36 + 16
+    assert orc.span_distance(c.basis, np.array(model)) <= 1e-10
+
+
+def test_intertwiners_reject_a_span_not_closed_under_products():
+    """span{1, X, Z} on C^2 is *-closed and unital but XZ is outside it:
+    the averaging trace is 4/3, and no span is returned."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    b = alg.VnAlgebra(2, np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2))
+    with pytest.raises(NonIntegralRank) as info:
+        alg.commutant(b)
+    err = info.value
+    assert err.trace == pytest.approx(4.0 / 3.0)
+    assert err.rank == 1
+    assert err.bound <= nk.MAX_RANK_SLACK
+
+
+def test_intertwiners_reject_a_non_multiplicative_representation():
+    """rho'(b) = b^T on M_2 is linear, unital and *-preserving but reverses
+    products. Its averaging trace is an integer, so only the law check on
+    the averaged range can catch it."""
+    m2 = alg.full_matrix_algebra(2)
+    e = corr.Correspondence(m2, m2, m2, m2, m2.basis,
+                            m2.basis.transpose(0, 2, 1), 2, check=False)
+    with pytest.raises(NotIntertwining) as info:
+        e.element_space
+    assert not info.value.residual <= info.value.bound
+
+
+def test_intertwiners_rank_bound_never_reaches_one_half():
+    """At a loose tolerance the bound is capped, so a trace half-way between
+    two integers is an error, not a rounding."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    basis = np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2)
+    with pytest.raises(NonIntegralRank):
+        nk.intertwiners([(basis, basis)], (2, 2), nk.Tolerance(0.9))
+
+
+def test_intertwiners_shape_checks():
+    with pytest.raises(DimensionMismatch):
+        nk.intertwiners([(np.eye(2)[None], np.eye(3)[None])], (2, 2))
+    with pytest.raises(DimensionMismatch):
+        nk.intertwiners([], (2, 2))
+    with pytest.raises(DimensionMismatch):
+        nk.intertwiners([(np.full((1, 2, 2), np.nan), np.eye(2)[None])], (2, 2))
+
+
+def test_the_package_solves_no_dense_kernel_problem():
+    """No module of the package names the dense (rows*cols)^2 routes; the
+    one left in numkernel is kept for the benchmark's tracing and as an
+    oracle, the other lives in the tests' oracles."""
+    root = pathlib.Path(nk.__file__).parent
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
+        assert not names & {"commuting_null_space", "commutant_space"}, path.name

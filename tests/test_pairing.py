@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles as orc
 from vnpair import algebra as alg
 from vnpair import endo
 from vnpair import numkernel as nk
@@ -220,7 +221,7 @@ def eq33_via_dilation(u, theta, theta_prime, tol=nk.DEFAULT_TOL):
     """
     p = ps.from_endomorphism(theta, 1, tol)
     pf = ps.commutant_system(ps.from_endomorphism(theta_prime, 1, tol), tol)
-    wf = ps.identity_right_dilation(pf, tol)
+    wf = orc.identity_right_dilation(pf, tol)
     v1 = p.products[(0, 1)]
     t01 = p.tensors[(0, 1)]
     src, dst = [], []
@@ -279,6 +280,18 @@ def test_eq33_agrees_with_dilation_construction(blocks, seed):
     assert direct["eq33_solve"] > 1e-3
     for key in ("eq33_solve", "eq33_match"):
         assert abs(direct[key] - oracle[key]) <= tol.bound(np.sqrt(n))
+
+
+@pytest.mark.parametrize("blocks, seed", EQ33_CASES)
+def test_eq33_reduced_family_matches_the_spanning_family(blocks, seed):
+    """Same least-squares solution and residual norm on d n columns as on
+    d^2 n, at the pairing unitary (residuals near 0) and at w = c u (O(1))."""
+    b, u, theta, _, rng = paired_sample(blocks, seed)
+    w = st.unitary_inside(b, rng) @ u
+    for v in (u, w):
+        reduced, full = pr._eq33_residuals(v, theta), orc.eq33_spanning_family(v, theta)
+        for key in ("eq33_solve", "eq33_match"):
+            assert abs(reduced[key] - full[key]) <= 1e-12 * max(1.0, full[key])
 
 
 def test_check_pairing_rejects_map_leaving_the_algebra():

@@ -225,3 +225,16 @@ def test_bicommutant_instance_recovers_its_blocks(tmp_path):
 def test_instances_replay_their_command(name, command, tmp_path):
     code, report = _replay_cli(command, _instance(name), tmp_path)
     assert code == 0 and report["status"] == "ok"
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_tensor_commutant_order_passes_at_every_seed(seed):
+    """f's grid starts in a middle block that e reaches, so e (x) f is never
+    the zero correspondence; seeds 1-4 and 6 used to draw disjoint grids
+    and fail with EmptyTensorProduct."""
+    index = EXPECTED_ORDER.index("tensor-commutant-order")
+    prop = selftest.PROPERTIES[index]
+    result = selftest.run_property(prop, index, seed, prop.cases, nk.DEFAULT_TOL)
+    assert result.ok, result.failure
+    assert result.cases == prop.cases
+
