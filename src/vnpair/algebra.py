@@ -11,6 +11,7 @@ decomposition of a generic Hermitian element of the center.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,12 @@ class VnAlgebra:
         nk.require(float(np.linalg.norm(adj - (adj @ self.flat.conj().T) @ self.flat)),
                    tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
                    "span not adjoint closed, residual {:.3e}")
+
+    @cached_property
+    def unit_coefficients(self) -> np.ndarray:
+        """Coefficients of the identity matrix, for the unitality checks of
+        representations; computed once, like the commutant."""
+        return self.coefficients(np.eye(self.ambient_dim))
 
     def coefficients(self, x) -> np.ndarray:
         """Coefficient vector of x against the orthonormal basis."""
@@ -207,7 +214,10 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL,
     A random Hermitian combination of the center basis has, generically, one
     eigenvalue per central component; clustering its spectrum at the largest
     gaps yields the minimal central projections. Draws that fail the
-    membership or integrality checks are retried with a fresh seed.
+    membership or integrality checks are retried with a fresh seed. Summands
+    are listed largest shape first, and summands of equal shape in
+    increasing order of tr(p diag(0, ..., n-1)), p their central projection,
+    so the order does not depend on the basis of the algebra.
     """
     n = a.ambient_dim
     z = center(a, tol)
@@ -246,7 +256,12 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL,
             if sum(ai * mi for ai, mi in blocks) != n or \
                     sum(ai * ai for ai, mi in blocks) != a.dim:
                 raise DegenerateCenterElement("block dimension bookkeeping failed")
-            order = sorted(range(len(blocks)), key=lambda i: blocks[i], reverse=True)
+            # largest shape first; equal shapes by tr(p diag(0, ..., n-1)),
+            # which depends on the projection alone and not on the center
+            # basis the draw was made in
+            place = [float(np.diagonal(p).real @ np.arange(n)) for p in projections]
+            order = sorted(range(len(blocks)),
+                           key=lambda i: (-blocks[i][0], -blocks[i][1], place[i]))
             return BlockSignature(
                 blocks=tuple(blocks[i] for i in order),
                 central_projections=np.array([projections[i] for i in order]))

@@ -58,6 +58,8 @@ class Correspondence:
     carrier_dim : dimension h of the carrier space.
     rho : images of the basis of ``left`` on the carrier.
     rho_prime : images of the basis of ``right_commutant`` on the carrier.
+    tol : the tolerance it was built with; the element space is computed
+        at it, and the commutant correspondence keeps it.
     """
 
     def __init__(self, left, right, left_commutant, right_commutant,
@@ -68,6 +70,7 @@ class Correspondence:
         self.left_commutant = left_commutant
         self.right_commutant = right_commutant
         self.carrier_dim = int(carrier_dim)
+        self.tol = tol
         self.rho = np.asarray(rho, dtype=complex)
         self.rho_prime = np.asarray(rho_prime, dtype=complex)
         h = self.carrier_dim
@@ -88,16 +91,17 @@ class Correspondence:
         # unitality of both representations and commutation of their ranges;
         # the full homomorphism laws are covered by validate()
         h = self.carrier_dim
-        eye = np.eye(h)
-        res = float(np.linalg.norm(self.rho_of(np.eye(self.left.ambient_dim)) - eye))
-        nk.require(res, tol.bound(np.sqrt(h)), InvalidCorrespondence,
-                   "left action not unital, residual {:.3e}")
-        res = float(np.linalg.norm(self.rho_prime_of(np.eye(self.right.ambient_dim)) - eye))
-        nk.require(res, tol.bound(np.sqrt(h)), InvalidCorrespondence,
-                   "commutant action not unital, residual {:.3e}")
-        ab = self.rho[:, None] @ self.rho_prime[None, :]
-        ba = self.rho_prime[None, :] @ self.rho[:, None]
-        nk.require(nk.worst_norm(ab - ba), tol.bound(1.0), InvalidCorrespondence,
+        eye = np.eye(h).reshape(-1)
+        for domain, images, what in ((self.left, self.rho, "left action"),
+                                     (self.right_commutant, self.rho_prime,
+                                      "commutant action")):
+            res = float(np.linalg.norm(
+                domain.unit_coefficients @ images.reshape(domain.dim, h * h) - eye))
+            nk.require(res, tol.bound(np.sqrt(h)), InvalidCorrespondence,
+                       what + " not unital, residual {:.3e}")
+        # rho_prime(b') rho(a) - rho(a) rho_prime(b') over every pair
+        nk.require(nk.law_residual(self.rho_prime, self.rho_prime, self.rho),
+                   tol.bound(1.0), InvalidCorrespondence,
                    "ranges do not commute, residual {:.3e}")
 
     def rho_of(self, a) -> np.ndarray:
@@ -112,7 +116,7 @@ class Correspondence:
         range of the averaging projection over the basis of the right
         commutant."""
         return nk.intertwiners([(self.rho_prime, self.right_commutant.basis)],
-                               (self.carrier_dim, self.right.ambient_dim))
+                               (self.carrier_dim, self.right.ambient_dim), self.tol)
 
     def element_coefficients(self, x) -> np.ndarray:
         """Coefficients of x in the element basis; a stack of elements x
@@ -171,56 +175,77 @@ def commutant(e: Correspondence) -> Correspondence:
     """Commutant correspondence: the same carrier with the two actions swapped.
 
     This is purely structural; applying it twice returns a correspondence
-    whose fields are identical to the original ones.
+    whose fields, tolerance included, are identical to the original ones.
     """
     return Correspondence(left=e.right_commutant, right=e.left_commutant,
                           left_commutant=e.right, right_commutant=e.left,
                           rho=e.rho_prime, rho_prime=e.rho,
-                          carrier_dim=e.carrier_dim, check=False)
+                          carrier_dim=e.carrier_dim, tol=e.tol, check=False)
+
+
+def tensor_quotient(x, f: Correspondence,
+                    tol: nk.Tolerance = nk.DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient of the raw tensor space of element basis x against f.
+
+    The raw spanning family consists of simple tensors x_i (tensor) g_j, g_j
+    the carrier basis of f; their Gram matrix
+    G[(i,j),(k,l)] = rho_f(x_i* x_k)[j,l] is diagonalized and eigenvalues
+    below eps * max(top, 1) are quotiented away. Returns phi, mapping raw
+    coordinates isometrically onto the quotient carrier, and its
+    pseudo-inverse. G depends on x, f.left and f.rho only. A Gram
+    eigenvalue below -cutoff raises GramNotPSD, a quotient that keeps no
+    direction EmptyTensorProduct.
+    """
+    de, n, hf = x.shape[0], x.shape[2], f.carrier_dim
+    # the inner products, their coefficients in the middle algebra, then
+    # the left action of f
+    coeffs = inner_products(x).reshape(de * de, n * n) @ f.left.flat.conj().T
+    gram = (coeffs @ f.rho.reshape(f.left.dim, hf * hf)).reshape(
+        de, de, hf, hf).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
+    lam, vec = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    top = float(lam[-1]) if lam.size else 0.0
+    cut = tol.eps * max(top, 1.0)
+    if lam.size:
+        nk.require(-lam[0], cut, GramNotPSD,
+                   "Gram matrix eigenvalue {1:.3e} below zero", lam[0])
+    keep = lam > cut
+    if not keep.any():
+        raise EmptyTensorProduct(
+            f"no direction of the {de * hf}-dimensional raw space survives: "
+            f"largest Gram eigenvalue {top:.3e}, cutoff {cut:.3e}")
+    lam_kept, vec_kept = lam[keep], vec[:, keep]
+    return (np.sqrt(lam_kept)[:, None] * vec_kept.conj().T,
+            vec_kept / np.sqrt(lam_kept)[None, :])
 
 
 class TensorProduct:
     """Interior tensor product of composable correspondences.
 
-    The raw spanning family consists of simple tensors (element of e) x
-    (carrier vector of f); their Gram matrix, evaluated through the left
-    action of f on inner products, is diagonalized and eigenvalues below
-    the relative cutoff are quotiented away. ``phi`` maps raw coordinates
-    isometrically onto the quotient carrier; a quotient that keeps no
-    direction raises EmptyTensorProduct.
+    The carrier is the quotient of the raw space of simple tensors
+    (element of e) x (carrier vector of f) by the null space of its Gram
+    matrix (``tensor_quotient``). ``phi`` maps raw coordinates isometrically
+    onto the quotient carrier. A quotient computed for the same element
+    basis of e and the same left algebra and action of f may be passed in:
+    the Gram matrix depends on nothing else. In the iterate system
+    E_t = {}_{theta^t}B every member has the element space B, so the Gram
+    matrix of E_s (tensor) E_t is theta^t(x_i* x_k) and the pairs with one t
+    share a quotient; in its commutant system every member has the left
+    action of B' on itself, so the pairs with one s share one.
     """
 
     def __init__(self, e: Correspondence, f: Correspondence,
-                 tol: nk.Tolerance = nk.DEFAULT_TOL):
+                 tol: nk.Tolerance = nk.DEFAULT_TOL, quotient=None):
         if e.right is not f.left and not alg.equals(e.right, f.left, tol):
             raise AlgebraMismatch("right algebra of e and left algebra of f differ")
         self.e = e
         self.f = f
         x = e.element_space
-        de, n, hf = x.shape[0], x.shape[2], f.carrier_dim
-        # G[(i,j),(k,l)] = rho_f(x_i* x_k)[j,l]: the inner products, their
-        # coefficients in the middle algebra, then the left action of f
-        coeffs = inner_products(x).reshape(de * de, n * n) @ f.left.flat.conj().T
-        gram = (coeffs @ f.rho.reshape(f.left.dim, hf * hf)).reshape(
-            de, de, hf, hf).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
-        lam, vec = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-        top = float(lam[-1]) if lam.size else 0.0
-        cut = tol.eps * max(top, 1.0)
-        if lam.size:
-            nk.require(-lam[0], cut, GramNotPSD,
-                       "Gram matrix eigenvalue {1:.3e} below zero", lam[0])
-        keep = lam > cut
-        if not keep.any():
-            raise EmptyTensorProduct(
-                f"no direction of the {de * hf}-dimensional raw space survives: "
-                f"largest Gram eigenvalue {top:.3e}, cutoff {cut:.3e}")
-        lam_kept, vec_kept = lam[keep], vec[:, keep]
-        self.carrier_dim = int(lam_kept.size)
-        self.phi = (np.sqrt(lam_kept)[:, None] * vec_kept.conj().T)
-        self.phi_pinv = vec_kept / np.sqrt(lam_kept)[None, :]
+        self.phi, self.phi_pinv = quotient if quotient is not None else \
+            tensor_quotient(x, f, tol)
+        self.carrier_dim = self.phi.shape[0]
         self.left_basis = x
         # phi with its raw axis split into (element index, f-carrier index)
-        self._phi3 = self.phi.reshape(self.carrier_dim, de, hf)
+        self._phi3 = self.phi.reshape(self.carrier_dim, x.shape[0], f.carrier_dim)
         self.corr = Correspondence(
             left=e.left, right=f.right,
             left_commutant=e.left_commutant, right_commutant=f.right_commutant,

@@ -228,7 +228,7 @@ def intertwiners(groups, shape: tuple[int, int], tol: Tolerance = DEFAULT_TOL,
     scale = max(float(np.linalg.norm(law_l, axis=(1, 2)).max(initial=0.0)),
                 float(np.linalg.norm(law_r, axis=(1, 2)).max(initial=0.0)))
     bound = tol.bound(scale)
-    residual = _law_residual(law_l, law_r, basis)
+    residual = law_residual(law_l, law_r, basis)
     require(residual, bound, NotIntertwining,
             "averaged range breaks its intertwining law, residual {:.3e}",
             residual=residual, bound=bound)
@@ -309,9 +309,10 @@ def _average(lefts, cmaps, y) -> np.ndarray:
     return out
 
 
-def _law_residual(lefts, rights, basis) -> float:
-    """Worst Frobenius norm of l x - x r over all law pairs and basis
-    elements, from two matrix products per chunk."""
+def law_residual(lefts, rights, basis) -> float:
+    """Worst Frobenius norm of l x - x r over all law pairs (l, r) and
+    basis elements x, from two matrix products per chunk; NaN when any
+    entry is NaN."""
     k, rows, cols = basis.shape
     out = 0.0
     for elements, pairs in _chunk_pairs(k, lefts.shape[0], rows * cols):
@@ -320,7 +321,9 @@ def _law_residual(lefts, rights, basis) -> float:
         lx = (l.reshape(g * rows, rows) @ x.transpose(1, 0, 2).reshape(rows, h * cols))
         xr = (x.reshape(h * rows, cols) @ r.transpose(1, 0, 2).reshape(cols, g * cols))
         diff = lx.reshape(g, rows, h, cols) - xr.reshape(h, rows, g, cols).transpose(2, 1, 0, 3)
-        out = worst(out, float(np.linalg.norm(diff, axis=(1, 3)).max()))
+        # squared norms per (pair, element) from the real view of diff
+        re = diff.view(float)
+        out = worst(out, float(np.sqrt(np.einsum("gahb,gahb->gh", re, re).max())))
     return out
 
 

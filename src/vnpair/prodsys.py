@@ -171,6 +171,27 @@ def _factor(tp, images, tol: nk.Tolerance, what: str) -> np.ndarray:
     return u
 
 
+def _tensor_builder(tol: nk.Tolerance):
+    """TensorProduct constructor for one build that computes each tensor
+    quotient once.
+
+    The Gram matrix of tensor(e, f) depends only on the element basis of e
+    and on the left algebra and action of f (``corr.tensor_quotient``), so
+    index pairs that share those arrays share one quotient. The memo is
+    keyed by their identities and holds the arrays themselves, so no id is
+    reused while it lives; it lives for one build, which has one tolerance.
+    """
+    memo = {}
+
+    def tensor(e, f):
+        x = e.element_space
+        key = (id(x), id(f.left), id(f.rho))
+        if key not in memo:
+            memo[key] = (x, f.left, f.rho, corr.tensor_quotient(x, f, tol))
+        return corr.TensorProduct(e, f, tol, quotient=memo[key][-1])
+    return tensor
+
+
 def _build_system(algebra, members, action_matrix, source=None,
                   tol: nk.Tolerance = nk.DEFAULT_TOL) -> DiscreteProductSystem:
     """Assemble and validate tensors and product unitaries from an
@@ -179,13 +200,21 @@ def _build_system(algebra, members, action_matrix, source=None,
     action_matrix(s, t, xs) takes the stacked element basis xs of E_s and
     returns, per slice x, the matrix of h -> (x . h) from the carrier of E_t
     to the carrier of E_{s+t}.
+
+    Each distinct (element basis of E_s, left action of E_t) gets one tensor
+    quotient. For the iterate system E_t = {}_{theta^t}B every member has the
+    element space B and the Gram matrix of E_s (tensor) E_t is
+    theta^t(x_i* x_k), so all pairs with the same t share a quotient; for the
+    commutant system every member has the left action of B' on itself and
+    the pairs with the same s share one.
     """
     n = len(members) - 1
+    tensor = _tensor_builder(tol)
     tensors = {}
     products = {}
     for s in range(n + 1):
         for t in range(n + 1 - s):
-            tp = tensors[(s, t)] = corr.tensor_product(members[s], members[t], tol)
+            tp = tensors[(s, t)] = tensor(members[s], members[t])
             products[(s, t)] = _factor(tp, action_matrix(s, t, members[s].element_space),
                                        tol, f"product ({s},{t})")
     system = DiscreteProductSystem(algebra, members, tensors, products, source=source)
@@ -207,6 +236,10 @@ def from_endomorphism(theta, horizon: int,
     endo_mod.make(b, theta.basis_images, tol)
     powers = endo_mod.iterates(theta, horizon)
     members = [corr.of_endomorphism(p, right_commutant=bp, tol=tol) for p in powers]
+    # every member has the right commutant bp acting as itself, so they
+    # all have one element space: the span of B
+    for member in members[1:]:
+        member.element_space = members[0].element_space
 
     def action(s, t, xs):
         return corr.rep_apply(b, powers[t].basis_images, xs)
@@ -293,7 +326,8 @@ def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
     the system algebra on H; action_matrix(t, xs) takes the stacked element
     basis xs of E_t and returns, per slice x, the matrix of
     h -> w_t(x tensor h) on H. H enters as a correspondence from the system
-    algebra to the scalars.
+    algebra to the scalars. Members with one element space share one tensor
+    quotient with H: for the iterate system, one for every t.
     """
     rho_images = np.asarray(rho_images, dtype=complex)
     h = rho_images.shape[1]
@@ -302,10 +336,11 @@ def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
         left=p.algebra, right=scalars, left_commutant=p.commutant_algebra,
         right_commutant=scalars, rho=rho_images,
         rho_prime=np.eye(h, dtype=complex)[None, :, :], carrier_dim=h, tol=tol)
+    tensor = _tensor_builder(tol)
     tensors = {}
     maps = {}
     for t in range(p.horizon + 1):
-        tp = tensors[t] = corr.tensor_product(p.members[t], space, tol)
+        tp = tensors[t] = tensor(p.members[t], space)
         maps[t] = _factor(tp, action_matrix(t, p.members[t].element_space), tol,
                           f"dilation map {t}")
     dilation = RightDilation(p, space, tensors, maps)

@@ -162,3 +162,23 @@ def test_bicommutant_property_random(seed):
     c = alg.commutant(a)
     assert c.dim == sum(m * m for _, m in blocks)
     assert alg.equals(alg.commutant(c), a).ok
+
+
+@pytest.mark.parametrize("blocks, seed", [([(1, 1), (1, 1), (2, 1)], 0),
+                                          ([(1, 2), (1, 2)], 0),
+                                          ([(2, 1), (2, 1), (1, 1)], 1),
+                                          ([(1, 1)] * 4, 2)])
+def test_equal_shape_summands_keep_their_order_under_a_basis_rotation(blocks, seed):
+    """The same algebra from its basis and from that basis rotated by a
+    random d x d unitary lists its central projections in one order."""
+    n = sum(a * m for a, m in blocks)
+    a = alg.random_algebra(n, blocks, seed=seed)
+    u = nk.random_unitary(a.dim, seed + 100)
+    rotated = alg.VnAlgebra(n, (u @ a.flat).reshape(a.dim, n, n))
+    sa, sr = alg.block_decompose(a), alg.block_decompose(rotated)
+    assert sa.blocks == sr.blocks
+    assert np.abs(sa.central_projections - sr.central_projections).max() <= 1e-12
+    place = [float(np.diagonal(p).real @ np.arange(n)) for p in sa.central_projections]
+    for i in range(len(place) - 1):
+        if sa.blocks[i] == sa.blocks[i + 1]:
+            assert place[i] < place[i + 1]

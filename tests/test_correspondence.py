@@ -5,6 +5,7 @@ from vnpair import algebra as alg
 from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
+from vnpair import prodsys as ps
 from vnpair.errors import (AlgebraMismatch, DimensionMismatch,
                            EmptyTensorProduct, InvalidCorrespondence)
 
@@ -237,3 +238,93 @@ def test_validate_rejects_a_nan_representation():
                                     e.carrier_dim, check=False)
     with pytest.raises(InvalidCorrespondence):
         unchecked.validate()
+
+
+# ---------------------------------------------------------------------------
+# the light construction check: unit coefficients and one product per side
+
+
+def _two_block_corr():
+    return identity_corr(alg.random_algebra(4, [(2, 1), (1, 2)], seed=3))
+
+
+def _rebuild(e, rho, rho_prime):
+    return corr.Correspondence(e.left, e.right, e.left_commutant, e.right_commutant,
+                               rho, rho_prime, e.carrier_dim)
+
+
+def test_unit_coefficients_are_those_of_the_identity():
+    b = alg.random_algebra(5, [(2, 2), (1, 1)], seed=4)
+    coeffs = b.unit_coefficients
+    assert np.array_equal(coeffs, b.coefficients(np.eye(5)))
+    assert b.unit_coefficients is coeffs  # computed once
+    assert np.allclose(np.tensordot(coeffs, b.basis, axes=(0, 0)), np.eye(5))
+
+
+def test_light_check_rejects_a_non_unital_left_action():
+    e = _two_block_corr()
+    _rebuild(e, e.rho, e.rho_prime)  # the unperturbed fields pass
+    with pytest.raises(InvalidCorrespondence, match="^left action not unital, residual"):
+        _rebuild(e, 0.5 * e.rho, e.rho_prime)
+
+
+def test_light_check_rejects_a_non_unital_commutant_action():
+    e = _two_block_corr()
+    with pytest.raises(InvalidCorrespondence,
+                       match="^commutant action not unital, residual"):
+        _rebuild(e, e.rho, 0.5 * e.rho_prime)
+
+
+def test_light_check_rejects_non_commuting_ranges():
+    """rho_prime moved by a unitary 1e-3 away from the identity: still a
+    unital representation, no longer commuting with rho."""
+    e = _two_block_corr()
+    rng = np.random.default_rng(2)
+    x = nk.random_complex((4, 4), rng)
+    lam, vec = np.linalg.eigh(1e-3 * (x + x.conj().T) / 2.0)
+    w = (vec * np.exp(1j * lam)) @ vec.conj().T
+    moved = w @ e.rho_prime @ w.conj().T
+    assert nk.worst_norm(moved - e.rho_prime) > 1e-4
+    with pytest.raises(InvalidCorrespondence,
+                       match="^ranges do not commute, residual [1-9]"):
+        _rebuild(e, e.rho, moved)
+
+
+def test_light_check_rejects_nan_in_rho():
+    e = _two_block_corr()
+    rho = e.rho.copy()
+    rho[2][1, 0] = np.nan
+    with pytest.raises(InvalidCorrespondence,
+                       match="^left action not unital, residual nan"):
+        _rebuild(e, rho, e.rho_prime)
+
+
+def test_tolerance_reaches_every_element_space(monkeypatch):
+    """The construction tolerance of a correspondence is the one its
+    element space is computed at, through of_endomorphism, commutant,
+    TensorProduct and the product-system builders."""
+    tol = nk.Tolerance(1e-7)
+    b = alg.random_algebra(4, [(2, 1), (1, 2)], seed=3)
+    theta = endo.from_unitary(b, np.eye(4))
+    alg.commutant(b, tol)
+    seen = []
+    kernel = nk.intertwiners
+
+    def spy(groups, shape, tol=nk.DEFAULT_TOL, laws=None):
+        seen.append(tol)
+        return kernel(groups, shape, tol, laws)
+
+    monkeypatch.setattr(nk, "intertwiners", spy)
+    e = corr.of_endomorphism(theta, tol=tol)
+    for get in (lambda: e, lambda: corr.commutant(e),
+                lambda: corr.TensorProduct(e, e, tol).corr):
+        seen.clear()
+        get().element_space
+        assert seen == [tol]
+    seen.clear()
+    p = ps.from_endomorphism(theta, 2, tol)
+    assert seen == [tol]
+    assert all(m.tol == tol for m in p.members)
+    seen.clear()
+    ps.commutant_system(p, tol)
+    assert seen == [tol] * 3

@@ -580,3 +580,94 @@ def test_commutant_via_dilation_rejects_a_non_faithful_source():
     w = ps.right_dilation_from_unitary(p, np.eye(1), rho_images=rho)
     with pytest.raises(NotFaithful):
         ps.commutant_via_dilation(p, w)
+
+
+# ---------------------------------------------------------------------------
+# one tensor quotient per distinct (element basis, right-factor action)
+
+
+@pytest.mark.parametrize("horizon", [4, 6])
+def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizon):
+    """Iterate members share one element space and, per right index t, one
+    quotient; commutant members share one per left index; the dilation of
+    an iterate system needs a single quotient."""
+    b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
+    alg.commutant(b)  # the algebra's own commutant is not counted
+    v = unitary_in(b, 15)
+    theta = endo.from_unitary(b, v)
+    counts = {"quotients": 0, "kernels": 0}
+
+    def counting(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(corr, "tensor_quotient",
+                        counting("quotients", corr.tensor_quotient))
+    monkeypatch.setattr(nk, "intertwiners", counting("kernels", nk.intertwiners))
+    n = horizon
+
+    def counted(build):
+        counts.update(quotients=0, kernels=0)
+        out = build()
+        return out, dict(counts)
+
+    p, c = counted(lambda: ps.from_endomorphism(theta, horizon))
+    assert c == {"quotients": n + 1, "kernels": 1}
+    assert len(p.tensors) == (n + 1) * (n + 2) // 2
+    _, c = counted(lambda: ps.commutant_system(p))
+    assert c == {"quotients": n + 1, "kernels": n + 1}
+    _, c = counted(lambda: ps.right_dilation_from_unitary(p, v))
+    assert c == {"quotients": 1, "kernels": 0}
+
+
+def _built_alone(monkeypatch, build):
+    """build() with every TensorProduct computing its own quotient."""
+    with monkeypatch.context() as m:
+        m.setattr(ps, "_tensor_builder",
+                  lambda tol: lambda e, f: corr.TensorProduct(e, f, tol))
+        return build()
+
+
+def _assert_same_tensors(shared, alone):
+    assert list(shared) == list(alone)
+    for key, tp in shared.items():
+        ref = alone[key]
+        assert np.array_equal(tp.phi, ref.phi), key
+        assert np.array_equal(tp.phi_pinv, ref.phi_pinv), key
+        assert np.array_equal(tp.corr.rho, ref.corr.rho), key
+        assert np.array_equal(tp.corr.rho_prime, ref.corr.rho_prime), key
+
+
+@pytest.mark.parametrize("n, blocks, horizon, seed", [
+    (4, [(2, 1), (1, 2)], 4, 3), (4, [(1, 2), (1, 2)], 4, 4),
+    (6, [(1, 2), (2, 2)], 3, 5), (6, [(1, 2), (2, 1), (1, 2)], 3, 6),
+    (8, [(2, 2), (2, 2)], 2, 7)])
+def test_shared_quotients_equal_tensor_products_built_alone(monkeypatch, n, blocks,
+                                                            horizon, seed):
+    b = alg.random_algebra(n, blocks, seed=seed)
+    v = unitary_in(b, seed + 10)
+    theta = endo.from_unitary(b, v)
+    p = ps.from_endomorphism(theta, horizon)
+    pc = ps.commutant_system(p)
+    w = ps.right_dilation_from_unitary(p, v)
+    p_alone = _built_alone(monkeypatch, lambda: ps.from_endomorphism(theta, horizon))
+    pc_alone = _built_alone(monkeypatch, lambda: ps.commutant_system(p_alone))
+    w_alone = _built_alone(monkeypatch, lambda: ps.right_dilation_from_unitary(p_alone, v))
+    for shared, alone in ((p, p_alone), (pc, pc_alone)):
+        _assert_same_tensors(shared.tensors, alone.tensors)
+        for key, u in shared.products.items():
+            assert np.array_equal(u, alone.products[key]), key
+        assert shared.residuals == alone.residuals
+        _same(shared.residuals, _oracle_system(shared))
+    _assert_same_tensors(w.tensors, w_alone.tensors)
+    for t, u in w.maps.items():
+        assert np.array_equal(u, w_alone.maps[t]), t
+    assert w.residuals == w_alone.residuals
+    _same(w.residuals, _oracle_dilation(w))
+    # the one shared member element space is the one each member computes
+    for member in p.members:
+        own = nk.intertwiners([(member.rho_prime, member.right_commutant.basis)],
+                              (n, n), member.tol)
+        assert np.array_equal(member.element_space, own)
