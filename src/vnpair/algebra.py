@@ -4,24 +4,21 @@ An algebra is stored as an orthonormal basis of its span under the
 Hilbert-Schmidt inner product. Commutants are ranges of the trace-averaging
 projection x -> sum_i b_i x b_i* S^-1 (S = sum_i b_i b_i*) over that basis,
 so no eigenproblem on n^2 unknowns is solved; the block structure (sizes
-and multiplicities of the simple summands) comes from the spectral
-decomposition of a generic Hermitian element of the center.
+and multiplicities of the simple summands, and a matrix-unit frame for
+them) is read off the spectral decompositions of generic elements of the
+center and of the algebra.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import numkernel as nk
 from .errors import (DegenerateCenterElement, DimensionMismatch, InvalidAlgebra,
                      NonConvergence)
-
-#: attempts at drawing a center element with simple block spectrum
-MAX_CENTER_RETRIES = 8
-
 
 class VnAlgebra:
     """Unital *-subalgebra of the n x n complex matrices.
@@ -71,7 +68,7 @@ class VnAlgebra:
                    tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
                    "span not adjoint closed, residual {:.3e}")
 
-    @cached_property
+    @functools.cached_property
     def unit_coefficients(self) -> np.ndarray:
         """Coefficients of the identity matrix, for the unitality checks of
         representations; computed once, like the commutant."""
@@ -163,7 +160,7 @@ def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
         n = a.ambient_dim
         # the basis is exactly Hermitian, and for Hermitian x the residual
         # of g* x - x g* is that of g x - x g, so the generators check both
-        basis = nk.intertwiners([(a.basis, a.basis)], (n, n), tol,
+        basis = nk.intertwiners(a.basis, a.basis, (n, n), tol,
                                 laws=(a.generators, a.generators))
         cached = a._commutants[tol] = VnAlgebra(n, basis, tol=tol)
     return cached
@@ -196,79 +193,113 @@ def center(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
 
 @dataclass(frozen=True)
 class BlockSignature:
-    """Simple-summand sizes a_i with multiplicities m_i, largest first.
+    """Simple-summand sizes a_i with multiplicities m_i, largest first, and
+    their matrix-unit frame.
 
     blocks[i] = (a_i, m_i); central_projections[i] is the unit of the i-th
-    summand. Sum of a_i * m_i is the ambient dimension, sum of a_i**2 the
-    algebra dimension.
+    summand. units[i] has shape (a_i, n, m_i): isometries T_ik with matrix
+    units T_ik T_il* of the i-th summand; their columns, in order, form a
+    unitary W with W* A W = (+)_i M_{a_i} (x) 1_{m_i}, as in ``block_basis``.
     """
 
     blocks: tuple[tuple[int, int], ...]
     central_projections: np.ndarray
+    units: tuple[np.ndarray, ...]
+
+    def matrix_units(self, i: int) -> np.ndarray:
+        """The matrix units e_k1 = T_ik T_i1* of the i-th summand, stacked."""
+        t = self.units[i]
+        return t @ t[0].conj().T
 
 
-def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL,
-                    seed: int = 0) -> BlockSignature:
-    """Block signature from a generic Hermitian central element.
+def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSignature:
+    """Block signature and matrix-unit frame, read off three elements drawn
+    once from ``numkernel.PROBE_SEED``:
 
-    A random Hermitian combination of the center basis has, generically, one
-    eigenvalue per central component; clustering its spectrum at the largest
-    gaps yields the minimal central projections. Draws that fail the
-    membership or integrality checks are retried with a fresh seed. Summands
-    are listed largest shape first, and summands of equal shape in
-    increasing order of tr(p diag(0, ..., n-1)), p their central projection,
-    so the order does not depend on the basis of the algebra.
+    - a Hermitian central element: its sorted spectrum, split at the c - 1
+      widest gaps (c = dim of the center), gives the minimal central
+      projections p_i, each required to lie in the center; a_i^2 = dim
+      p_i A p_i and m_i = tr(p_i) / a_i are traces rounded within 1e-6;
+    - a Hermitian h in A: the eigenvalues of p_i h p_i on ran(p_i), in
+      ascending order, form a_i groups of m_i, with isometries V_1, ..., V_a;
+    - a g in A: T_i1 = V_1 and T_ik = V_k polar(V_k* g V_1).
+
+    Checked once, else DegenerateCenterElement: every V_k* g V_1 has equal
+    singular values (|g_k1| in the block model), the T_ik form a unitary,
+    and every T_ik T_i1* lies in A. Summands come largest shape first;
+    equal shapes in increasing order of tr(p diag(0, ..., n-1)), then of
+    the diagonal of p, under the tolerance, which does not depend on the
+    basis of the algebra.
     """
     n = a.ambient_dim
     z = center(a, tol)
     c = z.dim
-    last_error = None
-    for attempt in range(MAX_CENTER_RETRIES):
-        rng = np.random.default_rng([seed, attempt])
-        x = np.tensordot(nk.random_complex(c, rng), z.basis, axes=(0, 0))
-        t = (x + x.conj().T) / 2.0
-        lam, vec = np.linalg.eigh(t)
-        # split the sorted spectrum at the c - 1 widest gaps
-        gaps = np.diff(lam)
-        cuts = np.sort(np.argsort(gaps)[len(gaps) - (c - 1):]) if c > 1 else np.array([], int)
-        bounds = [0] + [int(i) + 1 for i in cuts] + [n]
-        try:
-            blocks = []
-            projections = []
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                p = vec[:, lo:hi] @ vec[:, lo:hi].conj().T
-                if not z.contains(p, tol):
-                    raise DegenerateCenterElement(
-                        "cluster projection leaves the center span")
-                compressed = nk.orthonormalize(p @ a.basis @ p, tol)
-                d_i = compressed.shape[0]
-                a_i = int(round(np.sqrt(d_i)))
-                if a_i * a_i != d_i:
-                    raise DegenerateCenterElement(
-                        f"compressed corner dimension {d_i} is not a square")
-                rank = float(np.trace(p).real)
-                m_i = int(round(rank / a_i))
-                nk.require(abs(m_i * a_i - rank), 1e-6, DegenerateCenterElement,
-                           "projection rank {1:.6f} not divisible by block size {2}",
-                           rank, a_i)
-                blocks.append((a_i, m_i))
-                projections.append(p)
-            if sum(ai * mi for ai, mi in blocks) != n or \
-                    sum(ai * ai for ai, mi in blocks) != a.dim:
-                raise DegenerateCenterElement("block dimension bookkeeping failed")
-            # largest shape first; equal shapes by tr(p diag(0, ..., n-1)),
-            # which depends on the projection alone and not on the center
-            # basis the draw was made in
-            place = [float(np.diagonal(p).real @ np.arange(n)) for p in projections]
-            order = sorted(range(len(blocks)),
-                           key=lambda i: (-blocks[i][0], -blocks[i][1], place[i]))
-            return BlockSignature(
-                blocks=tuple(blocks[i] for i in order),
-                central_projections=np.array([projections[i] for i in order]))
-        except DegenerateCenterElement as exc:
-            last_error = exc
-    raise DegenerateCenterElement(
-        f"no separating central element after {MAX_CENTER_RETRIES} draws: {last_error}")
+    rng = np.random.default_rng(nk.PROBE_SEED)
+    central, h, g = (np.tensordot(nk.random_complex(b.dim, rng), b.basis, axes=(0, 0))
+                     for b in (z, a, a))
+    lam, vec = np.linalg.eigh(central + central.conj().T)
+    h = h + h.conj().T
+    # sum_j b_j b_j* is (a_i / m_i) 1 on the i-th summand, so its trace
+    # against the unit p_i of the summand is a_i^2 = dim p_i A p_i
+    gram = (a.basis @ a.basis.conj().transpose(0, 2, 1)).sum(axis=0)
+    # split the sorted spectrum at the c - 1 widest gaps
+    cuts = np.sort(np.argsort(np.diff(lam))[n - c:]) + 1 if c > 1 else []
+    blocks, projections, units = [], [], []
+    for v in np.split(vec, cuts, axis=1):
+        p = v @ v.conj().T
+        if not z.contains(p, tol):
+            raise DegenerateCenterElement("cluster projection leaves the center span")
+        d_i = nk.integral_trace(complex(np.vdot(p, gram)), 1e-6, a.dim)
+        a_i = int(round(np.sqrt(d_i)))
+        rank = nk.integral_trace(complex(np.trace(p)), 1e-6, n)
+        if a_i * a_i != d_i or rank % a_i:
+            raise DegenerateCenterElement(
+                f"corner dimension {d_i} and projection rank {rank} do not "
+                f"fit a summand M_a (x) 1_m")
+        blocks.append((a_i, rank // a_i))
+        projections.append(p)
+        t = v[None]
+        if a_i > 1:
+            _, hv = np.linalg.eigh(v.conj().T @ h @ v)
+            t = (v @ hv).reshape(n, a_i, -1).transpose(1, 0, 2)
+            links = t.conj().transpose(0, 2, 1) @ g @ t[0]
+            links[0] = np.eye(t.shape[2])  # T_i1 = V_1
+            w, s, vh = np.linalg.svd(links)
+            spread = (s[:, 0] - s[:, -1]) / s[:, 0] if s[:, 0].all() else [np.inf]
+            nk.require(float(np.max(spread)), tol.eps, DegenerateCenterElement,
+                       "links of the generic element are not multiples of unitaries, "
+                       "relative spread {:.3e}")
+            t = t @ w @ vh
+        units.append(t)
+    if sum(ai * ai for ai, _ in blocks) != a.dim:
+        raise DegenerateCenterElement("block dimension bookkeeping failed")
+    frame = np.concatenate([t.transpose(1, 0, 2).reshape(n, -1) for t in units], axis=1)
+    nk.require(nk.unitarity_residual(frame), tol.bound(np.sqrt(n)),
+               DegenerateCenterElement, "frame is not unitary, residual {:.3e}")
+    nk.require(nk.span_residual(np.concatenate([t @ t[0].conj().T for t in units]), a.flat),
+               tol.bound(1.0), DegenerateCenterElement,
+               "frame matrix units leave the algebra, residual {:.3e}")
+    order = sorted(range(len(blocks)), key=functools.cmp_to_key(
+        _summand_order(blocks, projections, tol)))
+    return BlockSignature(blocks=tuple(blocks[i] for i in order),
+                          central_projections=np.array([projections[i] for i in order]),
+                          units=tuple(units[i] for i in order))
+
+
+def _summand_order(blocks, projections, tol: nk.Tolerance):
+    """Comparison of summands: larger shape first, then the key
+    (tr(p diag(0, ..., n-1)), diagonal of p) compared entry by entry, values
+    within the tolerance counting as equal."""
+    keys = [np.concatenate([[d @ np.arange(len(d))], d])
+            for d in (np.diagonal(p).real for p in projections)]
+
+    def compare(i, j):
+        if blocks[i] != blocks[j]:
+            return 1 if blocks[i] < blocks[j] else -1
+        diff = keys[i] - keys[j]
+        apart = np.flatnonzero(np.abs(diff) > tol.bound(1.0))
+        return int(np.sign(diff[apart[0]])) if apart.size else 0
+    return compare
 
 
 def block_basis(blocks) -> tuple[np.ndarray, list[int]]:

@@ -65,7 +65,7 @@ def _cmd_algebra_commutant(scene, opts):
 
 def _cmd_algebra_blocks(scene, opts):
     a = scene.algebra("a")
-    sig = alg.block_decompose(a, opts.tol, seed=opts.seed)
+    sig = alg.block_decompose(a, opts.tol)
     return {"blocks": [list(b) for b in sig.blocks],
             "central_projections": _enc_many(sig.central_projections)}, {}
 
@@ -107,7 +107,7 @@ def _cmd_corr_tensor(scene, opts):
 def _cmd_corr_iso(scene, opts):
     e = corr.of_endomorphism(scene.endomorphism("theta"), tol=opts.tol)
     f = corr.of_endomorphism(scene.endomorphism("eta"), tol=opts.tol)
-    decision = corr.find_isomorphism(e, f, opts.tol, seed=opts.seed)
+    decision = corr.find_isomorphism(e, f, opts.tol)
     payload = {"isomorphic": decision.isomorphic,
                "table_left": _enc_table(decision.table_left),
                "table_right": _enc_table(decision.table_right)}
@@ -150,7 +150,7 @@ def _cmd_dilation_commutant(scene, opts):
     p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
     w = prodsys.right_dilation_from_unitary(p, u, tol=opts.tol)
     diag = {"dilation_" + k: v for k, v in w.residuals.items()}
-    result = prodsys.commutant_via_dilation(p, w, seed=opts.seed, tol=opts.tol)
+    result = prodsys.commutant_via_dilation(p, w, tol=opts.tol)
     payload = {"carriers": [m.carrier_dim for m in result.system.members],
                "xi": _enc(result.xi),
                "nu": {str(t): _enc_many(result.nu[t])
@@ -178,7 +178,7 @@ def _cmd_mult_extract(scene, opts):
 def _cmd_pair(scene, opts):
     cert = pairing.can_pair(scene.endomorphism("theta"),
                             scene.endomorphism("theta_prime"),
-                            opts.tol, seed=opts.seed)
+                            opts.tol)
     payload = {"outcome": "Paired" if cert.paired else "NotPaired"}
     if cert.paired:
         payload["unitary"] = _enc(cert.unitary)
@@ -201,7 +201,7 @@ def _cmd_cocycle_link(scene, opts):
     family = pairing.cocycle_link(scene.endomorphism("theta1"),
                                   scene.endomorphism("theta2"),
                                   scene.endomorphism("theta_prime"),
-                                  opts.horizon, opts.tol, seed=opts.seed)
+                                  opts.horizon, opts.tol)
     return {"cocycle": _enc_many(family)}, {}
 
 
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float,
                         help="tolerance override (beats scene and VNPAIR_TOL)")
     parser.add_argument("--seed", type=int,
-                        help="seed for randomized searches (beats scene seed)")
+                        help="selftest only: seed of the property draws (default 0)")
     parser.add_argument("--horizon", type=int,
                         help="largest time index for the semigroup commands")
     parser.add_argument("--cap", type=int,
@@ -331,9 +331,7 @@ def main(argv=None) -> int:
         horizon = args.horizon if args.horizon is not None else default_horizon
         if horizon is not None and horizon < 1:
             raise ParseError(f"--horizon must be at least 1, got {horizon}")
-        seed = args.seed if args.seed is not None else \
-            (scene.seed if scene.seed is not None else 0)
-        opts = argparse.Namespace(tol=scene.tol, seed=seed, horizon=horizon)
+        opts = argparse.Namespace(tol=scene.tol, horizon=horizon)
         payload, diagnostics = handler(scene, opts)
     except ParseError as exc:
         return fail(exc, 2)

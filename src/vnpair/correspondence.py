@@ -23,10 +23,7 @@ from . import endo as endo_mod
 from . import numkernel as nk
 from .errors import (AlgebraMismatch, DimensionMismatch, EmptyTensorProduct,
                      GramNotPSD, InvalidCorrespondence, NotIntertwining,
-                     NotIsometric, PolarRetryExhausted, SingularInput)
-
-#: attempts at drawing an invertible element of an intertwiner space
-MAX_POLAR_RETRIES = 8
+                     NotIsometric)
 
 
 def rep_apply(domain: alg.VnAlgebra, images: np.ndarray, x) -> np.ndarray:
@@ -115,7 +112,7 @@ class Correspondence:
         """Orthonormal basis of {x: rho_prime(b') x = x b' for all b'}, the
         range of the averaging projection over the basis of the right
         commutant."""
-        return nk.intertwiners([(self.rho_prime, self.right_commutant.basis)],
+        return nk.intertwiners(self.rho_prime, self.right_commutant.basis,
                                (self.carrier_dim, self.right.ambient_dim), self.tol)
 
     def element_coefficients(self, x) -> np.ndarray:
@@ -360,61 +357,73 @@ class IsoDecision:
 
 def _table_against(e: Correspondence, left_sig, right_sig,
                    tol: nk.Tolerance) -> MultiplicityTable:
+    """Joint ranks tr(rho(z_i) rho'(z'_j)), rounded within 1e-6 by
+    ``numkernel.integral_trace``, over the block sizes."""
+    traces = np.einsum("iab,jba->ij", e.rho_of(left_sig.central_projections),
+                       e.rho_prime_of(right_sig.central_projections))
     counts = []
-    for (a_i, _), z in zip(left_sig.blocks, left_sig.central_projections):
-        row = []
-        pz = e.rho_of(z)
-        for (b_j, _), zp in zip(right_sig.blocks, right_sig.central_projections):
-            prod = pz @ e.rho_prime_of(zp)
-            tr = float(np.trace(prod).real)
-            rank = int(round(tr))
-            if abs(tr - rank) > 1e-6:
-                rank = nk.numeric_rank(prod, tol)
+    for (a_i, _), row in zip(left_sig.blocks, traces):
+        counts.append([])
+        for (b_j, _), tr in zip(right_sig.blocks, row):
+            rank = nk.integral_trace(complex(tr), 1e-6, e.carrier_dim)
             if rank % (a_i * b_j) != 0:
                 raise InvalidCorrespondence(
                     f"joint rank {rank} not divisible by {a_i}*{b_j}")
-            row.append(rank // (a_i * b_j))
-        counts.append(tuple(row))
+            counts[-1].append(rank // (a_i * b_j))
     return MultiplicityTable(left_blocks=left_sig.blocks,
                              right_blocks=right_sig.blocks,
-                             counts=tuple(counts), carrier_dim=e.carrier_dim)
+                             counts=tuple(map(tuple, counts)), carrier_dim=e.carrier_dim)
+
+
+def _joint_frame(e: Correspondence, left_sig, right_sig, counts,
+                 tol: nk.Tolerance) -> np.ndarray:
+    """Unitary with the columns rho(e^i_k1) rho'(f^j_l1) R_ij for every pair
+    (i, j) with counts[i][j] > 0 and every k, l: e^i and f^j are the matrix
+    units of the two block frames, R_ij an orthonormal basis of the range of
+    rho(e^i_11) rho'(f^j_11). Correspondences with one table get one column
+    layout, so F_f F_e* intertwines them."""
+    rights = [e.rho_prime_of(right_sig.matrix_units(j)) for j in range(len(counts[0]))]
+    cols = []
+    for i, row in enumerate(counts):
+        left = e.rho_of(left_sig.matrix_units(i))
+        for j, (c, right) in enumerate(zip(row, rights)):
+            if not c:
+                continue
+            r = nk.range_basis(left[0] @ right[0], tol, NotIntertwining,
+                               f"joint unit ({i},{j})")
+            if r.shape[1] != c:
+                raise NotIntertwining(f"joint unit ({i},{j}) has rank {r.shape[1]}, not {c}")
+            cols.append((left[:, None] @ right[None] @ r).transpose(2, 0, 1, 3).reshape(
+                e.carrier_dim, -1))
+    return np.concatenate(cols, axis=1)
 
 
 def find_isomorphism(e: Correspondence, f: Correspondence,
-                     tol: nk.Tolerance = nk.DEFAULT_TOL,
-                     seed: int = 0) -> IsoDecision:
+                     tol: nk.Tolerance = nk.DEFAULT_TOL) -> IsoDecision:
     """Unitary equivalence of two correspondences over the same algebras.
 
-    Joint multiplicity tables are computed against one shared set of central
-    projections. When they match, a generic element of the joint
-    intertwiner space is drawn and its unitary polar part is verified; when
-    they do not, the two tables are the obstruction certificate.
+    Joint multiplicity tables are computed against the block frames of the
+    left algebra and the right commutant; differing tables are the
+    obstruction certificate. Equal ones give U = F_f F_e* (``_joint_frame``),
+    checked to be unitary (NotIsometric) and to intertwine both actions
+    (NotIntertwining).
     """
     if not alg.equals(e.left, f.left, tol) or not alg.equals(e.right, f.right, tol):
         raise AlgebraMismatch("correspondences live over different algebra pairs")
-    left_sig = alg.block_decompose(e.left, tol, seed=seed)
-    right_sig = alg.block_decompose(e.right_commutant, tol, seed=seed)
+    left_sig = alg.block_decompose(e.left, tol)
+    right_sig = alg.block_decompose(e.right_commutant, tol)
     te = _table_against(e, left_sig, right_sig, tol)
     tf = _table_against(f, left_sig, right_sig, tol)
     if te.counts != tf.counts or te.carrier_dim != tf.carrier_dim:
         return IsoDecision(unitary=None, table_left=te, table_right=tf)
-
+    u = _joint_frame(f, left_sig, right_sig, te.counts, tol) @ \
+        _joint_frame(e, left_sig, right_sig, te.counts, tol).conj().T
+    nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(u.shape[0])), NotIsometric,
+               "frame-built unitary is not unitary, residual {:.3e}")
     rho_f = rep_apply(f.left, f.rho, e.left.basis)
     rho_prime_f = rep_apply(f.right_commutant, f.rho_prime, e.right_commutant.basis)
-    kernel = nk.intertwiners([(rho_f, e.rho), (rho_prime_f, e.rho_prime)],
-                             (f.carrier_dim, e.carrier_dim), tol)
-    pairs = list(zip(rho_f, e.rho)) + list(zip(rho_prime_f, e.rho_prime))
-    if kernel.shape[0] == 0:
-        raise PolarRetryExhausted("intertwiner space is zero despite equal tables")
-    for attempt in range(MAX_POLAR_RETRIES):
-        rng = np.random.default_rng([seed, attempt, 91])
-        t = np.tensordot(nk.random_complex(kernel.shape[0], rng), kernel, axes=(0, 0))
-        try:
-            u = nk.polar_unitary(t, tol)
-        except SingularInput:
-            continue
-        res = nk.worst(*(float(np.linalg.norm(u @ be - bf @ u)) for bf, be in pairs))
-        if res <= tol.bound(1.0):
-            return IsoDecision(unitary=u, table_left=te, table_right=tf)
-    raise PolarRetryExhausted(
-        f"no invertible intertwiner after {MAX_POLAR_RETRIES} draws")
+    nk.require(nk.worst(nk.worst_norm(u @ e.rho - rho_f @ u),
+                        nk.worst_norm(u @ e.rho_prime - rho_prime_f @ u)),
+               tol.bound(1.0), NotIntertwining,
+               "frame-built unitary does not intertwine, residual {:.3e}")
+    return IsoDecision(unitary=u, table_left=te, table_right=tf)

@@ -41,7 +41,7 @@ class NonConvergence(VnpairError):
 
 
 class DegenerateCenterElement(VnpairError):
-    """No sampled central element separated the central components."""
+    """The block frame of an algebra failed a check of block_decompose."""
 
 
 class InvalidAlgebra(VnpairError):
@@ -106,10 +106,6 @@ class NotIsometric(VnpairError):
 
 class NotIntertwining(VnpairError):
     """A canonical map or an intertwiner basis failed its intertwining check."""
-
-
-class PolarRetryExhausted(VnpairError):
-    """No random intertwiner yielded an invertible element after retries."""
 
 
 # ---------------------------------------------------------- product systems

@@ -155,51 +155,51 @@ def approx_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> MatchReport:
     return MatchReport(residual <= tol.bound(frobenius(a), frobenius(b)), residual)
 
 
-def intertwiners(groups, shape: tuple[int, int], tol: Tolerance = DEFAULT_TOL,
+def intertwiners(lefts, rights, shape: tuple[int, int], tol: Tolerance = DEFAULT_TOL,
                  laws=None) -> np.ndarray:
-    """Orthonormal basis of {x: l @ x == x @ r for every pair of every group}.
+    """Orthonormal basis of {x: l @ x == x @ r for every pair (l, r)}.
 
-    Each group (lefts, rights) holds the images rho_f(b_i) on C^rows and
-    rho_e(b_i) on C^cols of one trace-orthonormal basis b_i of a *-algebra
-    B under two unital *-representations. With S = sum b_i b_i*, central
-    and invertible in B, the averaging map
+    lefts and rights hold the images rho_f(b_i) on C^rows and rho_e(b_i)
+    on C^cols of one trace-orthonormal basis b_i of a *-algebra B under two
+    unital *-representations. With S = sum b_i b_i*, central and invertible
+    in B, the averaging map
 
         E(x) = sum_i rho_f(b_i) x rho_e(b_i)* rho_e(S)^-1
 
-    is the Hilbert-Schmidt orthogonal projection onto the group's fixed
-    space, by the quasi-basis identity sum x b_i (x) b_i* = sum b_i (x) b_i* x
-    (Pimsner-Popa 1986, Watatani 1990). One or two groups are accepted; two
-    groups must act commutingly, as the two sides of a correspondence do, so
-    that the product of their projections projects onto the joint fixed
-    space. No (rows*cols)^2 eigenproblem is solved:
+    is the Hilbert-Schmidt orthogonal projection onto the fixed space, by
+    the quasi-basis identity sum x b_i (x) b_i* = sum b_i (x) b_i* x
+    (Pimsner-Popa 1986, Watatani 1990). No (rows*cols)^2 eigenproblem is
+    solved:
 
-    - the rank k is the trace of that product, rounded. A trace further
-      than min(MAX_RANK_SLACK, tol.bound(g)) from an integer in
-      [0, rows*cols], g the summed magnitudes of the trace's terms, raises
-      NonIntegralRank carrying the trace, k and the bound;
+    - the rank k is the trace of E, rounded by ``integral_trace`` within
+      min(MAX_RANK_SLACK, tol.bound(g)), g its summed term magnitudes;
     - the range is spanned by the top k left singular vectors of the image
       of m = k + min(k, OVERSAMPLE) Gaussian probes drawn from PROBE_SEED.
-      Each map is applied in the cheaper of two orders: directly, about
+      The map is applied in the cheaper of two orders: directly, about
       d*m*rows*cols*(rows + cols) flops for d basis images, or through the
       assembled (rows*cols)^2 superoperator, about (d + m)*(rows*cols)^2;
-    - for one group with lefts is rights the fixed space is a *-algebra
-      (a commutant): the probes are Hermitian and the range is
-      orthonormalized in real Hermitian coordinates (diagonal units,
-      (e_ab + e_ba)/sqrt2 and i(e_ab - e_ba)/sqrt2 for a < b), so the basis
-      is Hermitian;
+    - when lefts is rights the fixed space is a *-algebra (a commutant):
+      the probes are Hermitian and the range is orthonormalized in real
+      Hermitian coordinates (diagonal units, (e_ab + e_ba)/sqrt2 and
+      i(e_ab - e_ba)/sqrt2 for a < b), so the basis is Hermitian;
     - the law l x = x r is checked on every basis element for every pair of
-      laws, a (lefts, rights) pair of stacks that defaults to all pairs of
-      all groups; a failure raises NotIntertwining.
+      laws (default: the input pair); a failure raises NotIntertwining.
 
     Returns an array of shape (k, rows, cols).
     """
     rows, cols = shape
-    if not 1 <= len(groups) <= 2:
-        raise DimensionMismatch(f"intertwiners: one or two groups, got {len(groups)}")
-    hermitian = len(groups) == 1 and groups[0][0] is groups[0][1]
-    stacks = [_group_stacks(l, r, rows, cols, i) for i, (l, r) in enumerate(groups)]
-    maps = [(l, _averaging_right(r, i)) for i, (l, r) in enumerate(stacks)]
-    k = _averaging_rank(maps, rows * cols, tol)
+    hermitian = lefts is rights
+    lefts, rights = _pair_stacks(lefts, rights, rows, cols, "images")
+    # the right factors rho_e(b_i)* rho_e(S)^-1 of the averaging map
+    adj = rights.conj().transpose(0, 2, 1)
+    try:
+        cmaps = adj @ np.linalg.inv((rights @ adj).sum(axis=0))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInput("sum of r r* is singular") from exc
+    # x -> l x c has trace tr(l) tr(c)
+    terms = np.trace(lefts, axis1=1, axis2=2) * np.trace(cmaps, axis1=1, axis2=2)
+    k = integral_trace(complex(terms.sum()), min(
+        MAX_RANK_SLACK, tol.bound(float(np.abs(terms).sum()))), rows * cols)
     if k == 0:
         return np.zeros((0, rows, cols), dtype=complex)
     if k == rows * cols:
@@ -213,18 +213,13 @@ def intertwiners(groups, shape: tuple[int, int], tol: Tolerance = DEFAULT_TOL,
             images = _hermitian_matrices(rng.standard_normal((m, rows * cols)), rows)
         else:
             images = random_complex((m, rows * cols), rng)
-        images = images.reshape(m, rows, cols)
-        for lefts, cmaps in maps:
-            images = _average(lefts, cmaps, images)
+        images = _average(lefts, cmaps, images.reshape(m, rows, cols))
         flat = images.reshape(m, rows * cols)
         basis = _hermitian_matrices(_top_range(_hermitian_coordinates(flat, rows), k), rows) \
             if hermitian else _top_range(flat, k)
     basis = basis.reshape(k, rows, cols)
-    if laws is None:
-        law_l = np.concatenate([l for l, _ in stacks])
-        law_r = np.concatenate([r for _, r in stacks])
-    else:
-        law_l, law_r = _group_stacks(*laws, rows, cols, "laws")
+    law_l, law_r = (lefts, rights) if laws is None else \
+        _pair_stacks(*laws, rows, cols, "laws")
     scale = max(float(np.linalg.norm(law_l, axis=(1, 2)).max(initial=0.0)),
                 float(np.linalg.norm(law_r, axis=(1, 2)).max(initial=0.0)))
     bound = tol.bound(scale)
@@ -243,48 +238,29 @@ def _top_range(rows, k: int) -> np.ndarray:
     return (q @ u[:, :k]).T
 
 
-def _group_stacks(lefts, rights, rows: int, cols: int, name):
+def _pair_stacks(lefts, rights, rows: int, cols: int, name):
     """Validated complex stacks (d, rows, rows) and (d, cols, cols)."""
     l = np.asarray(lefts, dtype=complex)
     r = np.asarray(rights, dtype=complex)
     if l.ndim != 3 or l.shape[1:] != (rows, rows) or r.shape != (l.shape[0], cols, cols):
         raise DimensionMismatch(
-            f"group {name}: shapes {l.shape} x {r.shape} do not act on {(rows, cols)}")
+            f"{name}: shapes {l.shape} x {r.shape} do not act on {(rows, cols)}")
     if not (np.all(np.isfinite(l)) and np.all(np.isfinite(r))):
-        raise DimensionMismatch(f"group {name}: entries must be finite")
+        raise DimensionMismatch(f"{name}: entries must be finite")
     return l, r
 
 
-def _averaging_right(rights, name) -> np.ndarray:
-    """The right factors rho_e(b_i)* rho_e(S)^-1 of the averaging map."""
-    adj = rights.conj().transpose(0, 2, 1)
-    try:
-        s_inv = np.linalg.inv((rights @ adj).sum(axis=0))
-    except np.linalg.LinAlgError as exc:
-        raise SingularInput(f"group {name}: sum of r r* is singular") from exc
-    return adj @ s_inv
+def integral_trace(trace, bound: float, dim: int) -> int:
+    """The integer in [0, dim] that a trace counting dimensions rounds to.
 
-
-def _averaging_rank(maps, dim: int, tol: Tolerance) -> int:
-    """Trace of the product of the averaging maps, rounded under its bound.
-
-    The map x -> l x c has trace tr(l) tr(c); for two groups the product's
-    terms are tr(l1_i l2_j) tr(c2_j c1_i).
+    The one rounding rule for rank decisions made by traces: a non-finite
+    trace, or one further than bound from every integer in [0, dim], raises
+    NonIntegralRank carrying the trace, the rounded rank and the bound.
     """
-    if len(maps) == 1:
-        (l, c), = maps
-        terms = np.trace(l, axis1=1, axis2=2) * np.trace(c, axis1=1, axis2=2)
-    else:
-        (l1, c1), (l2, c2) = maps
-        tl = l1.reshape(len(l1), -1) @ l2.transpose(0, 2, 1).reshape(len(l2), -1).T
-        tc = c1.transpose(0, 2, 1).reshape(len(c1), -1) @ c2.reshape(len(c2), -1).T
-        terms = tl * tc
-    trace = complex(terms.sum())
     rank = int(round(trace.real)) if np.isfinite(trace) else -1
-    bound = min(MAX_RANK_SLACK, tol.bound(float(np.abs(terms).sum())))
     deviation = abs(trace - rank) if 0 <= rank <= dim else float("inf")
     require(deviation, bound, NonIntegralRank,
-            "averaging trace {1:.6g} is not within {2:.3e} of a rank in [0, {3}]",
+            "trace {1:.6g} is not within {2:.3e} of a rank in [0, {3}]",
             trace, bound, dim, trace=trace, rank=rank, bound=bound)
     return rank
 
@@ -468,8 +444,24 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol.eps * s[0]))
 
 
+def range_basis(p, tol: Tolerance, error_cls, what: str) -> np.ndarray:
+    """Orthonormal basis q of the range of a numerical projection p; p q = q
+    is required, else error_cls is raised naming what.
+
+    The eigenvalue cutoff is a fixed 0.5, not a Tolerance: the spectrum of a
+    projection computed to working precision clusters at 0 and 1. A p far
+    from a projection fails the p q = q check instead.
+    """
+    lam, vec = np.linalg.eigh((p + p.conj().T) / 2.0)
+    q = vec[:, lam > 0.5]
+    require(float(np.linalg.norm(p @ q - q)), tol.bound(1.0), error_cls,
+            "{1} is not a projection, residual {0:.3e}", what)
+    return q
+
+
 def polar_unitary(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Unitary factor t (t* t)^(-1/2) of an invertible square matrix."""
+    """Unitary factor t (t* t)^(-1/2) of an invertible square matrix; unused
+    by the package, kept because the benchmark's tracing wraps it."""
     t = as_matrix(t, "t")
     if t.shape[0] != t.shape[1]:
         raise DimensionMismatch(f"polar_unitary: matrix must be square, got {t.shape}")
@@ -477,7 +469,8 @@ def polar_unitary(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def polar_isometry(t, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Isometry factor t (t* t)^(-1/2) of an injective tall matrix."""
+    """Isometry factor t (t* t)^(-1/2) of an injective tall matrix; unused
+    by the package, kept because the benchmark's tracing wraps it."""
     t = as_matrix(t, "t")
     if t.shape[0] < t.shape[1]:
         raise DimensionMismatch(f"polar_isometry: matrix must be tall, got {t.shape}")

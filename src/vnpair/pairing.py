@@ -213,8 +213,8 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
     return cert
 
 
-def can_pair(theta, theta_prime, tol: nk.Tolerance = nk.DEFAULT_TOL,
-             seed: int = 0) -> PairingCertificate:
+def can_pair(theta, theta_prime,
+             tol: nk.Tolerance = nk.DEFAULT_TOL) -> PairingCertificate:
     """Decide pairability through the correspondence isomorphism test.
 
     Paired outcomes carry a verified unitary; unpaired outcomes carry the
@@ -228,7 +228,7 @@ def can_pair(theta, theta_prime, tol: nk.Tolerance = nk.DEFAULT_TOL,
     e = corr.of_endomorphism(theta, right_commutant=bp, tol=tol)
     f = corr.commutant(corr.of_endomorphism(theta_prime,
                                             right_commutant=b, tol=tol))
-    decision = corr.find_isomorphism(e, f, tol, seed=seed)
+    decision = corr.find_isomorphism(e, f, tol)
     if not decision:
         return PairingCertificate(unitary=None,
                                   table_left=decision.table_left,
@@ -256,17 +256,17 @@ def restriction_symmetry(u, b, tol: nk.Tolerance = nk.DEFAULT_TOL):
 
 
 def cocycle_link(theta1, theta2, theta_prime, horizon: int,
-                 tol: nk.Tolerance = nk.DEFAULT_TOL, seed: int = 0):
+                 tol: nk.Tolerance = nk.DEFAULT_TOL):
     """Unitary cocycle in B linking two endomorphisms paired with the same map.
 
     c_1 is the quotient of the two pairing unitaries; the family follows the
     recursion c_{s+t} = c_s theta1^s(c_t) and conjugates the iterates of
     theta1 onto the iterates of theta2. Returns the list c_1..c_N.
     """
-    cert1 = can_pair(theta1, theta_prime, tol, seed=seed)
+    cert1 = can_pair(theta1, theta_prime, tol)
     if not cert1:
         raise NotPairedInput("first map does not pair with the given partner")
-    cert2 = can_pair(theta2, theta_prime, tol, seed=seed)
+    cert2 = can_pair(theta2, theta_prime, tol)
     if not cert2:
         raise NotPairedInput("second map does not pair with the given partner")
     b = theta1.domain

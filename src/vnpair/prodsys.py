@@ -22,11 +22,7 @@ from . import correspondence as corr
 from . import endo as endo_mod
 from . import numkernel as nk
 from .errors import (DimensionMismatch, NoUnitVector, NotFaithful,
-                     NotFullAlgebra, NotUnitVector, ProductSystemLawError,
-                     SingularInput)
-
-MAX_VECTOR_RETRIES = 8
-
+                     NotFullAlgebra, NotUnitVector, ProductSystemLawError)
 
 class DiscreteProductSystem:
     """Members E_0..E_N with product unitaries on the tensor carriers.
@@ -413,12 +409,11 @@ class SystemRepresentation:
 
 
 def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilation,
-                                       tol: nk.Tolerance = nk.DEFAULT_TOL,
-                                       seed: int = 0) -> SystemRepresentation:
+                                       tol: nk.Tolerance = nk.DEFAULT_TOL) -> SystemRepresentation:
     """eta_t(x) h = w_t(x tensor h), including the commutant relation check.
 
-    A random element a' of the commutant of the action on H must satisfy
-    theta_w(t, a') eta_t(x) = eta_t(x) a'.
+    Every basis element a' of the commutant of the action on H must satisfy
+    theta_w(t, a') eta_t(x) = eta_t(x) a' on the element basis of E_t.
     """
     images = [w.maps[t] @ w.tensors[t].embed_matrix(p.members[t].element_space)
               for t in range(p.horizon + 1)]
@@ -426,30 +421,12 @@ def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilatio
     rep.validate(tol)
     h = w.carrier_dim
     action = w.rho_of(p.algebra.basis)
-    comm = nk.intertwiners([(action, action)], (h, h), tol)
-    rng = np.random.default_rng([seed, 17])
-    aprime = np.tensordot(nk.random_complex(comm.shape[0], rng), comm, axes=(0, 0))
-    worst = nk.worst(*(nk.worst_norm(w.theta_w(t, aprime) @ images[t] - images[t] @ aprime)
+    comm = nk.intertwiners(action, action, (h, h), tol)
+    worst = nk.worst(*(nk.law_residual(w.theta_w(t, comm), comm, images[t])
                        for t in range(p.horizon + 1)))
-    nk.require(worst, tol.bound(float(np.linalg.norm(aprime))), ProductSystemLawError,
+    nk.require(worst, tol.bound(1.0), ProductSystemLawError,
                "commutant relation fails for the dilation, residual {:.3e}")
     return rep
-
-
-def _range_basis(p, tol: nk.Tolerance, what: str) -> np.ndarray:
-    """Orthonormal basis q of the range of a numerical projection p; p q = q
-    is required.
-
-    The eigenvalue cutoff is a fixed 0.5, not a Tolerance: the spectrum of
-    a projection computed to working precision clusters at 0 and 1, and the
-    midpoint separates the clusters at every tolerance. A p far from a
-    projection fails the p q = q check instead.
-    """
-    lam, vec = np.linalg.eigh((p + p.conj().T) / 2.0)
-    q = vec[:, lam > 0.5]
-    nk.require(float(np.linalg.norm(p @ q - q)), tol.bound(1.0), ProductSystemLawError,
-               "{1} is not a projection, residual {0:.3e}", what)
-    return q
 
 
 class BhatSystem:
@@ -496,7 +473,8 @@ def bhat_system(theta, gamma, horizon: int,
     endo_mod.make(b, theta.basis_images, tol)
     powers = endo_mod.iterates(theta, max(horizon, 0))
     pr = np.outer(gamma, gamma.conj())
-    spaces = [_range_basis(powers[t](pr), tol, f"iterate {t} of the projection")
+    spaces = [nk.range_basis(powers[t](pr), tol, ProductSystemLawError,
+                             f"iterate {t} of the projection")
               for t in range(horizon + 1)]
     products = {}
     for s in range(horizon + 1):
@@ -537,6 +515,23 @@ def bhat_system(theta, gamma, horizon: int,
     return BhatSystem(spaces, products, dilations)
 
 
+def _frame_isometry(b: alg.VnAlgebra, w: RightDilation, tol: nk.Tolerance) -> np.ndarray:
+    """xi = sum_ik rho_H(e^i_k1) R_i[:, :m_i] T_ik* over the block frame
+    (T_ik, e^i_k1) of b, R_i a basis of the range of rho_H(e^i_11); a rank
+    below m_i raises NoUnitVector with the m_i required and ranks available.
+    """
+    sig = alg.block_decompose(b, tol)
+    units = [w.rho_of(sig.matrix_units(i)) for i in range(len(sig.blocks))]
+    ranges = [nk.range_basis(e[0], tol, ProductSystemLawError, f"rho_H(e^{i}_11)")
+              for i, e in enumerate(units)]
+    required, available = [m for _, m in sig.blocks], [r.shape[1] for r in ranges]
+    if any(have < need for have, need in zip(available, required)):
+        raise NoUnitVector("the action on H has too few copies of a summand",
+                           required=required, available=available)
+    return sum((e @ r[:, :m] @ t.conj().transpose(0, 2, 1)).sum(axis=0)
+               for e, r, t, (_, m) in zip(units, ranges, sig.units, sig.blocks))
+
+
 class CommutantViaDilation:
     """Commutant system realized inside a right dilation, with the comparison.
 
@@ -554,18 +549,16 @@ class CommutantViaDilation:
 
 
 def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
-                           xi=None, seed: int = 0,
-                           tol: nk.Tolerance = nk.DEFAULT_TOL) -> CommutantViaDilation:
+                           xi=None, tol: nk.Tolerance = nk.DEFAULT_TOL) -> CommutantViaDilation:
     """Build the commutant system on the dilation space and compare it.
 
     Needs an isometry xi from the ambient space into H intertwining the
-    identity representation with the action on H; one is drawn from the
-    intertwiner space by polar normalization when not supplied. The member
-    carriers are the ranges of theta_w(t, xi xi*); the comparison maps
-    nu_t(x') = eta_t(1) xi x' are verified to be unitary, to intertwine both
-    actions, and to be compatible with the products of the operator-commutant
-    system, whose elements multiply as operators; that system itself is not
-    built.
+    identity representation with the action on H; by default it is read off
+    the block frame of the algebra. The member carriers are the ranges of
+    theta_w(t, xi xi*); the comparison maps nu_t(x') = eta_t(1) xi x' are
+    verified to be unitary, to intertwine both actions, and to be compatible
+    with the products of the operator-commutant system, whose elements
+    multiply as operators; that system itself is not built.
     """
     if p.source is None:
         raise NotFaithful("the pipeline needs the generating endomorphism")
@@ -574,38 +567,8 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     b = p.algebra
     bp = p.commutant_algebra
     n = b.ambient_dim
-    h = w.carrier_dim
-    rho_imgs = w.space.rho
-    inter = nk.intertwiners([(rho_imgs, b.basis)], (h, n), tol)
-
-    def _multiplicities():
-        sig = alg.block_decompose(b, tol, seed=seed)
-        required, available = [], []
-        for (a_i, m_i), z in zip(sig.blocks, sig.central_projections):
-            required.append(m_i)
-            rank = float(np.trace(w.rho_of(z)).real)
-            available.append(int(round(rank / a_i)))
-        return required, available
-
     if xi is None:
-        if inter.shape[0] == 0 or h < n:
-            required, available = _multiplicities()
-            raise NoUnitVector("intertwiner space admits no isometry",
-                               required=required, available=available)
-        for attempt in range(MAX_VECTOR_RETRIES):
-            rng = np.random.default_rng([seed, attempt, 53])
-            t = np.tensordot(nk.random_complex(inter.shape[0], rng), inter,
-                             axes=(0, 0))
-            try:
-                xi = nk.polar_isometry(t, tol)
-                break
-            except SingularInput:
-                continue
-        else:
-            required, available = _multiplicities()
-            raise NoUnitVector(
-                f"no isometry found after {MAX_VECTOR_RETRIES} draws",
-                required=required, available=available)
+        xi = _frame_isometry(b, w, tol)
     xi = nk.as_matrix(xi, "xi")
     nk.require(nk.unitarity_residual(xi), tol.bound(np.sqrt(n)), NotUnitVector,
                "xi is not an isometry, residual {:.3e}")
@@ -613,7 +576,7 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     nk.require(nk.worst_norm(rho_b @ xi - xi @ b.basis), tol.bound(1.0), NotUnitVector,
                "xi does not intertwine, residual {:.3e}")
 
-    rep = representation_from_right_dilation(p, w, tol, seed=seed)
+    rep = representation_from_right_dilation(p, w, tol)
     eye = np.eye(n, dtype=complex)
     upsilon = [rep.eta_of(t, eye) @ xi for t in range(p.horizon + 1)]
     proj = xi @ xi.conj().T
@@ -622,7 +585,8 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
         if t == 0:
             bases.append(xi)
             continue
-        q = _range_basis(w.theta_w(t, proj), tol, f"theta_w({t}) of xi xi*")
+        q = nk.range_basis(w.theta_w(t, proj), tol, ProductSystemLawError,
+                           f"theta_w({t}) of xi xi*")
         if q.shape[1] != n:
             raise ProductSystemLawError(
                 f"member {t} carrier has dimension {q.shape[1]}, expected {n}")

@@ -348,7 +348,13 @@ def _case_masa_negative(rng, tol, case_index, salt):
     d2 = alg.from_generators(2, [np.diag([1.0 + 0j, 0.0]),
                                  np.diag([0.0, 1.0 + 0j])])
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    scene = {"ambient_dim": 2, "construction": "diagonal masa, swap vs identity"}
+    # the masa is its own commutant; theta swaps its minimal projections
+    scene = _algebra_scene(AlgebraSample(((1, 1), (1, 1)), np.eye(2), d2), {
+        "unitaries": {"flip": scenes.encode_matrix(flip),
+                      "identity": scenes.encode_matrix(np.eye(2))},
+        "endomorphisms": {"theta": {"domain": "a", "unitary": "flip", "direction": "adjoint"},
+                          "theta_prime": {"domain": "a_commutant", "unitary": "identity",
+                                          "direction": "direct"}}}, commutant=d2)
 
     def measure():
         theta = endo_mod.from_unitary(d2, flip, "adjoint", tol)
@@ -445,7 +451,7 @@ def _case_dilation_commutant(rng, tol, case_index, salt):
         theta = endo_mod.from_unitary(b, u, "adjoint", tol)
         p = ps.from_endomorphism(theta, 4, tol)
         w = ps.right_dilation_from_unitary(p, u, tol=tol)
-        out = ps.commutant_via_dilation(p, w, seed=salt, tol=tol)
+        out = ps.commutant_via_dilation(p, w, tol=tol)
         ref = ps.commutant_system(p, tol)
         worst = 0.0
         for t, nu_t in enumerate(out.nu):

@@ -182,3 +182,51 @@ def test_equal_shape_summands_keep_their_order_under_a_basis_rotation(blocks, se
     for i in range(len(place) - 1):
         if sa.blocks[i] == sa.blocks[i + 1]:
             assert place[i] < place[i + 1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tied_summands_keep_their_order_under_a_basis_rotation(seed):
+    """diag(1,0,0,1) and diag(0,1,1,0) both score 3 under tr(p diag(0..3));
+    their diagonals, compared entry by entry, still order them the same way
+    whatever basis of the algebra the decomposition starts from."""
+    a = alg.from_generators(4, [np.diag([1.0, 0.0, 0.0, 1.0]).astype(complex)])
+    u = nk.random_unitary(2, seed)
+    rotated = alg.VnAlgebra(4, (u @ a.flat).reshape(2, 4, 4))
+    for b in (a, rotated):
+        sig = alg.block_decompose(b)
+        assert sig.blocks == ((1, 2), (1, 2))
+        assert np.abs(sig.central_projections - np.array(
+            [np.diag([0.0, 1, 1, 0]), np.diag([1.0, 0, 0, 1])])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("blocks", [[(2, 2), (1, 4)], [(1, 1)] * 8,
+                                    [(2, 2), (2, 2), (3, 2), (1, 2)],
+                                    [(3, 4), (3, 4)], [(4, 6), (6, 4)]], ids=str)
+def test_block_frame_exhibits_the_block_model(blocks):
+    """W, the columns of the frame's isometries in order, is unitary,
+    W* A W is the block model of the signature, and every T_k T_l* lies in
+    the algebra."""
+    n = sum(a * m for a, m in blocks)
+    a = alg.random_algebra(n, blocks, seed=n + 1)
+    sig = alg.block_decompose(a)
+    assert sorted(sig.blocks, reverse=True) == list(sig.blocks)
+    assert sorted(sig.blocks) == sorted(blocks)
+    assert [t.shape for t in sig.units] == [(ai, n, mi) for ai, mi in sig.blocks]
+    w = np.concatenate([t.transpose(1, 0, 2).reshape(n, -1) for t in sig.units], axis=1)
+    assert np.linalg.norm(w.conj().T @ w - np.eye(n)) <= 1e-12
+    # the block model: e_kl (x) 1_m / sqrt(m) in the slot of each summand
+    model, offset = [], 0
+    for ai, mi in sig.blocks:
+        for k in range(ai):
+            for l in range(ai):
+                x = np.zeros((n, n), dtype=complex)
+                x[offset + k * mi + np.arange(mi), offset + l * mi + np.arange(mi)] = mi ** -0.5
+                model.append(x.reshape(-1))
+        offset += ai * mi
+    assert len(model) == a.dim
+    assert nk.span_residual(w.conj().T @ a.basis @ w, np.array(model)) <= 1e-10
+    units = np.concatenate([(t[:, None] @ t.conj().transpose(0, 2, 1)[None]).reshape(-1, n, n)
+                            for t in sig.units])
+    assert nk.span_residual(units, a.flat) <= 1e-10
+    for t, p in zip(sig.units, sig.central_projections):
+        assert np.linalg.norm(np.einsum("kam,kbm->ab", t, t.conj()) - p) <= 1e-10

@@ -7,7 +7,7 @@ from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
 from vnpair.errors import (AlgebraMismatch, DimensionMismatch,
-                           EmptyTensorProduct, InvalidCorrespondence)
+                           EmptyTensorProduct, InvalidCorrespondence, NonIntegralRank)
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -137,6 +137,23 @@ def test_full_algebra_identity_table():
     assert decision.table_left.counts == ((1,),)
     assert decision.table_left.left_blocks == ((2, 1),)
     assert decision.table_left.right_blocks == ((1, 2),)
+
+
+def test_off_integer_joint_trace_raises():
+    """rho' of the diagonal algebra turned by 1e-2 rad: the joint traces are
+    cos^2 and sin^2 of the angle, off an integer by 1e-4, and the table
+    refuses to round them."""
+    d2 = diag_algebra_2()
+    e = identity_corr(d2)
+    angle = 1e-2
+    v = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    turned = corr.Correspondence(d2, d2, e.left_commutant, e.right_commutant, e.rho,
+                                 v @ e.rho_prime @ v.T, 2, check=False)
+    with pytest.raises(NonIntegralRank) as info:
+        corr.find_isomorphism(turned, e)
+    err = info.value
+    assert abs(err.trace - err.rank) == pytest.approx(np.sin(angle) ** 2)
+    assert err.bound == 1e-6
 
 
 def test_find_isomorphism_rejects_different_algebras():
@@ -310,9 +327,9 @@ def test_tolerance_reaches_every_element_space(monkeypatch):
     seen = []
     kernel = nk.intertwiners
 
-    def spy(groups, shape, tol=nk.DEFAULT_TOL, laws=None):
+    def spy(lefts, rights, shape, tol=nk.DEFAULT_TOL, laws=None):
         seen.append(tol)
-        return kernel(groups, shape, tol, laws)
+        return kernel(lefts, rights, shape, tol, laws)
 
     monkeypatch.setattr(nk, "intertwiners", spy)
     e = corr.of_endomorphism(theta, tol=tol)

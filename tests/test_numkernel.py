@@ -309,7 +309,7 @@ SIGNATURES = [
 def test_intertwiners_commutant_matches_the_dense_oracle(blocks):
     n = sum(a * m for a, m in blocks)
     b = alg.random_algebra(n, blocks, seed=n)
-    fast = nk.intertwiners([(b.basis, b.basis)], (n, n))
+    fast = nk.intertwiners(b.basis, b.basis, (n, n))
     assert orc.span_distance(fast, orc.commutant_space(b.generators, n)) <= 1e-10
     assert fast.shape[0] == sum(m * m for _, m in blocks)
     flat = fast.reshape(fast.shape[0], -1)
@@ -332,9 +332,10 @@ def test_intertwiners_element_space_is_rectangular(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_intertwiners_two_groups_give_the_isomorphism_space(seed):
-    """The kernel of find_isomorphism: both actions of a correspondence
-    against those of a unitarily scrambled copy, as two groups."""
+def test_find_isomorphism_unitary_lies_in_the_dense_intertwiner_space(seed):
+    """Both actions of a correspondence against those of a unitarily
+    scrambled copy: the unitary read off the block frames is unitary and
+    lies in the joint intertwiner space of the dense route."""
     rng = np.random.default_rng([seed, 67])
     sa = selftest.sample_algebra(rng, 5, max_dim=8)
     sb = selftest.sample_algebra(rng, 5, max_dim=8)
@@ -343,13 +344,11 @@ def test_intertwiners_two_groups_give_the_isomorphism_space(seed):
     f = corr.Correspondence(e.left, e.right, e.left_commutant, e.right_commutant,
                             v @ e.rho @ v.conj().T, v @ e.rho_prime @ v.conj().T,
                             e.carrier_dim)
-    groups = [(f.rho, e.rho), (f.rho_prime, e.rho_prime)]
-    shape = (f.carrier_dim, e.carrier_dim)
-    fast = nk.intertwiners(groups, shape)
-    dense = nk.commuting_null_space([p for l, r in groups for p in zip(l, r)], shape)
-    assert fast.shape[0] >= 1
-    assert orc.span_distance(fast, dense) <= 1e-10
-    assert corr.find_isomorphism(e, f).isomorphic
+    u = corr.find_isomorphism(e, f).unitary
+    assert nk.unitarity_residual(u) <= 1e-10
+    pairs = list(zip(f.rho, e.rho)) + list(zip(f.rho_prime, e.rho_prime))
+    dense = nk.commuting_null_space(pairs, (f.carrier_dim, e.carrier_dim))
+    assert nk.span_residual(u, dense.reshape(len(dense), -1)) <= 1e-10
 
 
 def test_intertwiners_commutant_at_n48_is_the_block_model():
@@ -406,16 +405,16 @@ def test_intertwiners_rank_bound_never_reaches_one_half():
     z = np.diag([1.0, -1.0]).astype(complex)
     basis = np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2)
     with pytest.raises(NonIntegralRank):
-        nk.intertwiners([(basis, basis)], (2, 2), nk.Tolerance(0.9))
+        nk.intertwiners(basis, basis, (2, 2), nk.Tolerance(0.9))
 
 
 def test_intertwiners_shape_checks():
     with pytest.raises(DimensionMismatch):
-        nk.intertwiners([(np.eye(2)[None], np.eye(3)[None])], (2, 2))
+        nk.intertwiners(np.eye(2)[None], np.eye(3)[None], (2, 2))
     with pytest.raises(DimensionMismatch):
-        nk.intertwiners([], (2, 2))
+        nk.intertwiners(np.eye(2), np.eye(2), (2, 2))
     with pytest.raises(DimensionMismatch):
-        nk.intertwiners([(np.full((1, 2, 2), np.nan), np.eye(2)[None])], (2, 2))
+        nk.intertwiners(np.full((1, 2, 2), np.nan), np.eye(2)[None], (2, 2))
 
 
 def test_the_package_solves_no_dense_kernel_problem():

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import oracles as orc
 from vnpair import algebra as alg
+from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import pairing as pr
@@ -332,3 +335,12 @@ def test_can_pair_rejects_a_nan_map():
     theta = endo.Endomorphism(d2, images)
     with pytest.raises(ImageOutsideAlgebra):
         pr.can_pair(theta, endo.identity(alg.commutant(d2)))
+
+
+@pytest.mark.parametrize("fn", [alg.block_decompose, corr.find_isomorphism, pr.can_pair,
+                                pr.cocycle_link, ps.commutant_via_dilation,
+                                ps.representation_from_right_dilation],
+                         ids=lambda fn: fn.__name__)
+def test_structure_answers_take_no_seed(fn):
+    """Block frames make these answers deterministic: no seed to pass."""
+    assert "seed" not in inspect.signature(fn).parameters

@@ -261,11 +261,13 @@ def test_bhat_compression_is_one_dimensional():
 
 
 def test_range_basis_requires_a_projection():
-    """The 0.5 cutoff keeps an eigenvalue 0.7; p q = q then fails."""
+    """The 0.5 cutoff keeps an eigenvalue 0.7; p q = q then fails, with the
+    error class the caller names."""
     p = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    assert ps._range_basis(p, nk.DEFAULT_TOL, "p").shape == (3, 1)
+    assert nk.range_basis(p, nk.DEFAULT_TOL, ProductSystemLawError, "p").shape == (3, 1)
     with pytest.raises(ProductSystemLawError, match="q is not a projection"):
-        ps._range_basis(np.diag([1.0, 0.7, 0.2]).astype(complex), nk.DEFAULT_TOL, "q")
+        nk.range_basis(np.diag([1.0, 0.7, 0.2]).astype(complex), nk.DEFAULT_TOL,
+                       ProductSystemLawError, "q")
 
 
 def test_bhat_requires_full_algebra():
@@ -668,6 +670,6 @@ def test_shared_quotients_equal_tensor_products_built_alone(monkeypatch, n, bloc
     _same(w.residuals, _oracle_dilation(w))
     # the one shared member element space is the one each member computes
     for member in p.members:
-        own = nk.intertwiners([(member.rho_prime, member.right_commutant.basis)],
+        own = nk.intertwiners(member.rho_prime, member.right_commutant.basis,
                               (n, n), member.tol)
         assert np.array_equal(member.element_space, own)

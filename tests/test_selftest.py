@@ -177,8 +177,9 @@ def test_random_correspondence_has_prescribed_carrier():
     e.validate()
 
 
-ALGEBRA_PROPERTIES = ["algebra-bicommutant", "pairing-round-trip", "pairing-power-family",
-                      "dilation-commutant", "cocycle-link", "restriction-symmetry"]
+ALGEBRA_PROPERTIES = ["algebra-bicommutant", "pairing-round-trip", "masa-unpairable",
+                      "pairing-power-family", "dilation-commutant", "cocycle-link",
+                      "restriction-symmetry"]
 
 
 def _instance(name, case=0, seed=0):
@@ -209,6 +210,14 @@ def test_pairing_instance_replays_through_the_cli(tmp_path):
     code, report = _replay_cli("pair", _instance("pairing-round-trip"), tmp_path)
     assert code == 0
     assert report["payload"]["outcome"] == "Paired"
+
+
+def test_masa_instance_replays_as_not_paired(tmp_path):
+    code, report = _replay_cli("pair", _instance("masa-unpairable"), tmp_path)
+    assert code == 0
+    assert report["payload"]["outcome"] == "NotPaired"
+    assert report["payload"]["table_left"]["counts"] != \
+        report["payload"]["table_right"]["counts"]
 
 
 def test_bicommutant_instance_recovers_its_blocks(tmp_path):
