@@ -168,13 +168,18 @@ def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
 
 def equals(a: VnAlgebra, b: VnAlgebra,
            tol: nk.Tolerance = nk.DEFAULT_TOL) -> nk.MatchReport:
-    """Span equality via the Frobenius distance of the two span projections."""
+    """Span equality via the Frobenius distance of the two span projections,
+    |P_A - P_B|^2 = sum_k |(1 - P_B) a_k|^2 + sum_l |(1 - P_A) b_l|^2 over the
+    orthonormal rows a_k, b_l: exact, with no (n^2)^2 matrix and no cancellation."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    pa = a.flat.conj().T @ a.flat
-    pb = b.flat.conj().T @ b.flat
-    return nk.approx_equal(pa, pb, tol)
+    if a is b:
+        return nk.MatchReport(True, 0.0)
+    residual = float(np.hypot(
+        np.linalg.norm(a.flat - (a.flat @ b.flat.conj().T) @ b.flat),
+        np.linalg.norm(b.flat - (b.flat @ a.flat.conj().T) @ a.flat)))
+    return nk.MatchReport(residual <= tol.bound(a.dim ** 0.5, b.dim ** 0.5), residual)
 
 
 def center(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:

@@ -74,7 +74,8 @@ def _cmd_endo_validate(scene, opts):
     theta = scene.endomorphism("theta")  # validated when the scene was built
     return {"basis_images": _enc_many(theta.basis_images),
             "faithful": endo_mod.is_faithful(theta, opts.tol),
-            "automorphism": endo_mod.is_automorphism(theta, opts.tol)}, {}
+            "automorphism": endo_mod.is_automorphism(theta, opts.tol)}, \
+        theta.law_residuals
 
 
 def _corr_payload(e) -> dict:

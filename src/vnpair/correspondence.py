@@ -232,7 +232,7 @@ class TensorProduct:
 
     def __init__(self, e: Correspondence, f: Correspondence,
                  tol: nk.Tolerance = nk.DEFAULT_TOL, quotient=None):
-        if e.right is not f.left and not alg.equals(e.right, f.left, tol):
+        if not alg.equals(e.right, f.left, tol):
             raise AlgebraMismatch("right algebra of e and left algebra of f differ")
         self.e = e
         self.f = f

@@ -1,12 +1,13 @@
 """Unital normal *-endomorphisms of a stored matrix *-algebra.
 
 A map is kept as the images of the orthonormal algebra basis together with
-the induced matrix on coefficient space. Construction validates the four
-laws (unitality, multiplicativity, adjoints, image containment) on basis
-elements, which pins the map down by linearity.
+the induced matrix on coefficient space; its law residuals on basis
+elements, which pin the map down by linearity, are computed once per map.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -20,8 +21,8 @@ from .errors import (AlgebraNotInvariant, DimensionMismatch, DomainMismatch,
 class Endomorphism:
     """Linear map on an algebra, stored through basis images.
 
-    Instances are produced by the factories below, which run the law checks;
-    the constructor itself only wires the data.
+    The factories below run the law checks; the constructor only wires the
+    data. Instances are immutable, so law residuals are stored on first use.
     """
 
     def __init__(self, domain: VnAlgebra, basis_images: np.ndarray):
@@ -39,6 +40,27 @@ class Endomorphism:
         """Apply to an ambient matrix lying in the domain span."""
         return np.tensordot(self.domain.coefficients(x), self.basis_images, axes=(0, 0))
 
+    @functools.cached_property
+    def law_residuals(self) -> dict:
+        """Worst span, unital, multiplicative and star residuals (Frobenius
+        norms) on basis elements and basis pairs; no tolerance."""
+        return {"span": nk.span_residual(self.basis_images, self.domain.flat),
+                **hom_residuals(self.domain, self.basis_images)}
+
+    def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
+        """Raise on the first law residual over its hybrid bound, in the order
+        span, unital, multiplicative, star; return the residuals."""
+        res = self.law_residuals
+        nk.require(res["span"], tol.bound(1.0), ImageOutsideAlgebra,
+                   "image leaves the algebra span, residual {:.3e}")
+        nk.require(res["unital"], tol.bound(np.sqrt(self.domain.ambient_dim)), NotUnital,
+                   "identity maps with residual {:.3e}")
+        nk.require(res["multiplicative"], tol.bound(1.0), NotMultiplicative,
+                   "worst product residual {:.3e} on basis pairs")
+        nk.require(res["star"], tol.bound(1.0), NotStar,
+                   "worst adjoint residual {:.3e} on basis elements")
+        return dict(res)
+
     def __repr__(self) -> str:
         return f"Endomorphism(ambient_dim={self.domain.ambient_dim}, dim={self.domain.dim})"
 
@@ -53,13 +75,13 @@ def hom_residuals(domain: VnAlgebra, images) -> dict:
 
     The map sends the i-th basis element of the domain to images[i], a
     square matrix on any space: the algebra itself for an endomorphism, a
-    carrier for a representation. ``make`` and ``Correspondence.validate``
-    both check their maps with it.
+    carrier for a representation. ``Endomorphism.law_residuals`` and
+    ``Correspondence.validate`` both check their maps with it.
     """
     images = np.asarray(images, dtype=complex)
     d, h = images.shape[0], images.shape[1]
     flat = images.reshape(d, -1)
-    unit = domain.coefficients(np.eye(domain.ambient_dim)) @ flat
+    unit = domain.unit_coefficients @ flat
     # row (a, b): the image of b_a b_b through the coefficients of b_a b_b,
     # against images[a] images[b]
     prods = (domain.basis[:, None] @ domain.basis[None, :]).reshape(d * d, -1)
@@ -74,22 +96,9 @@ def hom_residuals(domain: VnAlgebra, images) -> dict:
 
 
 def make(domain: VnAlgebra, images, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
-    """Validated endomorphism from basis images.
-
-    Checks, on basis elements and basis pairs: images stay in the span, the
-    identity maps to the identity, products map to products, adjoints to
-    adjoints. Residuals are Frobenius norms against the hybrid bound.
-    """
+    """Validated endomorphism from basis images: construct, then ``validate``."""
     theta = Endomorphism(domain, images)
-    nk.require(nk.span_residual(theta.basis_images, domain.flat), tol.bound(1.0),
-               ImageOutsideAlgebra, "image leaves the algebra span, residual {:.3e}")
-    res = hom_residuals(domain, theta.basis_images)
-    nk.require(res["unital"], tol.bound(np.sqrt(domain.ambient_dim)), NotUnital,
-               "identity maps with residual {:.3e}")
-    nk.require(res["multiplicative"], tol.bound(1.0), NotMultiplicative,
-               "worst product residual {:.3e} on basis pairs")
-    nk.require(res["star"], tol.bound(1.0), NotStar,
-               "worst adjoint residual {:.3e} on basis elements")
+    theta.validate(tol)
     return theta
 
 
@@ -136,8 +145,8 @@ def compose(f: Endomorphism, g: Endomorphism,
 def iterates(f: Endomorphism, k: int) -> list[Endomorphism]:
     """The list [id, f, f f, ..., f^k], composed on coefficient matrices.
 
-    No law check runs here: callers validate f once with ``make`` before
-    the first iterate is used, and composites of a valid map are valid.
+    No law check runs here: callers validate f before the first iterate
+    is used, and composites of a valid map are valid.
     """
     if k < 0:
         raise ValueError(f"exponent must be nonnegative, got {k}")
@@ -150,7 +159,7 @@ def iterates(f: Endomorphism, k: int) -> list[Endomorphism]:
 
 def power(f: Endomorphism, k: int, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
     if k > 0:
-        make(f.domain, f.basis_images, tol)
+        f.validate(tol)
     return iterates(f, k)[-1]
 
 

@@ -145,16 +145,6 @@ def span_residual(rows, basis_flat) -> float:
     return float(np.linalg.norm(resid, axis=1).max()) if rows.size else 0.0
 
 
-def approx_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> MatchReport:
-    """Frobenius comparison with the hybrid bound."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"approx_equal: shapes {a.shape} and {b.shape} differ")
-    residual = float(np.linalg.norm(a - b))
-    return MatchReport(residual <= tol.bound(frobenius(a), frobenius(b)), residual)
-
-
 def intertwiners(lefts, rights, shape: tuple[int, int], tol: Tolerance = DEFAULT_TOL,
                  laws=None) -> np.ndarray:
     """Orthonormal basis of {x: l @ x == x @ r for every pair (l, r)}.

@@ -88,9 +88,9 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
 
     u* b u must equal theta(b) on the basis of B, u b' u* must equal
     theta_prime(b') on the basis of B', and the same relations must hold
-    for u^k against the k-th iterates up to the horizon. Both maps pass the
-    endomorphism law check once, at every horizon, before their iterates
-    are compared.
+    for u^k against the k-th iterates up to the horizon. Both maps pass
+    ``Endomorphism.validate`` at every horizon before their iterates are
+    compared; their law residuals are computed once per map.
     """
     b, bp = _commutant_domains(theta, theta_prime, tol)
     n = b.ambient_dim
@@ -101,9 +101,9 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     worst_bp = nk.require(nk.worst_norm(u @ bp.basis @ u.conj().T - theta_prime.basis_images),
                           tol.bound(1.0), RelationBPrime,
                           "u b' u* does not implement the map on B', residual {:.3e}")
-    # the law check runs once per map; its iterates are then valid as composed
-    endo_mod.make(b, theta.basis_images, tol)
-    endo_mod.make(bp, theta_prime.basis_images, tol)
+    # each map is valid, so its iterates are valid as composed
+    theta.validate(tol)
+    theta_prime.validate(tol)
     powers = endo_mod.iterates(theta, max(horizon, 1))
     powers_prime = endo_mod.iterates(theta_prime, max(horizon, 1))
     worst_pow = 0.0
@@ -188,16 +188,13 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
                              tol: nk.Tolerance = nk.DEFAULT_TOL) -> PairingCertificate:
     """Recover the pairing unitary from a bimodule isomorphism.
 
-    The image of the identity element determines the whole map by
-    right-linearity; it must be unitary and pass the pairing checks, and
-    the dilation-level map it induces must equal left multiplication by it.
+    iso is a ``CorrespondenceIso`` or its carrier matrix. The image of the
+    identity determines the map by right-linearity; it must be an n x n
+    unitary, pass the pairing checks, and induce the dilation-level map.
     """
-    b = theta.domain
-    n = b.ambient_dim
-    if isinstance(iso, CorrespondenceIso):
-        u = iso.apply(np.eye(n, dtype=complex))
-    else:
-        u = np.asarray(iso, dtype=complex) @ np.eye(n, dtype=complex)
+    n = theta.domain.ambient_dim
+    u = iso.carrier_unitary if isinstance(iso, CorrespondenceIso) else \
+        np.asarray(iso, dtype=complex)
     res = nk.unitarity_residual(u)
     nk.require(res if u.shape == (n, n) else np.inf, tol.bound(np.sqrt(n)),
                NotUnitaryImage, "image of the identity is not unitary, residual {1:.3e}",
@@ -233,8 +230,7 @@ def can_pair(theta, theta_prime,
         return PairingCertificate(unitary=None,
                                   table_left=decision.table_left,
                                   table_right=decision.table_right)
-    iso = CorrespondenceIso(e, f, decision.unitary)
-    cert = pairing_from_isomorphism(iso, theta, theta_prime, tol)
+    cert = pairing_from_isomorphism(decision.unitary, theta, theta_prime, tol)
     cert.table_left = decision.table_left
     cert.table_right = decision.table_right
     return cert
@@ -271,7 +267,7 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
         raise NotPairedInput("second map does not pair with the given partner")
     b = theta1.domain
     c1 = cert2.unitary.conj().T @ cert1.unitary
-    report = b.contains(c1)
+    report = b.contains(c1, tol)
     if not report:
         raise CocycleResidual(
             f"link is not in the algebra, residual {report.residual:.3e}",

@@ -229,7 +229,7 @@ def from_endomorphism(theta, horizon: int,
         raise DimensionMismatch(f"horizon must be at least 1, got {horizon}")
     b = theta.domain
     bp = alg.commutant(b, tol)
-    endo_mod.make(b, theta.basis_images, tol)
+    theta.validate(tol)
     powers = endo_mod.iterates(theta, horizon)
     members = [corr.of_endomorphism(p, right_commutant=bp, tol=tol) for p in powers]
     # every member has the right commutant bp acting as itself, so they
@@ -355,11 +355,11 @@ def right_dilation_from_unitary(p: DiscreteProductSystem, u, rho_images=None,
     u = nk.as_matrix(u, "u")
     rho_images = p.algebra.basis if rho_images is None else \
         np.asarray(rho_images, dtype=complex)
-    if u.shape[0] != rho_images.shape[1]:
+    h = rho_images.shape[1]
+    if u.shape != (h, h):
         raise DimensionMismatch(
-            f"unitary acts on dimension {u.shape[0]}, representation on "
-            f"{rho_images.shape[1]}")
-    powers = [np.eye(u.shape[0], dtype=complex)]
+            f"unitary has shape {u.shape}, representation acts on dimension {h}")
+    powers = [np.eye(h, dtype=complex)]
     for _ in range(p.horizon):
         powers.append(u @ powers[-1])
 
@@ -470,7 +470,7 @@ def bhat_system(theta, gamma, horizon: int,
                "vector norm {1:.12f} differs from one", norm)
     if not endo_mod.is_automorphism(theta, tol):
         raise NotFaithful("the map is not an automorphism")
-    endo_mod.make(b, theta.basis_images, tol)
+    theta.validate(tol)
     powers = endo_mod.iterates(theta, max(horizon, 0))
     pr = np.outer(gamma, gamma.conj())
     spaces = [nk.range_basis(powers[t](pr), tol, ProductSystemLawError,
@@ -549,12 +549,12 @@ class CommutantViaDilation:
 
 
 def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
-                           xi=None, tol: nk.Tolerance = nk.DEFAULT_TOL) -> CommutantViaDilation:
+                           tol: nk.Tolerance = nk.DEFAULT_TOL) -> CommutantViaDilation:
     """Build the commutant system on the dilation space and compare it.
 
-    Needs an isometry xi from the ambient space into H intertwining the
-    identity representation with the action on H; by default it is read off
-    the block frame of the algebra. The member carriers are the ranges of
+    Reads off the block frame of the algebra an isometry xi from the ambient
+    space into H intertwining the identity representation with the action
+    on H, and checks both properties. The member carriers are the ranges of
     theta_w(t, xi xi*); the comparison maps nu_t(x') = eta_t(1) xi x' are
     verified to be unitary, to intertwine both actions, and to be compatible
     with the products of the operator-commutant system, whose elements
@@ -567,9 +567,7 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     b = p.algebra
     bp = p.commutant_algebra
     n = b.ambient_dim
-    if xi is None:
-        xi = _frame_isometry(b, w, tol)
-    xi = nk.as_matrix(xi, "xi")
+    xi = _frame_isometry(b, w, tol)
     nk.require(nk.unitarity_residual(xi), tol.bound(np.sqrt(n)), NotUnitVector,
                "xi is not an isometry, residual {:.3e}")
     rho_b = w.rho_of(b.basis)

@@ -10,7 +10,9 @@ faster route replaced, kept so that the faster route has a reference.
 - ``identity_right_dilation``: the dilation through which the eq33
   residual of ``vnpair.pairing`` was first defined;
 - ``eq33_spanning_family``: that residual solved on the full d^2 n column
-  family, before its reduction to d n columns.
+  family, before its reduction to d n columns;
+- ``projection_distance``: span equality of two algebras through their dense
+  (n^2)^2 span projections, before ``algebra.equals`` read it off the rows.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from vnpair import algebra as alg
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
 from vnpair.errors import DimensionMismatch
@@ -144,3 +147,14 @@ def span_distance(x, y) -> float:
     if x.shape != y.shape:
         return float("inf")
     return float(np.sqrt(2.0) * np.linalg.norm(x - (x @ y.conj().T) @ y))
+
+
+def projection_distance(a: alg.VnAlgebra, b: alg.VnAlgebra,
+                        tol: nk.Tolerance = nk.DEFAULT_TOL) -> nk.MatchReport:
+    """|P_A - P_B| of the two span projections, formed densely, against the
+    bound eps max(1, |P_A|, |P_B|)."""
+    pa = a.flat.conj().T @ a.flat
+    pb = b.flat.conj().T @ b.flat
+    residual = float(np.linalg.norm(pa - pb))
+    return nk.MatchReport(residual <= tol.bound(nk.frobenius(pa), nk.frobenius(pb)),
+                          residual)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles as orc
 from vnpair import algebra as alg
 from vnpair import numkernel as nk
 from vnpair.errors import DimensionMismatch, InvalidAlgebra
@@ -134,6 +137,65 @@ def test_equals_distinguishes_conjugated_copies():
     a = alg.random_algebra(4, [(2, 1), (1, 2)], seed=1)
     b = alg.random_algebra(4, [(2, 1), (1, 2)], seed=2)
     assert not alg.equals(a, b).ok
+
+
+def _rebased(a, seed):
+    """The same span as a, on an orthonormal basis mixed by a real
+    orthogonal matrix, so that the new basis is Hermitian again."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(a.dim, a.dim)))
+    return alg.VnAlgebra(a.ambient_dim, np.tensordot(q, a.basis, axes=(1, 0)))
+
+
+def _turned(a, angle, seed):
+    """u* a u for u = exp(i angle h), h a seeded Hermitian matrix of norm 1."""
+    x = nk.random_complex((a.ambient_dim, a.ambient_dim), np.random.default_rng(seed))
+    lam, vec = np.linalg.eigh((x + x.conj().T) / np.linalg.norm(x + x.conj().T))
+    u = (vec * np.exp(1j * angle * lam)) @ vec.conj().T
+    return alg.VnAlgebra(a.ambient_dim, u.conj().T @ a.basis @ u)
+
+
+def _equals_pairs():
+    pairs = []
+    for n, blocks in [(4, [(1, 2), (2, 1)]), (8, [(2, 2), (1, 4)]),
+                      (16, [(2, 4), (4, 2)])]:
+        a = alg.random_algebra(n, blocks, seed=n)
+        pairs += [pytest.param(a, a, id=f"n{n}-same-object"),
+                  pytest.param(a, _rebased(a, n + 1), id=f"n{n}-other-basis"),
+                  pytest.param(a, alg.commutant(a), id=f"n{n}-commutant"),
+                  pytest.param(alg.center(a), a, id=f"n{n}-center"),
+                  pytest.param(a, _turned(a, 1e-7, n + 2), id=f"n{n}-turned-1e-7"),
+                  pytest.param(_turned(a, 1e-3, n + 3), a, id=f"n{n}-turned-1e-3")]
+    return pairs
+
+
+@pytest.mark.parametrize("a,b", _equals_pairs())
+def test_equals_matches_the_dense_projection_distance(a, b):
+    """Same residual as the dense (n^2)^2 projection difference to 1e-12,
+    same verdict at every tolerance: equal spans in other bases, unequal
+    dimensions, turned spans and the same object."""
+    assert alg.equals(a, b).residual == pytest.approx(
+        orc.projection_distance(a, b).residual, abs=1e-12)
+    for eps in (1e-9, 1e-6, 0.5):
+        tol = nk.Tolerance(eps)
+        assert alg.equals(a, b, tol).ok == orc.projection_distance(a, b, tol).ok
+    if a is b:
+        assert alg.equals(a, b).residual == 0.0
+
+
+def test_equals_forms_no_span_projection():
+    """At n = 32 a span projection is one (n^2)^2 complex array (16 MB);
+    equals works on dim x n^2 rows and stays far below that."""
+    n = 32
+    a = alg.random_algebra(n, [(2, 8), (4, 4)], seed=1)
+    b = alg.random_algebra(n, [(2, 8), (4, 4)], seed=2)
+    tracemalloc.start()
+    try:
+        rep = alg.equals(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not rep.ok
+    assert peak < (n * n) ** 2 * 16
 
 
 def test_block_basis_generates_expected_dimensions():

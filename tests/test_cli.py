@@ -182,6 +182,12 @@ def test_endo_validate(scene_dir):
     report, _ = run_json(["endo-validate", "--input", path(scene_dir, "d2")])
     assert report["payload"]["faithful"] is True
     assert report["payload"]["automorphism"] is True
+    # the residuals the scene's construction checked, within their bounds
+    tol, diag = nk.DEFAULT_TOL, report["diagnostics"]
+    bounds = {"span": tol.bound(1.0), "unital": tol.bound(np.sqrt(2)),
+              "multiplicative": tol.bound(1.0), "star": tol.bound(1.0)}
+    assert set(bounds) <= set(diag)
+    assert all(np.isfinite(diag[k]) and diag[k] <= bound for k, bound in bounds.items())
 
 
 def test_corr_of_endo(scene_dir):

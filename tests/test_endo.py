@@ -84,6 +84,25 @@ def test_power_rejects_an_invalid_map_at_positive_exponents():
     assert np.allclose(endo.power(outside, 0).basis_images, d2.basis)
 
 
+def test_validate_compares_the_stored_residuals_with_each_tolerance(monkeypatch):
+    """Residuals are computed once, at make; a later, tighter tolerance
+    still sees them over its bound."""
+    calls = []
+    real = endo.hom_residuals
+
+    def counted(domain, images):
+        calls.append(domain)
+        return real(domain, images)
+    monkeypatch.setattr(endo, "hom_residuals", counted)
+    d2 = diag_algebra_2()
+    theta = endo.make(d2, d2.basis * (1.0 + 1e-9), nk.Tolerance(1e-6))
+    assert 1e-12 < theta.law_residuals["unital"] < 1e-6
+    with pytest.raises(NotUnital):
+        theta.validate(nk.Tolerance(1e-12))
+    assert theta.validate(nk.Tolerance(1e-6)) == theta.law_residuals
+    assert len(calls) == 1
+
+
 def test_from_unitary_rejects_nonunitary():
     d2 = diag_algebra_2()
     with pytest.raises(NotUnitary):

@@ -29,14 +29,6 @@ def test_frobenius_and_inner():
     assert np.vdot(e01, e01.T) == pytest.approx(0.0)
 
 
-def test_approx_equal_reports_residual():
-    a = np.eye(2, dtype=complex)
-    rep = nk.approx_equal(a, a + 1e-12)
-    assert rep.ok and rep.residual < 1e-11
-    rep = nk.approx_equal(a, 2 * a)
-    assert not rep.ok
-
-
 def test_mul_constraint_frozen():
     # x -> L x - x R for L = e01, R = diag(1, 2); worked out entrywise
     left = np.array([[0, 1], [0, 0]], dtype=complex)

@@ -131,6 +131,8 @@ def test_pairing_from_isomorphism_rejects_wrong_unitary():
         pr.pairing_from_isomorphism(wrong, theta, theta_prime)
     with pytest.raises(NotUnitaryImage):
         pr.pairing_from_isomorphism(np.diag([1.0, 2.0]), theta, theta_prime)
+    with pytest.raises(NotUnitaryImage):
+        pr.pairing_from_isomorphism(np.eye(3), theta, theta_prime)
 
 
 def test_check_pairing_rejects_nonunitary():
@@ -204,6 +206,55 @@ def test_cocycle_link_conjugates_iterates(two_block):
             lhs = family[s + t - 1]
             rhs = family[s - 1] @ endo.power(theta1, s)(family[t - 1])
             assert np.linalg.norm(lhs - rhs) < 1e-8
+
+
+def _count_law_checks(monkeypatch) -> list:
+    calls = []
+    real = endo.hom_residuals
+
+    def counted(domain, images):
+        calls.append(domain)
+        return real(domain, images)
+    monkeypatch.setattr(endo, "hom_residuals", counted)
+    return calls
+
+
+def _unchecked(b, seed):
+    """Ad u* for a unitary u in b, built without computing its law residuals."""
+    return endo.Endomorphism(b, endo.from_unitary(b, unitary_in(b, seed)).basis_images)
+
+
+def test_pairing_computes_the_laws_of_each_map_once(two_block, monkeypatch):
+    b, bp = two_block
+    theta, theta_prime = _unchecked(b, 31), endo.identity(bp)
+    calls = _count_law_checks(monkeypatch)
+    cert = pr.can_pair(theta, theta_prime)
+    assert cert.paired
+    assert pr.check_pairing(cert.unitary, theta, theta_prime).paired
+    assert len(calls) == 2
+
+
+def test_cocycle_link_computes_the_laws_of_each_map_once(two_block, monkeypatch):
+    b, bp = two_block
+    theta1, theta2, theta_prime = _unchecked(b, 31), _unchecked(b, 37), endo.identity(bp)
+    calls = _count_law_checks(monkeypatch)
+    pr.cocycle_link(theta1, theta2, theta_prime, horizon=2)
+    assert len(calls) == 3
+
+
+def test_cocycle_link_checks_membership_at_the_given_tolerance(two_block, monkeypatch):
+    b, bp = two_block
+    seen = []
+    real = alg.VnAlgebra.contains
+
+    def spy(self, x, tol=nk.DEFAULT_TOL):
+        seen.append(tol)
+        return real(self, x, tol)
+    monkeypatch.setattr(alg.VnAlgebra, "contains", spy)
+    tol = nk.Tolerance(1e-8)
+    pr.cocycle_link(_unchecked(b, 31), _unchecked(b, 37), endo.identity(bp),
+                    horizon=2, tol=tol)
+    assert seen and all(t == tol for t in seen)
 
 
 def test_cocycle_link_rejects_unpaired_input():

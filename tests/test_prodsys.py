@@ -141,6 +141,8 @@ def test_right_dilation_from_unitary(inner_system):
     w = ps.right_dilation_from_unitary(p, v)
     worst = w.validate()
     assert all(val < 1e-10 for val in worst.values())
+    with pytest.raises(DimensionMismatch):
+        ps.right_dilation_from_unitary(p, v[:, :-1])
 
 
 def test_representation_laws(inner_system):
