@@ -1,12 +1,12 @@
 """Finite-dimensional *-algebras of matrices acting on C^n.
 
 An algebra is stored as an orthonormal basis of its span under the
-Hilbert-Schmidt inner product. Commutants are ranges of the trace-averaging
-projection x -> sum_i b_i x b_i* S^-1 (S = sum_i b_i b_i*) over that basis,
-so no eigenproblem on n^2 unknowns is solved; the block structure (sizes
-and multiplicities of the simple summands, and a matrix-unit frame for
-them) is read off the spectral decompositions of generic elements of the
-center and of the algebra.
+Hilbert-Schmidt inner product. Its structure is one matrix-unit frame W with
+W* A W = (+)_i M_{a_i} (x) 1_{m_i} (``block_decompose``), built once per
+algebra and tolerance from the center, which is the range of the
+trace-averaging projection restricted to the algebra. The commutant and
+every intertwiner space between representations of the algebra are read off
+that frame (``intertwiners``), so no eigenproblem on n^2 unknowns is solved.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import (DegenerateCenterElement, DimensionMismatch, InvalidAlgebra,
-                     NonConvergence)
+                     NonConvergence, NotIntertwining, SingularInput)
 
 class VnAlgebra:
     """Unital *-subalgebra of the n x n complex matrices.
@@ -27,8 +27,8 @@ class VnAlgebra:
     serves only the law check of ``commutant``: commutation with the
     generators and their adjoints already pins down the commutant, and there
     are usually far fewer generators than basis elements. Instances are
-    immutable after construction, so ``commutant`` stores its result on the
-    instance, one per tolerance.
+    immutable after construction, so ``commutant`` and ``block_decompose``
+    store their results on the instance, one per tolerance.
     """
 
     def __init__(self, ambient_dim: int, basis, generators=None,
@@ -46,6 +46,7 @@ class VnAlgebra:
             self.generators = np.asarray(generators, dtype=complex).reshape(
                 -1, self.ambient_dim, self.ambient_dim)
         self._commutants: dict[nk.Tolerance, VnAlgebra] = {}
+        self._frames: dict[nk.Tolerance, BlockSignature] = {}
         self._check_light(tol)
 
     @property
@@ -147,22 +148,30 @@ def trivial_algebra(n: int) -> VnAlgebra:
 def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
     """Relative commutant of the algebra inside the ambient matrices.
 
-    The range of the averaging projection over the algebra's basis (see
-    ``numkernel.intertwiners``): its dimension is a rounded trace, its
-    Hermitian basis the orthonormalized image of seeded Hermitian probes,
-    and the result is checked to commute with the generators and their
-    adjoints. Computed once per algebra and tolerance. The result's own
-    store starts empty, so the commutant of the commutant is always
-    computed afresh.
+    Read off the block frame (``intertwiners`` of the defining
+    representation with itself): the span of 1_{a_i} (x) M_{m_i}, with the
+    basis sum_k T_ik h T_ik* / sqrt(a_i) over the Hermitian basis h of
+    M_{m_i}, made exactly Hermitian. Commutation is checked against the
+    generators only: for Hermitian x the residual of g* x - x g* is that of
+    g x - x g. Computed once per algebra and tolerance. The result takes
+    over the frame of the algebra, transposed; its own commutant store
+    starts empty, so the commutant of the commutant is computed afresh.
     """
     cached = a._commutants.get(tol)
     if cached is None:
         n = a.ambient_dim
-        # the basis is exactly Hermitian, and for Hermitian x the residual
-        # of g* x - x g* is that of g x - x g, so the generators check both
-        basis = nk.intertwiners(a.basis, a.basis, (n, n), tol,
-                                laws=(a.generators, a.generators))
+        parts = intertwiners(a, tol=tol, laws=(a.generators, a.generators))
+        basis = np.concatenate([
+            nk._hermitian_matrices(np.eye(len(x) ** 2), len(x)) @ x.reshape(len(x) ** 2, -1)
+            for x in parts]).reshape(-1, n, n)
+        basis = (basis + basis.conj().transpose(0, 2, 1)) / 2.0
         cached = a._commutants[tol] = VnAlgebra(n, basis, tol=tol)
+        # the summand (a_i, m_i) is (m_i, a_i) there, with the same columns
+        # regrouped, U_il[:, k] = T_ik[:, l]: no frame check to repeat
+        sig = block_decompose(a, tol)
+        cached._frames[tol] = _signature([(m, a_i) for a_i, m in sig.blocks],
+                                         sig.central_projections,
+                                         [t.transpose(2, 1, 0) for t in sig.units], tol)
     return cached
 
 
@@ -185,15 +194,27 @@ def equals(a: VnAlgebra, b: VnAlgebra,
 def center(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
     """Intersection of the algebra with its commutant.
 
-    Principal vectors of the composed span projections with singular value
-    within eps of one span the intersection.
+    The averaging map E(x) = sum_i b_i x b_i* S^-1, S = sum_i b_i b_i*, is
+    the Hilbert-Schmidt projection onto the commutant (the quasi-basis
+    identity of Pimsner-Popa 1986 and Watatani 1990) and maps the algebra
+    onto its center, so the d x d matrix <b_k, E(b_j)> is a projection. Its
+    trace, rounded by ``numkernel.integral_trace`` within
+    min(MAX_RANK_SLACK, tol.bound(sum |diagonal|)), is the dimension of the
+    center; its top eigenvectors are the coefficients of an orthonormal basis.
     """
-    b = commutant(a, tol)
-    overlap = a.flat @ b.flat.conj().T
-    p, svals, _ = np.linalg.svd(overlap)
-    k = int(np.sum(svals >= 1.0 - tol.eps))
-    rows = p[:, :k].conj().T @ a.flat
-    return VnAlgebra(a.ambient_dim, rows.reshape(-1, a.ambient_dim, a.ambient_dim), tol=tol)
+    n = a.ambient_dim
+    adj = a.basis.conj().transpose(0, 2, 1)
+    try:
+        cmaps = adj @ np.linalg.inv((a.basis @ adj).sum(axis=0))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInput("sum of b b* is singular") from exc
+    proj = a.flat.conj() @ nk._average(a.basis, cmaps, a.basis).reshape(a.dim, -1).T
+    diag = np.diagonal(proj)
+    c = nk.integral_trace(complex(diag.sum()), min(
+        nk.MAX_RANK_SLACK, tol.bound(float(np.abs(diag).sum()))), a.dim)
+    _, vec = np.linalg.eigh((proj + proj.conj().T) / 2.0)
+    rows = vec[:, a.dim - c:].T @ a.flat
+    return VnAlgebra(n, rows.reshape(-1, n, n), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -234,8 +255,11 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSi
     and every T_ik T_i1* lies in A. Summands come largest shape first;
     equal shapes in increasing order of tr(p diag(0, ..., n-1)), then of
     the diagonal of p, under the tolerance, which does not depend on the
-    basis of the algebra.
+    basis of the algebra. Built once per algebra and tolerance, stored on it.
     """
+    cached = a._frames.get(tol)
+    if cached is not None:
+        return cached
     n = a.ambient_dim
     z = center(a, tol)
     c = z.dim
@@ -284,11 +308,89 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSi
     nk.require(nk.span_residual(np.concatenate([t @ t[0].conj().T for t in units]), a.flat),
                tol.bound(1.0), DegenerateCenterElement,
                "frame matrix units leave the algebra, residual {:.3e}")
+    sig = a._frames[tol] = _signature(blocks, projections, units, tol)
+    return sig
+
+
+def _signature(blocks, projections, units, tol: nk.Tolerance) -> BlockSignature:
+    """The BlockSignature of the summands, in ``_summand_order``."""
     order = sorted(range(len(blocks)), key=functools.cmp_to_key(
         _summand_order(blocks, projections, tol)))
     return BlockSignature(blocks=tuple(blocks[i] for i in order),
                           central_projections=np.array([projections[i] for i in order]),
                           units=tuple(units[i] for i in order))
+
+
+def intertwiners(a: VnAlgebra, lefts=None, rights=None, tol: nk.Tolerance = nk.DEFAULT_TOL,
+                 laws=None) -> list[np.ndarray]:
+    """The space {x: pi_L(b) x = x pi_R(b) for all b in a}, read off the
+    block frame of a.
+
+    lefts and rights hold the images of the basis of a under unital
+    *-representations pi_L on C^rows and pi_R on C^cols (None, or the basis
+    itself: the defining one). By Schur's lemma the orthonormal elements
+
+        x^i_pq = sum_k pi_L(e^i_k1) R^L_i E_pq (R^R_i)* pi_R(e^i_1k) / sqrt(a_i)
+
+    span it, e^i_k1 = T_ik T_i1* the matrix units of the frame and R_i an
+    orthonormal basis of the range of pi(e^i_11) (``numkernel.range_basis``;
+    T_i1 for the defining representation), whose rank must be the trace
+    rounded by ``numkernel.integral_trace`` within
+    min(MAX_RANK_SLACK, tol.bound(|trace|)). The law l x = x r is checked on
+    every element for every pair of laws (default: the two
+    representations). A failure of either raises NotIntertwining.
+
+    Returns the stacks x^i, shape (r^L_i, r^R_i, rows, cols), per summand.
+    """
+    reps = [None if m is None or m is a.basis else _images(a, m) for m in (lefts, rights)]
+    law_l, law_r = (a.basis if m is None else m for m in reps)
+    rows, cols = law_l.shape[1], law_r.shape[1]
+    sig = block_decompose(a, tol)
+    parts = []
+    for i, (a_i, _) in enumerate(sig.blocks):
+        left = _legs(a, sig, i, reps[0], tol)
+        right = left if reps[1] is reps[0] else _legs(a, sig, i, reps[1], tol)
+        # x[p, q] = sum_k left[k][:, p] right[k][:, q]* / sqrt(a_i), as one product
+        x = left.transpose(2, 1, 0).reshape(-1, a_i) @ \
+            right.conj().transpose(0, 2, 1).reshape(a_i, -1)
+        parts.append((x / np.sqrt(a_i)).reshape(
+            left.shape[2], rows, right.shape[2], cols).transpose(0, 2, 1, 3))
+    if laws is not None:
+        law_l, law_r = laws
+    bound = tol.bound(max(nk.worst_norm(law_l), nk.worst_norm(law_r)))
+    residual = nk.law_residual(law_l, law_r, np.concatenate(
+        [x.reshape(-1, rows, cols) for x in parts]))
+    nk.require(residual, bound, NotIntertwining,
+               "frame-read space breaks its intertwining law, residual {:.3e}",
+               residual=residual, bound=bound)
+    return parts
+
+
+def _images(a: VnAlgebra, images) -> np.ndarray:
+    """Validated basis images of a representation of a, shape (dim, h, h)."""
+    m = np.asarray(images, dtype=complex)
+    if m.ndim != 3 or m.shape[0] != a.dim or m.shape[1] != m.shape[2] or \
+            not np.all(np.isfinite(m)):
+        raise DimensionMismatch(f"representation: expected {a.dim} finite square "
+                                f"basis images, got shape {m.shape}")
+    return m
+
+
+def _legs(a: VnAlgebra, sig: BlockSignature, i: int, images,
+          tol: nk.Tolerance) -> np.ndarray:
+    """pi(e^i_k1) R_i for every k, shape (a_i, h, r_i), from the basis images
+    of pi; the frame isometries T_ik for the defining representation (None)."""
+    if images is None:
+        return sig.units[i]
+    units = sig.matrix_units(i)
+    pi = np.tensordot(units.reshape(len(units), -1) @ a.flat.conj().T, images, axes=(1, 0))
+    what = f"pi(e^{i}_11)"
+    r = nk.range_basis(pi[0], tol, NotIntertwining, what)
+    trace = complex(np.trace(pi[0]))
+    rank = nk.integral_trace(trace, min(nk.MAX_RANK_SLACK, tol.bound(abs(trace))), len(r))
+    nk.require(abs(rank - r.shape[1]), 0, NotIntertwining,
+               "{1} has a range of rank {2}, but trace {3:.6g}", what, r.shape[1], trace.real)
+    return pi @ r
 
 
 def _summand_order(blocks, projections, tol: nk.Tolerance):

@@ -271,6 +271,9 @@ def _emit(report: dict, out_path, stderr_line: str) -> None:
 
 
 def _run_selftest(args, started: float) -> int:
+    for flag, value in (("seed", args.seed), ("cap", args.cap)):
+        if value is not None and value < 0:
+            raise ParseError(f"--{flag} must be non-negative, got {value}")
     tol = scenes.resolve_tolerance(args.tol, None)
     seed = args.seed if args.seed is not None else 0
     results = selftest_mod.run_all(seed=seed, cap=args.cap, tol=tol,

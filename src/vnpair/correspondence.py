@@ -109,11 +109,12 @@ class Correspondence:
 
     @cached_property
     def element_space(self) -> np.ndarray:
-        """Orthonormal basis of {x: rho_prime(b') x = x b' for all b'}, the
-        range of the averaging projection over the basis of the right
-        commutant."""
-        return nk.intertwiners(self.rho_prime, self.right_commutant.basis,
-                               (self.carrier_dim, self.right.ambient_dim), self.tol)
+        """Orthonormal basis of {x: rho_prime(b') x = x b' for all b'}, read
+        off the block frame of the right commutant
+        (``algebra.intertwiners``)."""
+        parts = alg.intertwiners(self.right_commutant, self.rho_prime, None, self.tol)
+        return np.concatenate([x.reshape(-1, self.carrier_dim, self.right.ambient_dim)
+                               for x in parts])
 
     def element_coefficients(self, x) -> np.ndarray:
         """Coefficients of x in the element basis; a stack of elements x
@@ -357,22 +358,16 @@ class IsoDecision:
 
 def _table_against(e: Correspondence, left_sig, right_sig,
                    tol: nk.Tolerance) -> MultiplicityTable:
-    """Joint ranks tr(rho(z_i) rho'(z'_j)), rounded within 1e-6 by
-    ``numkernel.integral_trace``, over the block sizes."""
-    traces = np.einsum("iab,jba->ij", e.rho_of(left_sig.central_projections),
-                       e.rho_prime_of(right_sig.central_projections))
-    counts = []
-    for (a_i, _), row in zip(left_sig.blocks, traces):
-        counts.append([])
-        for (b_j, _), tr in zip(right_sig.blocks, row):
-            rank = nk.integral_trace(complex(tr), 1e-6, e.carrier_dim)
-            if rank % (a_i * b_j) != 0:
-                raise InvalidCorrespondence(
-                    f"joint rank {rank} not divisible by {a_i}*{b_j}")
-            counts[-1].append(rank // (a_i * b_j))
-    return MultiplicityTable(left_blocks=left_sig.blocks,
-                             right_blocks=right_sig.blocks,
-                             counts=tuple(map(tuple, counts)), carrier_dim=e.carrier_dim)
+    """Joint multiplicities tr(rho(e^i_11) rho'(f^j_11)) over the first
+    matrix units of the two block frames, rounded within 1e-6 by
+    ``numkernel.integral_trace``."""
+    traces = np.einsum("iab,jba->ij", *(
+        rep(np.array([t[0] @ t[0].conj().T for t in sig.units]))
+        for rep, sig in ((e.rho_of, left_sig), (e.rho_prime_of, right_sig))))
+    counts = tuple(tuple(nk.integral_trace(complex(tr), 1e-6, e.carrier_dim) for tr in row)
+                   for row in traces)
+    return MultiplicityTable(left_blocks=left_sig.blocks, right_blocks=right_sig.blocks,
+                             counts=counts, carrier_dim=e.carrier_dim)
 
 
 def _joint_frame(e: Correspondence, left_sig, right_sig, counts,

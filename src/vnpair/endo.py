@@ -125,9 +125,11 @@ def from_unitary(domain: VnAlgebra, u, direction: str = "adjoint",
         images = np.einsum("ij,bjk,kl->bil", u, domain.basis, u.conj().T)
     else:
         raise ValueError(f"direction must be 'adjoint' or 'direct', got {direction!r}")
-    nk.require(nk.span_residual(images, domain.flat), tol.bound(1.0), AlgebraNotInvariant,
+    theta = Endomorphism(domain, images)
+    nk.require(theta.law_residuals["span"], tol.bound(1.0), AlgebraNotInvariant,
                "conjugation moves the span, worst basis residual {:.3e}")
-    return make(domain, images, tol)
+    theta.validate(tol)
+    return theta
 
 
 def compose(f: Endomorphism, g: Endomorphism,

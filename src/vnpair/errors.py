@@ -28,8 +28,8 @@ class SingularInput(VnpairError):
 
 
 class NonIntegralRank(VnpairError):
-    """The trace of an averaging projection, its rank, is not an integer
-    within bound; carries the trace, the rounded rank and the bound."""
+    """The trace of a projection, its rank, is not an integer within
+    bound; carries the trace, the rounded rank and the bound."""
 
     trace = rank = bound = None
 

@@ -4,9 +4,9 @@ All higher layers route their linear algebra through the helpers here so
 that rank decisions, orthonormalization, and residual reports share one
 convention: comparison bounds are ``eps`` scaled by ``max(1, operand
 norms)``, and rank cutoffs are relative to the largest singular value,
-except in ``intertwiners``, whose rank is a trace rounded within a stated
-bound. Everything is complex double precision; inputs are validated for
-shape and finiteness and are never mutated.
+except where a rank is the trace of a projection, rounded within a stated
+bound by ``integral_trace``. Everything is complex double precision; inputs
+are validated for shape and finiteness and are never mutated.
 """
 
 from __future__ import annotations
@@ -15,27 +15,18 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import (DimensionMismatch, NonIntegralRank, NotIntertwining,
-                     SingularInput)
+from .errors import DimensionMismatch, NonIntegralRank, SingularInput
 
 DEFAULT_EPS = 1e-9
 
-#: seed of the probes that intertwiners projects, so that every span it
-#: returns is a deterministic function of its input
+#: seed of the generic elements of algebra.block_decompose: frames are deterministic
 PROBE_SEED = 0
 
-#: the rank bound of intertwiners stays clear of the half-way point between
-#: two integers, so that a loose tolerance can never make it round silently
+#: rank bounds of integral_trace stay clear of the half-way point between two
+#: integers, so that a loose tolerance can never make a trace round silently
 MAX_RANK_SLACK = 0.25
 
-#: intertwiners projects k + min(k, OVERSAMPLE) probes for a rank-k range:
-#: in range coordinates they form a k x (k + p) Gaussian draw, whose smallest
-#: singular value stays near sqrt(k + p) - sqrt(k), while that of a square
-#: draw can be arbitrarily small and would multiply the rounding error of
-#: the projection by its inverse
-OVERSAMPLE = 10
-
-#: complex entries one contraction temporary of intertwiners may hold (4 MB)
+#: complex entries one contraction temporary may hold (4 MB)
 _CHUNK = 1 << 18
 
 
@@ -145,101 +136,6 @@ def span_residual(rows, basis_flat) -> float:
     return float(np.linalg.norm(resid, axis=1).max()) if rows.size else 0.0
 
 
-def intertwiners(lefts, rights, shape: tuple[int, int], tol: Tolerance = DEFAULT_TOL,
-                 laws=None) -> np.ndarray:
-    """Orthonormal basis of {x: l @ x == x @ r for every pair (l, r)}.
-
-    lefts and rights hold the images rho_f(b_i) on C^rows and rho_e(b_i)
-    on C^cols of one trace-orthonormal basis b_i of a *-algebra B under two
-    unital *-representations. With S = sum b_i b_i*, central and invertible
-    in B, the averaging map
-
-        E(x) = sum_i rho_f(b_i) x rho_e(b_i)* rho_e(S)^-1
-
-    is the Hilbert-Schmidt orthogonal projection onto the fixed space, by
-    the quasi-basis identity sum x b_i (x) b_i* = sum b_i (x) b_i* x
-    (Pimsner-Popa 1986, Watatani 1990). No (rows*cols)^2 eigenproblem is
-    solved:
-
-    - the rank k is the trace of E, rounded by ``integral_trace`` within
-      min(MAX_RANK_SLACK, tol.bound(g)), g its summed term magnitudes;
-    - the range is spanned by the top k left singular vectors of the image
-      of m = k + min(k, OVERSAMPLE) Gaussian probes drawn from PROBE_SEED.
-      The map is applied in the cheaper of two orders: directly, about
-      d*m*rows*cols*(rows + cols) flops for d basis images, or through the
-      assembled (rows*cols)^2 superoperator, about (d + m)*(rows*cols)^2;
-    - when lefts is rights the fixed space is a *-algebra (a commutant):
-      the probes are Hermitian and the range is orthonormalized in real
-      Hermitian coordinates (diagonal units, (e_ab + e_ba)/sqrt2 and
-      i(e_ab - e_ba)/sqrt2 for a < b), so the basis is Hermitian;
-    - the law l x = x r is checked on every basis element for every pair of
-      laws (default: the input pair); a failure raises NotIntertwining.
-
-    Returns an array of shape (k, rows, cols).
-    """
-    rows, cols = shape
-    hermitian = lefts is rights
-    lefts, rights = _pair_stacks(lefts, rights, rows, cols, "images")
-    # the right factors rho_e(b_i)* rho_e(S)^-1 of the averaging map
-    adj = rights.conj().transpose(0, 2, 1)
-    try:
-        cmaps = adj @ np.linalg.inv((rights @ adj).sum(axis=0))
-    except np.linalg.LinAlgError as exc:
-        raise SingularInput("sum of r r* is singular") from exc
-    # x -> l x c has trace tr(l) tr(c)
-    terms = np.trace(lefts, axis1=1, axis2=2) * np.trace(cmaps, axis1=1, axis2=2)
-    k = integral_trace(complex(terms.sum()), min(
-        MAX_RANK_SLACK, tol.bound(float(np.abs(terms).sum()))), rows * cols)
-    if k == 0:
-        return np.zeros((0, rows, cols), dtype=complex)
-    if k == rows * cols:
-        # the fixed space is everything: the coordinate basis, no probes
-        basis = _hermitian_matrices(np.eye(k), rows) if hermitian else \
-            np.eye(k, dtype=complex)
-    else:
-        rng = np.random.default_rng(PROBE_SEED)
-        m = k + min(k, OVERSAMPLE)
-        if hermitian:
-            images = _hermitian_matrices(rng.standard_normal((m, rows * cols)), rows)
-        else:
-            images = random_complex((m, rows * cols), rng)
-        images = _average(lefts, cmaps, images.reshape(m, rows, cols))
-        flat = images.reshape(m, rows * cols)
-        basis = _hermitian_matrices(_top_range(_hermitian_coordinates(flat, rows), k), rows) \
-            if hermitian else _top_range(flat, k)
-    basis = basis.reshape(k, rows, cols)
-    law_l, law_r = (lefts, rights) if laws is None else \
-        _pair_stacks(*laws, rows, cols, "laws")
-    scale = max(float(np.linalg.norm(law_l, axis=(1, 2)).max(initial=0.0)),
-                float(np.linalg.norm(law_r, axis=(1, 2)).max(initial=0.0)))
-    bound = tol.bound(scale)
-    residual = law_residual(law_l, law_r, basis)
-    require(residual, bound, NotIntertwining,
-            "averaged range breaks its intertwining law, residual {:.3e}",
-            residual=residual, bound=bound)
-    return basis
-
-
-def _top_range(rows, k: int) -> np.ndarray:
-    """Orthonormal rows spanning the top-k singular subspace of the rows:
-    QR of their transpose, then the SVD of the small triangular factor."""
-    q, r = np.linalg.qr(rows.T)
-    u, _, _ = np.linalg.svd(r)
-    return (q @ u[:, :k]).T
-
-
-def _pair_stacks(lefts, rights, rows: int, cols: int, name):
-    """Validated complex stacks (d, rows, rows) and (d, cols, cols)."""
-    l = np.asarray(lefts, dtype=complex)
-    r = np.asarray(rights, dtype=complex)
-    if l.ndim != 3 or l.shape[1:] != (rows, rows) or r.shape != (l.shape[0], cols, cols):
-        raise DimensionMismatch(
-            f"{name}: shapes {l.shape} x {r.shape} do not act on {(rows, cols)}")
-    if not (np.all(np.isfinite(l)) and np.all(np.isfinite(r))):
-        raise DimensionMismatch(f"{name}: entries must be finite")
-    return l, r
-
-
 def integral_trace(trace, bound: float, dim: int) -> int:
     """The integer in [0, dim] that a trace counting dimensions rounds to.
 
@@ -329,19 +225,6 @@ def _hermitian_matrices(t, n: int) -> np.ndarray:
     return out
 
 
-def _hermitian_coordinates(x, n: int) -> np.ndarray:
-    """Real coordinates of the Hermitian parts of flattened matrices x; the
-    inverse of _hermitian_matrices on Hermitian input."""
-    diag, upper, lower = _hermitian_frame(n)
-    half = np.sqrt(0.5)
-    t = np.empty(x.shape)
-    t[:, diag] = x[:, diag].real
-    xu, xl = x[:, upper], x[:, lower]
-    t[:, upper] = half * (xu + xl).real
-    t[:, lower] = half * (xu - xl).imag
-    return t
-
-
 def commuting_null_space(pairs, shape: tuple[int, int],
                          tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of {x: left @ x == x @ right for every pair}.
@@ -351,8 +234,8 @@ def commuting_null_space(pairs, shape: tuple[int, int],
     O((rows*cols)^3). Eigenvalues are squared singular values; the zero
     cutoff combines the usual relative threshold with the eigensolver noise
     floor, which the spectral gaps of the intended inputs (images of
-    orthonormal operator bases) clear by a wide margin. The package solves
-    these problems with intertwiners; this function stays here only because
+    orthonormal operator bases) clear by a wide margin. The package reads
+    these spaces off block frames; this function stays here only because
     the benchmark's tracing wraps it, and the tests use it as the dense
     oracle.
     """

@@ -92,7 +92,14 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     ``Endomorphism.validate`` at every horizon before their iterates are
     compared; their law residuals are computed once per map.
     """
-    b, bp = _commutant_domains(theta, theta_prime, tol)
+    _commutant_domains(theta, theta_prime, tol)
+    return _relations(u, theta, theta_prime, horizon, tol)
+
+
+def _relations(u, theta, theta_prime, horizon: int,
+               tol: nk.Tolerance) -> PairingCertificate:
+    """``check_pairing`` on domains already compared."""
+    b, bp = theta.domain, theta_prime.domain
     n = b.ambient_dim
     u = _check_unitary(u, n, tol)
     worst_b = nk.require(nk.worst_norm(u.conj().T @ b.basis @ u - theta.basis_images),
@@ -199,13 +206,19 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
     nk.require(res if u.shape == (n, n) else np.inf, tol.bound(np.sqrt(n)),
                NotUnitaryImage, "image of the identity is not unitary, residual {1:.3e}",
                res)
+    _commutant_domains(theta, theta_prime, tol)
+    return _pairing_of(u, theta, theta_prime, tol)
+
+
+def _pairing_of(u, theta, theta_prime, tol: nk.Tolerance) -> PairingCertificate:
+    """Pairing relations and dilation-level map of u, domains compared."""
     try:
-        cert = check_pairing(u, theta, theta_prime, tol=tol)
+        cert = _relations(u, theta, theta_prime, 4, tol)
     except (NotUnitary, RelationB, RelationBPrime) as exc:
         raise PairingCheckFailed(
             f"recovered unitary fails the pairing relations: {exc}") from exc
     cert.residuals.update(nk.require_laws(
-        _eq33_residuals(u, theta), tol.bound(np.sqrt(n)), PairingCheckFailed,
+        _eq33_residuals(u, theta), tol.bound(np.sqrt(u.shape[0])), PairingCheckFailed,
         "dilation-level map deviates: {}"))
     return cert
 
@@ -230,7 +243,9 @@ def can_pair(theta, theta_prime,
         return PairingCertificate(unitary=None,
                                   table_left=decision.table_left,
                                   table_right=decision.table_right)
-    cert = pairing_from_isomorphism(decision.unitary, theta, theta_prime, tol)
+    # the domains were compared above, and find_isomorphism checked the
+    # unitary against the bound of pairing_from_isomorphism
+    cert = _pairing_of(decision.unitary, theta, theta_prime, tol)
     cert.table_left = decision.table_left
     cert.table_right = decision.table_right
     return cert

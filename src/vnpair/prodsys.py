@@ -421,7 +421,8 @@ def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilatio
     rep.validate(tol)
     h = w.carrier_dim
     action = w.rho_of(p.algebra.basis)
-    comm = nk.intertwiners(action, action, (h, h), tol)
+    comm = np.concatenate([x.reshape(-1, h, h) for x in
+                           alg.intertwiners(p.algebra, action, action, tol)])
     worst = nk.worst(*(nk.law_residual(w.theta_w(t, comm), comm, images[t])
                        for t in range(p.horizon + 1)))
     nk.require(worst, tol.bound(1.0), ProductSystemLawError,
@@ -515,21 +516,19 @@ def bhat_system(theta, gamma, horizon: int,
     return BhatSystem(spaces, products, dilations)
 
 
-def _frame_isometry(b: alg.VnAlgebra, w: RightDilation, tol: nk.Tolerance) -> np.ndarray:
-    """xi = sum_ik rho_H(e^i_k1) R_i[:, :m_i] T_ik* over the block frame
-    (T_ik, e^i_k1) of b, R_i a basis of the range of rho_H(e^i_11); a rank
-    below m_i raises NoUnitVector with the m_i required and ranks available.
-    """
+def _frame_isometry(b: alg.VnAlgebra, rho_b, tol: nk.Tolerance) -> np.ndarray:
+    """xi = sum_i sqrt(a_i) sum_{p < m_i} x^i_pp = sum_ik rho_H(e^i_k1)
+    R_i[:, :m_i] T_ik* over the intertwiners x^i_pq from b to rho_H (images
+    rho_b), ``algebra.intertwiners``. A rank below m_i raises NoUnitVector
+    with the m_i required and the ranks available."""
     sig = alg.block_decompose(b, tol)
-    units = [w.rho_of(sig.matrix_units(i)) for i in range(len(sig.blocks))]
-    ranges = [nk.range_basis(e[0], tol, ProductSystemLawError, f"rho_H(e^{i}_11)")
-              for i, e in enumerate(units)]
-    required, available = [m for _, m in sig.blocks], [r.shape[1] for r in ranges]
+    parts = alg.intertwiners(b, rho_b, None, tol)
+    required, available = [m for _, m in sig.blocks], [len(x) for x in parts]
     if any(have < need for have, need in zip(available, required)):
         raise NoUnitVector("the action on H has too few copies of a summand",
                            required=required, available=available)
-    return sum((e @ r[:, :m] @ t.conj().transpose(0, 2, 1)).sum(axis=0)
-               for e, r, t, (_, m) in zip(units, ranges, sig.units, sig.blocks))
+    return sum(np.sqrt(a_i) * np.trace(x[:m, :m], axis1=0, axis2=1)
+               for x, (a_i, m) in zip(parts, sig.blocks))
 
 
 class CommutantViaDilation:
@@ -567,10 +566,10 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     b = p.algebra
     bp = p.commutant_algebra
     n = b.ambient_dim
-    xi = _frame_isometry(b, w, tol)
+    rho_b = w.rho_of(b.basis)
+    xi = _frame_isometry(b, rho_b, tol)
     nk.require(nk.unitarity_residual(xi), tol.bound(np.sqrt(n)), NotUnitVector,
                "xi is not an isometry, residual {:.3e}")
-    rho_b = w.rho_of(b.basis)
     nk.require(nk.worst_norm(rho_b @ xi - xi @ b.basis), tol.bound(1.0), NotUnitVector,
                "xi does not intertwine, residual {:.3e}")
 

@@ -5,6 +5,8 @@ import pytest
 
 import oracles as orc
 from vnpair import algebra as alg
+from vnpair import correspondence as corr
+from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair.errors import DimensionMismatch, InvalidAlgebra
 
@@ -101,6 +103,51 @@ def test_commutant_signature_is_transposed():
     assert c.dim == 1 + 1
     sig = alg.block_decompose(c)
     assert sig.blocks == ((1, 2), (1, 1))
+
+
+def test_block_decompose_takes_no_commutant(monkeypatch):
+    """The frame starts from the center, which is read off the algebra
+    itself: block_decompose computes no commutant."""
+    calls = []
+    real = alg.commutant
+    monkeypatch.setattr(alg, "commutant",
+                        lambda a, tol=nk.DEFAULT_TOL: calls.append(a) or real(a, tol))
+    a = alg.random_algebra(8, [(2, 2), (1, 4)], seed=9)
+    assert alg.block_decompose(a).blocks == ((2, 2), (1, 4))
+    assert alg.center(a).dim == 2
+    assert calls == []
+
+
+def test_one_frame_per_algebra_and_tolerance(monkeypatch):
+    """block_decompose, the commutant, the element spaces over an algebra
+    and over its commutant, and find_isomorphism share one frame build (one
+    center computation) per algebra and tolerance: the commutant takes the
+    frame over, transposed, and it is a frame of the commutant."""
+    builds = []
+    real = alg.center
+    monkeypatch.setattr(alg, "center",
+                        lambda a, tol=nk.DEFAULT_TOL: builds.append(a) or real(a, tol))
+    tol = nk.Tolerance(1e-9)
+    b = alg.random_algebra(8, [(2, 2), (1, 4)], seed=9)
+    sig = alg.block_decompose(b, tol)
+    bp = alg.commutant(b, tol)
+    assert alg.block_decompose(b, nk.Tolerance(1e-9)) is sig
+    e = corr.of_endomorphism(endo.identity(b), right_commutant=bp, tol=tol)
+    f = corr.commutant(e)
+    assert e.right_commutant is bp and f.right_commutant is b
+    e.element_space, f.element_space
+    assert corr.find_isomorphism(e, e, tol) and corr.find_isomorphism(f, f, tol)
+    assert builds == [b]
+    sig_p = alg.block_decompose(bp, tol)
+    assert sig_p.blocks == ((4, 1), (2, 2))
+    n = b.ambient_dim
+    w = np.concatenate([t.transpose(1, 0, 2).reshape(n, -1) for t in sig_p.units], axis=1)
+    assert np.linalg.norm(w.conj().T @ w - np.eye(n)) <= 1e-12
+    units = np.concatenate([(t[:, None] @ t.conj().transpose(0, 2, 1)[None]).reshape(-1, n, n)
+                            for t in sig_p.units])
+    assert nk.span_residual(units, bp.flat) <= 1e-10
+    alg.block_decompose(b, nk.Tolerance(1e-7))
+    assert builds == [b, b]
 
 
 def test_center_of_two_block_algebra():

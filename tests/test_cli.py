@@ -343,6 +343,8 @@ def test_validation_failure_exits_one(scene_dir):
     (["prodsys-build", "--input", "{d2}", "--horizon", "0"], "--horizon"),
     (["algebra-commutant", "--input", "{d2}", "--tol", "10"], "tolerance"),
     (["algebra-commutant", "--input", "{d2}", "--tol", "-1"], "tolerance"),
+    (["selftest", "--cap", "-1"], "--cap"),
+    (["selftest", "--seed", "-1"], "--seed"),
 ])
 def test_parse_errors_exit_two(scene_dir, args, fragment):
     args = [a.format(**{n: path(scene_dir, n)

@@ -325,13 +325,13 @@ def test_tolerance_reaches_every_element_space(monkeypatch):
     theta = endo.from_unitary(b, np.eye(4))
     alg.commutant(b, tol)
     seen = []
-    kernel = nk.intertwiners
+    helper = alg.intertwiners
 
-    def spy(lefts, rights, shape, tol=nk.DEFAULT_TOL, laws=None):
+    def spy(a, lefts=None, rights=None, tol=nk.DEFAULT_TOL, laws=None):
         seen.append(tol)
-        return kernel(lefts, rights, shape, tol, laws)
+        return helper(a, lefts, rights, tol, laws)
 
-    monkeypatch.setattr(nk, "intertwiners", spy)
+    monkeypatch.setattr(alg, "intertwiners", spy)
     e = corr.of_endomorphism(theta, tol=tol)
     for get in (lambda: e, lambda: corr.commutant(e),
                 lambda: corr.TensorProduct(e, e, tol).corr):

@@ -117,6 +117,20 @@ def test_from_unitary_rejects_noninvariant_algebra():
         endo.from_unitary(d2, hadamard)
 
 
+def test_from_unitary_computes_the_span_residual_once(monkeypatch):
+    """The invariance check and the law check read one stored residual."""
+    calls = []
+    real = nk.span_residual
+
+    def counted(rows, basis_flat):
+        calls.append(rows)
+        return real(rows, basis_flat)
+    monkeypatch.setattr(nk, "span_residual", counted)
+    theta = endo.from_unitary(diag_algebra_2(), SWAP)
+    assert len(calls) == 1
+    assert theta.law_residuals["span"] <= 1e-12
+
+
 def test_from_unitary_rejects_bad_direction():
     d2 = diag_algebra_2()
     with pytest.raises(ValueError):

@@ -280,7 +280,7 @@ def test_random_unitary_from_a_generator(n):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-# the averaging kernel against the dense oracles
+# intertwiner spaces read off block frames against the dense oracles
 
 SIGNATURES = [
     [(1, 6)],                      # trivial: the commutant is everything
@@ -297,22 +297,37 @@ SIGNATURES = [
 ]
 
 
+def _assert_orthonormal(basis):
+    flat = basis.reshape(basis.shape[0], -1)
+    assert np.linalg.norm(flat @ flat.conj().T - np.eye(len(flat))) < 1e-12
+
+
 @pytest.mark.parametrize("blocks", SIGNATURES, ids=str)
 def test_intertwiners_commutant_matches_the_dense_oracle(blocks):
+    """The commutant and the center read off the frame span the dense
+    oracles' spaces; the commutant basis is orthonormal and exactly
+    Hermitian."""
     n = sum(a * m for a, m in blocks)
     b = alg.random_algebra(n, blocks, seed=n)
-    fast = nk.intertwiners(b.basis, b.basis, (n, n))
-    assert orc.span_distance(fast, orc.commutant_space(b.generators, n)) <= 1e-10
+    fast = alg.commutant(b).basis
+    dense = orc.commutant_space(b.generators, n)
+    assert orc.span_distance(fast, dense) <= 1e-10
     assert fast.shape[0] == sum(m * m for _, m in blocks)
-    flat = fast.reshape(fast.shape[0], -1)
-    assert np.linalg.norm(flat @ flat.conj().T - np.eye(len(flat))) < 1e-12
-    assert np.linalg.norm(fast - fast.conj().transpose(0, 2, 1)) < 1e-12
+    _assert_orthonormal(fast)
+    assert np.array_equal(fast, fast.conj().transpose(0, 2, 1))
+    # the center is the commutant of the algebra and its commutant together
+    z = alg.center(b).basis
+    assert orc.span_distance(z, orc.commutant_space(np.concatenate([b.generators, dense]),
+                                                    n)) <= 1e-10
+    assert z.shape[0] == len(blocks)
+    _assert_orthonormal(z)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_intertwiners_element_space_is_rectangular(seed):
-    """Carrier h and right ambient n differ; the one-group kernel agrees
-    with the dense route on {x: rho'(b') x = x b'}."""
+    """Carrier h and right ambient n differ; the element space read off the
+    frame of the right commutant agrees with the dense route on
+    {x: rho'(b') x = x b'}."""
     rng = np.random.default_rng([seed, 61])
     sa = selftest.sample_algebra(rng, 5, max_dim=8)
     sb = selftest.sample_algebra(rng, 5, max_dim=8)
@@ -321,6 +336,7 @@ def test_intertwiners_element_space_is_rectangular(seed):
     dense = nk.commuting_null_space(list(zip(e.rho_prime, e.right_commutant.basis)), shape)
     assert e.element_space.shape[1:] == shape
     assert orc.span_distance(e.element_space, dense) <= 1e-10
+    _assert_orthonormal(e.element_space)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -345,12 +361,13 @@ def test_find_isomorphism_unitary_lies_in_the_dense_intertwiner_space(seed):
 
 def test_intertwiners_commutant_at_n48_is_the_block_model():
     """n = 48, blocks (4, 6) and (6, 4): the commutant of the rotated model
-    is the rotated 1_a (x) M_m, with no (n^2)^2 problem anywhere."""
+    is the rotated 1_a (x) M_m and its center the rotated central units,
+    with no (n^2)^2 problem anywhere."""
     blocks = [(4, 6), (6, 4)]
     n = 48
     b = alg.random_algebra(n, blocks, seed=48)
     u = nk.random_unitary(n, 48)  # the rotation random_algebra applies
-    model, offset = [], 0
+    model, units, offset = [], [], 0
     for a, m in blocks:
         for l in range(m):
             for l2 in range(m):
@@ -358,30 +375,37 @@ def test_intertwiners_commutant_at_n48_is_the_block_model():
                 for k in range(a):
                     x[offset + k * m + l, offset + k * m + l2] = 1.0 / np.sqrt(a)
                 model.append(u @ x @ u.conj().T)
+        p = np.zeros((n, n), dtype=complex)
+        p[offset:offset + a * m, offset:offset + a * m] = np.eye(a * m)
+        units.append(u @ p @ u.conj().T / np.sqrt(a * m))
         offset += a * m
     c = alg.commutant(b)
     assert c.dim == 36 + 16
     assert orc.span_distance(c.basis, np.array(model)) <= 1e-10
+    _assert_orthonormal(c.basis)
+    assert np.array_equal(c.basis, c.basis.conj().transpose(0, 2, 1))
+    assert orc.span_distance(alg.center(b).basis, np.array(units)) <= 1e-10
 
 
 def test_intertwiners_reject_a_span_not_closed_under_products():
     """span{1, X, Z} on C^2 is *-closed and unital but XZ is outside it:
-    the averaging trace is 4/3, and no span is returned."""
+    the trace of the averaging map restricted to the span is 5/3, so no
+    center, frame or commutant is returned."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
     b = alg.VnAlgebra(2, np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2))
     with pytest.raises(NonIntegralRank) as info:
         alg.commutant(b)
     err = info.value
-    assert err.trace == pytest.approx(4.0 / 3.0)
-    assert err.rank == 1
+    assert err.trace == pytest.approx(5.0 / 3.0)
+    assert err.rank == 2
     assert err.bound <= nk.MAX_RANK_SLACK
 
 
 def test_intertwiners_reject_a_non_multiplicative_representation():
     """rho'(b) = b^T on M_2 is linear, unital and *-preserving but reverses
-    products. Its averaging trace is an integer, so only the law check on
-    the averaged range can catch it."""
+    products. Its matrix units have integral traces, so only the law check
+    on the space read off the frame can catch it."""
     m2 = alg.full_matrix_algebra(2)
     e = corr.Correspondence(m2, m2, m2, m2, m2.basis,
                             m2.basis.transpose(0, 2, 1), 2, check=False)
@@ -391,22 +415,26 @@ def test_intertwiners_reject_a_non_multiplicative_representation():
 
 
 def test_intertwiners_rank_bound_never_reaches_one_half():
-    """At a loose tolerance the bound is capped, so a trace half-way between
-    two integers is an error, not a rounding."""
+    """At a loose tolerance the bound is capped, so a trace 1/3 away from
+    an integer is an error, not a rounding."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
     basis = np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2)
-    with pytest.raises(NonIntegralRank):
-        nk.intertwiners(basis, basis, (2, 2), nk.Tolerance(0.9))
+    with pytest.raises(NonIntegralRank) as info:
+        alg.commutant(alg.VnAlgebra(2, basis, tol=nk.Tolerance(0.9)), nk.Tolerance(0.9))
+    assert info.value.bound == nk.MAX_RANK_SLACK
 
 
 def test_intertwiners_shape_checks():
+    m2 = alg.full_matrix_algebra(2)
     with pytest.raises(DimensionMismatch):
-        nk.intertwiners(np.eye(2)[None], np.eye(3)[None], (2, 2))
+        alg.intertwiners(m2, np.eye(2)[None], None)
     with pytest.raises(DimensionMismatch):
-        nk.intertwiners(np.eye(2), np.eye(2), (2, 2))
+        alg.intertwiners(m2, None, np.ones((4, 2, 3)))
     with pytest.raises(DimensionMismatch):
-        nk.intertwiners(np.full((1, 2, 2), np.nan), np.eye(2)[None], (2, 2))
+        alg.intertwiners(m2, np.eye(2), None)
+    with pytest.raises(DimensionMismatch):
+        alg.intertwiners(m2, np.full((4, 2, 2), np.nan), None)
 
 
 def test_the_package_solves_no_dense_kernel_problem():
@@ -418,3 +446,24 @@ def test_the_package_solves_no_dense_kernel_problem():
         tree = ast.parse(path.read_text())
         names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
         assert not names & {"commuting_null_space", "commutant_space"}, path.name
+
+
+#: the functions of the package that may draw from a random generator: the
+#: seeded generators of test instances, and the generic elements of a frame
+DRAWING = {"random_unitary", "random_complex", "random_algebra", "block_decompose"}
+
+
+def test_only_block_decompose_draws_outside_the_instance_generators():
+    """Outside selftest and the instance generators, every span is read off
+    a frame: only block_decompose calls a random generator."""
+    root = pathlib.Path(nk.__file__).parent
+    draws = {"default_rng", "standard_normal", "random_complex", "random_unitary"}
+    for path in sorted(root.glob("*.py")):
+        if path.stem == "selftest":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in DRAWING:
+                continue
+            called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                      for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            assert not called & draws, f"{path.stem}.{fn.name}"

@@ -242,6 +242,34 @@ def test_cocycle_link_computes_the_laws_of_each_map_once(two_block, monkeypatch)
     assert len(calls) == 3
 
 
+def _count_domain_comparisons(monkeypatch) -> list:
+    """Calls of alg.equals on two distinct algebras; equals of an object
+    with itself compares nothing."""
+    calls = []
+    real = alg.equals
+
+    def counted(a, b, tol=nk.DEFAULT_TOL):
+        if a is not b:
+            calls.append((a, b))
+        return real(a, b, tol)
+    monkeypatch.setattr(alg, "equals", counted)
+    return calls
+
+
+def test_can_pair_compares_the_domains_once(two_block, monkeypatch):
+    """theta_prime lives on a copy of the commutant with its basis reversed,
+    so that the comparison with the commutant is not an identity check."""
+    b, bp = two_block
+    copy = alg.VnAlgebra(bp.ambient_dim, bp.basis[::-1])
+    theta1, theta2, theta_prime = _unchecked(b, 31), _unchecked(b, 37), endo.identity(copy)
+    calls = _count_domain_comparisons(monkeypatch)
+    assert pr.can_pair(theta1, theta_prime).paired
+    assert len(calls) == 1
+    calls.clear()
+    pr.cocycle_link(theta1, theta2, theta_prime, horizon=2)
+    assert len(calls) == 2
+
+
 def test_cocycle_link_checks_membership_at_the_given_tolerance(two_block, monkeypatch):
     b, bp = two_block
     seen = []

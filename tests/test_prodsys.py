@@ -609,7 +609,7 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
 
     monkeypatch.setattr(corr, "tensor_quotient",
                         counting("quotients", corr.tensor_quotient))
-    monkeypatch.setattr(nk, "intertwiners", counting("kernels", nk.intertwiners))
+    monkeypatch.setattr(alg, "intertwiners", counting("kernels", alg.intertwiners))
     n = horizon
 
     def counted(build):
@@ -672,6 +672,7 @@ def test_shared_quotients_equal_tensor_products_built_alone(monkeypatch, n, bloc
     _same(w.residuals, _oracle_dilation(w))
     # the one shared member element space is the one each member computes
     for member in p.members:
-        own = nk.intertwiners(member.rho_prime, member.right_commutant.basis,
-                              (n, n), member.tol)
+        own = corr.Correspondence(member.left, member.right, member.left_commutant,
+                                  member.right_commutant, member.rho, member.rho_prime,
+                                  member.carrier_dim, member.tol).element_space
         assert np.array_equal(member.element_space, own)
