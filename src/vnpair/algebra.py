@@ -6,7 +6,8 @@ W* A W = (+)_i M_{a_i} (x) 1_{m_i} (``block_decompose``), built once per
 algebra and tolerance from the center, which is the range of the
 trace-averaging projection restricted to the algebra. The commutant and
 every intertwiner space between representations of the algebra are read off
-that frame (``intertwiners``), so no eigenproblem on n^2 unknowns is solved.
+that frame (``intertwiners``), so no eigenproblem on n^2 unknowns is solved,
+and its laws are checked on matrix units of the frame, not on basis pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import numkernel as nk
 from .errors import (DegenerateCenterElement, DimensionMismatch, InvalidAlgebra,
-                     NonConvergence, NotIntertwining, SingularInput)
+                     NonConvergence, NonIntegralRank, NotIntertwining, SingularInput)
 
 class VnAlgebra:
     """Unital *-subalgebra of the n x n complex matrices.
@@ -26,9 +27,11 @@ class VnAlgebra:
     The basis is orthonormal under trace(a* b). The optional generator list
     serves only the law check of ``commutant``: commutation with the
     generators and their adjoints already pins down the commutant, and there
-    are usually far fewer generators than basis elements. Instances are
-    immutable after construction, so ``commutant`` and ``block_decompose``
-    store their results on the instance, one per tolerance.
+    are usually far fewer generators than basis elements. A supplied list
+    must be nonempty, finite and in the span within tol.bound(1.0), else
+    InvalidAlgebra. The commutant's law check is only as strong as the list:
+    an in-span list that does not generate, such as [1], passes. Instances
+    are immutable; ``commutant`` and ``block_decompose`` cache their results.
     """
 
     def __init__(self, ambient_dim: int, basis, generators=None,
@@ -40,22 +43,23 @@ class VnAlgebra:
                 f"basis must have shape (d, {ambient_dim}, {ambient_dim}), "
                 f"got {self.basis.shape}")
         self.flat = self.basis.reshape(self.dim, -1)
-        if generators is None:
-            self.generators = self.basis
-        else:
-            self.generators = np.asarray(generators, dtype=complex).reshape(
-                -1, self.ambient_dim, self.ambient_dim)
         self._commutants: dict[nk.Tolerance, VnAlgebra] = {}
         self._frames: dict[nk.Tolerance, BlockSignature] = {}
         self._check_light(tol)
+        self.generators = self.basis
+        if generators is not None:
+            self.generators = np.asarray(generators, dtype=complex).reshape(
+                -1, self.ambient_dim, self.ambient_dim)
+            nk.require(nk.span_residual(self.generators, self.flat) if len(self.generators)
+                       else np.nan, tol.bound(1.0), InvalidAlgebra,
+                       "generators empty, not finite or outside the span, residual {:.3e}")
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
     def _check_light(self, tol: nk.Tolerance) -> None:
-        # orthonormality, identity membership, and adjoint closure; the
-        # quadratic product-closure check lives in validate()
+        # orthonormality, identity membership, adjoint closure; products: validate()
         gram = self.flat @ self.flat.conj().T
         nk.require(float(np.linalg.norm(gram - np.eye(self.dim))),
                    tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
@@ -65,7 +69,9 @@ class VnAlgebra:
                    tol.bound(float(np.sqrt(self.ambient_dim))), InvalidAlgebra,
                    "identity outside span, residual {:.3e}")
         adj = self.basis.conj().transpose(0, 2, 1).reshape(self.dim, -1)
-        nk.require(float(np.linalg.norm(adj - (adj @ self.flat.conj().T) @ self.flat)),
+        # an exactly Hermitian basis (every commutant) reuses the Gram product
+        cross = gram if np.array_equal(adj, self.flat) else adj @ self.flat.conj().T
+        nk.require(float(np.linalg.norm(adj - cross @ self.flat)),
                    tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
                    "span not adjoint closed, residual {:.3e}")
 
@@ -90,13 +96,19 @@ class VnAlgebra:
         return nk.MatchReport(residual <= tol.bound(nk.frobenius(x)), residual)
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
-        """Full invariant check including product closure; raises on failure."""
-        worst = {"product_closure": 0.0}
-        prods = np.einsum("aij,bjk->abik", self.basis, self.basis)
-        worst["product_closure"] = nk.require(
-            nk.span_residual(prods, self.flat), tol.bound(1.0),
-            InvalidAlgebra, "span not closed under products, residual {:.3e}")
-        return worst
+        """Product closure, else InvalidAlgebra: the span is closed when its
+        block frame exists (sum a_i^2 = dim) and it holds every e^i_jk /
+        sqrt(m_i). ``product_closure`` is their worst distance r from it; a
+        basis product b_a b_b lies within 3 sqrt(dim) r of the span."""
+        try:
+            sig = block_decompose(self, tol)
+        except (DegenerateCenterElement, NonIntegralRank, SingularInput) as exc:
+            raise InvalidAlgebra(f"span has no matrix-unit frame: {exc}") from exc
+        units = np.concatenate([sig.unit_grid(i).reshape(-1, self.flat.shape[1]) / np.sqrt(m)
+                                for i, (_, m) in enumerate(sig.blocks)])
+        return {"product_closure": nk.require(
+            nk.span_residual(units, self.flat), tol.bound(1.0),
+            InvalidAlgebra, "span not closed under products, residual {:.3e}")}
 
     def __repr__(self) -> str:
         return f"VnAlgebra(ambient_dim={self.ambient_dim}, dim={self.dim})"
@@ -148,24 +160,21 @@ def trivial_algebra(n: int) -> VnAlgebra:
 def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
     """Relative commutant of the algebra inside the ambient matrices.
 
-    Read off the block frame (``intertwiners`` of the defining
-    representation with itself): the span of 1_{a_i} (x) M_{m_i}, with the
-    basis sum_k T_ik h T_ik* / sqrt(a_i) over the Hermitian basis h of
-    M_{m_i}, made exactly Hermitian. Commutation is checked against the
-    generators only: for Hermitian x the residual of g* x - x g* is that of
-    g x - x g. Computed once per algebra and tolerance. The result takes
-    over the frame of the algebra, transposed; its own commutant store
-    starts empty, so the commutant of the commutant is computed afresh.
+    The units x^i_pq of 1_{a_i} (x) M_{m_i} read off the block frame
+    (``intertwiners``), in the exactly Hermitian basis x_pp,
+    (x_pq + x_pq*)/sqrt2, i(x_pq - x_pq*)/sqrt2 (p < q). Commutation is
+    checked against the generators only, on the generating units x_p1,
+    x_1q against half the bound: for Hermitian x the residual of
+    g* x - x g* is that of g x - x g. Computed once per algebra and
+    tolerance; the result takes over the frame, transposed, and computes
+    its own commutant afresh.
     """
     cached = a._commutants.get(tol)
     if cached is None:
         n = a.ambient_dim
         parts = intertwiners(a, tol=tol, laws=(a.generators, a.generators))
-        basis = np.concatenate([
-            nk._hermitian_matrices(np.eye(len(x) ** 2), len(x)) @ x.reshape(len(x) ** 2, -1)
-            for x in parts]).reshape(-1, n, n)
-        basis = (basis + basis.conj().transpose(0, 2, 1)) / 2.0
-        cached = a._commutants[tol] = VnAlgebra(n, basis, tol=tol)
+        cached = a._commutants[tol] = VnAlgebra(
+            n, np.concatenate([_hermitian_basis(x) for x in parts]), tol=tol)
         # the summand (a_i, m_i) is (m_i, a_i) there, with the same columns
         # regrouped, U_il[:, k] = T_ik[:, l]: no frame check to repeat
         sig = block_decompose(a, tol)
@@ -173,6 +182,16 @@ def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
                                          sig.central_projections,
                                          [t.transpose(2, 1, 0) for t in sig.units], tol)
     return cached
+
+
+def _hermitian_basis(x) -> np.ndarray:
+    """Exactly Hermitian basis of the span of the stack x_pq, in pq order."""
+    m, n = len(x), x.shape[2]
+    upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None, None]
+    y = np.where(upper, x, x.transpose(1, 0, 2, 3))  # x_pq at (p, q) and (q, p), p <= q
+    y_adj = y.conj().transpose(0, 1, 3, 2)
+    scale = np.where(np.eye(m, dtype=bool), 0.5, np.sqrt(0.5))[:, :, None, None]
+    return (np.where(upper, y + y_adj, 1j * (y - y_adj)) * scale).reshape(-1, n, n)
 
 
 def equals(a: VnAlgebra, b: VnAlgebra,
@@ -192,16 +211,13 @@ def equals(a: VnAlgebra, b: VnAlgebra,
 
 
 def center(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
-    """Intersection of the algebra with its commutant.
-
-    The averaging map E(x) = sum_i b_i x b_i* S^-1, S = sum_i b_i b_i*, is
-    the Hilbert-Schmidt projection onto the commutant (the quasi-basis
-    identity of Pimsner-Popa 1986 and Watatani 1990) and maps the algebra
-    onto its center, so the d x d matrix <b_k, E(b_j)> is a projection. Its
-    trace, rounded by ``numkernel.integral_trace`` within
-    min(MAX_RANK_SLACK, tol.bound(sum |diagonal|)), is the dimension of the
-    center; its top eigenvectors are the coefficients of an orthonormal basis.
-    """
+    """Intersection of the algebra with its commutant: the averaging map
+    E(x) = sum_i b_i x b_i* S^-1, S = sum_i b_i b_i*, is the Hilbert-Schmidt
+    projection onto the commutant (quasi-basis identity: Pimsner-Popa 1986,
+    Watatani 1990) and maps the algebra onto its center, so <b_k, E(b_j)>
+    is a d x d projection. Its trace, rounded by ``numkernel.integral_trace``
+    within min(MAX_RANK_SLACK, tol.bound(sum |diagonal|)), is dim Z(A); its
+    top eigenvectors are the coefficients of an orthonormal basis."""
     n = a.ambient_dim
     adj = a.basis.conj().transpose(0, 2, 1)
     try:
@@ -232,10 +248,9 @@ class BlockSignature:
     central_projections: np.ndarray
     units: tuple[np.ndarray, ...]
 
-    def matrix_units(self, i: int) -> np.ndarray:
-        """The matrix units e_k1 = T_ik T_i1* of the i-th summand, stacked."""
-        t = self.units[i]
-        return t @ t[0].conj().T
+    def unit_grid(self, i: int) -> np.ndarray:
+        """The matrix units e_jk = T_ij T_ik* of summand i, (a_i, a_i, n, n)."""
+        return self.units[i][:, None] @ self.units[i].conj().transpose(0, 2, 1)[None]
 
 
 def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSignature:
@@ -252,10 +267,9 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSi
 
     Checked once, else DegenerateCenterElement: every V_k* g V_1 has equal
     singular values (|g_k1| in the block model), the T_ik form a unitary,
-    and every T_ik T_i1* lies in A. Summands come largest shape first;
-    equal shapes in increasing order of tr(p diag(0, ..., n-1)), then of
-    the diagonal of p, under the tolerance, which does not depend on the
-    basis of the algebra. Built once per algebra and tolerance, stored on it.
+    and every T_ik T_i1* lies in A. Summands come largest shape first, equal
+    shapes ordered by tr(p diag(0, ..., n-1)), then by the diagonal of p,
+    under the tolerance, so not by the basis. Cached per algebra and tolerance.
     """
     cached = a._frames.get(tol)
     if cached is not None:
@@ -329,16 +343,17 @@ def intertwiners(a: VnAlgebra, lefts=None, rights=None, tol: nk.Tolerance = nk.D
     lefts and rights hold the images of the basis of a under unital
     *-representations pi_L on C^rows and pi_R on C^cols (None, or the basis
     itself: the defining one). By Schur's lemma the orthonormal elements
-
-        x^i_pq = sum_k pi_L(e^i_k1) R^L_i E_pq (R^R_i)* pi_R(e^i_1k) / sqrt(a_i)
-
+    x^i_pq = sum_k pi_L(e^i_k1) R^L_i E_pq (R^R_i)* pi_R(e^i_1k) / sqrt(a_i)
     span it, e^i_k1 = T_ik T_i1* the matrix units of the frame and R_i an
     orthonormal basis of the range of pi(e^i_11) (``numkernel.range_basis``;
     T_i1 for the defining representation), whose rank must be the trace
     rounded by ``numkernel.integral_trace`` within
-    min(MAX_RANK_SLACK, tol.bound(|trace|)). The law l x = x r is checked on
-    every element for every pair of laws (default: the two
-    representations). A failure of either raises NotIntertwining.
+    min(MAX_RANK_SLACK, tol.bound(|trace|)). The law l x = x r is checked
+    for every pair of laws (default: the two representations) on every
+    element; for the defining representation on x_p1, x_1q against half the
+    bound, as sqrt(a_i) x_pq is the product of the partial isometries
+    sqrt(a_i) x_p1, sqrt(a_i) x_1q of the verified frame, so its residual
+    is at most the sum of theirs. A failure of either raises NotIntertwining.
 
     Returns the stacks x^i, shape (r^L_i, r^R_i, rows, cols), per summand.
     """
@@ -357,9 +372,12 @@ def intertwiners(a: VnAlgebra, lefts=None, rights=None, tol: nk.Tolerance = nk.D
             left.shape[2], rows, right.shape[2], cols).transpose(0, 2, 1, 3))
     if laws is not None:
         law_l, law_r = laws
-    bound = tol.bound(max(nk.worst_norm(law_l), nk.worst_norm(law_r)))
+    generating = reps[0] is None and reps[1] is None
+    bound = tol.bound(max(nk.worst_norm(law_l), nk.worst_norm(law_r))) / (
+        2.0 if generating else 1.0)
     residual = nk.law_residual(law_l, law_r, np.concatenate(
-        [x.reshape(-1, rows, cols) for x in parts]))
+        [np.concatenate([x[:, 0], x[0, 1:]]) if generating else x.reshape(-1, rows, cols)
+         for x in parts]))
     nk.require(residual, bound, NotIntertwining,
                "frame-read space breaks its intertwining law, residual {:.3e}",
                residual=residual, bound=bound)
@@ -382,7 +400,7 @@ def _legs(a: VnAlgebra, sig: BlockSignature, i: int, images,
     of pi; the frame isometries T_ik for the defining representation (None)."""
     if images is None:
         return sig.units[i]
-    units = sig.matrix_units(i)
+    units = sig.unit_grid(i)[:, 0]
     pi = np.tensordot(units.reshape(len(units), -1) @ a.flat.conj().T, images, axes=(1, 0))
     what = f"pi(e^{i}_11)"
     r = nk.range_basis(pi[0], tol, NotIntertwining, what)
@@ -445,5 +463,5 @@ def random_algebra(ambient_dim: int, blocks, seed,
             f"blocks fill {sum(a * m for a, m in blocks)} dimensions, ambient is {n}")
     u = nk.random_unitary(n, seed)
     gens, _ = block_basis(blocks)
-    conjugated = np.einsum("ij,bjk,kl->bil", u, gens, u.conj().T)
+    conjugated = u @ gens @ u.conj().T
     return from_generators(n, conjugated, tol)

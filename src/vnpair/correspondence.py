@@ -377,10 +377,10 @@ def _joint_frame(e: Correspondence, left_sig, right_sig, counts,
     units of the two block frames, R_ij an orthonormal basis of the range of
     rho(e^i_11) rho'(f^j_11). Correspondences with one table get one column
     layout, so F_f F_e* intertwines them."""
-    rights = [e.rho_prime_of(right_sig.matrix_units(j)) for j in range(len(counts[0]))]
+    rights = [e.rho_prime_of(right_sig.unit_grid(j)[:, 0]) for j in range(len(counts[0]))]
     cols = []
     for i, row in enumerate(counts):
-        left = e.rho_of(left_sig.matrix_units(i))
+        left = e.rho_of(left_sig.unit_grid(i)[:, 0])
         for j, (c, right) in enumerate(zip(row, rights)):
             if not c:
                 continue

@@ -11,7 +11,6 @@ are validated for shape and finiteness and are never mutated.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 import numpy as np
 
@@ -198,31 +197,6 @@ def _chunk_pairs(outer: int, inner: int, size: int):
         bstep = max(1, _CHUNK // ((a.stop - a.start) * size))
         for b0 in range(0, inner, bstep):
             yield a, slice(b0, min(inner, b0 + bstep))
-
-
-@functools.lru_cache(maxsize=None)
-def _hermitian_frame(n: int):
-    """Flat positions of the diagonal, of e_ab and of e_ba for a < b
-    (read-only, shared by every call for this n)."""
-    iu, ju = np.triu_indices(n, 1)
-    frame = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
-    for positions in frame:
-        positions.setflags(write=False)
-    return frame
-
-
-def _hermitian_matrices(t, n: int) -> np.ndarray:
-    """Flattened Hermitian matrices with the real coordinates t (rows): the
-    diagonal units, (e_ab + e_ba)/sqrt2 at the position of e_ab and
-    i(e_ab - e_ba)/sqrt2 at the position of e_ba, a < b."""
-    diag, upper, lower = _hermitian_frame(n)
-    half = np.sqrt(0.5)
-    out = np.zeros(t.shape, dtype=complex)
-    out[:, diag] = t[:, diag]
-    tu, tl = t[:, upper], t[:, lower]
-    out[:, upper] = half * (tu + 1j * tl)
-    out[:, lower] = half * (tu - 1j * tl)
-    return out
 
 
 def commuting_null_space(pairs, shape: tuple[int, int],

@@ -88,7 +88,7 @@ def sample_algebra(rng, max_ambient: int, max_dim: int | None = None,
     n = sum(a * m for a, m in blocks)
     frame = nk.random_unitary(n, rng)
     gens, _ = alg.block_basis(blocks)
-    conjugated = np.einsum("ij,bjk,kl->bil", frame, gens, frame.conj().T)
+    conjugated = frame @ gens @ frame.conj().T
     return AlgebraSample(tuple(blocks), frame,
                          alg.from_generators(n, conjugated))
 

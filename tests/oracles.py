@@ -12,7 +12,12 @@ faster route replaced, kept so that the faster route has a reference.
 - ``eq33_spanning_family``: that residual solved on the full d^2 n column
   family, before its reduction to d n columns;
 - ``projection_distance``: span equality of two algebras through their dense
-  (n^2)^2 span projections, before ``algebra.equals`` read it off the rows.
+  (n^2)^2 span projections, before ``algebra.equals`` read it off the rows;
+- ``basis_pair_hom_residuals``, ``basis_pair_closure`` and
+  ``all_units_commutation``: the law checks on every basis pair, every
+  basis product and every commutant unit, before ``endo.hom_residuals``,
+  ``VnAlgebra.validate`` and ``algebra.commutant`` checked them on the
+  matrix units of the block frame.
 """
 
 from __future__ import annotations
@@ -158,3 +163,64 @@ def projection_distance(a: alg.VnAlgebra, b: alg.VnAlgebra,
     residual = float(np.linalg.norm(pa - pb))
     return nk.MatchReport(residual <= tol.bound(nk.frobenius(pa), nk.frobenius(pb)),
                           residual)
+
+
+def basis_pair_hom_residuals(domain: alg.VnAlgebra, images) -> dict:
+    """Worst unital, multiplicative and star residuals of a linear map over
+    the orthonormal basis b of the domain: |theta(1) - 1|, the worst
+    |theta(b_a b_b) - theta(b_a) theta(b_b)| over all pairs and the worst
+    |theta(b_a*) - theta(b_a)*|, one row of pairs at a time."""
+    images = np.asarray(images, dtype=complex)
+    d, h = images.shape[0], images.shape[1]
+    flat = images.reshape(d, -1)
+    unit = domain.unit_coefficients @ flat
+    mult = 0.0
+    for a in range(d):
+        prods = (domain.basis[a] @ domain.basis).reshape(d, -1)
+        lhs = (prods @ domain.flat.conj().T) @ flat
+        rhs = (images[a] @ images).reshape(d, -1)
+        mult = nk.worst(mult, float(np.linalg.norm(lhs - rhs, axis=1).max()))
+    adjoints = domain.basis.conj().transpose(0, 2, 1).reshape(d, -1)
+    lhs_star = (adjoints @ domain.flat.conj().T) @ flat
+    rhs_star = images.conj().transpose(0, 2, 1).reshape(d, -1)
+    return {"unital": float(np.linalg.norm(unit - np.eye(h).reshape(-1))),
+            "multiplicative": mult,
+            "star": float(np.linalg.norm(lhs_star - rhs_star, axis=1).max())}
+
+
+def basis_pair_closure(a: alg.VnAlgebra) -> float:
+    """Worst distance of a product b_i b_j of basis elements from the span."""
+    return nk.worst(*(nk.span_residual(a.basis[i] @ a.basis, a.flat) for i in range(a.dim)))
+
+
+def commutant_units(sig) -> list:
+    """The units x_pq = sum_k T_k[:, p] T_k[:, q]* / sqrt(a) of the
+    commutant that a frame gives, one stack (m, m, n, n) per summand."""
+    return [np.einsum("kap,kbq->pqab", t, t.conj()) / np.sqrt(len(t)) for t in sig.units]
+
+
+def all_units_commutation(gens, parts) -> float:
+    """Worst |g x - x g| over the generators g and every unit x_pq of the
+    stacks x (shape (m, m, n, n))."""
+    return nk.law_residual(gens, gens, np.concatenate(
+        [x.reshape(-1, *x.shape[2:]) for x in parts]))
+
+
+def model_algebra(blocks, seed) -> alg.VnAlgebra:
+    """The block-model algebra of the signature, rotated by the seeded
+    unitary u, in closed form: the basis u (E_kl (x) 1_m / sqrt m) u* and the
+    generators u (first row of matrix units) u* of ``algebra.block_basis``,
+    with no closure (``algebra.random_algebra`` closes the generators)."""
+    n = sum(a * m for a, m in blocks)
+    model, offset = [], 0
+    for a, m in blocks:
+        for k in range(a):
+            for l in range(a):
+                x = np.zeros((n, n), dtype=complex)
+                x[offset + k * m + np.arange(m), offset + l * m + np.arange(m)] = m ** -0.5
+                model.append(x)
+        offset += a * m
+    u = nk.random_unitary(n, seed)
+    gens, _ = alg.block_basis(blocks)
+    return alg.VnAlgebra(n, u @ np.array(model) @ u.conj().T,
+                         generators=u @ gens @ u.conj().T)

@@ -8,7 +8,7 @@ from vnpair import algebra as alg
 from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
-from vnpair.errors import DimensionMismatch, InvalidAlgebra
+from vnpair.errors import DimensionMismatch, InvalidAlgebra, NotIntertwining
 
 
 def diag_algebra_2():
@@ -258,6 +258,91 @@ def test_validate_returns_residuals():
     worst = d2.validate()
     assert set(worst) >= {"product_closure"}
     assert all(v < 1e-12 for v in worst.values())
+
+
+RELATION_SIGNATURES = [[(2, 8), (2, 8)], [(3, 2)], [(2, 1), (1, 3)], [(4, 6), (6, 4)]]
+
+
+@pytest.mark.parametrize("blocks", RELATION_SIGNATURES, ids=str)
+def test_validate_reads_product_closure_off_the_frame(blocks):
+    """A closed span passes; a span with one basis element moved by delta
+    out of the algebra has a basis-pair closure residual of at most
+    3 sqrt(dim) times the frame's, or no frame at all (InvalidAlgebra)."""
+    a = orc.model_algebra(blocks, seed=3)
+    n, d = a.ambient_dim, a.dim
+    assert a.validate()["product_closure"] <= 1e-12
+    rng = np.random.default_rng(d)
+    for delta in (1e-9, 1e-6, 1e-3):
+        x = nk.random_complex((n, n), rng)
+        basis = a.basis.copy()
+        basis[-1] += delta * (x + x.conj().T) / np.linalg.norm(x + x.conj().T)
+        flat = np.linalg.qr(basis.reshape(d, -1).T)[0].T
+        moved = alg.VnAlgebra(n, flat.reshape(d, n, n), tol=nk.Tolerance(1e-2))
+        old = orc.basis_pair_closure(moved)
+        try:
+            r = moved.validate(nk.Tolerance(0.9))["product_closure"]
+        except InvalidAlgebra:
+            continue
+        assert old <= 3 * np.sqrt(d) * r
+
+
+def test_validate_rejects_a_span_not_closed_under_products():
+    """span{1, X, Z} on C^2 has no matrix-unit frame."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    b = alg.VnAlgebra(2, np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2))
+    with pytest.raises(InvalidAlgebra, match="no matrix-unit frame"):
+        b.validate()
+    assert orc.basis_pair_closure(b) > 0.5
+
+
+@pytest.mark.parametrize("blocks", RELATION_SIGNATURES, ids=str)
+def test_commutant_law_on_generating_units_bounds_every_unit(blocks):
+    """Units read off the frame turned by a unitary exp(i delta h): the
+    commutation residual on the 2 m_i - 1 units x_p1, x_1q is at most the
+    one over every unit and at least half of it, so ``commutant``, which
+    compares it with half the bound, rejects whatever the full bound on
+    every unit rejects."""
+    a = orc.model_algebra(blocks, seed=7)
+    n = a.ambient_dim
+    sig = alg.block_decompose(a)
+    bound = nk.DEFAULT_TOL.bound(nk.worst_norm(a.generators))
+    rng = np.random.default_rng(n)
+    for delta in (0.0, 1e-9, 1e-6, 1e-3):
+        x = nk.random_complex((n, n), rng)
+        lam, vec = np.linalg.eigh(x + x.conj().T)
+        v = (vec * np.exp(1j * delta * lam)) @ vec.conj().T
+        turned = alg.VnAlgebra(n, a.basis, generators=a.generators)
+        turned._frames[nk.DEFAULT_TOL] = alg.BlockSignature(
+            sig.blocks, sig.central_projections, tuple(v @ t for t in sig.units))
+        parts = orc.commutant_units(turned._frames[nk.DEFAULT_TOL])
+        every = orc.all_units_commutation(a.generators, parts)
+        generating = nk.law_residual(a.generators, a.generators, np.concatenate(
+            [np.concatenate([x[:, 0], x[0, 1:]]) for x in parts]))
+        assert generating <= every + 1e-14 and every <= 2 * generating + 1e-14
+        if generating <= bound / 2:
+            assert alg.commutant(turned).dim == sum(m * m for _, m in blocks)
+            assert every <= bound
+        else:
+            with pytest.raises(NotIntertwining) as info:
+                alg.commutant(turned)
+            assert info.value.residual == pytest.approx(generating, rel=1e-6)
+            assert info.value.bound == bound / 2
+
+
+@pytest.mark.parametrize("case", ["empty", "outside", "nan"])
+def test_a_supplied_generator_list_is_validated(case):
+    """An empty, non-finite or out-of-span generator list would make the
+    commutant's law check vacuous or fail later; it is refused at
+    construction. An in-span list that does not generate passes."""
+    a = alg.random_algebra(6, [(1, 2), (2, 2)], 3)
+    gens = {"empty": np.zeros((0, 6, 6)),
+            "outside": nk.random_complex((1, 6, 6), np.random.default_rng(0)),
+            "nan": np.where(np.eye(6) == 1, np.nan, a.generators)}[case]
+    with pytest.raises(InvalidAlgebra):
+        alg.VnAlgebra(6, a.basis, generators=gens)
+    weak = alg.VnAlgebra(6, a.basis, generators=[np.eye(6)])
+    assert alg.commutant(weak).dim == 2 * 2 + 2 * 2
 
 
 @pytest.mark.parametrize("seed", range(8))

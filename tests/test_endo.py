@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as orc
 from vnpair import algebra as alg
 from vnpair import endo
 from vnpair import numkernel as nk
@@ -119,6 +122,8 @@ def test_from_unitary_rejects_noninvariant_algebra():
 
 def test_from_unitary_computes_the_span_residual_once(monkeypatch):
     """The invariance check and the law check read one stored residual."""
+    d2 = diag_algebra_2()
+    alg.block_decompose(d2)  # the frame's own span check is not from_unitary's
     calls = []
     real = nk.span_residual
 
@@ -126,7 +131,7 @@ def test_from_unitary_computes_the_span_residual_once(monkeypatch):
         calls.append(rows)
         return real(rows, basis_flat)
     monkeypatch.setattr(nk, "span_residual", counted)
-    theta = endo.from_unitary(diag_algebra_2(), SWAP)
+    theta = endo.from_unitary(d2, SWAP)
     assert len(calls) == 1
     assert theta.law_residuals["span"] <= 1e-12
 
@@ -287,3 +292,54 @@ def test_conjugation_round_trip_property(seed):
     backward = endo.from_unitary(m2, u, direction="direct")
     assert np.allclose(endo.compose(backward, forward).coefficient_matrix,
                        np.eye(4), atol=1e-10)
+
+
+RELATION_SIGNATURES = [[(2, 8), (2, 8)], [(3, 2)], [(2, 1), (1, 3)], [(4, 6), (6, 4)]]
+
+
+@pytest.mark.parametrize("blocks", RELATION_SIGNATURES, ids=str)
+def test_presentation_check_against_the_basis_pair_check(blocks):
+    """An inner automorphism with every basis image moved by delta times a
+    unit-norm random matrix: the frame's residuals are at least the
+    basis-pair ones, so they reject whatever those reject at any bound,
+    and they agree within the factors ``hom_residuals`` states."""
+    b = orc.model_algebra(blocks, seed=len(blocks))
+    n, d = b.ambient_dim, b.dim
+    rng = np.random.default_rng(d)
+    images = endo.from_unitary(b, selftest.unitary_inside(b, rng)).basis_images
+    sig = alg.block_decompose(b)
+    for delta in (1e-9, 1e-6, 1e-3):
+        noise = nk.random_complex(images.shape, rng)
+        moved = images + delta * noise / np.linalg.norm(noise, axis=(1, 2))[:, None, None]
+        new = endo.hom_residuals(b, moved)
+        old = orc.basis_pair_hom_residuals(b, moved)
+        assert new["unital"] == old["unital"]
+        assert old["star"] <= new["star"] <= n * np.sqrt(d) * old["star"]
+        # c: operator norms of the row [f_j1] and the column [f_1k]
+        f = [np.tensordot(g.reshape(a * a, -1) @ b.flat.conj().T, moved, axes=(1, 0)).reshape(
+            a, a, n, n) for g, (a, _) in ((sig.unit_grid(i), s) for i, s in enumerate(sig.blocks))]
+        col = np.concatenate([x[:, 0] for x in f])
+        row = np.concatenate([x[0] for x in f])
+        c = max(1.0, np.linalg.norm(col.transpose(1, 0, 2).reshape(n, -1), 2),
+                np.linalg.norm(row.reshape(-1, n), 2))
+        r = new["multiplicative"]
+        assert old["multiplicative"] <= r <= np.sqrt(2) * d * n * old["multiplicative"]
+        assert old["multiplicative"] <= np.sqrt(17) * c * c * r + r * r
+
+
+def test_law_residuals_at_n32_stay_below_one_pair_product_array():
+    """theta' on B' (dim 128) at n = 32: the basis-pair check formed
+    d^2 x n^2 complex arrays (268 MB each); the frame's check stays far
+    below one of them."""
+    n = 32
+    bp = alg.commutant(alg.random_algebra(n, [(2, 8), (2, 8)], seed=1))
+    theta = endo.Endomorphism(bp, bp.basis.copy())
+    tracemalloc.start()
+    try:
+        res = theta.law_residuals
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bp.dim == 128
+    assert max(res.values()) <= 1e-10
+    assert peak < bp.dim ** 2 * n * n * 16
