@@ -26,11 +26,12 @@ class VnAlgebra:
 
     The basis is orthonormal under trace(a* b). The optional generator list
     serves only the law check of ``commutant``: commutation with the
-    generators and their adjoints already pins down the commutant, and there
-    are usually far fewer generators than basis elements. A supplied list
-    must be nonempty, finite and in the span within tol.bound(1.0), else
-    InvalidAlgebra. The commutant's law check is only as strong as the list:
-    an in-span list that does not generate, such as [1], passes. Instances
+    generators and their adjoints pins down the commutant, and there are
+    usually far fewer generators than basis elements. A supplied list must
+    be nonempty, finite and in the span within tol.bound(1.0), else
+    InvalidAlgebra; the check is only as strong as the list: an in-span list
+    that does not generate, such as [1], passes. ``tol`` is kept: maps on
+    the algebra check their laws on its frame at that tolerance. Instances
     are immutable; ``commutant`` and ``block_decompose`` cache their results.
     """
 
@@ -43,6 +44,7 @@ class VnAlgebra:
                 f"basis must have shape (d, {ambient_dim}, {ambient_dim}), "
                 f"got {self.basis.shape}")
         self.flat = self.basis.reshape(self.dim, -1)
+        self.tol = tol
         self._commutants: dict[nk.Tolerance, VnAlgebra] = {}
         self._frames: dict[nk.Tolerance, BlockSignature] = {}
         self._check_light(tol)
@@ -59,7 +61,6 @@ class VnAlgebra:
         return self.basis.shape[0]
 
     def _check_light(self, tol: nk.Tolerance) -> None:
-        # orthonormality, identity membership, adjoint closure; products: validate()
         gram = self.flat @ self.flat.conj().T
         nk.require(float(np.linalg.norm(gram - np.eye(self.dim))),
                    tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
@@ -104,10 +105,9 @@ class VnAlgebra:
             sig = block_decompose(self, tol)
         except (DegenerateCenterElement, NonIntegralRank, SingularInput) as exc:
             raise InvalidAlgebra(f"span has no matrix-unit frame: {exc}") from exc
-        units = np.concatenate([sig.unit_grid(i).reshape(-1, self.flat.shape[1]) / np.sqrt(m)
-                                for i, (_, m) in enumerate(sig.blocks)])
-        return {"product_closure": nk.require(
-            nk.span_residual(units, self.flat), tol.bound(1.0),
+        return {"product_closure": nk.require(nk.worst(*(
+            nk.span_residual(sig.unit_grid(i) / np.sqrt(m), self.flat)
+            for i, (_, m) in enumerate(sig.blocks))), tol.bound(1.0),
             InvalidAlgebra, "span not closed under products, residual {:.3e}")}
 
     def __repr__(self) -> str:

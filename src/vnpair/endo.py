@@ -73,7 +73,7 @@ def hom_residuals(domain: VnAlgebra, images) -> dict:
     """Unital, multiplicative and star residuals of the linear map sending
     the i-th domain basis element to images[i] (an endomorphism, or a
     representation on a carrier), from the images f^i_jk of the units of
-    the domain's block frame (default tolerance, cached): the map is a
+    the domain's block frame (at the domain's tolerance, cached): the map is a
     unital *-homomorphism exactly when theta(1) - 1, Q = f^i_jk - f^i_j1
     f^i_1k, P = f^i_1k f^i'_j1 - delta_ii' delta_kj f^i_11 and S = (f^i_jk)*
     - f^i_kj vanish, sum a_i^2 + (sum a_i)^2 products. ``unital`` is
@@ -88,7 +88,7 @@ def hom_residuals(domain: VnAlgebra, images) -> dict:
     images = np.asarray(images, dtype=complex)
     d, h = images.shape[0], images.shape[1]
     unit = domain.unit_coefficients @ images.reshape(d, -1)
-    sig = block_decompose(domain)
+    sig = block_decompose(domain, domain.tol)
     f = [np.tensordot(sig.unit_grid(i).reshape(a * a, -1) @ domain.flat.conj().T, images,
                       axes=(1, 0)).reshape(a, a, h, h) for i, (a, _) in enumerate(sig.blocks)]
     q = np.linalg.norm([np.linalg.norm(x - x[:, :1] @ x[:1]) for x in f])

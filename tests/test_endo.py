@@ -11,7 +11,7 @@ from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import selftest
 from vnpair.errors import (AlgebraNotInvariant, DimensionMismatch,
-                           DomainMismatch, ImageOutsideAlgebra,
+                           DomainMismatch, ImageOutsideAlgebra, InvalidAlgebra,
                            InconsistentGeneratorImages, NotMultiplicative,
                            NotStar, NotUnital, NotUnitary)
 
@@ -343,3 +343,22 @@ def test_law_residuals_at_n32_stay_below_one_pair_product_array():
     assert bp.dim == 128
     assert max(res.values()) <= 1e-10
     assert peak < bp.dim ** 2 * n * n * 16
+
+
+def test_law_checks_read_the_frame_at_the_domain_tolerance():
+    """M_2 (x) 1_2 (+) C closed from generators moved by 1e-7, at tolerance
+    1e-5: its identity lies about 4e-7 off the span, so it has no frame at
+    the default tolerance, and the law checks of a map on it read the frame
+    at the tolerance the domain was built with."""
+    rng = np.random.default_rng(0)
+    shift = np.zeros((5, 5), dtype=complex)
+    shift[0, 2] = shift[1, 3] = 1.0
+    gens = [g + 1e-7 * nk.random_complex((5, 5), rng)
+            for g in (shift, np.diag([1.0, 1, 0, 0, 0]).astype(complex))]
+    tol = nk.Tolerance(1e-5)
+    a = alg.from_generators(5, gens, tol)
+    assert a.tol == tol and a.dim == 5
+    with pytest.raises(InvalidAlgebra):
+        alg.block_decompose(a)
+    theta = endo.from_unitary(a, np.eye(5), tol=tol)
+    assert 1e-9 < max(theta.law_residuals.values()) < 1e-5
