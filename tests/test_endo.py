@@ -122,8 +122,10 @@ def test_from_unitary_rejects_noninvariant_algebra():
 
 def test_from_unitary_computes_the_span_residual_once(monkeypatch):
     """The invariance check and the law check read one stored residual."""
+    # built first: the generator check and the frame's own span check are
+    # not from_unitary's
     d2 = diag_algebra_2()
-    alg.block_decompose(d2)  # the frame's own span check is not from_unitary's
+    alg.block_decompose(d2)
     calls = []
     real = nk.span_residual
 
@@ -316,8 +318,8 @@ def test_presentation_check_against_the_basis_pair_check(blocks):
         assert new["unital"] == old["unital"]
         assert old["star"] <= new["star"] <= n * np.sqrt(d) * old["star"]
         # c: operator norms of the row [f_j1] and the column [f_1k]
-        f = [np.tensordot(g.reshape(a * a, -1) @ b.flat.conj().T, moved, axes=(1, 0)).reshape(
-            a, a, n, n) for g, (a, _) in ((sig.unit_grid(i), s) for i, s in enumerate(sig.blocks))]
+        f = [np.tensordot(sig.unit_grid(i).reshape(a * a, -1) @ b.flat.conj().T, moved,
+                          axes=(1, 0)).reshape(a, a, n, n) for i, (a, _) in enumerate(sig.blocks)]
         col = np.concatenate([x[:, 0] for x in f])
         row = np.concatenate([x[0] for x in f])
         c = max(1.0, np.linalg.norm(col.transpose(1, 0, 2).reshape(n, -1), 2),
