@@ -319,11 +319,24 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSi
     frame = np.concatenate([t.transpose(1, 0, 2).reshape(n, -1) for t in units], axis=1)
     nk.require(nk.unitarity_residual(frame), tol.bound(np.sqrt(n)),
                DegenerateCenterElement, "frame is not unitary, residual {:.3e}")
-    nk.require(nk.span_residual(np.concatenate([t @ t[0].conj().T for t in units]), a.flat),
-               tol.bound(1.0), DegenerateCenterElement,
+    nk.require(_units_residual(units, a), tol.bound(1.0), DegenerateCenterElement,
                "frame matrix units leave the algebra, residual {:.3e}")
     sig = a._frames[tol] = _signature(blocks, projections, units, tol)
     return sig
+
+
+def _units_residual(units, a: VnAlgebra) -> float:
+    """Worst distance of a frame's matrix units T_ik T_i1* from the span of a."""
+    return nk.span_residual(np.concatenate([t @ t[0].conj().T for t in units]), a.flat)
+
+
+def adopt_frame(a: VnAlgebra, source: VnAlgebra, tol: nk.Tolerance) -> None:
+    """Let a take over the frame source holds at tol if a has none there, and the
+    frame fills dim a and passes the span check that ends ``block_decompose``."""
+    sig = source._frames.get(tol)
+    if sig and tol not in a._frames and sum(ai * ai for ai, _ in sig.blocks) == a.dim and \
+            _units_residual(sig.units, a) <= tol.bound(1.0):
+        a._frames[tol] = sig
 
 
 def _signature(blocks, projections, units, tol: nk.Tolerance) -> BlockSignature:

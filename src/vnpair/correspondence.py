@@ -32,7 +32,7 @@ def rep_apply(domain: alg.VnAlgebra, images: np.ndarray, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     coeffs = domain.coefficients(x) if x.ndim == 2 else \
         x.reshape(x.shape[:-2] + (domain.flat.shape[1],)) @ domain.flat.conj().T
-    return np.tensordot(coeffs, images, axes=(-1, 0))
+    return (coeffs @ images.reshape(len(images), -1)).reshape(coeffs.shape[:-1] + images.shape[1:])
 
 
 def inner_products(x) -> np.ndarray:
@@ -361,9 +361,9 @@ def _table_against(e: Correspondence, left_sig, right_sig,
     """Joint multiplicities tr(rho(e^i_11) rho'(f^j_11)) over the first
     matrix units of the two block frames, rounded within 1e-6 by
     ``numkernel.integral_trace``."""
-    traces = np.einsum("iab,jba->ij", *(
-        rep(np.array([t[0] @ t[0].conj().T for t in sig.units]))
-        for rep, sig in ((e.rho_of, left_sig), (e.rho_prime_of, right_sig))))
+    left, right = (rep(np.array([t[0] @ t[0].conj().T for t in sig.units]))
+                   for rep, sig in ((e.rho_of, left_sig), (e.rho_prime_of, right_sig)))
+    traces = left.reshape(len(left), -1) @ right.transpose(0, 2, 1).reshape(len(right), -1).T
     counts = tuple(tuple(nk.integral_trace(complex(tr), 1e-6, e.carrier_dim) for tr in row)
                    for row in traces)
     return MultiplicityTable(left_blocks=left_sig.blocks, right_blocks=right_sig.blocks,

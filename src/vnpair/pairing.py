@@ -72,13 +72,16 @@ def _check_unitary(u, n, tol: nk.Tolerance) -> np.ndarray:
 
 
 def _commutant_domains(theta, theta_prime, tol: nk.Tolerance):
-    b = theta.domain
-    bp = theta_prime.domain
-    match = alg.equals(bp, alg.commutant(b, tol), tol)
+    """Check that theta_prime's domain B' spans the commutant of B; then B' takes
+    over the commutant's frame, that of B transposed (``algebra.adopt_frame``)."""
+    b, bp = theta.domain, theta_prime.domain
+    comm = alg.commutant(b, tol)
+    match = alg.equals(bp, comm, tol)
     if not match:
         raise DomainsNotCommutant(
             f"second domain is not the commutant of the first, "
             f"distance {match.residual:.3e}")
+    alg.adopt_frame(bp, comm, tol)
     return b, bp
 
 
@@ -90,7 +93,8 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     theta_prime(b') on the basis of B', and the same relations must hold
     for u^k against the k-th iterates up to the horizon. Both maps pass
     ``Endomorphism.validate`` at every horizon before their iterates are
-    compared; their law residuals are computed once per map.
+    compared; their law residuals and iterates are computed once per map,
+    and a B' without a frame takes that of B (``_commutant_domains``).
     """
     _commutant_domains(theta, theta_prime, tol)
     return _relations(u, theta, theta_prime, horizon, tol)
@@ -111,8 +115,7 @@ def _relations(u, theta, theta_prime, horizon: int,
     # each map is valid, so its iterates are valid as composed
     theta.validate(tol)
     theta_prime.validate(tol)
-    powers = endo_mod.iterates(theta, max(horizon, 1))
-    powers_prime = endo_mod.iterates(theta_prime, max(horizon, 1))
+    powers, powers_prime = (endo_mod.iterates(f, max(horizon, 1)) for f in (theta, theta_prime))
     worst_pow = 0.0
     uk = u.copy()
     for k in range(2, horizon + 1):
@@ -228,7 +231,8 @@ def can_pair(theta, theta_prime,
     """Decide pairability through the correspondence isomorphism test.
 
     Paired outcomes carry a verified unitary; unpaired outcomes carry the
-    two joint multiplicity tables that differ.
+    two joint multiplicity tables that differ. Both are read off the frame of B
+    and that of B'; a B' without one takes B's, so the unitary follows B's basis.
     """
     if not endo_mod.is_faithful(theta, tol):
         raise NotFaithful("first map is not faithful")
@@ -288,8 +292,7 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
             f"link is not in the algebra, residual {report.residual:.3e}",
             step=1, residual=float(report.residual))
     # can_pair validated both maps in check_pairing before pairing them
-    powers1 = endo_mod.iterates(theta1, max(horizon, 1))
-    powers2 = endo_mod.iterates(theta2, max(horizon, 1))
+    powers1, powers2 = (endo_mod.iterates(f, max(horizon, 1)) for f in (theta1, theta2))
     family = [c1]
     for s in range(1, horizon):
         family.append(family[-1] @ powers1[s](c1))

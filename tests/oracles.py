@@ -17,7 +17,10 @@ faster route replaced, kept so that the faster route has a reference.
   ``all_units_commutation``: the law checks on every basis pair, every
   basis product and every commutant unit, before ``endo.hom_residuals``,
   ``VnAlgebra.validate`` and ``algebra.commutant`` checked them on the
-  matrix units of the block frame.
+  matrix units of the block frame;
+- ``einsum_iterates``: the iterates of a map composed afresh by the
+  two-operand ``np.einsum``, before ``endo.iterates`` kept a memo composed
+  by one product per step.
 """
 
 from __future__ import annotations
@@ -224,3 +227,13 @@ def model_algebra(blocks, seed) -> alg.VnAlgebra:
     gens, _ = alg.block_basis(blocks)
     return alg.VnAlgebra(n, u @ np.array(model) @ u.conj().T,
                          generators=u @ gens @ u.conj().T)
+
+
+def einsum_iterates(f, k: int) -> list:
+    """Basis images of id, f, ..., f^k: each iterate is f applied after the
+    previous one, through its coefficient matrix and the two-operand einsum."""
+    out = [f.domain.basis.copy()]
+    for _ in range(k):
+        coeff = f.domain.flat.conj() @ out[-1].reshape(f.domain.dim, -1).T
+        out.append(np.einsum("de,eij->dij", coeff.T, f.basis_images))
+    return out

@@ -150,6 +150,24 @@ def test_one_frame_per_algebra_and_tolerance(monkeypatch):
     assert builds == [b, b]
 
 
+def test_adopt_frame_takes_only_a_frame_of_the_span():
+    """A frame is taken over only where its matrix units lie in the span; a
+    conjugate of the algebra, with the same dimensions, keeps no frame."""
+    tol = nk.DEFAULT_TOL
+    b = alg.random_algebra(6, [(1, 2), (1, 2), (2, 1)], seed=4)
+    bp = alg.commutant(b, tol)
+    sig = alg.block_decompose(bp, tol)
+    w = nk.random_unitary(6, seed=2)
+    for other in (alg.VnAlgebra(6, w @ bp.basis @ w.conj().T), b):
+        alg.adopt_frame(other, bp, tol)
+        assert tol not in other._frames or other._frames[tol] is not sig
+    same = alg.VnAlgebra(6, bp.basis[::-1])
+    alg.adopt_frame(same, alg.VnAlgebra(6, bp.basis), tol)
+    assert same._frames == {}
+    alg.adopt_frame(same, bp, tol)
+    assert alg.block_decompose(same, tol) is sig
+
+
 def test_center_of_two_block_algebra():
     gens, _ = alg.block_basis([(2, 1), (1, 2)])
     a = alg.from_generators(4, gens)

@@ -79,6 +79,23 @@ def test_iterates_match_repeated_composition():
         endo.iterates(theta, -1)
 
 
+def test_iterates_are_composed_once_per_map():
+    b = alg.random_algebra(6, [(2, 1), (1, 2), (1, 2)], seed=8)
+    theta = endo.from_unitary(b, selftest.unitary_inside(b, np.random.default_rng(3)))
+    first = endo.iterates(theta, 2)
+    later = endo.iterates(theta, 5)
+    assert len(first) == 3 and len(later) == 6
+    assert all(x is y for x, y in zip(first, later))
+    for power_k, oracle in zip(later, orc.einsum_iterates(theta, 5)):
+        assert np.abs(power_k.basis_images - oracle).max() <= 1e-15
+    # the lists are fresh: changing one leaves the memo as it was
+    kept = list(later)
+    later.clear()
+    first[1] = endo.identity(b)
+    again = endo.iterates(theta, 5)
+    assert len(again) == 6 and all(x is y for x, y in zip(again, kept))
+
+
 def test_power_rejects_an_invalid_map_at_positive_exponents():
     d2 = diag_algebra_2()
     outside = endo.Endomorphism(d2, np.array([SWAP, SWAP]))

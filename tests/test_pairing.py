@@ -270,6 +270,68 @@ def test_can_pair_compares_the_domains_once(two_block, monkeypatch):
     assert len(calls) == 2
 
 
+def _count_frame_builds(monkeypatch) -> list:
+    """Algebras whose block frame is built: each build computes one center."""
+    builds = []
+    real = alg.center
+    monkeypatch.setattr(alg, "center",
+                        lambda a, tol=nk.DEFAULT_TOL: builds.append(a) or real(a, tol))
+    return builds
+
+
+def _fresh_domains(seed):
+    """A copy b of a random algebra with summands of equal shape, and an
+    algebra bp built on its own with the span of the commutant of b (basis
+    reversed); neither holds a frame. Also the model of b, for building maps."""
+    model = alg.random_algebra(6, [(1, 2), (1, 2), (2, 1)], seed=seed)
+    b = alg.VnAlgebra(6, model.basis, generators=model.generators)
+    bp = alg.VnAlgebra(6, alg.commutant(model).basis[::-1])
+    return model, b, bp
+
+
+def _inner(model, b, seed):
+    """Ad u* on b for a unitary u in b, built on the model without law checks on b."""
+    return endo.Endomorphism(b, endo.from_unitary(model, unitary_in(model, seed)).basis_images)
+
+
+def test_pairing_builds_one_frame_for_both_domains(monkeypatch):
+    """B' takes over the frame of B that the commutant of B holds, transposed:
+    one frame build per can_pair and per cocycle_link on fresh domains."""
+    model, b, bp = _fresh_domains(5)
+    theta = _inner(model, b, 31)
+    builds = _count_frame_builds(monkeypatch)
+    cert = pr.can_pair(theta, endo.identity(bp))
+    assert cert.paired and builds == [b]
+    assert pr.check_pairing(cert.unitary, theta, endo.identity(bp)).paired
+    assert builds == [b]
+    sig = alg.block_decompose(bp)
+    assert sig is alg.block_decompose(alg.commutant(b))
+    fresh = alg.block_decompose(alg.VnAlgebra(6, bp.basis))
+    assert sig.blocks == fresh.blocks == ((2, 1), (2, 1), (1, 2))
+    assert np.abs(sig.central_projections - fresh.central_projections).max() <= 1e-10
+    model, b, bp = _fresh_domains(6)
+    builds.clear()
+    family = pr.cocycle_link(_inner(model, b, 31), _inner(model, b, 37),
+                             endo.identity(bp), horizon=3)
+    assert len(family) == 3 and builds == [b]
+
+
+def test_a_frame_built_first_is_kept():
+    model, b, bp = _fresh_domains(5)
+    sig = alg.block_decompose(bp)
+    assert pr.can_pair(_inner(model, b, 31), endo.identity(bp)).paired
+    assert alg.block_decompose(bp) is sig
+    assert alg.block_decompose(alg.commutant(b)) is not sig
+
+
+def test_a_domain_that_is_not_the_commutant_takes_no_frame(two_block):
+    b, _ = two_block
+    wrong = alg.VnAlgebra(b.ambient_dim, b.basis[::-1])
+    with pytest.raises(DomainsNotCommutant):
+        pr._commutant_domains(endo.identity(b), endo.identity(wrong), nk.DEFAULT_TOL)
+    assert wrong._frames == {}
+
+
 def test_cocycle_link_checks_membership_at_the_given_tolerance(two_block, monkeypatch):
     b, bp = two_block
     seen = []
