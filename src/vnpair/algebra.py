@@ -460,13 +460,27 @@ def block_basis(blocks) -> tuple[np.ndarray, list[int]]:
     return np.array(gens), [a * m for a, m in blocks]
 
 
+def block_model(blocks, frame, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
+    """The model algebra (+)_i M_{a_i} (x) 1_{m_i} of the signature, turned by
+    the unitary frame u, in closed form (Davidson, C*-Algebras by Example,
+    III.1): the generators g_k = u e_k u* of ``block_basis`` and, per summand,
+    the orthonormal basis g_j* g_k / sqrt(m_i) of its matrix units. No closure."""
+    gens, _ = block_basis(blocks)
+    gens = frame @ gens @ frame.conj().T
+    n, units, start = len(frame), [], 0
+    for a, m in blocks:
+        g = gens[start:start + a]
+        grid = g.conj().transpose(0, 2, 1)[:, None] @ g[None]  # g_j* g_k at (j, k)
+        units.append(grid.reshape(-1, n, n) / np.sqrt(m))
+        start += a
+    return VnAlgebra(n, np.concatenate(units), generators=gens, tol=tol)
+
+
 def random_algebra(ambient_dim: int, blocks, seed,
                    tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
-    """Random-basis copy of the block-diagonal algebra with the given signature.
-
-    Builds the model algebra, conjugates its generators by a Haar unitary,
-    and closes the result.
-    """
+    """Random-basis copy of the block-diagonal algebra with the given signature:
+    ``block_model`` turned by a Haar unitary drawn from the seed, in closed
+    form, with no closure under products."""
     n = int(ambient_dim)
     blocks = [(int(a), int(m)) for a, m in blocks]
     if any(a < 1 or m < 1 for a, m in blocks):
@@ -474,7 +488,4 @@ def random_algebra(ambient_dim: int, blocks, seed,
     if sum(a * m for a, m in blocks) != n:
         raise DimensionMismatch(
             f"blocks fill {sum(a * m for a, m in blocks)} dimensions, ambient is {n}")
-    u = nk.random_unitary(n, seed)
-    gens, _ = block_basis(blocks)
-    conjugated = u @ gens @ u.conj().T
-    return from_generators(n, conjugated, tol)
+    return block_model(blocks, nk.random_unitary(n, seed), tol)

@@ -24,6 +24,7 @@ from . import correspondence as corr
 from . import endo as endo_mod
 from . import errors
 from . import multiplier as mult
+from . import numkernel as nk
 from . import pairing
 from . import prodsys
 from . import scenes
@@ -128,9 +129,9 @@ def _cmd_prodsys_commutant(scene, opts):
     p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
     q = prodsys.commutant_system(p, opts.tol)
     diag = dict(q.residuals)
-    diag["order_reversal"] = max(
+    diag["order_reversal"] = nk.worst(*(
         prodsys.commutant_order_residual(p, q, s, t, opts.tol)
-        for s in range(p.horizon + 1) for t in range(p.horizon + 1 - s))
+        for s in range(p.horizon + 1) for t in range(p.horizon + 1 - s)))
     return _system_payload(q), diag
 
 

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 
 from . import numkernel as nk
-from .algebra import VnAlgebra, block_decompose, from_generators
+from . import algebra as alg
 from .errors import (AlgebraNotInvariant, DimensionMismatch, DomainMismatch,
                      ImageOutsideAlgebra, InconsistentGeneratorImages,
                      NotMultiplicative, NotStar, NotUnital, NotUnitary)
@@ -25,7 +25,7 @@ class Endomorphism:
     data. Instances are immutable: law residuals and iterates are kept on first use.
     """
 
-    def __init__(self, domain: VnAlgebra, basis_images: np.ndarray):
+    def __init__(self, domain: alg.VnAlgebra, basis_images: np.ndarray):
         self.domain = domain
         self.basis_images = np.asarray(basis_images, dtype=complex)
         if self.basis_images.shape != domain.basis.shape:
@@ -39,7 +39,8 @@ class Endomorphism:
 
     def __call__(self, x) -> np.ndarray:
         """Apply to an ambient matrix lying in the domain span."""
-        return np.tensordot(self.domain.coefficients(x), self.basis_images, axes=(0, 0))
+        n = self.domain.ambient_dim
+        return (self.domain.coefficients(x) @ self.basis_images.reshape(-1, n * n)).reshape(n, n)
 
     @functools.cached_property
     def law_residuals(self) -> dict:
@@ -70,7 +71,7 @@ def _same_domain(f: Endomorphism, g: Endomorphism) -> None:
         raise DomainMismatch("maps are stored over different domain bases")
 
 
-def hom_residuals(domain: VnAlgebra, images) -> dict:
+def hom_residuals(domain: alg.VnAlgebra, images) -> dict:
     """Unital, multiplicative and star residuals of the linear map sending
     the i-th domain basis element to images[i] (an endomorphism, or a
     representation on a carrier), from the images f^i_jk of the units of
@@ -89,7 +90,7 @@ def hom_residuals(domain: VnAlgebra, images) -> dict:
     images = np.asarray(images, dtype=complex)
     d, h = images.shape[0], images.shape[1]
     unit = domain.unit_coefficients @ images.reshape(d, -1)
-    sig = block_decompose(domain, domain.tol)
+    sig = alg.block_decompose(domain, domain.tol)
     f = [np.tensordot(sig.unit_grid(i).reshape(a * a, -1) @ domain.flat.conj().T, images,
                       axes=(1, 0)).reshape(a, a, h, h) for i, (a, _) in enumerate(sig.blocks)]
     q = np.linalg.norm([np.linalg.norm(x - x[:, :1] @ x[:1]) for x in f])
@@ -104,18 +105,18 @@ def hom_residuals(domain: VnAlgebra, images) -> dict:
             "star": float(star)}
 
 
-def make(domain: VnAlgebra, images, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
+def make(domain: alg.VnAlgebra, images, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
     """Validated endomorphism from basis images: construct, then ``validate``."""
     theta = Endomorphism(domain, images)
     theta.validate(tol)
     return theta
 
 
-def identity(domain: VnAlgebra) -> Endomorphism:
+def identity(domain: alg.VnAlgebra) -> Endomorphism:
     return Endomorphism(domain, domain.basis.copy())
 
 
-def from_unitary(domain: VnAlgebra, u, direction: str = "adjoint",
+def from_unitary(domain: alg.VnAlgebra, u, direction: str = "adjoint",
                  tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
     """Conjugation by a unitary, restricted to the algebra.
 
@@ -218,8 +219,8 @@ def from_generator_images(ambient_dim: int, generators, images,
     pairs = np.zeros((len(gens), 2 * n, 2 * n), dtype=complex)
     pairs[:, :n, :n] = np.reshape(gens, (-1, n, n))
     pairs[:, n:, n:] = np.reshape(imgs, (-1, n, n))
-    dom = from_generators(n, gens, tol)
-    graph = from_generators(2 * n, pairs, tol)
+    dom = alg.from_generators(n, gens, tol)
+    graph = alg.from_generators(2 * n, pairs, tol)
     if graph.dim != dom.dim:
         raise InconsistentGeneratorImages(
             f"the graph algebra has dimension {graph.dim}, the domain {dom.dim}: a "

@@ -18,6 +18,11 @@ faster route replaced, kept so that the faster route has a reference.
   basis product and every commutant unit, before ``endo.hom_residuals``,
   ``VnAlgebra.validate`` and ``algebra.commutant`` checked them on the
   matrix units of the block frame;
+- ``closure_algebra`` and ``elementwise_correspondence``: the sampled
+  algebras closed under products, and the images of a sampled
+  correspondence built one basis element at a time, before
+  ``algebra.block_model`` and ``selftest.random_correspondence`` built
+  them in closed form on whole stacks;
 - ``einsum_iterates``: the iterates of a map composed afresh by the
   two-operand ``np.einsum``, before ``endo.iterates`` kept a memo composed
   by one product per step.
@@ -32,6 +37,7 @@ import numpy as np
 from vnpair import algebra as alg
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
+from vnpair import selftest
 from vnpair.errors import DimensionMismatch
 
 
@@ -209,24 +215,62 @@ def all_units_commutation(gens, parts) -> float:
         [x.reshape(-1, *x.shape[2:]) for x in parts]))
 
 
-def model_algebra(blocks, seed) -> alg.VnAlgebra:
+def closure_algebra(blocks, seed) -> alg.VnAlgebra:
     """The block-model algebra of the signature, rotated by the seeded
-    unitary u, in closed form: the basis u (E_kl (x) 1_m / sqrt m) u* and the
-    generators u (first row of matrix units) u* of ``algebra.block_basis``,
-    with no closure (``algebra.random_algebra`` closes the generators)."""
+    unitary u, as the closure under products (``algebra.from_generators``)
+    of the generators u (first row of matrix units) u* of
+    ``algebra.block_basis``."""
     n = sum(a * m for a, m in blocks)
-    model, offset = [], 0
-    for a, m in blocks:
-        for k in range(a):
-            for l in range(a):
-                x = np.zeros((n, n), dtype=complex)
-                x[offset + k * m + np.arange(m), offset + l * m + np.arange(m)] = m ** -0.5
-                model.append(x)
-        offset += a * m
     u = nk.random_unitary(n, seed)
     gens, _ = alg.block_basis(blocks)
-    return alg.VnAlgebra(n, u @ np.array(model) @ u.conj().T,
-                         generators=u @ gens @ u.conj().T)
+    return alg.from_generators(n, u @ gens @ u.conj().T)
+
+
+def elementwise_correspondence(sa, sb, rng, carrier_cap: int = 12, mults=None,
+                               tol: nk.Tolerance = nk.DEFAULT_TOL):
+    """The images rho, rho' of ``selftest.random_correspondence`` from the same
+    draws, one basis element at a time: each element is taken into its
+    hidden frame, cut into its irreducible components, tensored with the
+    identities of the joint multiplicities, laid out block-diagonally and
+    scrambled on its own."""
+    if mults is None:
+        mults = selftest.random_joint_multiplicities(rng, sa, sb, carrier_cap)
+    bprime = alg.commutant(sb.algebra, tol)
+    h = sum(int(mults[i, j]) * a * nj
+            for i, (a, _) in enumerate(sa.blocks)
+            for j, (_, nj) in enumerate(sb.blocks))
+    scramble = nk.random_unitary(h, rng)
+
+    def block_diag(pieces):
+        out, pos = np.zeros((h, h), dtype=complex), 0
+        for p in pieces:
+            out[pos:pos + len(p), pos:pos + len(p)] = p
+            pos += len(p)
+        return scramble @ out @ scramble.conj().T
+
+    def rho_image(x):
+        z = sa.frame.conj().T @ x @ sa.frame
+        pieces = []
+        for i, (a, m) in enumerate(sa.blocks):
+            idx = sa.offsets[i] + np.arange(a) * m
+            for j, (_, nj) in enumerate(sb.blocks):
+                if mults[i, j]:
+                    pieces.append(np.kron(z[np.ix_(idx, idx)], np.eye(nj * int(mults[i, j]))))
+        return block_diag(pieces)
+
+    def rho_prime_image(y):
+        z = sb.frame.conj().T @ y @ sb.frame
+        pieces = []
+        for i, (a, _) in enumerate(sa.blocks):
+            for j, (_, nj) in enumerate(sb.blocks):
+                if mults[i, j]:
+                    o = sb.offsets[j]
+                    pieces.append(np.kron(np.eye(a), np.kron(z[o:o + nj, o:o + nj],
+                                                             np.eye(int(mults[i, j])))))
+        return block_diag(pieces)
+
+    return (np.array([rho_image(x) for x in sa.algebra.basis]),
+            np.array([rho_prime_image(y) for y in bprime.basis]))
 
 
 def einsum_iterates(f, k: int) -> list:

@@ -286,7 +286,7 @@ def test_validate_reads_product_closure_off_the_frame(blocks):
     """A closed span passes; a span with one basis element moved by delta
     out of the algebra has a basis-pair closure residual of at most
     3 sqrt(dim) times the frame's, or no frame at all (InvalidAlgebra)."""
-    a = orc.model_algebra(blocks, seed=3)
+    a = alg.random_algebra(sum(s * m for s, m in blocks), blocks, seed=3)
     n, d = a.ambient_dim, a.dim
     assert a.validate()["product_closure"] <= 1e-12
     rng = np.random.default_rng(d)
@@ -321,7 +321,7 @@ def test_commutant_law_on_generating_units_bounds_every_unit(blocks):
     one over every unit and at least half of it, so ``commutant``, which
     compares it with half the bound, rejects whatever the full bound on
     every unit rejects."""
-    a = orc.model_algebra(blocks, seed=7)
+    a = alg.random_algebra(sum(s * m for s, m in blocks), blocks, seed=7)
     n = a.ambient_dim
     sig = alg.block_decompose(a)
     bound = nk.DEFAULT_TOL.bound(nk.worst_norm(a.generators))

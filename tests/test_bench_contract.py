@@ -35,3 +35,20 @@ def test_every_traced_name_resolves():
         if cls is not None:
             owner = getattr(owner, cls)
         assert hasattr(owner, attr), metric
+
+
+@pytest.mark.skipif(not TRACING.exists(), reason="no bench/ next to the tests")
+def test_no_module_binds_a_traced_function_by_import():
+    """The traced runs patch module attributes, so a name bound by
+    ``from .module import f`` keeps the unwrapped f, and its time is booked
+    as the caller's self time."""
+    lists = _traced_names()
+    traced = {(module, attr) for _, module, cls, attr in lists["TARGETS"] + lists["COUNTED"]
+              if cls is None}
+    package = pathlib.Path(importlib.import_module("vnpair").__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("vnpair.")
+                bound = {(module, alias.name) for alias in node.names} & traced
+                assert not bound, f"{path.stem} binds {sorted(bound)}"

@@ -12,6 +12,7 @@ from vnpair import algebra as alg
 from vnpair import cli
 from vnpair import multiplier as mult
 from vnpair import numkernel as nk
+from vnpair import prodsys
 from vnpair import scenes
 from vnpair import selftest as st
 
@@ -244,6 +245,20 @@ def test_prodsys_commutant(scene_dir):
                           path(scene_dir, "d2"), "--horizon", "3"])
     assert report["payload"]["horizon"] == 3
     assert report["diagnostics"]["order_reversal"] < 1e-8
+
+
+def test_a_nan_order_residual_reads_nan(scene_dir, monkeypatch):
+    """Builtin max drops a NaN that follows a number; one NaN term makes the
+    whole order_reversal diagnostic NaN."""
+    order = prodsys.commutant_order_residual
+
+    def nan_at_1_1(p, q, s, t, tol):
+        return float("nan") if (s, t) == (1, 1) else order(p, q, s, t, tol)
+
+    monkeypatch.setattr(prodsys, "commutant_order_residual", nan_at_1_1)
+    report, _ = run_json(["prodsys-commutant", "--input",
+                          path(scene_dir, "d2"), "--horizon", "3"])
+    assert report["diagnostics"]["order_reversal"] == "nan"
 
 
 def test_bhat(scene_dir):

@@ -313,6 +313,17 @@ def test_conjugation_round_trip_property(seed):
                        np.eye(4), atol=1e-10)
 
 
+def test_call_agrees_with_the_tensordot_contraction():
+    """theta(x) as one product on the flattened images equals the
+    contraction of the coefficients of x with the stacked images."""
+    b = alg.random_algebra(6, [(2, 1), (1, 2), (1, 2)], seed=8)
+    rng = np.random.default_rng(8)
+    theta = endo.from_unitary(b, selftest.unitary_inside(b, rng))
+    for x in (b.basis[0], b.project(nk.random_complex((6, 6), rng))):
+        ref = np.tensordot(b.coefficients(x), theta.basis_images, axes=(0, 0))
+        assert np.linalg.norm(theta(x) - ref) <= 1e-15
+
+
 RELATION_SIGNATURES = [[(2, 8), (2, 8)], [(3, 2)], [(2, 1), (1, 3)], [(4, 6), (6, 4)]]
 
 
@@ -322,7 +333,7 @@ def test_presentation_check_against_the_basis_pair_check(blocks):
     unit-norm random matrix: the frame's residuals are at least the
     basis-pair ones, so they reject whatever those reject at any bound,
     and they agree within the factors ``hom_residuals`` states."""
-    b = orc.model_algebra(blocks, seed=len(blocks))
+    b = alg.random_algebra(sum(s * m for s, m in blocks), blocks, seed=len(blocks))
     n, d = b.ambient_dim, b.dim
     rng = np.random.default_rng(d)
     images = endo.from_unitary(b, selftest.unitary_inside(b, rng)).basis_images

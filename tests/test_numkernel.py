@@ -297,6 +297,19 @@ SIGNATURES = [
 ]
 
 
+@pytest.mark.parametrize("blocks", SIGNATURES, ids=str)
+def test_random_algebra_is_the_closure_of_its_generators(blocks):
+    """The closed-form basis spans the closure of the same generators, which
+    it keeps bit for bit; the span is closed and has the signature."""
+    n = sum(a * m for a, m in blocks)
+    fast = alg.random_algebra(n, blocks, seed=n)
+    closed = orc.closure_algebra(blocks, seed=n)
+    assert np.array_equal(fast.generators, closed.generators)
+    assert alg.equals(fast, closed).residual <= 1e-12
+    fast.validate()
+    assert alg.block_decompose(fast).blocks == tuple(sorted(blocks, reverse=True))
+
+
 def _assert_orthonormal(basis):
     flat = basis.reshape(basis.shape[0], -1)
     assert np.linalg.norm(flat @ flat.conj().T - np.eye(len(flat))) < 1e-12

@@ -1,10 +1,12 @@
 import contextlib
+import copy
 import io
 import json
 
 import numpy as np
 import pytest
 
+import oracles as orc
 from vnpair import algebra as alg
 from vnpair import cli
 from vnpair import numkernel as nk
@@ -175,6 +177,51 @@ def test_random_correspondence_has_prescribed_carrier():
                    for j, (_, nj) in enumerate(sb.blocks))
     assert e.carrier_dim == expected
     e.validate()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_correspondence_matches_the_elementwise_oracle(seed):
+    """The images built on whole stacks equal those built one basis element
+    at a time from the same draws."""
+    rng = np.random.default_rng(seed)
+    sa = selftest.sample_algebra(rng, 6, max_dim=10)
+    sb = selftest.sample_algebra(rng, 6, max_dim=10)
+    again = copy.deepcopy(rng)
+    e = selftest.random_correspondence(sa, sb, rng)
+    rho, rho_prime = orc.elementwise_correspondence(sa, sb, again)
+    assert np.abs(e.rho - rho).max() <= 1e-15
+    assert np.abs(e.rho_prime - rho_prime).max() <= 1e-15
+
+
+def test_instance_generators_close_nothing(monkeypatch):
+    """random_algebra, sample_algebra and random_correspondence build their
+    spans in closed form: none of them reaches the closure."""
+    def closure(*args, **kwargs):
+        raise AssertionError("from_generators was called")
+
+    monkeypatch.setattr(alg, "from_generators", closure)
+    alg.random_algebra(6, [(2, 1), (1, 2), (1, 2)], seed=0)
+    rng = np.random.default_rng(0)
+    sa = selftest.sample_algebra(rng, 6, max_dim=10)
+    sb = selftest.sample_algebra(rng, 6, max_dim=10)
+    selftest.random_correspondence(sa, sb, rng).validate()
+
+
+def test_a_nan_pairing_residual_fails_the_round_trip(monkeypatch):
+    """Builtin max drops a NaN that follows a number; the round trip folds
+    its residuals so that a NaN ``powers`` residual fails the property."""
+    check = pairing.check_pairing
+
+    def nan_powers(*args, **kwargs):
+        cert = check(*args, **kwargs)
+        cert.residuals["powers"] = float("nan")
+        return cert
+
+    monkeypatch.setattr(pairing, "check_pairing", nan_powers)
+    index = EXPECTED_ORDER.index("pairing-round-trip")
+    result = selftest.run_property(selftest.PROPERTIES[index], index, 0, 2, nk.DEFAULT_TOL)
+    assert not result.ok
+    assert np.isnan(result.worst)
 
 
 ALGEBRA_PROPERTIES = ["algebra-bicommutant", "pairing-round-trip", "masa-unpairable",
