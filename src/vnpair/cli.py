@@ -129,9 +129,13 @@ def _cmd_prodsys_commutant(scene, opts):
     p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
     q = prodsys.commutant_system(p, opts.tol)
     diag = dict(q.residuals)
-    diag["order_reversal"] = nk.worst(*(
-        prodsys.commutant_order_residual(p, q, s, t, opts.tol)
-        for s in range(p.horizon + 1) for t in range(p.horizon + 1 - s)))
+    order = nk.worst(*(prodsys.commutant_order_residual(p, q, s, t, opts.tol)
+                       for s in range(p.horizon + 1) for t in range(p.horizon + 1 - s)))
+    bound = opts.tol.bound(1.0)
+    diag["order_reversal"] = nk.require(
+        order, bound, errors.ProductSystemLawError,
+        "commutant product does not reverse the order, residual {:.3e}",
+        residual=order, bound=bound)
     return _system_payload(q), diag
 
 

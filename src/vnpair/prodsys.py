@@ -534,17 +534,23 @@ def _frame_isometry(b: alg.VnAlgebra, rho_b, tol: nk.Tolerance) -> np.ndarray:
 class CommutantViaDilation:
     """Commutant system realized inside a right dilation, with the comparison.
 
-    system is the dilation-side product system; nu[t] holds the images of the
-    element basis of the t-th member of the operator-commutant system (the
-    commutant correspondence of the t-th member of the original system), in
-    the coordinates of the dilation-side member.
+    system is the dilation-side product system in the coordinates of the
+    comparison maps upsilon_t = eta_t(1) xi: there its t-th member is the
+    commutant correspondence of the t-th member of the original system
+    (left action the basis of B', right commutant action the images of
+    theta^t), so the build shares one tensor quotient per left index, N+1 in
+    all. nu[t] is the element basis of that member, the images of the
+    operator-commutant element basis in those coordinates.
     """
 
-    def __init__(self, system, nu, upsilon, xi):
+    def __init__(self, system, upsilon, xi):
         self.system = system
-        self.nu = nu
         self.upsilon = upsilon
         self.xi = xi
+
+    @property
+    def nu(self) -> list:
+        return [m.element_space for m in self.system.members]
 
 
 def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
@@ -553,11 +559,14 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
 
     Reads off the block frame of the algebra an isometry xi from the ambient
     space into H intertwining the identity representation with the action
-    on H, and checks both properties. The member carriers are the ranges of
-    theta_w(t, xi xi*); the comparison maps nu_t(x') = eta_t(1) xi x' are
-    verified to be unitary, to intertwine both actions, and to be compatible
-    with the products of the operator-commutant system, whose elements
-    multiply as operators; that system itself is not built.
+    on H, and checks both properties. The comparison maps
+    upsilon_t = eta_t(1) xi are verified to be isometries onto the ranges
+    of theta_w(t, xi xi*), |upsilon_t upsilon_t* - theta_w(t, xi xi*)|, to
+    intertwine both actions, and to be compatible with the products of the
+    operator-commutant system, whose elements multiply as operators. In
+    their coordinates the members are the commutant members and x in F_s
+    acts by upsilon_{s+t}* theta_w(t, upsilon_s x xi*) upsilon_t; the
+    operator-commutant system itself is not built.
     """
     if p.source is None:
         raise NotFaithful("the pipeline needs the generating endomorphism")
@@ -577,22 +586,12 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     eye = np.eye(n, dtype=complex)
     upsilon = [rep.eta_of(t, eye) @ xi for t in range(p.horizon + 1)]
     proj = xi @ xi.conj().T
-    bases = []
-    for t in range(p.horizon + 1):
-        if t == 0:
-            bases.append(xi)
-            continue
-        q = nk.range_basis(w.theta_w(t, proj), tol, ProductSystemLawError,
-                           f"theta_w({t}) of xi xi*")
-        if q.shape[1] != n:
-            raise ProductSystemLawError(
-                f"member {t} carrier has dimension {q.shape[1]}, expected {n}")
-        bases.append(q)
-    for t, (q, up) in enumerate(zip(bases, upsilon)):
-        res = nk.worst(nk.unitarity_residual(up),
-                       float(np.linalg.norm(q @ (q.conj().T @ up) - up)))
+    for t, up in enumerate(upsilon):
+        res = nk.worst(nk.unitarity_residual(up), float(np.linalg.norm(
+            up @ up.conj().T - w.theta_w(t, proj))))
         nk.require(res, tol.bound(np.sqrt(n)), ProductSystemLawError,
-                   "comparison map {1} is not unitary onto its member, residual {0:.3e}", t)
+                   "comparison map {1} is not unitary onto theta_w({1}, xi xi*), "
+                   "residual {0:.3e}", t)
     # theta_w(t, xi b' xi*) for every basis element b' of B', per t
     lifted = [w.theta_w(t, xi @ bp.basis @ xi.conj().T) for t in range(p.horizon + 1)]
     worst_b = nk.worst(*(nk.worst_norm(rho_b @ up - up @ p.members[t].rho)
@@ -603,19 +602,13 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
                "comparison maps fail to intertwine, residuals {1:.3e} and {2:.3e}",
                worst_b, worst_bp)
 
-    members = [corr.Correspondence(
-        left=bp, right=bp, left_commutant=b, right_commutant=b,
-        rho=q.conj().T @ lifted[t] @ q, rho_prime=q.conj().T @ rho_b @ q,
-        carrier_dim=q.shape[1], tol=tol) for t, q in enumerate(bases)]
-
     def action(s, t, xs):
-        op = w.theta_w(t, bases[s] @ xs @ xi.conj().T)
-        return bases[s + t].conj().T @ op @ bases[t]
+        op = w.theta_w(t, upsilon[s] @ xs @ xi.conj().T)
+        return upsilon[s + t].conj().T @ op @ upsilon[t]
 
-    fsys = _build_system(bp, members, action, tol=tol)
+    fsys = _build_system(bp, [corr.commutant(e) for e in p.members], action, tol=tol)
 
-    elts = [corr.commutant(e).element_space for e in p.members]
-    nu = [bases[t].conj().T @ upsilon[t] @ elts[t] for t in range(p.horizon + 1)]
+    elts = [m.element_space for m in fsys.members]
     worst_prod = 0.0
     for s in range(p.horizon + 1):
         for t in range(p.horizon + 1 - s):
@@ -626,4 +619,4 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
             worst_prod = nk.worst(worst_prod, nk.worst_norm(diff[:, None] @ elts[t][None]))
     nk.require(worst_prod, tol.bound(1.0), ProductSystemLawError,
                "comparison maps are not product compatible, residual {:.3e}")
-    return CommutantViaDilation(fsys, nu, upsilon, xi)
+    return CommutantViaDilation(fsys, upsilon, xi)

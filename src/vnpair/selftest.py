@@ -83,11 +83,12 @@ class AlgebraSample:
 
 
 def sample_algebra(rng, max_ambient: int, max_dim: int | None = None,
-                   max_codim: int | None = None, max_size: int = 3) -> AlgebraSample:
+                   max_codim: int | None = None, max_size: int = 3,
+                   tol: nk.Tolerance = nk.DEFAULT_TOL) -> AlgebraSample:
     blocks = random_blocks(rng, max_ambient, max_dim, max_codim, max_size)
     n = sum(a * m for a, m in blocks)
     frame = nk.random_unitary(n, rng)
-    return AlgebraSample(tuple(blocks), frame, alg.block_model(blocks, frame))
+    return AlgebraSample(tuple(blocks), frame, alg.block_model(blocks, frame, tol))
 
 
 def unitary_inside(b: alg.VnAlgebra, rng) -> np.ndarray:
@@ -208,13 +209,12 @@ def _algebra_scene(sample: AlgebraSample, extra=None, commutant=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# property cases: each takes (rng, tol, case_index, salt), salt being the
-# run seed, and returns (scene, measure) where measure() gives the worst
-# residual of the case
+# property cases: each takes (rng, tol, case_index) and returns
+# (scene, measure) where measure() gives the worst residual of the case
 
 
-def _case_bicommutant(rng, tol, case_index, salt):
-    sample = sample_algebra(rng, max_ambient=12)
+def _case_bicommutant(rng, tol, case_index):
+    sample = sample_algebra(rng, max_ambient=12, tol=tol)
     scene = _algebra_scene(sample)
 
     def measure():
@@ -236,9 +236,9 @@ def _case_bicommutant(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_corr_involution(rng, tol, case_index, salt):
-    sa = sample_algebra(rng, 6, max_dim=10)
-    sb = sample_algebra(rng, 6, max_dim=10)
+def _case_corr_involution(rng, tol, case_index):
+    sa = sample_algebra(rng, 6, max_dim=10, tol=tol)
+    sb = sample_algebra(rng, 6, max_dim=10, tol=tol)
     mults = random_joint_multiplicities(rng, sa, sb, 10)
     scene = {"left_blocks": [list(b) for b in sa.blocks],
              "right_blocks": [list(b) for b in sb.blocks],
@@ -261,10 +261,10 @@ def _case_corr_involution(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_tensor_commutant(rng, tol, case_index, salt):
-    sa = sample_algebra(rng, 6, max_dim=10)
-    sb = sample_algebra(rng, 6, max_dim=10)
-    sc = sample_algebra(rng, 6, max_dim=10)
+def _case_tensor_commutant(rng, tol, case_index):
+    sa = sample_algebra(rng, 6, max_dim=10, tol=tol)
+    sb = sample_algebra(rng, 6, max_dim=10, tol=tol)
+    sc = sample_algebra(rng, 6, max_dim=10, tol=tol)
     scene = {"left_blocks": [list(b) for b in sa.blocks],
              "middle_blocks": [list(b) for b in sb.blocks],
              "right_blocks": [list(b) for b in sc.blocks]}
@@ -285,7 +285,7 @@ def _case_tensor_commutant(rng, tol, case_index, salt):
 
 
 def _paired_instance(rng, tol):
-    sample = sample_algebra(rng, 8, max_dim=10, max_codim=10)
+    sample = sample_algebra(rng, 8, max_dim=10, max_codim=10, tol=tol)
     b = sample.algebra
     u = normalizing_unitary(sample, rng)
     theta = endo_mod.from_unitary(b, u, "adjoint", tol)
@@ -300,7 +300,7 @@ def _paired_instance(rng, tol):
     return sample, u, theta, theta_prime, scene
 
 
-def _case_pair_roundtrip(rng, tol, case_index, salt):
+def _case_pair_roundtrip(rng, tol, case_index):
     _, u, theta, theta_prime, scene = _paired_instance(rng, tol)
 
     def measure():
@@ -319,8 +319,8 @@ def _case_pair_roundtrip(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_masa_negative(rng, tol, case_index, salt):
-    d2 = alg.block_model([(1, 1), (1, 1)], np.eye(2))
+def _case_masa_negative(rng, tol, case_index):
+    d2 = alg.block_model([(1, 1), (1, 1)], np.eye(2), tol)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     # the masa is its own commutant; theta swaps its minimal projections
     scene = _algebra_scene(AlgebraSample(((1, 1), (1, 1)), np.eye(2), d2), {
@@ -357,7 +357,7 @@ def _case_masa_negative(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_trivialize(rng, tol, case_index, salt):
+def _case_trivialize(rng, tol, case_index):
     n = 64
     if case_index % 2 == 0:
         f = np.exp(2j * np.pi * rng.random(2 * n + 1))
@@ -386,7 +386,7 @@ def _case_trivialize(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_power_family(rng, tol, case_index, salt):
+def _case_power_family(rng, tol, case_index):
     _, u, theta, theta_prime, scene = _paired_instance(rng, tol)
 
     def measure():
@@ -412,8 +412,8 @@ def _case_power_family(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_dilation_commutant(rng, tol, case_index, salt):
-    sample = sample_algebra(rng, 8, max_dim=10, max_codim=10)
+def _case_dilation_commutant(rng, tol, case_index):
+    sample = sample_algebra(rng, 8, max_dim=10, max_codim=10, tol=tol)
     b = sample.algebra
     u = unitary_inside(b, rng)
     scene = _algebra_scene(sample, {
@@ -461,8 +461,8 @@ def _case_dilation_commutant(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_cocycle_link(rng, tol, case_index, salt):
-    sample = sample_algebra(rng, 8, max_dim=10, max_codim=10)
+def _case_cocycle_link(rng, tol, case_index):
+    sample = sample_algebra(rng, 8, max_dim=10, max_codim=10, tol=tol)
     b = sample.algebra
     u1 = normalizing_unitary(sample, rng)
     twist = unitary_inside(b, rng)
@@ -500,7 +500,7 @@ def _case_cocycle_link(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_compression(rng, tol, case_index, salt):
+def _case_compression(rng, tol, case_index):
     n = 2 + case_index % 5
     u = nk.random_unitary(n, rng)
     gamma = nk.random_complex(n, rng)
@@ -544,8 +544,8 @@ def _case_compression(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_symmetry(rng, tol, case_index, salt):
-    sample = sample_algebra(rng, 8)
+def _case_symmetry(rng, tol, case_index):
+    sample = sample_algebra(rng, 8, tol=tol)
     normalizing = case_index % 2 == 0
     if normalizing:
         u = normalizing_unitary(sample, rng)
@@ -566,7 +566,7 @@ def _case_symmetry(rng, tol, case_index, salt):
     return scene, measure
 
 
-def _case_multiplier_group(rng, tol, case_index, salt):
+def _case_multiplier_group(rng, tol, case_index):
     n = 32
     fs = [np.exp(2j * np.pi * rng.random(2 * n + 1)) for _ in range(3)]
     scene = {"construction": "three coboundary grids",
@@ -597,7 +597,7 @@ class Property:
     name: str
     cases: int
     threshold: float
-    build: object  # (rng, tol, case_index, salt) -> (scene, measure)
+    build: object  # (rng, tol, case_index) -> (scene, measure)
 
 
 PROPERTIES: list[Property] = [
@@ -650,7 +650,7 @@ def run_property(prop: Property, index: int, seed: int, count: int,
         rng = np.random.default_rng([seed, index, case])
         scene = None
         try:
-            scene, measure = prop.build(rng, tol, case, seed)
+            scene, measure = prop.build(rng, tol, case)
             residual = float(measure())
         except errors.VnpairError as exc:
             failure = {"property": prop.name, "case": case, "seed": seed,
@@ -701,7 +701,7 @@ def replay(failure: dict, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
     rng = np.random.default_rng([seed, index, case])
     out = {"property": prop.name, "case": case, "seed": seed}
     try:
-        _, measure = prop.build(rng, tol, case, seed)
+        _, measure = prop.build(rng, tol, case)
         out["residual"] = float(measure())
         out["ok"] = out["residual"] <= prop.threshold
     except errors.VnpairError as exc:

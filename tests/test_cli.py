@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ from vnpair import numkernel as nk
 from vnpair import prodsys
 from vnpair import scenes
 from vnpair import selftest as st
+from vnpair.errors import ProductSystemLawError
 
 
 def run_cli(args):
@@ -249,7 +251,7 @@ def test_prodsys_commutant(scene_dir):
 
 def test_a_nan_order_residual_reads_nan(scene_dir, monkeypatch):
     """Builtin max drops a NaN that follows a number; one NaN term makes the
-    whole order_reversal diagnostic NaN."""
+    whole order_reversal residual NaN, which fails its bound."""
     order = prodsys.commutant_order_residual
 
     def nan_at_1_1(p, q, s, t, tol):
@@ -257,8 +259,15 @@ def test_a_nan_order_residual_reads_nan(scene_dir, monkeypatch):
 
     monkeypatch.setattr(prodsys, "commutant_order_residual", nan_at_1_1)
     report, _ = run_json(["prodsys-commutant", "--input",
-                          path(scene_dir, "d2"), "--horizon", "3"])
-    assert report["diagnostics"]["order_reversal"] == "nan"
+                          path(scene_dir, "d2"), "--horizon", "3"], expect_code=1)
+    assert report["status"] == "fail"
+    assert report["error"]["type"] == "ProductSystemLawError"
+    scene = scenes.load_scene(path(scene_dir, "d2"))
+    opts = argparse.Namespace(tol=scene.tol, horizon=3)
+    with pytest.raises(ProductSystemLawError) as info:
+        cli._cmd_prodsys_commutant(scene, opts)
+    assert np.isnan(info.value.residual)
+    assert info.value.bound == scene.tol.bound(1.0)
 
 
 def test_bhat(scene_dir):

@@ -176,7 +176,7 @@ def test_identity_dilation_rejects_twisted_members(inner_system):
 
 
 def test_commutant_via_dilation_pipeline(inner_system):
-    b, v, _, p = inner_system
+    b, v, theta, p = inner_system
     w = ps.right_dilation_from_unitary(p, v)
     cv = ps.commutant_via_dilation(p, w)
     assert [m.carrier_dim for m in cv.system.members] == [4, 4, 4, 4]
@@ -184,6 +184,57 @@ def test_commutant_via_dilation_pipeline(inner_system):
     # comparison maps are isometries from the reference carriers
     for up in cv.upsilon:
         assert np.linalg.norm(up.conj().T @ up - np.eye(b.ambient_dim)) < 1e-10
+    # in their coordinates member t has the left action of B' on itself and
+    # theta^t(B) as its right commutant action; nu[t] is its element basis
+    for t, member in enumerate(cv.system.members):
+        assert member.rho is p.commutant_algebra.basis
+        assert member.rho_prime is p.members[t].rho
+        power = endo.power(theta, t)
+        assert np.allclose(member.rho_prime, [power(x) for x in b.basis], atol=1e-12)
+        assert cv.nu[t] is member.element_space
+
+
+def test_a_carrier_of_the_wrong_rank_fails_the_carrier_residual(monkeypatch):
+    """theta_w(1, xi xi*) grown by one direction of H outside its range: the
+    comparison map is still an isometry, but its range is no longer the
+    member carrier."""
+    gens, _ = alg.block_basis([(2, 1), (1, 2)])
+    b = alg.from_generators(4, gens)
+
+    def rep_image(x):
+        out = np.zeros((5, 5), dtype=complex)
+        out[:4, :4] = x
+        out[4, 4] = x[2, 2]
+        return out
+
+    v = unitary_in(b, 5)
+    p = ps.from_endomorphism(endo.from_unitary(b, v), horizon=2)
+    w = ps.right_dilation_from_unitary(p, rep_image(v),
+                                       rho_images=np.array([rep_image(x) for x in b.basis]))
+    theta_w = w.theta_w
+    ranks = []
+
+    def grown(t, op):
+        out = theta_w(t, op)
+        if t == 1 and np.ndim(op) == 2:
+            rest = np.eye(5) - out
+            g = rest[:, np.argmax(np.linalg.norm(rest, axis=0))]
+            g = g / np.linalg.norm(g)
+            out = out + np.outer(g, g.conj())
+            ranks.append(np.linalg.matrix_rank(out, tol=1e-8))
+        return out
+
+    rep_from_dilation = ps.representation_from_right_dilation
+
+    def then_grow(p, w, tol):
+        rep = rep_from_dilation(p, w, tol)
+        w.theta_w = grown  # after the commutant relation has been checked
+        return rep
+
+    monkeypatch.setattr(ps, "representation_from_right_dilation", then_grow)
+    with pytest.raises(ProductSystemLawError, match=r"not unitary onto theta_w\(1,"):
+        ps.commutant_via_dilation(p, w)
+    assert ranks == [5]  # one more than the ambient dimension of B
 
 
 def test_deficient_representation_has_no_isometry():
@@ -593,8 +644,8 @@ def test_commutant_via_dilation_rejects_a_non_faithful_source():
 @pytest.mark.parametrize("horizon", [4, 6])
 def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizon):
     """Iterate members share one element space and, per right index t, one
-    quotient; commutant members share one per left index; the dilation of
-    an iterate system needs a single quotient."""
+    quotient; commutant members share one per left index, on either route;
+    the dilation of an iterate system needs a single quotient."""
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
     alg.commutant(b)  # the algebra's own commutant is not counted
     v = unitary_in(b, 15)
@@ -622,8 +673,13 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
     assert len(p.tensors) == (n + 1) * (n + 2) // 2
     _, c = counted(lambda: ps.commutant_system(p))
     assert c == {"quotients": n + 1, "kernels": n + 1}
-    _, c = counted(lambda: ps.right_dilation_from_unitary(p, v))
+    w, c = counted(lambda: ps.right_dilation_from_unitary(p, v))
     assert c == {"quotients": 1, "kernels": 0}
+    # the dilation side in upsilon coordinates is the commutant system: one
+    # quotient per left index; the member element spaces, xi and the
+    # commutant of the action on H
+    _, c = counted(lambda: ps.commutant_via_dilation(p, w))
+    assert c == {"quotients": n + 1, "kernels": n + 3}
 
 
 def _built_alone(monkeypatch, build):
@@ -659,7 +715,10 @@ def test_shared_quotients_equal_tensor_products_built_alone(monkeypatch, n, bloc
     p_alone = _built_alone(monkeypatch, lambda: ps.from_endomorphism(theta, horizon))
     pc_alone = _built_alone(monkeypatch, lambda: ps.commutant_system(p_alone))
     w_alone = _built_alone(monkeypatch, lambda: ps.right_dilation_from_unitary(p_alone, v))
-    for shared, alone in ((p, p_alone), (pc, pc_alone)):
+    cv = ps.commutant_via_dilation(p, w).system
+    cv_alone = _built_alone(monkeypatch,
+                            lambda: ps.commutant_via_dilation(p_alone, w_alone).system)
+    for shared, alone in ((p, p_alone), (pc, pc_alone), (cv, cv_alone)):
         _assert_same_tensors(shared.tensors, alone.tensors)
         for key, u in shared.products.items():
             assert np.array_equal(u, alone.products[key]), key

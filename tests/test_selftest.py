@@ -79,7 +79,7 @@ def test_result_line_and_payload():
 
 
 def test_threshold_breach_is_reported_with_recipe():
-    def build(rng, tol, case_index, salt):
+    def build(rng, tol, case_index):
         scene = {"case": case_index}
         return scene, lambda: 1.0 if case_index == 1 else 0.0
 
@@ -94,7 +94,7 @@ def test_threshold_breach_is_reported_with_recipe():
 
 
 def test_library_errors_become_failures():
-    def build(rng, tol, case_index, salt):
+    def build(rng, tol, case_index):
         def measure():
             raise InvalidAlgebra("synthetic breakage")
         return {"case": case_index}, measure
@@ -116,7 +116,7 @@ def test_replay_reruns_the_recorded_case():
 
 
 def _nan_property():
-    def build(rng, tol, case_index, salt):
+    def build(rng, tol, case_index):
         return {"case": case_index}, lambda: float("nan") if case_index == 1 else 0.0
 
     return selftest.Property("nan-measure", 3, 1e-8, build)
@@ -207,6 +207,24 @@ def test_instance_generators_close_nothing(monkeypatch):
     selftest.random_correspondence(sa, sb, rng).validate()
 
 
+def test_sampled_algebras_are_built_at_the_run_tolerance(monkeypatch):
+    """Every algebra a property samples carries the run's tolerance, so the
+    frames its checks read are built at it too."""
+    tol = nk.Tolerance(1e-6)
+    seen = []
+    block_model = alg.block_model
+
+    def spy(blocks, frame, tol=nk.DEFAULT_TOL):
+        seen.append(tol)
+        return block_model(blocks, frame, tol)
+
+    monkeypatch.setattr(alg, "block_model", spy)
+    results = selftest.run_all(seed=0, cap=1, tol=tol)
+    assert all(r.ok for r in results)
+    assert len(seen) >= 10
+    assert set(seen) == {tol}
+
+
 def test_a_nan_pairing_residual_fails_the_round_trip(monkeypatch):
     """Builtin max drops a NaN that follows a number; the round trip folds
     its residuals so that a NaN ``powers`` residual fails the property."""
@@ -233,8 +251,7 @@ def _instance(name, case=0, seed=0):
     """The serialized instance of one case, as a failure report would carry it."""
     index = EXPECTED_ORDER.index(name)
     prop = selftest.PROPERTIES[index]
-    scene, _ = prop.build(np.random.default_rng([seed, index, case]), nk.DEFAULT_TOL,
-                          case, seed)
+    scene, _ = prop.build(np.random.default_rng([seed, index, case]), nk.DEFAULT_TOL, case)
     return scene
 
 
