@@ -69,12 +69,8 @@ class VnAlgebra:
         nk.require(self.contains(eye, tol).residual,
                    tol.bound(float(np.sqrt(self.ambient_dim))), InvalidAlgebra,
                    "identity outside span, residual {:.3e}")
-        adj = self.basis.conj().transpose(0, 2, 1).reshape(self.dim, -1)
-        # an exactly Hermitian basis (every commutant) reuses the Gram product
-        cross = gram if np.array_equal(adj, self.flat) else adj @ self.flat.conj().T
-        nk.require(float(np.linalg.norm(adj - cross @ self.flat)),
-                   tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
-                   "span not adjoint closed, residual {:.3e}")
+        nk.require(_adjoint_residual(self.basis, gram), tol.bound(float(np.sqrt(self.dim))),
+                   InvalidAlgebra, "span not adjoint closed, residual {:.3e}")
 
     @functools.cached_property
     def unit_coefficients(self) -> np.ndarray:
@@ -114,6 +110,18 @@ class VnAlgebra:
         return f"VnAlgebra(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
+def _adjoint_residual(basis, gram) -> float:
+    """|F* - (F* F^H) F| for the flattened basis F and its adjoints F*; for
+    an exactly Hermitian basis (every commutant) sqrt tr((1-G)*(1-G)G) from
+    the Gram G = F F^H in O(dim^3). np.maximum keeps a NaN."""
+    flat = basis.reshape(len(basis), -1)
+    adj = basis.conj().transpose(0, 2, 1).reshape(flat.shape)
+    if np.array_equal(adj, flat):
+        c = np.eye(len(gram)) - gram
+        return float(np.sqrt(np.maximum(np.sum((c.conj().T @ c) * gram.T).real, 0.0)))
+    return float(np.linalg.norm(adj - (adj @ flat.conj().T) @ flat))
+
+
 def from_generators(ambient_dim: int, generators,
                     tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
     """Unital *-algebra generated by the given matrices.
@@ -144,11 +152,11 @@ def from_generators(ambient_dim: int, generators,
     return VnAlgebra(n, basis, generators=np.array(gens) if gens else None, tol=tol)
 
 
-def full_matrix_algebra(n: int) -> VnAlgebra:
+def full_matrix_algebra(n: int, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
     """All of the n x n matrices, with the matrix units as basis."""
     units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
     shifts = np.array([units[k] for k in range(1, n)]) if n > 1 else None
-    return VnAlgebra(n, units, generators=shifts)
+    return VnAlgebra(n, units, generators=shifts, tol=tol)
 
 
 def trivial_algebra(n: int) -> VnAlgebra:

@@ -82,24 +82,7 @@ class Correspondence:
                 right.ambient_dim != right_commutant.ambient_dim:
             raise DimensionMismatch("algebra and commutant live on different spaces")
         if check:
-            self._check_light(tol)
-
-    def _check_light(self, tol: nk.Tolerance) -> None:
-        # unitality of both representations and commutation of their ranges;
-        # the full homomorphism laws are covered by validate()
-        h = self.carrier_dim
-        eye = np.eye(h).reshape(-1)
-        for domain, images, what in ((self.left, self.rho, "left action"),
-                                     (self.right_commutant, self.rho_prime,
-                                      "commutant action")):
-            res = float(np.linalg.norm(
-                domain.unit_coefficients @ images.reshape(domain.dim, h * h) - eye))
-            nk.require(res, tol.bound(np.sqrt(h)), InvalidCorrespondence,
-                       what + " not unital, residual {:.3e}")
-        # rho_prime(b') rho(a) - rho(a) rho_prime(b') over every pair
-        nk.require(nk.law_residual(self.rho_prime, self.rho_prime, self.rho),
-                   tol.bound(1.0), InvalidCorrespondence,
-                   "ranges do not commute, residual {:.3e}")
+            _check_light([self], tol)
 
     def rho_of(self, a) -> np.ndarray:
         return rep_apply(self.left, self.rho, a)
@@ -140,6 +123,34 @@ class Correspondence:
             else 1.0
         return nk.require_laws(worst, tol.bound(1.0), InvalidCorrespondence,
                                "invariants violated: {}")
+
+
+def _check_light(corrs, tol: nk.Tolerance) -> None:
+    """Unitality of each distinct action stack and commutation of the ranges
+    (``validate`` has the full laws). Each stack of the side with fewer
+    distinct stacks meets the other side's stacks, concatenated, in one
+    ``law_residual`` call: one per quotient for the tensors of a
+    product-system build; a lone correspondence is a group of one."""
+    lefts = {(id(c.left), id(c.rho)): (c.left, c.rho, "left action") for c in corrs}
+    rights = {(id(c.right_commutant), id(c.rho_prime)):
+              (c.right_commutant, c.rho_prime, "commutant action") for c in corrs}
+    for domain, images, what in (*lefts.values(), *rights.values()):
+        h = images.shape[1]
+        res = float(np.linalg.norm(domain.unit_coefficients @ images.reshape(
+            domain.dim, h * h) - np.eye(h).reshape(-1)))
+        nk.require(res, tol.bound(np.sqrt(h)), InvalidCorrespondence,
+                   what + " not unital, residual {:.3e}")
+    pairs = [(c.rho_prime, c.rho) for c in corrs]
+    if len(lefts) < len(rights):
+        pairs = [(rho, rho_prime) for rho_prime, rho in pairs]
+    groups = {}
+    for shared, other in pairs:
+        groups.setdefault(id(shared), (shared, {}))[1][id(other)] = other
+    for shared, others in groups.values():
+        # shared(x) other(y) - other(y) shared(x) over every pair
+        nk.require(nk.law_residual(shared, shared, np.concatenate(list(others.values()))),
+                   tol.bound(1.0), InvalidCorrespondence,
+                   "ranges do not commute, residual {:.3e}")
 
 
 def of_endomorphism(theta, right_commutant=None,
@@ -222,33 +233,37 @@ class TensorProduct:
     The carrier is the quotient of the raw space of simple tensors
     (element of e) x (carrier vector of f) by the null space of its Gram
     matrix (``tensor_quotient``). ``phi`` maps raw coordinates isometrically
-    onto the quotient carrier. A quotient computed for the same element
-    basis of e and the same left algebra and action of f may be passed in:
-    the Gram matrix depends on nothing else. In the iterate system
-    E_t = {}_{theta^t}B every member has the element space B, so the Gram
-    matrix of E_s (tensor) E_t is theta^t(x_i* x_k) and the pairs with one t
-    share a quotient; in its commutant system every member has the left
-    action of B' on itself, so the pairs with one s share one.
+    onto the quotient carrier. ``memo(fn, reads, *args)``, when given,
+    returns fn(*args) once per fn and identities of the arrays in reads:
+    the quotient reads the element basis of e and the left algebra and
+    action of f, a lifted action the quotient, the operators and (left
+    lift) that element basis. In the iterate system E_t = {}_{theta^t}B the
+    pairs with one t share the quotient and lifted B' action, in its
+    commutant system the pairs with one s. ``check=False`` leaves the light
+    check to the caller (``_check_light``).
     """
 
     def __init__(self, e: Correspondence, f: Correspondence,
-                 tol: nk.Tolerance = nk.DEFAULT_TOL, quotient=None):
+                 tol: nk.Tolerance = nk.DEFAULT_TOL, memo=None, check: bool = True):
         if not alg.equals(e.right, f.left, tol):
             raise AlgebraMismatch("right algebra of e and left algebra of f differ")
+        memo = memo or (lambda fn, reads, *args: fn(*args))
         self.e = e
         self.f = f
         x = e.element_space
-        self.phi, self.phi_pinv = quotient if quotient is not None else \
-            tensor_quotient(x, f, tol)
+        self.phi, self.phi_pinv = memo(tensor_quotient, (x, f.left, f.rho), x, f, tol)
         self.carrier_dim = self.phi.shape[0]
         self.left_basis = x
         # phi with its raw axis split into (element index, f-carrier index)
         self._phi3 = self.phi.reshape(self.carrier_dim, x.shape[0], f.carrier_dim)
+        quotient = (self.phi, self.phi_pinv)
         self.corr = Correspondence(
             left=e.left, right=f.right,
             left_commutant=e.left_commutant, right_commutant=f.right_commutant,
-            rho=self.lift_left(e.rho), rho_prime=self.lift_right(f.rho_prime),
-            carrier_dim=self.carrier_dim, tol=tol)
+            rho=memo(TensorProduct.lift_left, (x, *quotient, e.rho), self, e.rho),
+            rho_prime=memo(TensorProduct.lift_right, (*quotient, f.rho_prime), self,
+                           f.rho_prime),
+            carrier_dim=self.carrier_dim, tol=tol, check=check)
 
     def lift_left(self, op) -> np.ndarray:
         """Operator op (tensor) id on the quotient, op acting on e's carrier;

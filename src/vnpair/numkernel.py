@@ -181,7 +181,8 @@ def law_residual(lefts, rights, basis) -> float:
         h, g = x.shape[0], l.shape[0]
         lx = (l.reshape(g * rows, rows) @ x.transpose(1, 0, 2).reshape(rows, h * cols))
         xr = (x.reshape(h * rows, cols) @ r.transpose(1, 0, 2).reshape(cols, g * cols))
-        diff = lx.reshape(g, rows, h, cols) - xr.reshape(h, rows, g, cols).transpose(2, 1, 0, 3)
+        diff = lx.reshape(g, rows, h, cols)
+        diff -= xr.reshape(h, rows, g, cols).transpose(2, 1, 0, 3)
         # squared norms per (pair, element) from the real view of diff
         re = diff.view(float)
         out = worst(out, float(np.sqrt(np.einsum("gahb,gahb->gh", re, re).max())))

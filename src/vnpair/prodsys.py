@@ -31,6 +31,12 @@ class DiscreteProductSystem:
     of E_{s+t}; tensors[(s, t)] holds the corresponding quotient structure.
     E_0 is the identity correspondence of the underlying algebra and the
     maps with a zero index reduce to the module actions.
+
+    Action stacks, basis products and the law terms of ``validate`` are
+    memoized by the arrays they read (``_memo``). Iterate systems share them
+    per t and commutant systems per s: at horizon N a build solves N+1
+    products and evaluates associativity on (N+1)(N+2)/2 index pairs, not
+    on (N+1)(N+2)(N+3)/6 triples.
     """
 
     def __init__(self, algebra, members, tensors, products, source=None):
@@ -42,8 +48,7 @@ class DiscreteProductSystem:
         self.horizon = len(self.members) - 1
         self.source = source
         self.residuals: dict = {}  # what validate returned at construction
-        self._stacks: dict = {}
-        self._basis_prods: dict = {}
+        self._terms = _memo()
 
     def action_stack(self, s: int, t: int) -> np.ndarray:
         """prod_matrix of every element basis vector of E_s, stacked.
@@ -51,11 +56,8 @@ class DiscreteProductSystem:
         Shape (carrier of E_{s+t}, element dimension of E_s, carrier of
         E_t); slice [:, k, :] is the action of the k-th basis element.
         """
-        key = (s, t)
-        if key not in self._stacks:
-            self._stacks[key] = np.tensordot(
-                self.products[key], self.tensors[key]._phi3, axes=(1, 0))
-        return self._stacks[key]
+        u, tp = self.products[(s, t)], self.tensors[(s, t)]
+        return self._terms(np.tensordot, (u, tp.phi), u, tp._phi3, (1, 0))
 
     def prod_matrix(self, s: int, t: int, x) -> np.ndarray:
         """Matrix of h -> (x . h) from the carrier of E_t to that of E_{s+t};
@@ -67,23 +69,11 @@ class DiscreteProductSystem:
         """Coefficients of every product x_k . y_l of element basis vectors
         (x_k of E_s, y_l of E_t) in the element basis of E_{s+t}, row
         k * d_t + l, and the worst distance of those products from that span
-        (the product closure law). Computed once per pair.
+        (the product closure law). Computed once per distinct set of arrays.
         """
-        key = (s, t)
-        if key not in self._basis_prods:
-            stack = self.action_stack(s, t)
-            ys = self.members[t].element_space
-            basis = self.members[s + t].element_space
-            h, ds, ht = stack.shape
-            dt, n = ys.shape[0], ys.shape[2]
-            prods = (stack.transpose(1, 0, 2).reshape(ds * h, ht)
-                     @ ys.transpose(1, 0, 2).reshape(ht, dt * n)).reshape(
-                ds, h, dt, n).transpose(0, 2, 1, 3).reshape(ds * dt, h * n)
-            flat = basis.reshape(basis.shape[0], h * n)
-            coeffs = prods @ flat.conj().T
-            closure = nk.worst_norm((prods - coeffs @ flat).reshape(ds * dt, h, n))
-            self._basis_prods[key] = (coeffs, closure)
-        return self._basis_prods[key]
+        stack = self.action_stack(s, t)
+        ys, basis = self.members[t].element_space, self.members[s + t].element_space
+        return self._terms(_basis_products, (stack, ys, basis), stack, ys, basis)
 
     def multiply(self, s: int, t: int, x, y) -> np.ndarray:
         """Product of an element of E_s with an element of E_t."""
@@ -103,7 +93,7 @@ class DiscreteProductSystem:
             if u.shape != (target.carrier_dim, tp.carrier_dim):
                 raise ProductSystemLawError(
                     f"product ({s},{t}) has shape {u.shape}")
-            res, bil = _map_laws(u, (tp.corr.rho, target.rho),
+            res, bil = _map_laws(self._terms, u, (tp.corr.rho, target.rho),
                                  (tp.corr.rho_prime, target.rho_prime))
             worst["unitary"] = nk.worst(worst["unitary"], res)
             worst["bilinear"] = nk.worst(worst["bilinear"], bil)
@@ -129,28 +119,61 @@ class DiscreteProductSystem:
 
         Evaluated against the full carrier of E_t, which spans the triple
         tensor; equality on these simple tensors is equality of the two
-        composite product maps.
+        composite product maps. Computed once per distinct set of arrays.
         """
-        coeffs = self.basis_products(r, s)[0]
-        inner = self.action_stack(r + s, t)
-        outer_x = self.action_stack(r, s + t)
-        outer_y = self.action_stack(s, t)
-        h, dm, ht = inner.shape
-        dr, (hm, ds, _) = outer_x.shape[1], outer_y.shape
-        lhs = coeffs @ inner.transpose(1, 0, 2).reshape(dm, h * ht)
-        rhs = (outer_x.transpose(1, 0, 2).reshape(dr * h, hm)
-               @ outer_y.reshape(hm, ds * ht)).reshape(dr, h, ds, ht).transpose(0, 2, 1, 3)
-        return nk.worst_norm(lhs.reshape(dr, ds, h, ht) - rhs)
+        arrays = (self.basis_products(r, s)[0], self.action_stack(r + s, t),
+                  self.action_stack(r, s + t), self.action_stack(s, t))
+        return self._terms(_associativity, arrays, *arrays)
 
 
-def _map_laws(u, *pairs) -> tuple[float, float]:
+def _memo():
+    """memo(fn, reads, *args): fn(*args) once per distinct fn and identities
+    of the arrays in reads, the arrays the term reads. Each entry holds
+    those arrays, so no id is reused while it lives."""
+    terms = {}
+
+    def memo(fn, reads, *args):
+        key = (fn, *map(id, reads))
+        if key not in terms:
+            terms[key] = (reads, fn(*args))
+        return terms[key][1]
+    return memo
+
+
+def _basis_products(stack, ys, basis) -> tuple[np.ndarray, float]:
+    """``DiscreteProductSystem.basis_products`` from the arrays it reads."""
+    h, ds, ht = stack.shape
+    dt, n = ys.shape[0], ys.shape[2]
+    prods = (stack.transpose(1, 0, 2).reshape(ds * h, ht)
+             @ ys.transpose(1, 0, 2).reshape(ht, dt * n)).reshape(
+        ds, h, dt, n).transpose(0, 2, 1, 3).reshape(ds * dt, h * n)
+    flat = basis.reshape(basis.shape[0], h * n)
+    coeffs = prods @ flat.conj().T
+    return coeffs, nk.worst_norm((prods - coeffs @ flat).reshape(ds * dt, h, n))
+
+
+def _associativity(coeffs, inner, outer_x, outer_y) -> float:
+    """``DiscreteProductSystem.associativity_residual`` from the arrays it reads."""
+    h, dm, ht = inner.shape
+    dr, (hm, ds, _) = outer_x.shape[1], outer_y.shape
+    lhs = coeffs @ inner.transpose(1, 0, 2).reshape(dm, h * ht)
+    rhs = (outer_x.transpose(1, 0, 2).reshape(dr * h, hm)
+           @ outer_y.reshape(hm, ds * ht)).reshape(dr, h, ds, ht).transpose(0, 2, 1, 3)
+    return nk.worst_norm(lhs.reshape(dr, ds, h, ht) - rhs)
+
+
+def _bilinear(u, a, b) -> float:
+    return nk.worst_norm(u @ a - b @ u)
+
+
+def _map_laws(memo, u, *pairs) -> tuple[float, float]:
     """Unitarity residual of a map u between carriers (at least 1.0 for a
     non-square u) and its bilinearity residual: the worst |u a - b u| over
     each pair (a, b) of stacked images of one basis on source and target."""
-    res = nk.unitarity_residual(u)
+    res = memo(nk.unitarity_residual, (u,), u)
     if u.shape[0] != u.shape[1]:
         res = nk.worst(res, 1.0)
-    return res, nk.worst(*(nk.worst_norm(u @ a - b @ u) for a, b in pairs))
+    return res, nk.worst(*(memo(_bilinear, (u, a, b), u, a, b) for a, b in pairs))
 
 
 def _factor(tp, images, tol: nk.Tolerance, what: str) -> np.ndarray:
@@ -168,24 +191,15 @@ def _factor(tp, images, tol: nk.Tolerance, what: str) -> np.ndarray:
 
 
 def _tensor_builder(tol: nk.Tolerance):
-    """TensorProduct constructor for one build that computes each tensor
-    quotient once.
-
-    The Gram matrix of tensor(e, f) depends only on the element basis of e
-    and on the left algebra and action of f (``corr.tensor_quotient``), so
-    index pairs that share those arrays share one quotient. The memo is
-    keyed by their identities and holds the arrays themselves, so no id is
-    reused while it lives; it lives for one build, which has one tolerance.
+    """TensorProduct constructor for one build, which has one tolerance: it
+    computes each tensor quotient and lifted action once (``_memo``), N+1
+    of each shared kind at horizon N for the iterate and commutant systems,
+    and leaves the light check to the build, which runs it on all its
+    tensors: one unitality check per distinct lifted stack and one
+    commutation ``law_residual`` per quotient (``correspondence._check_light``).
     """
-    memo = {}
-
-    def tensor(e, f):
-        x = e.element_space
-        key = (id(x), id(f.left), id(f.rho))
-        if key not in memo:
-            memo[key] = (x, f.left, f.rho, corr.tensor_quotient(x, f, tol))
-        return corr.TensorProduct(e, f, tol, quotient=memo[key][-1])
-    return tensor
+    memo = _memo()
+    return lambda e, f: corr.TensorProduct(e, f, tol, memo=memo, check=False)
 
 
 def _build_system(algebra, members, action_matrix, source=None,
@@ -198,21 +212,22 @@ def _build_system(algebra, members, action_matrix, source=None,
     to the carrier of E_{s+t}.
 
     Each distinct (element basis of E_s, left action of E_t) gets one tensor
-    quotient. For the iterate system E_t = {}_{theta^t}B every member has the
-    element space B and the Gram matrix of E_s (tensor) E_t is
-    theta^t(x_i* x_k), so all pairs with the same t share a quotient; for the
-    commutant system every member has the left action of B' on itself and
-    the pairs with the same s share one.
+    quotient, each distinct (quotient, action array) one product solve. For
+    the iterate system E_t = {}_{theta^t}B the pairs with one t share the
+    quotient theta^t(x_i* x_k), the lifted B' action and the product; for
+    the commutant system the pairs with one s share them. Every tensor is
+    light-checked before any product is solved.
     """
     n = len(members) - 1
-    tensor = _tensor_builder(tol)
-    tensors = {}
+    tensor, memo = _tensor_builder(tol), _memo()
+    pairs = [(s, t) for s in range(n + 1) for t in range(n + 1 - s)]
+    tensors = {(s, t): tensor(members[s], members[t]) for s, t in pairs}
+    corr._check_light([tp.corr for tp in tensors.values()], tol)
     products = {}
-    for s in range(n + 1):
-        for t in range(n + 1 - s):
-            tp = tensors[(s, t)] = tensor(members[s], members[t])
-            products[(s, t)] = _factor(tp, action_matrix(s, t, members[s].element_space),
-                                       tol, f"product ({s},{t})")
+    for s, t in pairs:
+        tp, images = tensors[(s, t)], action_matrix(s, t, members[s].element_space)
+        products[(s, t)] = memo(_factor, (tp.phi, tp.phi_pinv, images), tp, images, tol,
+                                f"product ({s},{t})")
     system = DiscreteProductSystem(algebra, members, tensors, products, source=source)
     system.residuals = system.validate(tol)
     return system
@@ -236,11 +251,9 @@ def from_endomorphism(theta, horizon: int,
     # all have one element space: the span of B
     for member in members[1:]:
         member.element_space = members[0].element_space
-
-    def action(s, t, xs):
-        return corr.rep_apply(b, powers[t].basis_images, xs)
-
-    return _build_system(b, members, action, source=theta, tol=tol)
+    # theta^t(x_k) once per t, so the pairs with one t share one product
+    images = [corr.rep_apply(b, q.basis_images, members[0].element_space) for q in powers]
+    return _build_system(b, members, lambda s, t, xs: images[t], source=theta, tol=tol)
 
 
 def commutant_system(p: DiscreteProductSystem,
@@ -304,7 +317,7 @@ class RightDilation:
         worst = {"unitary": 0.0, "bilinear": 0.0, "unit_map": 0.0}
         rho_b = self.rho_of(self.system.algebra.basis)
         for t in range(self.system.horizon + 1):
-            res, bil = _map_laws(self.maps[t], (self.tensors[t].corr.rho, rho_b))
+            res, bil = _map_laws(_memo(), self.maps[t], (self.tensors[t].corr.rho, rho_b))
             worst["unitary"] = nk.worst(worst["unitary"], res)
             worst["bilinear"] = nk.worst(worst["bilinear"], bil)
         x0 = self.system.members[0].element_space
@@ -333,12 +346,10 @@ def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
         right_commutant=scalars, rho=rho_images,
         rho_prime=np.eye(h, dtype=complex)[None, :, :], carrier_dim=h, tol=tol)
     tensor = _tensor_builder(tol)
-    tensors = {}
-    maps = {}
-    for t in range(p.horizon + 1):
-        tp = tensors[t] = tensor(p.members[t], space)
-        maps[t] = _factor(tp, action_matrix(t, p.members[t].element_space), tol,
-                          f"dilation map {t}")
+    tensors = {t: tensor(member, space) for t, member in enumerate(p.members)}
+    corr._check_light([tp.corr for tp in tensors.values()], tol)
+    maps = {t: _factor(tp, action_matrix(t, p.members[t].element_space), tol,
+                       f"dilation map {t}") for t, tp in tensors.items()}
     dilation = RightDilation(p, space, tensors, maps)
     dilation.residuals = dilation.validate(tol)
     return dilation
@@ -490,14 +501,12 @@ def bhat_system(theta, gamma, horizon: int,
                        "compressed product ({2},{3}) not unitary, residual {1:.3e}",
                        res, s, t)
             products[(s, t)] = u
+    dims = [q.shape[1] for q in spaces]
     for r in range(horizon + 1):
         for s in range(horizon + 1 - r):
             for t in range(horizon + 1 - r - s):
-                dr, dt = spaces[r].shape[1], spaces[t].shape[1]
-                lhs = products[(r + s, t)] @ np.kron(products[(r, s)], np.eye(dt))
-                rhs = products[(r, s + t)] @ np.kron(np.eye(dr), products[(s, t)])
-                nk.require(float(np.linalg.norm(lhs - rhs)), tol.bound(1.0),
-                           ProductSystemLawError, "compressed products not "
+                nk.require(_compressed_associativity(products, dims, r, s, t),
+                           tol.bound(1.0), ProductSystemLawError, "compressed products not "
                            "associative at ({1},{2},{3}), residual {0:.3e}", r, s, t)
     units = np.eye(n)[:, :, None] * gamma.conj()  # units[g] = e_g gamma*
     dilations = []
@@ -509,11 +518,28 @@ def bhat_system(theta, gamma, horizon: int,
                    ProductSystemLawError, "dilation map {2} not unitary, residual {1:.3e}",
                    res, t)
         dilations.append(v)
-        lifted = v @ np.kron(b.basis, np.eye(spaces[t].shape[1])) @ v.conj().T
+        lifted = _times_kron_id(v, b.basis, dims[t]) @ v.conj().T
         nk.require(nk.worst_norm(lifted - powers[t].basis_images), tol.bound(1.0),
                    ProductSystemLawError,
                    "dilation {1} does not recover the iterate, residual {0:.3e}", t)
     return BhatSystem(spaces, products, dilations)
+
+
+def _times_kron_id(a, p, k: int) -> np.ndarray:
+    """a (p tensor 1_k) by a reshape and a matmul; a stack of matrices p gives
+    the stack of products."""
+    m = a.shape[0]
+    return (np.swapaxes(p, -1, -2)[..., None, :, :] @ a.reshape(m, -1, k)).reshape(
+        p.shape[:-2] + (m, -1))
+
+
+def _compressed_associativity(products, dims, r: int, s: int, t: int) -> float:
+    """|P_{r+s,t} (P_{r,s} tensor 1) - P_{r,s+t} (1 tensor P_{s,t})| for the
+    compressed products P on spaces of dimensions dims, without kron."""
+    outer = products[(r, s + t)]
+    rhs = (outer.reshape(-1, dims[s + t]) @ products[(s, t)]).reshape(outer.shape[0], -1)
+    return float(np.linalg.norm(
+        _times_kron_id(products[(r + s, t)], products[(r, s)], dims[t]) - rhs))
 
 
 def _frame_isometry(b: alg.VnAlgebra, rho_b, tol: nk.Tolerance) -> np.ndarray:
@@ -602,21 +628,18 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
                "comparison maps fail to intertwine, residuals {1:.3e} and {2:.3e}",
                worst_b, worst_bp)
 
+    members = [corr.commutant(e) for e in p.members]
+    compatible = [0.0]
+
     def action(s, t, xs):
-        op = w.theta_w(t, upsilon[s] @ xs @ xi.conj().T)
-        return upsilon[s + t].conj().T @ op @ upsilon[t]
+        moved = w.theta_w(t, upsilon[s] @ xs @ xi.conj().T)
+        # (upsilon_{s+t} x - theta_w(t, upsilon_s x xi*) upsilon_t) y, where
+        # x y is the product of x in F_s and y in F_t; judged after the build
+        diff = upsilon[s + t] @ xs - moved @ upsilon[t]
+        compatible.append(nk.worst_norm(diff[:, None] @ members[t].element_space[None]))
+        return upsilon[s + t].conj().T @ moved @ upsilon[t]
 
-    fsys = _build_system(bp, [corr.commutant(e) for e in p.members], action, tol=tol)
-
-    elts = [m.element_space for m in fsys.members]
-    worst_prod = 0.0
-    for s in range(p.horizon + 1):
-        for t in range(p.horizon + 1 - s):
-            # (upsilon_{s+t} x - theta_w(t, upsilon_s x xi*) upsilon_t) y, where
-            # x y is the product of x in F_s and y in F_t
-            moved = w.theta_w(t, upsilon[s] @ elts[s] @ xi.conj().T)
-            diff = upsilon[s + t] @ elts[s] - moved @ upsilon[t]
-            worst_prod = nk.worst(worst_prod, nk.worst_norm(diff[:, None] @ elts[t][None]))
-    nk.require(worst_prod, tol.bound(1.0), ProductSystemLawError,
+    fsys = _build_system(bp, members, action, tol=tol)
+    nk.require(nk.worst(*compatible), tol.bound(1.0), ProductSystemLawError,
                "comparison maps are not product compatible, residual {:.3e}")
     return CommutantViaDilation(fsys, upsilon, xi)

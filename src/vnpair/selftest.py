@@ -510,7 +510,7 @@ def _case_compression(rng, tol, case_index):
              "vectors": {"gamma": scenes.encode_vector(gamma)}}
 
     def measure():
-        b = alg.full_matrix_algebra(n)
+        b = alg.full_matrix_algebra(n, tol)
         theta = endo_mod.from_unitary(b, u, "adjoint", tol)
         horizon = 4
         sys = ps.bhat_system(theta, gamma, horizon, tol)

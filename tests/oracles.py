@@ -25,7 +25,13 @@ faster route replaced, kept so that the faster route has a reference.
   them in closed form on whole stacks;
 - ``einsum_iterates``: the iterates of a map composed afresh by the
   two-operand ``np.einsum``, before ``endo.iterates`` kept a memo composed
-  by one product per step.
+  by one product per step;
+- ``kron_associativity`` and ``kron_lift``: the associativity residual and
+  the lifted dilation of the compression system with explicit Kronecker
+  products, before ``prodsys.bhat_system`` applied them by reshapes;
+- ``gram_product_adjoint_residual``: the adjoint-closure residual of an
+  exactly Hermitian basis from a second dim x n^2 product, before
+  ``VnAlgebra`` read it off the Gram matrix alone.
 """
 
 from __future__ import annotations
@@ -281,3 +287,22 @@ def einsum_iterates(f, k: int) -> list:
         coeff = f.domain.flat.conj() @ out[-1].reshape(f.domain.dim, -1).T
         out.append(np.einsum("de,eij->dij", coeff.T, f.basis_images))
     return out
+
+
+def kron_associativity(products, dims, r: int, s: int, t: int) -> float:
+    """|P_{r+s,t} kron(P_{r,s}, 1) - P_{r,s+t} kron(1, P_{s,t})|."""
+    lhs = products[(r + s, t)] @ np.kron(products[(r, s)], np.eye(dims[t]))
+    rhs = products[(r, s + t)] @ np.kron(np.eye(dims[r]), products[(s, t)])
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def kron_lift(v, basis, k: int) -> np.ndarray:
+    """v kron(b, 1_k) v* for every slice b of the stack basis."""
+    return v @ np.kron(basis, np.eye(k)) @ v.conj().T
+
+
+def gram_product_adjoint_residual(basis) -> float:
+    """|F - G F| for the flattened basis F and its Gram G = F F^H: the
+    adjoint-closure residual of an exactly Hermitian basis."""
+    flat = np.asarray(basis).reshape(len(basis), -1)
+    return float(np.linalg.norm(flat - (flat @ flat.conj().T) @ flat))

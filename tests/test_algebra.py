@@ -442,3 +442,24 @@ def test_block_frame_exhibits_the_block_model(blocks):
     assert nk.span_residual(units, a.flat) <= 1e-10
     for t, p in zip(sig.units, sig.central_projections):
         assert np.linalg.norm(np.einsum("kam,kbm->ab", t, t.conj()) - p) <= 1e-10
+
+
+@pytest.mark.parametrize("blocks", [[(2, 2), (2, 2), (3, 2), (1, 2)], [(2, 4), (2, 4)],
+                                    [(3, 4), (3, 4)], [(2, 8), (2, 8)]])
+def test_hermitian_adjoint_residual_from_the_gram(blocks):
+    """The adjoint-closure residual of an exactly Hermitian basis read off
+    its Gram matrix is the residual of the second basis product, on the
+    commutants of these signatures as they are and under Hermitian
+    perturbations; a NaN still fails."""
+    c = alg.commutant(alg.random_algebra(sum(a * m for a, m in blocks), blocks, seed=1))
+    rng = np.random.default_rng(0)
+    for delta in (0.0, 1e-9, 1e-6, 1e-3):
+        z = nk.random_complex(c.basis.shape, rng)
+        basis = c.basis + delta * (z + z.conj().transpose(0, 2, 1)) / 2
+        flat = basis.reshape(len(basis), -1)
+        new = alg._adjoint_residual(basis, flat @ flat.conj().T)
+        old = orc.gram_product_adjoint_residual(basis)
+        assert abs(new - old) <= 1e-13 + 1e-8 * old, delta
+    gram = c.flat @ c.flat.conj().T
+    gram[0, 1] = np.nan
+    assert np.isnan(alg._adjoint_residual(c.basis, gram))

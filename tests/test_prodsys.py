@@ -9,8 +9,9 @@ from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
-from vnpair.errors import (DimensionMismatch, NotFaithful, NotFullAlgebra,
-                           NotUnitVector, NoUnitVector, ProductSystemLawError)
+from vnpair.errors import (DimensionMismatch, InvalidCorrespondence, NotFaithful,
+                           NotFullAlgebra, NotUnitVector, NoUnitVector,
+                           ProductSystemLawError)
 
 
 def unitary_in(b, seed):
@@ -338,6 +339,40 @@ def test_bhat_requires_unit_vector():
         ps.bhat_system(theta, np.array([1.0, 0.0, 0.0]), horizon=2)
 
 
+def test_compressed_laws_match_the_kron_oracle():
+    """The associativity residuals and lifted dilations of the compression
+    system, applied by reshapes, are those of the explicit Kronecker forms;
+    a perturbed product fails the associativity check in both forms."""
+    m3 = alg.full_matrix_algebra(3)
+    theta = endo.from_unitary(m3, nk.random_unitary(3, seed=7))
+    gamma = nk.random_complex(3, np.random.default_rng(2))
+    horizon = 4
+    bh = ps.bhat_system(theta, gamma / np.linalg.norm(gamma), horizon)
+    triples = [(r, s, t) for r in range(horizon + 1) for s in range(horizon + 1 - r)
+               for t in range(horizon + 1 - r - s)]
+    for r, s, t in triples:
+        assert abs(ps._compressed_associativity(bh.products, bh.dims, r, s, t)
+                   - orc.kron_associativity(bh.products, bh.dims, r, s, t)) <= 1e-15
+    for v in bh.dilations:
+        assert nk.worst_norm(ps._times_kron_id(v, m3.basis, 1) @ v.conj().T
+                             - orc.kron_lift(v, m3.basis, 1)) <= 1e-15
+    bad = {**bh.products, (1, 1): bh.products[(1, 1)] + 1e-3}
+    for r, s, t in [(1, 1, 2), (2, 1, 1)]:  # the triples that read (1, 1) once
+        new = ps._compressed_associativity(bad, bh.dims, r, s, t)
+        assert abs(new - orc.kron_associativity(bad, bh.dims, r, s, t)) <= 1e-15
+        assert new > nk.DEFAULT_TOL.bound(1.0)
+    # factors wider than a valid compression system has
+    rng = np.random.default_rng(3)
+    dims = [1, 2, 3, 2]
+    wide = {(s, t): nk.random_complex((dims[s + t], dims[s] * dims[t]), rng)
+            for s in range(4) for t in range(4 - s)}
+    for r, s, t in [(1, 1, 1), (0, 1, 2), (1, 2, 0)]:
+        new = ps._compressed_associativity(wide, dims, r, s, t)
+        assert abs(new - orc.kron_associativity(wide, dims, r, s, t)) <= 1e-14 * new
+    a, op = nk.random_complex((5, 12), rng), nk.random_complex((7, 4, 6), rng)
+    assert np.abs(ps._times_kron_id(a, op, 3) - a @ np.kron(op, np.eye(3))).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Per-element oracle: the same laws as loops over element basis vectors (or
 # pairs of them), one at a time, for the stacked checks to be compared
@@ -644,13 +679,18 @@ def test_commutant_via_dilation_rejects_a_non_faithful_source():
 @pytest.mark.parametrize("horizon", [4, 6])
 def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizon):
     """Iterate members share one element space and, per right index t, one
-    quotient; commutant members share one per left index, on either route;
-    the dilation of an iterate system needs a single quotient."""
+    quotient, one lifted B' action and one product solve, and associativity
+    is evaluated once per (s, t); commutant members share a quotient, the
+    lifted B' action and the product per left index, with associativity
+    once per (r, s); the dilation of an iterate system needs a single
+    quotient and lifted H action. The light check of a build's tensors
+    makes one commutation law_residual call per quotient."""
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
     alg.commutant(b)  # the algebra's own commutant is not counted
     v = unitary_in(b, 15)
     theta = endo.from_unitary(b, v)
-    counts = {"quotients": 0, "kernels": 0}
+    counts = {}
+    checks = []  # commutation calls of each light check of several tensors
 
     def counting(key, original):
         def wrapper(*args, **kwargs):
@@ -658,28 +698,109 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
             return original(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(corr, "tensor_quotient",
-                        counting("quotients", corr.tensor_quotient))
-    monkeypatch.setattr(alg, "intertwiners", counting("kernels", alg.intertwiners))
+    check_light = corr._check_light
+
+    def checking(corrs, tol):
+        before = counts["commutations"]
+        check_light(corrs, tol)
+        if len(corrs) > 1:
+            checks.append(counts["commutations"] - before)
+
+    for module, name, key in [
+            (corr, "tensor_quotient", "quotients"), (alg, "intertwiners", "kernels"),
+            (ps, "_factor", "solves"), (corr.TensorProduct, "lift_left", "left_lifts"),
+            (corr.TensorProduct, "lift_right", "right_lifts"),
+            (ps, "_associativity", "associativity"), (nk, "law_residual", "commutations")]:
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    monkeypatch.setattr(corr, "_check_light", checking)
     n = horizon
+    pairs, triples = (n + 1) * (n + 2) // 2, (n + 1) * (n + 2) * (n + 3) // 6
 
     def counted(build):
-        counts.update(quotients=0, kernels=0)
+        counts.update(dict.fromkeys(("quotients", "kernels", "solves", "left_lifts",
+                                     "right_lifts", "associativity", "commutations"), 0))
+        checks.clear()
         out = build()
-        return out, dict(counts)
+        del counts["commutations"]
+        return out, dict(counts), list(checks)
 
-    p, c = counted(lambda: ps.from_endomorphism(theta, horizon))
-    assert c == {"quotients": n + 1, "kernels": 1}
-    assert len(p.tensors) == (n + 1) * (n + 2) // 2
-    _, c = counted(lambda: ps.commutant_system(p))
-    assert c == {"quotients": n + 1, "kernels": n + 1}
-    w, c = counted(lambda: ps.right_dilation_from_unitary(p, v))
-    assert c == {"quotients": 1, "kernels": 0}
-    # the dilation side in upsilon coordinates is the commutant system: one
-    # quotient per left index; the member element spaces, xi and the
-    # commutant of the action on H
-    _, c = counted(lambda: ps.commutant_via_dilation(p, w))
-    assert c == {"quotients": n + 1, "kernels": n + 3}
+    p, c, k = counted(lambda: ps.from_endomorphism(theta, horizon))
+    assert c == {"quotients": n + 1, "kernels": 1, "solves": n + 1,
+                 "left_lifts": pairs, "right_lifts": n + 1, "associativity": pairs}
+    assert k == [n + 1]
+    assert len(p.tensors) == pairs
+    _, c, k = counted(lambda: ps.commutant_system(p))
+    assert c == {"quotients": n + 1, "kernels": n + 1, "solves": n + 1,
+                 "left_lifts": n + 1, "right_lifts": pairs, "associativity": pairs}
+    assert k == [n + 1]
+    w, c, k = counted(lambda: ps.right_dilation_from_unitary(p, v))
+    assert c == {"quotients": 1, "kernels": 0, "solves": n + 1,
+                 "left_lifts": n + 1, "right_lifts": 1, "associativity": 0}
+    assert k == [1]
+    # the dilation side in upsilon coordinates has the commutant members:
+    # one quotient and lifted B' action per left index; the member element
+    # spaces, xi and the commutant of the action on H. Its actions differ
+    # per pair, and theta_w lifts 3 (n + 1) + pairs operators on H.
+    _, c, k = counted(lambda: ps.commutant_via_dilation(p, w))
+    assert c == {"quotients": n + 1, "kernels": n + 3, "solves": pairs,
+                 "left_lifts": n + 1, "right_lifts": 2 * pairs + 3 * (n + 1),
+                 "associativity": triples}
+    assert k == [n + 1]
+
+
+def test_commutant_via_dilation_moves_each_element_basis_once(monkeypatch):
+    """theta_w(t, upsilon_s x xi*) over the element basis of F_s is computed
+    once per index pair, for the action and the product compatibility alike:
+    at horizon 4, 15 pairs and 3 * 5 calls for the representation, the
+    carrier check and the lifted B'."""
+    b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
+    v = unitary_in(b, 15)
+    p = ps.from_endomorphism(endo.from_unitary(b, v), 4)
+    w = ps.right_dilation_from_unitary(p, v)
+    calls = []
+    theta_w = ps.RightDilation.theta_w
+
+    def counted(self, t, op):
+        calls.append(t)
+        return theta_w(self, t, op)
+
+    monkeypatch.setattr(ps.RightDilation, "theta_w", counted)
+    ps.commutant_via_dilation(p, w)
+    assert len(calls) == 30
+
+
+@pytest.mark.parametrize("build, lift, shared", [
+    ("from_endomorphism", "lift_right", True), ("from_endomorphism", "lift_left", False),
+    ("commutant_system", "lift_left", True), ("commutant_system", "lift_right", False)])
+def test_a_perturbed_lifted_slice_fails_the_light_check(monkeypatch, inner_system,
+                                                          build, lift, shared):
+    """One slice of one lifted action off by 1e-3 raises InvalidCorrespondence
+    before any product is solved, whether the stack is shared by the pairs
+    of a quotient or belongs to one pair."""
+    _, _, theta, p = inner_system
+    original = getattr(corr.TensorProduct, lift)
+    calls = []
+
+    def perturbed(self, op):
+        out = original(self, op)
+        calls.append(1)
+        if len(calls) == 2:
+            out = out.copy()
+            out[1] += 1e-3 * nk.random_complex(out.shape[1:], np.random.default_rng(0))
+        return out
+
+    def no_solve(*args):
+        raise AssertionError("a product was solved before the light check")
+
+    monkeypatch.setattr(corr.TensorProduct, lift, perturbed)
+    monkeypatch.setattr(ps, "_factor", no_solve)
+    with pytest.raises(InvalidCorrespondence):
+        if build == "from_endomorphism":
+            ps.from_endomorphism(theta, p.horizon)
+        else:
+            ps.commutant_system(p)
+    assert len(calls) == (p.horizon + 1 if shared else
+                          (p.horizon + 1) * (p.horizon + 2) // 2)
 
 
 def _built_alone(monkeypatch, build):

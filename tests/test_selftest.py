@@ -311,3 +311,20 @@ def test_tensor_commutant_order_passes_at_every_seed(seed):
     assert result.ok, result.failure
     assert result.cases == prop.cases
 
+
+
+def test_compression_system_runs_at_the_run_tolerance(monkeypatch):
+    """The full matrix algebra of ``compression-system`` carries the run's
+    tolerance, so no frame of the run is built at the default one."""
+    tol = nk.Tolerance(1e-6)
+    seen = []
+    block_decompose = alg.block_decompose
+
+    def spy(a, tol=nk.DEFAULT_TOL):
+        seen.append(tol)
+        return block_decompose(a, tol)
+
+    monkeypatch.setattr(alg, "block_decompose", spy)
+    results = selftest.run_all(seed=0, cap=2, tol=tol)
+    assert all(r.ok for r in results)
+    assert seen and set(seen) == {tol}
