@@ -3,8 +3,9 @@
 An algebra is stored as an orthonormal basis of its span under the
 Hilbert-Schmidt inner product. Its structure is one matrix-unit frame W with
 W* A W = (+)_i M_{a_i} (x) 1_{m_i} (``block_decompose``), built once per
-algebra and tolerance from the center, which is the range of the
-trace-averaging projection restricted to the algebra. The commutant and
+algebra and tolerance, in O(d n^3), from the average sum_j b_j h b_j* of one
+probe h in A: it is central, and the gaps of its spectrum split off the
+minimal central projections. The center is their span. The commutant and
 every intertwiner space between representations of the algebra are read off
 that frame (``intertwiners``), so no eigenproblem on n^2 unknowns is solved,
 and its laws are checked on matrix units of the frame, not on basis pairs.
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel as nk
-from .errors import (DegenerateCenterElement, DimensionMismatch, InvalidAlgebra,
-                     NonConvergence, NonIntegralRank, NotIntertwining, SingularInput)
+from .errors import (AmbiguousRank, DegenerateCenterElement, DimensionMismatch,
+                     InvalidAlgebra, NonConvergence, NonIntegralRank, NotIntertwining)
 
 class VnAlgebra:
     """Unital *-subalgebra of the n x n complex matrices.
@@ -99,7 +100,7 @@ class VnAlgebra:
         basis product b_a b_b lies within 3 sqrt(dim) r of the span."""
         try:
             sig = block_decompose(self, tol)
-        except (DegenerateCenterElement, NonIntegralRank, SingularInput) as exc:
+        except (AmbiguousRank, DegenerateCenterElement, NonIntegralRank) as exc:
             raise InvalidAlgebra(f"span has no matrix-unit frame: {exc}") from exc
         return {"product_closure": nk.require(nk.worst(*(
             nk.span_residual(sig.unit_grid(i) / np.sqrt(m), self.flat)
@@ -193,13 +194,16 @@ def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
 
 
 def _hermitian_basis(x) -> np.ndarray:
-    """Exactly Hermitian basis of the span of the stack x_pq, in pq order."""
+    """Exactly Hermitian basis of the span of the stack x_pq, in pq order, one
+    triangle at a time: (x_pq + x_pq*) scale at p <= q, i(x_qp - x_qp*)/sqrt2 at p > q."""
     m, n = len(x), x.shape[2]
-    upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None, None]
-    y = np.where(upper, x, x.transpose(1, 0, 2, 3))  # x_pq at (p, q) and (q, p), p <= q
-    y_adj = y.conj().transpose(0, 1, 3, 2)
-    scale = np.where(np.eye(m, dtype=bool), 0.5, np.sqrt(0.5))[:, :, None, None]
-    return (np.where(upper, y + y_adj, 1j * (y - y_adj)) * scale).reshape(-1, n, n)
+    upper, out = np.triu(np.ones((m, m), dtype=bool)), np.empty(x.shape, dtype=complex)
+    y = x[upper]
+    scale = np.where(np.eye(m, dtype=bool)[upper], 0.5, np.sqrt(0.5))[:, None, None]
+    out[upper] = (y + y.conj().transpose(0, 2, 1)) * scale
+    y = x.transpose(1, 0, 2, 3)[~upper]
+    out[~upper] = (1j * (y - y.conj().transpose(0, 2, 1))) * np.sqrt(0.5)
+    return out.reshape(-1, n, n)
 
 
 def equals(a: VnAlgebra, b: VnAlgebra,
@@ -219,26 +223,13 @@ def equals(a: VnAlgebra, b: VnAlgebra,
 
 
 def center(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
-    """Intersection of the algebra with its commutant: the averaging map
-    E(x) = sum_i b_i x b_i* S^-1, S = sum_i b_i b_i*, is the Hilbert-Schmidt
-    projection onto the commutant (quasi-basis identity: Pimsner-Popa 1986,
-    Watatani 1990) and maps the algebra onto its center, so <b_k, E(b_j)>
-    is a d x d projection. Its trace, rounded by ``numkernel.integral_trace``
-    within min(MAX_RANK_SLACK, tol.bound(sum |diagonal|)), is dim Z(A); its
-    top eigenvectors are the coefficients of an orthonormal basis."""
-    n = a.ambient_dim
-    adj = a.basis.conj().transpose(0, 2, 1)
-    try:
-        cmaps = adj @ np.linalg.inv((a.basis @ adj).sum(axis=0))
-    except np.linalg.LinAlgError as exc:
-        raise SingularInput("sum of b b* is singular") from exc
-    proj = a.flat.conj() @ nk._average(a.basis, cmaps, a.basis).reshape(a.dim, -1).T
-    diag = np.diagonal(proj)
-    c = nk.integral_trace(complex(diag.sum()), min(
-        nk.MAX_RANK_SLACK, tol.bound(float(np.abs(diag).sum()))), a.dim)
-    _, vec = np.linalg.eigh((proj + proj.conj().T) / 2.0)
-    rows = vec[:, a.dim - c:].T @ a.flat
-    return VnAlgebra(n, rows.reshape(-1, n, n), tol=tol)
+    """Intersection of the algebra with its commutant: the span of the
+    minimal central projections p_i of the block frame, with the
+    orthonormal basis p_i / sqrt(tr p_i)."""
+    sig = block_decompose(a, tol)
+    ranks = np.array([a_i * m for a_i, m in sig.blocks], dtype=float)
+    return VnAlgebra(a.ambient_dim, sig.central_projections / np.sqrt(ranks)[:, None, None],
+                     tol=tol)
 
 
 @dataclass(frozen=True)
@@ -262,53 +253,74 @@ class BlockSignature:
 
 
 def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSignature:
-    """Block signature and matrix-unit frame, read off three elements drawn
-    once from ``numkernel.PROBE_SEED``:
+    """Block signature and matrix-unit frame, read off elements h (Hermitian)
+    and g of A drawn once from ``numkernel.PROBE_SEED``:
 
-    - a Hermitian central element: its sorted spectrum, split at the c - 1
-      widest gaps (c = dim of the center), gives the minimal central
-      projections p_i, each required to lie in the center; a_i^2 = dim
-      p_i A p_i and m_i = tr(p_i) / a_i are traces rounded within 1e-6;
-    - a Hermitian h in A: the eigenvalues of p_i h p_i on ran(p_i), in
-      ascending order, form a_i groups of m_i, with isometries V_1, ..., V_a;
-    - a g in A: T_i1 = V_1 and T_ik = V_k polar(V_k* g V_1).
+    - z = sum_j b_j h b_j* = E(h) S is central, at O(d n^3): E(x) =
+      sum_j b_j x b_j* S^-1 maps A onto its center (Pimsner-Popa 1986,
+      Watatani 1990) and S = sum_j b_j b_j* is central. Its eigenvectors,
+      split at the gaps of its spectrum by ``numkernel.split_spectrum`` at
+      the cut min(tol.eps, 1e-6) max(|lambda|, 1), give the minimal central
+      projections p_i, each required to lie in A and to commute with the
+      basis (on q = sum_i i p_i, as p_j [b, q] p_k = (k - j) p_j b p_k). The
+      cap keeps a loose tolerance from merging summands: generic values of
+      z lie 1e-3 of the scale apart and more, rounding spreads one by 1e-14.
+      a_i^2 = dim p_i A p_i is a trace rounded within 1e-6, a_i m_i = rank p_i;
+    - the eigenvalues of p_i h p_i on ran(p_i), in ascending order, form a_i
+      groups of m_i, with isometries V_1, ..., V_a;
+    - T_i1 = V_1 and T_ik = V_k polar(V_k* g V_1).
 
     Checked once, else DegenerateCenterElement: every V_k* g V_1 has equal
-    singular values (|g_k1| in the block model), the T_ik form a unitary,
-    and every T_ik T_i1* lies in A. Summands come largest shape first, equal
-    shapes ordered by tr(p diag(0, ..., n-1)), then by the diagonal of p,
-    under the tolerance, so not by the basis. Cached per algebra and tolerance.
+    singular values (|g_k1| in the block model), sum a_i^2 = dim, the T_ik
+    form a unitary, and every T_ik T_i1* lies in A, so a z that merges
+    summands fails; one that splits a summand fails commutation. The span
+    must hold the identity within tol, else InvalidAlgebra. Summands come
+    largest shape first, equal shapes ordered by tr(p diag(0, ..., n-1)),
+    then by the diagonal of p, under the tolerance, so not by the basis.
+    Cached per algebra and tolerance.
     """
     cached = a._frames.get(tol)
     if cached is not None:
         return cached
     n = a.ambient_dim
-    z = center(a, tol)
-    c = z.dim
+    nk.require(a.contains(np.eye(n), tol).residual, tol.bound(float(np.sqrt(n))),
+               InvalidAlgebra, "identity outside span, residual {:.3e}")
     rng = np.random.default_rng(nk.PROBE_SEED)
-    central, h, g = (np.tensordot(nk.random_complex(b.dim, rng), b.basis, axes=(0, 0))
-                     for b in (z, a, a))
-    lam, vec = np.linalg.eigh(central + central.conj().T)
+    h, g = (np.tensordot(nk.random_complex(a.dim, rng), a.basis, axes=(0, 0)) for _ in range(2))
     h = h + h.conj().T
+    # z as one product of [b_1 h | ... | b_d h] with the stacked b_j*
+    z = (a.basis @ h).transpose(1, 0, 2).reshape(n, -1) @ \
+        a.basis.conj().transpose(0, 2, 1).reshape(-1, n)
+    sig = a._frames[tol] = _frame(a, z, h, g, tol)
+    return sig
+
+
+def _frame(a: VnAlgebra, z, h, g, tol: nk.Tolerance) -> BlockSignature:
+    """The frame of ``block_decompose`` read off z, h and g."""
+    n = a.ambient_dim
+    lam, vec = np.linalg.eigh(z)
+    starts, _ = nk.split_spectrum(lam, min(tol.eps, 1e-6) * max(float(np.abs(lam).max()), 1.0))
+    vs = np.split(vec, starts, axis=1)
+    projections = [v @ v.conj().T for v in vs]
+    bound = tol.bound(nk.worst_norm(projections))
+    nk.require(nk.span_residual(projections, a.flat), bound, DegenerateCenterElement,
+               "cluster projection leaves the algebra, residual {:.3e}")
+    q = sum(i * p for i, p in enumerate(projections))
+    nk.require(nk.law_residual(a.basis, a.basis, q[None]), bound, DegenerateCenterElement,
+               "cluster projection does not commute with the algebra, residual {:.3e}")
     # sum_j b_j b_j* is (a_i / m_i) 1 on the i-th summand, so its trace
     # against the unit p_i of the summand is a_i^2 = dim p_i A p_i
     gram = (a.basis @ a.basis.conj().transpose(0, 2, 1)).sum(axis=0)
-    # split the sorted spectrum at the c - 1 widest gaps
-    cuts = np.sort(np.argsort(np.diff(lam))[n - c:]) + 1 if c > 1 else []
-    blocks, projections, units = [], [], []
-    for v in np.split(vec, cuts, axis=1):
-        p = v @ v.conj().T
-        if not z.contains(p, tol):
-            raise DegenerateCenterElement("cluster projection leaves the center span")
+    blocks, units = [], []
+    for v, p in zip(vs, projections):
         d_i = nk.integral_trace(complex(np.vdot(p, gram)), 1e-6, a.dim)
         a_i = int(round(np.sqrt(d_i)))
-        rank = nk.integral_trace(complex(np.trace(p)), 1e-6, n)
+        rank = v.shape[1]
         if a_i * a_i != d_i or rank % a_i:
             raise DegenerateCenterElement(
                 f"corner dimension {d_i} and projection rank {rank} do not "
                 f"fit a summand M_a (x) 1_m")
         blocks.append((a_i, rank // a_i))
-        projections.append(p)
         t = v[None]
         if a_i > 1:
             _, hv = np.linalg.eigh(v.conj().T @ h @ v)
@@ -329,8 +341,7 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSi
                DegenerateCenterElement, "frame is not unitary, residual {:.3e}")
     nk.require(_units_residual(units, a), tol.bound(1.0), DegenerateCenterElement,
                "frame matrix units leave the algebra, residual {:.3e}")
-    sig = a._frames[tol] = _signature(blocks, projections, units, tol)
-    return sig
+    return _signature(blocks, projections, units, tol)
 
 
 def _units_residual(units, a: VnAlgebra) -> float:

@@ -34,6 +34,13 @@ class NonIntegralRank(VnpairError):
     trace = rank = bound = None
 
 
+class AmbiguousRank(VnpairError):
+    """A spectral gap lies between its cut and window * cut, too wide for
+    noise and too narrow for a split; carries the gap, cut and window."""
+
+    gap = cut = window = None
+
+
 # ---------------------------------------------------------------- algebras
 
 class NonConvergence(VnpairError):

@@ -5,7 +5,8 @@ that rank decisions, orthonormalization, and residual reports share one
 convention: comparison bounds are ``eps`` scaled by ``max(1, operand
 norms)``, and rank cutoffs are relative to the largest singular value,
 except where a rank is the trace of a projection, rounded within a stated
-bound by ``integral_trace``. Everything is complex double precision; inputs
+bound by ``integral_trace``, or a count of spectral clusters, split at
+their gaps by ``split_spectrum``. Everything is complex double precision; inputs
 are validated for shape and finiteness and are never mutated.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DimensionMismatch, NonIntegralRank, SingularInput
+from .errors import AmbiguousRank, DimensionMismatch, NonIntegralRank, SingularInput
 
 DEFAULT_EPS = 1e-9
 
@@ -24,6 +25,9 @@ PROBE_SEED = 0
 #: rank bounds of integral_trace stay clear of the half-way point between two
 #: integers, so that a loose tolerance can never make a trace round silently
 MAX_RANK_SLACK = 0.25
+
+#: a spectral gap above its cut but below SPLIT_WINDOW times it is neither noise nor a split
+SPLIT_WINDOW = 100.0
 
 #: complex entries one contraction temporary may hold (4 MB)
 _CHUNK = 1 << 18
@@ -66,6 +70,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DimensionMismatch(f"{name}: entries must be finite")
     return m
+
+
+def as_horizon(horizon) -> int:
+    """A horizon as an int; a bool, a non-integer or a value below 1 raises DimensionMismatch."""
+    if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise DimensionMismatch(f"horizon must be an integer of at least 1, got {horizon!r}")
+    return int(horizon)
 
 
 def frobenius(a) -> float:
@@ -150,24 +161,19 @@ def integral_trace(trace, bound: float, dim: int) -> int:
     return rank
 
 
-def _average(lefts, cmaps, y) -> np.ndarray:
-    """sum_i lefts[i] @ y[p] @ cmaps[i] for every probe p, in the
-    contraction order that costs fewer flops."""
-    d, rows, _ = lefts.shape
-    m, _, cols = y.shape
-    if (d + m) * rows * cols < d * m * (rows + cols):
-        # the map as one matrix, s[a, (c, e), b] = sum_i lefts[i, a, c] cmaps[i, e, b]
-        s = (lefts.reshape(d, -1).T @ cmaps.reshape(d, -1)).reshape(rows, rows * cols, cols)
-        return (y.reshape(m, -1) @ s).transpose(1, 0, 2)
-    out = np.zeros(y.shape, dtype=complex)
-    for probes, terms in _chunk_pairs(m, d, rows * cols):
-        l, c, yp = lefts[terms], cmaps[terms], y[probes]
-        g, h = l.shape[0], yp.shape[0]
-        # y c_i for every i of the chunk, then one product with [l_1 | l_2 | ...]
-        yc = (yp.reshape(h * rows, cols) @ c.transpose(1, 0, 2).reshape(cols, g * cols))
-        yc = yc.reshape(h, rows, g, cols).transpose(0, 2, 1, 3).reshape(h, g * rows, cols)
-        out[probes] += l.transpose(1, 0, 2).reshape(rows, g * rows) @ yc
-    return out
+def split_spectrum(values, cut: float) -> tuple[np.ndarray, float]:
+    """The starts (for ``np.split``) of the clusters of an ascending
+    spectrum after the first, and the smallest separating gap over the cut
+    (inf for one cluster). A gap up to cut joins, one from SPLIT_WINDOW * cut
+    on separates; one between, or a NaN, raises AmbiguousRank."""
+    gaps = np.diff(np.asarray(values, dtype=float))
+    ambiguous = gaps[~((gaps <= cut) | (gaps >= SPLIT_WINDOW * cut))]
+    if ambiguous.size:
+        raise AmbiguousRank(f"spectral gap {ambiguous[0]:.3e} lies between the cut {cut:.3e} "
+                            f"and {SPLIT_WINDOW:g} times it", gap=float(ambiguous[0]), cut=cut,
+                            window=SPLIT_WINDOW)
+    starts = np.flatnonzero(gaps > cut) + 1
+    return starts, float(gaps[starts - 1].min() / cut) if starts.size else float("inf")
 
 
 def law_residual(lefts, rights, basis) -> float:

@@ -96,6 +96,7 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     compared; their law residuals and iterates are computed once per map,
     and a B' without a frame takes that of B (``_commutant_domains``).
     """
+    horizon = nk.as_horizon(horizon)
     _commutant_domains(theta, theta_prime, tol)
     return _relations(u, theta, theta_prime, horizon, tol)
 
@@ -115,7 +116,7 @@ def _relations(u, theta, theta_prime, horizon: int,
     # each map is valid, so its iterates are valid as composed
     theta.validate(tol)
     theta_prime.validate(tol)
-    powers, powers_prime = (endo_mod.iterates(f, max(horizon, 1)) for f in (theta, theta_prime))
+    powers, powers_prime = (endo_mod.iterates(f, horizon) for f in (theta, theta_prime))
     worst_pow = 0.0
     uk = u.copy()
     for k in range(2, horizon + 1):
@@ -278,6 +279,7 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
     recursion c_{s+t} = c_s theta1^s(c_t) and conjugates the iterates of
     theta1 onto the iterates of theta2. Returns the list c_1..c_N.
     """
+    horizon = nk.as_horizon(horizon)
     cert1 = can_pair(theta1, theta_prime, tol)
     if not cert1:
         raise NotPairedInput("first map does not pair with the given partner")
@@ -292,7 +294,7 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
             f"link is not in the algebra, residual {report.residual:.3e}",
             step=1, residual=float(report.residual))
     # can_pair validated both maps in check_pairing before pairing them
-    powers1, powers2 = (endo_mod.iterates(f, max(horizon, 1)) for f in (theta1, theta2))
+    powers1, powers2 = (endo_mod.iterates(f, horizon) for f in (theta1, theta2))
     family = [c1]
     for s in range(1, horizon):
         family.append(family[-1] @ powers1[s](c1))

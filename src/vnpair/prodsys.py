@@ -240,8 +240,7 @@ def from_endomorphism(theta, horizon: int,
     E_t is the algebra with left action twisted by the t-th iterate; the
     product sends x (tensor) y to theta^t(x) y.
     """
-    if horizon < 1:
-        raise DimensionMismatch(f"horizon must be at least 1, got {horizon}")
+    horizon = nk.as_horizon(horizon)
     b = theta.domain
     bp = alg.commutant(b, tol)
     theta.validate(tol)
@@ -469,6 +468,7 @@ def bhat_system(theta, gamma, horizon: int,
     dilations[t] does the same with g from the whole ambient space and is
     unitary, which forces every compressed space to be one dimensional.
     """
+    horizon = nk.as_horizon(horizon)
     b = theta.domain
     n = b.ambient_dim
     if b.dim != n * n:
@@ -483,7 +483,7 @@ def bhat_system(theta, gamma, horizon: int,
     if not endo_mod.is_automorphism(theta, tol):
         raise NotFaithful("the map is not an automorphism")
     theta.validate(tol)
-    powers = endo_mod.iterates(theta, max(horizon, 0))
+    powers = endo_mod.iterates(theta, horizon)
     pr = np.outer(gamma, gamma.conj())
     spaces = [nk.range_basis(powers[t](pr), tol, ProductSystemLawError,
                              f"iterate {t} of the projection")

@@ -31,11 +31,20 @@ faster route replaced, kept so that the faster route has a reference.
   products, before ``prodsys.bhat_system`` applied them by reshapes;
 - ``gram_product_adjoint_residual``: the adjoint-closure residual of an
   exactly Hermitian basis from a second dim x n^2 product, before
-  ``VnAlgebra`` read it off the Gram matrix alone.
+  ``VnAlgebra`` read it off the Gram matrix alone;
+- ``where_hermitian_basis``: the Hermitian commutant basis selected by
+  ``np.where`` over the whole (m, m, n, n) stack, before
+  ``algebra._hermitian_basis`` computed each triangle alone;
+- ``averaging_center`` and ``averaging_projections``: the center as the
+  range of the d x d projection <b_k, E(b_j)> with its rounded trace, and
+  the central projections split off one of its elements at the c - 1
+  widest gaps, before ``algebra.block_decompose`` read them off the
+  average of one probe.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +53,7 @@ from vnpair import algebra as alg
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
 from vnpair import selftest
-from vnpair.errors import DimensionMismatch
+from vnpair.errors import DimensionMismatch, SingularInput
 
 
 def mul_constraint(left, right) -> np.ndarray:
@@ -306,3 +315,76 @@ def gram_product_adjoint_residual(basis) -> float:
     adjoint-closure residual of an exactly Hermitian basis."""
     flat = np.asarray(basis).reshape(len(basis), -1)
     return float(np.linalg.norm(flat - (flat @ flat.conj().T) @ flat))
+
+
+def where_hermitian_basis(x) -> np.ndarray:
+    """Exactly Hermitian basis of the span of the stack x_pq, in pq order,
+    from np.where over the whole stack."""
+    m, n = len(x), x.shape[2]
+    upper = np.triu(np.ones((m, m), dtype=bool))[:, :, None, None]
+    y = np.where(upper, x, x.transpose(1, 0, 2, 3))  # x_pq at (p, q) and (q, p), p <= q
+    y_adj = y.conj().transpose(0, 1, 3, 2)
+    scale = np.where(np.eye(m, dtype=bool), 0.5, np.sqrt(0.5))[:, :, None, None]
+    return (np.where(upper, y + y_adj, 1j * (y - y_adj)) * scale).reshape(-1, n, n)
+
+
+def _average(lefts, cmaps, y) -> np.ndarray:
+    """sum_i lefts[i] @ y[p] @ cmaps[i] for every probe p, in the
+    contraction order that costs fewer flops."""
+    d, rows, _ = lefts.shape
+    m, _, cols = y.shape
+    if (d + m) * rows * cols < d * m * (rows + cols):
+        # the map as one matrix, s[a, (c, e), b] = sum_i lefts[i, a, c] cmaps[i, e, b]
+        s = (lefts.reshape(d, -1).T @ cmaps.reshape(d, -1)).reshape(rows, rows * cols, cols)
+        return (y.reshape(m, -1) @ s).transpose(1, 0, 2)
+    out = np.zeros(y.shape, dtype=complex)
+    for probes, terms in nk._chunk_pairs(m, d, rows * cols):
+        l, c, yp = lefts[terms], cmaps[terms], y[probes]
+        g, h = l.shape[0], yp.shape[0]
+        # y c_i for every i of the chunk, then one product with [l_1 | l_2 | ...]
+        yc = (yp.reshape(h * rows, cols) @ c.transpose(1, 0, 2).reshape(cols, g * cols))
+        yc = yc.reshape(h, rows, g, cols).transpose(0, 2, 1, 3).reshape(h, g * rows, cols)
+        out[probes] += l.transpose(1, 0, 2).reshape(rows, g * rows) @ yc
+    return out
+
+
+def averaging_center(a: alg.VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> alg.VnAlgebra:
+    """The center as the range of the averaging map E(x) = sum_i b_i x b_i* S^-1,
+    S = sum_i b_i b_i*, restricted to the algebra: the d x d projection
+    <b_k, E(b_j)>, whose trace, rounded within
+    min(MAX_RANK_SLACK, tol.bound(sum |diagonal|)), is dim Z(A), and whose
+    top eigenvectors are the coefficients of an orthonormal basis."""
+    n = a.ambient_dim
+    adj = a.basis.conj().transpose(0, 2, 1)
+    try:
+        cmaps = adj @ np.linalg.inv((a.basis @ adj).sum(axis=0))
+    except np.linalg.LinAlgError as exc:
+        raise SingularInput("sum of b b* is singular") from exc
+    proj = a.flat.conj() @ _average(a.basis, cmaps, a.basis).reshape(a.dim, -1).T
+    diag = np.diagonal(proj)
+    c = nk.integral_trace(complex(diag.sum()), min(
+        nk.MAX_RANK_SLACK, tol.bound(float(np.abs(diag).sum()))), a.dim)
+    _, vec = np.linalg.eigh((proj + proj.conj().T) / 2.0)
+    rows = vec[:, a.dim - c:].T @ a.flat
+    return alg.VnAlgebra(n, rows.reshape(-1, n, n), tol=tol)
+
+
+def averaging_projections(a: alg.VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL):
+    """Signature and minimal central projections, in summand order, from a
+    seeded random element of ``averaging_center`` whose sorted spectrum is
+    split at its c - 1 widest gaps; a_i^2 = <p_i, S> and m_i = tr(p_i) / a_i."""
+    n, z = a.ambient_dim, averaging_center(a, tol)
+    central = np.tensordot(nk.random_complex(z.dim, np.random.default_rng(nk.PROBE_SEED)),
+                           z.basis, axes=(0, 0))
+    lam, vec = np.linalg.eigh(central + central.conj().T)
+    cuts = np.sort(np.argsort(np.diff(lam))[n - z.dim:]) + 1 if z.dim > 1 else []
+    gram = (a.basis @ a.basis.conj().transpose(0, 2, 1)).sum(axis=0)
+    blocks, projections = [], []
+    for v in np.split(vec, cuts, axis=1):
+        p = v @ v.conj().T
+        a_i = int(round(np.sqrt(np.vdot(p, gram).real)))
+        blocks.append((a_i, int(round(np.trace(p).real)) // a_i))
+        projections.append(p)
+    order = sorted(range(len(blocks)), key=functools.cmp_to_key(
+        alg._summand_order(blocks, projections, tol)))
+    return tuple(blocks[i] for i in order), np.array([projections[i] for i in order])

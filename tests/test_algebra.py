@@ -8,7 +8,8 @@ from vnpair import algebra as alg
 from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
-from vnpair.errors import DimensionMismatch, InvalidAlgebra, NotIntertwining
+from vnpair.errors import (AmbiguousRank, DegenerateCenterElement, DimensionMismatch,
+                           InvalidAlgebra, NotIntertwining)
 
 
 def diag_algebra_2():
@@ -121,12 +122,11 @@ def test_block_decompose_takes_no_commutant(monkeypatch):
 def test_one_frame_per_algebra_and_tolerance(monkeypatch):
     """block_decompose, the commutant, the element spaces over an algebra
     and over its commutant, and find_isomorphism share one frame build (one
-    center computation) per algebra and tolerance: the commutant takes the
+    ``_frame`` call) per algebra and tolerance: the commutant takes the
     frame over, transposed, and it is a frame of the commutant."""
     builds = []
-    real = alg.center
-    monkeypatch.setattr(alg, "center",
-                        lambda a, tol=nk.DEFAULT_TOL: builds.append(a) or real(a, tol))
+    real = alg._frame
+    monkeypatch.setattr(alg, "_frame", lambda a, *args: builds.append(a) or real(a, *args))
     tol = nk.Tolerance(1e-9)
     b = alg.random_algebra(8, [(2, 2), (1, 4)], seed=9)
     sig = alg.block_decompose(b, tol)
@@ -463,3 +463,132 @@ def test_hermitian_adjoint_residual_from_the_gram(blocks):
     gram = c.flat @ c.flat.conj().T
     gram[0, 1] = np.nan
     assert np.isnan(alg._adjoint_residual(c.basis, gram))
+
+
+@pytest.mark.parametrize("m, n", [(8, 32), (4, 16), (12, 96), (1, 3)])
+def test_hermitian_basis_matches_the_where_form(m, n):
+    """The commutant basis from the two triangles alone is bit for bit the
+    one np.where selected over the whole stack."""
+    x = nk.random_complex((m, m, n, n), np.random.default_rng(m * n))
+    assert np.array_equal(alg._hermitian_basis(x), orc.where_hermitian_basis(x))
+
+
+#: the signatures of the structure-large and pair-decide benchmark workloads
+WORKLOAD_SIGNATURES = [
+    [(2, 2), (2, 2), (3, 2), (1, 2)], [(2, 4), (2, 4)], [(3, 4), (3, 4)], [(2, 8), (2, 8)],
+    [(1, 2), (1, 2), (2, 1)], [(2, 2), (2, 2)], [(2, 1), (2, 1), (1, 2)], [(2, 3), (2, 3)],
+    [(1, 2), (1, 2), (2, 1), (2, 1)], [(1, 2), (1, 2), (1, 2)], [(2, 1), (2, 1), (2, 1)],
+    [(2, 2), (2, 2), (1, 2), (1, 2)]]
+
+
+@pytest.mark.parametrize("blocks", WORKLOAD_SIGNATURES, ids=str)
+def test_frame_matches_the_averaging_projection_oracle(blocks):
+    """The frame read off one averaged probe has the signature, summand
+    order, central projections (to 1e-10) and center of the d x d averaging
+    projection, on the algebra and on a fresh copy of its commutant; at the
+    loose tolerance 0.5 the capped cut splits off the same central
+    projections (equal shapes may come in another order there, as keys
+    within 0.5 of each other tie)."""
+    n = sum(a * m for a, m in blocks)
+    a = alg.random_algebra(n, blocks, seed=n)
+    for b in (a, alg.VnAlgebra(n, alg.commutant(a).basis)):
+        sig = alg.block_decompose(b)
+        oracle_blocks, oracle_projections = orc.averaging_projections(b)
+        assert sig.blocks == oracle_blocks
+        assert np.abs(sig.central_projections - oracle_projections).max() <= 1e-10
+        assert alg.equals(alg.center(b), orc.averaging_center(b))
+        loose = alg.block_decompose(b, nk.Tolerance(0.5))
+        assert loose.blocks == sig.blocks
+        apart = np.linalg.norm(loose.central_projections[:, None] - sig.central_projections,
+                               axis=(2, 3))
+        assert apart.min(axis=1).max() <= 1e-10
+
+
+def _probe(a, seed):
+    x = np.tensordot(nk.random_complex(a.dim, np.random.default_rng(seed)), a.basis,
+                     axes=(0, 0))
+    return x + x.conj().T
+
+
+def _averaged(a, h):
+    """sum_j b_j h b_j* over the orthonormal basis of a."""
+    return (a.basis @ h @ a.basis.conj().transpose(0, 2, 1)).sum(axis=0)
+
+
+def test_a_probe_with_a_scalar_average_is_refused():
+    """[(2,2),(1,1)] has S = sum b b* = 1, so the probe h = 1 averages to a
+    scalar and merges both summands: the corner check refuses the merged
+    projection rather than returning a one-summand frame."""
+    a = alg.random_algebra(5, [(2, 2), (1, 1)], seed=2)
+    eye = np.eye(5, dtype=complex)
+    assert np.abs(_averaged(a, eye) - eye).max() <= 1e-12
+    with pytest.raises(DegenerateCenterElement, match="corner dimension"):
+        alg._frame(a, _averaged(a, eye), eye, _probe(a, 1), nk.DEFAULT_TOL)
+
+
+def test_a_merge_that_fits_a_summand_fails_the_links():
+    """[(3,5),(4,5)]: h = p_1/3 + p_2/4 averages to 1/5, and the merged
+    corner has dimension 9 + 16 = 25 and rank 35, the shape of M_5 (x) 1_7;
+    the eigen-grouping of h on it then mixes the summands, and the links
+    check refuses the frame."""
+    a = alg.random_algebra(35, [(3, 5), (4, 5)], seed=3)
+    p = alg.block_decompose(a).central_projections  # (4, 5) first
+    h = p[1] / 3 + p[0] / 4
+    with pytest.raises(DegenerateCenterElement, match="not multiples of unitaries"):
+        alg._frame(a, _averaged(a, h), h, _probe(a, 1), nk.DEFAULT_TOL)
+
+
+def test_a_non_central_element_fails_the_commutation_check():
+    """The spectral projections of a generic Hermitian h in A lie in A but
+    split its summands: handed to the cluster step in place of its average,
+    h is refused by the commutation check alone."""
+    a = alg.random_algebra(8, [(2, 2), (1, 4)], seed=5)
+    h = _probe(a, 2)
+    with pytest.raises(DegenerateCenterElement, match="does not commute"):
+        alg._frame(a, h, h, _probe(a, 3), nk.DEFAULT_TOL)
+
+
+def test_a_cluster_outside_the_span_fails_the_span_check():
+    """span{1, D}, D = diag(1, -1, 0), is unital and *-closed but D^2 is
+    outside it: the average of a probe is diagonal with three values, and
+    its spectral projections commute with the span but leave it."""
+    d = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    b = alg.VnAlgebra(3, np.array([np.eye(3) / np.sqrt(3), d / np.sqrt(2)]))
+    with pytest.raises(DegenerateCenterElement, match="leaves the algebra"):
+        alg.block_decompose(b)
+
+
+def test_a_gap_inside_the_window_is_ambiguous(monkeypatch):
+    """A central element whose two values lie 5e-8 apart, between the cut
+    1e-9 and 100 times it at the default tolerance, has no reliable split:
+    AmbiguousRank carries the gap, the cut and the window, and validate
+    reports a span without a frame."""
+    a = alg.random_algebra(4, [(1, 2), (2, 1)], seed=4)
+    p = alg.block_decompose(a).central_projections
+    z = p[0] + (1 + 5e-8) * p[1]
+    with pytest.raises(AmbiguousRank) as info:
+        alg._frame(a, z, _probe(a, 1), _probe(a, 2), nk.DEFAULT_TOL)
+    err = info.value
+    assert err.gap == pytest.approx(5e-8, rel=1e-6)
+    assert err.cut == pytest.approx(1e-9 * (1 + 5e-8))
+    assert err.window == nk.SPLIT_WINDOW
+    real = alg._frame
+    monkeypatch.setattr(alg, "_frame", lambda b, _, h, g, tol: real(b, z, h, g, tol))
+    with pytest.raises(InvalidAlgebra, match="no matrix-unit frame"):
+        alg.VnAlgebra(4, a.basis).validate()
+
+
+def test_commutant_at_n64_forms_no_n2_by_n2_map():
+    """The commutant of [(4,8),(8,4)] at n = 64 stays far under the n^2 x n^2
+    averaging map (4096^2 complex entries, 256 MiB) that the center was
+    once read off: with that map the traced peak was 276 MiB, without it
+    22 MiB (tracemalloc, numpy 2.4)."""
+    a = alg.random_algebra(64, [(4, 8), (8, 4)], seed=1)
+    tracemalloc.start()
+    try:
+        c = alg.commutant(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.dim == 64 + 16
+    assert peak < 48 * 2 ** 20

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles as orc
 from vnpair import algebra as alg
 from vnpair import cli
 from vnpair import multiplier as mult
@@ -16,7 +17,7 @@ from vnpair import numkernel as nk
 from vnpair import prodsys
 from vnpair import scenes
 from vnpair import selftest as st
-from vnpair.errors import ProductSystemLawError
+from vnpair.errors import ProductSystemLawError, VnpairError
 
 
 def run_cli(args):
@@ -152,6 +153,29 @@ def scene_dir(tmp_path_factory):
 
 def path(scene_dir, name):
     return str(scene_dir / f"{name}.json")
+
+
+def test_scene_frames_match_the_averaging_projection_oracle(scene_dir):
+    """Every algebra of the scenes, and a fresh copy of its commutant, has
+    the signature, summand order, central projections (to 1e-10) and
+    center of the d x d averaging projection, at the scene's tolerance."""
+    compared = 0
+    for scene_path in sorted(scene_dir.glob("*.json")):
+        try:
+            scene = scenes.load_scene(str(scene_path))
+        except VnpairError:
+            continue
+        for a in scene.algebras.values():
+            bp = alg.commutant(a, scene.tol)
+            for b in (a, alg.VnAlgebra(a.ambient_dim, bp.basis, tol=scene.tol)):
+                sig = alg.block_decompose(b, scene.tol)
+                blocks, projections = orc.averaging_projections(b, scene.tol)
+                assert sig.blocks == blocks, scene_path.name
+                assert np.abs(sig.central_projections - projections).max() <= 1e-10
+                assert alg.equals(alg.center(b, scene.tol),
+                                  orc.averaging_center(b, scene.tol), scene.tol)
+                compared += 1
+    assert compared == 2 * 8  # the 8 algebras of 5 scenes, and their commutants
 
 
 def test_report_shape_and_stderr_line(scene_dir):

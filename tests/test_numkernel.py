@@ -10,8 +10,9 @@ from vnpair import algebra as alg
 from vnpair import correspondence as corr
 from vnpair import numkernel as nk
 from vnpair import selftest
-from vnpair.errors import (CocycleResidual, DimensionMismatch, NonIntegralRank,
-                           NotIntertwining, NotUnitary, SingularInput)
+from vnpair.errors import (AmbiguousRank, CocycleResidual, DegenerateCenterElement,
+                           DimensionMismatch, NonIntegralRank, NotIntertwining, NotUnitary,
+                           SingularInput)
 
 
 def test_tolerance_bound_hybrid():
@@ -401,18 +402,19 @@ def test_intertwiners_commutant_at_n48_is_the_block_model():
 
 
 def test_intertwiners_reject_a_span_not_closed_under_products():
-    """span{1, X, Z} on C^2 is *-closed and unital but XZ is outside it:
-    the trace of the averaging map restricted to the span is 5/3, so no
-    center, frame or commutant is returned."""
+    """span{1, X, Z} on C^2 is *-closed and unital but XZ is outside it: the
+    averaged probe splits C^2 into two lines whose projections lie in the
+    span but commute with neither X nor Z, so no center, frame or commutant
+    is returned, at a tight tolerance and at a loose one."""
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
-    b = alg.VnAlgebra(2, np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2))
-    with pytest.raises(NonIntegralRank) as info:
-        alg.commutant(b)
-    err = info.value
-    assert err.trace == pytest.approx(5.0 / 3.0)
-    assert err.rank == 2
-    assert err.bound <= nk.MAX_RANK_SLACK
+    basis = np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2)
+    for tol in (nk.Tolerance(1e-9), nk.Tolerance(0.9)):
+        b = alg.VnAlgebra(2, basis, tol=tol)
+        with pytest.raises(DegenerateCenterElement, match="does not commute"):
+            alg.commutant(b, tol)
+        with pytest.raises(DegenerateCenterElement, match="does not commute"):
+            alg.center(b, tol)
 
 
 def test_intertwiners_reject_a_non_multiplicative_representation():
@@ -428,14 +430,35 @@ def test_intertwiners_reject_a_non_multiplicative_representation():
 
 
 def test_intertwiners_rank_bound_never_reaches_one_half():
-    """At a loose tolerance the bound is capped, so a trace 1/3 away from
-    an integer is an error, not a rounding."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    basis = np.array([np.eye(2), x, z], dtype=complex) / np.sqrt(2)
-    with pytest.raises(NonIntegralRank) as info:
-        alg.commutant(alg.VnAlgebra(2, basis, tol=nk.Tolerance(0.9)), nk.Tolerance(0.9))
+    """At a loose tolerance the rank bound of a representation's range is
+    capped, so a trace 1/3 away from an integer is an error, not a rounding:
+    pi(1) = diag(1, 1/3) on C^2 has a range of rank 1 (eigenvalues above
+    one half) and trace 4/3."""
+    images = np.diag([1.0, 1.0 / 3.0]).astype(complex)[None]
+    for tol in (nk.Tolerance(1e-9), nk.Tolerance(0.9)):
+        with pytest.raises(NonIntegralRank) as info:
+            alg.intertwiners(alg.trivial_algebra(1), images, None, tol=tol)
+        assert info.value.trace == pytest.approx(4.0 / 3.0)
+        assert info.value.rank == 1
     assert info.value.bound == nk.MAX_RANK_SLACK
+
+
+def test_split_spectrum_joins_noise_separates_gaps_and_refuses_the_window():
+    """Gaps up to the cut join, gaps from SPLIT_WINDOW times the cut on
+    separate, both ends included; a gap strictly between them, or a NaN,
+    raises AmbiguousRank with the gap, the cut and the window."""
+    cut = 2.0 ** -30  # a power of two keeps every sum and gap below exact
+    wide = nk.SPLIT_WINDOW * cut
+    starts, ratio = nk.split_spectrum([0.0, cut, cut + wide, 2.0], cut)
+    assert list(starts) == [2, 3] and ratio == nk.SPLIT_WINDOW
+    starts, ratio = nk.split_spectrum([1.0, 1.0, 1.0 + cut], cut)
+    assert starts.size == 0 and ratio == np.inf
+    for gap in (2 * cut, wide / 2, np.nan):
+        with pytest.raises(AmbiguousRank) as info:
+            nk.split_spectrum([0.0, 1.0, 1.0 + gap], cut)
+        err = info.value
+        assert err.gap == gap or np.isnan(gap) and np.isnan(err.gap)
+        assert err.cut == cut and err.window == nk.SPLIT_WINDOW
 
 
 def test_intertwiners_shape_checks():
@@ -451,14 +474,15 @@ def test_intertwiners_shape_checks():
 
 
 def test_the_package_solves_no_dense_kernel_problem():
-    """No module of the package names the dense (rows*cols)^2 routes; the
-    one left in numkernel is kept for the benchmark's tracing and as an
-    oracle, the other lives in the tests' oracles."""
+    """No module of the package names the dense (rows*cols)^2 routes, nor
+    the averaging map whose n^2 x n^2 form the center was once read off;
+    the kernel route left in numkernel is kept for the benchmark's tracing
+    and as an oracle, the others live in the tests' oracles."""
     root = pathlib.Path(nk.__file__).parent
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text())
         names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(tree)}
-        assert not names & {"commuting_null_space", "commutant_space"}, path.name
+        assert not names & {"commuting_null_space", "commutant_space", "_average"}, path.name
 
 
 #: the functions of the package that may draw from a random generator: the

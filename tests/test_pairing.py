@@ -11,7 +11,7 @@ from vnpair import numkernel as nk
 from vnpair import pairing as pr
 from vnpair import prodsys as ps
 from vnpair import selftest as st
-from vnpair.errors import (CocycleResidual, DomainsNotCommutant,
+from vnpair.errors import (CocycleResidual, DimensionMismatch, DomainsNotCommutant,
                            ImageOutsideAlgebra, InvalidCorrespondence,
                            NotFaithful, NotPairedInput, NotUnitary,
                            NotUnitaryImage, PairingCheckFailed, RelationB,
@@ -186,6 +186,23 @@ def test_restriction_symmetry_verdicts_agree(two_block):
         assert down == up
 
 
+@pytest.mark.parametrize("horizon", [0, -1, True, 2.5])
+def test_library_horizons_are_validated(two_block, horizon):
+    """A horizon below 1, a bool or a non-integer is refused by check_pairing
+    and cocycle_link, not read as an empty range or as 1."""
+    d2 = diag_algebra_2()
+    swap = endo.from_unitary(d2, SWAP)
+    b, bp = two_block
+    theta1 = endo.from_unitary(b, unitary_in(b, 31))
+    theta2 = endo.from_unitary(b, unitary_in(b, 37))
+    with pytest.raises(DimensionMismatch, match="horizon"):
+        pr.check_pairing(SWAP, swap, swap, horizon=horizon)
+    with pytest.raises(DimensionMismatch, match="horizon"):
+        pr.cocycle_link(theta1, theta2, endo.identity(bp), horizon)
+    assert pr.check_pairing(SWAP, swap, swap, horizon=np.int64(2)).paired
+    assert len(pr.cocycle_link(theta1, theta2, endo.identity(bp), np.int64(2))) == 2
+
+
 def test_cocycle_link_conjugates_iterates(two_block):
     b, bp = two_block
     theta1 = endo.from_unitary(b, unitary_in(b, 31))
@@ -271,11 +288,10 @@ def test_can_pair_compares_the_domains_once(two_block, monkeypatch):
 
 
 def _count_frame_builds(monkeypatch) -> list:
-    """Algebras whose block frame is built: each build computes one center."""
+    """Algebras whose block frame is built: each build is one ``_frame`` call."""
     builds = []
-    real = alg.center
-    monkeypatch.setattr(alg, "center",
-                        lambda a, tol=nk.DEFAULT_TOL: builds.append(a) or real(a, tol))
+    real = alg._frame
+    monkeypatch.setattr(alg, "_frame", lambda a, *args: builds.append(a) or real(a, *args))
     return builds
 
 

@@ -96,6 +96,22 @@ def test_horizon_must_be_positive():
         ps.from_endomorphism(endo.identity(d2), horizon=0)
 
 
+@pytest.mark.parametrize("horizon", [0, -1, True, 2.5])
+def test_library_horizons_are_validated(horizon):
+    """A horizon below 1, a bool or a non-integer is refused by both system
+    builds, not read as an empty range or as 1; a numpy integer is a horizon."""
+    d2 = diag_algebra_2()
+    m3 = alg.full_matrix_algebra(3)
+    theta = endo.from_unitary(m3, nk.random_unitary(3, seed=7))
+    gamma = np.eye(3, dtype=complex)[0]
+    with pytest.raises(DimensionMismatch, match="horizon"):
+        ps.from_endomorphism(endo.identity(d2), horizon)
+    with pytest.raises(DimensionMismatch, match="horizon"):
+        ps.bhat_system(theta, gamma, horizon)
+    assert ps.from_endomorphism(endo.identity(d2), np.int64(2)).horizon == 2
+    assert ps.bhat_system(theta, gamma, np.int64(2)).dims == [1, 1, 1]
+
+
 def test_commutant_system_reverses_order(inner_system, commutant_of_inner):
     _, _, _, p = inner_system
     pc = commutant_of_inner
