@@ -164,8 +164,8 @@ def iterates(f: Endomorphism, k: int) -> list[Endomorphism]:
     kept on f, which is immutable, so each iterate is composed once per map.
     No law check runs here: callers validate f before the first iterate is
     used, and composites of a valid map are valid."""
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise DimensionMismatch(f"exponent must be a nonnegative integer, got {k!r}")
     memo = f._iterates
     while len(memo) <= k:
         memo.append(Endomorphism(f.domain, _after(f, memo[-1])) if memo else identity(f.domain))

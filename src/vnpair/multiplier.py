@@ -92,8 +92,9 @@ def validate(values, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Multiplier:
 
 
 def trivial(horizon: int) -> Multiplier:
-    """The constant-one grid."""
-    return Multiplier(np.ones((horizon + 1, horizon + 1), dtype=complex),
+    """The constant-one grid; the horizon is read by ``nk.as_horizon``."""
+    n = nk.as_horizon(horizon) + 1
+    return Multiplier(np.ones((n, n), dtype=complex),
                       {"unimodular": 0.0, "cocycle": 0.0, "boundary": 0.0})
 
 

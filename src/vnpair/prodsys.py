@@ -5,7 +5,7 @@ product of E_s and E_t onto E_{s+t}. The main sources are iterates of a
 single endomorphism, the commutant construction (elements multiply as
 operators, with the factor order reversed relative to the original system),
 the rank-one compression of an automorphism of a full matrix algebra, and
-the commutant-through-dilation pipeline.
+the commutant system checked against its realization on a dilation space.
 
 All product maps act on quotient tensor carriers; element-level products
 x . y are recovered through the embeddings, and every law is verified on
@@ -560,13 +560,14 @@ def _frame_isometry(b: alg.VnAlgebra, rho_b, tol: nk.Tolerance) -> np.ndarray:
 class CommutantViaDilation:
     """Commutant system realized inside a right dilation, with the comparison.
 
-    system is the dilation-side product system in the coordinates of the
-    comparison maps upsilon_t = eta_t(1) xi: there its t-th member is the
-    commutant correspondence of the t-th member of the original system
-    (left action the basis of B', right commutant action the images of
-    theta^t), so the build shares one tensor quotient per left index, N+1 in
-    all. nu[t] is the element basis of that member, the images of the
-    operator-commutant element basis in those coordinates.
+    system is the operator-commutant system. Through the comparison maps
+    upsilon_t = eta_t(1) xi it is the dilation-side system, where x in F_s
+    acts on F_t by upsilon_{s+t}* theta_w(t, upsilon_s x xi*) upsilon_t: the
+    upsilon_t are isometries, so that action differs from the operator
+    product x y by at most the compatibility residual that
+    ``commutant_via_dilation`` bounds. Member t is the commutant of member t
+    of the original system (left action the basis of B', right commutant
+    action the images of theta^t); nu[t] is its element basis.
     """
 
     def __init__(self, system, upsilon, xi):
@@ -581,23 +582,19 @@ class CommutantViaDilation:
 
 def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
                            tol: nk.Tolerance = nk.DEFAULT_TOL) -> CommutantViaDilation:
-    """Build the commutant system on the dilation space and compare it.
+    """The commutant system, checked against the dilation space.
 
-    Reads off the block frame of the algebra an isometry xi from the ambient
-    space into H intertwining the identity representation with the action
-    on H, and checks both properties. The comparison maps
-    upsilon_t = eta_t(1) xi are verified to be isometries onto the ranges
-    of theta_w(t, xi xi*), |upsilon_t upsilon_t* - theta_w(t, xi xi*)|, to
-    intertwine both actions, and to be compatible with the products of the
-    operator-commutant system, whose elements multiply as operators. In
-    their coordinates the members are the commutant members and x in F_s
-    acts by upsilon_{s+t}* theta_w(t, upsilon_s x xi*) upsilon_t; the
-    operator-commutant system itself is not built.
+    ``commutant_system`` runs first, with its source checks. Reads off the
+    block frame of the algebra an isometry xi from the ambient space into H
+    intertwining the identity representation with the action on H, and
+    checks both properties. The comparison maps upsilon_t = eta_t(1) xi are
+    verified to be isometries onto the ranges of theta_w(t, xi xi*), to
+    intertwine both actions, and to be compatible with the operator products
+    of the commutant system. These checks say that the system on the
+    dilation space is the commutant system in the coordinates of the
+    upsilon_t up to the compatibility residual, so it is not built again.
     """
-    if p.source is None:
-        raise NotFaithful("the pipeline needs the generating endomorphism")
-    if not endo_mod.is_faithful(p.source, tol):
-        raise NotFaithful("generating endomorphism is not faithful")
+    fsys = commutant_system(p, tol)
     b = p.algebra
     bp = p.commutant_algebra
     n = b.ambient_dim
@@ -628,18 +625,13 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
                "comparison maps fail to intertwine, residuals {1:.3e} and {2:.3e}",
                worst_b, worst_bp)
 
-    members = [corr.commutant(e) for e in p.members]
-    compatible = [0.0]
-
-    def action(s, t, xs):
-        moved = w.theta_w(t, upsilon[s] @ xs @ xi.conj().T)
-        # (upsilon_{s+t} x - theta_w(t, upsilon_s x xi*) upsilon_t) y, where
-        # x y is the product of x in F_s and y in F_t; judged after the build
-        diff = upsilon[s + t] @ xs - moved @ upsilon[t]
-        compatible.append(nk.worst_norm(diff[:, None] @ members[t].element_space[None]))
-        return upsilon[s + t].conj().T @ moved @ upsilon[t]
-
-    fsys = _build_system(bp, members, action, tol=tol)
+    # (upsilon_{s+t} x - theta_w(t, upsilon_s x xi*) upsilon_t) y over the
+    # element bases, x y being the product of x in F_s and y in F_t
+    spaces, compatible = [m.element_space for m in fsys.members], [0.0]
+    for s, xs in enumerate(spaces):
+        for t in range(p.horizon + 1 - s):
+            diff = upsilon[s + t] @ xs - w.theta_w(t, upsilon[s] @ xs @ xi.conj().T) @ upsilon[t]
+            compatible.append(nk.worst_norm(diff[:, None] @ spaces[t][None]))
     nk.require(nk.worst(*compatible), tol.bound(1.0), ProductSystemLawError,
                "comparison maps are not product compatible, residual {:.3e}")
     return CommutantViaDilation(fsys, upsilon, xi)

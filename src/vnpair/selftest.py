@@ -426,35 +426,31 @@ def _case_dilation_commutant(rng, tol, case_index):
         p = ps.from_endomorphism(theta, 4, tol)
         w = ps.right_dilation_from_unitary(p, u, tol=tol)
         out = ps.commutant_via_dilation(p, w, tol=tol)
-        ref = ps.commutant_system(p, tol)
         worst = 0.0
         for t, nu_t in enumerate(out.nu):
             flat = nu_t.reshape(nu_t.shape[0], -1)
             gram = flat @ flat.conj().T
             worst = nk.worst(worst, float(np.linalg.norm(
                 gram - np.eye(nu_t.shape[0]))))
-        bp = p.commutant_algebra
-
-        def push(t, x):
-            coeffs = ref.members[t].element_coefficients(x)
-            return np.tensordot(coeffs, out.nu[t], axes=(0, 0))
-
+        up, xi_adj = out.upsilon, out.xi.conj().T
+        # upsilon_{s+t}* theta_w(t, op) upsilon_t against the returned actions,
+        # op = upsilon_s x xi* for x in F_s and op = xi b' xi* for b' in B'
         for s in range(p.horizon + 1):
             for t in range(p.horizon + 1 - s):
-                xs = ref.members[s].element_space
-                ys = ref.members[t].element_space
+                xs, ys = out.nu[s], out.nu[t]
                 picks = [(int(rng.integers(xs.shape[0])),
                           int(rng.integers(ys.shape[0]))) for _ in range(2)]
                 for ix, iy in picks:
                     x, y = xs[ix], ys[iy]
-                    lhs = push(s + t, ref.multiply(s, t, x, y))
-                    rhs = out.system.multiply(s, t, push(s, x), push(t, y))
+                    lhs = up[s + t].conj().T @ w.theta_w(t, up[s] @ x @ xi_adj) @ up[t] @ y
+                    rhs = out.system.multiply(s, t, x, y)
                     worst = nk.worst(worst, float(np.linalg.norm(lhs - rhs)))
+        bp = p.commutant_algebra
         for t in range(p.horizon + 1):
-            x = ref.members[t].element_space[0]
+            x = out.nu[t][0]
             bq = bp.basis[int(rng.integers(bp.dim))]
-            lhs = push(t, ref.members[t].rho_of(bq) @ x)
-            rhs = out.system.members[t].rho_of(bq) @ push(t, x)
+            lhs = up[t].conj().T @ w.theta_w(t, out.xi @ bq @ xi_adj) @ up[t] @ x
+            rhs = out.system.members[t].rho_of(bq) @ x
             worst = nk.worst(worst, float(np.linalg.norm(lhs - rhs)))
         return worst
 

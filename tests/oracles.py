@@ -9,6 +9,10 @@ faster route replaced, kept so that the faster route has a reference.
   eigenproblem in Hermitian coordinates;
 - ``identity_right_dilation``: the dilation through which the eq33
   residual of ``vnpair.pairing`` was first defined;
+- ``dilation_side_system``: the product system on the dilation space in
+  the coordinates of the comparison maps, built from its per-pair actions,
+  before ``prodsys.commutant_via_dilation`` returned the commutant system
+  those maps are checked against;
 - ``eq33_spanning_family``: that residual solved on the full d^2 n column
   family, before its reduction to d n columns;
 - ``projection_distance``: span equality of two algebras through their dense
@@ -50,6 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from vnpair import algebra as alg
+from vnpair import correspondence as corr
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
 from vnpair import selftest
@@ -150,6 +155,26 @@ def identity_right_dilation(p, tol: nk.Tolerance = nk.DEFAULT_TOL):
     bilinearity check rejects anything else.
     """
     return ps.make_right_dilation(p, p.algebra.basis, lambda t, xs: xs, tol=tol)
+
+
+
+def dilation_side_system(p, w, tol: nk.Tolerance = nk.DEFAULT_TOL):
+    """The commutant members with x in F_s acting on F_t by
+    upsilon_{s+t}* theta_w(t, upsilon_s x xi*) upsilon_t, the comparison
+    maps upsilon_t = eta_t(1) xi read off the dilation w, one action array
+    and one product solve per index pair."""
+    b = p.algebra
+    xi = ps._frame_isometry(b, w.rho_of(b.basis), tol)
+    rep = ps.representation_from_right_dilation(p, w, tol)
+    eye = np.eye(b.ambient_dim, dtype=complex)
+    upsilon = [rep.eta_of(t, eye) @ xi for t in range(p.horizon + 1)]
+
+    def action(s, t, xs):
+        moved = w.theta_w(t, upsilon[s] @ xs @ xi.conj().T)
+        return upsilon[s + t].conj().T @ moved @ upsilon[t]
+
+    members = [corr.commutant(e) for e in p.members]
+    return ps._build_system(p.commutant_algebra, members, action, tol=tol)
 
 
 def eq33_spanning_family(u, theta) -> dict:

@@ -56,7 +56,7 @@ def test_power_of_involution_is_identity():
     assert np.allclose(endo.power(theta, 0).coefficient_matrix, np.eye(2))
     assert np.allclose(endo.power(theta, 3).coefficient_matrix,
                        theta.coefficient_matrix)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         endo.power(theta, -1)
 
 
@@ -75,8 +75,19 @@ def test_iterates_match_repeated_composition():
         assert np.allclose(chain[k].basis_images,
                            endo.power(theta, k).basis_images, atol=1e-12)
     assert len(endo.iterates(theta, 0)) == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         endo.iterates(theta, -1)
+
+
+@pytest.mark.parametrize("k", [-1, True, 2.5])
+def test_exponents_must_be_nonnegative_integers(k):
+    """A bool is not read as 1, nor 2.5 cut to an integer: iterates, which
+    power goes through, raises DimensionMismatch."""
+    theta = endo.from_unitary(diag_algebra_2(), SWAP)
+    with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+        endo.iterates(theta, k)
+    with pytest.raises(DimensionMismatch, match="nonnegative integer"):
+        endo.power(theta, k)
 
 
 def test_iterates_are_composed_once_per_map():

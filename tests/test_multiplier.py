@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from vnpair import multiplier as mult
 from vnpair import numkernel as nk
-from vnpair.errors import (CocycleViolation, GridMismatch, NotScalar,
-                           NotUnimodular, NotUnitary, TrivializationResidual)
+from vnpair.errors import (CocycleViolation, DimensionMismatch, GridMismatch,
+                           NotScalar, NotUnimodular, NotUnitary,
+                           TrivializationResidual)
 
 THETA = 2.0 * np.pi / 7.0
 
@@ -106,6 +107,14 @@ def test_validate_rejects_bad_shapes():
         mult.validate(np.ones((1, 1)))
     with pytest.raises(GridMismatch):
         mult.validate(np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("horizon", [-1, 0, True, 2.5])
+def test_trivial_needs_a_horizon_of_at_least_one(horizon):
+    """No 0 x 0 grid, no 1 x 1 grid that validate rejects, no bool read as 1."""
+    with pytest.raises(DimensionMismatch, match="horizon"):
+        mult.trivial(horizon)
+    assert mult.trivial(1).values.shape == (2, 2)
 
 
 def test_group_operations():

@@ -533,7 +533,8 @@ def _oracle_tensor(tp):
 @pytest.fixture(scope="module")
 def parity_cases():
     """(system, right dilation or None): endomorphism systems, commutant
-    systems and dilation-side systems over n in {4, 6, 8}."""
+    systems and dilation-side systems, built from their per-pair actions,
+    over n in {4, 6, 8}."""
     out = []
     for n, blocks, horizon, seed in [(4, [(2, 1), (1, 2)], 5, 3),
                                      (6, [(1, 2), (2, 2)], 4, 5),
@@ -546,7 +547,7 @@ def parity_cases():
         if n < 8:
             out.append((ps.commutant_system(p), None))
         if n != 6:
-            out.append((ps.commutant_via_dilation(p, w).system, None))
+            out.append((orc.dilation_side_system(p, w), None))
     return out
 
 
@@ -564,6 +565,24 @@ def test_stacked_laws_match_the_per_element_oracle(parity_cases):
             _same(w.validate(), _oracle_dilation(w))
             rep = ps.representation_from_right_dilation(p, w)
             _same(rep.validate(), _oracle_representation(rep))
+
+
+def test_commutant_via_dilation_returns_the_dilation_side_system(parity_cases):
+    """The system on the dilation space, built from the action
+    upsilon_{s+t}* theta_w(t, upsilon_s x xi*) upsilon_t of every pair, is
+    the returned commutant system: its products agree within 1e-12, and the
+    residual keys and element bases are the same."""
+    cases = [(p, w) for p, w in parity_cases if w is not None]
+    assert len(cases) == 3
+    for p, w in cases:
+        cv = ps.commutant_via_dilation(p, w)
+        side = orc.dilation_side_system(p, w)
+        assert list(cv.system.products) == list(side.products)
+        for key, u in side.products.items():
+            assert np.linalg.norm(cv.system.products[key] - u) <= 1e-12, key
+        assert list(cv.system.residuals) == list(side.residuals)
+        for nu_t, member in zip(cv.nu, side.members, strict=True):
+            assert np.array_equal(nu_t, member.element_space)
 
 
 def test_tensor_products_match_the_per_element_oracle(parity_cases):
@@ -655,8 +674,8 @@ def test_representation_validate_makes_no_per_element_calls(inner_system, monkey
 
 
 def test_commutant_via_dilation_builds_one_system(inner_system, monkeypatch):
-    """No operator-commutant system and no second law check of the source:
-    the comparison reads the commutant member spaces and the member actions."""
+    """One commutant system, which the comparison maps are checked against
+    and which is returned, and no second law check of the source."""
     _, v, _, p = inner_system
     w = ps.right_dilation_from_unitary(p, v)
     calls = []
@@ -671,9 +690,43 @@ def test_commutant_via_dilation_builds_one_system(inner_system, monkeypatch):
                         counting("commutant_system", ps.commutant_system))
     monkeypatch.setattr(endo, "make", counting("make", endo.make))
     cv = ps.commutant_via_dilation(p, w)
-    assert calls == []
+    assert calls == ["commutant_system"]
     assert not hasattr(cv, "reference")
     assert [m.carrier_dim for m in cv.system.members] == [4, 4, 4, 4]
+
+
+@pytest.mark.parametrize("phase, match", [("lifted", "fail to intertwine"),
+                                          ("compatible", "not product compatible")])
+def test_a_perturbed_theta_w_fails_its_comparison(inner_system, monkeypatch, phase, match):
+    """theta_w off by a 1e-3 phase in the lifted B' calls alone or in the
+    product compatibility calls alone. After the commutant relation of the
+    representation, theta_w lifts xi xi* per t, then the stack xi B' xi* per
+    t and then the stack upsilon_s F_s xi* per index pair."""
+    _, v, _, p = inner_system
+    w = ps.right_dilation_from_unitary(p, v)
+    theta_w = w.theta_w
+    stacks = []
+
+    def perturbed(t, op):
+        out = theta_w(t, op)
+        if np.ndim(op) == 3:
+            stacks.append(t)
+            if (len(stacks) <= p.horizon + 1) == (phase == "lifted"):
+                out = out * np.exp(1e-3j)
+        return out
+
+    rep_from_dilation = ps.representation_from_right_dilation
+
+    def then_perturb(p, w, tol):
+        rep = rep_from_dilation(p, w, tol)
+        w.theta_w = perturbed  # after the commutant relation has been checked
+        return rep
+
+    monkeypatch.setattr(ps, "representation_from_right_dilation", then_perturb)
+    with pytest.raises(ProductSystemLawError, match=match):
+        ps.commutant_via_dilation(p, w)
+    pairs = (p.horizon + 1) * (p.horizon + 2) // 2
+    assert len(stacks) == p.horizon + 1 + (pairs if phase == "compatible" else 0)
 
 
 def test_commutant_via_dilation_rejects_a_non_faithful_source():
@@ -730,7 +783,7 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
     monkeypatch.setattr(corr, "_check_light", checking)
     n = horizon
-    pairs, triples = (n + 1) * (n + 2) // 2, (n + 1) * (n + 2) * (n + 3) // 6
+    pairs = (n + 1) * (n + 2) // 2
 
     def counted(build):
         counts.update(dict.fromkeys(("quotients", "kernels", "solves", "left_lifts",
@@ -753,22 +806,20 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
     assert c == {"quotients": 1, "kernels": 0, "solves": n + 1,
                  "left_lifts": n + 1, "right_lifts": 1, "associativity": 0}
     assert k == [1]
-    # the dilation side in upsilon coordinates has the commutant members:
-    # one quotient and lifted B' action per left index; the member element
-    # spaces, xi and the commutant of the action on H. Its actions differ
-    # per pair, and theta_w lifts 3 (n + 1) + pairs operators on H.
+    # the commutant system once, with xi and the commutant of the action on
+    # H on top; theta_w lifts 3 (n + 1) + pairs operators on H
     _, c, k = counted(lambda: ps.commutant_via_dilation(p, w))
-    assert c == {"quotients": n + 1, "kernels": n + 3, "solves": pairs,
+    assert c == {"quotients": n + 1, "kernels": n + 3, "solves": n + 1,
                  "left_lifts": n + 1, "right_lifts": 2 * pairs + 3 * (n + 1),
-                 "associativity": triples}
+                 "associativity": pairs}
     assert k == [n + 1]
 
 
 def test_commutant_via_dilation_moves_each_element_basis_once(monkeypatch):
     """theta_w(t, upsilon_s x xi*) over the element basis of F_s is computed
-    once per index pair, for the action and the product compatibility alike:
-    at horizon 4, 15 pairs and 3 * 5 calls for the representation, the
-    carrier check and the lifted B'."""
+    once per index pair for the product compatibility: at horizon 4, 15
+    pairs and 3 * 5 calls for the representation, the carrier check and the
+    lifted B'."""
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
     v = unitary_in(b, 15)
     p = ps.from_endomorphism(endo.from_unitary(b, v), 4)
