@@ -164,16 +164,21 @@ def iterates(f: Endomorphism, k: int) -> list[Endomorphism]:
     kept on f, which is immutable, so each iterate is composed once per map.
     No law check runs here: callers validate f before the first iterate is
     used, and composites of a valid map are valid."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise DimensionMismatch(f"exponent must be a nonnegative integer, got {k!r}")
-    memo = f._iterates
+    k, memo = _exponent(k), f._iterates
     while len(memo) <= k:
         memo.append(Endomorphism(f.domain, _after(f, memo[-1])) if memo else identity(f.domain))
     return memo[:k + 1]
 
 
+def _exponent(k) -> int:
+    """k itself; a bool, a non-integer or a negative value raises DimensionMismatch."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise DimensionMismatch(f"exponent must be a nonnegative integer, got {k!r}")
+    return k
+
+
 def power(f: Endomorphism, k: int, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
-    if k > 0:
+    if _exponent(k) > 0:
         f.validate(tol)
     return iterates(f, k)[-1]
 

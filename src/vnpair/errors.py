@@ -146,9 +146,10 @@ class NotUnimodular(VnpairError):
 
 
 class CocycleViolation(VnpairError):
-    """The two-variable cocycle identity fails at some grid triple."""
+    """The two-variable cocycle identity fails at some grid triple; carries
+    the first worst triple, its residual and the bound."""
 
-    triple = residual = None
+    triple = residual = bound = None
 
 
 class BoundaryViolation(VnpairError):

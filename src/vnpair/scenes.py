@@ -29,18 +29,14 @@ _SCENE_KEYS = {"ambient_dim", "algebras", "endomorphisms", "unitaries",
                "grids", "vectors", "families", "tolerance", "seed"}
 
 
-def encode_complex(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
 def encode_matrix(m) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[encode_complex(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def encode_vector(v) -> list:
-    return [encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
 def _is_number(obj) -> bool:

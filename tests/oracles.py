@@ -43,7 +43,13 @@ faster route replaced, kept so that the faster route has a reference.
   range of the d x d projection <b_k, E(b_j)> with its rounded trace, and
   the central projections split off one of its elements at the c - 1
   widest gaps, before ``algebra.block_decompose`` read them off the
-  average of one probe.
+  average of one probe;
+- ``cocycle_residuals`` and ``cube_worst_cocycle``: the cocycle identity
+  of a multiplier grid on the whole (N+1)^3 cube, before
+  ``multiplier.validate`` checked it one slab of middle index at a time;
+- ``elementwise_matrix`` and ``elementwise_vector``: the [re, im] scene
+  encoding built one entry at a time, before ``scenes.encode_matrix`` and
+  ``scenes.encode_vector`` stacked the real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -413,3 +419,40 @@ def averaging_projections(a: alg.VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL):
     order = sorted(range(len(blocks)), key=functools.cmp_to_key(
         alg._summand_order(blocks, projections, tol)))
     return tuple(blocks[i] for i in order), np.array([projections[i] for i in order])
+
+
+def cocycle_residuals(values: np.ndarray) -> np.ndarray:
+    """|m(r,s)m(r+s,t) - m(r,s+t)m(s,t)| on every in-grid triple, else 0.
+
+    A triple (r, s, t) counts when all four evaluation points lie on the
+    grid, which means r+s <= N and s+t <= N.
+    """
+    n = values.shape[0] - 1
+    idx = np.arange(n + 1)
+    sums = np.add.outer(idx, idx)
+    on_grid = sums <= n
+    sums_c = np.minimum(sums, n)
+    lhs = values[:, :, None] * values[sums_c, :]
+    rhs = values[:, sums_c] * values[None, :, :]
+    mask = on_grid[:, :, None] & on_grid[None, :, :]
+    return np.where(mask, np.abs(lhs - rhs), 0.0)
+
+
+def cube_worst_cocycle(values) -> tuple[float, tuple[int, int, int]]:
+    """The worst cocycle residual and the triple that argmax picks on the
+    cube: the first worst in (r, s, t) order, the first NaN when there is one."""
+    res = cocycle_residuals(np.asarray(values, dtype=complex))
+    return float(res.max()), tuple(int(i) for i in np.unravel_index(int(res.argmax()), res.shape))
+
+
+def _encode_complex(z) -> list[float]:
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def elementwise_matrix(m) -> list:
+    return [[_encode_complex(z) for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def elementwise_vector(v) -> list:
+    return [_encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]

@@ -79,10 +79,10 @@ def test_iterates_match_repeated_composition():
         endo.iterates(theta, -1)
 
 
-@pytest.mark.parametrize("k", [-1, True, 2.5])
+@pytest.mark.parametrize("k", [-1, True, 2.5, "2", None])
 def test_exponents_must_be_nonnegative_integers(k):
-    """A bool is not read as 1, nor 2.5 cut to an integer: iterates, which
-    power goes through, raises DimensionMismatch."""
+    """A bool is not read as 1, nor 2.5 cut to an integer, and a string or
+    None is not compared with 0: iterates and power raise DimensionMismatch."""
     theta = endo.from_unitary(diag_algebra_2(), SWAP)
     with pytest.raises(DimensionMismatch, match="nonnegative integer"):
         endo.iterates(theta, k)

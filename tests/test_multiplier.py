@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles as orc
 from vnpair import multiplier as mult
 from vnpair import numkernel as nk
 from vnpair.errors import (CocycleViolation, DimensionMismatch, GridMismatch,
@@ -98,6 +101,97 @@ def test_validate_rejects_cocycle_corruption():
         mult.validate(grid)
     assert info.value.residual > 0.5
     assert len(info.value.triple) == 3
+    assert info.value.bound == nk.DEFAULT_TOL.bound(1.0)
+    with pytest.raises(CocycleViolation) as info:
+        mult.validate(grid, nk.Tolerance(1e-3))
+    assert info.value.bound == nk.Tolerance(1e-3).bound(1.0)
+
+
+def coboundary_grid(horizon, seed):
+    """f(s) f(t) / f(s+t) for random unit-modulus f(0..2N)."""
+    f = np.exp(2j * np.pi * np.random.default_rng(seed).random(2 * horizon + 1))
+    idx = np.arange(horizon + 1)
+    return np.multiply.outer(f[:horizon + 1], f[:horizon + 1]) / f[np.add.outer(idx, idx)]
+
+
+def corrupted(grid, cells, factor=-1.0):
+    grid = grid.copy()
+    for cell in cells:
+        grid[cell] *= factor
+    return grid
+
+
+def boundary_broken(grid):
+    """Row and column zero no longer constant; every entry still unimodular."""
+    grid = grid.copy()
+    grid[0, -1] *= np.exp(0.5j)
+    grid[-1, 0] *= np.exp(-0.25j)
+    return grid
+
+
+SLAB_CASES = {
+    **{f"coboundary-{n}": (lambda n=n: coboundary_grid(n, n)) for n in (1, 2, 3, 8, 40, 128)},
+    "quadratic-8": lambda: quadratic_grid(8),
+    "one-cell-8": lambda: corrupted(coboundary_grid(8, 1), [(3, 4)], np.exp(0.3j)),
+    "one-cell-40": lambda: corrupted(coboundary_grid(40, 2), [(17, 5)]),
+    "last-cell-3": lambda: corrupted(coboundary_grid(3, 3), [(3, 3)]),
+    "several-cells-40": lambda: corrupted(coboundary_grid(40, 4), [(1, 1), (20, 7), (39, 0)],
+                                          np.exp(1j)),
+    "tied-quadratic-6": lambda: corrupted(quadratic_grid(6), [(3, 2)]),
+    "tied-ones-5": lambda: corrupted(np.ones((6, 6), dtype=complex), [(2, 3)]),
+    "tied-ones-corner-4": lambda: corrupted(np.ones((5, 5), dtype=complex), [(4, 0), (0, 4)]),
+    "boundary-2": lambda: boundary_broken(coboundary_grid(2, 5)),
+    "boundary-8": lambda: boundary_broken(quadratic_grid(8)),
+    "random-16": lambda: np.exp(2j * np.pi * np.random.default_rng(6).random((17, 17))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLAB_CASES))
+def test_slab_cocycle_check_matches_the_cube(case):
+    """validate reports the cube's worst residual bit for bit and, on
+    failure, its first worst triple in (r, s, t) order."""
+    grid = SLAB_CASES[case]()
+    worst, triple = orc.cube_worst_cocycle(grid)
+    assert mult._worst_cocycle(grid) == (worst, triple)
+    if worst <= nk.DEFAULT_TOL.bound(1.0):
+        assert mult.validate(grid).residuals["cocycle"] == worst
+        return
+    with pytest.raises(CocycleViolation) as info:
+        mult.validate(grid)
+    assert info.value.triple == triple
+    assert info.value.residual == worst
+
+
+@pytest.mark.parametrize("cells", [[(2, 0)], [(0, 0)], [(3, 1), (1, 2)], [(4, 4)]])
+def test_slab_cocycle_check_counts_a_nan_as_worst(cells):
+    """validate rejects a NaN entry before the cocycle check, so the slab
+    helper gets it directly: NaN beats every residual, and the first NaN
+    triple in (r, s, t) order is reported even when an earlier slab holds
+    a NaN at a later r, as for the cell (2, 0), first reached at (0, 2, 0)."""
+    grid = corrupted(quadratic_grid(4), [(1, 3)])
+    for cell in cells:
+        grid[cell] = np.nan
+    worst, triple = orc.cube_worst_cocycle(grid)
+    got_worst, got_triple = mult._worst_cocycle(grid)
+    assert np.isnan(worst) and np.isnan(got_worst)
+    assert got_triple == triple
+    if cells == [(2, 0)]:
+        assert triple == (0, 2, 0)
+
+
+def test_cocycle_check_memory_is_quadratic():
+    """At N = 256 the (N+1)^3 cube of residuals alone is 270 MB as complex;
+    one slab per middle index keeps the traced peak of validate near three
+    grids (3.4 MB, numpy 2.4)."""
+    grid = coboundary_grid(256, 7)
+    tracemalloc.start()
+    try:
+        m = mult.validate(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.residuals["cocycle"] < 1e-12
+    assert peak < 8 * 2 ** 20
 
 
 def test_validate_rejects_bad_shapes():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import oracles as orc
 from vnpair import scenes
 from vnpair.errors import ParseError
 
@@ -186,3 +187,17 @@ def test_load_scene_from_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         scenes.load_scene(str(bad))
+
+
+def test_encoding_matches_the_elementwise_form():
+    """The stacked [re, im] encoding serializes byte for byte as the
+    per-entry one, NaN, infinities and signed zeros included."""
+    rng = np.random.default_rng(19)
+    m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    m[0, :4] = [complex(np.nan, -0.0), complex(-np.inf, np.inf), complex(-0.0, 0.0),
+                complex(1e-300, -1e300)]
+    mats = [m, m.T, m[::2, 1:], m.real, np.zeros((0, 3)), [[1, 2], [3, 4]], np.eye(129)]
+    for mat in mats:
+        assert json.dumps(scenes.encode_matrix(mat)) == json.dumps(orc.elementwise_matrix(mat))
+    for vec in [m[0], m, m.real[:, 0], [True, 2, 3.5], 1j, np.zeros(0)]:
+        assert json.dumps(scenes.encode_vector(vec)) == json.dumps(orc.elementwise_vector(vec))
