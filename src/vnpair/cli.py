@@ -32,14 +32,6 @@ from . import selftest as selftest_mod
 from .errors import ParseError
 
 
-def _enc(m) -> list:
-    return scenes.encode_matrix(m)
-
-
-def _enc_many(mats) -> list:
-    return [scenes.encode_matrix(m) for m in mats]
-
-
 def _enc_table(table) -> dict:
     return {"left_blocks": [list(b) for b in table.left_blocks],
             "right_blocks": [list(b) for b in table.right_blocks],
@@ -51,7 +43,7 @@ def _system_payload(p) -> dict:
     return {"horizon": p.horizon,
             "carriers": [m.carrier_dim for m in p.members],
             "element_dims": [m.element_space.shape[0] for m in p.members],
-            "products": {f"{s},{t}": _enc(u)
+            "products": {f"{s},{t}": scenes.encode_matrix(u)
                          for (s, t), u in sorted(p.products.items())}}
 
 
@@ -61,19 +53,19 @@ def _cmd_algebra_commutant(scene, opts):
     diag = c.validate(opts.tol)
     diag["bicommutant_distance"] = float(
         alg.equals(alg.commutant(c, opts.tol), a, opts.tol).residual)
-    return {"dim": c.dim, "basis": _enc_many(c.basis)}, diag
+    return {"dim": c.dim, "basis": scenes.encode_matrix(c.basis)}, diag
 
 
 def _cmd_algebra_blocks(scene, opts):
     a = scene.algebra("a")
     sig = alg.block_decompose(a, opts.tol)
     return {"blocks": [list(b) for b in sig.blocks],
-            "central_projections": _enc_many(sig.central_projections)}, {}
+            "central_projections": scenes.encode_matrix(sig.central_projections)}, {}
 
 
 def _cmd_endo_validate(scene, opts):
     theta = scene.endomorphism("theta")  # validated when the scene was built
-    return {"basis_images": _enc_many(theta.basis_images),
+    return {"basis_images": scenes.encode_matrix(theta.basis_images),
             "faithful": endo_mod.is_faithful(theta, opts.tol),
             "automorphism": endo_mod.is_automorphism(theta, opts.tol)}, \
         theta.law_residuals
@@ -82,7 +74,7 @@ def _cmd_endo_validate(scene, opts):
 def _corr_payload(e) -> dict:
     return {"carrier_dim": e.carrier_dim,
             "element_dim": e.element_space.shape[0],
-            "element_basis": _enc_many(e.element_space)}
+            "element_basis": scenes.encode_matrix(e.element_space)}
 
 
 def _cmd_corr_of_endo(scene, opts):
@@ -102,7 +94,7 @@ def _cmd_corr_tensor(scene, opts):
     f = corr.of_endomorphism(scene.endomorphism("eta"), tol=opts.tol)
     tp = corr.tensor_product(e, f, opts.tol)
     payload = _corr_payload(tp.corr)
-    payload["phi"] = _enc(tp.phi)
+    payload["phi"] = scenes.encode_matrix(tp.phi)
     return payload, tp.corr.validate(opts.tol)
 
 
@@ -114,7 +106,7 @@ def _cmd_corr_iso(scene, opts):
                "table_left": _enc_table(decision.table_left),
                "table_right": _enc_table(decision.table_right)}
     if decision.isomorphic:
-        payload["unitary"] = _enc(decision.unitary)
+        payload["unitary"] = scenes.encode_matrix(decision.unitary)
     return payload, {}
 
 
@@ -144,10 +136,10 @@ def _cmd_bhat(scene, opts):
     gamma = scene.vector("gamma")
     system = prodsys.bhat_system(theta, gamma, opts.horizon, opts.tol)
     return {"dims": system.dims,
-            "spaces": _enc_many(system.spaces),
-            "products": {f"{s},{t}": _enc(u)
+            "spaces": scenes.encode_matrix(system.spaces),
+            "products": {f"{s},{t}": scenes.encode_matrix(u)
                          for (s, t), u in sorted(system.products.items())},
-            "dilations": _enc_many(system.dilations)}, {}
+            "dilations": scenes.encode_matrix(system.dilations)}, {}
 
 
 def _cmd_dilation_commutant(scene, opts):
@@ -158,15 +150,15 @@ def _cmd_dilation_commutant(scene, opts):
     diag = {"dilation_" + k: v for k, v in w.residuals.items()}
     result = prodsys.commutant_via_dilation(p, w, tol=opts.tol)
     payload = {"carriers": [m.carrier_dim for m in result.system.members],
-               "xi": _enc(result.xi),
-               "nu": {str(t): _enc_many(result.nu[t])
+               "xi": scenes.encode_matrix(result.xi),
+               "nu": {str(t): scenes.encode_matrix(result.nu[t])
                       for t in range(len(result.nu))}}
     return payload, diag
 
 
 def _cmd_mult_check(scene, opts):
     m = mult.validate(scene.grid("m"), opts.tol)
-    return {"horizon": m.horizon, "values": _enc(m.values)}, dict(m.residuals)
+    return {"horizon": m.horizon, "values": scenes.encode_matrix(m.values)}, dict(m.residuals)
 
 
 def _cmd_mult_trivialize(scene, opts):
@@ -178,7 +170,7 @@ def _cmd_mult_trivialize(scene, opts):
 def _cmd_mult_extract(scene, opts):
     family = mult.ProjectiveUnitaryFamily(scene.family("u"), opts.tol)
     m = mult.extract(family, opts.tol)
-    return {"horizon": m.horizon, "values": _enc(m.values)}, dict(m.residuals)
+    return {"horizon": m.horizon, "values": scenes.encode_matrix(m.values)}, dict(m.residuals)
 
 
 def _cmd_pair(scene, opts):
@@ -187,7 +179,7 @@ def _cmd_pair(scene, opts):
                             opts.tol)
     payload = {"outcome": "Paired" if cert.paired else "NotPaired"}
     if cert.paired:
-        payload["unitary"] = _enc(cert.unitary)
+        payload["unitary"] = scenes.encode_matrix(cert.unitary)
     if cert.table_left is not None:
         payload["table_left"] = _enc_table(cert.table_left)
         payload["table_right"] = _enc_table(cert.table_right)
@@ -199,7 +191,7 @@ def _cmd_pair_check(scene, opts):
                                  scene.endomorphism("theta"),
                                  scene.endomorphism("theta_prime"),
                                  horizon=opts.horizon, tol=opts.tol)
-    return {"outcome": "Paired", "unitary": _enc(cert.unitary)}, \
+    return {"outcome": "Paired", "unitary": scenes.encode_matrix(cert.unitary)}, \
         dict(cert.residuals)
 
 
@@ -208,7 +200,7 @@ def _cmd_cocycle_link(scene, opts):
                                   scene.endomorphism("theta2"),
                                   scene.endomorphism("theta_prime"),
                                   opts.horizon, opts.tol)
-    return {"cocycle": _enc_many(family)}, {}
+    return {"cocycle": scenes.encode_matrix(family)}, {}
 
 
 def _cmd_symmetry_check(scene, opts):

@@ -183,14 +183,13 @@ class ProjectiveUnitaryFamily:
                 raise GridMismatch(f"U_{t} has shape {u.shape}, expected {(d, d)}")
             nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(d)), NotUnitary,
                        "U_{1} is not unitary, residual {0:.3e}", t)
-        self._scalar_table(self.horizon, self.horizon, tol)
+        self._scalar_table(self.horizon, tol)
 
-    def _scalar_table(self, n_s: int, n_t: int,
-                      tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
-        """All scalars for s <= n_s, t <= n_t at once; off-grid cells are 1."""
+    def _scalar_table(self, n: int, tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
+        """All scalars for s, t <= n at once; off-grid cells are 1."""
         m = np.array(self.maps)
-        prods = np.einsum("tab,sbc->stac", m[: n_t + 1], m[: n_s + 1])
-        sums = np.add.outer(np.arange(n_s + 1), np.arange(n_t + 1))
+        prods = np.einsum("tab,sbc->stac", m[: n + 1], m[: n + 1])
+        sums = np.add.outer(np.arange(n + 1), np.arange(n + 1))
         mask = sums <= self.horizon
         target = m[np.minimum(sums, self.horizon)]
         lam = np.einsum("stab,stab->st", target.conj(), prods) / self.dim
@@ -232,4 +231,4 @@ def extract(family: ProjectiveUnitaryFamily,
     n = family.horizon // 2
     if n < 1:
         raise GridMismatch("family horizon must be at least 2 to extract a grid")
-    return validate(family._scalar_table(n, n, tol), tol)
+    return validate(family._scalar_table(n, tol), tol)

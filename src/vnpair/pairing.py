@@ -98,15 +98,15 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     """
     horizon = nk.as_horizon(horizon)
     _commutant_domains(theta, theta_prime, tol)
+    u = _check_unitary(u, theta.domain.ambient_dim, tol)
     return _relations(u, theta, theta_prime, horizon, tol)
 
 
 def _relations(u, theta, theta_prime, horizon: int,
                tol: nk.Tolerance) -> PairingCertificate:
-    """``check_pairing`` on domains already compared."""
+    """``check_pairing`` on domains already compared and an n x n u whose
+    unitarity residual has passed tol.bound(sqrt(n))."""
     b, bp = theta.domain, theta_prime.domain
-    n = b.ambient_dim
-    u = _check_unitary(u, n, tol)
     worst_b = nk.require(nk.worst_norm(u.conj().T @ b.basis @ u - theta.basis_images),
                          tol.bound(1.0), RelationB,
                          "u* b u does not implement the map on B, residual {:.3e}")
@@ -137,8 +137,12 @@ def isomorphism_from_pairing(u, theta, theta_prime,
 
     Source is the twisted correspondence of theta; target is the commutant
     of the twisted correspondence of theta_prime. The map is checked to
-    preserve inner products, to be right-linear, to interchange the left
-    actions through theta, and to hit the whole target element space.
+    preserve inner products, to interchange the left actions through theta,
+    and to hit the whole target element space. Right-linearity,
+    u (x b) = (u x) b, is matrix associativity and is not checked. The first
+    two laws stay: the unitarity check of ``check_pairing`` (bound
+    tol.bound(sqrt(n))) and its relation-B check imply them only to about
+    sqrt(n) eps, looser than their own bound tol.bound(1.0).
     """
     cert = check_pairing(u, theta, theta_prime, horizon=1, tol=tol)
     u = cert.unitary
@@ -149,11 +153,9 @@ def isomorphism_from_pairing(u, theta, theta_prime,
                                                  right_commutant=b, tol=tol))
     x = source.element_space
     moved = u @ x
-    # over every pair (x_i, b_j): u (x_i b_j) = (u x_i) b_j and
-    # u theta(b_j) x_i = b_j u x_i
+    # over every pair (x_i, b_j): u theta(b_j) x_i = b_j u x_i
     worst = {"inner": float(np.abs(corr.inner_products(moved)
                                    - corr.inner_products(x)).max()),
-             "right_linear": nk.worst_norm(u @ (x[:, None] @ b.basis) - moved[:, None] @ b.basis),
              "left_covariant": nk.worst_norm(
                  u @ (theta.basis_images @ x[:, None]) - b.basis @ moved[:, None]),
              "target_span": 0.0}
@@ -218,7 +220,7 @@ def _pairing_of(u, theta, theta_prime, tol: nk.Tolerance) -> PairingCertificate:
     """Pairing relations and dilation-level map of u, domains compared."""
     try:
         cert = _relations(u, theta, theta_prime, 4, tol)
-    except (NotUnitary, RelationB, RelationBPrime) as exc:
+    except (RelationB, RelationBPrime) as exc:
         raise PairingCheckFailed(
             f"recovered unitary fails the pairing relations: {exc}") from exc
     cert.residuals.update(nk.require_laws(

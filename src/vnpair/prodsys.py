@@ -443,10 +443,9 @@ def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilatio
 class BhatSystem:
     """Rank-one compressions of an automorphism of a full matrix algebra.
 
-    spaces[t] holds an orthonormal basis of the range of the t-th iterate
-    applied to the chosen rank-one projection; the product and dilation
-    maps act on honest Hilbert-space tensor products, so associativity is a
-    plain Kronecker identity here.
+    Every theta^t(gamma gamma*) is a rank-one projection, so spaces[t] is a
+    unit vector q_t spanning its range (an n x 1 column), each product is a
+    phase (a 1 x 1 array) and dilations[t] is an n x n unitary.
     """
 
     def __init__(self, spaces, products, dilations):
@@ -461,12 +460,12 @@ class BhatSystem:
 
 def bhat_system(theta, gamma, horizon: int,
                 tol: nk.Tolerance = nk.DEFAULT_TOL) -> BhatSystem:
-    """Spaces theta^t(gamma gamma*) G with their product and dilation maps.
+    """Lines theta^t(gamma gamma*) C^n with their product phases and dilations.
 
     Requires the full matrix algebra as domain and a unit vector gamma.
-    products[(s, t)] sends g_s (tensor) h_t to theta^t(g_s gamma*) h_t;
-    dilations[t] does the same with g from the whole ambient space and is
-    unitary, which forces every compressed space to be one dimensional.
+    products[(s, t)] is q_{s+t}* theta^t(q_s gamma*) q_t, the phase by which
+    q_s (tensor) q_t is sent to q_{s+t}; dilations[t] has the columns
+    theta^t(e_g gamma*) q_t and must recover theta^t as v b v*.
     """
     horizon = nk.as_horizon(horizon)
     b = theta.domain
@@ -488,58 +487,42 @@ def bhat_system(theta, gamma, horizon: int,
     spaces = [nk.range_basis(powers[t](pr), tol, ProductSystemLawError,
                              f"iterate {t} of the projection")
               for t in range(horizon + 1)]
+    for t, q in enumerate(spaces):
+        if q.shape[1] != 1:
+            raise ProductSystemLawError(f"iterate {t} of the projection has rank "
+                                        f"{q.shape[1]}, not 1")
     products = {}
     for s in range(horizon + 1):
         for t in range(horizon + 1 - s):
-            # columns theta^t(g_a gamma*) h over the basis g_a of space s
-            ops = corr.rep_apply(b, powers[t].basis_images,
-                                 spaces[s].T[:, :, None] * gamma.conj())
-            u = np.concatenate(spaces[s + t].conj().T @ ops @ spaces[t], axis=1)
-            res = nk.unitarity_residual(u)
-            nk.require(res if u.shape[0] == u.shape[1] else np.inf, tol.bound(1.0),
-                       ProductSystemLawError,
-                       "compressed product ({2},{3}) not unitary, residual {1:.3e}",
-                       res, s, t)
+            op = corr.rep_apply(b, powers[t].basis_images, spaces[s] * gamma.conj())
+            u = spaces[s + t].conj().T @ op @ spaces[t]
+            nk.require(nk.unitarity_residual(u), tol.bound(1.0), ProductSystemLawError,
+                       "compressed product ({1},{2}) not unitary, residual {0:.3e}", s, t)
             products[(s, t)] = u
-    dims = [q.shape[1] for q in spaces]
-    for r in range(horizon + 1):
-        for s in range(horizon + 1 - r):
-            for t in range(horizon + 1 - r - s):
-                nk.require(_compressed_associativity(products, dims, r, s, t),
-                           tol.bound(1.0), ProductSystemLawError, "compressed products not "
-                           "associative at ({1},{2},{3}), residual {0:.3e}", r, s, t)
+    _check_associativity(products, horizon, tol)
     units = np.eye(n)[:, :, None] * gamma.conj()  # units[g] = e_g gamma*
     dilations = []
     for t in range(horizon + 1):
-        v = np.concatenate(corr.rep_apply(b, powers[t].basis_images, units) @ spaces[t],
-                           axis=1)
-        res = nk.unitarity_residual(v)
-        nk.require(res if v.shape[0] == v.shape[1] else np.inf, tol.bound(1.0),
-                   ProductSystemLawError, "dilation map {2} not unitary, residual {1:.3e}",
-                   res, t)
+        v = (corr.rep_apply(b, powers[t].basis_images, units) @ spaces[t])[:, :, 0].T
+        nk.require(nk.unitarity_residual(v), tol.bound(1.0), ProductSystemLawError,
+                   "dilation map {1} not unitary, residual {0:.3e}", t)
         dilations.append(v)
-        lifted = _times_kron_id(v, b.basis, dims[t]) @ v.conj().T
-        nk.require(nk.worst_norm(lifted - powers[t].basis_images), tol.bound(1.0),
-                   ProductSystemLawError,
+        nk.require(nk.worst_norm(v @ b.basis @ v.conj().T - powers[t].basis_images),
+                   tol.bound(1.0), ProductSystemLawError,
                    "dilation {1} does not recover the iterate, residual {0:.3e}", t)
     return BhatSystem(spaces, products, dilations)
 
 
-def _times_kron_id(a, p, k: int) -> np.ndarray:
-    """a (p tensor 1_k) by a reshape and a matmul; a stack of matrices p gives
-    the stack of products."""
-    m = a.shape[0]
-    return (np.swapaxes(p, -1, -2)[..., None, :, :] @ a.reshape(m, -1, k)).reshape(
-        p.shape[:-2] + (m, -1))
-
-
-def _compressed_associativity(products, dims, r: int, s: int, t: int) -> float:
-    """|P_{r+s,t} (P_{r,s} tensor 1) - P_{r,s+t} (1 tensor P_{s,t})| for the
-    compressed products P on spaces of dimensions dims, without kron."""
-    outer = products[(r, s + t)]
-    rhs = (outer.reshape(-1, dims[s + t]) @ products[(s, t)]).reshape(outer.shape[0], -1)
-    return float(np.linalg.norm(
-        _times_kron_id(products[(r + s, t)], products[(r, s)], dims[t]) - rhs))
+def _check_associativity(products, horizon: int, tol: nk.Tolerance) -> None:
+    """|P(r+s,t) P(r,s) - P(r,s+t) P(s,t)| over every triple r+s+t <= horizon,
+    for the 1 x 1 products P of the compression system."""
+    p = {key: u[0, 0] for key, u in products.items()}
+    for r in range(horizon + 1):
+        for s in range(horizon + 1 - r):
+            for t in range(horizon + 1 - r - s):
+                nk.require(float(abs(p[(r + s, t)] * p[(r, s)] - p[(r, s + t)] * p[(s, t)])),
+                           tol.bound(1.0), ProductSystemLawError, "compressed products not "
+                           "associative at ({1},{2},{3}), residual {0:.3e}", r, s, t)
 
 
 def _frame_isometry(b: alg.VnAlgebra, rho_b, tol: nk.Tolerance) -> np.ndarray:

@@ -30,6 +30,7 @@ _SCENE_KEYS = {"ambient_dim", "algebras", "endomorphisms", "unitaries",
 
 
 def encode_matrix(m) -> list:
+    """Nested [re, im] lists; a stack of matrices gives the list of their encodings."""
     m = np.asarray(m, dtype=complex)
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
@@ -111,13 +112,11 @@ def resolve_tolerance(flag, scene_value) -> nk.Tolerance:
 class Scene:
     """Parsed scene: named objects ready for the command handlers.
 
-    data holds the canonical JSON form (every entry normalized to [re, im]),
-    so serializing and re-parsing gives an equal scene. tol is the resolved
-    tolerance every object was built with.
+    tol is the resolved tolerance every object was built with.
     """
 
     def __init__(self, ambient_dim, algebras, endomorphisms, unitaries,
-                 grids, vectors, families, tolerance, seed, data, tol):
+                 grids, vectors, families, tol):
         self.ambient_dim = ambient_dim
         self.algebras = algebras
         self.endomorphisms = endomorphisms
@@ -125,13 +124,7 @@ class Scene:
         self.grids = grids
         self.vectors = vectors
         self.families = families
-        self.tolerance = tolerance
-        self.seed = seed
-        self.data = data
         self.tol = tol
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Scene) and self.data == other.data
 
     def _entry(self, section: dict, kind: str, name: str):
         if name not in section:
@@ -159,7 +152,6 @@ class Scene:
 
 def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
                         unitaries: dict, tol: nk.Tolerance):
-    """Returns the endomorphism together with its canonical JSON form."""
     if not isinstance(spec_obj, dict):
         raise ParseError(f"{where}: expected an object")
     domain_name = spec_obj.get("domain")
@@ -168,10 +160,8 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
                 for i, g in enumerate(spec_obj["generators"])]
         imgs = [decode_matrix(g, f"{where}.images[{i}]")
                 for i, g in enumerate(spec_obj["images"])]
-        canonical = {"generators": [encode_matrix(g) for g in gens],
-                     "images": [encode_matrix(g) for g in imgs]}
         _, theta = endo_mod.from_generator_images(ambient, gens, imgs, tol)
-        return theta, canonical
+        return theta
     if not isinstance(domain_name, str):
         raise ParseError(f"{where}: missing domain name")
     if domain_name not in algebras:
@@ -180,9 +170,7 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
     if "basis_images" in spec_obj:
         imgs = [decode_matrix(g, f"{where}.basis_images[{i}]")
                 for i, g in enumerate(spec_obj["basis_images"])]
-        canonical = {"domain": domain_name,
-                     "basis_images": [encode_matrix(g) for g in imgs]}
-        return endo_mod.make(domain, np.array(imgs), tol), canonical
+        return endo_mod.make(domain, np.array(imgs), tol)
     if "unitary" in spec_obj:
         uname = spec_obj["unitary"]
         if uname not in unitaries:
@@ -190,10 +178,7 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
         direction = spec_obj.get("direction", "adjoint")
         if direction not in ("adjoint", "direct"):
             raise ParseError(f"{where}: direction must be adjoint or direct")
-        canonical = {"domain": domain_name, "unitary": str(uname),
-                     "direction": direction}
-        theta = endo_mod.from_unitary(domain, unitaries[uname], direction, tol)
-        return theta, canonical
+        return endo_mod.from_unitary(domain, unitaries[uname], direction, tol)
     raise ParseError(f"{where}: needs basis_images, generators+images, or unitary")
 
 
@@ -215,7 +200,7 @@ def parse_scene(data, tol_flag: float | None = None) -> Scene:
     if tolerance is not None and (not _is_number(tolerance)
                                   or not tolerance > 0):
         raise ParseError("scene.tolerance: expected a positive number")
-    seed = data.get("seed")
+    seed = data.get("seed")  # validated, then ignored
     if seed is not None and (not _is_int(seed) or seed < 0):
         raise ParseError("scene.seed: expected a nonnegative integer")
     tol = resolve_tolerance(tol_flag, tolerance)
@@ -268,31 +253,12 @@ def parse_scene(data, tol_flag: float | None = None) -> Scene:
     grids = _decode_named(data.get("grids"), "scene.grids", grid_item)
     vectors = _decode_named(data.get("vectors"), "scene.vectors", vector_item)
     families = _decode_named(data.get("families"), "scene.families", family_item)
-    built = _decode_named(
+    endomorphisms = _decode_named(
         data.get("endomorphisms"), "scene.endomorphisms",
         lambda obj, where: _build_endomorphism(obj, where, ambient, algebras,
                                                unitaries, tol))
-    endomorphisms = {name: pair[0] for name, pair in built.items()}
-
-    # canonical form rebuilt from the decoded objects, so every entry ends
-    # up in the [re, im] encoding regardless of how the input spelled it
-    canonical = {"ambient_dim": ambient}
-    if tolerance is not None:
-        canonical["tolerance"] = float(tolerance)
-    if seed is not None:
-        canonical["seed"] = seed
-    for key, section, encode in (
-            ("algebras", algebras,
-             lambda a: {"generators": [encode_matrix(g) for g in a.generators]}),
-            ("endomorphisms", built, lambda pair: pair[1]),
-            ("unitaries", unitaries, encode_matrix),
-            ("grids", grids, encode_matrix),
-            ("vectors", vectors, encode_vector),
-            ("families", families, lambda mats: [encode_matrix(m) for m in mats])):
-        if section:
-            canonical[key] = {name: encode(v) for name, v in sorted(section.items())}
     return Scene(ambient, algebras, endomorphisms, unitaries, grids, vectors,
-                 families, tolerance, seed, canonical, tol)
+                 families, tol)
 
 
 def load_scene(path: str, tol_flag: float | None = None) -> Scene:

@@ -33,12 +33,13 @@ from . import scenes
 
 
 def random_blocks(rng, max_ambient: int, max_dim: int | None = None,
-                  max_codim: int | None = None, max_size: int = 3):
+                  max_codim: int | None = None):
     """Block signature [(size, multiplicity)] with capped footprints.
 
-    max_ambient bounds the sum of size * multiplicity, max_dim the sum of
-    size squared (the algebra dimension), max_codim the sum of multiplicity
-    squared (the commutant dimension).
+    Sizes and multiplicities are at most 3. max_ambient bounds the sum of
+    size * multiplicity, max_dim the sum of size squared (the algebra
+    dimension), max_codim the sum of multiplicity squared (the commutant
+    dimension).
     """
     if max_dim is None:
         max_dim = max_ambient * max_ambient
@@ -46,8 +47,8 @@ def random_blocks(rng, max_ambient: int, max_dim: int | None = None,
         max_codim = max_ambient * max_ambient
     blocks, ambient, dim, codim = [], 0, 0, 0
     for _ in range(16):
-        a = int(rng.integers(1, max_size + 1))
-        m = int(rng.integers(1, max_size + 1))
+        a = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
         if (ambient + a * m <= max_ambient and dim + a * a <= max_dim
                 and codim + m * m <= max_codim):
             blocks.append((a, m))
@@ -83,9 +84,9 @@ class AlgebraSample:
 
 
 def sample_algebra(rng, max_ambient: int, max_dim: int | None = None,
-                   max_codim: int | None = None, max_size: int = 3,
+                   max_codim: int | None = None,
                    tol: nk.Tolerance = nk.DEFAULT_TOL) -> AlgebraSample:
-    blocks = random_blocks(rng, max_ambient, max_dim, max_codim, max_size)
+    blocks = random_blocks(rng, max_ambient, max_dim, max_codim)
     n = sum(a * m for a, m in blocks)
     frame = nk.random_unitary(n, rng)
     return AlgebraSample(tuple(blocks), frame, alg.block_model(blocks, frame, tol))

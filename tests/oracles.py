@@ -30,9 +30,11 @@ faster route replaced, kept so that the faster route has a reference.
 - ``einsum_iterates``: the iterates of a map composed afresh by the
   two-operand ``np.einsum``, before ``endo.iterates`` kept a memo composed
   by one product per step;
-- ``kron_associativity`` and ``kron_lift``: the associativity residual and
-  the lifted dilation of the compression system with explicit Kronecker
-  products, before ``prodsys.bhat_system`` applied them by reshapes;
+- ``kron_compression``, with ``kron_associativity`` and ``kron_lift``: the
+  compression system for spaces of any width, its associativity residual
+  and lifted dilation taken with explicit Kronecker products, before
+  ``prodsys.bhat_system`` used that every space is a line and every product
+  a phase;
 - ``gram_product_adjoint_residual``: the adjoint-closure residual of an
   exactly Hermitian basis from a second dim x n^2 product, before
   ``VnAlgebra`` read it off the Gram matrix alone;
@@ -61,10 +63,11 @@ import numpy as np
 
 from vnpair import algebra as alg
 from vnpair import correspondence as corr
+from vnpair import endo as endo_mod
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
 from vnpair import selftest
-from vnpair.errors import DimensionMismatch, SingularInput
+from vnpair.errors import DimensionMismatch, ProductSystemLawError, SingularInput
 
 
 def mul_constraint(left, right) -> np.ndarray:
@@ -339,6 +342,49 @@ def kron_associativity(products, dims, r: int, s: int, t: int) -> float:
 def kron_lift(v, basis, k: int) -> np.ndarray:
     """v kron(b, 1_k) v* for every slice b of the stack basis."""
     return v @ np.kron(basis, np.eye(k)) @ v.conj().T
+
+
+def kron_compression(theta, gamma, horizon: int, tol: nk.Tolerance = nk.DEFAULT_TOL):
+    """(spaces, products, dilations) of the compression system of theta at
+    the unit vector gamma, for spaces of any width. products[(s, t)] sends
+    g_s (tensor) h_t to theta^t(g_s gamma*) h_t and dilations[t] does the
+    same with g from the whole ambient space; a non-square product or
+    dilation, or a failed law, raises ProductSystemLawError."""
+    b, n = theta.domain, theta.domain.ambient_dim
+    powers = endo_mod.iterates(theta, horizon)
+    spaces = [nk.range_basis(powers[t](np.outer(gamma, gamma.conj())), tol,
+                             ProductSystemLawError, f"iterate {t} of the projection")
+              for t in range(horizon + 1)]
+    dims = [q.shape[1] for q in spaces]
+
+    def unitary(u, what):
+        res = nk.unitarity_residual(u)
+        nk.require(res if u.shape[0] == u.shape[1] else np.inf, tol.bound(1.0),
+                   ProductSystemLawError, "{1} not unitary, residual {2:.3e}", what, res)
+
+    products = {}
+    for s in range(horizon + 1):
+        for t in range(horizon + 1 - s):
+            # columns theta^t(g_a gamma*) h over the basis g_a of space s
+            ops = corr.rep_apply(b, powers[t].basis_images,
+                                 spaces[s].T[:, :, None] * gamma.conj())
+            products[(s, t)] = np.concatenate(spaces[s + t].conj().T @ ops @ spaces[t], axis=1)
+            unitary(products[(s, t)], f"product ({s},{t})")
+    for r in range(horizon + 1):
+        for s in range(horizon + 1 - r):
+            for t in range(horizon + 1 - r - s):
+                nk.require(kron_associativity(products, dims, r, s, t), tol.bound(1.0),
+                           ProductSystemLawError, "not associative at {1}", (r, s, t))
+    units = np.eye(n)[:, :, None] * gamma.conj()  # units[g] = e_g gamma*
+    dilations = []
+    for t in range(horizon + 1):
+        v = np.concatenate(corr.rep_apply(b, powers[t].basis_images, units) @ spaces[t],
+                           axis=1)
+        unitary(v, f"dilation {t}")
+        nk.require(nk.worst_norm(kron_lift(v, b.basis, dims[t]) - powers[t].basis_images),
+                   tol.bound(1.0), ProductSystemLawError, "dilation {1} misses the iterate", t)
+        dilations.append(v)
+    return spaces, products, dilations
 
 
 def gram_product_adjoint_residual(basis) -> float:

@@ -259,6 +259,17 @@ def test_cocycle_link_computes_the_laws_of_each_map_once(two_block, monkeypatch)
     assert len(calls) == 3
 
 
+def test_can_pair_checks_no_unitary_twice(two_block, monkeypatch):
+    """find_isomorphism has checked the unitary against the bound of
+    _check_unitary, so the paired decision does not call it again."""
+    b, bp = two_block
+    calls = []
+    real = pr._check_unitary
+    monkeypatch.setattr(pr, "_check_unitary", lambda *args: calls.append(args) or real(*args))
+    assert pr.can_pair(_unchecked(b, 31), endo.identity(bp)).paired
+    assert calls == []
+
+
 def _count_domain_comparisons(monkeypatch) -> list:
     """Calls of alg.equals on two distinct algebras; equals of an object
     with itself compares nothing."""

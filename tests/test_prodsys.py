@@ -355,38 +355,58 @@ def test_bhat_requires_unit_vector():
         ps.bhat_system(theta, np.array([1.0, 0.0, 0.0]), horizon=2)
 
 
-def test_compressed_laws_match_the_kron_oracle():
-    """The associativity residuals and lifted dilations of the compression
-    system, applied by reshapes, are those of the explicit Kronecker forms;
-    a perturbed product fails the associativity check in both forms."""
-    m3 = alg.full_matrix_algebra(3)
-    theta = endo.from_unitary(m3, nk.random_unitary(3, seed=7))
-    gamma = nk.random_complex(3, np.random.default_rng(2))
+def _bhat_instance(n, seed):
+    rng = np.random.default_rng([n, seed])
+    theta = endo.from_unitary(alg.full_matrix_algebra(n), nk.random_unitary(n, rng))
+    gamma = nk.random_complex(n, rng)
+    return theta, gamma / np.linalg.norm(gamma)
+
+
+@pytest.mark.parametrize("n,horizon", [(2, 1), (3, 4), (4, 6), (6, 4)])
+def test_compression_system_matches_the_kron_oracle_bit_for_bit(n, horizon):
+    """Spaces, phases and dilations are those of the general-width
+    construction with Kronecker laws, entry for entry."""
+    for seed in range(2):
+        theta, gamma = _bhat_instance(n, seed)
+        bh = ps.bhat_system(theta, gamma, horizon)
+        spaces, products, dilations = orc.kron_compression(theta, gamma, horizon)
+        assert bh.dims == [1] * (horizon + 1)
+        for new, old in zip([*bh.spaces, *bh.dilations], [*spaces, *dilations]):
+            assert new.shape == old.shape and np.array_equal(new, old)
+        assert bh.products.keys() == products.keys()
+        for key, u in products.items():
+            assert bh.products[key].shape == u.shape == (1, 1)
+            assert np.array_equal(bh.products[key], u)
+
+
+def test_compression_rank_must_be_one(monkeypatch):
+    """A space with a second column is refused, naming iterate and rank."""
+    theta, gamma = _bhat_instance(3, 0)
+    real = nk.range_basis
+    monkeypatch.setattr(nk, "range_basis",
+                        lambda p, *args: np.repeat(real(p, *args), 2, axis=1))
+    with pytest.raises(ProductSystemLawError, match="iterate 0 of the projection has rank 2"):
+        ps.bhat_system(theta, gamma, 2)
+
+
+def test_a_perturbed_phase_fails_associativity_where_the_kron_oracle_does():
+    """P(1,1) turned by the phase 1e-3 breaks the triples that read it on one
+    side only; the check names the first of them, with the oracle's residual."""
     horizon = 4
-    bh = ps.bhat_system(theta, gamma / np.linalg.norm(gamma), horizon)
+    theta, gamma = _bhat_instance(3, 1)
+    bh = ps.bhat_system(theta, gamma, horizon)
+    bad = {**bh.products, (1, 1): bh.products[(1, 1)] * np.exp(1e-3j)}
+    dims = [1] * (horizon + 1)
     triples = [(r, s, t) for r in range(horizon + 1) for s in range(horizon + 1 - r)
                for t in range(horizon + 1 - r - s)]
-    for r, s, t in triples:
-        assert abs(ps._compressed_associativity(bh.products, bh.dims, r, s, t)
-                   - orc.kron_associativity(bh.products, bh.dims, r, s, t)) <= 1e-15
-    for v in bh.dilations:
-        assert nk.worst_norm(ps._times_kron_id(v, m3.basis, 1) @ v.conj().T
-                             - orc.kron_lift(v, m3.basis, 1)) <= 1e-15
-    bad = {**bh.products, (1, 1): bh.products[(1, 1)] + 1e-3}
-    for r, s, t in [(1, 1, 2), (2, 1, 1)]:  # the triples that read (1, 1) once
-        new = ps._compressed_associativity(bad, bh.dims, r, s, t)
-        assert abs(new - orc.kron_associativity(bad, bh.dims, r, s, t)) <= 1e-15
-        assert new > nk.DEFAULT_TOL.bound(1.0)
-    # factors wider than a valid compression system has
-    rng = np.random.default_rng(3)
-    dims = [1, 2, 3, 2]
-    wide = {(s, t): nk.random_complex((dims[s + t], dims[s] * dims[t]), rng)
-            for s in range(4) for t in range(4 - s)}
-    for r, s, t in [(1, 1, 1), (0, 1, 2), (1, 2, 0)]:
-        new = ps._compressed_associativity(wide, dims, r, s, t)
-        assert abs(new - orc.kron_associativity(wide, dims, r, s, t)) <= 1e-14 * new
-    a, op = nk.random_complex((5, 12), rng), nk.random_complex((7, 4, 6), rng)
-    assert np.abs(ps._times_kron_id(a, op, 3) - a @ np.kron(op, np.eye(3))).max() <= 1e-14
+    bound = nk.DEFAULT_TOL.bound(1.0)
+    assert all(orc.kron_associativity(bh.products, dims, *k) <= bound for k in triples)
+    failing = [k for k in triples if orc.kron_associativity(bad, dims, *k) > bound]
+    assert failing == [(1, 1, 2), (2, 1, 1)]
+    ps._check_associativity(bh.products, horizon, nk.DEFAULT_TOL)
+    with pytest.raises(ProductSystemLawError, match=r"associative at \(1,1,2\)") as info:
+        ps._check_associativity(bad, horizon, nk.DEFAULT_TOL)
+    assert str(info.value).endswith(f"{orc.kron_associativity(bad, dims, 1, 1, 2):.3e}")
 
 
 # ---------------------------------------------------------------------------
