@@ -18,71 +18,64 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
-from . import algebra as alg
-from . import correspondence as corr
-from . import endo as endo_mod
+import numpy as np
+
 from . import errors
-from . import multiplier as mult
 from . import numkernel as nk
-from . import pairing
-from . import prodsys
 from . import scenes
-from . import selftest as selftest_mod
 from .errors import ParseError
 
-
-def _enc_table(table) -> dict:
-    return {"left_blocks": [list(b) for b in table.left_blocks],
-            "right_blocks": [list(b) for b in table.right_blocks],
-            "counts": [list(row) for row in table.counts],
-            "carrier_dim": table.carrier_dim}
+# Each handler imports the modules it uses, so a command loads only those.
 
 
 def _system_payload(p) -> dict:
     return {"horizon": p.horizon,
             "carriers": [m.carrier_dim for m in p.members],
             "element_dims": [m.element_space.shape[0] for m in p.members],
-            "products": {f"{s},{t}": scenes.encode_matrix(u)
-                         for (s, t), u in sorted(p.products.items())}}
+            "products": {f"{s},{t}": u for (s, t), u in sorted(p.products.items())}}
 
 
 def _cmd_algebra_commutant(scene, opts):
+    from . import algebra as alg
     a = scene.algebra("a")
     c = alg.commutant(a, opts.tol)
     diag = c.validate(opts.tol)
     diag["bicommutant_distance"] = float(
         alg.equals(alg.commutant(c, opts.tol), a, opts.tol).residual)
-    return {"dim": c.dim, "basis": scenes.encode_matrix(c.basis)}, diag
+    return {"dim": c.dim, "basis": c.basis}, diag
 
 
 def _cmd_algebra_blocks(scene, opts):
+    from . import algebra as alg
     a = scene.algebra("a")
     sig = alg.block_decompose(a, opts.tol)
-    return {"blocks": [list(b) for b in sig.blocks],
-            "central_projections": scenes.encode_matrix(sig.central_projections)}, {}
+    return {"blocks": sig.blocks, "central_projections": sig.central_projections}, {}
 
 
 def _cmd_endo_validate(scene, opts):
+    from . import endo as endo_mod
     theta = scene.endomorphism("theta")  # validated when the scene was built
-    return {"basis_images": scenes.encode_matrix(theta.basis_images),
+    return {"basis_images": theta.basis_images,
             "faithful": endo_mod.is_faithful(theta, opts.tol),
             "automorphism": endo_mod.is_automorphism(theta, opts.tol)}, \
         theta.law_residuals
 
 
 def _corr_payload(e) -> dict:
-    return {"carrier_dim": e.carrier_dim,
-            "element_dim": e.element_space.shape[0],
-            "element_basis": scenes.encode_matrix(e.element_space)}
+    return {"carrier_dim": e.carrier_dim, "element_dim": e.element_space.shape[0],
+            "element_basis": e.element_space}
 
 
 def _cmd_corr_of_endo(scene, opts):
+    from . import correspondence as corr
     e = corr.of_endomorphism(scene.endomorphism("theta"), tol=opts.tol)
     return _corr_payload(e), e.validate(opts.tol)
 
 
 def _cmd_corr_intertwiners(scene, opts):
+    from . import correspondence as corr
     # also corr-commutant: the intertwiner space is the commutant of the
     # twisted correspondence, field for field
     e = corr.intertwiner_space(scene.endomorphism("theta"), tol=opts.tol)
@@ -90,35 +83,36 @@ def _cmd_corr_intertwiners(scene, opts):
 
 
 def _cmd_corr_tensor(scene, opts):
+    from . import correspondence as corr
     e = corr.of_endomorphism(scene.endomorphism("theta"), tol=opts.tol)
     f = corr.of_endomorphism(scene.endomorphism("eta"), tol=opts.tol)
     tp = corr.tensor_product(e, f, opts.tol)
     payload = _corr_payload(tp.corr)
-    payload["phi"] = scenes.encode_matrix(tp.phi)
+    payload["phi"] = tp.phi
     return payload, tp.corr.validate(opts.tol)
 
 
 def _cmd_corr_iso(scene, opts):
+    from . import correspondence as corr
     e = corr.of_endomorphism(scene.endomorphism("theta"), tol=opts.tol)
     f = corr.of_endomorphism(scene.endomorphism("eta"), tol=opts.tol)
     decision = corr.find_isomorphism(e, f, opts.tol)
-    payload = {"isomorphic": decision.isomorphic,
-               "table_left": _enc_table(decision.table_left),
-               "table_right": _enc_table(decision.table_right)}
+    payload = {"isomorphic": decision.isomorphic, "table_left": asdict(decision.table_left),
+               "table_right": asdict(decision.table_right)}
     if decision.isomorphic:
-        payload["unitary"] = scenes.encode_matrix(decision.unitary)
+        payload["unitary"] = decision.unitary
     return payload, {}
 
 
 def _cmd_prodsys_build(scene, opts):
-    theta = scene.endomorphism("theta")
-    p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
+    from . import prodsys
+    p = prodsys.from_endomorphism(scene.endomorphism("theta"), opts.horizon, opts.tol)
     return _system_payload(p), dict(p.residuals)
 
 
 def _cmd_prodsys_commutant(scene, opts):
-    theta = scene.endomorphism("theta")
-    p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
+    from . import prodsys
+    p = prodsys.from_endomorphism(scene.endomorphism("theta"), opts.horizon, opts.tol)
     q = prodsys.commutant_system(p, opts.tol)
     diag = dict(q.residuals)
     order = nk.worst(*(prodsys.commutant_order_residual(p, q, s, t, opts.tol)
@@ -132,78 +126,81 @@ def _cmd_prodsys_commutant(scene, opts):
 
 
 def _cmd_bhat(scene, opts):
+    from . import prodsys
     theta = scene.endomorphism("theta")
     gamma = scene.vector("gamma")
     system = prodsys.bhat_system(theta, gamma, opts.horizon, opts.tol)
-    return {"dims": system.dims,
-            "spaces": scenes.encode_matrix(system.spaces),
-            "products": {f"{s},{t}": scenes.encode_matrix(u)
-                         for (s, t), u in sorted(system.products.items())},
-            "dilations": scenes.encode_matrix(system.dilations)}, {}
+    return {"dims": system.dims, "spaces": system.spaces,
+            "products": {f"{s},{t}": u for (s, t), u in sorted(system.products.items())},
+            "dilations": system.dilations}, {}
 
 
 def _cmd_dilation_commutant(scene, opts):
+    from . import prodsys
     theta = scene.endomorphism("theta")
     u = scene.unitary("u")
     p = prodsys.from_endomorphism(theta, opts.horizon, opts.tol)
     w = prodsys.right_dilation_from_unitary(p, u, tol=opts.tol)
     diag = {"dilation_" + k: v for k, v in w.residuals.items()}
     result = prodsys.commutant_via_dilation(p, w, tol=opts.tol)
-    payload = {"carriers": [m.carrier_dim for m in result.system.members],
-               "xi": scenes.encode_matrix(result.xi),
-               "nu": {str(t): scenes.encode_matrix(result.nu[t])
-                      for t in range(len(result.nu))}}
-    return payload, diag
+    return {"carriers": [m.carrier_dim for m in result.system.members], "xi": result.xi,
+            "nu": {str(t): nu for t, nu in enumerate(result.nu)}}, diag
 
 
 def _cmd_mult_check(scene, opts):
+    from . import multiplier as mult
     m = mult.validate(scene.grid("m"), opts.tol)
-    return {"horizon": m.horizon, "values": scenes.encode_matrix(m.values)}, dict(m.residuals)
+    return {"horizon": m.horizon, "values": m.values}, dict(m.residuals)
 
 
 def _cmd_mult_trivialize(scene, opts):
+    from . import multiplier as mult
     m = mult.validate(scene.grid("m"), opts.tol)
     f = mult.trivialize(m)
-    return {"f": scenes.encode_vector(f)}, {"splitting": mult.splitting_residual(m, f)}
+    return {"f": f}, {"splitting": mult.splitting_residual(m, f)}
 
 
 def _cmd_mult_extract(scene, opts):
+    from . import multiplier as mult
     family = mult.ProjectiveUnitaryFamily(scene.family("u"), opts.tol)
     m = mult.extract(family, opts.tol)
-    return {"horizon": m.horizon, "values": scenes.encode_matrix(m.values)}, dict(m.residuals)
+    return {"horizon": m.horizon, "values": m.values}, dict(m.residuals)
 
 
 def _cmd_pair(scene, opts):
+    from . import pairing
     cert = pairing.can_pair(scene.endomorphism("theta"),
                             scene.endomorphism("theta_prime"),
                             opts.tol)
     payload = {"outcome": "Paired" if cert.paired else "NotPaired"}
     if cert.paired:
-        payload["unitary"] = scenes.encode_matrix(cert.unitary)
+        payload["unitary"] = cert.unitary
     if cert.table_left is not None:
-        payload["table_left"] = _enc_table(cert.table_left)
-        payload["table_right"] = _enc_table(cert.table_right)
+        payload["table_left"] = asdict(cert.table_left)
+        payload["table_right"] = asdict(cert.table_right)
     return payload, dict(cert.residuals)
 
 
 def _cmd_pair_check(scene, opts):
+    from . import pairing
     cert = pairing.check_pairing(scene.unitary("u"),
                                  scene.endomorphism("theta"),
                                  scene.endomorphism("theta_prime"),
                                  horizon=opts.horizon, tol=opts.tol)
-    return {"outcome": "Paired", "unitary": scenes.encode_matrix(cert.unitary)}, \
-        dict(cert.residuals)
+    return {"outcome": "Paired", "unitary": cert.unitary}, dict(cert.residuals)
 
 
 def _cmd_cocycle_link(scene, opts):
+    from . import pairing
     family = pairing.cocycle_link(scene.endomorphism("theta1"),
                                   scene.endomorphism("theta2"),
                                   scene.endomorphism("theta_prime"),
                                   opts.horizon, opts.tol)
-    return {"cocycle": scenes.encode_matrix(family)}, {}
+    return {"cocycle": family}, {}
 
 
 def _cmd_symmetry_check(scene, opts):
+    from . import pairing
     down, up = pairing.restriction_symmetry(scene.unitary("u"),
                                             scene.algebra("a"), opts.tol)
     return {"down": down, "up": up, "agree": down == up}, {}
@@ -247,19 +244,48 @@ def _command_table() -> str:
     return "\n".join(lines)
 
 
-def _jsonsafe(obj):
-    """Strict-JSON copy: non-finite floats become strings."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
+def _array_text(a: np.ndarray, level: int) -> str:
+    """The [re, im] lists of a non-empty complex array as json.dumps(indent=2)
+    lays them out, in one pass: the text before an entry depends only on
+    how many trailing indices roll over there, so numpy picks it per entry."""
+    parts = np.stack((a.real, a.imag), axis=-1).astype(float)
+    flat = parts.ravel()
+    leaves = list(map(float.__repr__, flat.tolist()))
+    for i in np.flatnonzero(~np.isfinite(flat)).tolist():
+        leaves[i] = f'"{leaves[i]}"'  # strict JSON: non-finite floats as strings
+    m = parts.ndim
+    ind = ["\n" + "  " * (level + k) for k in range(m + 1)]
+    close = ["".join(ind[j] + "]" for j in range(m - 1, m - 1 - k, -1)) for k in range(m + 1)]
+    open_ = ["".join("[" + ind[j + 1] for j in range(m - k, m)) for k in range(m + 1)]
+    table = [close[k] + "," + ind[m - k] + open_[k] for k in range(m)] + [open_[m]]
+    rolls = np.zeros(flat.size, dtype=np.intp)
+    for step in np.cumprod(parts.shape[::-1]).tolist():
+        rolls[::step] += 1
+    seps = np.array(table, dtype=object)[rolls].tolist()
+    return "".join(map(str.__add__, seps, leaves)) + close[m]
+
+
+def _render(obj, level: int = 0) -> str:
+    """The text of json.dumps(obj, indent=2), with non-finite floats as
+    strings and ndarrays as their [re, im] lists."""
+    if isinstance(obj, np.ndarray):
+        return _array_text(obj, level) if obj.size else _render(scenes.encode_matrix(obj), level)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return f'"{obj!r}"'
     if isinstance(obj, dict):
-        return {k: _jsonsafe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonsafe(v) for v in obj]
-    return obj
+        items, ends = [json.dumps(k) + ": " + _render(v, level + 1) for k, v in obj.items()], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, ends = [_render(v, level + 1) for v in obj], "[]"
+    else:
+        return json.dumps(obj)  # str, int, float, bool or None; json refuses the rest
+    if not items:
+        return ends
+    inner = "\n" + "  " * (level + 1)
+    return ends[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + ends[1]
 
 
 def _emit(report: dict, out_path, stderr_line: str) -> None:
-    text = json.dumps(_jsonsafe(report), indent=2, sort_keys=False)
+    text = _render(report)
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -271,6 +297,7 @@ def _run_selftest(args, started: float) -> int:
     for flag, value in (("seed", args.seed), ("cap", args.cap)):
         if value is not None and value < 0:
             raise ParseError(f"--{flag} must be non-negative, got {value}")
+    from . import selftest as selftest_mod
     tol = scenes.resolve_tolerance(args.tol, None)
     seed = args.seed if args.seed is not None else 0
     results = selftest_mod.run_all(seed=seed, cap=args.cap, tol=tol,

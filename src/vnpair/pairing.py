@@ -208,10 +208,9 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
     n = theta.domain.ambient_dim
     u = iso.carrier_unitary if isinstance(iso, CorrespondenceIso) else \
         np.asarray(iso, dtype=complex)
-    res = nk.unitarity_residual(u)
-    nk.require(res if u.shape == (n, n) else np.inf, tol.bound(np.sqrt(n)),
-               NotUnitaryImage, "image of the identity is not unitary, residual {1:.3e}",
-               res)
+    res = nk.unitarity_residual(u) if u.shape == (n, n) else np.inf  # shape first
+    nk.require(res, tol.bound(np.sqrt(n)), NotUnitaryImage,
+               "image of the identity is not unitary, residual {:.3e}")
     _commutant_domains(theta, theta_prime, tol)
     return _pairing_of(u, theta, theta_prime, tol)
 

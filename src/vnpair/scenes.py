@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import algebra as alg
-from . import endo as endo_mod
 from . import numkernel as nk
 from .errors import ParseError
+
+if TYPE_CHECKING:  # imported where the objects are built: a grid needs neither
+    from . import algebra as alg, endo as endo_mod
 
 _SCENE_KEYS = {"ambient_dim", "algebras", "endomorphisms", "unitaries",
                "grids", "vectors", "families", "tolerance", "seed"}
@@ -50,12 +53,13 @@ def _is_int(obj) -> bool:
 
 
 def decode_complex(obj, where: str) -> complex:
-    if _is_number(obj):
-        return complex(obj)
-    if (isinstance(obj, list) and len(obj) == 2
-            and all(_is_number(p) for p in obj)):
-        return complex(obj[0], obj[1])
-    raise ParseError(f"{where}: expected a number or [re, im], got {obj!r}")
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj, 0.0]
+    if not all(map(_is_number, parts)):
+        raise ParseError(f"{where}: expected a number or [re, im], got {obj!r}")
+    try:
+        return complex(*parts)
+    except OverflowError:
+        raise ParseError(f"{where}: number too large for a float") from None
 
 
 def decode_vector(obj, where: str) -> np.ndarray:
@@ -65,7 +69,28 @@ def decode_vector(obj, where: str) -> np.ndarray:
                      for i, z in enumerate(obj)])
 
 
+def _decode_uniform(obj):
+    """One np.array over a matrix whose non-empty rows of equal length hold
+    only [re, im] pairs or only plain numbers; None for any other input."""
+    if not (type(obj) is list and obj and all(type(row) is list for row in obj)
+            and obj[0] and all(len(row) == len(obj[0]) for row in obj)):
+        return None
+    entries = list(chain.from_iterable(obj))
+    kinds = set(map(type, entries))
+    if kinds == {list} and all(len(z) == 2 for z in entries):
+        kinds = set(map(type, chain.from_iterable(entries)))
+    if not kinds <= {float, int}:  # bool and str are types of their own
+        return None
+    try:
+        parts = np.array(obj, dtype=float)
+    except OverflowError:
+        return None
+    return parts.astype(complex) if parts.ndim == 2 else parts.view(complex)[..., 0]
+
+
 def decode_matrix(obj, where: str) -> np.ndarray:
+    if (fast := _decode_uniform(obj)) is not None:
+        return fast
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{where}: expected a non-empty array of rows")
     rows = [decode_vector(row, f"{where}[{i}]") for i, row in enumerate(obj)]
@@ -152,6 +177,7 @@ class Scene:
 
 def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
                         unitaries: dict, tol: nk.Tolerance):
+    from . import endo as endo_mod
     if not isinstance(spec_obj, dict):
         raise ParseError(f"{where}: expected an object")
     domain_name = spec_obj.get("domain")
@@ -214,6 +240,7 @@ def parse_scene(data, tol_flag: float | None = None) -> Scene:
             if g.shape != (ambient, ambient):
                 raise ParseError(f"{where}.generators[{i}]: shape {g.shape} "
                                  f"does not match ambient_dim {ambient}")
+        from . import algebra as alg
         return alg.from_generators(ambient, gens, tol)
 
     def unitary_item(obj, where):
@@ -267,6 +294,6 @@ def load_scene(path: str, tol_flag: float | None = None) -> Scene:
             data = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read scene file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an int of too many digits
         raise ParseError(f"scene file {path} is not valid JSON: {exc}") from exc
     return parse_scene(data, tol_flag)

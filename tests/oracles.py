@@ -51,12 +51,16 @@ faster route replaced, kept so that the faster route has a reference.
   ``multiplier.validate`` checked it one slab of middle index at a time;
 - ``elementwise_matrix`` and ``elementwise_vector``: the [re, im] scene
   encoding built one entry at a time, before ``scenes.encode_matrix`` and
-  ``scenes.encode_vector`` stacked the real and imaginary parts.
+  ``scenes.encode_vector`` stacked the real and imaginary parts;
+- ``json_report``: a CLI report as ``json.dumps(indent=2)`` writes its
+  strict-JSON copy, before ``cli`` laid out its arrays itself.
 """
 
 from __future__ import annotations
 
 import functools
+import json
+import math
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +70,7 @@ from vnpair import correspondence as corr
 from vnpair import endo as endo_mod
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
+from vnpair import scenes
 from vnpair import selftest
 from vnpair.errors import DimensionMismatch, ProductSystemLawError, SingularInput
 
@@ -502,3 +507,21 @@ def elementwise_matrix(m) -> list:
 
 def elementwise_vector(v) -> list:
     return [_encode_complex(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
+
+
+def _jsonsafe(obj):
+    """Strict-JSON copy: non-finite floats become strings, arrays their
+    [re, im] lists."""
+    if isinstance(obj, np.ndarray):
+        return _jsonsafe(scenes.encode_matrix(obj))
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, dict):
+        return {k: _jsonsafe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonsafe(v) for v in obj]
+    return obj
+
+
+def json_report(report: dict) -> str:
+    return json.dumps(_jsonsafe(report), indent=2, sort_keys=False)

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -551,3 +552,127 @@ def test_readme_command_table_matches_the_cli():
         assert rows[name][1] == ("" if horizon is None else str(horizon)), name
     help_text = cli._command_table()
     assert all(name in help_text for name in rows)
+
+
+SCENE_NAMES = ("d2", "paired", "linked", "bhat", "mult", "multbad",
+               "multbad_scene_tol", "family", "broken", "badkeys",
+               "bool_ambient", "bool_tol", "multnan", "notjson")
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """The report of every CLI run, as handed to the emitter."""
+    reports = []
+    emit = cli._emit
+
+    def spy(report, *args):
+        reports.append(report)
+        emit(report, *args)
+    monkeypatch.setattr(cli, "_emit", spy)
+    return reports
+
+
+def assert_oracle_text(emitted, args):
+    """The printed report is the one json.dumps(indent=2) gives for the
+    report's strict-JSON copy, byte for byte."""
+    _, out, _ = run_cli(args)
+    assert out == orc.json_report(emitted[-1]) + "\n", args
+    return emitted[-1]["status"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--tol", "0.5"]])
+def test_reports_match_the_json_oracle_byte_for_byte(scene_dir, emitted, extra):
+    assert {p.stem for p in scene_dir.glob("*.json")} == set(SCENE_NAMES)
+    statuses = {assert_oracle_text(emitted, [command, "--input", path(scene_dir, name)] + extra)
+                for name in SCENE_NAMES for command in cli._COMMANDS}
+    assert len(emitted) == len(SCENE_NAMES) * len(cli._COMMANDS)
+    assert statuses == {"ok", "fail"}
+
+
+def test_selftest_and_error_reports_match_the_json_oracle(emitted):
+    assert assert_oracle_text(emitted, ["selftest", "--cap", "1"]) == "ok"
+    assert assert_oracle_text(emitted, ["pair"]) == "fail"
+    assert assert_oracle_text(emitted, ["mult-check", "--input", "/nonexistent.json"]) == "fail"
+
+
+def test_array_layout_matches_the_json_oracle():
+    """Non-finite and signed-zero entries, vectors, stacks, empty arrays and
+    arrays inside lists, next to the scalar and container forms."""
+    inf, nan = float("inf"), float("nan")
+    grid = np.array([[nan, complex(1.5, -inf)], [complex(-0.0, inf), complex(0.0, -0.0)]])
+    payload = {
+        "grid": grid,
+        "real": np.array([[1.0, -inf], [nan, 2.0]]),
+        "vector": np.arange(3) * (1 - 2j),
+        "stack": np.arange(12.0).reshape(3, 2, 2) * 1j,
+        "scalar": np.array(2.5 - 1e-300j),
+        "one": np.ones((1, 1)),
+        "empty_rows": np.zeros((0, 2), dtype=complex),
+        "empty_middle": np.zeros((3, 0, 2), dtype=complex),
+        "arrays": [grid[0], np.zeros(0), [np.eye(2)]],
+        "values": [1, -2, 0.1, -0.0, 1e300, nan, -inf, True, False, None, (), {}],
+        "text": 'quote " backslash \\ é  ',
+    }
+    report = {"payload": payload, "diagnostics": {"worst": nan, "bound": inf}}
+    assert cli._render(report) == orc.json_report(report)
+
+
+def test_a_huge_integer_is_a_parse_error(tmp_path):
+    """10**400 has no float; the entry is named and the run still reports."""
+    scene = tmp_path / "huge.json"
+    scene.write_text(json.dumps({"ambient_dim": 1,
+                                 "grids": {"m": [[1, 10 ** 400], [1, 1]]}}))
+    code, out, _ = run_cli(["mult-check", "--input", str(scene)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "scene.grids.m[0][1]" in error["message"]
+
+
+@pytest.mark.parametrize("content", [b'{"ambient_dim": 1, "seed": 1' + b"0" * 5000 + b"}",
+                                     b'{"ambient_dim": \xff}'])
+def test_an_unreadable_number_or_byte_is_a_parse_error(tmp_path, content):
+    """An integer past the interpreter's digit limit, or bytes that are not
+    UTF-8, make the scene file unreadable JSON, not a traceback."""
+    scene = tmp_path / "bad.json"
+    scene.write_bytes(content)
+    code, out, _ = run_cli(["mult-check", "--input", str(scene)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParseError"
+
+
+_FOOTPRINT = """
+import contextlib, io, sys
+import vnpair
+{run}
+print(" ".join(sorted(m for m in sys.modules if m.startswith("vnpair"))))
+"""
+_CLI_RUN = """
+from vnpair import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+"""
+_BASE = {"vnpair", "vnpair.errors", "vnpair.numkernel"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, _BASE),
+    (["mult-check", "--input", "{mult}"],
+     _BASE | {"vnpair.cli", "vnpair.scenes", "vnpair.multiplier"}),
+    (["pair", "--input", "{paired}"],
+     _BASE | {"vnpair.cli", "vnpair.scenes", "vnpair.algebra", "vnpair.endo",
+              "vnpair.correspondence", "vnpair.pairing"}),
+])
+def test_a_command_loads_only_the_modules_it_uses(scene_dir, argv, loaded):
+    """In a fresh interpreter, import vnpair loads the tolerance and its
+    errors only, and a CLI command adds the modules of its own handler."""
+    run = "" if argv is None else _CLI_RUN.format(
+        argv=[a.format(mult=path(scene_dir, "mult"), paired=path(scene_dir, "paired"))
+              for a in argv])
+    import vnpair
+    src = str(pathlib.Path(vnpair.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT.format(run=run)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == loaded

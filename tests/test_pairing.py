@@ -135,6 +135,16 @@ def test_pairing_from_isomorphism_rejects_wrong_unitary():
         pr.pairing_from_isomorphism(np.eye(3), theta, theta_prime)
 
 
+@pytest.mark.parametrize("carrier", [np.array([1.0, 0.0]), np.ones((2, 2, 2)),
+                                     np.ones((2, 3))])
+def test_a_carrier_of_the_wrong_shape_is_not_a_unitary_image(carrier):
+    """The shape rule runs before the residual, which reads two axes."""
+    theta = endo.from_unitary(alg.full_matrix_algebra(2), nk.random_unitary(2, seed=2))
+    theta_prime = endo.identity(alg.trivial_algebra(2))
+    with pytest.raises(NotUnitaryImage, match="residual inf"):
+        pr.pairing_from_isomorphism(carrier, theta, theta_prime)
+
+
 def test_check_pairing_rejects_nonunitary():
     d2 = diag_algebra_2()
     theta = endo.from_unitary(d2, SWAP)

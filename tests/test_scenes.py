@@ -195,3 +195,59 @@ def test_encoding_matches_the_elementwise_form():
         assert json.dumps(scenes.encode_matrix(mat)) == json.dumps(orc.elementwise_matrix(mat))
     for vec in [m[0], m, m.real[:, 0], [True, 2, 3.5], 1j, np.zeros(0)]:
         assert json.dumps(scenes.encode_vector(vec)) == json.dumps(orc.elementwise_vector(vec))
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("obj, uniform", [
+    ([[[0.5, -1.0], [2.0, 0.0]], [[-0.0, 3.5], [1e-300, -1e300]]], True),
+    ([[0.5, -1.0, 2.0], [-0.0, 3.5, 1e-300]], True),
+    ([[1, 2.5], [2 ** 53 + 1, -0.0]], True),
+    ([[[1, 0], [0.5, 2 ** 63]], [[-3, 7], [0, -0.0]]], True),
+    ([[_NAN, 1.0], [2.0, 3.0]], True),
+    ([[[1.0, _NAN]], [[_NAN, -0.0]]], True),
+    ([[1.0, [0.0, 1.0]], [[2.0, 0.0], 3]], False),
+    ([[1.0, 2.0], [[0.0, 1.0], [3.0, 0.0]]], False),
+    ([[True, 1.0], [0.0, 1.0]], False),
+    ([[[1.0, False]]], False),
+    ([["1", 2.0]], False),
+    ([[[1.0, "0"]]], False),
+    ([[], []], False),
+    ([[1.0], []], False),
+    ([[[1.0, 2.0, 3.0]]], False),
+    ([[[[1.0, 0.0], [0.0, 0.0]]]], False),
+    ([[1.0, 2.0], [3.0]], False),
+    ([[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0]]], False),
+    ([[1, 10 ** 400], [1, 1]], False),
+    ([[[1, 10 ** 400]]], False),
+    ([[1.0, None]], False),
+    ([(1.0, 2.0)], False),
+    ([], False),
+    ("[[1.0]]", False),
+])
+def test_uniform_matrices_decode_as_the_entry_walk_does(monkeypatch, obj, uniform):
+    """The one-array path takes exactly the uniform matrices, and gives the
+    walk's array bit for bit; every other input gets the walk's answer."""
+    assert (scenes._decode_uniform(obj) is not None) == uniform
+
+    def decode():
+        try:
+            return scenes.decode_matrix(obj, "m")
+        except ParseError as exc:
+            return str(exc)
+    fast = decode()
+    monkeypatch.setattr(scenes, "_decode_uniform", lambda obj: None)
+    walk = decode()
+    if isinstance(walk, str):
+        assert fast == walk
+        return
+    assert fast.dtype == walk.dtype == complex and fast.shape == walk.shape
+    assert np.array_equal(fast.view(float), walk.view(float), equal_nan=True)
+    assert fast.tobytes() == walk.tobytes()
+
+
+@pytest.mark.parametrize("obj", [10 ** 400, [1.0, -(10 ** 400)]])
+def test_a_huge_integer_entry_is_named(obj):
+    with pytest.raises(ParseError, match=r"^m\[0\]\[1\]: number too large"):
+        scenes.decode_matrix([[1.0, obj]], "m")
