@@ -66,27 +66,45 @@ class VnAlgebra:
         nk.require(float(np.linalg.norm(gram - np.eye(self.dim))),
                    tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
                    "basis not orthonormal, gram residual {:.3e}")
-        eye = np.eye(self.ambient_dim, dtype=complex)
-        nk.require(self.contains(eye, tol).residual,
-                   tol.bound(float(np.sqrt(self.ambient_dim))), InvalidAlgebra,
-                   "identity outside span, residual {:.3e}")
+        self._check_unit(tol)
         nk.require(_adjoint_residual(self.basis, gram), tol.bound(float(np.sqrt(self.dim))),
                    InvalidAlgebra, "span not adjoint closed, residual {:.3e}")
 
+    def _check_unit(self, tol: nk.Tolerance) -> None:
+        """The identity lies in the span within tol.bound(sqrt(n)), else InvalidAlgebra."""
+        n = self.ambient_dim
+        residual = np.linalg.norm(np.eye(n) - (self.unit_coefficients @ self.flat).reshape(n, n))
+        nk.require(float(residual), tol.bound(float(np.sqrt(n))), InvalidAlgebra,
+                   "identity outside span, residual {:.3e}")
+
     @functools.cached_property
     def unit_coefficients(self) -> np.ndarray:
-        """Coefficients of the identity matrix, for the unitality checks of
-        representations; computed once, like the commutant."""
+        """Coefficients of the identity matrix, for the identity checks of the
+        algebra and the unitality checks of representations; computed once."""
         return self.coefficients(np.eye(self.ambient_dim))
 
     def coefficients(self, x) -> np.ndarray:
-        """Coefficient vector of x against the orthonormal basis."""
-        x = nk.as_matrix(x, "x")
-        return self.flat.conj() @ x.reshape(-1)
+        """Coefficients of x against the orthonormal basis: a vector for one
+        finite matrix, a row per matrix of a stack (..., n, n), from one
+        product. Coordinates in this basis are formed here only."""
+        x = nk.as_matrix(x, "x") if np.ndim(x) == 2 else np.asarray(x, dtype=complex)
+        n = self.ambient_dim
+        if x.ndim < 2 or x.shape[-2:] != (n, n):
+            raise DimensionMismatch(f"x: expected shape (..., {n}, {n}), got {x.shape}")
+        return (x.reshape(-1, n * n) @ self.flat.conj().T).reshape(x.shape[:-2] + (self.dim,))
+
+    def apply(self, images, x) -> np.ndarray:
+        """The linear map sending the i-th basis element to images[i], at x in
+        the span: one image for a matrix, one per matrix of a stack, from one
+        product. Maps given by basis images are applied here only; the
+        identity's image is read off ``unit_coefficients``."""
+        images = np.asarray(images)
+        coeffs = self.coefficients(x)
+        return (coeffs.reshape(-1, self.dim) @ images.reshape(self.dim, -1)).reshape(
+            coeffs.shape[:-1] + images.shape[1:])
 
     def project(self, x) -> np.ndarray:
-        return (self.coefficients(x) @ self.flat).reshape(
-            self.ambient_dim, self.ambient_dim)
+        return self.apply(self.basis, x)
 
     def contains(self, x, tol: nk.Tolerance = nk.DEFAULT_TOL) -> nk.MatchReport:
         x = nk.as_matrix(x, "x")
@@ -283,8 +301,7 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSi
     if cached is not None:
         return cached
     n = a.ambient_dim
-    nk.require(a.contains(np.eye(n), tol).residual, tol.bound(float(np.sqrt(n))),
-               InvalidAlgebra, "identity outside span, residual {:.3e}")
+    a._check_unit(tol)
     rng = np.random.default_rng(nk.PROBE_SEED)
     h, g = (np.tensordot(nk.random_complex(a.dim, rng), a.basis, axes=(0, 0)) for _ in range(2))
     h = h + h.conj().T
@@ -432,8 +449,7 @@ def _legs(a: VnAlgebra, sig: BlockSignature, i: int, images,
     of pi; the frame isometries T_ik for the defining representation (None)."""
     if images is None:
         return sig.units[i]
-    units = sig.unit_grid(i)[:, 0]
-    pi = np.tensordot(units.reshape(len(units), -1) @ a.flat.conj().T, images, axes=(1, 0))
+    pi = a.apply(images, sig.unit_grid(i)[:, 0])
     what = f"pi(e^{i}_11)"
     r = nk.range_basis(pi[0], tol, NotIntertwining, what)
     trace = complex(np.trace(pi[0]))

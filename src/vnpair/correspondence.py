@@ -26,15 +26,6 @@ from .errors import (AlgebraMismatch, DimensionMismatch, EmptyTensorProduct,
                      NotIsometric)
 
 
-def rep_apply(domain: alg.VnAlgebra, images: np.ndarray, x) -> np.ndarray:
-    """Apply the representation with the given basis images to x in span;
-    a stack of matrices x maps slice by slice."""
-    x = np.asarray(x, dtype=complex)
-    coeffs = domain.coefficients(x) if x.ndim == 2 else \
-        x.reshape(x.shape[:-2] + (domain.flat.shape[1],)) @ domain.flat.conj().T
-    return (coeffs @ images.reshape(len(images), -1)).reshape(coeffs.shape[:-1] + images.shape[1:])
-
-
 def inner_products(x) -> np.ndarray:
     """x_i* x_k for every pair of a stack of elements, shape (d, d, n, n),
     from one matrix product."""
@@ -85,10 +76,10 @@ class Correspondence:
             _check_light([self], tol)
 
     def rho_of(self, a) -> np.ndarray:
-        return rep_apply(self.left, self.rho, a)
+        return self.left.apply(self.rho, a)
 
     def rho_prime_of(self, b) -> np.ndarray:
-        return rep_apply(self.right_commutant, self.rho_prime, b)
+        return self.right_commutant.apply(self.rho_prime, b)
 
     @cached_property
     def element_space(self) -> np.ndarray:
@@ -108,7 +99,11 @@ class Correspondence:
         return x.reshape(x.shape[:-2] + (flat.shape[1],)) @ flat.conj().T
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
-        """Full invariant check; raises InvalidCorrespondence on failure."""
+        """Both actions are unital *-homomorphisms (``endo.hom_residuals``),
+        inner products of elements lie in the right algebra and the elements
+        reach the whole carrier, else InvalidCorrespondence. Commutation of
+        the two ranges is checked at construction only, with unitality
+        (``_check_light``)."""
         worst = {}
         worst.update({"rho_" + k: v for k, v in
                       endo_mod.hom_residuals(self.left, self.rho).items()})
@@ -205,12 +200,9 @@ def tensor_quotient(x, f: Correspondence,
     eigenvalue below -cutoff raises GramNotPSD, a quotient that keeps no
     direction EmptyTensorProduct.
     """
-    de, n, hf = x.shape[0], x.shape[2], f.carrier_dim
-    # the inner products, their coefficients in the middle algebra, then
-    # the left action of f
-    coeffs = inner_products(x).reshape(de * de, n * n) @ f.left.flat.conj().T
-    gram = (coeffs @ f.rho.reshape(f.left.dim, hf * hf)).reshape(
-        de, de, hf, hf).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
+    de, hf = x.shape[0], f.carrier_dim
+    # the left action of f on the inner products, which lie in the middle algebra
+    gram = f.rho_of(inner_products(x)).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
     lam, vec = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     top = float(lam[-1]) if lam.size else 0.0
     cut = tol.eps * max(top, 1.0)
@@ -269,11 +261,9 @@ class TensorProduct:
         """Operator op (tensor) id on the quotient, op acting on e's carrier;
         a stack of operators lifts slice by slice."""
         op = np.asarray(op, dtype=complex)
-        x = self.e.element_space
         cd, de, hf = self._phi3.shape
-        flat = x.reshape(de, -1)
         # mt[..., k, i] = <x_i, op x_k>: op on the element basis of e, transposed
-        mt = (op[..., None, :, :] @ x).reshape(op.shape[:-2] + flat.shape) @ flat.conj().T
+        mt = self.e.element_coefficients(op[..., None, :, :] @ self.e.element_space)
         raw = mt[..., None, :, :] @ self._phi3  # raw[..., p, k, v]
         return raw.reshape(op.shape[:-2] + (cd, de * hf)) @ self.phi_pinv
 
@@ -430,8 +420,7 @@ def find_isomorphism(e: Correspondence, f: Correspondence,
         _joint_frame(e, left_sig, right_sig, te.counts, tol).conj().T
     nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(u.shape[0])), NotIsometric,
                "frame-built unitary is not unitary, residual {:.3e}")
-    rho_f = rep_apply(f.left, f.rho, e.left.basis)
-    rho_prime_f = rep_apply(f.right_commutant, f.rho_prime, e.right_commutant.basis)
+    rho_f, rho_prime_f = f.rho_of(e.left.basis), f.rho_prime_of(e.right_commutant.basis)
     nk.require(nk.worst(nk.worst_norm(u @ e.rho - rho_f @ u),
                         nk.worst_norm(u @ e.rho_prime - rho_prime_f @ u)),
                tol.bound(1.0), NotIntertwining,

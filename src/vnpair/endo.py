@@ -32,15 +32,15 @@ class Endomorphism:
             raise DimensionMismatch(
                 f"images shape {self.basis_images.shape} does not match "
                 f"domain basis shape {domain.basis.shape}")
-        # coefficient_matrix[i, j] = <b_i, theta(b_j)>
+        # [i, j] = <b_i, theta(b_j)>; coefficients(images).T differs in the last bits
         self.coefficient_matrix = domain.flat.conj() @ \
             self.basis_images.reshape(domain.dim, -1).T
         self._iterates: list[Endomorphism] = []
 
     def __call__(self, x) -> np.ndarray:
-        """Apply to an ambient matrix lying in the domain span."""
-        n = self.domain.ambient_dim
-        return (self.domain.coefficients(x) @ self.basis_images.reshape(-1, n * n)).reshape(n, n)
+        """Apply to an ambient matrix lying in the domain span; a stack of
+        matrices maps slice by slice (``VnAlgebra.apply``)."""
+        return self.domain.apply(self.basis_images, x)
 
     @functools.cached_property
     def law_residuals(self) -> dict:
@@ -91,8 +91,7 @@ def hom_residuals(domain: alg.VnAlgebra, images) -> dict:
     d, h = images.shape[0], images.shape[1]
     unit = domain.unit_coefficients @ images.reshape(d, -1)
     sig = alg.block_decompose(domain, domain.tol)
-    f = [np.tensordot(sig.unit_grid(i).reshape(a * a, -1) @ domain.flat.conj().T, images,
-                      axes=(1, 0)).reshape(a, a, h, h) for i, (a, _) in enumerate(sig.blocks)]
+    f = [domain.apply(images, sig.unit_grid(i)) for i in range(len(sig.blocks))]
     q = np.linalg.norm([np.linalg.norm(x - x[:, :1] @ x[:1]) for x in f])
     star = np.linalg.norm([np.linalg.norm(x.conj().transpose(1, 0, 3, 2) - x) for x in f])
     # p[k, :, j, :] = f_1k f_j1 over the (summand, unit) indices k and j

@@ -294,7 +294,7 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
         raise CocycleResidual(
             f"link is not in the algebra, residual {report.residual:.3e}",
             step=1, residual=float(report.residual))
-    # can_pair validated both maps in check_pairing before pairing them
+    # can_pair validated both maps in _relations, via _pairing_of
     powers1, powers2 = (endo_mod.iterates(f, horizon) for f in (theta1, theta2))
     family = [c1]
     for s in range(1, horizon):

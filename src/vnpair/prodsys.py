@@ -190,47 +190,48 @@ def _factor(tp, images, tol: nk.Tolerance, what: str) -> np.ndarray:
     return u
 
 
-def _tensor_builder(tol: nk.Tolerance):
-    """TensorProduct constructor for one build, which has one tolerance: it
-    computes each tensor quotient and lifted action once (``_memo``), N+1
-    of each shared kind at horizon N for the iterate and commutant systems,
-    and leaves the light check to the build, which runs it on all its
-    tensors: one unitality check per distinct lifted stack and one
-    commutation ``law_residual`` per quotient (``correspondence._check_light``).
+def _build(factors, action, make, what: str, tol: nk.Tolerance):
+    """The build of a product system or a right dilation, on one ``_memo``.
+
+    The tensor products of the pairs factors[key] = (e, f), each quotient and
+    lifted action computed once per distinct set of arrays it reads; one
+    ``correspondence._check_light`` of all of them before any solve (one
+    unitality check per distinct lifted stack, one commutation per
+    quotient); per key the map u with u phi = action(key, element basis of
+    e) (``_factor``, named what % key), once per distinct quotient and
+    action array. make(tensors, maps) gives the object; it keeps the memo
+    for its law terms and is validated.
     """
     memo = _memo()
-    return lambda e, f: corr.TensorProduct(e, f, tol, memo=memo, check=False)
+    tensors = {key: corr.TensorProduct(e, f, tol, memo=memo, check=False)
+               for key, (e, f) in factors.items()}
+    corr._check_light([tp.corr for tp in tensors.values()], tol)
+    maps = {}
+    for key, tp in tensors.items():
+        images = action(key, tp.e.element_space)
+        maps[key] = memo(_factor, (tp.phi, tp.phi_pinv, images), tp, images, tol, what % key)
+    built = make(tensors, maps)
+    built._terms = memo
+    built.residuals = built.validate(tol)
+    return built
 
 
 def _build_system(algebra, members, action_matrix, source=None,
                   tol: nk.Tolerance = nk.DEFAULT_TOL) -> DiscreteProductSystem:
-    """Assemble and validate tensors and product unitaries from an
-    element-level action.
+    """Tensors and product unitaries from an element-level action (``_build``).
 
     action_matrix(s, t, xs) takes the stacked element basis xs of E_s and
     returns, per slice x, the matrix of h -> (x . h) from the carrier of E_t
-    to the carrier of E_{s+t}.
-
-    Each distinct (element basis of E_s, left action of E_t) gets one tensor
-    quotient, each distinct (quotient, action array) one product solve. For
-    the iterate system E_t = {}_{theta^t}B the pairs with one t share the
-    quotient theta^t(x_i* x_k), the lifted B' action and the product; for
-    the commutant system the pairs with one s share them. Every tensor is
-    light-checked before any product is solved.
+    to the carrier of E_{s+t}. For the iterate system E_t = {}_{theta^t}B
+    the pairs with one t share the quotient theta^t(x_i* x_k), the lifted
+    B' action and the product; for the commutant system the pairs with one
+    s share them.
     """
     n = len(members) - 1
-    tensor, memo = _tensor_builder(tol), _memo()
-    pairs = [(s, t) for s in range(n + 1) for t in range(n + 1 - s)]
-    tensors = {(s, t): tensor(members[s], members[t]) for s, t in pairs}
-    corr._check_light([tp.corr for tp in tensors.values()], tol)
-    products = {}
-    for s, t in pairs:
-        tp, images = tensors[(s, t)], action_matrix(s, t, members[s].element_space)
-        products[(s, t)] = memo(_factor, (tp.phi, tp.phi_pinv, images), tp, images, tol,
-                                f"product ({s},{t})")
-    system = DiscreteProductSystem(algebra, members, tensors, products, source=source)
-    system.residuals = system.validate(tol)
-    return system
+    pairs = {(s, t): (members[s], members[t]) for s in range(n + 1) for t in range(n + 1 - s)}
+    return _build(pairs, lambda key, xs: action_matrix(*key, xs),
+                  lambda *built: DiscreteProductSystem(algebra, members, *built, source=source),
+                  "product (%d,%d)", tol)
 
 
 def from_endomorphism(theta, horizon: int,
@@ -251,7 +252,7 @@ def from_endomorphism(theta, horizon: int,
     for member in members[1:]:
         member.element_space = members[0].element_space
     # theta^t(x_k) once per t, so the pairs with one t share one product
-    images = [corr.rep_apply(b, q.basis_images, members[0].element_space) for q in powers]
+    images = [q(members[0].element_space) for q in powers]
     return _build_system(b, members, lambda s, t, xs: images[t], source=theta, tol=tol)
 
 
@@ -299,6 +300,7 @@ class RightDilation:
         self.tensors = tensors
         self.maps = maps
         self.residuals: dict = {}  # what validate returned at construction
+        self._terms = _memo()
 
     @property
     def carrier_dim(self) -> int:
@@ -316,7 +318,7 @@ class RightDilation:
         worst = {"unitary": 0.0, "bilinear": 0.0, "unit_map": 0.0}
         rho_b = self.rho_of(self.system.algebra.basis)
         for t in range(self.system.horizon + 1):
-            res, bil = _map_laws(_memo(), self.maps[t], (self.tensors[t].corr.rho, rho_b))
+            res, bil = _map_laws(self._terms, self.maps[t], (self.tensors[t].corr.rho, rho_b))
             worst["unitary"] = nk.worst(worst["unitary"], res)
             worst["bilinear"] = nk.worst(worst["bilinear"], bil)
         x0 = self.system.members[0].element_space
@@ -344,14 +346,8 @@ def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
         left=p.algebra, right=scalars, left_commutant=p.commutant_algebra,
         right_commutant=scalars, rho=rho_images,
         rho_prime=np.eye(h, dtype=complex)[None, :, :], carrier_dim=h, tol=tol)
-    tensor = _tensor_builder(tol)
-    tensors = {t: tensor(member, space) for t, member in enumerate(p.members)}
-    corr._check_light([tp.corr for tp in tensors.values()], tol)
-    maps = {t: _factor(tp, action_matrix(t, p.members[t].element_space), tol,
-                       f"dilation map {t}") for t, tp in tensors.items()}
-    dilation = RightDilation(p, space, tensors, maps)
-    dilation.residuals = dilation.validate(tol)
-    return dilation
+    return _build({t: (member, space) for t, member in enumerate(p.members)}, action_matrix,
+                  lambda *built: RightDilation(p, space, *built), "dilation map %d", tol)
 
 
 def right_dilation_from_unitary(p: DiscreteProductSystem, u, rho_images=None,
@@ -374,7 +370,7 @@ def right_dilation_from_unitary(p: DiscreteProductSystem, u, rho_images=None,
         powers.append(u @ powers[-1])
 
     def action(t, xs):
-        return powers[t] @ corr.rep_apply(p.algebra, rho_images, xs)
+        return powers[t] @ p.algebra.apply(rho_images, xs)
 
     return make_right_dilation(p, rho_images, action, tol=tol)
 
@@ -494,7 +490,7 @@ def bhat_system(theta, gamma, horizon: int,
     products = {}
     for s in range(horizon + 1):
         for t in range(horizon + 1 - s):
-            op = corr.rep_apply(b, powers[t].basis_images, spaces[s] * gamma.conj())
+            op = powers[t](spaces[s] * gamma.conj())
             u = spaces[s + t].conj().T @ op @ spaces[t]
             nk.require(nk.unitarity_residual(u), tol.bound(1.0), ProductSystemLawError,
                        "compressed product ({1},{2}) not unitary, residual {0:.3e}", s, t)
@@ -503,7 +499,7 @@ def bhat_system(theta, gamma, horizon: int,
     units = np.eye(n)[:, :, None] * gamma.conj()  # units[g] = e_g gamma*
     dilations = []
     for t in range(horizon + 1):
-        v = (corr.rep_apply(b, powers[t].basis_images, units) @ spaces[t])[:, :, 0].T
+        v = (powers[t](units) @ spaces[t])[:, :, 0].T
         nk.require(nk.unitarity_residual(v), tol.bound(1.0), ProductSystemLawError,
                    "dilation map {1} not unitary, residual {0:.3e}", t)
         dilations.append(v)

@@ -30,6 +30,10 @@ if TYPE_CHECKING:  # imported where the objects are built: a grid needs neither
 
 _SCENE_KEYS = {"ambient_dim", "algebras", "endomorphisms", "unitaries",
                "grids", "vectors", "families", "tolerance", "seed"}
+# each endomorphism form, found by the keys that mark it, with the keys it reads
+_ENDO_FORMS = (({"generators", "images"}, {"generators", "images"}),
+               ({"basis_images"}, {"domain", "basis_images"}),
+               ({"unitary"}, {"domain", "unitary", "direction"}))
 
 
 def encode_matrix(m) -> list:
@@ -100,6 +104,12 @@ def decode_matrix(obj, where: str) -> np.ndarray:
             raise ParseError(f"{where}[{i}]: row length {row.shape[0]} differs "
                              f"from {width}")
     return np.array(rows)
+
+
+def _only_keys(obj: dict, keys: set, where: str) -> None:
+    """ParseError naming the keys of obj outside keys, the keys its form reads."""
+    if unknown := set(obj) - keys:
+        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _decode_named(section, where: str, item_fn) -> dict:
@@ -180,6 +190,10 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
     from . import endo as endo_mod
     if not isinstance(spec_obj, dict):
         raise ParseError(f"{where}: expected an object")
+    for marks, keys in _ENDO_FORMS:
+        if marks <= spec_obj.keys():
+            _only_keys(spec_obj, keys, f"{where} ({', '.join(sorted(keys))})")
+            break
     domain_name = spec_obj.get("domain")
     if "generators" in spec_obj and "images" in spec_obj:
         gens = [decode_matrix(g, f"{where}.generators[{i}]")
@@ -216,9 +230,7 @@ def parse_scene(data, tol_flag: float | None = None) -> Scene:
     """
     if not isinstance(data, dict):
         raise ParseError("scene: expected a JSON object at the top level")
-    unknown = set(data) - _SCENE_KEYS
-    if unknown:
-        raise ParseError(f"scene: unknown keys {sorted(unknown)}")
+    _only_keys(data, _SCENE_KEYS, "scene")
     ambient = data.get("ambient_dim")
     if not _is_int(ambient) or ambient < 1:
         raise ParseError("scene.ambient_dim: expected a positive integer")
@@ -234,6 +246,7 @@ def parse_scene(data, tol_flag: float | None = None) -> Scene:
     def algebra_item(obj, where):
         if not isinstance(obj, dict) or "generators" not in obj:
             raise ParseError(f"{where}: expected an object with generators")
+        _only_keys(obj, {"generators"}, where)
         gens = [decode_matrix(g, f"{where}.generators[{i}]")
                 for i, g in enumerate(obj["generators"])]
         for i, g in enumerate(gens):

@@ -53,7 +53,13 @@ faster route replaced, kept so that the faster route has a reference.
   encoding built one entry at a time, before ``scenes.encode_matrix`` and
   ``scenes.encode_vector`` stacked the real and imaginary parts;
 - ``json_report``: a CLI report as ``json.dumps(indent=2)`` writes its
-  strict-JSON copy, before ``cli`` laid out its arrays itself.
+  strict-JSON copy, before ``cli`` laid out its arrays itself;
+- ``basis_image_apply``, ``tensordot_images`` and ``inline_coefficients``:
+  a map given by basis images applied, and coefficients formed, as
+  ``correspondence.rep_apply``, ``endo.hom_residuals``,
+  ``algebra._legs``, ``correspondence.tensor_quotient`` and
+  ``TensorProduct.lift_left`` each computed them, before
+  ``VnAlgebra.coefficients`` and ``VnAlgebra.apply`` did for all of them.
 """
 
 from __future__ import annotations
@@ -371,8 +377,7 @@ def kron_compression(theta, gamma, horizon: int, tol: nk.Tolerance = nk.DEFAULT_
     for s in range(horizon + 1):
         for t in range(horizon + 1 - s):
             # columns theta^t(g_a gamma*) h over the basis g_a of space s
-            ops = corr.rep_apply(b, powers[t].basis_images,
-                                 spaces[s].T[:, :, None] * gamma.conj())
+            ops = b.apply(powers[t].basis_images, spaces[s].T[:, :, None] * gamma.conj())
             products[(s, t)] = np.concatenate(spaces[s + t].conj().T @ ops @ spaces[t], axis=1)
             unitary(products[(s, t)], f"product ({s},{t})")
     for r in range(horizon + 1):
@@ -383,8 +388,7 @@ def kron_compression(theta, gamma, horizon: int, tol: nk.Tolerance = nk.DEFAULT_
     units = np.eye(n)[:, :, None] * gamma.conj()  # units[g] = e_g gamma*
     dilations = []
     for t in range(horizon + 1):
-        v = np.concatenate(corr.rep_apply(b, powers[t].basis_images, units) @ spaces[t],
-                           axis=1)
+        v = np.concatenate(b.apply(powers[t].basis_images, units) @ spaces[t], axis=1)
         unitary(v, f"dilation {t}")
         nk.require(nk.worst_norm(kron_lift(v, b.basis, dims[t]) - powers[t].basis_images),
                    tol.bound(1.0), ProductSystemLawError, "dilation {1} misses the iterate", t)
@@ -525,3 +529,28 @@ def _jsonsafe(obj):
 
 def json_report(report: dict) -> str:
     return json.dumps(_jsonsafe(report), indent=2, sort_keys=False)
+
+
+def basis_image_apply(domain: alg.VnAlgebra, images, x) -> np.ndarray:
+    """The map with the given basis images at x, as ``correspondence.rep_apply``
+    computed it: the coefficients of one matrix from the vector product, those
+    of a stack from a product batched over its leading axes."""
+    x = np.asarray(x, dtype=complex)
+    coeffs = domain.flat.conj() @ nk.as_matrix(x).reshape(-1) if x.ndim == 2 else \
+        inline_coefficients(domain.flat, x)
+    return (coeffs @ images.reshape(len(images), -1)).reshape(coeffs.shape[:-1] + images.shape[1:])
+
+
+def tensordot_images(domain: alg.VnAlgebra, images, x) -> np.ndarray:
+    """The images of the stack x as ``endo.hom_residuals`` and
+    ``algebra._legs`` computed them: the coefficients of x flattened to rows,
+    contracted with the images by ``np.tensordot``."""
+    coeffs = x.reshape(-1, domain.flat.shape[1]) @ domain.flat.conj().T
+    return np.tensordot(coeffs, images, axes=(1, 0)).reshape(x.shape[:-2] + images.shape[1:])
+
+
+def inline_coefficients(flat, x) -> np.ndarray:
+    """Coefficients of the stack x against the orthonormal rows flat, batched
+    over its leading axes, as ``correspondence.tensor_quotient`` and
+    ``TensorProduct.lift_left`` formed them inline."""
+    return x.reshape(x.shape[:-2] + (flat.shape[1],)) @ flat.conj().T

@@ -592,3 +592,68 @@ def test_commutant_at_n64_forms_no_n2_by_n2_map():
         tracemalloc.stop()
     assert c.dim == 64 + 16
     assert peak < 48 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# coordinates in one place: VnAlgebra.coefficients and VnAlgebra.apply
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (2, [(2, 1)]), (3, [(1, 1), (2, 1)]), (4, [(2, 2)]), (5, [(2, 1), (1, 3)]),
+    (6, [(1, 2), (2, 2)]), (12, [(3, 2), (2, 3)]), (48, [(4, 6), (2, 12)])])
+def test_coordinates_match_the_forms_they_replace_bit_for_bit(n, blocks):
+    """coefficients, apply and element_coefficients give the bits of the
+    products that rep_apply, hom_residuals, _legs, tensor_quotient and
+    lift_left formed inline, on one matrix, a 3-d and a 4-d stack."""
+    a = alg.random_algebra(n, blocks, seed=n)
+    rng = np.random.default_rng(n)
+    images = nk.random_complex((a.dim, 3, 3), rng)
+    e = corr.of_endomorphism(endo.identity(a))
+    flat, elements = a.flat, e.element_space.reshape(len(e.element_space), -1)
+    x = nk.random_complex((n, n), rng)
+    assert np.array_equal(a.coefficients(x), flat.conj() @ x.reshape(-1))
+    assert np.array_equal(a.apply(images, x), orc.basis_image_apply(a, images, x))
+    assert np.array_equal(a.project(x), ((flat.conj() @ x.reshape(-1)) @ flat).reshape(n, n))
+    for shape in [(4,), (2, 3)]:
+        xs = nk.random_complex(shape + (n, n), rng)
+        coeffs = a.coefficients(xs)
+        assert np.array_equal(coeffs, orc.inline_coefficients(flat, xs))
+        assert np.array_equal(coeffs.reshape(-1, a.dim),
+                              orc.inline_coefficients(flat, xs.reshape(-1, n, n)))
+        out = a.apply(images, xs)
+        assert np.array_equal(out, orc.basis_image_apply(a, images, xs))
+        assert np.array_equal(out, orc.tensordot_images(a, images, xs))
+        assert np.array_equal(e.element_coefficients(xs), orc.inline_coefficients(elements, xs))
+
+
+def test_coefficients_reject_a_wrong_shape_or_a_non_finite_matrix():
+    a = alg.random_algebra(4, [(2, 2)], seed=1)
+    for bad in [np.zeros(16), np.zeros((2, 8)), np.zeros((3, 2, 8)), np.zeros((3, 16, 1))]:
+        with pytest.raises(DimensionMismatch):
+            a.coefficients(bad)
+    with pytest.raises(DimensionMismatch, match="finite"):
+        a.coefficients(np.full((4, 4), np.nan))
+
+
+def test_every_map_given_by_basis_images_is_applied_by_the_algebra(monkeypatch):
+    """Endomorphism.__call__, hom_residuals, intertwiners with a
+    representation, rho_of and tensor_quotient reach VnAlgebra.apply and
+    VnAlgebra.coefficients."""
+    b = alg.random_algebra(4, [(1, 2), (1, 2)], seed=3)
+    theta = endo.identity(b)
+    e = corr.of_endomorphism(theta)
+    x = e.element_space  # caches the frames the calls below read
+    calls = []
+
+    def counted(name):
+        real = getattr(alg.VnAlgebra, name)
+        return lambda self, *args: calls.append(name) or real(self, *args)
+
+    for name in ("apply", "coefficients"):
+        monkeypatch.setattr(alg.VnAlgebra, name, counted(name))
+    for call in [lambda: theta(b.basis[1]), lambda: endo.hom_residuals(b, theta.basis_images),
+                 lambda: alg.intertwiners(b, theta.basis_images, None),
+                 lambda: e.rho_of(b.basis[1]), lambda: corr.tensor_quotient(x, e)]:
+        calls.clear()
+        call()
+        assert set(calls) == {"apply", "coefficients"}

@@ -407,6 +407,20 @@ def test_parse_errors_exit_two(scene_dir, args, fragment):
     assert fragment in report["error"]["message"]
 
 
+def test_an_unread_entry_key_exits_two(tmp_path):
+    """A misspelt direction no longer parses as the default adjoint map."""
+    scene = {"ambient_dim": 2, "algebras": {"a": {"generators": [enc(np.eye(2))]}},
+             "unitaries": {"u": enc(np.eye(2)[::-1])},
+             "endomorphisms": {"theta": {"domain": "a", "unitary": "u", "directon": "direct"}}}
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(scene))
+    code, out, _ = run_cli(["endo-validate", "--input", str(path)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParseError"
+    assert "scene.endomorphisms.theta" in error["message"] and "'directon'" in error["message"]
+
+
 @pytest.mark.parametrize("name, field", [("bool_ambient", "ambient_dim"),
                                          ("bool_tol", "tolerance")])
 @pytest.mark.parametrize("extra", [[], ["--tol", "1e-9"]])

@@ -891,10 +891,14 @@ def test_a_perturbed_lifted_slice_fails_the_light_check(monkeypatch, inner_syste
 
 
 def _built_alone(monkeypatch, build):
-    """build() with every TensorProduct computing its own quotient."""
+    """build() with every TensorProduct of ``prodsys._build`` computing its
+    own quotient and lifted actions: the build's memo does not reach them."""
+    class Alone(corr.TensorProduct):
+        def __init__(self, e, f, tol, memo=None, check=True):
+            super().__init__(e, f, tol, check=check)
+
     with monkeypatch.context() as m:
-        m.setattr(ps, "_tensor_builder",
-                  lambda tol: lambda e, f: corr.TensorProduct(e, f, tol))
+        m.setattr(corr, "TensorProduct", Alone)
         return build()
 
 

@@ -155,6 +155,26 @@ def test_endomorphism_spec_errors(spec):
         scenes.parse_scene(data)
 
 
+@pytest.mark.parametrize("section, name, entry, key", [
+    ("endomorphisms", "theta", {"domain": "a", "unitary": "u", "directon": "direct"},
+     "directon"),
+    ("algebras", "a", {"generators": [E00, E11], "weights": [1, 2]}, "weights"),
+    ("endomorphisms", "theta", {"domain": "a", "unitary": "u", "basis_images": [E11, E00]},
+     "unitary"),
+    ("endomorphisms", "theta", {"domain": "a", "generators": [E00], "images": [E11]}, "domain"),
+    ("endomorphisms", "theta", {"ambient_dim": 2, "generators": [E00], "images": [E11]},
+     "ambient_dim"),
+])
+def test_an_entry_key_its_form_does_not_read_is_named(section, name, entry, key):
+    """Each entry form accepts exactly the keys it reads: a misspelt key, a
+    key of another form or an extra key raises ParseError naming both."""
+    data = full_scene_data()
+    data[section] = {name: entry}
+    with pytest.raises(ParseError, match=rf"scene\.{section}\.{name}\b.*"
+                                         rf"unknown keys \['{key}'\]"):
+        scenes.parse_scene(data)
+
+
 def test_top_level_must_be_object():
     with pytest.raises(ParseError):
         scenes.parse_scene([1, 2, 3])
