@@ -57,10 +57,10 @@ def _cmd_algebra_blocks(scene, opts):
 def _cmd_endo_validate(scene, opts):
     from . import endo as endo_mod
     theta = scene.endomorphism("theta")  # validated when the scene was built
-    return {"basis_images": theta.basis_images,
-            "faithful": endo_mod.is_faithful(theta, opts.tol),
-            "automorphism": endo_mod.is_automorphism(theta, opts.tol)}, \
-        theta.law_residuals
+    # is_automorphism is is_faithful: injective maps are onto in finite dimension
+    faithful = endo_mod.is_faithful(theta, opts.tol)
+    return {"basis_images": theta.basis_images, "faithful": faithful,
+            "automorphism": faithful}, theta.law_residuals
 
 
 def _corr_payload(e) -> dict:
@@ -284,6 +284,13 @@ def _render(obj, level: int = 0) -> str:
     return ends[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + ends[1]
 
 
+def _report(command, status, payload, diagnostics, started: float, **error) -> dict:
+    """The report object: an error entry on failures only, timing last."""
+    return {"command": command, "status": status, "payload": payload,
+            "diagnostics": diagnostics, **error,
+            "timing": round(time.perf_counter() - started, 6)}
+
+
 def _emit(report: dict, out_path, stderr_line: str) -> None:
     text = _render(report)
     print(text)
@@ -303,12 +310,9 @@ def _run_selftest(args, started: float) -> int:
     results = selftest_mod.run_all(seed=seed, cap=args.cap, tol=tol,
                                    log=sys.stderr)
     ok = all(r.ok for r in results)
-    report = {"command": "selftest",
-              "status": "ok" if ok else "fail",
-              "payload": {"seed": seed,
-                          "properties": [r.as_payload() for r in results]},
-              "diagnostics": {r.name: r.worst for r in results},
-              "timing": round(time.perf_counter() - started, 6)}
+    report = _report("selftest", "ok" if ok else "fail",
+                     {"seed": seed, "properties": [r.as_payload() for r in results]},
+                     {r.name: r.worst for r in results}, started)
     summary = (f"selftest: {'ok' if ok else 'FAIL'}, "
                f"{sum(r.cases for r in results)} cases "
                f"in {report['timing']:.2f}s")
@@ -339,11 +343,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
 
     def fail(exc, code):
-        report = {"command": args.command, "status": "fail", "payload": {},
-                  "diagnostics": {},
-                  "error": {"type": type(exc).__name__, "message": str(exc),
-                            "location": args.input or "(no input)"},
-                  "timing": round(time.perf_counter() - started, 6)}
+        report = _report(args.command, "fail", {}, {}, started,
+                         error={"type": type(exc).__name__, "message": str(exc),
+                                "location": args.input or "(no input)"})
         _emit(report, args.out,
               f"{args.command}: fail ({type(exc).__name__}: {exc})")
         return code
@@ -366,9 +368,8 @@ def main(argv=None) -> int:
     except errors.VnpairError as exc:
         return fail(exc, 1)
 
-    report = {"command": args.command, "status": "ok", "payload": payload,
-              "diagnostics": {k: float(v) for k, v in diagnostics.items()},
-              "timing": round(time.perf_counter() - started, 6)}
+    report = _report(args.command, "ok", payload,
+                     {k: float(v) for k, v in diagnostics.items()}, started)
     hint = ""
     if "outcome" in payload:
         hint = f" ({payload['outcome']})"

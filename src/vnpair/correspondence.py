@@ -69,6 +69,7 @@ class Correspondence:
             raise DimensionMismatch(
                 f"rho_prime shape {self.rho_prime.shape}, "
                 f"expected {(right_commutant.dim, h, h)}")
+        self._read = nk.memo()  # its tables and joint frames (find_isomorphism)
         if left.ambient_dim != left_commutant.ambient_dim or \
                 right.ambient_dim != right_commutant.ambient_dim:
             raise DimensionMismatch("algebra and commutant live on different spaces")
@@ -187,9 +188,10 @@ def commutant(e: Correspondence) -> Correspondence:
                           carrier_dim=e.carrier_dim, tol=e.tol, check=False)
 
 
-def tensor_quotient(x, f: Correspondence,
+def tensor_quotient(gram_factor, f: Correspondence,
                     tol: nk.Tolerance = nk.DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient of the raw tensor space of element basis x against f.
+    """Quotient of the raw tensor space of an element basis x against f, from
+    gram_factor = ``inner_products(x)``.
 
     The raw spanning family consists of simple tensors x_i (tensor) g_j, g_j
     the carrier basis of f; their Gram matrix
@@ -200,9 +202,9 @@ def tensor_quotient(x, f: Correspondence,
     eigenvalue below -cutoff raises GramNotPSD, a quotient that keeps no
     direction EmptyTensorProduct.
     """
-    de, hf = x.shape[0], f.carrier_dim
+    de, hf = gram_factor.shape[0], f.carrier_dim
     # the left action of f on the inner products, which lie in the middle algebra
-    gram = f.rho_of(inner_products(x)).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
+    gram = f.rho_of(gram_factor).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
     lam, vec = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     top = float(lam[-1]) if lam.size else 0.0
     cut = tol.eps * max(top, 1.0)
@@ -227,12 +229,12 @@ class TensorProduct:
     matrix (``tensor_quotient``). ``phi`` maps raw coordinates isometrically
     onto the quotient carrier. ``memo(fn, reads, *args)``, when given,
     returns fn(*args) once per fn and identities of the arrays in reads:
-    the quotient reads the element basis of e and the left algebra and
-    action of f, a lifted action the quotient, the operators and (left
-    lift) that element basis. In the iterate system E_t = {}_{theta^t}B the
-    pairs with one t share the quotient and lifted B' action, in its
-    commutant system the pairs with one s. ``check=False`` leaves the light
-    check to the caller (``_check_light``).
+    the inner products read the element basis of e, the quotient those and
+    the left algebra and action of f, a lifted action the quotient, the
+    operators and (left lift) that element basis. In the iterate system
+    E_t = {}_{theta^t}B the pairs with one t share the quotient and lifted B'
+    action, in its commutant system the pairs with one s. ``check=False``
+    leaves the light check to the caller (``_check_light``).
     """
 
     def __init__(self, e: Correspondence, f: Correspondence,
@@ -243,7 +245,9 @@ class TensorProduct:
         self.e = e
         self.f = f
         x = e.element_space
-        self.phi, self.phi_pinv = memo(tensor_quotient, (x, f.left, f.rho), x, f, tol)
+        gram_factor = memo(inner_products, (x,), x)
+        self.phi, self.phi_pinv = memo(tensor_quotient, (gram_factor, f.left, f.rho),
+                                       gram_factor, f, tol)
         self.carrier_dim = self.phi.shape[0]
         self.left_basis = x
         # phi with its raw axis split into (element index, f-carrier index)
@@ -319,14 +323,19 @@ def tensor_commutant_iso(e: Correspondence, f: Correspondence,
         raise NotIsometric(f"carrier dimensions differ: {w.shape}")
     nk.require(nk.unitarity_residual(w), tol.bound(np.sqrt(w.shape[0])), NotIsometric,
                "not unitary, residual {:.3e}")
-    for img1, img2, what in ((t1.corr.rho, t2.corr.rho_prime, "left-algebra"),
-                             (t1.corr.rho_prime, t2.corr.rho, "commutant")):
-        res = np.linalg.norm(w @ img1 - img2 @ w, axis=(1, 2))
-        bounds = np.array([tol.bound(float(v)) for v in np.linalg.norm(img1, axis=(1, 2))])
-        k = int(np.argmin(res <= bounds))  # the first failure, else 0
-        nk.require(float(res[k]), float(bounds[k]), NotIntertwining,
-                   what + " intertwining fails, residual {:.3e}")
+    _check_intertwining(w, t1.corr.rho, t2.corr.rho_prime, tol, "left-algebra")
+    _check_intertwining(w, t1.corr.rho_prime, t2.corr.rho, tol, "commutant")
     return w
+
+
+def _check_intertwining(w, img1, img2, tol: nk.Tolerance, what: str) -> None:
+    """|w a - b w| within tol.bound(|a|) for each pair (a, b) of the stacks
+    img1, img2, else NotIntertwining naming what and the first failure."""
+    res = np.linalg.norm(w @ img1 - img2 @ w, axis=(1, 2))
+    bounds = np.array([tol.bound(float(v)) for v in np.linalg.norm(img1, axis=(1, 2))])
+    k = int(np.argmin(res <= bounds))  # the first failure, else 0
+    nk.require(float(res[k]), float(bounds[k]), NotIntertwining,
+               what + " intertwining fails, residual {:.3e}")
 
 
 @dataclass(frozen=True)
@@ -406,18 +415,20 @@ def find_isomorphism(e: Correspondence, f: Correspondence,
     left algebra and the right commutant; differing tables are the
     obstruction certificate. Equal ones give U = F_f F_e* (``_joint_frame``),
     checked to be unitary (NotIsometric) and to intertwine both actions
-    (NotIntertwining).
+    (NotIntertwining). Each correspondence keeps its table and frame per
+    pair of block frames and tolerance, for the next comparison.
     """
     if not alg.equals(e.left, f.left, tol) or not alg.equals(e.right, f.right, tol):
         raise AlgebraMismatch("correspondences live over different algebra pairs")
     left_sig = alg.block_decompose(e.left, tol)
     right_sig = alg.block_decompose(e.right_commutant, tol)
-    te = _table_against(e, left_sig, right_sig, tol)
-    tf = _table_against(f, left_sig, right_sig, tol)
+    frames = (left_sig, right_sig, tol)
+    te, tf = (c._read(_table_against, frames, c, *frames) for c in (e, f))
     if te.counts != tf.counts or te.carrier_dim != tf.carrier_dim:
         return IsoDecision(unitary=None, table_left=te, table_right=tf)
-    u = _joint_frame(f, left_sig, right_sig, te.counts, tol) @ \
-        _joint_frame(e, left_sig, right_sig, te.counts, tol).conj().T
+    # te.counts is each side's own table here, so the frames key the frame too
+    u = f._read(_joint_frame, frames, f, left_sig, right_sig, te.counts, tol) @ \
+        e._read(_joint_frame, frames, e, left_sig, right_sig, te.counts, tol).conj().T
     nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(u.shape[0])), NotIsometric,
                "frame-built unitary is not unitary, residual {:.3e}")
     rho_f, rho_prime_f = f.rho_of(e.left.basis), f.rho_prime_of(e.right_commutant.basis)

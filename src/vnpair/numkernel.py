@@ -83,6 +83,20 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def memo():
+    """memo(fn, reads, *args): fn(*args) once per distinct fn and identities
+    of the objects in reads, the arrays, frames and tolerance the term reads.
+    Each entry holds them, so no id is reused while it lives."""
+    terms = {}
+
+    def memo(fn, reads, *args):
+        key = (fn, *map(id, reads))
+        if key not in terms:
+            terms[key] = (reads, fn(*args))
+        return terms[key][1]
+    return memo
+
+
 def require(residual: float, bound: float, error_cls, message: str, /,
             *values, **attrs) -> float:
     """The one verdict rule: pass when residual <= bound, else raise.

@@ -82,7 +82,6 @@ def _commutant_domains(theta, theta_prime, tol: nk.Tolerance):
             f"second domain is not the commutant of the first, "
             f"distance {match.residual:.3e}")
     alg.adopt_frame(bp, comm, tol)
-    return b, bp
 
 
 def check_pairing(u, theta, theta_prime, horizon: int = 4,
@@ -147,10 +146,7 @@ def isomorphism_from_pairing(u, theta, theta_prime,
     cert = check_pairing(u, theta, theta_prime, horizon=1, tol=tol)
     u = cert.unitary
     b = theta.domain
-    bp = theta_prime.domain
-    source = corr.of_endomorphism(theta, right_commutant=bp, tol=tol)
-    target = corr.commutant(corr.of_endomorphism(theta_prime,
-                                                 right_commutant=b, tol=tol))
+    source, target = _twisted_pair(theta, theta_prime, tol)
     x = source.element_space
     moved = u @ x
     # over every pair (x_i, b_j): u theta(b_j) x_i = b_j u x_i
@@ -228,6 +224,17 @@ def _pairing_of(u, theta, theta_prime, tol: nk.Tolerance) -> PairingCertificate:
     return cert
 
 
+def _twisted_pair(theta, theta_prime, tol: nk.Tolerance, f=None):
+    """(e, f) on compared domains: e the twisted correspondence of theta over
+    B', f the commutant of that of theta_prime over B. f reads theta_prime
+    and B's basis only, so an f given for another map on that basis is kept."""
+    e = corr.of_endomorphism(theta, right_commutant=theta_prime.domain, tol=tol)
+    if f is None:
+        f = corr.commutant(corr.of_endomorphism(theta_prime, right_commutant=theta.domain,
+                                                tol=tol))
+    return e, f
+
+
 def can_pair(theta, theta_prime,
              tol: nk.Tolerance = nk.DEFAULT_TOL) -> PairingCertificate:
     """Decide pairability through the correspondence isomorphism test.
@@ -235,26 +242,35 @@ def can_pair(theta, theta_prime,
     Paired outcomes carry a verified unitary; unpaired outcomes carry the
     two joint multiplicity tables that differ. Both are read off the frame of B
     and that of B'; a B' without one takes B's, so the unitary follows B's basis.
+
+    NotPaired certifies only that the tables differ. The maps' hom laws are
+    checked on the paired path alone (``_relations``), so a raw
+    ``Endomorphism`` that is not multiplicative can come back NotPaired
+    instead of raising; validate the maps first to rule that out.
     """
-    if not endo_mod.is_faithful(theta, tol):
-        raise NotFaithful("first map is not faithful")
-    if not endo_mod.is_faithful(theta_prime, tol):
-        raise NotFaithful("second map is not faithful")
-    b, bp = _commutant_domains(theta, theta_prime, tol)
-    e = corr.of_endomorphism(theta, right_commutant=bp, tol=tol)
-    f = corr.commutant(corr.of_endomorphism(theta_prime,
-                                            right_commutant=b, tol=tol))
-    decision = corr.find_isomorphism(e, f, tol)
-    if not decision:
-        return PairingCertificate(unitary=None,
-                                  table_left=decision.table_left,
-                                  table_right=decision.table_right)
-    # the domains were compared above, and find_isomorphism checked the
-    # unitary against the bound of pairing_from_isomorphism
-    cert = _pairing_of(decision.unitary, theta, theta_prime, tol)
-    cert.table_left = decision.table_left
-    cert.table_right = decision.table_right
-    return cert
+    return next(_decisions((theta,), theta_prime, tol))
+
+
+def _decisions(thetas, theta_prime, tol: nk.Tolerance):
+    """``can_pair`` of each map of thetas against theta_prime, one per next().
+    The maps share one domain basis, so theta_prime's faithfulness, the
+    domain comparison and f (``_twisted_pair``) are built for the first only."""
+    f = None
+    for theta in thetas:
+        if not endo_mod.is_faithful(theta, tol):
+            raise NotFaithful("first map is not faithful")
+        if f is None:
+            if not endo_mod.is_faithful(theta_prime, tol):
+                raise NotFaithful("second map is not faithful")
+            _commutant_domains(theta, theta_prime, tol)
+        e, f = _twisted_pair(theta, theta_prime, tol, f)
+        decision = corr.find_isomorphism(e, f, tol)
+        # the domains were compared above, and find_isomorphism checked the
+        # unitary against the bound of pairing_from_isomorphism
+        cert = _pairing_of(decision.unitary, theta, theta_prime, tol) if decision \
+            else PairingCertificate()
+        cert.table_left, cert.table_right = decision.table_left, decision.table_right
+        yield cert
 
 
 def restriction_symmetry(u, b, tol: nk.Tolerance = nk.DEFAULT_TOL):
@@ -278,23 +294,26 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
 
     c_1 is the quotient of the two pairing unitaries; the family follows the
     recursion c_{s+t} = c_s theta1^s(c_t) and conjugates the iterates of
-    theta1 onto the iterates of theta2. Returns the list c_1..c_N.
+    theta1 onto the iterates of theta2. Returns the list c_1..c_N. Both
+    maps must be stored over one domain basis, else DomainMismatch; both
+    pairings are then decided against one side of theta_prime.
     """
     horizon = nk.as_horizon(horizon)
-    cert1 = can_pair(theta1, theta_prime, tol)
-    if not cert1:
-        raise NotPairedInput("first map does not pair with the given partner")
-    cert2 = can_pair(theta2, theta_prime, tol)
-    if not cert2:
-        raise NotPairedInput("second map does not pair with the given partner")
+    endo_mod._same_domain(theta1, theta2)
+    certs = []
+    for which, cert in zip(("first", "second"),
+                           _decisions((theta1, theta2), theta_prime, tol)):
+        if not cert:
+            raise NotPairedInput(f"{which} map does not pair with the given partner")
+        certs.append(cert)
     b = theta1.domain
-    c1 = cert2.unitary.conj().T @ cert1.unitary
+    c1 = certs[1].unitary.conj().T @ certs[0].unitary
     report = b.contains(c1, tol)
     if not report:
         raise CocycleResidual(
             f"link is not in the algebra, residual {report.residual:.3e}",
             step=1, residual=float(report.residual))
-    # can_pair validated both maps in _relations, via _pairing_of
+    # _decisions validated both maps in _relations, via _pairing_of
     powers1, powers2 = (endo_mod.iterates(f, horizon) for f in (theta1, theta2))
     family = [c1]
     for s in range(1, horizon):

@@ -33,10 +33,10 @@ class DiscreteProductSystem:
     maps with a zero index reduce to the module actions.
 
     Action stacks, basis products and the law terms of ``validate`` are
-    memoized by the arrays they read (``_memo``). Iterate systems share them
-    per t and commutant systems per s: at horizon N a build solves N+1
-    products and evaluates associativity on (N+1)(N+2)/2 index pairs, not
-    on (N+1)(N+2)(N+3)/6 triples.
+    memoized by the arrays they read (``numkernel.memo``). Iterate systems
+    share them per t and commutant systems per s: at horizon N a build
+    solves N+1 products and evaluates associativity on (N+1)(N+2)/2 index
+    pairs, not on (N+1)(N+2)(N+3)/6 triples.
     """
 
     def __init__(self, algebra, members, tensors, products, source=None):
@@ -48,7 +48,7 @@ class DiscreteProductSystem:
         self.horizon = len(self.members) - 1
         self.source = source
         self.residuals: dict = {}  # what validate returned at construction
-        self._terms = _memo()
+        self._terms = nk.memo()
 
     def action_stack(self, s: int, t: int) -> np.ndarray:
         """prod_matrix of every element basis vector of E_s, stacked.
@@ -126,20 +126,6 @@ class DiscreteProductSystem:
         return self._terms(_associativity, arrays, *arrays)
 
 
-def _memo():
-    """memo(fn, reads, *args): fn(*args) once per distinct fn and identities
-    of the arrays in reads, the arrays the term reads. Each entry holds
-    those arrays, so no id is reused while it lives."""
-    terms = {}
-
-    def memo(fn, reads, *args):
-        key = (fn, *map(id, reads))
-        if key not in terms:
-            terms[key] = (reads, fn(*args))
-        return terms[key][1]
-    return memo
-
-
 def _basis_products(stack, ys, basis) -> tuple[np.ndarray, float]:
     """``DiscreteProductSystem.basis_products`` from the arrays it reads."""
     h, ds, ht = stack.shape
@@ -191,7 +177,7 @@ def _factor(tp, images, tol: nk.Tolerance, what: str) -> np.ndarray:
 
 
 def _build(factors, action, make, what: str, tol: nk.Tolerance):
-    """The build of a product system or a right dilation, on one ``_memo``.
+    """The build of a product system or a right dilation, on one ``numkernel.memo``.
 
     The tensor products of the pairs factors[key] = (e, f), each quotient and
     lifted action computed once per distinct set of arrays it reads; one
@@ -202,7 +188,7 @@ def _build(factors, action, make, what: str, tol: nk.Tolerance):
     action array. make(tensors, maps) gives the object; it keeps the memo
     for its law terms and is validated.
     """
-    memo = _memo()
+    memo = nk.memo()
     tensors = {key: corr.TensorProduct(e, f, tol, memo=memo, check=False)
                for key, (e, f) in factors.items()}
     corr._check_light([tp.corr for tp in tensors.values()], tol)
@@ -280,10 +266,17 @@ def commutant_order_residual(p: DiscreteProductSystem, pc: DiscreteProductSystem
 
     Composing the canonical carrier identification of tensor(F_t, F_s) with
     tensor(E_s, E_t) against the product of the original system must give
-    the commutant product for the index pair (t, s).
+    the commutant product for the index pair (t, s). The identification
+    reads the element bases, quotients and lifted actions of one t, so it is
+    solved once per t on ``pc._terms``; its intertwining with the lifts of
+    theta^s(B), which read s too, is checked for every pair.
     """
-    w = corr.tensor_commutant_iso(pc.members[t], pc.members[s], tol,
-                                  tp=pc.tensors[(t, s)], tp_swapped=p.tensors[(s, t)])
+    t1, t2 = pc.tensors[(t, s)], p.tensors[(s, t)]
+    reads = (pc.members[t].element_space, t2.e.element_space, t1.phi, t2.phi,
+             t1.corr.rho, t2.corr.rho_prime, tol)
+    w = pc._terms(corr.tensor_commutant_iso, reads, pc.members[t], pc.members[s], tol, t1, t2)
+    pc._terms(corr._check_intertwining, (w, t1.corr.rho_prime, t2.corr.rho, tol),
+              w, t1.corr.rho_prime, t2.corr.rho, tol, "commutant")
     return float(np.linalg.norm(p.products[(s, t)] @ w - pc.products[(t, s)]))
 
 
@@ -300,7 +293,8 @@ class RightDilation:
         self.tensors = tensors
         self.maps = maps
         self.residuals: dict = {}  # what validate returned at construction
-        self._terms = _memo()
+        self._terms = nk.memo()
+        self.rho_basis = space.rho_of(system.algebra.basis)  # rho_H(B), formed once
 
     @property
     def carrier_dim(self) -> int:
@@ -316,9 +310,9 @@ class RightDilation:
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
         worst = {"unitary": 0.0, "bilinear": 0.0, "unit_map": 0.0}
-        rho_b = self.rho_of(self.system.algebra.basis)
         for t in range(self.system.horizon + 1):
-            res, bil = _map_laws(self._terms, self.maps[t], (self.tensors[t].corr.rho, rho_b))
+            res, bil = _map_laws(self._terms, self.maps[t],
+                                 (self.tensors[t].corr.rho, self.rho_basis))
             worst["unitary"] = nk.worst(worst["unitary"], res)
             worst["bilinear"] = nk.worst(worst["bilinear"], bil)
         x0 = self.system.members[0].element_space
@@ -406,8 +400,9 @@ class SystemRepresentation:
         for t in range(sysm.horizon + 1):
             # eta_t(x_k)* eta_t(x_l) against eta_0(x_k* x_l)
             lhs = imgs[t].conj().transpose(0, 2, 1)[:, None] @ imgs[t][None]
+            x = sysm.members[t].element_space
             coeffs = sysm.members[0].element_coefficients(
-                corr.inner_products(sysm.members[t].element_space))
+                sysm._terms(corr.inner_products, (x,), x))
             worst["inner"] = nk.worst(worst["inner"], nk.worst_norm(
                 lhs - np.tensordot(coeffs, imgs[0], axes=(-1, 0))))
         return nk.require_laws(worst, tol.bound(1.0), ProductSystemLawError,
@@ -426,9 +421,8 @@ def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilatio
     rep = SystemRepresentation(p, images)
     rep.validate(tol)
     h = w.carrier_dim
-    action = w.rho_of(p.algebra.basis)
     comm = np.concatenate([x.reshape(-1, h, h) for x in
-                           alg.intertwiners(p.algebra, action, action, tol)])
+                           alg.intertwiners(p.algebra, w.rho_basis, w.rho_basis, tol)])
     worst = nk.worst(*(nk.law_residual(w.theta_w(t, comm), comm, images[t])
                        for t in range(p.horizon + 1)))
     nk.require(worst, tol.bound(1.0), ProductSystemLawError,
@@ -577,7 +571,7 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     b = p.algebra
     bp = p.commutant_algebra
     n = b.ambient_dim
-    rho_b = w.rho_of(b.basis)
+    rho_b = w.rho_basis
     xi = _frame_isometry(b, rho_b, tol)
     nk.require(nk.unitarity_residual(xi), tol.bound(np.sqrt(n)), NotUnitVector,
                "xi is not an isometry, residual {:.3e}")

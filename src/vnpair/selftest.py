@@ -194,18 +194,23 @@ def random_correspondence(sa: AlgebraSample, sb: AlgebraSample, rng,
         rho=rho, rho_prime=rho_prime, carrier_dim=h, tol=tol)
 
 
-def _algebra_scene(sample: AlgebraSample, extra=None, commutant=None) -> dict:
+def _algebra_scene(sample: AlgebraSample, commutant=None, unitaries=None,
+                   maps=None) -> dict:
     """A valid scene: the sampled algebra as "a", the name the CLI's algebra
-    commands read, its commutant as "a_commutant" when given, and the extra
-    sections, so ``vnpair <command> --input`` replays the instance."""
+    commands read, its commutant as "a_commutant" when given, the unitaries
+    {name: matrix} and the maps {name: (domain, unitary, direction)}, so
+    ``vnpair <command> --input`` replays the instance."""
     algebras = {"a": sample.algebra}
     if commutant is not None:
         algebras["a_commutant"] = commutant
     scene = {"ambient_dim": sample.ambient_dim, "algebras": {
         name: {"generators": [scenes.encode_matrix(g) for g in a.generators]}
         for name, a in algebras.items()}}
-    if extra:
-        scene.update(extra)
+    if unitaries:
+        scene["unitaries"] = {name: scenes.encode_matrix(u) for name, u in unitaries.items()}
+    if maps:
+        scene["endomorphisms"] = {name: dict(zip(("domain", "unitary", "direction"), m))
+                                  for name, m in maps.items()}
     return scene
 
 
@@ -292,12 +297,8 @@ def _paired_instance(rng, tol):
     theta = endo_mod.from_unitary(b, u, "adjoint", tol)
     bp = alg.commutant(b, tol)
     theta_prime = endo_mod.from_unitary(bp, u, "direct", tol)
-    scene = _algebra_scene(sample, {
-        "unitaries": {"u": scenes.encode_matrix(u)},
-        "endomorphisms": {
-            "theta": {"domain": "a", "unitary": "u", "direction": "adjoint"},
-            "theta_prime": {"domain": "a_commutant", "unitary": "u",
-                            "direction": "direct"}}}, commutant=bp)
+    scene = _algebra_scene(sample, bp, {"u": u}, {"theta": ("a", "u", "adjoint"),
+                                                  "theta_prime": ("a_commutant", "u", "direct")})
     return sample, u, theta, theta_prime, scene
 
 
@@ -324,12 +325,10 @@ def _case_masa_negative(rng, tol, case_index):
     d2 = alg.block_model([(1, 1), (1, 1)], np.eye(2), tol)
     flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     # the masa is its own commutant; theta swaps its minimal projections
-    scene = _algebra_scene(AlgebraSample(((1, 1), (1, 1)), np.eye(2), d2), {
-        "unitaries": {"flip": scenes.encode_matrix(flip),
-                      "identity": scenes.encode_matrix(np.eye(2))},
-        "endomorphisms": {"theta": {"domain": "a", "unitary": "flip", "direction": "adjoint"},
-                          "theta_prime": {"domain": "a_commutant", "unitary": "identity",
-                                          "direction": "direct"}}}, commutant=d2)
+    scene = _algebra_scene(AlgebraSample(((1, 1), (1, 1)), np.eye(2), d2), d2,
+                           {"flip": flip, "identity": np.eye(2)},
+                           {"theta": ("a", "flip", "adjoint"),
+                            "theta_prime": ("a_commutant", "identity", "direct")})
 
     def measure():
         theta = endo_mod.from_unitary(d2, flip, "adjoint", tol)
@@ -417,10 +416,7 @@ def _case_dilation_commutant(rng, tol, case_index):
     sample = sample_algebra(rng, 8, max_dim=10, max_codim=10, tol=tol)
     b = sample.algebra
     u = unitary_inside(b, rng)
-    scene = _algebra_scene(sample, {
-        "unitaries": {"u": scenes.encode_matrix(u)},
-        "endomorphisms": {"theta": {"domain": "a", "unitary": "u",
-                                    "direction": "adjoint"}}})
+    scene = _algebra_scene(sample, unitaries={"u": u}, maps={"theta": ("a", "u", "adjoint")})
 
     def measure():
         theta = endo_mod.from_unitary(b, u, "adjoint", tol)
@@ -459,25 +455,15 @@ def _case_dilation_commutant(rng, tol, case_index):
 
 
 def _case_cocycle_link(rng, tol, case_index):
-    sample = sample_algebra(rng, 8, max_dim=10, max_codim=10, tol=tol)
+    sample, u1, theta1, theta_prime, _ = _paired_instance(rng, tol)
     b = sample.algebra
-    u1 = normalizing_unitary(sample, rng)
-    twist = unitary_inside(b, rng)
-    u2 = u1 @ twist.conj().T
-    scene = _algebra_scene(sample, {
-        "unitaries": {"u1": scenes.encode_matrix(u1),
-                      "u2": scenes.encode_matrix(u2)},
-        "endomorphisms": {
-            "theta1": {"domain": "a", "unitary": "u1", "direction": "adjoint"},
-            "theta2": {"domain": "a", "unitary": "u2", "direction": "adjoint"},
-            "theta_prime": {"domain": "a_commutant", "unitary": "u1",
-                            "direction": "direct"}}}, commutant=alg.commutant(b, tol))
+    u2 = u1 @ unitary_inside(b, rng).conj().T
+    scene = _algebra_scene(sample, theta_prime.domain, {"u1": u1, "u2": u2}, {
+        "theta1": ("a", "u1", "adjoint"), "theta2": ("a", "u2", "adjoint"),
+        "theta_prime": ("a_commutant", "u1", "direct")})
 
     def measure():
-        theta1 = endo_mod.from_unitary(b, u1, "adjoint", tol)
         theta2 = endo_mod.from_unitary(b, u2, "adjoint", tol)
-        bp = alg.commutant(b, tol)
-        theta_prime = endo_mod.from_unitary(bp, u1, "direct", tol)
         horizon = 6
         family = pairing.cocycle_link(theta1, theta2, theta_prime, horizon, tol)
         worst = 0.0
@@ -548,7 +534,7 @@ def _case_symmetry(rng, tol, case_index):
         u = normalizing_unitary(sample, rng)
     else:
         u = nk.random_unitary(sample.ambient_dim, rng)
-    scene = _algebra_scene(sample, {"unitaries": {"u": scenes.encode_matrix(u)}})
+    scene = _algebra_scene(sample, unitaries={"u": u})
 
     def measure():
         down, up = pairing.restriction_symmetry(u, sample.algebra, tol)
@@ -637,6 +623,20 @@ class PropertyResult:
         return out
 
 
+def _run_case(prop: Property, index: int, seed: int, case: int,
+              tol: nk.Tolerance) -> tuple:
+    """Build and measure one case on the generator seeded [seed, index,
+    case]: (scene, residual, error), error the text of a VnpairError raised
+    (residual None, and scene None if the build raised) or None."""
+    rng = np.random.default_rng([seed, index, case])
+    scene = None
+    try:
+        scene, measure = prop.build(rng, tol, case)
+        return scene, float(measure()), None
+    except errors.VnpairError as exc:
+        return scene, None, f"{type(exc).__name__}: {exc}"
+
+
 def run_property(prop: Property, index: int, seed: int, count: int,
                  tol: nk.Tolerance) -> PropertyResult:
     worst = 0.0
@@ -644,25 +644,18 @@ def run_property(prop: Property, index: int, seed: int, count: int,
     start = time.perf_counter()
     done = 0
     for case in range(count):
-        rng = np.random.default_rng([seed, index, case])
-        scene = None
-        try:
-            scene, measure = prop.build(rng, tol, case)
-            residual = float(measure())
-        except errors.VnpairError as exc:
-            failure = {"property": prop.name, "case": case, "seed": seed,
-                       "error": f"{type(exc).__name__}: {exc}",
-                       "instance": scene}
-            worst = float("inf")
-            done = case + 1
-            break
+        scene, residual, error = _run_case(prop, index, seed, case, tol)
         done = case + 1
+        where = {"property": prop.name, "case": case, "seed": seed}
+        if error is not None:
+            failure = {**where, "error": error, "instance": scene}
+            worst = float("inf")
+            break
         # written so that a NaN residual becomes the worst value and fails
         if not residual <= worst:
             worst = residual
         if not residual <= prop.threshold:
-            failure = {"property": prop.name, "case": case, "seed": seed,
-                       "residual": residual, "instance": scene}
+            failure = {**where, "residual": residual, "instance": scene}
             break
     seconds = time.perf_counter() - start
     return PropertyResult(prop.name, done, worst, prop.threshold,
@@ -695,13 +688,10 @@ def replay(failure: dict, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
     index, prop = names[failure["property"]]
     case = int(failure["case"])
     seed = int(failure["seed"])
-    rng = np.random.default_rng([seed, index, case])
+    _, residual, error = _run_case(prop, index, seed, case, tol)
     out = {"property": prop.name, "case": case, "seed": seed}
-    try:
-        _, measure = prop.build(rng, tol, case)
-        out["residual"] = float(measure())
-        out["ok"] = out["residual"] <= prop.threshold
-    except errors.VnpairError as exc:
-        out["error"] = f"{type(exc).__name__}: {exc}"
-        out["ok"] = False
+    if error is None:
+        out.update(residual=residual, ok=residual <= prop.threshold)
+    else:
+        out.update(error=error, ok=False)
     return out

@@ -653,7 +653,8 @@ def test_every_map_given_by_basis_images_is_applied_by_the_algebra(monkeypatch):
         monkeypatch.setattr(alg.VnAlgebra, name, counted(name))
     for call in [lambda: theta(b.basis[1]), lambda: endo.hom_residuals(b, theta.basis_images),
                  lambda: alg.intertwiners(b, theta.basis_images, None),
-                 lambda: e.rho_of(b.basis[1]), lambda: corr.tensor_quotient(x, e)]:
+                 lambda: e.rho_of(b.basis[1]),
+                 lambda: corr.tensor_quotient(corr.inner_products(x), e)]:
         calls.clear()
         call()
         assert set(calls) == {"apply", "coefficients"}

@@ -218,6 +218,18 @@ def test_endo_validate(scene_dir):
     assert all(np.isfinite(diag[k]) and diag[k] <= bound for k, bound in bounds.items())
 
 
+def test_endo_validate_checks_faithfulness_once(scene_dir, monkeypatch):
+    """The automorphism key is the faithfulness verdict: injective maps are
+    onto in finite dimension, so one SVD answers both."""
+    from vnpair import endo
+    calls = []
+    real = endo.is_faithful
+    monkeypatch.setattr(endo, "is_faithful", lambda f, tol: calls.append(f) or real(f, tol))
+    report, _ = run_json(["endo-validate", "--input", path(scene_dir, "paired")])
+    assert len(calls) == 1
+    assert report["payload"]["faithful"] is report["payload"]["automorphism"] is True
+
+
 def test_corr_of_endo(scene_dir):
     report, _ = run_json(["corr-of-endo", "--input", path(scene_dir, "d2")])
     assert report["payload"]["carrier_dim"] == 2

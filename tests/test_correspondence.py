@@ -6,8 +6,9 @@ from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
-from vnpair.errors import (AlgebraMismatch, DimensionMismatch,
-                           EmptyTensorProduct, InvalidCorrespondence, NonIntegralRank)
+from vnpair.errors import (AlgebraMismatch, DimensionMismatch, EmptyTensorProduct,
+                           InvalidCorrespondence, NonIntegralRank, NotIntertwining,
+                           NotIsometric)
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -345,3 +346,34 @@ def test_tolerance_reaches_every_element_space(monkeypatch):
     seen.clear()
     ps.commutant_system(p, tol)
     assert seen == [tol] * 3
+
+
+def test_a_joint_unit_of_the_wrong_rank_does_not_intertwine():
+    """rho(e_11) = diag(1, 1/4, 1/4, 1/4, 1/4) and rho(e_22) = 1 - rho(e_11) on
+    C^5, the scalars on the right: unital, commuting, and with the table of
+    the correspondence sending e_11 to a rank-2 projection, but the range of
+    rho(e_11) is one-dimensional, so no joint frame exists."""
+    d2 = diag_algebra_2()
+    scalars = alg.trivial_algebra(1)
+
+    def over_scalars(p11):
+        rho = np.array([x[0, 0] * p11 + x[1, 1] * (np.eye(5) - p11) for x in d2.basis])
+        return corr.Correspondence(d2, scalars, alg.commutant(d2), scalars, rho,
+                                   np.eye(5, dtype=complex)[None], 5)
+
+    bad = over_scalars(np.diag([1.0, 0.25, 0.25, 0.25, 0.25]))
+    good = over_scalars(np.diag([1.0, 1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(NotIntertwining, match=r"has rank 1, not 2"):
+        corr.find_isomorphism(bad, good)
+
+
+def test_order_reversal_between_carriers_of_different_dimension_is_not_isometric():
+    """A quotient carrier with one direction more than the swapped one (a zero
+    row appended to phi) passes the spanning identity, but no unitary maps it
+    onto the smaller carrier."""
+    e = identity_corr(alg.random_algebra(4, [(1, 2), (1, 2)], seed=3))
+    tp = corr.TensorProduct(e, e)
+    tp.phi = np.vstack([tp.phi, np.zeros((1, tp.phi.shape[1]))])
+    tp._phi3 = tp.phi.reshape(tp.carrier_dim + 1, *tp._phi3.shape[1:])
+    with pytest.raises(NotIsometric, match="carrier dimensions differ"):
+        corr.tensor_commutant_iso(e, e, tp=tp)

@@ -11,8 +11,8 @@ from vnpair import numkernel as nk
 from vnpair import pairing as pr
 from vnpair import prodsys as ps
 from vnpair import selftest as st
-from vnpair.errors import (CocycleResidual, DimensionMismatch, DomainsNotCommutant,
-                           ImageOutsideAlgebra, InvalidCorrespondence,
+from vnpair.errors import (CocycleResidual, DimensionMismatch, DomainMismatch,
+                           DomainsNotCommutant, ImageOutsideAlgebra, InvalidCorrespondence,
                            NotFaithful, NotPairedInput, NotUnitary,
                            NotUnitaryImage, PairingCheckFailed, RelationB,
                            RelationBPrime)
@@ -166,8 +166,11 @@ def test_can_pair_requires_faithful_maps():
     d2 = diag_algebra_2()
     images = [np.diag([b[0, 0], b[0, 0]]).astype(complex) for b in d2.basis]
     collapse = endo.make(d2, np.array(images))
-    with pytest.raises(NotFaithful):
+    with pytest.raises(NotFaithful, match="first map"):
         pr.can_pair(collapse, endo.identity(d2))
+    # the masa is its own commutant, so the collapse can be the partner too
+    with pytest.raises(NotFaithful, match="second map"):
+        pr.can_pair(endo.identity(d2), collapse)
 
 
 def test_nonfactor_can_pair(two_block):
@@ -296,7 +299,8 @@ def _count_domain_comparisons(monkeypatch) -> list:
 
 def test_can_pair_compares_the_domains_once(two_block, monkeypatch):
     """theta_prime lives on a copy of the commutant with its basis reversed,
-    so that the comparison with the commutant is not an identity check."""
+    so that the comparison with the commutant is not an identity check;
+    cocycle_link decides both pairings against one side of theta_prime."""
     b, bp = two_block
     copy = alg.VnAlgebra(bp.ambient_dim, bp.basis[::-1])
     theta1, theta2, theta_prime = _unchecked(b, 31), _unchecked(b, 37), endo.identity(copy)
@@ -305,7 +309,7 @@ def test_can_pair_compares_the_domains_once(two_block, monkeypatch):
     assert len(calls) == 1
     calls.clear()
     pr.cocycle_link(theta1, theta2, theta_prime, horizon=2)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _count_frame_builds(monkeypatch) -> list:
@@ -388,8 +392,10 @@ def test_cocycle_link_rejects_unpaired_input():
     d2 = diag_algebra_2()
     theta_swap = endo.from_unitary(d2, SWAP)
     ident = endo.identity(d2)
-    with pytest.raises(NotPairedInput):
+    with pytest.raises(NotPairedInput, match="first map"):
         pr.cocycle_link(theta_swap, ident, ident, horizon=3)
+    with pytest.raises(NotPairedInput, match="second map"):
+        pr.cocycle_link(ident, theta_swap, ident, horizon=3)
 
 
 def eq33_via_dilation(u, theta, theta_prime, tol=nk.DEFAULT_TOL):
@@ -522,3 +528,41 @@ def test_can_pair_rejects_a_nan_map():
 def test_structure_answers_take_no_seed(fn):
     """Block frames make these answers deterministic: no seed to pass."""
     assert "seed" not in inspect.signature(fn).parameters
+
+
+def test_cocycle_link_needs_one_domain_basis(two_block):
+    """theta2 lives on a copy of B whose basis is turned by a real orthogonal
+    matrix: the same span, another basis. Comparing its basis images with
+    c theta1(b) c* over the basis of B used to raise a wrong CocycleResidual."""
+    b, bp = two_block
+    turn = np.linalg.qr(np.random.default_rng(5).standard_normal((b.dim, b.dim)))[0]
+    copy = alg.VnAlgebra(b.ambient_dim, np.tensordot(turn, b.basis, axes=(1, 0)))
+    assert alg.equals(copy, b).residual < 1e-12
+    theta1 = endo.from_unitary(b, unitary_in(b, 31))
+    theta2 = endo.from_unitary(copy, unitary_in(b, 37))
+    with pytest.raises(DomainMismatch):
+        pr.cocycle_link(theta1, theta2, endo.identity(bp), horizon=3)
+
+
+def test_cocycle_link_builds_the_partner_side_once(two_block, monkeypatch):
+    """Both pairings are decided against one side of theta_prime: three
+    twisted correspondences (two maps and the partner), one faithfulness
+    check of theta_prime, one domain comparison, and one multiplicity table
+    and joint frame per correspondence."""
+    b, bp = two_block
+    theta1, theta2, theta_prime = _unchecked(b, 31), _unchecked(b, 37), endo.identity(bp)
+    calls = {}
+    for module, name in ((corr, "of_endomorphism"), (endo, "is_faithful"),
+                         (pr, "_commutant_domains"), (corr, "_table_against"),
+                         (corr, "_joint_frame")):
+        seen = calls.setdefault(name, [])
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda first, *args, real=real, seen=seen, **kw:
+                            seen.append(first) or real(first, *args, **kw))
+    family = pr.cocycle_link(theta1, theta2, theta_prime, horizon=2)
+    assert len(family) == 2
+    assert calls["of_endomorphism"] == [theta1, theta_prime, theta2]
+    assert calls["is_faithful"] == [theta1, theta_prime, theta2]
+    assert calls["_commutant_domains"] == [theta1]
+    for name in ("_table_against", "_joint_frame"):
+        assert len(calls[name]) == len(set(map(id, calls[name]))) == 3

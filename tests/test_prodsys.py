@@ -947,3 +947,93 @@ def test_shared_quotients_equal_tensor_products_built_alone(monkeypatch, n, bloc
                                   member.right_commutant, member.rho, member.rho_prime,
                                   member.carrier_dim, member.tol).element_space
         assert np.array_equal(member.element_space, own)
+
+
+# ---------------------------------------------------------------------------
+# each object built once per call
+
+
+def _inner_map():
+    b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
+    v = unitary_in(b, 15)
+    return b, v, endo.from_unitary(b, v)
+
+
+def test_order_reversal_is_solved_once_per_right_index(monkeypatch):
+    """The identification of tensor(F_t, F_s) with tensor(E_s, E_t) reads the
+    arrays of t alone: at horizon 4 it is solved 5 times for the 15 pairs,
+    while its intertwining with the pair's own lifts of theta^s(B) is checked
+    for each pair. The residuals equal those of one solve per pair."""
+    p = ps.from_endomorphism(_inner_map()[2], 4)
+    q = ps.commutant_system(p)
+    pairs = [(s, t) for s in range(5) for t in range(5 - s)]
+    fresh = [float(np.linalg.norm(p.products[(s, t)] @ corr.tensor_commutant_iso(
+        q.members[t], q.members[s], nk.DEFAULT_TOL, tp=q.tensors[(t, s)],
+        tp_swapped=p.tensors[(s, t)]) - q.products[(t, s)])) for s, t in pairs]
+    solves, checks = [], []
+    iso, check = corr.tensor_commutant_iso, corr._check_intertwining
+    monkeypatch.setattr(corr, "tensor_commutant_iso",
+                        lambda *args: solves.append(args[0]) or iso(*args))
+    monkeypatch.setattr(corr, "_check_intertwining",
+                        lambda *args: checks.append(args[-1]) or check(*args))
+    shared = [ps.commutant_order_residual(p, q, s, t) for s, t in pairs]
+    assert shared == fresh
+    assert solves == [q.members[t] for t in range(5)]
+    assert checks.count("commutant") == 5 + 15 and checks.count("left-algebra") == 5
+
+
+def test_a_dilation_forms_rho_of_the_basis_once(monkeypatch):
+    """rho_H(B) is formed when the dilation is built; validate, the
+    representation and commutant_via_dilation read it, so validating again
+    computes no law term and the dilation's memo stays as built."""
+    b, v, theta = _inner_map()
+    p = ps.from_endomorphism(theta, 4)
+    formed, bilinear = [], []
+    rho_of, real_bilinear = corr.Correspondence.rho_of, ps._bilinear
+    monkeypatch.setattr(corr.Correspondence, "rho_of",
+                        lambda self, a: formed.append(a is b.basis) or rho_of(self, a))
+    monkeypatch.setattr(ps, "_bilinear", lambda *args: bilinear.append(1) or real_bilinear(*args))
+    w = ps.right_dilation_from_unitary(p, v)
+    ps.commutant_via_dilation(p, w)
+    assert sum(formed) == 1
+    built = len(bilinear)
+    for _ in range(20):
+        assert w.validate() == w.residuals
+    assert len(bilinear) == built
+
+
+def test_each_element_basis_gets_one_gram_factor(monkeypatch):
+    """x_i* x_k is formed once per distinct element basis and build: once for
+    the N + 1 quotients of the iterate system, once for its dilation's
+    quotient, once per member of the commutant system; the representation
+    reads the system's."""
+    _, v, theta = _inner_map()
+    seen = []
+    real = corr.inner_products
+    monkeypatch.setattr(corr, "inner_products", lambda x: seen.append(x) or real(x))
+    p = ps.from_endomorphism(theta, 4)
+    x0 = p.members[0].element_space
+    assert [x is x0 for x in seen] == [True]
+    w = ps.right_dilation_from_unitary(p, v)
+    assert [x is x0 for x in seen] == [True, True]
+    seen.clear()
+    out = ps.commutant_via_dilation(p, w)
+    assert list(map(id, seen)) == [id(m.element_space) for m in out.system.members]
+
+
+def test_validate_rejects_a_product_of_the_wrong_shape(inner_system):
+    _, _, _, p = inner_system
+    products = dict(p.products)
+    products[(1, 1)] = products[(1, 1)][:, :-1]
+    bad = ps.DiscreteProductSystem(p.algebra, p.members, p.tensors, products, source=p.source)
+    with pytest.raises(ProductSystemLawError, match=r"product \(1,1\) has shape"):
+        bad.validate()
+
+
+def test_bhat_requires_an_automorphism():
+    """x -> tr(x)/2 on M_2, a raw map of rank one, is refused before any law
+    check runs."""
+    b = alg.full_matrix_algebra(2)
+    trace = endo.Endomorphism(b, np.array([np.trace(x) / 2 * np.eye(2) for x in b.basis]))
+    with pytest.raises(NotFaithful, match="automorphism"):
+        ps.bhat_system(trace, np.array([1.0, 0.0]), 2)
