@@ -8,7 +8,9 @@ probe h in A: it is central, and the gaps of its spectrum split off the
 minimal central projections. The center is their span. The commutant and
 every intertwiner space between representations of the algebra are read off
 that frame (``intertwiners``), so no eigenproblem on n^2 unknowns is solved,
-and its laws are checked on matrix units of the frame, not on basis pairs.
+and its laws are checked on matrix units of the frame, not on basis pairs;
+the commutant's Gram matrix and commutation law are read off the frame's
+columns, not off its d' x n^2 basis.
 """
 
 from __future__ import annotations
@@ -32,12 +34,16 @@ class VnAlgebra:
     be nonempty, finite and in the span within tol.bound(1.0), else
     InvalidAlgebra; the check is only as strong as the list: an in-span list
     that does not generate, such as [1], passes. ``tol`` is kept: maps on
-    the algebra check their laws on its frame at that tolerance. Instances
-    are immutable; ``commutant`` and ``block_decompose`` cache their results.
+    the algebra check their laws on its frame at that tolerance. ``gram``
+    is for a caller that holds the Gram matrix of an exactly Hermitian
+    basis in coordinates of its own (``commutant``): the orthonormality and
+    adjoint-closure checks read it instead of the d x n^2 Gram product.
+    Instances are immutable; ``commutant`` and ``block_decompose`` cache
+    their results.
     """
 
     def __init__(self, ambient_dim: int, basis, generators=None,
-                 tol: nk.Tolerance = nk.DEFAULT_TOL):
+                 tol: nk.Tolerance = nk.DEFAULT_TOL, *, gram=None):
         self.ambient_dim = int(ambient_dim)
         self.basis = np.asarray(basis, dtype=complex)
         if self.basis.ndim != 3 or self.basis.shape[1:] != (self.ambient_dim, self.ambient_dim):
@@ -48,34 +54,40 @@ class VnAlgebra:
         self.tol = tol
         self._commutants: dict[nk.Tolerance, VnAlgebra] = {}
         self._frames: dict[nk.Tolerance, BlockSignature] = {}
-        self._check_light(tol)
+        self._check_light(tol, gram)
         self.generators = self.basis
         if generators is not None:
             self.generators = np.asarray(generators, dtype=complex).reshape(
                 -1, self.ambient_dim, self.ambient_dim)
-            nk.require(nk.span_residual(self.generators, self.flat) if len(self.generators)
-                       else np.nan, tol.bound(1.0), InvalidAlgebra,
-                       "generators empty, not finite or outside the span, residual {:.3e}")
+            _require_law("generators", nk.span_residual(self.generators, self.flat)
+                         if len(self.generators) else np.nan, tol.bound(1.0),
+                         "generators empty, not finite or outside the span, residual {:.3e}")
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def _check_light(self, tol: nk.Tolerance) -> None:
-        gram = self.flat @ self.flat.conj().T
-        nk.require(float(np.linalg.norm(gram - np.eye(self.dim))),
-                   tol.bound(float(np.sqrt(self.dim))), InvalidAlgebra,
-                   "basis not orthonormal, gram residual {:.3e}")
+    def _check_light(self, tol: nk.Tolerance, gram=None) -> None:
+        """Orthonormality, identity and adjoint closure of the basis, from
+        the Gram matrix of an exactly Hermitian basis if one is given, else
+        from the d x n^2 Gram product."""
+        hermitian = gram is not None
+        if gram is None:
+            gram = self.flat @ self.flat.conj().T
+        bound = tol.bound(float(np.sqrt(self.dim)))
+        _require_law("orthonormality", float(np.linalg.norm(gram - np.eye(self.dim))), bound,
+                     "basis not orthonormal, gram residual {:.3e}")
         self._check_unit(tol)
-        nk.require(_adjoint_residual(self.basis, gram), tol.bound(float(np.sqrt(self.dim))),
-                   InvalidAlgebra, "span not adjoint closed, residual {:.3e}")
+        _require_law("adjoint_closure", _hermitian_adjoint_residual(gram) if hermitian
+                     else _adjoint_residual(self.basis, gram), bound,
+                     "span not adjoint closed, residual {:.3e}")
 
     def _check_unit(self, tol: nk.Tolerance) -> None:
         """The identity lies in the span within tol.bound(sqrt(n)), else InvalidAlgebra."""
         n = self.ambient_dim
         residual = np.linalg.norm(np.eye(n) - (self.unit_coefficients @ self.flat).reshape(n, n))
-        nk.require(float(residual), tol.bound(float(np.sqrt(n))), InvalidAlgebra,
-                   "identity outside span, residual {:.3e}")
+        _require_law("identity", float(residual), tol.bound(float(np.sqrt(n))),
+                     "identity outside span, residual {:.3e}")
 
     @functools.cached_property
     def unit_coefficients(self) -> np.ndarray:
@@ -120,25 +132,37 @@ class VnAlgebra:
             sig = block_decompose(self, tol)
         except (AmbiguousRank, DegenerateCenterElement, NonIntegralRank) as exc:
             raise InvalidAlgebra(f"span has no matrix-unit frame: {exc}") from exc
-        return {"product_closure": nk.require(nk.worst(*(
+        return {"product_closure": _require_law("product_closure", nk.worst(*(
             nk.span_residual(sig.unit_grid(i) / np.sqrt(m), self.flat)
             for i, (_, m) in enumerate(sig.blocks))), tol.bound(1.0),
-            InvalidAlgebra, "span not closed under products, residual {:.3e}")}
+            "span not closed under products, residual {:.3e}")}
 
     def __repr__(self) -> str:
         return f"VnAlgebra(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
 
+def _require_law(law: str, residual: float, bound: float, message: str) -> float:
+    """``nk.require`` for a law of the basis: InvalidAlgebra carries law, residual and bound."""
+    return nk.require(residual, bound, InvalidAlgebra, message,
+                      law=law, residual=residual, bound=bound)
+
+
 def _adjoint_residual(basis, gram) -> float:
-    """|F* - (F* F^H) F| for the flattened basis F and its adjoints F*; for
-    an exactly Hermitian basis (every commutant) sqrt tr((1-G)*(1-G)G) from
-    the Gram G = F F^H in O(dim^3). np.maximum keeps a NaN."""
+    """|F* - (F* F^H) F| for the flattened basis F and its adjoints F*;
+    ``_hermitian_adjoint_residual`` of the Gram G = F F^H when F* is F."""
     flat = basis.reshape(len(basis), -1)
     adj = basis.conj().transpose(0, 2, 1).reshape(flat.shape)
     if np.array_equal(adj, flat):
-        c = np.eye(len(gram)) - gram
-        return float(np.sqrt(np.maximum(np.sum((c.conj().T @ c) * gram.T).real, 0.0)))
+        return _hermitian_adjoint_residual(gram)
     return float(np.linalg.norm(adj - (adj @ flat.conj().T) @ flat))
+
+
+def _hermitian_adjoint_residual(gram) -> float:
+    """|F - G F| = sqrt tr((1-G)*(1-G)G) for an exactly Hermitian basis F
+    with Gram G = F F^H, in O(dim^3); the same for the Gram of any unitary
+    recombination of F. np.maximum keeps a NaN."""
+    c = np.eye(len(gram)) - gram
+    return float(np.sqrt(np.maximum(np.sum((c.conj().T @ c) * gram.T).real, 0.0)))
 
 
 def from_generators(ambient_dim: int, generators,
@@ -187,41 +211,106 @@ def trivial_algebra(n: int) -> VnAlgebra:
 def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
     """Relative commutant of the algebra inside the ambient matrices.
 
-    The units x^i_pq of 1_{a_i} (x) M_{m_i} read off the block frame
-    (``intertwiners``), in the exactly Hermitian basis x_pp,
-    (x_pq + x_pq*)/sqrt2, i(x_pq - x_pq*)/sqrt2 (p < q). Commutation is
-    checked against the generators only, on the generating units x_p1,
-    x_1q against half the bound: for Hermitian x the residual of
-    g* x - x g* is that of g x - x g. Computed once per algebra and
-    tolerance; the result takes over the frame, transposed, and computes
-    its own commutant afresh.
+    The units x^i_pq = sum_k T_ik[:, p] T_ik[:, q]* / sqrt(a_i) of
+    1_{a_i} (x) M_{m_i} read off the block frame (``intertwiners``), in the
+    exactly Hermitian basis x_pp, (x_pq + x_pq*)/sqrt2, i(x_pq - x_pq*)/sqrt2
+    (p < q). The laws of ``VnAlgebra`` are checked against its bounds, in
+    the coordinates of the frame where they can be:
+
+    - orthonormality and adjoint closure on the Gram matrix G of the units,
+      read off M = V* V for the frame's ``columns`` V (``_unit_gram``, every
+      block exact) in O(n^3 + D^2), D = sum_i a_i m_i^2, not off the
+      d' x n^2 basis in O(d'^2 n^2): the Hermitian basis is a unitary
+      recombination of the units, which leaves |G - 1| and
+      sqrt tr((1-G)*(1-G)G) unchanged;
+    - commutation with the generators on the generating units x_p1, x_1q
+      against half the bound, through their rank-a_i factors
+      (``intertwiners``); for Hermitian x the residual of g* x - x g* is
+      that of g x - x g;
+    - the identity on the basis itself, O(d' n^2).
+
+    Computed once per algebra and tolerance; the result takes over the
+    frame, transposed, and computes its own commutant afresh.
     """
     cached = a._commutants.get(tol)
     if cached is None:
         n = a.ambient_dim
-        parts = intertwiners(a, tol=tol, laws=(a.generators, a.generators))
-        cached = a._commutants[tol] = VnAlgebra(
-            n, np.concatenate([_hermitian_basis(x) for x in parts]), tol=tol)
+        sig = block_decompose(a, tol)
+        gram = _unit_gram(sig)  # before the units: its transient never meets theirs
+        parts = intertwiners(a, tol=tol)
+        cached = a._commutants[tol] = VnAlgebra(n, _hermitian_basis(parts), tol=tol, gram=gram)
         # the summand (a_i, m_i) is (m_i, a_i) there, with the same columns
         # regrouped, U_il[:, k] = T_ik[:, l]: no frame check to repeat
-        sig = block_decompose(a, tol)
         cached._frames[tol] = _signature([(m, a_i) for a_i, m in sig.blocks],
                                          sig.central_projections,
                                          [t.transpose(2, 1, 0) for t in sig.units], tol)
     return cached
 
 
-def _hermitian_basis(x) -> np.ndarray:
-    """Exactly Hermitian basis of the span of the stack x_pq, in pq order, one
-    triangle at a time: (x_pq + x_pq*) scale at p <= q, i(x_qp - x_qp*)/sqrt2 at p > q."""
-    m, n = len(x), x.shape[2]
-    upper, out = np.triu(np.ones((m, m), dtype=bool)), np.empty(x.shape, dtype=complex)
-    y = x[upper]
-    scale = np.where(np.eye(m, dtype=bool)[upper], 0.5, np.sqrt(0.5))[:, None, None]
-    out[upper] = (y + y.conj().transpose(0, 2, 1)) * scale
-    y = x.transpose(1, 0, 2, 3)[~upper]
-    out[~upper] = (1j * (y - y.conj().transpose(0, 2, 1))) * np.sqrt(0.5)
-    return out.reshape(-1, n, n)
+def _unit_gram(sig: BlockSignature) -> np.ndarray:
+    """Gram matrix of the commutant's units x^i_pq in the order of
+    ``intertwiners``, from M = V* V of the frame's ``columns`` V:
+    tr(x^j_rs* x^i_pq) = sum_kl conj(M[ikp, jlr]) M[ikq, jls], every block
+    exact (``numkernel.column_pair_gram``)."""
+    heads, tails, _ = _unit_columns(sig.blocks)
+    v = sig.columns
+    return nk.column_pair_gram(v.conj().T @ v, heads, tails)
+
+
+@functools.lru_cache(maxsize=256)
+def _unit_columns(blocks) -> tuple:
+    """Indices into the frame's ``columns`` of the products v_ikp v_ikq* that sum,
+    over k, to the units x^i_pq, a column per unit in the order of
+    ``intertwiners``, padded to the largest a_i by the zero column: heads
+    and tails (max a_i, units); and the columns of the generating units
+    x_p1 (every p) and x_1q (q > 1) of each summand."""
+    n, width = sum(a_i * m for a_i, m in blocks), max(a_i for a_i, _ in blocks)
+    heads, tails, generating, offset, start = [], [], [], 0, 0
+    for a_i, m in blocks:
+        cols = np.full((width, m), n)
+        cols[:a_i] = offset + m * np.arange(a_i)[:, None] + np.arange(m)
+        heads.append(np.repeat(cols, m, axis=1))
+        tails.append(np.tile(cols, m))
+        generating += [start + m * p for p in range(m)] + [start + q for q in range(1, m)]
+        offset, start = offset + a_i * m, start + m * m
+    out = np.concatenate(heads, axis=1), np.concatenate(tails, axis=1), np.array(generating)
+    for x in out:  # shared by every caller of the cache
+        x.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _triangle(m: int) -> tuple:
+    """The upper triangle of an m x m grid, diagonal included, and the scale
+    of each of its places in ``_hermitian_basis``; read-only, as shared."""
+    upper = np.triu(np.ones((m, m), dtype=bool))
+    out = upper, np.where(np.eye(m, dtype=bool)[upper], 0.5, np.sqrt(0.5))[:, None, None]
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def _hermitian_basis(parts) -> np.ndarray:
+    """Exactly Hermitian basis of the spans of the stacks x_pq, stack by stack
+    in pq order, written into one array, one triangle at a time:
+    (x_pq + x_pq*) scale at p <= q, i(x_qp - x_qp*)/sqrt2 at p > q."""
+    n = parts[0].shape[2]
+    out, start = np.empty((sum(len(x) ** 2 for x in parts), n, n), dtype=complex), 0
+    for x in parts:
+        m = len(x)
+        block = out[start:start + m * m].reshape(m, m, n, n)
+        upper, scale = _triangle(m)
+        y = x[upper]
+        y += y.conj().transpose(0, 2, 1)
+        y *= scale
+        block[upper] = y
+        y = x.transpose(1, 0, 2, 3)[~upper]
+        y -= y.conj().transpose(0, 2, 1)
+        y *= 1j
+        y *= np.sqrt(0.5)
+        block[~upper] = y
+        start += m * m
+    return out
 
 
 def equals(a: VnAlgebra, b: VnAlgebra,
@@ -268,6 +357,15 @@ class BlockSignature:
     def unit_grid(self, i: int) -> np.ndarray:
         """The matrix units e_jk = T_ij T_ik* of summand i, (a_i, a_i, n, n)."""
         return self.units[i][:, None] @ self.units[i].conj().transpose(0, 2, 1)[None]
+
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """V, n x (n + 1): the columns v_ikp = T_ik[:, p] / a_i^(1/4) of the
+        isometries in order (summand, k, p), then one zero column. The units
+        of the commutant are the sums x^i_pq = sum_k v_ikp v_ikq*."""
+        n = self.units[0].shape[1]
+        return np.concatenate([t.transpose(1, 0, 2).reshape(n, -1) * len(t) ** -0.25
+                               for t in self.units] + [np.zeros((n, 1))], axis=1)
 
 
 def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSignature:
@@ -384,8 +482,8 @@ def _signature(blocks, projections, units, tol: nk.Tolerance) -> BlockSignature:
                           units=tuple(units[i] for i in order))
 
 
-def intertwiners(a: VnAlgebra, lefts=None, rights=None, tol: nk.Tolerance = nk.DEFAULT_TOL,
-                 laws=None) -> list[np.ndarray]:
+def intertwiners(a: VnAlgebra, lefts=None, rights=None,
+                 tol: nk.Tolerance = nk.DEFAULT_TOL) -> list[np.ndarray]:
     """The space {x: pi_L(b) x = x pi_R(b) for all b in a}, read off the
     block frame of a.
 
@@ -397,12 +495,17 @@ def intertwiners(a: VnAlgebra, lefts=None, rights=None, tol: nk.Tolerance = nk.D
     orthonormal basis of the range of pi(e^i_11) (``numkernel.range_basis``;
     T_i1 for the defining representation), whose rank must be the trace
     rounded by ``numkernel.integral_trace`` within
-    min(MAX_RANK_SLACK, tol.bound(|trace|)). The law l x = x r is checked
-    for every pair of laws (default: the two representations) on every
-    element; for the defining representation on x_p1, x_1q against half the
-    bound, as sqrt(a_i) x_pq is the product of the partial isometries
-    sqrt(a_i) x_p1, sqrt(a_i) x_1q of the verified frame, so its residual
-    is at most the sum of theirs. A failure of either raises NotIntertwining.
+    min(MAX_RANK_SLACK, tol.bound(|trace|)). The law pi_L(b) x = x pi_R(b)
+    is checked for every basis element b on every element x. For the
+    defining representation on both sides (the commutant) it is checked
+    for the generators g of a (its basis when none were supplied) on x_p1,
+    x_1q against half the bound, as sqrt(a_i) x_pq is the product of the
+    partial isometries sqrt(a_i) x_p1, sqrt(a_i) x_1q of the verified
+    frame, so its residual is at most the sum of theirs; and on their
+    rank-a_i factors x = h t* read off the frame, g x - x g = (g h) t* -
+    h (g* t)* (``numkernel.factored_law_residual``), in O(|gens| sum_i
+    (2 m_i - 1) a_i n^2), not n^3 per generator and unit. A failure of
+    either raises NotIntertwining.
 
     Returns the stacks x^i, shape (r^L_i, r^R_i, rows, cols), per summand.
     """
@@ -417,20 +520,30 @@ def intertwiners(a: VnAlgebra, lefts=None, rights=None, tol: nk.Tolerance = nk.D
         # x[p, q] = sum_k left[k][:, p] right[k][:, q]* / sqrt(a_i), as one product
         x = left.transpose(2, 1, 0).reshape(-1, a_i) @ \
             right.conj().transpose(0, 2, 1).reshape(a_i, -1)
-        parts.append((x / np.sqrt(a_i)).reshape(
+        x /= np.sqrt(a_i)
+        parts.append(x.reshape(
             left.shape[2], rows, right.shape[2], cols).transpose(0, 2, 1, 3))
-    if laws is not None:
-        law_l, law_r = laws
     generating = reps[0] is None and reps[1] is None
+    if generating:
+        law_l = law_r = a.generators
     bound = tol.bound(max(nk.worst_norm(law_l), nk.worst_norm(law_r))) / (
         2.0 if generating else 1.0)
-    residual = nk.law_residual(law_l, law_r, np.concatenate(
-        [np.concatenate([x[:, 0], x[0, 1:]]) if generating else x.reshape(-1, rows, cols)
-         for x in parts]))
+    residual = _generating_residual(sig, law_l, law_r) if generating else nk.law_residual(
+        law_l, law_r, np.concatenate([x.reshape(-1, rows, cols) for x in parts]))
     nk.require(residual, bound, NotIntertwining,
                "frame-read space breaks its intertwining law, residual {:.3e}",
                residual=residual, bound=bound)
     return parts
+
+
+def _generating_residual(sig: BlockSignature, lefts, rights) -> float:
+    """Worst |l x - x r| over the law pairs and the generating units x_p1,
+    x_1q of the commutant, x = h t* with the rank-a_i factors h and t
+    gathered from the frame's ``columns`` (``numkernel.factored_law_residual``)."""
+    heads, tails, units = _unit_columns(sig.blocks)
+    v = sig.columns
+    return nk.factored_law_residual(lefts, rights, v[:, heads[:, units]].transpose(2, 0, 1),
+                                    v[:, tails[:, units]].transpose(2, 0, 1))
 
 
 def _images(a: VnAlgebra, images) -> np.ndarray:

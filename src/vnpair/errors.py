@@ -52,7 +52,10 @@ class DegenerateCenterElement(VnpairError):
 
 
 class InvalidAlgebra(VnpairError):
-    """A stored basis violates the *-algebra invariants."""
+    """A stored basis violates the *-algebra invariants; a failed check of
+    the basis or its generators carries the law, the residual and the bound."""
+
+    law = residual = bound = None
 
 
 # ----------------------------------------------------------- endomorphisms

@@ -209,6 +209,51 @@ def law_residual(lefts, rights, basis) -> float:
     return out
 
 
+def factored_law_residual(lefts, rights, heads, tails) -> float:
+    """``law_residual`` on the elements x = h t* given by their factors,
+    stacked as heads (k, rows, r) and tails (k, cols, r); zero columns pad
+    a factor of smaller rank. l x - x r = (l h) t* - h (r* t)* is one
+    product of rank 2r: O(rows cols r) per (pair, element) once l h and
+    r* t are formed, where ``law_residual`` forms l x and x r. Chunked as
+    ``law_residual``; NaN when any entry is NaN."""
+    k, rows, rank = heads.shape
+    cols = tails.shape[1]
+    out = 0.0
+    for elements, pairs in _chunk_pairs(k, lefts.shape[0], rows * cols):
+        h, t, l, r = heads[elements], tails[elements], lefts[pairs], rights[pairs]
+        e, g = h.shape[0], l.shape[0]
+        # l h and r* t for every pair and element, each from one product
+        lh = (l.reshape(g * rows, rows) @ h.transpose(1, 0, 2).reshape(rows, e * rank))
+        rt = (r.conj().transpose(0, 2, 1).reshape(g * cols, cols) @
+              t.transpose(1, 0, 2).reshape(cols, e * rank))
+        left = np.concatenate([lh.reshape(g, rows, e, rank).transpose(0, 2, 1, 3),
+                               np.broadcast_to(-h, (g,) + h.shape)], axis=3)
+        right = np.concatenate([np.broadcast_to(t, (g,) + t.shape),
+                                rt.reshape(g, cols, e, rank).transpose(0, 2, 1, 3)], axis=3)
+        re = (left @ right.conj().transpose(0, 1, 3, 2)).view(float)
+        out = worst(out, float(np.sqrt(np.einsum("geab,geab->ge", re, re).max())))
+    return out
+
+
+def column_pair_gram(m, heads, tails) -> np.ndarray:
+    """Gram matrix G = F F^H of the flattened sums x_u = sum_k w_heads[k, u]
+    w_tails[k, u]* of rank-one products of columns of a matrix W, read off
+    m = W* W: G[u, v] = tr(x_v* x_u) = sum_kl conj(m[heads[k, u],
+    heads[l, v]]) m[tails[k, u], tails[l, v]], in O(heads.size^2), no x_u
+    formed. A zero column of W pads sums of fewer terms. The terms are
+    formed for a few u at a time, at most _CHUNK entries (or one u)."""
+    rank, count = heads.shape
+    out = np.empty((count, count), dtype=complex)
+    step = max(1, _CHUNK // (rank * rank * count))
+    for u in range(0, count, step):
+        rows = slice(u, min(count, u + step))
+        terms = np.take(m[heads[:, rows].reshape(-1)], heads.reshape(-1), axis=1)
+        np.conjugate(terms, out=terms)
+        terms *= np.take(m[tails[:, rows].reshape(-1)], tails.reshape(-1), axis=1)
+        out[rows] = terms.reshape(rank, -1, rank, count).sum(axis=(0, 2))
+    return out
+
+
 def _chunk_pairs(outer: int, inner: int, size: int):
     """Slices (a, b) covering outer x inner index pairs in blocks whose
     len(a) * len(b) * size stays within _CHUNK, or one index pair."""

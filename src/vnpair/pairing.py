@@ -243,18 +243,21 @@ def can_pair(theta, theta_prime,
     two joint multiplicity tables that differ. Both are read off the frame of B
     and that of B'; a B' without one takes B's, so the unitary follows B's basis.
 
-    NotPaired certifies only that the tables differ. The maps' hom laws are
-    checked on the paired path alone (``_relations``), so a raw
-    ``Endomorphism`` that is not multiplicative can come back NotPaired
-    instead of raising; validate the maps first to rule that out.
+    Both maps pass ``Endomorphism.validate`` once the domains are compared
+    and before any table is read, so a raw ``Endomorphism`` that is not a
+    unital *-homomorphism raises its law error (NotMultiplicative, ...)
+    rather than coming back NotPaired: NotPaired certifies that the tables
+    of two valid faithful maps differ.
     """
     return next(_decisions((theta,), theta_prime, tol))
 
 
 def _decisions(thetas, theta_prime, tol: nk.Tolerance):
     """``can_pair`` of each map of thetas against theta_prime, one per next().
-    The maps share one domain basis, so theta_prime's faithfulness, the
-    domain comparison and f (``_twisted_pair``) are built for the first only."""
+    The maps share one domain basis, so theta_prime's faithfulness and
+    validation, the domain comparison and f (``_twisted_pair``) are built
+    for the first only. Each map is validated before its tables, theta_prime
+    once B' holds the frame of B."""
     f = None
     for theta in thetas:
         if not endo_mod.is_faithful(theta, tol):
@@ -263,6 +266,8 @@ def _decisions(thetas, theta_prime, tol: nk.Tolerance):
             if not endo_mod.is_faithful(theta_prime, tol):
                 raise NotFaithful("second map is not faithful")
             _commutant_domains(theta, theta_prime, tol)
+        for g in (theta, theta_prime) if f is None else (theta,):
+            g.validate(tol)
         e, f = _twisted_pair(theta, theta_prime, tol, f)
         decision = corr.find_isomorphism(e, f, tol)
         # the domains were compared above, and find_isomorphism checked the
@@ -313,7 +318,7 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
         raise CocycleResidual(
             f"link is not in the algebra, residual {report.residual:.3e}",
             step=1, residual=float(report.residual))
-    # _decisions validated both maps in _relations, via _pairing_of
+    # _decisions validated both maps
     powers1, powers2 = (endo_mod.iterates(f, horizon) for f in (theta1, theta2))
     family = [c1]
     for s in range(1, horizon):

@@ -38,6 +38,12 @@ faster route replaced, kept so that the faster route has a reference.
 - ``gram_product_adjoint_residual``: the adjoint-closure residual of an
   exactly Hermitian basis from a second dim x n^2 product, before
   ``VnAlgebra`` read it off the Gram matrix alone;
+- ``dense_gram_residual``, ``generating_units_commutation`` and
+  ``x_stack_commutant_basis``: the orthonormality residual of a basis
+  from its d x n^2 Gram product, the commutation law on the dense
+  generating units x_p1, x_1q, and the commutant basis built from the
+  x-stacks of a frame, before ``algebra.commutant`` checked its laws in
+  the coordinates of the frame;
 - ``where_hermitian_basis``: the Hermitian commutant basis selected by
   ``np.where`` over the whole (m, m, n, n) stack, before
   ``algebra._hermitian_basis`` computed each triangle alone;
@@ -401,6 +407,32 @@ def gram_product_adjoint_residual(basis) -> float:
     adjoint-closure residual of an exactly Hermitian basis."""
     flat = np.asarray(basis).reshape(len(basis), -1)
     return float(np.linalg.norm(flat - (flat @ flat.conj().T) @ flat))
+
+
+def dense_gram_residual(basis) -> float:
+    """|F F^H - 1| for the flattened basis F, from the d x n^2 product."""
+    flat = np.asarray(basis).reshape(len(basis), -1)
+    return float(np.linalg.norm(flat @ flat.conj().T - np.eye(len(flat))))
+
+
+def generating_units_commutation(gens, parts) -> float:
+    """Worst |g x - x g| over the generators g and the dense generating
+    units x_p1, x_1q of the stacks x (shape (m, m, n, n))."""
+    return nk.law_residual(gens, gens, np.concatenate(
+        [np.concatenate([x[:, 0], x[0, 1:]]) for x in parts]))
+
+
+def x_stack_commutant_basis(sig) -> np.ndarray:
+    """The commutant basis of a frame: per summand the x-stack product
+    x_pq = sum_k T_k[:, p] T_k[:, q]* / sqrt(a), then the Hermitian basis
+    selected over the whole stack (``where_hermitian_basis``)."""
+    out = []
+    for t in sig.units:
+        a, n, m = t.shape
+        x = t.transpose(2, 1, 0).reshape(-1, a) @ t.conj().transpose(0, 2, 1).reshape(a, -1)
+        out.append(where_hermitian_basis(
+            (x / np.sqrt(a)).reshape(m, n, m, n).transpose(0, 2, 1, 3)))
+    return np.concatenate(out)
 
 
 def where_hermitian_basis(x) -> np.ndarray:

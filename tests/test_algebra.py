@@ -470,7 +470,7 @@ def test_hermitian_basis_matches_the_where_form(m, n):
     """The commutant basis from the two triangles alone is bit for bit the
     one np.where selected over the whole stack."""
     x = nk.random_complex((m, m, n, n), np.random.default_rng(m * n))
-    assert np.array_equal(alg._hermitian_basis(x), orc.where_hermitian_basis(x))
+    assert np.array_equal(alg._hermitian_basis([x]), orc.where_hermitian_basis(x))
 
 
 #: the signatures of the structure-large and pair-decide benchmark workloads
@@ -592,6 +592,144 @@ def test_commutant_at_n64_forms_no_n2_by_n2_map():
         tracemalloc.stop()
     assert c.dim == 64 + 16
     assert peak < 48 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the commutant's laws in the coordinates of its frame
+
+#: the structure-large signatures, the two one-summand extremes and a ragged pair
+FRAME_SIGNATURES = WORKLOAD_SIGNATURES[:4] + [[(1, 4)], [(4, 1)], [(2, 1), (1, 3)]]
+
+
+def _turned(a, units):
+    """A fresh copy of a whose block frame is the given units."""
+    sig = alg.block_decompose(a)
+    turned = alg.VnAlgebra(a.ambient_dim, a.basis, generators=a.generators)
+    turned._frames[nk.DEFAULT_TOL] = alg.BlockSignature(
+        sig.blocks, sig.central_projections, tuple(units))
+    return turned, turned._frames[nk.DEFAULT_TOL]
+
+
+def _close(new, old):
+    return abs(new - old) <= 1e-13 + 1e-6 * old
+
+
+@pytest.mark.parametrize("blocks", FRAME_SIGNATURES, ids=str)
+def test_frame_coordinate_checks_match_the_dense_oracles(blocks):
+    """On frames moved off unitarity by delta T_ik + delta Z_ik, the
+    orthonormality and adjoint-closure residuals read off W* W and the
+    commutation residual of the factored generating units are those of the
+    d' x n^2 Gram product, the Gram-product adjoint form and law_residual
+    on the dense units, within 1e-13 + 1e-6 of the value."""
+    a = alg.random_algebra(sum(s * m for s, m in blocks), blocks, seed=5)
+    sig = alg.block_decompose(a)
+    rng = np.random.default_rng(len(blocks))
+    for delta in (0.0, 1e-9, 1e-6, 1e-3):
+        _, moved = _turned(a, [t + delta * nk.random_complex(t.shape, rng) for t in sig.units])
+        parts = orc.commutant_units(moved)
+        basis = alg._hermitian_basis(parts)
+        gram = alg._unit_gram(moved)
+        new = (float(np.linalg.norm(gram - np.eye(len(gram)))),
+               alg._hermitian_adjoint_residual(gram),
+               alg._generating_residual(moved, a.generators, a.generators))
+        old = (orc.dense_gram_residual(basis), orc.gram_product_adjoint_residual(basis),
+               orc.generating_units_commutation(a.generators, parts))
+        for x, y in zip(new, old):
+            assert _close(x, y), (delta, new, old)
+
+
+@pytest.mark.parametrize("blocks", FRAME_SIGNATURES, ids=str)
+def test_a_non_unitary_frame_fails_orthonormality_with_the_oracle_residual(blocks):
+    """T_ik -> T_ik R with one non-unitary R for every k keeps every unit in
+    the commutant, so the commutation check passes and orthonormality
+    fails: InvalidAlgebra names the law, with the d' x n^2 Gram residual
+    of the basis the frame gives and the bound tol.bound(sqrt(d'))."""
+    a = alg.random_algebra(sum(s * m for s, m in blocks), blocks, seed=6)
+    rng = np.random.default_rng(7)
+    units = []
+    for t in alg.block_decompose(a).units:
+        h = nk.random_complex((t.shape[2], t.shape[2]), rng)
+        units.append(t @ (np.eye(t.shape[2]) + 1e-3 * (h + h.conj().T)))
+    turned, moved = _turned(a, units)
+    basis = alg._hermitian_basis(orc.commutant_units(moved))
+    with pytest.raises(InvalidAlgebra) as info:
+        alg.commutant(turned)
+    err = info.value
+    assert err.law == "orthonormality"
+    assert _close(err.residual, orc.dense_gram_residual(basis))
+    assert err.bound == nk.DEFAULT_TOL.bound(np.sqrt(len(basis)))
+
+
+def test_commutant_at_n32_forms_no_dense_gram_and_no_n3_commutation(monkeypatch):
+    """Once the frame is built, the [(2,8),(2,8)] commutant reads its
+    Gram off the frame and its commutation law off the factors of the
+    generating units: no law_residual, no _adjoint_residual."""
+    a = alg.random_algebra(32, [(2, 8), (2, 8)], seed=1)
+    alg.block_decompose(a)
+    calls = []
+
+    def refuse(name):
+        return lambda *args: pytest.fail(f"commutant called {name}")
+
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+    monkeypatch.setattr(nk, "law_residual", refuse("law_residual"))
+    monkeypatch.setattr(alg, "_adjoint_residual", refuse("_adjoint_residual"))
+    for fn in (nk.factored_law_residual, nk.column_pair_gram):
+        monkeypatch.setattr(nk, fn.__name__, counted(fn))
+    assert alg.commutant(a).dim == 128
+    assert sorted(calls) == ["column_pair_gram", "factored_law_residual"]
+
+
+#: tracemalloc peaks of the commutant, frame included, before its laws were
+#: checked in frame coordinates (numpy 2.4, MiB)
+DENSE_CHECK_PEAKS = {32: ([(2, 8), (2, 8)], 8.3), 64: ([(4, 8), (8, 4)], 21.7),
+                     96: ([(4, 12), (12, 4)], 90.8), 128: ([(4, 16), (16, 4)], 273.9)}
+
+
+@pytest.mark.parametrize("n", sorted(DENSE_CHECK_PEAKS))
+def test_commutant_peak_stays_at_or_below_the_dense_checks(n):
+    """The frame-coordinate checks add no transient beyond what the dense
+    Gram product and the dense law check held: the traced peak of the
+    commutant stays at or below theirs."""
+    blocks, peak_before = DENSE_CHECK_PEAKS[n]
+    a = alg.random_algebra(n, blocks, seed=1)
+    tracemalloc.start()
+    try:
+        c = alg.commutant(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.dim == sum(m * m for _, m in blocks)
+    assert peak <= peak_before * 2 ** 20
+
+
+@pytest.mark.parametrize("blocks", WORKLOAD_SIGNATURES + [[(1, 4)], [(4, 1)], [(2, 1), (1, 3)],
+                                                          [(4, 6), (6, 4)]], ids=str)
+def test_commutant_basis_is_the_x_stack_construction_bit_for_bit(blocks):
+    """The checks moved, the basis did not: it is the x-stack product of
+    the frame turned Hermitian over the whole stack, bit for bit."""
+    a = alg.random_algebra(sum(s * m for s, m in blocks), blocks, seed=2)
+    assert np.array_equal(alg.commutant(a).basis,
+                          orc.x_stack_commutant_basis(alg.block_decompose(a)))
+
+
+def test_invalid_algebra_carries_the_law_residual_and_bound():
+    """Each check of a basis names its law and carries the residual and
+    the bound it failed."""
+    e = np.eye(2, dtype=complex)
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    cases = {"orthonormality": (np.array([e, e]) / np.sqrt(2), None),
+             "identity": (e11[None], None),
+             "adjoint_closure": (np.array([e / np.sqrt(2), e12]), None),
+             "generators": (e[None] / np.sqrt(2), [e12])}
+    for law, (basis, gens) in cases.items():
+        with pytest.raises(InvalidAlgebra) as info:
+            alg.VnAlgebra(2, basis, generators=gens)
+        err = info.value
+        assert err.law == law and not err.residual <= err.bound
+        assert f"{err.residual:.3e}" in str(err)
 
 
 # ---------------------------------------------------------------------------

@@ -328,9 +328,9 @@ def test_tolerance_reaches_every_element_space(monkeypatch):
     seen = []
     helper = alg.intertwiners
 
-    def spy(a, lefts=None, rights=None, tol=nk.DEFAULT_TOL, laws=None):
+    def spy(a, lefts=None, rights=None, tol=nk.DEFAULT_TOL):
         seen.append(tol)
-        return helper(a, lefts, rights, tol, laws)
+        return helper(a, lefts, rights, tol)
 
     monkeypatch.setattr(alg, "intertwiners", spy)
     e = corr.of_endomorphism(theta, tol=tol)

@@ -269,6 +269,39 @@ def test_unitarity_and_span_residuals():
     assert nk.span_residual(np.zeros((0, 4)), basis) == 0.0
 
 
+@pytest.mark.parametrize("chunk", [nk._CHUNK, 40])
+def test_factored_law_residual_is_law_residual_on_the_products(monkeypatch, chunk):
+    """On elements x = h t* with zero-padded factors, the factored residual
+    is law_residual's on the dense products, in one chunk and in many; a NaN
+    anywhere reads NaN."""
+    monkeypatch.setattr(nk, "_CHUNK", chunk)
+    rng = np.random.default_rng(3)
+    rows, cols, rank = 5, 4, 3
+    lefts, rights = (nk.random_complex((3, k, k), rng) for k in (rows, cols))
+    heads, tails = (nk.random_complex((7, k, rank), rng) for k in (rows, cols))
+    heads[2:, :, 2] = 0.0  # factors of rank 2 padded with a zero column
+    dense = heads @ tails.conj().transpose(0, 2, 1)
+    new, old = nk.factored_law_residual(lefts, rights, heads, tails), nk.law_residual(
+        lefts, rights, dense)
+    assert abs(new - old) <= 1e-12 * old
+    heads[4, 1, 0] = np.nan
+    assert np.isnan(nk.factored_law_residual(lefts, rights, heads, tails))
+
+
+@pytest.mark.parametrize("chunk", [nk._CHUNK, 30])
+def test_column_pair_gram_is_the_gram_of_the_sums(monkeypatch, chunk):
+    """G = F F^H of x_u = sum_k w_heads[k,u] w_tails[k,u]*, indices into a W
+    whose last column is zero, read off W* W in one chunk and in many."""
+    monkeypatch.setattr(nk, "_CHUNK", chunk)
+    rng = np.random.default_rng(4)
+    n = 6
+    w = np.concatenate([nk.random_complex((n, n), rng), np.zeros((n, 1))], axis=1)
+    heads, tails = rng.integers(0, n + 1, (3, 9)), rng.integers(0, n + 1, (3, 9))
+    x = np.einsum("aku,bku->uab", w[:, heads], w[:, tails].conj()).reshape(9, -1)
+    assert np.abs(nk.column_pair_gram(w.conj().T @ w, heads, tails) -
+                  x @ x.conj().T).max() <= 1e-12 * np.abs(x).max() ** 2
+
+
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_random_unitary_from_a_generator(n):
     """Drawing from a Generator is the QR-with-phase-fix recipe on one

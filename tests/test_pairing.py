@@ -13,7 +13,7 @@ from vnpair import prodsys as ps
 from vnpair import selftest as st
 from vnpair.errors import (CocycleResidual, DimensionMismatch, DomainMismatch,
                            DomainsNotCommutant, ImageOutsideAlgebra, InvalidCorrespondence,
-                           NotFaithful, NotPairedInput, NotUnitary,
+                           NotFaithful, NotMultiplicative, NotPairedInput, NotUnitary,
                            NotUnitaryImage, PairingCheckFailed, RelationB,
                            RelationBPrime)
 
@@ -483,7 +483,8 @@ def test_eq33_reduced_family_matches_the_spanning_family(blocks, seed):
 
 def test_check_pairing_rejects_map_leaving_the_algebra():
     """Ad u* with u* B u outside B passes both relations by construction;
-    the law check on the maps has to catch it at every horizon."""
+    the law check on the maps has to catch it at every horizon, and
+    can_pair raises the map's law error before reading any table."""
     b = alg.random_algebra(4, [(1, 2), (1, 2)], seed=3)
     bp = alg.commutant(b)
     u = nk.random_unitary(4, 5)
@@ -494,8 +495,33 @@ def test_check_pairing_rejects_map_leaving_the_algebra():
     for horizon in (1, 4):
         with pytest.raises(ImageOutsideAlgebra):
             pr.check_pairing(u, theta, theta_prime, horizon=horizon)
-    with pytest.raises(InvalidCorrespondence):
+    with pytest.raises(ImageOutsideAlgebra):
         pr.can_pair(theta, theta_prime)
+
+
+def _transpose_swap(b):
+    """theta(x (+) y) = y^T (+) x^T on M_2 (+) M_2, unital, *-preserving and
+    linear but anti-multiplicative, as a raw Endomorphism."""
+    images = np.zeros_like(b.basis)
+    images[:, :2, :2] = b.basis[:, 2:, 2:].transpose(0, 2, 1)
+    images[:, 2:, 2:] = b.basis[:, :2, :2].transpose(0, 2, 1)
+    return endo.Endomorphism(b, images)
+
+
+def test_a_map_that_is_not_multiplicative_raises_instead_of_not_paired():
+    """The transpose-swap on M_2 (+) M_2 against the identity on B' has
+    multiplicity tables that differ, so it came back NotPaired; the maps
+    are now validated before the tables, in can_pair and in cocycle_link."""
+    b = alg.block_model([(2, 1), (2, 1)], np.eye(4))
+    theta, ident = _transpose_swap(b), endo.identity(alg.commutant(b))
+    res = theta.law_residuals
+    assert res["multiplicative"] == pytest.approx(4.0)
+    assert max(res["span"], res["unital"], res["star"]) <= 1e-12
+    with pytest.raises(NotMultiplicative, match="4.000e"):
+        pr.can_pair(theta, ident)
+    with pytest.raises(NotMultiplicative, match="4.000e"):
+        pr.cocycle_link(endo.identity(b), theta, ident, horizon=2)
+    assert pr.can_pair(endo.identity(b), ident)
 
 
 def test_check_pairing_rejects_a_nan_map():
