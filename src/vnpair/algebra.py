@@ -59,9 +59,10 @@ class VnAlgebra:
         if generators is not None:
             self.generators = np.asarray(generators, dtype=complex).reshape(
                 -1, self.ambient_dim, self.ambient_dim)
-            _require_law("generators", nk.span_residual(self.generators, self.flat)
-                         if len(self.generators) else np.nan, tol.bound(1.0),
-                         "generators empty, not finite or outside the span, residual {:.3e}")
+            nk.require(nk.span_residual(self.generators, self.flat) if len(self.generators)
+                       else np.nan, tol.bound(1.0), InvalidAlgebra,
+                       "generators empty, not finite or outside the span, residual {:.3e}",
+                       law="generators")
 
     @property
     def dim(self) -> int:
@@ -75,19 +76,19 @@ class VnAlgebra:
         if gram is None:
             gram = self.flat @ self.flat.conj().T
         bound = tol.bound(float(np.sqrt(self.dim)))
-        _require_law("orthonormality", float(np.linalg.norm(gram - np.eye(self.dim))), bound,
-                     "basis not orthonormal, gram residual {:.3e}")
+        nk.require(float(np.linalg.norm(gram - np.eye(self.dim))), bound, InvalidAlgebra,
+                   "basis not orthonormal, gram residual {:.3e}", law="orthonormality")
         self._check_unit(tol)
-        _require_law("adjoint_closure", _hermitian_adjoint_residual(gram) if hermitian
-                     else _adjoint_residual(self.basis, gram), bound,
-                     "span not adjoint closed, residual {:.3e}")
+        nk.require(_hermitian_adjoint_residual(gram) if hermitian
+                   else _adjoint_residual(self.basis, gram), bound, InvalidAlgebra,
+                   "span not adjoint closed, residual {:.3e}", law="adjoint_closure")
 
     def _check_unit(self, tol: nk.Tolerance) -> None:
         """The identity lies in the span within tol.bound(sqrt(n)), else InvalidAlgebra."""
         n = self.ambient_dim
         residual = np.linalg.norm(np.eye(n) - (self.unit_coefficients @ self.flat).reshape(n, n))
-        _require_law("identity", float(residual), tol.bound(float(np.sqrt(n))),
-                     "identity outside span, residual {:.3e}")
+        nk.require(float(residual), tol.bound(float(np.sqrt(n))), InvalidAlgebra,
+                   "identity outside span, residual {:.3e}", law="identity")
 
     @functools.cached_property
     def unit_coefficients(self) -> np.ndarray:
@@ -98,12 +99,14 @@ class VnAlgebra:
     def coefficients(self, x) -> np.ndarray:
         """Coefficients of x against the orthonormal basis: a vector for one
         finite matrix, a row per matrix of a stack (..., n, n), from one
-        product. Coordinates in this basis are formed here only."""
+        product that conjugates x, not the basis. Coordinates in this basis
+        are formed here only."""
         x = nk.as_matrix(x, "x") if np.ndim(x) == 2 else np.asarray(x, dtype=complex)
         n = self.ambient_dim
         if x.ndim < 2 or x.shape[-2:] != (n, n):
             raise DimensionMismatch(f"x: expected shape (..., {n}, {n}), got {x.shape}")
-        return (x.reshape(-1, n * n) @ self.flat.conj().T).reshape(x.shape[:-2] + (self.dim,))
+        return (x.reshape(-1, n * n).conj() @ self.flat.T).conj().reshape(
+            x.shape[:-2] + (self.dim,))
 
     def apply(self, images, x) -> np.ndarray:
         """The linear map sending the i-th basis element to images[i], at x in
@@ -132,19 +135,13 @@ class VnAlgebra:
             sig = block_decompose(self, tol)
         except (AmbiguousRank, DegenerateCenterElement, NonIntegralRank) as exc:
             raise InvalidAlgebra(f"span has no matrix-unit frame: {exc}") from exc
-        return {"product_closure": _require_law("product_closure", nk.worst(*(
+        return {"product_closure": nk.require(nk.worst(*(
             nk.span_residual(sig.unit_grid(i) / np.sqrt(m), self.flat)
-            for i, (_, m) in enumerate(sig.blocks))), tol.bound(1.0),
-            "span not closed under products, residual {:.3e}")}
+            for i, (_, m) in enumerate(sig.blocks))), tol.bound(1.0), InvalidAlgebra,
+            "span not closed under products, residual {:.3e}", law="product_closure")}
 
     def __repr__(self) -> str:
         return f"VnAlgebra(ambient_dim={self.ambient_dim}, dim={self.dim})"
-
-
-def _require_law(law: str, residual: float, bound: float, message: str) -> float:
-    """``nk.require`` for a law of the basis: InvalidAlgebra carries law, residual and bound."""
-    return nk.require(residual, bound, InvalidAlgebra, message,
-                      law=law, residual=residual, bound=bound)
 
 
 def _adjoint_residual(basis, gram) -> float:
@@ -531,8 +528,7 @@ def intertwiners(a: VnAlgebra, lefts=None, rights=None,
     residual = _generating_residual(sig, law_l, law_r) if generating else nk.law_residual(
         law_l, law_r, np.concatenate([x.reshape(-1, rows, cols) for x in parts]))
     nk.require(residual, bound, NotIntertwining,
-               "frame-read space breaks its intertwining law, residual {:.3e}",
-               residual=residual, bound=bound)
+               "frame-read space breaks its intertwining law, residual {:.3e}", law="intertwining")
     return parts
 
 

@@ -117,11 +117,9 @@ def _cmd_prodsys_commutant(scene, opts):
     diag = dict(q.residuals)
     order = nk.worst(*(prodsys.commutant_order_residual(p, q, s, t, opts.tol)
                        for s in range(p.horizon + 1) for t in range(p.horizon + 1 - s)))
-    bound = opts.tol.bound(1.0)
     diag["order_reversal"] = nk.require(
-        order, bound, errors.ProductSystemLawError,
-        "commutant product does not reverse the order, residual {:.3e}",
-        residual=order, bound=bound)
+        order, opts.tol.bound(1.0), errors.ProductSystemLawError,
+        "commutant product does not reverse the order, residual {:.3e}", law="order_reversal")
     return _system_payload(q), diag
 
 

@@ -74,7 +74,7 @@ class Correspondence:
                 right.ambient_dim != right_commutant.ambient_dim:
             raise DimensionMismatch("algebra and commutant live on different spaces")
         if check:
-            _check_light([self], tol)
+            _check_light(self, tol)
 
     def rho_of(self, a) -> np.ndarray:
         return self.left.apply(self.rho, a)
@@ -103,8 +103,8 @@ class Correspondence:
         """Both actions are unital *-homomorphisms (``endo.hom_residuals``),
         inner products of elements lie in the right algebra and the elements
         reach the whole carrier, else InvalidCorrespondence. Commutation of
-        the two ranges is checked at construction only, with unitality
-        (``_check_light``)."""
+        the two ranges is checked at construction only, with unitality, by
+        ``_check_light`` or by laws that imply it (``of_endomorphism``)."""
         worst = {}
         worst.update({"rho_" + k: v for k, v in
                       endo_mod.hom_residuals(self.left, self.rho).items()})
@@ -121,47 +121,47 @@ class Correspondence:
                                "invariants violated: {}")
 
 
-def _check_light(corrs, tol: nk.Tolerance) -> None:
-    """Unitality of each distinct action stack and commutation of the ranges
-    (``validate`` has the full laws). Each stack of the side with fewer
-    distinct stacks meets the other side's stacks, concatenated, in one
-    ``law_residual`` call: one per quotient for the tensors of a
-    product-system build; a lone correspondence is a group of one."""
-    lefts = {(id(c.left), id(c.rho)): (c.left, c.rho, "left action") for c in corrs}
-    rights = {(id(c.right_commutant), id(c.rho_prime)):
-              (c.right_commutant, c.rho_prime, "commutant action") for c in corrs}
-    for domain, images, what in (*lefts.values(), *rights.values()):
-        h = images.shape[1]
-        res = float(np.linalg.norm(domain.unit_coefficients @ images.reshape(
-            domain.dim, h * h) - np.eye(h).reshape(-1)))
-        nk.require(res, tol.bound(np.sqrt(h)), InvalidCorrespondence,
-                   what + " not unital, residual {:.3e}")
-    pairs = [(c.rho_prime, c.rho) for c in corrs]
-    if len(lefts) < len(rights):
-        pairs = [(rho, rho_prime) for rho_prime, rho in pairs]
-    groups = {}
-    for shared, other in pairs:
-        groups.setdefault(id(shared), (shared, {}))[1][id(other)] = other
-    for shared, others in groups.values():
-        # shared(x) other(y) - other(y) shared(x) over every pair
-        nk.require(nk.law_residual(shared, shared, np.concatenate(list(others.values()))),
-                   tol.bound(1.0), InvalidCorrespondence,
-                   "ranges do not commute, residual {:.3e}")
+def _check_unital(e: Correspondence, tol: nk.Tolerance) -> None:
+    """Both actions send the identity to the carrier's within tol.bound(sqrt(h))."""
+    h = e.carrier_dim
+    for law, domain, images, what in (("unital_left", e.left, e.rho, "left"), (
+            "unital_commutant", e.right_commutant, e.rho_prime, "commutant")):
+        nk.require(float(np.linalg.norm(domain.unit_coefficients @ images.reshape(
+            domain.dim, h * h) - np.eye(h).reshape(-1))), tol.bound(np.sqrt(h)),
+            InvalidCorrespondence, what + " action not unital, residual {:.3e}", law=law)
+
+
+def _check_light(e: Correspondence, tol: nk.Tolerance) -> None:
+    """Unitality and commutation of every pair of images (``validate`` has the rest)."""
+    _check_unital(e, tol)
+    nk.require(nk.law_residual(e.rho_prime, e.rho_prime, e.rho), tol.bound(1.0),
+               InvalidCorrespondence, "ranges do not commute, residual {:.3e}", law="commutation")
 
 
 def of_endomorphism(theta, right_commutant=None,
                     tol: nk.Tolerance = nk.DEFAULT_TOL) -> Correspondence:
     """Correspondence whose left action twists by the endomorphism.
 
-    Carrier is the ambient space, the commutant of the domain acts as
-    itself, and the domain acts through the map. The element space then
-    recovers the span of the domain algebra.
+    Carrier is the ambient space, the commutant B' of the domain B acts as
+    itself, and B acts through the map; the element space is span B. Laws:
+    unitality, theta(B) in span B (``span``, the bits of theta's own) and
+    [B, B'] = 0, which the default B' = commutant(B) holds as its own law
+    and a given B' passes as that law: the shorter generator list against
+    the other basis. With theta(b_i) = p_i + r_i, p_i in B, |r_i| <= s and
+    |b'_j|_op <= 1, |[theta(b_i), b'_j]| <= 2 s + |[p_i, b'_j]| (factor 2).
     """
     b = theta.domain
-    bp = right_commutant if right_commutant is not None else alg.commutant(b, tol)
-    return Correspondence(left=b, right=b, left_commutant=bp, right_commutant=bp,
-                          rho=theta.basis_images, rho_prime=bp.basis,
-                          carrier_dim=b.ambient_dim, tol=tol)
+    bp = alg.commutant(b, tol) if right_commutant is None else right_commutant
+    e = Correspondence(b, b, bp, bp, theta.basis_images, bp.basis, b.ambient_dim, tol, check=False)
+    _check_unital(e, tol)
+    nk.require(nk.span_residual(theta.basis_images, b.flat), tol.bound(1.0),
+               InvalidCorrespondence, "left action leaves span B, residual {:.3e}", law="span")
+    if right_commutant is not None:
+        gens, other = min((b.generators, bp), (bp.generators, b), key=lambda g: len(g[0]))
+        nk.require(nk.law_residual(gens, gens, other.basis), tol.bound(nk.worst_norm(gens)),
+                   InvalidCorrespondence, "ranges do not commute, residual {:.3e}",
+                   law="commutation")
+    return e
 
 
 def intertwiner_space(theta, right_commutant=None,
@@ -234,7 +234,7 @@ class TensorProduct:
     operators and (left lift) that element basis. In the iterate system
     E_t = {}_{theta^t}B the pairs with one t share the quotient and lifted B'
     action, in its commutant system the pairs with one s. ``check=False``
-    leaves the light check to the caller (``_check_light``).
+    skips ``_check_light`` for a caller whose laws imply it (``prodsys._build``).
     """
 
     def __init__(self, e: Correspondence, f: Correspondence,

@@ -99,7 +99,9 @@ class AlgebraMismatch(VnpairError):
 
 
 class InvalidCorrespondence(VnpairError):
-    """A stored commuting pair violates the correspondence invariants."""
+    """A stored commuting pair violates a correspondence law, named on it."""
+
+    law = residual = residuals = bound = None
 
 
 class GramNotPSD(VnpairError):
@@ -140,6 +142,8 @@ class NoUnitVector(VnpairError):
 
 class ProductSystemLawError(VnpairError):
     """A product-system identity (unitarity, marginals, associativity) failed."""
+
+    residuals = bound = None
 
 
 # --------------------------------------------------------------- multipliers

@@ -98,14 +98,17 @@ def memo():
 
 
 def require(residual: float, bound: float, error_cls, message: str, /,
-            *values, **attrs) -> float:
+            *values, law: str | None = None, **attrs) -> float:
     """The one verdict rule: pass when residual <= bound, else raise.
 
     A NaN residual or bound fails. The message is formatted only on
     failure, as message.format(residual, *values); attrs go to the error
-    constructor. Returns the residual, so callers can keep it.
+    constructor, and a named law adds law, residual and bound. Returns the
+    residual, so callers can keep it.
     """
     if not residual <= bound:
+        if law is not None:
+            attrs.update(law=law, residual=residual, bound=bound)
         raise error_cls(message.format(residual, *values), **attrs)
     return residual
 
@@ -113,12 +116,12 @@ def require(residual: float, bound: float, error_cls, message: str, /,
 def require_laws(residuals: dict, bound: float, error_cls, message: str) -> dict:
     """require for a dict of named residuals against one bound.
 
-    The message is formatted with the dict of the failing laws only.
-    Returns residuals unchanged.
+    The message and the error's ``residuals`` hold the failing laws only,
+    with ``bound``. Returns residuals unchanged.
     """
     bad = {k: v for k, v in residuals.items() if not v <= bound}
     if bad:
-        raise error_cls(message.format(bad))
+        raise error_cls(message.format(bad), residuals=bad, bound=bound)
     return residuals
 
 

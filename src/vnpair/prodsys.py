@@ -180,18 +180,17 @@ def _build(factors, action, make, what: str, tol: nk.Tolerance):
     """The build of a product system or a right dilation, on one ``numkernel.memo``.
 
     The tensor products of the pairs factors[key] = (e, f), each quotient and
-    lifted action computed once per distinct set of arrays it reads; one
-    ``correspondence._check_light`` of all of them before any solve (one
-    unitality check per distinct lifted stack, one commutation per
-    quotient); per key the map u with u phi = action(key, element basis of
-    e) (``_factor``, named what % key), once per distinct quotient and
-    action array. make(tensors, maps) gives the object; it keeps the memo
-    for its law terms and is validated.
+    lifted action computed once per distinct set of arrays it reads; per key
+    the map u with u phi = action(key, element basis of e) (``_factor``,
+    named what % key), once per distinct quotient and action array.
+    make(tensors, maps) gives the object; it keeps the memo for its law
+    terms and is validated. No tensor is light-checked: validate's ``unitary``
+    and ``bilinear`` laws carry its actions to its target member's; a
+    dilation's tensor lifts a member's action and phi phi+ = 1.
     """
     memo = nk.memo()
     tensors = {key: corr.TensorProduct(e, f, tol, memo=memo, check=False)
                for key, (e, f) in factors.items()}
-    corr._check_light([tp.corr for tp in tensors.values()], tol)
     maps = {}
     for key, tp in tensors.items():
         images = action(key, tp.e.element_space)
@@ -229,12 +228,11 @@ def from_endomorphism(theta, horizon: int,
     """
     horizon = nk.as_horizon(horizon)
     b = theta.domain
-    bp = alg.commutant(b, tol)
     theta.validate(tol)
     powers = endo_mod.iterates(theta, horizon)
-    members = [corr.of_endomorphism(p, right_commutant=bp, tol=tol) for p in powers]
-    # every member has the right commutant bp acting as itself, so they
-    # all have one element space: the span of B
+    members = [corr.of_endomorphism(p, tol=tol) for p in powers]
+    # every member has B' acting as itself, so they all have one element
+    # space: the span of B
     for member in members[1:]:
         member.element_space = members[0].element_space
     # theta^t(x_k) once per t, so the pairs with one t share one product
@@ -330,16 +328,16 @@ def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
     the system algebra on H; action_matrix(t, xs) takes the stacked element
     basis xs of E_t and returns, per slice x, the matrix of
     h -> w_t(x tensor h) on H. H enters as a correspondence from the system
-    algebra to the scalars. Members with one element space share one tensor
+    algebra to the scalars, checked for unitality only: its commutant action
+    is the identity. Members with one element space share one tensor
     quotient with H: for the iterate system, one for every t.
     """
     rho_images = np.asarray(rho_images, dtype=complex)
     h = rho_images.shape[1]
     scalars = alg.trivial_algebra(1)
-    space = corr.Correspondence(
-        left=p.algebra, right=scalars, left_commutant=p.commutant_algebra,
-        right_commutant=scalars, rho=rho_images,
-        rho_prime=np.eye(h, dtype=complex)[None, :, :], carrier_dim=h, tol=tol)
+    space = corr.Correspondence(p.algebra, scalars, p.commutant_algebra, scalars, rho_images,
+                                np.eye(h, dtype=complex)[None], h, tol, check=False)
+    corr._check_unital(space, tol)
     return _build({t: (member, space) for t, member in enumerate(p.members)}, action_matrix,
                   lambda *built: RightDilation(p, space, *built), "dilation map %d", tol)
 

@@ -55,6 +55,11 @@ faster route replaced, kept so that the faster route has a reference.
 - ``cocycle_residuals`` and ``cube_worst_cocycle``: the cocycle identity
   of a multiplier grid on the whole (N+1)^3 cube, before
   ``multiplier.validate`` checked it one slab of middle index at a time;
+- ``full_basis_commutation``: the commutation of a correspondence's two
+  ranges over every pair of basis images, which ``correspondence._check_light``
+  ran for every twisted correspondence and, batched, for the tensors of
+  every product-system build, before ``of_endomorphism`` checked the laws
+  that imply it and the builds left it to their ``bilinear`` law;
 - ``elementwise_matrix`` and ``elementwise_vector``: the [re, im] scene
   encoding built one entry at a time, before ``scenes.encode_matrix`` and
   ``scenes.encode_vector`` stacked the real and imaginary parts;
@@ -420,6 +425,13 @@ def generating_units_commutation(gens, parts) -> float:
     units x_p1, x_1q of the stacks x (shape (m, m, n, n))."""
     return nk.law_residual(gens, gens, np.concatenate(
         [np.concatenate([x[:, 0], x[0, 1:]]) for x in parts]))
+
+
+def full_basis_commutation(e) -> float:
+    """Worst |[rho(b_i), rho'(b'_j)]| over every pair of basis images of
+    the correspondence e, each commutator formed on its own."""
+    comm = e.rho[:, None] @ e.rho_prime[None] - e.rho_prime[None] @ e.rho[:, None]
+    return float(np.linalg.norm(comm, axis=(2, 3)).max())
 
 
 def x_stack_commutant_basis(sig) -> np.ndarray:

@@ -732,6 +732,20 @@ def test_invalid_algebra_carries_the_law_residual_and_bound():
         assert f"{err.residual:.3e}" in str(err)
 
 
+def test_unit_coefficients_copy_no_basis():
+    """The identity's coefficients conjugate the identity, not the basis:
+    the n = 64 commutant forms them within a tenth of one basis copy."""
+    bp = alg.commutant(alg.random_algebra(64, [(4, 8), (8, 4)], seed=1))
+    tracemalloc.start()
+    try:
+        coeffs = type(bp).unit_coefficients.func(bp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(coeffs, bp.unit_coefficients)
+    assert peak < bp.basis.nbytes / 10, (peak, bp.basis.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # coordinates in one place: VnAlgebra.coefficients and VnAlgebra.apply
 

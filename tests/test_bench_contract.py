@@ -1,17 +1,21 @@
-"""The benchmark's traced runs patch vnpair functions by name.
+"""The benchmark's traced runs patch vnpair functions by name, and its
+workloads call them with positional and keyword arguments.
 
-bench/tracing.py lists them in TARGETS and COUNTED; a name that no longer
-resolves breaks ``bench/run.py --trace 1``. The lists are read from the
-file's source, without importing the benchmark.
+bench/tracing.py lists the patched names in TARGETS and COUNTED; a name
+that no longer resolves breaks ``bench/run.py --trace 1``, and a call whose
+arguments no longer bind breaks a workload. Both are read from the files'
+source, without importing the benchmark.
 """
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _traced_names():
@@ -52,3 +56,47 @@ def test_no_module_binds_a_traced_function_by_import():
                 module = (node.module or "").removeprefix("vnpair.")
                 bound = {(module, alias.name) for alias in node.names} & traced
                 assert not bound, f"{path.stem} binds {sorted(bound)}"
+
+
+def _vnpair_calls(tree):
+    """(module, attribute path, positional count, keywords, line) of every
+    call through a name bound by ``from vnpair import module [as name]``;
+    the positional count is None when the call unpacks *args."""
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "vnpair"
+               for alias in node.names}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        path, owner = [], node.func
+        while isinstance(owner, ast.Attribute):
+            path.insert(0, owner.attr)
+            owner = owner.value
+        if path and isinstance(owner, ast.Name) and owner.id in modules:
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield (modules[owner.id], path, None if starred else len(node.args),
+                   [k.arg for k in node.keywords if k.arg is not None], node.lineno)
+
+
+@pytest.mark.skipif(not TRACING.exists(), reason="no bench/ next to the tests")
+def test_every_benchmark_call_still_binds():
+    """A signature change fails here, not in the benchmark: every call the
+    benchmark's files make through a vnpair module, such as
+    ``corr.of_endomorphism(theta, right_commutant=bp)``, binds its
+    positional count and keywords to the current signature."""
+    seen = 0
+    for path in sorted(BENCH.glob("*.py")):
+        for module, attrs, positional, keywords, line in _vnpair_calls(
+                ast.parse(path.read_text())):
+            target = importlib.import_module(f"vnpair.{module}")
+            for attr in attrs:
+                target = getattr(target, attr)
+            signature = inspect.signature(target)
+            bind = signature.bind if positional is not None else signature.bind_partial
+            try:
+                bind(*[None] * (positional or 0), **dict.fromkeys(keywords))
+            except TypeError as exc:
+                raise AssertionError(f"{path.name}:{line} {module}.{'.'.join(attrs)}: "
+                                     f"{exc}") from None
+            seen += 1
+    assert seen

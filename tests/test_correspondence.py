@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles as orc
 from vnpair import algebra as alg
 from vnpair import correspondence as corr
 from vnpair import endo
@@ -315,6 +316,124 @@ def test_light_check_rejects_nan_in_rho():
     with pytest.raises(InvalidCorrespondence,
                        match="^left action not unital, residual nan"):
         _rebuild(e, rho, e.rho_prime)
+
+
+# ---------------------------------------------------------------------------
+# the construction laws of a twisted correspondence, each checked once
+
+
+def _turn(n, delta, seed, within=None):
+    """exp(i delta h) for h the unit-norm Hermitian part of a random matrix
+    (an element of the algebra within, when given)."""
+    rng = np.random.default_rng(seed)
+    x = nk.random_complex((n, n), rng) if within is None else \
+        np.tensordot(nk.random_complex(within.dim, rng), within.basis, axes=(0, 0))
+    h = (x + x.conj().T) / 2.0
+    lam, vec = np.linalg.eigh(delta * h / np.linalg.norm(h))
+    return (vec * np.exp(1j * lam)) @ vec.conj().T
+
+
+def _off_span(b, seed):
+    """A stack r, one slice per basis element of b, orthogonal to span b
+    with sum_i c_i r_i = 0 for the unit coefficients c, so that b's basis
+    moved by r is mapped off the span by a map that is still unital; the
+    largest slice has unit norm."""
+    rng = np.random.default_rng(seed)
+    r = nk.random_complex(b.basis.shape, rng)
+    r -= b.project(r)
+    c = b.unit_coefficients
+    r -= c.conj()[:, None, None] * (np.tensordot(c, r, axes=1) / np.vdot(c, c))
+    return r / nk.worst_norm(r)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("kind", ["span", "rotation"])
+@pytest.mark.parametrize("n, blocks, seed, swap", [
+    (4, [(2, 1), (1, 2)], 3, False), (6, [(1, 2), (2, 2)], 5, False),
+    (6, [(3, 2)], 7, True), (8, [(2, 2), (2, 2)], 4, True)])
+def test_twisted_laws_bound_the_full_basis_commutation(n, blocks, seed, swap, kind, delta):
+    """theta's images moved delta off span B (the default B'), or a given B'
+    turned by a unitary delta away from the identity. Whenever
+    of_endomorphism's laws pass, the commutation over every pair of basis
+    images (``oracles.full_basis_commutation``) is within the stated
+    factor 2 of tol.bound(1.0); above it, they raise. swap makes B the
+    commutant of the sampled algebra, so that B''s generator list, not B's,
+    is the shorter one."""
+    tol = nk.DEFAULT_TOL
+    a = alg.random_algebra(n, blocks, seed=seed)
+    b, bp = (alg.commutant(a), a) if swap else (a, alg.commutant(a))
+    images, given = endo.from_unitary(b, _turn(n, 1.0, seed, within=b)).basis_images, None
+    if kind == "span":
+        images = images + delta * _off_span(b, seed)
+    else:
+        w = _turn(n, delta, seed + 1)
+        given = alg.VnAlgebra(n, w @ bp.basis @ w.conj().T,
+                              generators=w @ bp.generators @ w.conj().T)
+    right = bp if given is None else given
+    oracle = orc.full_basis_commutation(corr.Correspondence(
+        b, b, right, right, images, right.basis, n, tol=tol, check=False))
+    try:
+        corr.of_endomorphism(endo.Endomorphism(b, images), right_commutant=given, tol=tol)
+        raised = False
+    except InvalidCorrespondence as exc:
+        assert exc.law in ("unital_left", "span", "commutation")
+        assert not exc.residual <= exc.bound
+        raised = True
+    assert raised or oracle <= 2.0 * tol.bound(1.0), oracle
+    if delta != 1e-9:  # at the bound either verdict is right
+        assert raised == (delta > 1e-9)
+
+
+def test_a_default_commutant_adds_no_commutation_pass(monkeypatch):
+    """The default B' is the commutant, whose own law covers [B, B']: no
+    law_residual; a given B' costs one, of the shorter generator list."""
+    b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
+    bp = alg.commutant(b)
+    theta = endo.from_unitary(b, _turn(6, 1.0, 15, within=b))
+    shapes = []
+    law = nk.law_residual
+
+    def counted(lefts, rights, basis):
+        shapes.append((len(lefts), len(basis)))
+        return law(lefts, rights, basis)
+
+    monkeypatch.setattr(nk, "law_residual", counted)
+    e = corr.of_endomorphism(theta)
+    assert shapes == [] and e.right_commutant is bp
+    corr.of_endomorphism(theta, right_commutant=bp)
+    assert shapes == [(len(b.generators), bp.dim)]
+
+
+def test_construction_errors_carry_the_law_residual_and_bound():
+    """Each construction law names itself on its InvalidCorrespondence,
+    with the residual and the bound it failed."""
+    e = _two_block_corr()
+    b, w = e.left, _turn(4, 1e-3, 2)
+    cases = {"unital_left": lambda: _rebuild(e, 0.5 * e.rho, e.rho_prime),
+             "unital_commutant": lambda: _rebuild(e, e.rho, 0.5 * e.rho_prime),
+             "commutation": lambda: _rebuild(e, e.rho, w @ e.rho_prime @ w.conj().T),
+             "span": lambda: corr.of_endomorphism(
+                 endo.Endomorphism(b, b.basis + 1e-3 * _off_span(b, 1)))}
+    for law, build in cases.items():
+        with pytest.raises(InvalidCorrespondence) as info:
+            build()
+        err = info.value
+        assert err.law == law and not err.residual <= err.bound, law
+        assert f"{err.residual:.3e}" in str(err)
+
+
+def test_validate_failure_carries_the_failing_residuals_and_bound():
+    d2 = diag_algebra_2()
+    e = identity_corr(d2)
+    rho = e.rho.copy()
+    rho[1][0, 1] = np.nan
+    unchecked = corr.Correspondence(e.left, e.right, e.left_commutant, e.right_commutant,
+                                    rho, e.rho_prime, e.carrier_dim, check=False)
+    with pytest.raises(InvalidCorrespondence) as info:
+        unchecked.validate()
+    assert info.value.law is None and info.value.bound == nk.DEFAULT_TOL.bound(1.0)
+    assert info.value.residuals and all(not v <= info.value.bound
+                                        for v in info.value.residuals.values())
 
 
 def test_tolerance_reaches_every_element_space(monkeypatch):

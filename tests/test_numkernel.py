@@ -237,6 +237,13 @@ def test_require_laws_names_the_failing_laws():
     assert nk.require_laws({"a": 1.0}, 1.0, NotUnitary, "{}") == {"a": 1.0}
 
 
+def test_require_laws_attaches_the_failing_laws_and_bound():
+    with pytest.raises(NotUnitary) as info:
+        nk.require_laws({"a": 0.5, "b": 2.0, "c": float("nan")}, 1.0, NotUnitary, "{}")
+    assert sorted(info.value.residuals) == ["b", "c"] and info.value.bound == 1.0
+    assert info.value.residuals["b"] == 2.0
+
+
 def test_worst_keeps_nan_wherever_it_comes():
     nan = float("nan")
     assert nk.worst(1.0, 3.0, 2.0) == 3.0 and nk.worst(0.0) == 0.0

@@ -772,14 +772,12 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
     is evaluated once per (s, t); commutant members share a quotient, the
     lifted B' action and the product per left index, with associativity
     once per (r, s); the dilation of an iterate system needs a single
-    quotient and lifted H action. The light check of a build's tensors
-    makes one commutation law_residual call per quotient."""
+    quotient and lifted H action."""
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
     alg.commutant(b)  # the algebra's own commutant is not counted
     v = unitary_in(b, 15)
     theta = endo.from_unitary(b, v)
     counts = {}
-    checks = []  # commutation calls of each light check of several tensors
 
     def counting(key, original):
         def wrapper(*args, **kwargs):
@@ -787,52 +785,37 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
             return original(*args, **kwargs)
         return wrapper
 
-    check_light = corr._check_light
-
-    def checking(corrs, tol):
-        before = counts["commutations"]
-        check_light(corrs, tol)
-        if len(corrs) > 1:
-            checks.append(counts["commutations"] - before)
-
     for module, name, key in [
             (corr, "tensor_quotient", "quotients"), (alg, "intertwiners", "kernels"),
             (ps, "_factor", "solves"), (corr.TensorProduct, "lift_left", "left_lifts"),
             (corr.TensorProduct, "lift_right", "right_lifts"),
-            (ps, "_associativity", "associativity"), (nk, "law_residual", "commutations")]:
+            (ps, "_associativity", "associativity")]:
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
-    monkeypatch.setattr(corr, "_check_light", checking)
     n = horizon
     pairs = (n + 1) * (n + 2) // 2
 
     def counted(build):
         counts.update(dict.fromkeys(("quotients", "kernels", "solves", "left_lifts",
-                                     "right_lifts", "associativity", "commutations"), 0))
-        checks.clear()
+                                     "right_lifts", "associativity"), 0))
         out = build()
-        del counts["commutations"]
-        return out, dict(counts), list(checks)
+        return out, dict(counts)
 
-    p, c, k = counted(lambda: ps.from_endomorphism(theta, horizon))
+    p, c = counted(lambda: ps.from_endomorphism(theta, horizon))
     assert c == {"quotients": n + 1, "kernels": 1, "solves": n + 1,
                  "left_lifts": pairs, "right_lifts": n + 1, "associativity": pairs}
-    assert k == [n + 1]
     assert len(p.tensors) == pairs
-    _, c, k = counted(lambda: ps.commutant_system(p))
+    _, c = counted(lambda: ps.commutant_system(p))
     assert c == {"quotients": n + 1, "kernels": n + 1, "solves": n + 1,
                  "left_lifts": n + 1, "right_lifts": pairs, "associativity": pairs}
-    assert k == [n + 1]
-    w, c, k = counted(lambda: ps.right_dilation_from_unitary(p, v))
+    w, c = counted(lambda: ps.right_dilation_from_unitary(p, v))
     assert c == {"quotients": 1, "kernels": 0, "solves": n + 1,
                  "left_lifts": n + 1, "right_lifts": 1, "associativity": 0}
-    assert k == [1]
     # the commutant system once, with xi and the commutant of the action on
     # H on top; theta_w lifts 3 (n + 1) + pairs operators on H
-    _, c, k = counted(lambda: ps.commutant_via_dilation(p, w))
+    _, c = counted(lambda: ps.commutant_via_dilation(p, w))
     assert c == {"quotients": n + 1, "kernels": n + 3, "solves": n + 1,
                  "left_lifts": n + 1, "right_lifts": 2 * pairs + 3 * (n + 1),
                  "associativity": pairs}
-    assert k == [n + 1]
 
 
 def test_commutant_via_dilation_moves_each_element_basis_once(monkeypatch):
@@ -861,9 +844,10 @@ def test_commutant_via_dilation_moves_each_element_basis_once(monkeypatch):
     ("commutant_system", "lift_left", True), ("commutant_system", "lift_right", False)])
 def test_a_perturbed_lifted_slice_fails_the_light_check(monkeypatch, inner_system,
                                                           build, lift, shared):
-    """One slice of one lifted action off by 1e-3 raises InvalidCorrespondence
-    before any product is solved, whether the stack is shared by the pairs
-    of a quotient or belongs to one pair."""
+    """One slice of one lifted action off by 1e-3 fails the build's
+    ``bilinear`` law, which implies the unitality and commutation of the
+    tensor's actions that no construction check repeats, whether the stack
+    is shared by the pairs of a quotient or belongs to one pair."""
     _, _, theta, p = inner_system
     original = getattr(corr.TensorProduct, lift)
     calls = []
@@ -876,18 +860,38 @@ def test_a_perturbed_lifted_slice_fails_the_light_check(monkeypatch, inner_syste
             out[1] += 1e-3 * nk.random_complex(out.shape[1:], np.random.default_rng(0))
         return out
 
-    def no_solve(*args):
-        raise AssertionError("a product was solved before the light check")
-
     monkeypatch.setattr(corr.TensorProduct, lift, perturbed)
-    monkeypatch.setattr(ps, "_factor", no_solve)
-    with pytest.raises(InvalidCorrespondence):
+    with pytest.raises(ProductSystemLawError) as info:
         if build == "from_endomorphism":
             ps.from_endomorphism(theta, p.horizon)
         else:
             ps.commutant_system(p)
+    assert "bilinear" in info.value.residuals
+    assert info.value.residuals["bilinear"] > info.value.bound
     assert len(calls) == (p.horizon + 1 if shared else
                           (p.horizon + 1) * (p.horizon + 2) // 2)
+
+
+def test_builds_run_no_construction_check(monkeypatch, inner_system):
+    """The laws each build validates imply what ``_check_light`` would
+    check on its members and tensors, so no build runs it."""
+    _, v, theta, p = inner_system
+    calls = []
+    monkeypatch.setattr(corr, "_check_light", lambda e, tol: calls.append(e))
+    pc = ps.from_endomorphism(theta, p.horizon)
+    ps.commutant_system(pc)
+    ps.right_dilation_from_unitary(pc, v)
+    assert calls == []
+
+
+def test_a_non_unital_dilation_space_is_rejected_first(inner_system):
+    """H's action is checked for unitality before any quotient is formed."""
+    b, v, _, p = inner_system
+    for rho in (0.5 * b.basis, np.where(np.arange(b.dim)[:, None, None] == 1,
+                                        np.nan, b.basis)):
+        with pytest.raises(InvalidCorrespondence) as info:
+            ps.right_dilation_from_unitary(p, v, rho_images=rho)
+        assert info.value.law == "unital_left"
 
 
 def _built_alone(monkeypatch, build):
