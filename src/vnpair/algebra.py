@@ -123,8 +123,8 @@ class VnAlgebra:
 
     def contains(self, x, tol: nk.Tolerance = nk.DEFAULT_TOL) -> nk.MatchReport:
         x = nk.as_matrix(x, "x")
-        residual = float(np.linalg.norm(x - self.project(x)))
-        return nk.MatchReport(residual <= tol.bound(nk.frobenius(x)), residual)
+        residual, bound = float(np.linalg.norm(x - self.project(x))), tol.bound(nk.frobenius(x))
+        return nk.MatchReport(residual <= bound, residual, bound)
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
         """Product closure, else InvalidAlgebra: the span is closed when its
@@ -318,12 +318,13 @@ def equals(a: VnAlgebra, b: VnAlgebra,
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch(
             f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
+    bound = tol.bound(a.dim ** 0.5, b.dim ** 0.5)
     if a is b:
-        return nk.MatchReport(True, 0.0)
+        return nk.MatchReport(True, 0.0, bound)
     residual = float(np.hypot(
         np.linalg.norm(a.flat - (a.flat @ b.flat.conj().T) @ b.flat),
         np.linalg.norm(b.flat - (b.flat @ a.flat.conj().T) @ a.flat)))
-    return nk.MatchReport(residual <= tol.bound(a.dim ** 0.5, b.dim ** 0.5), residual)
+    return nk.MatchReport(residual <= bound, residual, bound)
 
 
 def center(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:

@@ -21,9 +21,9 @@ import numpy as np
 from . import algebra as alg
 from . import endo as endo_mod
 from . import numkernel as nk
-from .errors import (AlgebraMismatch, DimensionMismatch, EmptyTensorProduct,
-                     GramNotPSD, InvalidCorrespondence, NotIntertwining,
-                     NotIsometric)
+from .errors import (AlgebraMismatch, DimensionMismatch, DomainsNotCommutant,
+                     EmptyTensorProduct, GramNotPSD, InvalidCorrespondence,
+                     NotIntertwining, NotIsometric)
 
 
 def inner_products(x) -> np.ndarray:
@@ -62,13 +62,11 @@ class Correspondence:
         self.rho = np.asarray(rho, dtype=complex)
         self.rho_prime = np.asarray(rho_prime, dtype=complex)
         h = self.carrier_dim
-        if self.rho.shape != (left.dim, h, h):
-            raise DimensionMismatch(
-                f"rho shape {self.rho.shape}, expected {(left.dim, h, h)}")
-        if self.rho_prime.shape != (right_commutant.dim, h, h):
-            raise DimensionMismatch(
-                f"rho_prime shape {self.rho_prime.shape}, "
-                f"expected {(right_commutant.dim, h, h)}")
+        for name, images, domain in (("rho", self.rho, left),
+                                     ("rho_prime", self.rho_prime, right_commutant)):
+            if images.shape != (domain.dim, h, h):
+                raise DimensionMismatch(
+                    f"{name} shape {images.shape}, expected {(domain.dim, h, h)}")
         self._read = nk.memo()  # its tables and joint frames (find_isomorphism)
         if left.ambient_dim != left_commutant.ambient_dim or \
                 right.ambient_dim != right_commutant.ambient_dim:
@@ -105,18 +103,15 @@ class Correspondence:
         reach the whole carrier, else InvalidCorrespondence. Commutation of
         the two ranges is checked at construction only, with unitality, by
         ``_check_light`` or by laws that imply it (``of_endomorphism``)."""
-        worst = {}
-        worst.update({"rho_" + k: v for k, v in
-                      endo_mod.hom_residuals(self.left, self.rho).items()})
-        worst.update({"rho_prime_" + k: v for k, v in endo_mod.hom_residuals(
-            self.right_commutant, self.rho_prime).items()})
+        sides = (("rho", self.left, self.rho), ("rho_prime", self.right_commutant, self.rho_prime))
+        worst = {f"{side}_{k}": v for side, domain, images in sides
+                 for k, v in endo_mod.hom_residuals(domain, images).items()}
         x = self.element_space
         # inner products of elements land in the right algebra
         worst["inner_in_right"] = nk.span_residual(inner_products(x), self.right.flat)
         # elements reach the whole carrier
         cols = x.transpose(1, 0, 2).reshape(self.carrier_dim, -1)
-        worst["nondegenerate"] = 0.0 if nk.numeric_rank(cols, tol) == self.carrier_dim \
-            else 1.0
+        worst["nondegenerate"] = float(nk.numeric_rank(cols, tol) != self.carrier_dim)
         return nk.require_laws(worst, tol.bound(1.0), InvalidCorrespondence,
                                "invariants violated: {}")
 
@@ -143,25 +138,43 @@ def of_endomorphism(theta, right_commutant=None,
     """Correspondence whose left action twists by the endomorphism.
 
     Carrier is the ambient space, the commutant B' of the domain B acts as
-    itself, and B acts through the map; the element space is span B. Laws:
-    unitality, theta(B) in span B (``span``, the bits of theta's own) and
-    [B, B'] = 0, which the default B' = commutant(B) holds as its own law
-    and a given B' passes as that law: the shorter generator list against
-    the other basis. With theta(b_i) = p_i + r_i, p_i in B, |r_i| <= s and
-    |b'_j|_op <= 1, |[theta(b_i), b'_j]| <= 2 s + |[p_i, b'_j]| (factor 2).
+    itself, and B acts through the map; the element space is span B. Each
+    law is checked where it lives: theta's by ``theta.validate`` (cached on
+    the map), B' acting unitally by its ``identity`` law, [B, B'] = 0 by the
+    commutant's law, which a given B' within r of it keeps up to 2 |b| r
+    (``require_commutant``). With theta(b_i) = p_i + r_i, p_i in B, |r_i| <= s
+    and |b'|_op <= 1, |[theta(b_i), b']| <= 2 s + |[p_i, b']| (factor 2).
     """
+    theta.validate(tol)
+    return _twisted(theta, alg.commutant(theta.domain, tol) if right_commutant is None
+                    else require_commutant(theta.domain, right_commutant, tol), tol)
+
+
+def _twisted(theta, bp, tol: nk.Tolerance) -> Correspondence:
+    """{}_theta B over B' with no check, for a caller that holds the proofs:
+    theta validated and bp the commutant of its domain (``of_endomorphism``)."""
     b = theta.domain
-    bp = alg.commutant(b, tol) if right_commutant is None else right_commutant
-    e = Correspondence(b, b, bp, bp, theta.basis_images, bp.basis, b.ambient_dim, tol, check=False)
-    _check_unital(e, tol)
-    nk.require(nk.span_residual(theta.basis_images, b.flat), tol.bound(1.0),
-               InvalidCorrespondence, "left action leaves span B, residual {:.3e}", law="span")
-    if right_commutant is not None:
-        gens, other = min((b.generators, bp), (bp.generators, b), key=lambda g: len(g[0]))
-        nk.require(nk.law_residual(gens, gens, other.basis), tol.bound(nk.worst_norm(gens)),
-                   InvalidCorrespondence, "ranges do not commute, residual {:.3e}",
-                   law="commutation")
-    return e
+    return Correspondence(b, b, bp, bp, theta.basis_images, bp.basis, b.ambient_dim, tol,
+                          check=False)
+
+
+def require_commutant(b, bp, tol: nk.Tolerance):
+    """bp, once it is the commutant of b, else DomainsNotCommutant naming the
+    law: ``commutation``, the shorter generator list against the other basis
+    within tol.bound(its largest norm); ``commutant``, bp within r of
+    commutant(b) (``algebra.equals``), whose law then bounds each [b, b'] by
+    |[b, c]| + 2 |b| r. Then bp takes over the commutant's frame."""
+    gens, other = min((b.generators, bp), (bp.generators, b), key=lambda g: len(g[0]))
+    nk.require(nk.law_residual(gens, gens, other.basis), tol.bound(nk.worst_norm(gens)),
+               DomainsNotCommutant, "ranges do not commute, residual {:.3e}",
+               law="commutation")
+    comm = alg.commutant(b, tol)
+    match = alg.equals(bp, comm, tol)
+    nk.require(match.residual, match.bound, DomainsNotCommutant,
+               "second domain is not the commutant of the first, distance {:.3e}",
+               law="commutant")
+    alg.adopt_frame(bp, comm, tol)
+    return bp
 
 
 def intertwiner_space(theta, right_commutant=None,
@@ -169,9 +182,8 @@ def intertwiner_space(theta, right_commutant=None,
     """Correspondence over the commutant whose elements intertwine the map.
 
     The element space consists of the x with theta(b) x = x b; the commutant
-    algebra acts by plain multiplication on both sides. These are the fields
-    of the commutant of the twisted correspondence, whose construction runs
-    the same checks.
+    algebra acts by plain multiplication on both sides: the fields of the
+    commutant of the twisted correspondence, built with its checks.
     """
     return commutant(of_endomorphism(theta, right_commutant, tol))
 

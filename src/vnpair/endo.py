@@ -32,10 +32,13 @@ class Endomorphism:
             raise DimensionMismatch(
                 f"images shape {self.basis_images.shape} does not match "
                 f"domain basis shape {domain.basis.shape}")
-        # [i, j] = <b_i, theta(b_j)>; coefficients(images).T differs in the last bits
-        self.coefficient_matrix = domain.flat.conj() @ \
-            self.basis_images.reshape(domain.dim, -1).T
         self._iterates: list[Endomorphism] = []
+
+    @functools.cached_property
+    def coefficient_matrix(self) -> np.ndarray:
+        """[i, j] = <b_i, theta(b_j)>, on first read; coefficients(images).T, or
+        conjugating the images' side (no basis copy), differs in the last bits."""
+        return self.domain.flat.conj() @ self.basis_images.reshape(self.domain.dim, -1).T
 
     def __call__(self, x) -> np.ndarray:
         """Apply to an ambient matrix lying in the domain span; a stack of
@@ -53,13 +56,13 @@ class Endomorphism:
         span, unital, multiplicative, star; return the residuals."""
         res = self.law_residuals
         nk.require(res["span"], tol.bound(1.0), ImageOutsideAlgebra,
-                   "image leaves the algebra span, residual {:.3e}")
+                   "image leaves the algebra span, residual {:.3e}", law="span")
         nk.require(res["unital"], tol.bound(np.sqrt(self.domain.ambient_dim)), NotUnital,
-                   "identity maps with residual {:.3e}")
+                   "identity maps with residual {:.3e}", law="unital")
         nk.require(res["multiplicative"], tol.bound(1.0), NotMultiplicative,
-                   "product residual {:.3e} on the frame's matrix units")
+                   "product residual {:.3e} on the frame's matrix units", law="multiplicative")
         nk.require(res["star"], tol.bound(1.0), NotStar,
-                   "adjoint residual {:.3e} on the frame's matrix units")
+                   "adjoint residual {:.3e} on the frame's matrix units", law="star")
         return dict(res)
 
     def __repr__(self) -> str:
@@ -112,7 +115,8 @@ def make(domain: alg.VnAlgebra, images, tol: nk.Tolerance = nk.DEFAULT_TOL) -> E
 
 
 def identity(domain: alg.VnAlgebra) -> Endomorphism:
-    return Endomorphism(domain, domain.basis.copy())
+    # a view: no copy, yet not the basis object that intertwiners takes for the defining one
+    return Endomorphism(domain, domain.basis.view())
 
 
 def from_unitary(domain: alg.VnAlgebra, u, direction: str = "adjoint",
@@ -136,7 +140,7 @@ def from_unitary(domain: alg.VnAlgebra, u, direction: str = "adjoint",
         raise ValueError(f"direction must be 'adjoint' or 'direct', got {direction!r}")
     theta = Endomorphism(domain, images)
     nk.require(theta.law_residuals["span"], tol.bound(1.0), AlgebraNotInvariant,
-               "conjugation moves the span, worst basis residual {:.3e}")
+               "conjugation moves the span, worst basis residual {:.3e}", law="span")
     theta.validate(tol)
     return theta
 

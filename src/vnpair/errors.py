@@ -9,8 +9,11 @@ where it is useful programmatically, as attributes.
 class VnpairError(Exception):
     """Base class for all package-specific failures.
 
-    Keyword arguments become attributes of the error.
+    Keyword arguments become attributes of the error; a failed named law
+    (``numkernel.require``) sets law, residual and bound, otherwise None.
     """
+
+    law = residual = bound = None
 
     def __init__(self, message: str = "", **attrs):
         super().__init__(message)
@@ -31,7 +34,7 @@ class NonIntegralRank(VnpairError):
     """The trace of a projection, its rank, is not an integer within
     bound; carries the trace, the rounded rank and the bound."""
 
-    trace = rank = bound = None
+    trace = rank = None
 
 
 class AmbiguousRank(VnpairError):
@@ -54,8 +57,6 @@ class DegenerateCenterElement(VnpairError):
 class InvalidAlgebra(VnpairError):
     """A stored basis violates the *-algebra invariants; a failed check of
     the basis or its generators carries the law, the residual and the bound."""
-
-    law = residual = bound = None
 
 
 # ----------------------------------------------------------- endomorphisms
@@ -101,7 +102,7 @@ class AlgebraMismatch(VnpairError):
 class InvalidCorrespondence(VnpairError):
     """A stored commuting pair violates a correspondence law, named on it."""
 
-    law = residual = residuals = bound = None
+    residuals = None
 
 
 class GramNotPSD(VnpairError):
@@ -143,7 +144,7 @@ class NoUnitVector(VnpairError):
 class ProductSystemLawError(VnpairError):
     """A product-system identity (unitarity, marginals, associativity) failed."""
 
-    residuals = bound = None
+    residuals = None
 
 
 # --------------------------------------------------------------- multipliers
@@ -156,7 +157,7 @@ class CocycleViolation(VnpairError):
     """The two-variable cocycle identity fails at some grid triple; carries
     the first worst triple, its residual and the bound."""
 
-    triple = residual = bound = None
+    triple = None
 
 
 class BoundaryViolation(VnpairError):
@@ -200,11 +201,11 @@ class NotPairedInput(VnpairError):
 class CocycleResidual(VnpairError):
     """The operator cocycle identities fail beyond tolerance."""
 
-    step = residual = None
+    step = None
 
 
-class DomainsNotCommutant(VnpairError):
-    """The two domains are not each other's commutant."""
+class DomainsNotCommutant(InvalidCorrespondence):
+    """The two domains are not each other's commutant; carries law, residual, bound."""
 
 
 # ----------------------------------------------------------------------- cli

@@ -53,10 +53,11 @@ DEFAULT_TOL = Tolerance()
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Boolean verdict plus the Frobenius residual that produced it."""
+    """Boolean verdict, the Frobenius residual that produced it and its bound."""
 
     ok: bool
     residual: float
+    bound: float
 
     def __bool__(self) -> bool:
         return self.ok

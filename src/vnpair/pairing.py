@@ -17,9 +17,8 @@ from . import algebra as alg
 from . import correspondence as corr
 from . import endo as endo_mod
 from . import numkernel as nk
-from .errors import (CocycleResidual, DomainsNotCommutant, NotFaithful,
-                     NotPairedInput, NotUnitary, NotUnitaryImage,
-                     PairingCheckFailed, RelationB, RelationBPrime)
+from .errors import (CocycleResidual, NotFaithful, NotPairedInput, NotUnitary,
+                     NotUnitaryImage, PairingCheckFailed, RelationB, RelationBPrime)
 
 
 class PairingCertificate:
@@ -31,8 +30,7 @@ class PairingCertificate:
 
     def __init__(self, unitary=None, table_left=None, table_right=None,
                  residuals=None):
-        self.unitary = None if unitary is None else np.asarray(unitary,
-                                                               dtype=complex)
+        self.unitary = None if unitary is None else np.asarray(unitary, dtype=complex)
         self.table_left = table_left
         self.table_right = table_right
         self.residuals = dict(residuals) if residuals else {}
@@ -71,19 +69,6 @@ def _check_unitary(u, n, tol: nk.Tolerance) -> np.ndarray:
     return u
 
 
-def _commutant_domains(theta, theta_prime, tol: nk.Tolerance):
-    """Check that theta_prime's domain B' spans the commutant of B; then B' takes
-    over the commutant's frame, that of B transposed (``algebra.adopt_frame``)."""
-    b, bp = theta.domain, theta_prime.domain
-    comm = alg.commutant(b, tol)
-    match = alg.equals(bp, comm, tol)
-    if not match:
-        raise DomainsNotCommutant(
-            f"second domain is not the commutant of the first, "
-            f"distance {match.residual:.3e}")
-    alg.adopt_frame(bp, comm, tol)
-
-
 def check_pairing(u, theta, theta_prime, horizon: int = 4,
                   tol: nk.Tolerance = nk.DEFAULT_TOL) -> PairingCertificate:
     """Verify that conjugation by u implements both maps, plus all powers.
@@ -92,11 +77,12 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     theta_prime(b') on the basis of B', and the same relations must hold
     for u^k against the k-th iterates up to the horizon. Both maps pass
     ``Endomorphism.validate`` at every horizon before their iterates are
-    compared; their law residuals and iterates are computed once per map,
-    and a B' without a frame takes that of B (``_commutant_domains``).
+    compared; their law residuals and iterates are computed once per map.
+    B' must be the commutant of B (``correspondence.require_commutant``:
+    within r of it, so [b, b'] is within 2 |b| r of the commutant's law).
     """
     horizon = nk.as_horizon(horizon)
-    _commutant_domains(theta, theta_prime, tol)
+    corr.require_commutant(theta.domain, theta_prime.domain, tol)
     u = _check_unitary(u, theta.domain.ambient_dim, tol)
     return _relations(u, theta, theta_prime, horizon, tol)
 
@@ -150,18 +136,14 @@ def isomorphism_from_pairing(u, theta, theta_prime,
     x = source.element_space
     moved = u @ x
     # over every pair (x_i, b_j): u theta(b_j) x_i = b_j u x_i
+    y = target.element_space
     worst = {"inner": float(np.abs(corr.inner_products(moved)
                                    - corr.inner_products(x)).max()),
              "left_covariant": nk.worst_norm(
                  u @ (theta.basis_images @ x[:, None]) - b.basis @ moved[:, None]),
-             "target_span": 0.0}
-    y = target.element_space
-    if y.shape[0] != x.shape[0]:
-        worst["target_span"] = 1.0
-    else:
-        worst["target_span"] = nk.worst(
-            nk.span_residual(moved, y.reshape(y.shape[0], -1)),
-            nk.span_residual(y, moved.reshape(moved.shape[0], -1)))
+             "target_span": 1.0 if y.shape[0] != x.shape[0] else nk.worst(
+                 nk.span_residual(moved, y.reshape(y.shape[0], -1)),
+                 nk.span_residual(y, moved.reshape(moved.shape[0], -1)))}
     nk.require_laws(worst, tol.bound(1.0), PairingCheckFailed,
                     "induced bimodule map fails: {}")
     return CorrespondenceIso(source, target, u, residuals=worst)
@@ -189,8 +171,8 @@ def _eq33_residuals(u, theta) -> dict:
     src = (theta.basis_images @ root).transpose(1, 0, 2).reshape(n, -1)
     dst = (b @ u @ root).transpose(1, 0, 2).reshape(n, -1)
     u33 = nk.lstsq_map(src, dst)
-    solve = float(np.linalg.norm(u33 @ src - dst))
-    return {"eq33_solve": solve, "eq33_match": float(np.linalg.norm(u33 - u))}
+    return {"eq33_solve": float(np.linalg.norm(u33 @ src - dst)),
+            "eq33_match": float(np.linalg.norm(u33 - u))}
 
 
 def pairing_from_isomorphism(iso, theta, theta_prime,
@@ -207,7 +189,7 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
     res = nk.unitarity_residual(u) if u.shape == (n, n) else np.inf  # shape first
     nk.require(res, tol.bound(np.sqrt(n)), NotUnitaryImage,
                "image of the identity is not unitary, residual {:.3e}")
-    _commutant_domains(theta, theta_prime, tol)
+    corr.require_commutant(theta.domain, theta_prime.domain, tol)
     return _pairing_of(u, theta, theta_prime, tol)
 
 
@@ -225,13 +207,14 @@ def _pairing_of(u, theta, theta_prime, tol: nk.Tolerance) -> PairingCertificate:
 
 
 def _twisted_pair(theta, theta_prime, tol: nk.Tolerance, f=None):
-    """(e, f) on compared domains: e the twisted correspondence of theta over
-    B', f the commutant of that of theta_prime over B. f reads theta_prime
-    and B's basis only, so an f given for another map on that basis is kept."""
-    e = corr.of_endomorphism(theta, right_commutant=theta_prime.domain, tol=tol)
+    """(e, f): e the twisted correspondence of theta over B', f the commutant
+    of that of theta_prime over B, built unchecked: the caller validated both
+    maps and found B' within r of commutant(B) (``require_commutant``), so
+    [B, B'] is within 2 |b| r of the commutant's law. f reads theta_prime and
+    B's basis only, so an f given for another map on that basis is kept."""
+    e = corr._twisted(theta, theta_prime.domain, tol)
     if f is None:
-        f = corr.commutant(corr.of_endomorphism(theta_prime, right_commutant=theta.domain,
-                                                tol=tol))
+        f = corr.commutant(corr._twisted(theta_prime, theta.domain, tol))
     return e, f
 
 
@@ -242,12 +225,10 @@ def can_pair(theta, theta_prime,
     Paired outcomes carry a verified unitary; unpaired outcomes carry the
     two joint multiplicity tables that differ. Both are read off the frame of B
     and that of B'; a B' without one takes B's, so the unitary follows B's basis.
-
     Both maps pass ``Endomorphism.validate`` once the domains are compared
-    and before any table is read, so a raw ``Endomorphism`` that is not a
-    unital *-homomorphism raises its law error (NotMultiplicative, ...)
-    rather than coming back NotPaired: NotPaired certifies that the tables
-    of two valid faithful maps differ.
+    and before any table is read, so a raw map that is not a unital
+    *-homomorphism raises its law error (NotMultiplicative, ...): NotPaired
+    certifies that the tables of two valid faithful maps differ.
     """
     return next(_decisions((theta,), theta_prime, tol))
 
@@ -265,7 +246,7 @@ def _decisions(thetas, theta_prime, tol: nk.Tolerance):
         if f is None:
             if not endo_mod.is_faithful(theta_prime, tol):
                 raise NotFaithful("second map is not faithful")
-            _commutant_domains(theta, theta_prime, tol)
+            corr.require_commutant(theta.domain, theta_prime.domain, tol)
         for g in (theta, theta_prime) if f is None else (theta,):
             g.validate(tol)
         e, f = _twisted_pair(theta, theta_prime, tol, f)

@@ -224,15 +224,15 @@ def from_endomorphism(theta, horizon: int,
     """Product system of the iterates of a unital endomorphism.
 
     E_t is the algebra with left action twisted by the t-th iterate; the
-    product sends x (tensor) y to theta^t(x) y.
+    product sends x (tensor) y to theta^t(x) y. Composites of the validated
+    theta are valid and B' = commutant(B) commutes by its own law: no E_t is checked.
     """
     horizon = nk.as_horizon(horizon)
     b = theta.domain
     theta.validate(tol)
     powers = endo_mod.iterates(theta, horizon)
-    members = [corr.of_endomorphism(p, tol=tol) for p in powers]
-    # every member has B' acting as itself, so they all have one element
-    # space: the span of B
+    members = [corr._twisted(p, alg.commutant(b, tol), tol) for p in powers]
+    # B' acts as itself on every member, so all have one element space: span B
     for member in members[1:]:
         member.element_space = members[0].element_space
     # theta^t(x_k) once per t, so the pairs with one t share one product

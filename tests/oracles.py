@@ -241,8 +241,8 @@ def projection_distance(a: alg.VnAlgebra, b: alg.VnAlgebra,
     pa = a.flat.conj().T @ a.flat
     pb = b.flat.conj().T @ b.flat
     residual = float(np.linalg.norm(pa - pb))
-    return nk.MatchReport(residual <= tol.bound(nk.frobenius(pa), nk.frobenius(pb)),
-                          residual)
+    bound = tol.bound(nk.frobenius(pa), nk.frobenius(pb))
+    return nk.MatchReport(residual <= bound, residual, bound)
 
 
 def basis_pair_hom_residuals(domain: alg.VnAlgebra, images) -> dict:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 import oracles as orc
 from vnpair import algebra as alg
 from vnpair import cli
+from vnpair import endo
 from vnpair import multiplier as mult
 from vnpair import numkernel as nk
 from vnpair import prodsys
@@ -702,3 +704,105 @@ def test_a_command_loads_only_the_modules_it_uses(scene_dir, argv, loaded):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) == loaded
+
+
+LEDGER_COMMANDS = ("corr-commutant", "corr-intertwiners", "corr-iso", "corr-of-endo",
+                   "corr-tensor", "prodsys-build", "prodsys-commutant", "dilation-commutant",
+                   "pair", "pair-check", "cocycle-link")
+
+
+def _digest(arg) -> str:
+    """sha1 of an argument's arrays: an ndarray, an algebra's basis, or the
+    arrays of a list or tuple; other arguments add nothing."""
+    if isinstance(arg, alg.VnAlgebra):
+        arg = arg.basis
+    if isinstance(arg, (list, tuple)):
+        return ",".join(_digest(a) for a in arg)
+    if isinstance(arg, np.ndarray):
+        return hashlib.sha1(np.ascontiguousarray(arg).tobytes() + str(arg.shape).encode()
+                            ).hexdigest()
+    return ""
+
+
+@pytest.mark.parametrize("scene", ["paired", "linked"])
+def test_each_law_is_evaluated_once_per_command(scene_dir, monkeypatch, scene):
+    """The law ledger: inside the command's handler, after the scene is
+    loaded, no law kernel (span, commutation, factored commutation, the
+    homomorphism laws) and no span comparison runs twice on the same
+    arrays."""
+    ledger, recording, repeats = [], [], {}
+    for module, name in ((nk, "span_residual"), (nk, "law_residual"),
+                         (nk, "factored_law_residual"), (endo, "hom_residuals"),
+                         (alg, "equals")):
+        real = getattr(module, name)
+
+        def spy(*args, real=real, name=name):
+            if recording and not (name == "equals" and args[0] is args[1]):
+                ledger.append((name, tuple(_digest(a) for a in args)))
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    for command in LEDGER_COMMANDS:
+        handler, horizon, entries = cli._COMMANDS[command]
+
+        def recorded(*args, handler=handler):
+            recording.append(True)
+            try:
+                return handler(*args)
+            finally:
+                recording.clear()
+        monkeypatch.setitem(cli._COMMANDS, command, (recorded, horizon, entries))
+        ledger.clear()
+        run_cli([command, "--input", path(scene_dir, scene)])
+        for key in set(ledger):
+            if ledger.count(key) > 1:
+                repeats[command, key[0]] = repeats.get((command, key[0]), 0) + 1
+    assert repeats == {}
+
+
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+
+
+def _array_shapes(value, where: str, out: dict) -> dict:
+    """Shape of every array in value, keyed by its path."""
+    if isinstance(value, np.ndarray):
+        out[where] = list(value.shape)
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            _array_shapes(v, f"{where}.{k}", out)
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            _array_shapes(v, f"{where}[{i}]", out)
+    return out
+
+
+def _report_shape(code: int, report: dict) -> dict:
+    """What a report promises apart from its numbers: exit code, status,
+    error type, payload and diagnostics keys, and every array's shape."""
+    return {"code": code, "status": report["status"],
+            "error": (report.get("error") or {}).get("type"),
+            "payload_keys": sorted(report["payload"]),
+            "diagnostics_keys": sorted(report["diagnostics"]),
+            "shapes": _array_shapes(report["payload"], "payload", {})}
+
+
+def _scene_runs(scene_dir, emitted) -> dict:
+    """_report_shape of every scene command on every test scene, at the
+    default tolerance and at --tol 0.5, keyed "command scene tolerance"."""
+    runs = {}
+    for tag, extra in (("default", []), ("0.5", ["--tol", "0.5"])):
+        for name in SCENE_NAMES:
+            for command in cli._COMMANDS:
+                code, _, _ = run_cli([command, "--input", path(scene_dir, name)] + extra)
+                runs[f"{command} {name} {tag}"] = _report_shape(code, emitted[-1])
+    return runs
+
+
+def test_scene_reports_keep_their_golden_shape(scene_dir, emitted):
+    """No change of verdict, key or array shape: each of the 532 scene runs
+    matches ``cli_golden.json`` (no float values are stored). A deliberate
+    change of a report rewrites that file from ``_scene_runs``."""
+    runs = _scene_runs(scene_dir, emitted)
+    golden = json.loads(GOLDEN.read_text())
+    assert len(runs) == len(SCENE_NAMES) * len(cli._COMMANDS) * 2 == len(golden)
+    changed = sorted(k for k in golden if runs.get(k) != golden[k])
+    assert not changed, (changed[:5], [runs.get(k) for k in changed[:2]])

@@ -7,9 +7,10 @@ from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
-from vnpair.errors import (AlgebraMismatch, DimensionMismatch, EmptyTensorProduct,
-                           InvalidCorrespondence, NonIntegralRank, NotIntertwining,
-                           NotIsometric)
+from vnpair.errors import (AlgebraMismatch, DimensionMismatch, DomainsNotCommutant,
+                           EmptyTensorProduct, ImageOutsideAlgebra, InvalidCorrespondence,
+                           NonIntegralRank, NotIntertwining, NotIsometric,
+                           NotMultiplicative)
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -356,9 +357,11 @@ def test_twisted_laws_bound_the_full_basis_commutation(n, blocks, seed, swap, ki
     turned by a unitary delta away from the identity. Whenever
     of_endomorphism's laws pass, the commutation over every pair of basis
     images (``oracles.full_basis_commutation``) is within the stated
-    factor 2 of tol.bound(1.0); above it, they raise. swap makes B the
-    commutant of the sampled algebra, so that B''s generator list, not B's,
-    is the shorter one."""
+    factor 2 of tol.bound(1.0); above it, they raise: a law of theta's own
+    (its span law first; at the bound its multiplicative law may fail
+    instead), or a law of ``require_commutant`` (DomainsNotCommutant). swap
+    makes B the commutant of the sampled algebra, so that B''s generator
+    list, not B's, is the shorter one."""
     tol = nk.DEFAULT_TOL
     a = alg.random_algebra(n, blocks, seed=seed)
     b, bp = (alg.commutant(a), a) if swap else (a, alg.commutant(a))
@@ -375,8 +378,12 @@ def test_twisted_laws_bound_the_full_basis_commutation(n, blocks, seed, swap, ki
     try:
         corr.of_endomorphism(endo.Endomorphism(b, images), right_commutant=given, tol=tol)
         raised = False
-    except InvalidCorrespondence as exc:
-        assert exc.law in ("unital_left", "span", "commutation")
+    except (ImageOutsideAlgebra, NotMultiplicative, DomainsNotCommutant) as exc:
+        assert (type(exc), exc.law) in {
+            "span": ((ImageOutsideAlgebra, "span"), (NotMultiplicative, "multiplicative")),
+            "rotation": ((DomainsNotCommutant, "commutation"),
+                         (DomainsNotCommutant, "commutant"))}[kind]
+        assert exc.law == "span" or delta <= 1e-9 or kind == "rotation"
         assert not exc.residual <= exc.bound
         raised = True
     assert raised or oracle <= 2.0 * tol.bound(1.0), oracle
@@ -405,8 +412,9 @@ def test_a_default_commutant_adds_no_commutation_pass(monkeypatch):
 
 
 def test_construction_errors_carry_the_law_residual_and_bound():
-    """Each construction law names itself on its InvalidCorrespondence,
-    with the residual and the bound it failed."""
+    """Each construction law names itself on its error, with the residual
+    and the bound it failed: InvalidCorrespondence for the light check, and
+    theta's own ImageOutsideAlgebra for an image off span B."""
     e = _two_block_corr()
     b, w = e.left, _turn(4, 1e-3, 2)
     cases = {"unital_left": lambda: _rebuild(e, 0.5 * e.rho, e.rho_prime),
@@ -415,7 +423,8 @@ def test_construction_errors_carry_the_law_residual_and_bound():
              "span": lambda: corr.of_endomorphism(
                  endo.Endomorphism(b, b.basis + 1e-3 * _off_span(b, 1)))}
     for law, build in cases.items():
-        with pytest.raises(InvalidCorrespondence) as info:
+        with pytest.raises(ImageOutsideAlgebra if law == "span" else
+                           InvalidCorrespondence) as info:
             build()
         err = info.value
         assert err.law == law and not err.residual <= err.bound, law
@@ -496,3 +505,49 @@ def test_order_reversal_between_carriers_of_different_dimension_is_not_isometric
     tp._phi3 = tp.phi.reshape(tp.carrier_dim + 1, *tp._phi3.shape[1:])
     with pytest.raises(NotIsometric, match="carrier dimensions differ"):
         corr.tensor_commutant_iso(e, e, tp=tp)
+
+
+def test_a_given_commuting_algebra_smaller_than_the_commutant_is_rejected():
+    """B' = C 1 commutes with B = M_2 (x) 1_2, so it passes the generator
+    law, but it is not the commutant 1_2 (x) M_2: its twisted
+    correspondence would have 16 elements, not 4."""
+    b = alg.random_algebra(4, [(2, 2)], seed=3)
+    with pytest.raises(DomainsNotCommutant) as info:
+        corr.of_endomorphism(endo.identity(b), right_commutant=alg.trivial_algebra(4))
+    err = info.value
+    assert err.law == "commutant" and not err.residual <= err.bound
+    assert f"{err.residual:.3e}" in str(err)
+
+
+def test_require_commutant_checks_the_generators_first_and_returns_bp():
+    """M_2 against itself fails the generator law, law ``commutation``,
+    before any commutant is compared; DomainsNotCommutant is an
+    InvalidCorrespondence, for callers that catch the construction error of
+    a twisted correspondence. A B' with the commutant's span is returned."""
+    m2 = alg.full_matrix_algebra(2)
+    with pytest.raises(InvalidCorrespondence) as info:
+        corr.require_commutant(m2, m2, nk.DEFAULT_TOL)
+    err = info.value
+    assert isinstance(err, DomainsNotCommutant) and m2._commutants == {}
+    assert err.law == "commutation" and not err.residual <= err.bound
+    assert f"{err.residual:.3e}" in str(err)
+    b = alg.random_algebra(4, [(2, 2)], seed=3)
+    bp = alg.VnAlgebra(4, alg.commutant(b).basis[::-1])
+    assert corr.require_commutant(b, bp, nk.DEFAULT_TOL) is bp
+
+
+def test_of_endomorphism_reads_the_laws_of_a_validated_map(monkeypatch):
+    """A validated theta keeps its law residuals: no span residual, no law
+    residual and no hom residual is computed again, for the default B' and
+    for a given one."""
+    b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
+    bp = alg.commutant(b)
+    theta = endo.from_unitary(b, _turn(6, 1.0, 15, within=b))
+    calls = []
+    for module, name in ((nk, "span_residual"), (endo, "hom_residuals")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    e = corr.of_endomorphism(theta)
+    corr.of_endomorphism(theta, right_commutant=bp)
+    assert calls == [] and e.rho is theta.basis_images

@@ -403,3 +403,46 @@ def test_law_checks_read_the_frame_at_the_domain_tolerance():
         alg.block_decompose(a)
     theta = endo.from_unitary(a, np.eye(5), tol=tol)
     assert 1e-9 < max(theta.law_residuals.values()) < 1e-5
+
+
+def test_each_law_error_names_its_law_residual_and_bound():
+    """The four laws of ``Endomorphism.validate`` and from_unitary's
+    invariance check raise errors that carry law, residual and bound, with
+    the residual in the message."""
+    d2, m2 = diag_algebra_2(), alg.full_matrix_algebra(2)
+    e01 = np.array([[0, 1], [0, 0]], dtype=complex)
+    s, s_inv = np.diag([1.0, 2.0]), np.diag([1.0, 0.5])
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    cases = [
+        (ImageOutsideAlgebra, "span", lambda: endo.make(d2, [e01, e01.conj().T])),
+        (NotUnital, "unital", lambda: endo.make(d2, np.array([np.diag([1.0, 0.0])] * 2))),
+        (NotMultiplicative, "multiplicative",
+         lambda: endo.make(m2, m2.basis.transpose(0, 2, 1).copy())),
+        (NotStar, "star", lambda: endo.make(m2, s @ m2.basis @ s_inv)),
+        (AlgebraNotInvariant, "span", lambda: endo.from_unitary(d2, hadamard))]
+    for error, law, build in cases:
+        with pytest.raises(error) as info:
+            build()
+        err = info.value
+        assert err.law == law and not err.residual <= err.bound, error
+        assert f"{err.residual:.3e}" in str(err)
+
+
+def test_building_a_map_copies_no_basis():
+    """A map on the n = 64 commutant of [(4, 8), (8, 4)] (5 MiB of basis)
+    allocates well under one basis copy: the identity shares its domain's
+    basis, and the coefficient matrix is formed on first read only."""
+    bp = alg.commutant(alg.random_algebra(64, [(4, 8), (8, 4)], seed=1))
+    images = bp.basis.copy()
+    tracemalloc.start()
+    try:
+        maps = [endo.identity(bp), endo.Endomorphism(bp, images)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bp.basis.nbytes / 100
+    assert np.shares_memory(maps[0].basis_images, bp.basis)
+    assert maps[0].basis_images is not bp.basis  # not read as the defining representation
+    assert "coefficient_matrix" not in vars(maps[1])
+    assert np.array_equal(maps[1].coefficient_matrix,
+                          bp.flat.conj() @ images.reshape(bp.dim, -1).T)

@@ -369,7 +369,7 @@ def test_a_domain_that_is_not_the_commutant_takes_no_frame(two_block):
     b, _ = two_block
     wrong = alg.VnAlgebra(b.ambient_dim, b.basis[::-1])
     with pytest.raises(DomainsNotCommutant):
-        pr._commutant_domains(endo.identity(b), endo.identity(wrong), nk.DEFAULT_TOL)
+        corr.require_commutant(b, wrong, nk.DEFAULT_TOL)
     assert wrong._frames == {}
 
 
@@ -578,8 +578,8 @@ def test_cocycle_link_builds_the_partner_side_once(two_block, monkeypatch):
     b, bp = two_block
     theta1, theta2, theta_prime = _unchecked(b, 31), _unchecked(b, 37), endo.identity(bp)
     calls = {}
-    for module, name in ((corr, "of_endomorphism"), (endo, "is_faithful"),
-                         (pr, "_commutant_domains"), (corr, "_table_against"),
+    for module, name in ((corr, "_twisted"), (endo, "is_faithful"),
+                         (corr, "require_commutant"), (corr, "_table_against"),
                          (corr, "_joint_frame")):
         seen = calls.setdefault(name, [])
         real = getattr(module, name)
@@ -587,8 +587,27 @@ def test_cocycle_link_builds_the_partner_side_once(two_block, monkeypatch):
                             seen.append(first) or real(first, *args, **kw))
     family = pr.cocycle_link(theta1, theta2, theta_prime, horizon=2)
     assert len(family) == 2
-    assert calls["of_endomorphism"] == [theta1, theta_prime, theta2]
+    assert calls["_twisted"] == [theta1, theta_prime, theta2]
     assert calls["is_faithful"] == [theta1, theta_prime, theta2]
-    assert calls["_commutant_domains"] == [theta1]
+    assert calls["require_commutant"] == [b]
     for name in ("_table_against", "_joint_frame"):
         assert len(calls[name]) == len(set(map(id, calls[name]))) == 3
+
+
+def test_one_generator_law_per_decision(monkeypatch):
+    """[B, B'] = 0 is evaluated once per can_pair decision, by
+    ``require_commutant``, and once for both decisions of cocycle_link:
+    the twisted correspondences are built on that proof, not re-checked."""
+    model, b, bp = _fresh_domains(5)
+    bases = []
+    real = nk.law_residual
+    monkeypatch.setattr(nk, "law_residual", lambda lefts, rights, basis: bases.append(
+        basis) or real(lefts, rights, basis))
+
+    def generator_laws():
+        return sum(x is b.basis or x is bp.basis for x in bases)
+    assert pr.can_pair(_inner(model, b, 31), endo.identity(bp)).paired
+    assert generator_laws() == 1
+    bases.clear()
+    pr.cocycle_link(_inner(model, b, 31), _inner(model, b, 37), endo.identity(bp), horizon=2)
+    assert generator_laws() == 1

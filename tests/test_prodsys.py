@@ -1041,3 +1041,19 @@ def test_bhat_requires_an_automorphism():
     trace = endo.Endomorphism(b, np.array([np.trace(x) / 2 * np.eye(2) for x in b.basis]))
     with pytest.raises(NotFaithful, match="automorphism"):
         ps.bhat_system(trace, np.array([1.0, 0.0]), 2)
+
+
+def test_iterate_members_are_built_without_their_span_check(monkeypatch):
+    """theta is validated once; its iterates are valid as composites, so no
+    span residual of any theta^t is computed, and every member is built
+    unchecked over the one commutant B'."""
+    b = alg.random_algebra(4, [(2, 1), (1, 2)], seed=3)
+    theta = endo.Endomorphism(b, endo.from_unitary(b, unitary_in(b, 11)).basis_images)
+    rows = []
+    real = nk.span_residual
+    monkeypatch.setattr(nk, "span_residual", lambda r, f: rows.append(r) or real(r, f))
+    p = ps.from_endomorphism(theta, horizon=4)
+    powers = endo.iterates(theta, 4)
+    assert sum(r is theta.basis_images for r in rows) == 1  # theta's own law
+    assert not any(r is q.basis_images for r in rows for q in powers)
+    assert len({id(m.right_commutant) for m in p.members}) == 1
