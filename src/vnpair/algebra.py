@@ -39,7 +39,7 @@ class VnAlgebra:
     basis in coordinates of its own (``commutant``): the orthonormality and
     adjoint-closure checks read it instead of the d x n^2 Gram product.
     Instances are immutable; ``commutant`` and ``block_decompose`` cache
-    their results.
+    their results per tolerance, for every later call over the algebra.
     """
 
     def __init__(self, ambient_dim: int, basis, generators=None,
@@ -397,7 +397,8 @@ def block_decompose(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> BlockSi
     if cached is not None:
         return cached
     n = a.ambient_dim
-    a._check_unit(tol)
+    if tol != a.tol:  # construction checked the identity at a.tol
+        a._check_unit(tol)
     rng = np.random.default_rng(nk.PROBE_SEED)
     h, g = (np.tensordot(nk.random_complex(a.dim, rng), a.basis, axes=(0, 0)) for _ in range(2))
     h = h + h.conj().T

@@ -341,9 +341,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
 
     def fail(exc, code):
-        report = _report(args.command, "fail", {}, {}, started,
-                         error={"type": type(exc).__name__, "message": str(exc),
-                                "location": args.input or "(no input)"})
+        report = _report(args.command, "fail", {}, {}, started, error={
+            "type": type(exc).__name__, "message": str(exc),
+            "location": args.input or "(no input)",
+            **{k: getattr(exc, k) for k in ("law", "residual", "residuals", "bound")
+               if getattr(exc, k) is not None}})
         _emit(report, args.out,
               f"{args.command}: fail ({type(exc).__name__}: {exc})")
         return code

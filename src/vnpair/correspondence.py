@@ -67,7 +67,7 @@ class Correspondence:
             if images.shape != (domain.dim, h, h):
                 raise DimensionMismatch(
                     f"{name} shape {images.shape}, expected {(domain.dim, h, h)}")
-        self._read = nk.memo()  # its tables and joint frames (find_isomorphism)
+        self._read = nk.memo()  # tables and frames, for cocycle_link's 2nd find_isomorphism
         if left.ambient_dim != left_commutant.ambient_dim or \
                 right.ambient_dim != right_commutant.ambient_dim:
             raise DimensionMismatch("algebra and commutant live on different spaces")

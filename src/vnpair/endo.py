@@ -22,7 +22,7 @@ class Endomorphism:
     """Linear map on an algebra, stored through basis images.
 
     The factories below run the law checks; the constructor only wires the
-    data. Instances are immutable: law residuals and iterates are kept on first use.
+    data. Instances are immutable: law residuals are kept on first use, iterates never.
     """
 
     def __init__(self, domain: alg.VnAlgebra, basis_images: np.ndarray):
@@ -32,7 +32,6 @@ class Endomorphism:
             raise DimensionMismatch(
                 f"images shape {self.basis_images.shape} does not match "
                 f"domain basis shape {domain.basis.shape}")
-        self._iterates: list[Endomorphism] = []
 
     @functools.cached_property
     def coefficient_matrix(self) -> np.ndarray:
@@ -47,7 +46,7 @@ class Endomorphism:
 
     @functools.cached_property
     def law_residuals(self) -> dict:
-        """Span (worst basis image) and ``hom_residuals``; no tolerance."""
+        """Span (worst basis image) and ``hom_residuals``; no tolerance, for each validate."""
         return {"span": nk.span_residual(self.basis_images, self.domain.flat),
                 **hom_residuals(self.domain, self.basis_images)}
 
@@ -163,14 +162,14 @@ def _after(f: Endomorphism, g: Endomorphism) -> np.ndarray:
 
 
 def iterates(f: Endomorphism, k: int) -> list[Endomorphism]:
-    """A fresh list [id, f, f f, ..., f^k]: the first k + 1 entries of a memo
-    kept on f, which is immutable, so each iterate is composed once per map.
-    No law check runs here: callers validate f before the first iterate is
-    used, and composites of a valid map are valid."""
-    k, memo = _exponent(k), f._iterates
-    while len(memo) <= k:
-        memo.append(Endomorphism(f.domain, _after(f, memo[-1])) if memo else identity(f.domain))
-    return memo[:k + 1]
+    """[id, f, f f, ..., f^k], composed afresh on each call, each from the one
+    before (``_after``): f keeps none, so the iterates live only as long as
+    the caller's list. No law check runs here: callers validate f before the
+    first iterate is used, and composites of a valid map are valid."""
+    powers = [identity(f.domain)]
+    for _ in range(_exponent(k)):
+        powers.append(Endomorphism(f.domain, _after(f, powers[-1])))
+    return powers
 
 
 def _exponent(k) -> int:

@@ -10,10 +10,11 @@ class VnpairError(Exception):
     """Base class for all package-specific failures.
 
     Keyword arguments become attributes of the error; a failed named law
-    (``numkernel.require``) sets law, residual and bound, otherwise None.
+    (``numkernel.require``) sets law, residual and bound, a failed set of
+    laws (``numkernel.require_laws``) residuals and bound, otherwise None.
     """
 
-    law = residual = bound = None
+    law = residual = residuals = bound = None
 
     def __init__(self, message: str = "", **attrs):
         super().__init__(message)
@@ -102,8 +103,6 @@ class AlgebraMismatch(VnpairError):
 class InvalidCorrespondence(VnpairError):
     """A stored commuting pair violates a correspondence law, named on it."""
 
-    residuals = None
-
 
 class GramNotPSD(VnpairError):
     """An interior-tensor Gram matrix has a significantly negative eigenvalue."""
@@ -143,8 +142,6 @@ class NoUnitVector(VnpairError):
 
 class ProductSystemLawError(VnpairError):
     """A product-system identity (unitarity, marginals, associativity) failed."""
-
-    residuals = None
 
 
 # --------------------------------------------------------------- multipliers

@@ -11,6 +11,8 @@ pairable endomorphisms by an operator cocycle.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import algebra as alg
@@ -77,7 +79,7 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
     theta_prime(b') on the basis of B', and the same relations must hold
     for u^k against the k-th iterates up to the horizon. Both maps pass
     ``Endomorphism.validate`` at every horizon before their iterates are
-    compared; their law residuals and iterates are computed once per map.
+    compared; law residuals are computed once per map, iterates once per call.
     B' must be the commutant of B (``correspondence.require_commutant``:
     within r of it, so [b, b'] is within 2 |b| r of the commutant's law).
     """
@@ -101,14 +103,13 @@ def _relations(u, theta, theta_prime, horizon: int,
     # each map is valid, so its iterates are valid as composed
     theta.validate(tol)
     theta_prime.validate(tol)
-    powers, powers_prime = (endo_mod.iterates(f, horizon) for f in (theta, theta_prime))
-    worst_pow = 0.0
-    uk = u.copy()
-    for k in range(2, horizon + 1):
-        uk = uk @ u
-        worst_pow = nk.worst(
-            worst_pow, nk.worst_norm(uk.conj().T @ b.basis @ uk - powers[k].basis_images),
-            nk.worst_norm(uk @ bp.basis @ uk.conj().T - powers_prime[k].basis_images))
+    uk = list(itertools.accumulate([u] * horizon, np.matmul))[1:]  # u^2, ..., u^horizon
+    # the powers of theta, then those of theta_prime: one map's iterates at a time
+    worst_pow = nk.worst(0.0, *(nk.worst_norm(v.conj().T @ b.basis @ v - f.basis_images)
+                                for v, f in zip(uk, endo_mod.iterates(theta, horizon)[2:])))
+    worst_pow = nk.worst(worst_pow, *(
+        nk.worst_norm(v @ bp.basis @ v.conj().T - f.basis_images)
+        for v, f in zip(uk, endo_mod.iterates(theta_prime, horizon)[2:])))
     nk.require(worst_pow, tol.bound(1.0), RelationB,
                "powers of u fail to implement the iterates, residual {:.3e}")
     return PairingCertificate(unitary=u, residuals={
@@ -299,14 +300,13 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
         raise CocycleResidual(
             f"link is not in the algebra, residual {report.residual:.3e}",
             step=1, residual=float(report.residual))
-    # _decisions validated both maps
-    powers1, powers2 = (endo_mod.iterates(f, horizon) for f in (theta1, theta2))
+    # _decisions validated both maps; theta2's iterates live for one loop only
+    powers1 = endo_mod.iterates(theta1, horizon)
     family = [c1]
     for s in range(1, horizon):
         family.append(family[-1] @ powers1[s](c1))
-    for k, c in enumerate(family, start=1):
-        worst = nk.worst_norm(c @ powers1[k].basis_images @ c.conj().T
-                              - powers2[k].basis_images)
+    for k, (c, power2) in enumerate(zip(family, endo_mod.iterates(theta2, horizon)[1:]), 1):
+        worst = nk.worst_norm(c @ powers1[k].basis_images @ c.conj().T - power2.basis_images)
         nk.require(worst, tol.bound(1.0), CocycleResidual,
                    "conjugation fails at step {1}, residual {0:.3e}", k,
                    step=k, residual=worst)

@@ -32,11 +32,11 @@ class DiscreteProductSystem:
     E_0 is the identity correspondence of the underlying algebra and the
     maps with a zero index reduce to the module actions.
 
-    Action stacks, basis products and the law terms of ``validate`` are
-    memoized by the arrays they read (``numkernel.memo``). Iterate systems
-    share them per t and commutant systems per s: at horizon N a build
-    solves N+1 products and evaluates associativity on (N+1)(N+2)/2 index
-    pairs, not on (N+1)(N+2)(N+3)/6 triples.
+    Action stacks, basis products and the law terms of ``validate`` stay in
+    ``_terms`` (``numkernel.memo``), read again by ``commutant_order_residual``
+    and ``SystemRepresentation.validate``. Iterate systems share them per t
+    and commutant systems per s: at horizon N a build solves N+1 products and
+    evaluates associativity on (N+1)(N+2)/2 pairs, not (N+1)(N+2)(N+3)/6 triples.
     """
 
     def __init__(self, algebra, members, tensors, products, source=None):
@@ -183,8 +183,8 @@ def _build(factors, action, make, what: str, tol: nk.Tolerance):
     lifted action computed once per distinct set of arrays it reads; per key
     the map u with u phi = action(key, element basis of e) (``_factor``,
     named what % key), once per distinct quotient and action array.
-    make(tensors, maps) gives the object; it keeps the memo for its law
-    terms and is validated. No tensor is light-checked: validate's ``unitary``
+    make(tensors, maps) gives the object, validated into its own ``_terms``:
+    the memo dies with the build. No tensor is light-checked: validate's ``unitary``
     and ``bilinear`` laws carry its actions to its target member's; a
     dilation's tensor lifts a member's action and phi phi+ = 1.
     """
@@ -196,7 +196,6 @@ def _build(factors, action, make, what: str, tol: nk.Tolerance):
         images = action(key, tp.e.element_space)
         maps[key] = memo(_factor, (tp.phi, tp.phi_pinv, images), tp, images, tol, what % key)
     built = make(tensors, maps)
-    built._terms = memo
     built.residuals = built.validate(tol)
     return built
 
@@ -386,6 +385,7 @@ class SystemRepresentation:
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
         sysm = self.system
         imgs = self.images
+        gram = nk.memo()  # x_k* x_l once per distinct element basis
         worst = {"multiplicative": 0.0, "inner": 0.0}
         for s in range(sysm.horizon + 1):
             for t in range(sysm.horizon + 1 - s):
@@ -399,8 +399,7 @@ class SystemRepresentation:
             # eta_t(x_k)* eta_t(x_l) against eta_0(x_k* x_l)
             lhs = imgs[t].conj().transpose(0, 2, 1)[:, None] @ imgs[t][None]
             x = sysm.members[t].element_space
-            coeffs = sysm.members[0].element_coefficients(
-                sysm._terms(corr.inner_products, (x,), x))
+            coeffs = sysm.members[0].element_coefficients(gram(corr.inner_products, (x,), x))
             worst["inner"] = nk.worst(worst["inner"], nk.worst_norm(
                 lhs - np.tensordot(coeffs, imgs[0], axes=(-1, 0))))
         return nk.require_laws(worst, tol.bound(1.0), ProductSystemLawError,

@@ -70,7 +70,11 @@ faster route replaced, kept so that the faster route has a reference.
   ``correspondence.rep_apply``, ``endo.hom_residuals``,
   ``algebra._legs``, ``correspondence.tensor_quotient`` and
   ``TensorProduct.lift_left`` each computed them, before
-  ``VnAlgebra.coefficients`` and ``VnAlgebra.apply`` did for all of them.
+  ``VnAlgebra.coefficients`` and ``VnAlgebra.apply`` did for all of them;
+- ``central_table`` and ``predicted_table``: a joint multiplicity table
+  read off the central projections alone, and the table of an interior
+  tensor product predicted from those of its factors, table(E (x) F) =
+  table(E) Pi table(F), a law the package does not use yet.
 """
 
 from __future__ import annotations
@@ -598,3 +602,31 @@ def inline_coefficients(flat, x) -> np.ndarray:
     over its leading axes, as ``correspondence.tensor_quotient`` and
     ``TensorProduct.lift_left`` formed them inline."""
     return x.reshape(x.shape[:-2] + (flat.shape[1],)) @ flat.conj().T
+
+
+def central_table(e, tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
+    """Joint multiplicities of e: tr(rho(P_i) rho'(Q_j)) / (a_i a'_j) over the
+    central projections P_i (summand M_{a_i}) of the left algebra and Q_j
+    (summand M_{a'_j}) of the right commutant, summands in the order of
+    ``algebra.block_decompose``: the isotypic part of the pair (i, j) holds
+    a_i a'_j copies of the joint minimal projection's range."""
+    left_sig, right_sig = (alg.block_decompose(a, tol) for a in (e.left, e.right_commutant))
+    traces = np.einsum("iab,jba->ij", e.rho_of(left_sig.central_projections),
+                       e.rho_prime_of(right_sig.central_projections)).real
+    sizes = np.outer([a for a, _ in left_sig.blocks], [a for a, _ in right_sig.blocks])
+    return np.rint(traces / sizes).astype(int)
+
+
+def summand_match(e, f, tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
+    """Pi[j, i] = 1 when summand j of the right commutant of e and summand i
+    of the left algebra of f, its commutant, have one central projection."""
+    p, q = (alg.block_decompose(a, tol).central_projections
+            for a in (e.right_commutant, f.left))
+    return (np.linalg.norm(p[:, None] - q[None], axis=(2, 3)) < 1e-6).astype(int)
+
+
+def predicted_table(e, f, tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
+    """The table of the interior tensor product of e and f, table(e) Pi table(f):
+    a summand M_b of the middle algebra links the copies of (i, b) in e to
+    those of (b, k) in f."""
+    return central_table(e, tol) @ summand_match(e, f, tol) @ central_table(f, tol)

@@ -806,3 +806,30 @@ def test_scene_reports_keep_their_golden_shape(scene_dir, emitted):
     assert len(runs) == len(SCENE_NAMES) * len(cli._COMMANDS) * 2 == len(golden)
     changed = sorted(k for k in golden if runs.get(k) != golden[k])
     assert not changed, (changed[:5], [runs.get(k) for k in changed[:2]])
+
+
+def test_failure_report_carries_the_residual_and_bound(scene_dir):
+    """multbad breaks the cocycle identity by about 5e-3: CocycleViolation
+    carries its residual and bound, and names no law."""
+    report, _ = run_json(["mult-check", "--input", path(scene_dir, "multbad")], 1)
+    error = report["error"]
+    assert error["type"] == "CocycleViolation"
+    assert list(error) == ["type", "message", "location", "residual", "bound"]
+    assert 1e-3 < error["residual"] and error["bound"] == nk.DEFAULT_TOL.bound(1.0)
+
+
+def test_failure_report_names_the_law(tmp_path):
+    """A map whose images leave the span fails its span law, which the
+    report names with its residual and bound."""
+    d2 = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    images = [b + 1e-3 * np.array([[0.0, 1.0], [1.0, 0.0]]) for b in d2]
+    scene = tmp_path / "perturbed.json"
+    scene.write_text(json.dumps({
+        "ambient_dim": 2, "algebras": {"a": {"generators": [enc(g) for g in d2]}},
+        "endomorphisms": {"theta": {"domain": "a",
+                                    "basis_images": [enc(y) for y in images]}}}))
+    report, _ = run_json(["endo-validate", "--input", str(scene)], 1)
+    error = report["error"]
+    assert (error["type"], error["law"]) == ("ImageOutsideAlgebra", "span")
+    assert error["bound"] == nk.DEFAULT_TOL.bound(1.0) < 1e-3 < error["residual"]
+    assert "residuals" not in error

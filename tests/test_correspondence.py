@@ -7,6 +7,7 @@ from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
+from vnpair import selftest as st
 from vnpair.errors import (AlgebraMismatch, DimensionMismatch, DomainsNotCommutant,
                            EmptyTensorProduct, ImageOutsideAlgebra, InvalidCorrespondence,
                            NonIntegralRank, NotIntertwining, NotIsometric,
@@ -551,3 +552,38 @@ def test_of_endomorphism_reads_the_laws_of_a_validated_map(monkeypatch):
     e = corr.of_endomorphism(theta)
     corr.of_endomorphism(theta, right_commutant=bp)
     assert calls == [] and e.rho is theta.basis_images
+
+
+def _table(e) -> np.ndarray:
+    """The package's joint multiplicity table of e, as find_isomorphism reads it."""
+    frames = (alg.block_decompose(e.left), alg.block_decompose(e.right_commutant))
+    return np.array(corr._table_against(e, *frames, nk.DEFAULT_TOL).counts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tables_multiply_under_the_tensor_product(seed):
+    """table(E (x) F) = table(E) Pi table(F), Pi matching the summands of B'
+    to those of B by their central projections, on the selftest samplers:
+    every tensor product of two sampled correspondences; every product of
+    the iterate system of a paired instance, E_s (x) E_t against E_{s+t};
+    and the iterates, table(theta^k) = (T Pi)^(k-1) T with T = table(theta)."""
+    rng = np.random.default_rng(seed)
+    sa, sb, sc = (st.sample_algebra(rng, 6, max_dim=10) for _ in range(3))
+    mults_e = st.random_joint_multiplicities(rng, sa, sb, 10)
+    e = st.random_correspondence(sa, sb, rng, mults=mults_e)
+    f = st.random_correspondence(sb, sc, rng, mults=st.random_joint_multiplicities(
+        rng, sb, sc, 10, rows=np.flatnonzero(mults_e.any(axis=0))))
+    for x in (e, f):
+        assert np.array_equal(_table(x), orc.central_table(x))
+    assert np.array_equal(_table(corr.TensorProduct(e, f).corr), orc.predicted_table(e, f))
+
+    theta = st._paired_instance(rng, nk.DEFAULT_TOL)[2]
+    p = ps.from_endomorphism(theta, 3)
+    for (s, t), tp in p.tensors.items():
+        table = _table(tp.corr)
+        assert np.array_equal(table, _table(p.members[s + t]))
+        assert np.array_equal(table, orc.predicted_table(p.members[s], p.members[t]))
+    step = _table(p.members[1]) @ orc.summand_match(p.members[1], p.members[1])
+    for k in range(1, 4):
+        assert np.array_equal(_table(p.members[k]),
+                              np.linalg.matrix_power(step, k - 1) @ _table(p.members[1]))

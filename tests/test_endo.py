@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -90,21 +91,23 @@ def test_exponents_must_be_nonnegative_integers(k):
         endo.power(theta, k)
 
 
-def test_iterates_are_composed_once_per_map():
+def test_iterates_are_composed_afresh_and_not_kept():
+    """Each call composes new iterates, which agree with the einsum oracle,
+    and the map holds none of them afterwards."""
     b = alg.random_algebra(6, [(2, 1), (1, 2), (1, 2)], seed=8)
     theta = endo.from_unitary(b, selftest.unitary_inside(b, np.random.default_rng(3)))
     first = endo.iterates(theta, 2)
     later = endo.iterates(theta, 5)
     assert len(first) == 3 and len(later) == 6
-    assert all(x is y for x, y in zip(first, later))
+    assert not any(x is y for x, y in zip(first, later))
     for power_k, oracle in zip(later, orc.einsum_iterates(theta, 5)):
         assert np.abs(power_k.basis_images - oracle).max() <= 1e-15
-    # the lists are fresh: changing one leaves the memo as it was
-    kept = list(later)
-    later.clear()
-    first[1] = endo.identity(b)
-    again = endo.iterates(theta, 5)
-    assert len(again) == 6 and all(x is y for x, y in zip(again, kept))
+    for x, y in zip(first, later):
+        assert np.array_equal(x.basis_images, y.basis_images)
+    assert set(vars(theta)) <= {"domain", "basis_images", "coefficient_matrix", "law_residuals"}
+    refs = [weakref.ref(x) for x in first + later]
+    del first, later, x, y, power_k  # the loops' last items too
+    assert all(r() is None for r in refs)
 
 
 def test_power_rejects_an_invalid_map_at_positive_exponents():

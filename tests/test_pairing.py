@@ -611,3 +611,21 @@ def test_one_generator_law_per_decision(monkeypatch):
     bases.clear()
     pr.cocycle_link(_inner(model, b, 31), _inner(model, b, 37), endo.identity(bp), horizon=2)
     assert generator_laws() == 1
+
+
+def test_can_pair_checks_each_identity_once(monkeypatch):
+    """Construction checks the identity of an algebra at its own tolerance,
+    so the frame that can_pair builds for B does not check it again; a frame
+    at another tolerance does."""
+    checked = []
+    real = alg.VnAlgebra._check_unit
+    monkeypatch.setattr(alg.VnAlgebra, "_check_unit",
+                        lambda self, tol: checked.append(self) or real(self, tol))
+    b = alg.random_algebra(6, [(2, 1), (1, 2), (1, 2)], seed=8)
+    bp = alg.commutant(b)
+    u = unitary_in(b, 3)
+    assert pr.can_pair(endo.from_unitary(b, u), endo.from_unitary(bp, u, "direct"))
+    assert len(checked) == len(set(map(id, checked))) == 2
+    assert checked[0] is b and checked[1] is bp
+    alg.block_decompose(b, nk.Tolerance(1e-6))
+    assert checked[2:] == [b]

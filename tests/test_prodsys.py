@@ -1006,11 +1006,12 @@ def test_a_dilation_forms_rho_of_the_basis_once(monkeypatch):
     assert len(bilinear) == built
 
 
-def test_each_element_basis_gets_one_gram_factor(monkeypatch):
+def test_each_element_basis_gets_one_gram_factor_per_build(monkeypatch):
     """x_i* x_k is formed once per distinct element basis and build: once for
     the N + 1 quotients of the iterate system, once for its dilation's
-    quotient, once per member of the commutant system; the representation
-    reads the system's."""
+    quotient, once per member of the commutant system; no build keeps it,
+    so the representation forms the one of the iterate system's shared
+    element basis for itself."""
     _, v, theta = _inner_map()
     seen = []
     real = corr.inner_products
@@ -1022,7 +1023,7 @@ def test_each_element_basis_gets_one_gram_factor(monkeypatch):
     assert [x is x0 for x in seen] == [True, True]
     seen.clear()
     out = ps.commutant_via_dilation(p, w)
-    assert list(map(id, seen)) == [id(m.element_space) for m in out.system.members]
+    assert list(map(id, seen)) == [id(m.element_space) for m in out.system.members] + [id(x0)]
 
 
 def test_validate_rejects_a_product_of_the_wrong_shape(inner_system):
