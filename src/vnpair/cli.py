@@ -56,11 +56,11 @@ def _cmd_algebra_blocks(scene, opts):
 
 def _cmd_endo_validate(scene, opts):
     from . import endo as endo_mod
-    theta = scene.endomorphism("theta")  # validated when the scene was built
+    theta = scene.endomorphism("theta")
     # is_automorphism is is_faithful: injective maps are onto in finite dimension
-    faithful = endo_mod.is_faithful(theta, opts.tol)
+    diag, faithful = theta.validate(opts.tol), endo_mod.is_faithful(theta, opts.tol)
     return {"basis_images": theta.basis_images, "faithful": faithful,
-            "automorphism": faithful}, theta.law_residuals
+            "automorphism": faithful}, diag
 
 
 def _corr_payload(e) -> dict:

@@ -49,6 +49,7 @@ class Correspondence:
     tol : the tolerance it was built with; the element space is computed
         at it, and the commutant correspondence keeps it.
     """
+    _maps = (None, None)  # the maps whose images rho, rho_prime are (``_twisted``)
 
     def __init__(self, left, right, left_commutant, right_commutant,
                  rho, rho_prime, carrier_dim,
@@ -98,14 +99,15 @@ class Correspondence:
         return x.reshape(x.shape[:-2] + (flat.shape[1],)) @ flat.conj().T
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
-        """Both actions are unital *-homomorphisms (``endo.hom_residuals``),
-        inner products of elements lie in the right algebra and the elements
-        reach the whole carrier, else InvalidCorrespondence. Commutation of
-        the two ranges is checked at construction only, with unitality, by
-        ``_check_light`` or by laws that imply it (``of_endomorphism``)."""
+        """Both actions are unital *-homomorphisms (``endo.hom_residuals``, or the
+        ``law_residuals`` of the map whose images a side holds), inner products of
+        elements lie in the right algebra and the elements reach the whole carrier,
+        else InvalidCorrespondence. Commutation is checked at construction only, with
+        unitality, by ``_check_light`` or by laws that imply it (``of_endomorphism``)."""
         sides = (("rho", self.left, self.rho), ("rho_prime", self.right_commutant, self.rho_prime))
-        worst = {f"{side}_{k}": v for side, domain, images in sides
-                 for k, v in endo_mod.hom_residuals(domain, images).items()}
+        worst = {f"{side}_{k}": v for (side, domain, images), f in zip(sides, self._maps)
+                 for k, v in (endo_mod.hom_residuals(domain, images) if f is None
+                              else f.law_residuals).items() if k != "span"}
         x = self.element_space
         # inner products of elements land in the right algebra
         worst["inner_in_right"] = nk.span_residual(inner_products(x), self.right.flat)
@@ -151,11 +153,12 @@ def of_endomorphism(theta, right_commutant=None,
 
 
 def _twisted(theta, bp, tol: nk.Tolerance) -> Correspondence:
-    """{}_theta B over B' with no check, for a caller that holds the proofs:
-    theta validated and bp the commutant of its domain (``of_endomorphism``)."""
+    """{}_theta B over B' with no check, for a caller that holds the proofs: theta
+    validated and bp the commutant of its domain (``of_endomorphism``); rho records theta."""
     b = theta.domain
-    return Correspondence(b, b, bp, bp, theta.basis_images, bp.basis, b.ambient_dim, tol,
-                          check=False)
+    e = Correspondence(b, b, bp, bp, theta.basis_images, bp.basis, b.ambient_dim, tol, check=False)
+    e._maps = (theta, None)
+    return e
 
 
 def require_commutant(b, bp, tol: nk.Tolerance):
@@ -192,12 +195,13 @@ def commutant(e: Correspondence) -> Correspondence:
     """Commutant correspondence: the same carrier with the two actions swapped.
 
     This is purely structural; applying it twice returns a correspondence
-    whose fields, tolerance included, are identical to the original ones.
+    whose fields, tolerance and recorded maps included, are the original ones.
     """
-    return Correspondence(left=e.right_commutant, right=e.left_commutant,
-                          left_commutant=e.right, right_commutant=e.left,
-                          rho=e.rho_prime, rho_prime=e.rho,
-                          carrier_dim=e.carrier_dim, tol=e.tol, check=False)
+    c = Correspondence(left=e.right_commutant, right=e.left_commutant, left_commutant=e.right,
+                       right_commutant=e.left, rho=e.rho_prime, rho_prime=e.rho,
+                       carrier_dim=e.carrier_dim, tol=e.tol, check=False)
+    c._maps = e._maps[::-1]
+    return c
 
 
 def tensor_quotient(gram_factor, f: Correspondence,

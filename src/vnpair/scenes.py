@@ -6,11 +6,11 @@ images, generator images, or a conjugating unitary), unitaries, multiplier
 grids, vectors, and families of unitaries. Complex entries are two-element
 [re, im] arrays; matrices are row-major nested arrays.
 
-Malformed structure raises ParseError. Mathematical defects in a
-well-formed scene (a generator list that does not close, a non-unitary
-matrix) surface later, when the named object is built or used. Objects are
-built at the tolerance that ``resolve_tolerance`` picks, the same one the
-commands then use.
+Malformed structure raises ParseError. Mathematical defects in a well-formed
+scene (a generator list that does not close, a non-unitary matrix) surface
+later, when the named object is built or used: a map's homomorphism laws,
+once, in the library call that reads it. Objects are built at the tolerance
+that ``resolve_tolerance`` picks, the same one the commands then use.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class Scene:
 
 
 def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
-                        unitaries: dict, tol: nk.Tolerance):
+                        unitaries: dict, tol: nk.Tolerance, built: dict):
     from . import endo as endo_mod
     if not isinstance(spec_obj, dict):
         raise ParseError(f"{where}: expected an object")
@@ -210,7 +210,7 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
     if "basis_images" in spec_obj:
         imgs = [decode_matrix(g, f"{where}.basis_images[{i}]")
                 for i, g in enumerate(spec_obj["basis_images"])]
-        return endo_mod.make(domain, np.array(imgs), tol)
+        return endo_mod.Endomorphism(domain, np.array(imgs))
     if "unitary" in spec_obj:
         uname = spec_obj["unitary"]
         if uname not in unitaries:
@@ -218,7 +218,9 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
         direction = spec_obj.get("direction", "adjoint")
         if direction not in ("adjoint", "direct"):
             raise ParseError(f"{where}: direction must be adjoint or direct")
-        return endo_mod.from_unitary(domain, unitaries[uname], direction, tol)
+        if (key := (domain_name, uname, direction)) not in built:
+            built[key] = endo_mod.from_unitary(domain, unitaries[uname], direction, tol)
+        return built[key]
     raise ParseError(f"{where}: needs basis_images, generators+images, or unitary")
 
 
@@ -293,10 +295,11 @@ def parse_scene(data, tol_flag: float | None = None) -> Scene:
     grids = _decode_named(data.get("grids"), "scene.grids", grid_item)
     vectors = _decode_named(data.get("vectors"), "scene.vectors", vector_item)
     families = _decode_named(data.get("families"), "scene.families", family_item)
+    built = {}  # unitary-form maps by (domain, unitary, direction)
     endomorphisms = _decode_named(
         data.get("endomorphisms"), "scene.endomorphisms",
         lambda obj, where: _build_endomorphism(obj, where, ambient, algebras,
-                                               unitaries, tol))
+                                               unitaries, tol, built))
     return Scene(ambient, algebras, endomorphisms, unitaries, grids, vectors,
                  families, tol)
 

@@ -11,15 +11,15 @@ import sys
 import numpy as np
 import pytest
 
+import cli_sweep
 import oracles as orc
 from vnpair import algebra as alg
 from vnpair import cli
 from vnpair import endo
-from vnpair import multiplier as mult
 from vnpair import numkernel as nk
+from vnpair import pairing
 from vnpair import prodsys
 from vnpair import scenes
-from vnpair import selftest as st
 from vnpair.errors import ProductSystemLawError, VnpairError
 
 
@@ -48,110 +48,7 @@ def enc(m):
 @pytest.fixture(scope="session")
 def scene_dir(tmp_path_factory):
     """One scene file per shape of input the commands consume."""
-    root = tmp_path_factory.mktemp("scenes")
-
-    def dump(name, scene):
-        path = root / f"{name}.json"
-        path.write_text(json.dumps(scene))
-        return path
-
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    d2_gens = [np.diag([1.0, 0.0]).astype(complex),
-               np.diag([0.0, 1.0]).astype(complex)]
-    dump("d2", {
-        "ambient_dim": 2,
-        "algebras": {"a": {"generators": [enc(g) for g in d2_gens]},
-                     "b": {"generators": [enc(g) for g in d2_gens]}},
-        "unitaries": {"u": enc(swap), "v": enc(np.eye(2, dtype=complex))},
-        "endomorphisms": {
-            "theta": {"domain": "a", "unitary": "u", "direction": "adjoint"},
-            "theta_prime": {"domain": "b", "unitary": "v",
-                            "direction": "direct"},
-            "eta": {"domain": "a", "unitary": "v", "direction": "adjoint"},
-        },
-    })
-
-    # two-block algebra on a 4-dim ambient space with a normalizing unitary
-    rng = np.random.default_rng(7)
-    sample = st.sample_algebra(rng, max_ambient=4)
-    while sum(a * m for a, m in sample.blocks) != 4 or len(sample.blocks) < 2:
-        sample = st.sample_algebra(rng, max_ambient=4)
-    u = st.normalizing_unitary(sample, rng)
-    b = sample.algebra
-    bp = alg.commutant(b)
-    dump("paired", {
-        "ambient_dim": 4,
-        "seed": 3,
-        "algebras": {"a": {"generators": [enc(g) for g in b.generators]},
-                     "b_comm": {"generators": [enc(g) for g in bp.generators]}},
-        "unitaries": {"u": enc(u)},
-        "endomorphisms": {
-            "theta": {"domain": "a", "unitary": "u", "direction": "adjoint"},
-            "theta_prime": {"domain": "b_comm", "unitary": "u",
-                            "direction": "direct"},
-            "eta": {"domain": "a", "unitary": "u", "direction": "adjoint"},
-        },
-    })
-
-    # theta2 differs from theta1 by conjugation with a unitary inside b
-    c = st.unitary_inside(b, rng)
-    dump("linked", {
-        "ambient_dim": 4,
-        "algebras": {"a": {"generators": [enc(g) for g in b.generators]},
-                     "b_comm": {"generators": [enc(g) for g in bp.generators]}},
-        "unitaries": {"u1": enc(u), "u2": enc(u @ c.conj().T)},
-        "endomorphisms": {
-            "theta1": {"domain": "a", "unitary": "u1", "direction": "adjoint"},
-            "theta2": {"domain": "a", "unitary": "u2", "direction": "adjoint"},
-            "theta_prime": {"domain": "b_comm", "unitary": "u1",
-                            "direction": "direct"},
-        },
-    })
-
-    full = alg.full_matrix_algebra(3)
-    w = nk.random_unitary(3, rng)
-    gamma = rng.normal(size=3) + 1j * rng.normal(size=3)
-    gamma = gamma / np.linalg.norm(gamma)
-    dump("bhat", {
-        "ambient_dim": 3,
-        "algebras": {"full": {"generators": [enc(g) for g in full.generators]}},
-        "unitaries": {"u": enc(w)},
-        "vectors": {"gamma": scenes.encode_vector(gamma)},
-        "endomorphisms": {
-            "theta": {"domain": "full", "unitary": "u",
-                      "direction": "adjoint"},
-        },
-    })
-
-    idx = np.arange(9)
-    grid = np.exp(1j * np.outer(idx, idx) / 9.0)
-    dump("mult", {"ambient_dim": 2, "grids": {"m": enc(grid)}})
-
-    bad = grid.copy()
-    bad[1, 1] *= np.exp(5e-3j)  # breaks the cocycle identity at ~5e-3
-    dump("multbad", {"ambient_dim": 2, "grids": {"m": enc(bad)}})
-    dump("multbad_scene_tol", {"ambient_dim": 2, "tolerance": 1e-9,
-                               "grids": {"m": enc(bad)}})
-
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=17))
-    fam = mult.family_from_phases(phases, nk.random_unitary(2, rng))
-    dump("family", {"ambient_dim": 2,
-                    "families": {"u": [enc(m) for m in fam.maps]}})
-
-    dump("broken", {
-        "ambient_dim": 2,
-        "algebras": {"a": {"generators": [enc(g) for g in d2_gens]}},
-        "unitaries": {"u": enc(np.array([[1, 1], [0, 1]], dtype=complex))},
-    })
-    dump("badkeys", {"ambient_dim": 2, "nonsense": 1})
-    dump("bool_ambient", {"ambient_dim": True, "grids": {"m": enc(grid)}})
-    dump("bool_tol", {"ambient_dim": 2, "tolerance": True,
-                      "grids": {"m": enc(grid)}})
-    nan_grid = scenes.encode_matrix(grid)
-    nan_grid[2][3] = [float("nan"), 0.0]
-    dump("multnan", {"ambient_dim": 2, "grids": {"m": nan_grid}})
-    (root / "notjson.json").write_text("{this is not json")
-    return root
+    return cli_sweep.write_scenes(tmp_path_factory.mktemp("scenes"))
 
 
 def path(scene_dir, name):
@@ -212,7 +109,7 @@ def test_endo_validate(scene_dir):
     report, _ = run_json(["endo-validate", "--input", path(scene_dir, "d2")])
     assert report["payload"]["faithful"] is True
     assert report["payload"]["automorphism"] is True
-    # the residuals the scene's construction checked, within their bounds
+    # the residuals validate returned, within their bounds
     tol, diag = nk.DEFAULT_TOL, report["diagnostics"]
     bounds = {"span": tol.bound(1.0), "unital": tol.bound(np.sqrt(2)),
               "multiplicative": tol.bound(1.0), "star": tol.bound(1.0)}
@@ -726,10 +623,9 @@ def _digest(arg) -> str:
 
 @pytest.mark.parametrize("scene", ["paired", "linked"])
 def test_each_law_is_evaluated_once_per_command(scene_dir, monkeypatch, scene):
-    """The law ledger: inside the command's handler, after the scene is
-    loaded, no law kernel (span, commutation, factored commutation, the
-    homomorphism laws) and no span comparison runs twice on the same
-    arrays."""
+    """The law ledger: from scene load through the command's handler, no
+    law kernel (span, commutation, factored commutation, the homomorphism
+    laws) and no span comparison runs twice on the same arrays."""
     ledger, recording, repeats = [], [], {}
     for module, name in ((nk, "span_residual"), (nk, "law_residual"),
                          (nk, "factored_law_residual"), (endo, "hom_residuals"),
@@ -741,22 +637,83 @@ def test_each_law_is_evaluated_once_per_command(scene_dir, monkeypatch, scene):
                 ledger.append((name, tuple(_digest(a) for a in args)))
             return real(*args)
         monkeypatch.setattr(module, name, spy)
+    load = scenes.load_scene
+    monkeypatch.setattr(scenes, "load_scene",
+                        lambda *args: recording.append(True) or load(*args))
     for command in LEDGER_COMMANDS:
-        handler, horizon, entries = cli._COMMANDS[command]
-
-        def recorded(*args, handler=handler):
-            recording.append(True)
-            try:
-                return handler(*args)
-            finally:
-                recording.clear()
-        monkeypatch.setitem(cli._COMMANDS, command, (recorded, horizon, entries))
         ledger.clear()
         run_cli([command, "--input", path(scene_dir, scene)])
+        recording.clear()
         for key in set(ledger):
             if ledger.count(key) > 1:
                 repeats[command, key[0]] = repeats.get((command, key[0]), 0) + 1
     assert repeats == {}
+
+
+def test_a_decision_builds_one_frame_and_the_library_unitary(scene_dir, monkeypatch):
+    """B' takes the frame of B on the command line as in the library: pair,
+    pair-check and cocycle-link build one block frame per call, and the pair
+    unitary is, bit for bit, that of can_pair on raw maps over freshly
+    parsed algebras, the inputs the benchmark gives it."""
+    frames, real = [], alg._frame
+    monkeypatch.setattr(alg, "_frame", lambda *args: frames.append(args[0]) or real(*args))
+    for command, scene in (("pair-check", "paired"), ("cocycle-link", "linked"),
+                           ("pair", "paired")):
+        frames.clear()
+        report, _ = run_json([command, "--input", path(scene_dir, scene)])
+        assert len(frames) == 1, command
+    fresh = scenes.load_scene(path(scene_dir, "paired"))
+    u, b, bp = fresh.unitary("u"), fresh.algebra("a"), fresh.algebra("b_comm")
+    cert = pairing.can_pair(endo.Endomorphism(b, u.conj().T @ b.basis @ u),
+                            endo.Endomorphism(bp, u @ bp.basis @ u.conj().T))
+    assert np.array_equal(scenes.decode_matrix(report["payload"]["unitary"], "u"),
+                          cert.unitary)
+
+
+def test_a_transpose_map_fails_the_commands_that_read_it(tmp_path):
+    """theta(x) = x^T on M_2 is unital, *-preserving and faithful, but not
+    multiplicative. Its laws are checked where it is read: the commands
+    that read it fail with NotMultiplicative, pair-check with RelationB, as
+    check_pairing compares the relations first, and the commands that never
+    read it succeed."""
+    gens = [enc(g) for g in alg.full_matrix_algebra(2).generators]
+    scene = {"ambient_dim": 2,
+             "algebras": {"a": {"generators": gens},
+                          "b_comm": {"generators": [enc(np.eye(2))]}},
+             "unitaries": {"u": enc(np.eye(2))}}
+    basis = scenes.parse_scene(scene).algebra("a").basis
+    scene["endomorphisms"] = {
+        "theta": {"domain": "a", "basis_images": [enc(x.T) for x in basis]},
+        "eta": {"domain": "a", "unitary": "u"},
+        "theta_prime": {"domain": "b_comm", "unitary": "u", "direction": "direct"}}
+    file = tmp_path / "transpose.json"
+    file.write_text(json.dumps(scene))
+    verdicts = {}
+    for command in ("endo-validate", "corr-of-endo", "prodsys-build", "corr-iso", "pair",
+                    "pair-check", "algebra-commutant", "symmetry-check"):
+        code, out, _ = run_cli([command, "--input", str(file)])
+        verdicts[command] = (code, (json.loads(out).get("error") or {}).get("type"))
+    assert verdicts == {**dict.fromkeys(("endo-validate", "corr-of-endo", "prodsys-build",
+                                         "corr-iso", "pair"), (1, "NotMultiplicative")),
+                        "pair-check": (1, "RelationB"),
+                        "algebra-commutant": (0, None), "symmetry-check": (0, None)}
+
+
+def test_the_sweep_records_a_run_and_diffs_it(scene_dir):
+    """One run of ``cli_sweep``: the report without timing and with the scene
+    directory blanked, which diffs against itself with no change; a moved
+    residual shows as moved, a changed error type as changed."""
+    record = cli_sweep.sweep(scene_dir, ["mult-check"], ["multbad"], {"default": []})
+    run = record["runs"]["mult-check multbad default"]
+    assert (run["code"], run["status"], run["error"]["type"]) == (1, "fail", "CocycleViolation")
+    assert run["error"]["location"] == "<scenes>/multbad.json" and "timing" not in run
+    assert cli_sweep.diff(record, record) == ([], [])
+    other = json.loads(json.dumps(record))
+    other["runs"]["mult-check multbad default"]["error"]["residual"] *= 2
+    assert cli_sweep.diff(record, other) == (
+        [], [(run["error"]["residual"], "mult-check multbad default", ".error.residual")])
+    other["runs"]["mult-check multbad default"]["error"]["type"] = "ParseError"
+    assert len(cli_sweep.diff(record, other)[0]) == 1
 
 
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")

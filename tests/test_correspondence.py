@@ -544,6 +544,7 @@ def test_of_endomorphism_reads_the_laws_of_a_validated_map(monkeypatch):
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
     bp = alg.commutant(b)
     theta = endo.from_unitary(b, _turn(6, 1.0, 15, within=b))
+    theta.validate()
     calls = []
     for module, name in ((nk, "span_residual"), (endo, "hom_residuals")):
         real = getattr(module, name)

@@ -104,7 +104,9 @@ def test_iterates_are_composed_afresh_and_not_kept():
         assert np.abs(power_k.basis_images - oracle).max() <= 1e-15
     for x, y in zip(first, later):
         assert np.array_equal(x.basis_images, y.basis_images)
-    assert set(vars(theta)) <= {"domain", "basis_images", "coefficient_matrix", "law_residuals"}
+    # the cached span residual is a float: no array is kept besides the images
+    assert set(vars(theta)) <= {"domain", "basis_images", "coefficient_matrix", "_span",
+                                "law_residuals"}
     refs = [weakref.ref(x) for x in first + later]
     del first, later, x, y, power_k  # the loops' last items too
     assert all(r() is None for r in refs)

@@ -49,6 +49,17 @@ def test_plain_reals_normalize_to_pairs():
     assert scene.grid("m")[1, 1] == 1j
 
 
+def test_unitary_entries_with_one_key_share_a_map():
+    """Entries naming one (domain, unitary, direction) build one map, the
+    omitted direction reading as adjoint; another direction builds another."""
+    data = full_scene_data()
+    data["endomorphisms"].update({"eta": {"domain": "a", "unitary": "u", "direction": "adjoint"},
+                                  "zeta": {"domain": "a", "unitary": "u", "direction": "direct"}})
+    scene = scenes.parse_scene(data)
+    assert scene.endomorphism("theta") is scene.endomorphism("eta")
+    assert scene.endomorphism("zeta") is not scene.endomorphism("theta")
+
+
 def test_endomorphism_spec_forms_agree():
     """Unitary, basis-image, and generator-image forms build the same map."""
     base = full_scene_data()
