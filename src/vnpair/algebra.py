@@ -236,11 +236,7 @@ def commutant(a: VnAlgebra, tol: nk.Tolerance = nk.DEFAULT_TOL) -> VnAlgebra:
         gram = _unit_gram(sig)  # before the units: its transient never meets theirs
         parts = intertwiners(a, tol=tol)
         cached = a._commutants[tol] = VnAlgebra(n, _hermitian_basis(parts), tol=tol, gram=gram)
-        # the summand (a_i, m_i) is (m_i, a_i) there, with the same columns
-        # regrouped, U_il[:, k] = T_ik[:, l]: no frame check to repeat
-        cached._frames[tol] = _signature([(m, a_i) for a_i, m in sig.blocks],
-                                         sig.central_projections,
-                                         [t.transpose(2, 1, 0) for t in sig.units], tol)
+        cached._frames[tol] = sig._dual  # no frame check to repeat
     return cached
 
 
@@ -352,6 +348,16 @@ class BlockSignature:
     central_projections: np.ndarray
     units: tuple[np.ndarray, ...]
 
+    @functools.cached_property
+    def _dual(self) -> BlockSignature:
+        """The commutant's frame, built once: (a_i, m_i) becomes (m_i, a_i), U_il[:, k] =
+        T_ik[:, l], sorted stably by shape, as summands of one shape share their keys."""
+        order = sorted(range(len(self.blocks)), key=lambda i: self.blocks[i][::-1],
+                       reverse=True)  # stable
+        return BlockSignature(blocks=tuple(self.blocks[i][::-1] for i in order),
+                              central_projections=self.central_projections[order],
+                              units=tuple(self.units[i].transpose(2, 1, 0) for i in order))
+
     def unit_grid(self, i: int) -> np.ndarray:
         """The matrix units e_jk = T_ij T_ik* of summand i, (a_i, a_i, n, n)."""
         return self.units[i][:, None] @ self.units[i].conj().transpose(0, 2, 1)[None]
@@ -455,7 +461,11 @@ def _frame(a: VnAlgebra, z, h, g, tol: nk.Tolerance) -> BlockSignature:
                DegenerateCenterElement, "frame is not unitary, residual {:.3e}")
     nk.require(_units_residual(units, a), tol.bound(1.0), DegenerateCenterElement,
                "frame matrix units leave the algebra, residual {:.3e}")
-    return _signature(blocks, projections, units, tol)
+    order = sorted(range(len(blocks)), key=functools.cmp_to_key(
+        _summand_order(blocks, projections, tol)))
+    return BlockSignature(blocks=tuple(blocks[i] for i in order),
+                          central_projections=np.array([projections[i] for i in order]),
+                          units=tuple(units[i] for i in order))
 
 
 def _units_residual(units, a: VnAlgebra) -> float:
@@ -463,22 +473,12 @@ def _units_residual(units, a: VnAlgebra) -> float:
     return nk.span_residual(np.concatenate([t @ t[0].conj().T for t in units]), a.flat)
 
 
-def adopt_frame(a: VnAlgebra, source: VnAlgebra, tol: nk.Tolerance) -> None:
-    """Let a take over the frame source holds at tol if a has none there, and the
-    frame fills dim a and passes the span check that ends ``block_decompose``."""
-    sig = source._frames.get(tol)
-    if sig and tol not in a._frames and sum(ai * ai for ai, _ in sig.blocks) == a.dim and \
+def adopt_frame(a: VnAlgebra, sig: BlockSignature, tol: nk.Tolerance) -> None:
+    """Let a take over the frame sig at tol if a has none there, and sig fills
+    dim a and passes the span check that ends ``block_decompose``."""
+    if tol not in a._frames and sum(ai * ai for ai, _ in sig.blocks) == a.dim and \
             _units_residual(sig.units, a) <= tol.bound(1.0):
         a._frames[tol] = sig
-
-
-def _signature(blocks, projections, units, tol: nk.Tolerance) -> BlockSignature:
-    """The BlockSignature of the summands, in ``_summand_order``."""
-    order = sorted(range(len(blocks)), key=functools.cmp_to_key(
-        _summand_order(blocks, projections, tol)))
-    return BlockSignature(blocks=tuple(blocks[i] for i in order),
-                          central_projections=np.array([projections[i] for i in order]),
-                          units=tuple(units[i] for i in order))
 
 
 def intertwiners(a: VnAlgebra, lefts=None, rights=None,

@@ -68,7 +68,6 @@ class Correspondence:
             if images.shape != (domain.dim, h, h):
                 raise DimensionMismatch(
                     f"{name} shape {images.shape}, expected {(domain.dim, h, h)}")
-        self._read = nk.memo()  # tables and frames, for cocycle_link's 2nd find_isomorphism
         if left.ambient_dim != left_commutant.ambient_dim or \
                 right.ambient_dim != right_commutant.ambient_dim:
             raise DimensionMismatch("algebra and commutant live on different spaces")
@@ -162,22 +161,38 @@ def _twisted(theta, bp, tol: nk.Tolerance) -> Correspondence:
 
 
 def require_commutant(b, bp, tol: nk.Tolerance):
-    """bp, once it is the commutant of b, else DomainsNotCommutant naming the
+    """bp, once it is the commutant C of b, else DomainsNotCommutant naming the
     law: ``commutation``, the shorter generator list against the other basis
-    within tol.bound(its largest norm); ``commutant``, bp within r of
-    commutant(b) (``algebra.equals``), whose law then bounds each [b, b'] by
-    |[b, c]| + 2 |b| r. Then bp takes over the commutant's frame."""
+    within tol.bound(its largest norm); ``commutant``, bp within r of C at the
+    bound of ``algebra.equals``, r read in b's frame (``_frame_distance``), so C's
+    law bounds each [b, b'] by |[b, c]| + 2 |b| r. bp then takes over C's frame
+    (``BlockSignature._dual``) and is not compared with C again at tol."""
     gens, other = min((b.generators, bp), (bp.generators, b), key=lambda g: len(g[0]))
     nk.require(nk.law_residual(gens, gens, other.basis), tol.bound(nk.worst_norm(gens)),
                DomainsNotCommutant, "ranges do not commute, residual {:.3e}",
                law="commutation")
-    comm = alg.commutant(b, tol)
-    match = alg.equals(bp, comm, tol)
-    nk.require(match.residual, match.bound, DomainsNotCommutant,
-               "second domain is not the commutant of the first, distance {:.3e}",
-               law="commutant")
-    alg.adopt_frame(bp, comm, tol)
+    sig = alg.block_decompose(b, tol)
+    if bp._frames.get(tol) is sig._dual:  # compared here before, or commutant(b, tol)
+        return bp
+    nk.require(_frame_distance(sig, bp), tol.bound(
+        bp.dim ** 0.5, sum(m * m for _, m in sig.blocks) ** 0.5), DomainsNotCommutant,
+        "second domain is not the commutant of the first, distance {:.3e}", law="commutant")
+    alg.adopt_frame(bp, sig._dual, tol)
     return bp
+
+
+def _frame_distance(sig, bp) -> float:
+    """|P_bp - P_C| for the commutant C of the algebra with frame W (sig), in W:
+    y_k = W* b'_k W less, per summand, the average 1 (x) x_i of its diagonal blocks
+    is (1 - P_C) b'_k, and |P_bp - P_C|^2 = 2 sum_k |y_k|^2 + dim C - dim bp, exact."""
+    w = np.concatenate([t.transpose(1, 0, 2).reshape(len(t[0]), -1) for t in sig.units], axis=1)
+    y, start, dim_c = w.conj().T @ bp.basis @ w, 0, 0
+    for a, m in sig.blocks:
+        end = start + a * m  # the diagonal blocks, a view of y
+        blocks = np.einsum("xkpkq->xkpq", y[:, start:end, start:end].reshape(-1, a, m, a, m))
+        blocks -= blocks.mean(axis=1, keepdims=True)
+        start, dim_c = end, dim_c + m * m
+    return float(np.sqrt(np.maximum(2.0 * np.vdot(y, y).real + (dim_c - bp.dim), 0.0)))
 
 
 def intertwiner_space(theta, right_commutant=None,
@@ -431,20 +446,17 @@ def find_isomorphism(e: Correspondence, f: Correspondence,
     left algebra and the right commutant; differing tables are the
     obstruction certificate. Equal ones give U = F_f F_e* (``_joint_frame``),
     checked to be unitary (NotIsometric) and to intertwine both actions
-    (NotIntertwining). Each correspondence keeps its table and frame per
-    pair of block frames and tolerance, for the next comparison.
+    (NotIntertwining).
     """
     if not alg.equals(e.left, f.left, tol) or not alg.equals(e.right, f.right, tol):
         raise AlgebraMismatch("correspondences live over different algebra pairs")
     left_sig = alg.block_decompose(e.left, tol)
     right_sig = alg.block_decompose(e.right_commutant, tol)
-    frames = (left_sig, right_sig, tol)
-    te, tf = (c._read(_table_against, frames, c, *frames) for c in (e, f))
+    te, tf = (_table_against(c, left_sig, right_sig, tol) for c in (e, f))
     if te.counts != tf.counts or te.carrier_dim != tf.carrier_dim:
         return IsoDecision(unitary=None, table_left=te, table_right=tf)
-    # te.counts is each side's own table here, so the frames key the frame too
-    u = f._read(_joint_frame, frames, f, left_sig, right_sig, te.counts, tol) @ \
-        e._read(_joint_frame, frames, e, left_sig, right_sig, te.counts, tol).conj().T
+    u = _joint_frame(f, left_sig, right_sig, te.counts, tol) @ \
+        _joint_frame(e, left_sig, right_sig, te.counts, tol).conj().T
     nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(u.shape[0])), NotIsometric,
                "frame-built unitary is not unitary, residual {:.3e}")
     rho_f, rho_prime_f = f.rho_of(e.left.basis), f.rho_prime_of(e.right_commutant.basis)

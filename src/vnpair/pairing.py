@@ -11,6 +11,7 @@ pairable endomorphisms by an operator cocycle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -19,7 +20,7 @@ from . import algebra as alg
 from . import correspondence as corr
 from . import endo as endo_mod
 from . import numkernel as nk
-from .errors import (CocycleResidual, NotFaithful, NotPairedInput, NotUnitary,
+from .errors import (CocycleResidual, NotFaithful, NotIsometric, NotPairedInput, NotUnitary,
                      NotUnitaryImage, PairingCheckFailed, RelationB, RelationBPrime)
 
 
@@ -67,7 +68,7 @@ def _check_unitary(u, n, tol: nk.Tolerance) -> np.ndarray:
     if u.shape != (n, n):
         raise NotUnitary(f"expected shape {(n, n)}, got {u.shape}")
     nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(n)), NotUnitary,
-               "U is not unitary, residual {:.3e}")
+               "U is not unitary, residual {:.3e}", law="unitarity")
     return u
 
 
@@ -95,11 +96,11 @@ def _relations(u, theta, theta_prime, horizon: int,
     unitarity residual has passed tol.bound(sqrt(n))."""
     b, bp = theta.domain, theta_prime.domain
     worst_b = nk.require(nk.worst_norm(u.conj().T @ b.basis @ u - theta.basis_images),
-                         tol.bound(1.0), RelationB,
-                         "u* b u does not implement the map on B, residual {:.3e}")
+                         tol.bound(1.0), RelationB, "u* b u does not implement the map "
+                         "on B, residual {:.3e}", law="relation_b")
     worst_bp = nk.require(nk.worst_norm(u @ bp.basis @ u.conj().T - theta_prime.basis_images),
-                          tol.bound(1.0), RelationBPrime,
-                          "u b' u* does not implement the map on B', residual {:.3e}")
+                          tol.bound(1.0), RelationBPrime, "u b' u* does not implement the "
+                          "map on B', residual {:.3e}", law="relation_b_prime")
     # each map is valid, so its iterates are valid as composed
     theta.validate(tol)
     theta_prime.validate(tol)
@@ -111,7 +112,7 @@ def _relations(u, theta, theta_prime, horizon: int,
         nk.worst_norm(v @ bp.basis @ v.conj().T - f.basis_images)
         for v, f in zip(uk, endo_mod.iterates(theta_prime, horizon)[2:])))
     nk.require(worst_pow, tol.bound(1.0), RelationB,
-               "powers of u fail to implement the iterates, residual {:.3e}")
+               "powers of u fail to implement the iterates, residual {:.3e}", law="powers")
     return PairingCertificate(unitary=u, residuals={
         "relation_b": worst_b, "relation_b_prime": worst_bp,
         "powers": worst_pow})
@@ -150,30 +151,23 @@ def isomorphism_from_pairing(u, theta, theta_prime,
     return CorrespondenceIso(source, target, u, residuals=worst)
 
 
-def _eq33_residuals(u, theta) -> dict:
-    """Solve for the dilation-level map and compare with multiplication by u.
+def _eq33_residuals(u, theta, tol: nk.Tolerance) -> dict:
+    """Bound the dilation-level map against multiplication by u, in closed form.
 
-    On the simple tensor b_i (tensor) b_j (tensor) h the product of the
-    endomorphism system gives theta(b_i) b_j h, and the identity dilation of
-    the commutant system gives b_i u b_j h. The map solved for on this
-    spanning family must return left multiplication by u.
-
-    The family [theta(b_i) b_j] has d^2 n columns; it is solved on
-    [theta(b_i) S^1/2] -> [b_i u S^1/2], S = sum_j b_j b_j*, with d n
-    columns. Since sum_j X b_j (Y b_j)* = X S Y*, both families have the
-    same Gram matrices, hence the same least-squares solution and the same
-    residual norm.
-    """
-    b = theta.domain.basis
-    n = b.shape[1]
-    s = (b @ b.conj().transpose(0, 2, 1)).sum(axis=0)
-    lam, vec = np.linalg.eigh((s + s.conj().T) / 2.0)
-    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
-    src = (theta.basis_images @ root).transpose(1, 0, 2).reshape(n, -1)
-    dst = (b @ u @ root).transpose(1, 0, 2).reshape(n, -1)
-    u33 = nk.lstsq_map(src, dst)
-    return {"eq33_solve": float(np.linalg.norm(u33 @ src - dst)),
-            "eq33_match": float(np.linalg.norm(u33 - u))}
+    On b_i (tensor) b_j (tensor) h the endomorphism system gives theta(b_i) b_j h
+    and the identity dilation of the commutant system b_i u b_j h; the map u33
+    solved for on that family must return u. As sum_j X b_j (Y b_j)* = X S Y*,
+    S = sum_j b_j b_j* = sum_i (a_i / m_i) p_i, it has the Gram matrices of
+    src = [theta(b_i) S^1/2] -> dst = [b_i u S^1/2]. ``eq33_solve``, e =
+    |u src - dst|, bounds the least-squares residual. src is [u* b_i u S^1/2],
+    of least singular value c = min_i a_i / m_i, plus [r_i S^1/2] of norm e,
+    r_i = theta(b_i) - u* b_i u, so |u33 - u| <= 2 e / (c - e), whose
+    first-order term is ``eq33_match`` = 2 e / c."""
+    sig = alg.block_decompose(theta.domain, tol)
+    scale = np.array([a / m for a, m in sig.blocks])
+    root = np.tensordot(np.sqrt(scale), sig.central_projections, axes=1)
+    solve = float(np.linalg.norm((u @ theta.basis_images - theta.domain.basis @ u) @ root))
+    return {"eq33_solve": solve, "eq33_match": 2.0 * solve / float(scale.min())}
 
 
 def pairing_from_isomorphism(iso, theta, theta_prime,
@@ -189,75 +183,122 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
         np.asarray(iso, dtype=complex)
     res = nk.unitarity_residual(u) if u.shape == (n, n) else np.inf  # shape first
     nk.require(res, tol.bound(np.sqrt(n)), NotUnitaryImage,
-               "image of the identity is not unitary, residual {:.3e}")
+               "image of the identity is not unitary, residual {:.3e}", law="unitarity")
     corr.require_commutant(theta.domain, theta_prime.domain, tol)
     return _pairing_of(u, theta, theta_prime, tol)
 
 
 def _pairing_of(u, theta, theta_prime, tol: nk.Tolerance) -> PairingCertificate:
-    """Pairing relations and dilation-level map of u, domains compared."""
+    """Pairing relations and dilation-level map of u, domains compared; relation_b r
+    implies eq33_solve <= sqrt(d) r max_i sqrt(a_i / m_i) (``_eq33_residuals``)."""
     try:
         cert = _relations(u, theta, theta_prime, 4, tol)
     except (RelationB, RelationBPrime) as exc:
         raise PairingCheckFailed(
             f"recovered unitary fails the pairing relations: {exc}") from exc
     cert.residuals.update(nk.require_laws(
-        _eq33_residuals(u, theta), tol.bound(np.sqrt(u.shape[0])), PairingCheckFailed,
+        _eq33_residuals(u, theta, tol), tol.bound(np.sqrt(u.shape[0])), PairingCheckFailed,
         "dilation-level map deviates: {}"))
     return cert
 
 
-def _twisted_pair(theta, theta_prime, tol: nk.Tolerance, f=None):
-    """(e, f): e the twisted correspondence of theta over B', f the commutant
-    of that of theta_prime over B, built unchecked: the caller validated both
-    maps and found B' within r of commutant(B) (``require_commutant``), so
-    [B, B'] is within 2 |b| r of the commutant's law. f reads theta_prime and
-    B's basis only, so an f given for another map on that basis is kept."""
-    e = corr._twisted(theta, theta_prime.domain, tol)
-    if f is None:
-        f = corr.commutant(corr._twisted(theta_prime, theta.domain, tol))
-    return e, f
+def _twisted_pair(theta, theta_prime, tol: nk.Tolerance):
+    """(e, f): the twisted correspondence of theta over B' and the commutant of
+    that of theta_prime over B, unchecked, for a caller that validated both maps
+    and found B' within r of commutant(B), so [B, B'] within 2 |b| r of its law."""
+    return (corr._twisted(theta, theta_prime.domain, tol),
+            corr.commutant(corr._twisted(theta_prime, theta.domain, tol)))
 
 
 def can_pair(theta, theta_prime,
              tol: nk.Tolerance = nk.DEFAULT_TOL) -> PairingCertificate:
-    """Decide pairability through the correspondence isomorphism test.
+    """Decide pairability in the frame of B and its dual, the frame of B'.
 
-    Paired outcomes carry a verified unitary; unpaired outcomes carry the
-    two joint multiplicity tables that differ. Both are read off the frame of B
-    and that of B'; a B' without one takes B's, so the unitary follows B's basis.
-    Both maps pass ``Endomorphism.validate`` once the domains are compared
-    and before any table is read, so a raw map that is not a unital
-    *-homomorphism raises its law error (NotMultiplicative, ...): NotPaired
-    certifies that the tables of two valid faithful maps differ.
-    """
+    Unpaired outcomes carry the two tables that differ, those ``find_isomorphism``
+    reads on ``_twisted_pair`` (``_form``). A faithful theta is an automorphism, a
+    permutation sigma of the summands and a unitary on each (Davidson, III.1), so
+    equal tables are the permutation matrix of sigma and the unitary is read off
+    that form (``_unitary_of``) and certified by ``_pairing_of``; at the unitarity
+    bound of ``find_isomorphism`` its intertwining laws are the relations up to the
+    unitarity residual. Both maps are validated before any table is read, so
+    NotPaired certifies that the tables of two valid faithful maps differ."""
     return next(_decisions((theta,), theta_prime, tol))
 
 
 def _decisions(thetas, theta_prime, tol: nk.Tolerance):
     """``can_pair`` of each map of thetas against theta_prime, one per next().
-    The maps share one domain basis, so theta_prime's faithfulness and
-    validation, the domain comparison and f (``_twisted_pair``) are built
-    for the first only. Each map is validated before its tables, theta_prime
-    once B' holds the frame of B."""
-    f = None
+    The maps share one domain basis, so theta_prime's faithfulness, validation
+    and form, and the domain comparison, are read for the first only. Each map
+    is validated before its tables, theta_prime once B' holds the frame of B."""
+    right = None
     for theta in thetas:
         if not endo_mod.is_faithful(theta, tol):
             raise NotFaithful("first map is not faithful")
-        if f is None:
+        if right is None:
             if not endo_mod.is_faithful(theta_prime, tol):
                 raise NotFaithful("second map is not faithful")
             corr.require_commutant(theta.domain, theta_prime.domain, tol)
-        for g in (theta, theta_prime) if f is None else (theta,):
-            g.validate(tol)
-        e, f = _twisted_pair(theta, theta_prime, tol, f)
-        decision = corr.find_isomorphism(e, f, tol)
-        # the domains were compared above, and find_isomorphism checked the
-        # unitary against the bound of pairing_from_isomorphism
-        cert = _pairing_of(decision.unitary, theta, theta_prime, tol) if decision \
-            else PairingCertificate()
-        cert.table_left, cert.table_right = decision.table_left, decision.table_right
+        theta.validate(tol)
+        if right is None:
+            theta_prime.validate(tol)
+            sig = alg.block_decompose(theta.domain, tol)
+            table = functools.partial(corr.MultiplicityTable, sig.blocks, sig._dual.blocks,
+                                      carrier_dim=theta.domain.ambient_dim)
+            xp, counts = _form(theta_prime, sig._dual, sig)
+            right = table(tuple(zip(*counts)))
+        x, counts = _form(theta, sig, sig._dual)
+        left = table(counts)
+        cert = PairingCertificate() if left.counts != right.counts else _pairing_of(
+            _unitary_of(sig, left.counts, x, xp, tol), theta, theta_prime, tol)
+        cert.table_left, cert.table_right = left, right
         yield cert
+
+
+def _form(g, sig, other):
+    """x[i][j] = [s_0* g(t_k t_0*) s_0 over k], for the units t_k t_0* of summand i
+    of the frame sig and the first units s_0 of summand j of the frame other, from
+    one product; and the table of ``_table_against``, tr(g(t_0 t_0*) s_0 s_0*)
+    rounded within 1e-6 (``numkernel.integral_trace``)."""
+    images = g(np.concatenate([t @ t[0].conj().T for t in sig.units]))
+    heads = np.concatenate([s[0] for s in other.units], axis=1)
+    x = heads.conj().T @ images @ heads
+    rows, cols = ([slice(e - k, e) for k, e in zip(sizes, np.cumsum(sizes))]
+                  for sizes in ([len(t) for t in sig.units], [s.shape[2] for s in other.units]))
+    traces = np.add.reduceat(np.diagonal(x[[r.start for r in rows]], axis1=1, axis2=2),
+                             [c.start for c in cols], axis=1).tolist()
+    return [[x[r, c, c] for c in cols] for r in rows], tuple(tuple(
+        nk.integral_trace(t, 1e-6, len(heads)) for t in row) for row in traces)
+
+
+def _unitary_of(sig, counts, x, xp, tol: nk.Tolerance) -> np.ndarray:
+    """u = sum_i W_i (w_i* (x) w') V_j*, W_i and V_j the columns of summand i of the
+    frame of B, in order (k, p), and of j = sigma(i) of its dual, in order (p, k),
+    sigma the permutation table counts; w_i[:, k] = x_k w_i[:, 0] for the rank-one
+    x_k = w_i[:, k] w_i[:, 0]* of theta's form x[i][j], w' likewise off xp[j][i]."""
+    dual = sig._dual
+    perm = [row.index(1) if sorted(row) == [0] * (len(row) - 1) + [1] else -1 for row in counts]
+    if sorted(perm) != list(range(len(counts))) or any(
+            sig.blocks[i] != dual.blocks[j][::-1] for i, j in enumerate(perm)):
+        raise PairingCheckFailed(f"equal tables {counts} are not the permutation of "
+                                 f"an automorphism of the summands {sig.blocks}")
+    left, right = [], []
+    for i, j in enumerate(perm):
+        w_star, w_prime = _rank_one_columns(x[i][j]).conj(), _rank_one_columns(xp[j][i]).T
+        (a, m), t = sig.blocks[i], sig.units[i]
+        left.append(t.transpose(1, 0, 2).reshape(-1, a * m) @ (
+            w_star[:, None, None, :] * w_prime[None, :, :, None]).reshape(a * m, a * m))
+        right.append(dual.units[j].transpose(1, 0, 2).reshape(-1, a * m))
+    u = np.concatenate(left, axis=1) @ np.concatenate(right, axis=1).conj().T
+    nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(len(u))), NotIsometric,
+               "form-built unitary is not unitary, residual {:.3e}", law="unitarity")
+    return u
+
+
+def _rank_one_columns(x) -> np.ndarray:
+    """w.T from the stack x_k = w[:, k] w[:, 0]*: w[:, 0] off the largest column of
+    x_0, which fixes its phase, then w[:, k] = x_k w[:, 0]."""
+    c = int(np.argmax(np.diagonal(x[0]).real))
+    return x @ (x[0][:, c] / np.sqrt(x[0][c, c].real))
 
 
 def restriction_symmetry(u, b, tol: nk.Tolerance = nk.DEFAULT_TOL):
@@ -309,7 +350,7 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
         worst = nk.worst_norm(c @ powers1[k].basis_images @ c.conj().T - power2.basis_images)
         nk.require(worst, tol.bound(1.0), CocycleResidual,
                    "conjugation fails at step {1}, residual {0:.3e}", k,
-                   step=k, residual=worst)
+                   step=k, law="conjugation")
     worst_split = 0.0
     for s in range(1, horizon):
         for t in range(1, horizon - s + 1):
@@ -317,5 +358,5 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
                 family[s + t - 1] - family[s - 1] @ powers1[s](family[t - 1]))))
     nk.require(worst_split, tol.bound(1.0), CocycleResidual,
                "cocycle identity fails on a splitting, residual {:.3e}",
-               step=None, residual=worst_split)
+               step=None, law="cocycle")
     return family

@@ -106,6 +106,15 @@ def decode_matrix(obj, where: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _ambient_matrices(objs, where: str, ambient: int) -> list:
+    """The decoded matrices of objs, each of shape (ambient, ambient), else ParseError."""
+    mats = [decode_matrix(m, f"{where}[{i}]") for i, m in enumerate(objs)]
+    for i, m in enumerate(mats):
+        if m.shape != (ambient, ambient):
+            raise ParseError(f"{where}[{i}]: shape {m.shape} does not match ambient_dim {ambient}")
+    return mats
+
+
 def _only_keys(obj: dict, keys: set, where: str) -> None:
     """ParseError naming the keys of obj outside keys, the keys its form reads."""
     if unknown := set(obj) - keys:
@@ -208,8 +217,7 @@ def _build_endomorphism(spec_obj, where: str, ambient: int, algebras: dict,
         raise ParseError(f"{where}: domain {domain_name!r} is not a named algebra")
     domain = algebras[domain_name]
     if "basis_images" in spec_obj:
-        imgs = [decode_matrix(g, f"{where}.basis_images[{i}]")
-                for i, g in enumerate(spec_obj["basis_images"])]
+        imgs = _ambient_matrices(spec_obj["basis_images"], f"{where}.basis_images", ambient)
         return endo_mod.Endomorphism(domain, np.array(imgs))
     if "unitary" in spec_obj:
         uname = spec_obj["unitary"]
@@ -249,12 +257,7 @@ def parse_scene(data, tol_flag: float | None = None) -> Scene:
         if not isinstance(obj, dict) or "generators" not in obj:
             raise ParseError(f"{where}: expected an object with generators")
         _only_keys(obj, {"generators"}, where)
-        gens = [decode_matrix(g, f"{where}.generators[{i}]")
-                for i, g in enumerate(obj["generators"])]
-        for i, g in enumerate(gens):
-            if g.shape != (ambient, ambient):
-                raise ParseError(f"{where}.generators[{i}]: shape {g.shape} "
-                                 f"does not match ambient_dim {ambient}")
+        gens = _ambient_matrices(obj["generators"], f"{where}.generators", ambient)
         from . import algebra as alg
         return alg.from_generators(ambient, gens, tol)
 

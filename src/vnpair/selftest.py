@@ -394,9 +394,14 @@ def _case_power_family(rng, tol, case_index):
         if not cert:
             raise errors.PairingCheckFailed(
                 "normalizing-unitary instance reported unpairable")
-        worst = float(cert.residuals["eq33_match"])
+        # |u33 - u| for the dilation-level map u33 solved by least squares on the d n
+        # columns [theta(b_i) S^1/2] -> [b_i u S^1/2] that pairing._eq33_residuals bounds
+        u1, sig = cert.unitary, alg.block_decompose(theta.domain, tol)
+        root = np.tensordot([np.sqrt(a / m) for a, m in sig.blocks], sig.central_projections, 1)
+        src, dst = ((x @ root).transpose(1, 0, 2).reshape(len(u1), -1)
+                    for x in (theta.basis_images, theta.domain.basis @ u1))
+        worst = float(np.linalg.norm(nk.lstsq_map(src, dst) - u1))
         horizon = 8
-        u1 = cert.unitary
         powers = [np.eye(u1.shape[0], dtype=complex)]
         for _ in range(horizon):
             powers.append(u1 @ powers[-1])

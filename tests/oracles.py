@@ -74,7 +74,15 @@ faster route replaced, kept so that the faster route has a reference.
 - ``central_table`` and ``predicted_table``: a joint multiplicity table
   read off the central projections alone, and the table of an interior
   tensor product predicted from those of its factors, table(E (x) F) =
-  table(E) Pi table(F), a law the package does not use yet.
+  table(E) Pi table(F), a law the package does not use yet;
+- ``commutant_distance``, ``twisted_decision`` and ``eq33_reduced_family``:
+  B' compared with commutant(B) built as an algebra, the pairing decided
+  by ``correspondence.find_isomorphism`` on the two twisted
+  correspondences, and the eq33 residuals solved by least squares on d n
+  columns with S^1/2 from an eigendecomposition, before
+  ``correspondence.require_commutant`` measured that distance in the frame
+  of B and ``pairing.can_pair`` read the tables, the unitary and the eq33
+  bound off the automorphism form.
 """
 
 from __future__ import annotations
@@ -90,6 +98,7 @@ from vnpair import algebra as alg
 from vnpair import correspondence as corr
 from vnpair import endo as endo_mod
 from vnpair import numkernel as nk
+from vnpair import pairing
 from vnpair import prodsys as ps
 from vnpair import scenes
 from vnpair import selftest
@@ -219,6 +228,34 @@ def eq33_spanning_family(u, theta) -> dict:
     n = b.shape[1]
     src = np.einsum("aij,cjk->iack", theta.basis_images, b).reshape(n, -1)
     dst = np.einsum("aij,cjk->iack", b @ u, b).reshape(n, -1)
+    u33 = nk.lstsq_map(src, dst)
+    return {"eq33_solve": float(np.linalg.norm(u33 @ src - dst)),
+            "eq33_match": float(np.linalg.norm(u33 - u))}
+
+
+def commutant_distance(b, bp, tol=nk.DEFAULT_TOL) -> nk.MatchReport:
+    """bp against commutant(b) formed as an algebra (``algebra.equals``)."""
+    return alg.equals(bp, alg.commutant(b, tol), tol)
+
+
+def twisted_decision(theta, theta_prime, tol=nk.DEFAULT_TOL) -> corr.IsoDecision:
+    """``find_isomorphism`` of the twisted correspondence of theta over B' and
+    the commutant of that of theta_prime over B (``pairing._twisted_pair``)."""
+    corr.require_commutant(theta.domain, theta_prime.domain, tol)
+    return corr.find_isomorphism(*pairing._twisted_pair(theta, theta_prime, tol), tol)
+
+
+def eq33_reduced_family(u, theta) -> dict:
+    """The eq33 residuals solved on [theta(b_i) S^1/2] -> [b_i u S^1/2],
+    S = sum_j b_j b_j*, d n columns with the Gram matrices of the spanning
+    family, S^1/2 from an eigendecomposition."""
+    b = theta.domain.basis
+    n = b.shape[1]
+    s = (b @ b.conj().transpose(0, 2, 1)).sum(axis=0)
+    lam, vec = np.linalg.eigh((s + s.conj().T) / 2.0)
+    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+    src = (theta.basis_images @ root).transpose(1, 0, 2).reshape(n, -1)
+    dst = (b @ u @ root).transpose(1, 0, 2).reshape(n, -1)
     u33 = nk.lstsq_map(src, dst)
     return {"eq33_solve": float(np.linalg.norm(u33 @ src - dst)),
             "eq33_match": float(np.linalg.norm(u33 - u))}

@@ -152,19 +152,22 @@ def test_one_frame_per_algebra_and_tolerance(monkeypatch):
 
 def test_adopt_frame_takes_only_a_frame_of_the_span():
     """A frame is taken over only where its matrix units lie in the span; a
-    conjugate of the algebra, with the same dimensions, keeps no frame."""
+    conjugate of the algebra, with the same dimensions, keeps no frame, and an
+    algebra that holds a frame keeps it. The frame commutant(b) holds is the
+    dual of b's, built once per frame."""
     tol = nk.DEFAULT_TOL
     b = alg.random_algebra(6, [(1, 2), (1, 2), (2, 1)], seed=4)
     bp = alg.commutant(b, tol)
     sig = alg.block_decompose(bp, tol)
+    assert sig is alg.block_decompose(b, tol)._dual
     w = nk.random_unitary(6, seed=2)
     for other in (alg.VnAlgebra(6, w @ bp.basis @ w.conj().T), b):
-        alg.adopt_frame(other, bp, tol)
+        alg.adopt_frame(other, sig, tol)
         assert tol not in other._frames or other._frames[tol] is not sig
     same = alg.VnAlgebra(6, bp.basis[::-1])
-    alg.adopt_frame(same, alg.VnAlgebra(6, bp.basis), tol)
-    assert same._frames == {}
-    alg.adopt_frame(same, bp, tol)
+    alg.adopt_frame(same, sig, tol)
+    assert alg.block_decompose(same, tol) is sig
+    alg.adopt_frame(same, alg.block_decompose(b, tol), tol)
     assert alg.block_decompose(same, tol) is sig
 
 

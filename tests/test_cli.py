@@ -790,3 +790,31 @@ def test_failure_report_names_the_law(tmp_path):
     assert (error["type"], error["law"]) == ("ImageOutsideAlgebra", "span")
     assert error["bound"] == nk.DEFAULT_TOL.bound(1.0) < 1e-3 < error["residual"]
     assert "residuals" not in error
+
+
+def test_ragged_basis_images_exit_two_with_a_report(tmp_path):
+    """One 2 x 2 and one 3 x 3 image used to escape as numpy's ValueError:
+    a traceback, no report, exit 1. Each image is now checked against the
+    ambient shape at load."""
+    d2 = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    scene = tmp_path / "ragged.json"
+    scene.write_text(json.dumps({
+        "ambient_dim": 2, "algebras": {"a": {"generators": [enc(g) for g in d2]}},
+        "endomorphisms": {"theta": {"domain": "a",
+                                    "basis_images": [enc(d2[0]), enc(np.eye(3))]}}}))
+    report, _ = run_json(["endo-validate", "--input", str(scene)], 2)
+    assert report["status"] == "fail" and report["error"]["type"] == "ParseError"
+    assert "basis_images[1]: shape (3, 3)" in report["error"]["message"]
+
+
+def test_a_relation_failure_report_names_the_law(scene_dir):
+    """pair-check on d2 fails relation_b_prime, and the report carries its
+    law, residual and bound; so does the non-unitary symmetry-check."""
+    report, _ = run_json(["pair-check", "--input", path(scene_dir, "d2")], 1)
+    error = report["error"]
+    assert (error["type"], error["law"]) == ("RelationBPrime", "relation_b_prime")
+    assert error["bound"] == nk.DEFAULT_TOL.bound(1.0) < error["residual"]
+    report, _ = run_json(["symmetry-check", "--input", path(scene_dir, "broken")], 1)
+    error = report["error"]
+    assert (error["type"], error["law"]) == ("NotUnitary", "unitarity")
+    assert error["bound"] < error["residual"]

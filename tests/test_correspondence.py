@@ -588,3 +588,62 @@ def test_tables_multiply_under_the_tensor_product(seed):
     for k in range(1, 4):
         assert np.array_equal(_table(p.members[k]),
                               np.linalg.matrix_power(step, k - 1) @ _table(p.members[1]))
+
+
+FRAME_CASES = [([(1, 2), (1, 2), (2, 1)], 4), ([(2, 3), (1, 2), (3, 1)], 5), ([(2, 2)], 3),
+               ([(1, 1), (1, 1)], 2), ([(1, 3)], 1), ([(4, 2), (2, 4)], 1)]
+
+
+@pytest.mark.parametrize("blocks, seed", FRAME_CASES)
+def test_frame_distance_is_the_distance_of_equals(blocks, seed):
+    """The distance require_commutant reads in the frame of B equals that of
+    ``algebra.equals`` against commutant(B) (``oracles.commutant_distance``)
+    within 1e-12: on the commutant's span in another basis, turned by 1e-12
+    up to 0.3, and on B and on the scalars."""
+    n = sum(a * m for a, m in blocks)
+    b = alg.random_algebra(n, blocks, seed=seed)
+    sig = alg.block_decompose(b)
+    comm = alg.commutant(b)
+    given = [alg.trivial_algebra(n), b]
+    for k, delta in enumerate((0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3, 0.3)):
+        w = _turn(n, delta, seed + k)
+        given.append(alg.VnAlgebra(n, w @ comm.basis[::-1] @ w.conj().T))
+    for bp in given:
+        oracle = orc.commutant_distance(b, bp)
+        assert abs(corr._frame_distance(sig, bp) - oracle.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("blocks, seed", FRAME_CASES[:4])
+def test_require_commutant_at_its_bound(blocks, seed):
+    """B' turned off the commutant so that its frame distance lies 20% inside
+    or 20% outside the bound of ``equals``: inside it passes and takes the
+    frame; outside it fails the ``commutant`` law, as the generator law,
+    about 0.6 of its bound there, still passes, and it fails so again when
+    it holds a frame of its own."""
+    tol = nk.DEFAULT_TOL
+    n = sum(a * m for a, m in blocks)
+    b = alg.random_algebra(n, blocks, seed=seed)
+    sig, comm = alg.block_decompose(b), alg.commutant(b)
+    bound = tol.bound(comm.dim ** 0.5)
+    probe = corr._frame_distance(sig, alg.VnAlgebra(n, _conjugate(_turn(n, 1e-7, seed), comm)))
+    for factor in (0.8, 1.2):
+        w = _turn(n, 1e-7 * factor * bound / probe, seed)
+        bp = alg.VnAlgebra(n, _conjugate(w, comm))
+        distance = orc.commutant_distance(b, bp).residual
+        assert abs(distance / bound - factor) <= 1e-3
+        if factor < 1.0:
+            assert corr.require_commutant(b, bp, tol) is bp
+            assert alg.block_decompose(bp) is sig._dual
+            continue
+        with pytest.raises(DomainsNotCommutant) as info:
+            corr.require_commutant(b, bp, tol)
+        err = info.value
+        assert err.law == "commutant" and err.bound == bound
+        assert abs(err.residual - distance) <= 1e-12 and bp._frames == {}
+        alg.block_decompose(bp)
+        with pytest.raises(DomainsNotCommutant, match="not the commutant"):
+            corr.require_commutant(b, bp, tol)
+
+
+def _conjugate(w, a) -> np.ndarray:
+    return w @ a.basis[::-1] @ w.conj().T
