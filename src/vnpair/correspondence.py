@@ -166,14 +166,16 @@ def require_commutant(b, bp, tol: nk.Tolerance):
     within tol.bound(its largest norm); ``commutant``, bp within r of C at the
     bound of ``algebra.equals``, r read in b's frame (``_frame_distance``), so C's
     law bounds each [b, b'] by |[b, c]| + 2 |b| r. bp then takes over C's frame
-    (``BlockSignature._dual``) and is not compared with C again at tol."""
+    (``BlockSignature._dual``); a bp holding the dual of b's frame at tol took it
+    after both laws passed, or is commutant(b, tol), so neither law runs again."""
+    held = b._frames.get(tol)
+    if held is not None and bp._frames.get(tol) is held._dual:
+        return bp
     gens, other = min((b.generators, bp), (bp.generators, b), key=lambda g: len(g[0]))
     nk.require(nk.law_residual(gens, gens, other.basis), tol.bound(nk.worst_norm(gens)),
                DomainsNotCommutant, "ranges do not commute, residual {:.3e}",
                law="commutation")
     sig = alg.block_decompose(b, tol)
-    if bp._frames.get(tol) is sig._dual:  # compared here before, or commutant(b, tol)
-        return bp
     nk.require(_frame_distance(sig, bp), tol.bound(
         bp.dim ** 0.5, sum(m * m for _, m in sig.blocks) ** 0.5), DomainsNotCommutant,
         "second domain is not the commutant of the first, distance {:.3e}", law="commutant")
@@ -231,7 +233,9 @@ def tensor_quotient(gram_factor, f: Correspondence,
     coordinates isometrically onto the quotient carrier, and its
     pseudo-inverse. G depends on x, f.left and f.rho only. A Gram
     eigenvalue below -cutoff raises GramNotPSD, a quotient that keeps no
-    direction EmptyTensorProduct.
+    direction (largest eigenvalue at most the cutoff) EmptyTensorProduct, law
+    ``quotient_rank``, the cutoff its residual and the float below that eigenvalue
+    its bound.
     """
     de, hf = gram_factor.shape[0], f.carrier_dim
     # the left action of f on the inner products, which lie in the middle algebra
@@ -241,12 +245,12 @@ def tensor_quotient(gram_factor, f: Correspondence,
     cut = tol.eps * max(top, 1.0)
     if lam.size:
         nk.require(-lam[0], cut, GramNotPSD,
-                   "Gram matrix eigenvalue {1:.3e} below zero", lam[0])
+                   "Gram matrix eigenvalue {1:.3e} below zero", lam[0], law="gram_psd")
+    # a direction survives when the cut lies strictly below the top: at most the float before it
+    nk.require(cut, np.nextafter(top, -np.inf), EmptyTensorProduct, "no direction of the "
+               "{1}-dimensional raw space survives: largest Gram eigenvalue {2:.3e}, cutoff "
+               "{0:.3e}", de * hf, top, law="quotient_rank")
     keep = lam > cut
-    if not keep.any():
-        raise EmptyTensorProduct(
-            f"no direction of the {de * hf}-dimensional raw space survives: "
-            f"largest Gram eigenvalue {top:.3e}, cutoff {cut:.3e}")
     lam_kept, vec_kept = lam[keep], vec[:, keep]
     return (np.sqrt(lam_kept)[:, None] * vec_kept.conj().T,
             vec_kept / np.sqrt(lam_kept)[None, :])

@@ -81,15 +81,16 @@ def validate(values, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Multiplier:
     s, t = np.unravel_index(int(moduli.argmax()), grid.shape)
     worst_mod = nk.require(float(moduli.max()), UNIMODULAR_TOL, NotUnimodular,
                            "|m({1},{2})| = {3:.15f} deviates from one by {0:.3e}",
-                           s, t, abs(grid[s, t]))
+                           s, t, abs(grid[s, t]), law="unimodular")
     worst_coc, triple = _worst_cocycle(grid)
     nk.require(worst_coc, tol.bound(1.0), CocycleViolation,
                "cocycle identity fails at ({1},{2},{3}), residual {0:.3e}",
-               *triple, triple=triple, residual=worst_coc, bound=tol.bound(1.0))
+               *triple, triple=triple, law="cocycle")
     worst_bnd = nk.require(float(nk.worst(np.abs(grid[0, :] - grid[0, 0]).max(),
                                           np.abs(grid[:, 0] - grid[0, 0]).max())),
                            tol.bound(1.0), BoundaryViolation,
-                           "row or column zero is not constant, residual {:.3e}")
+                           "row or column zero is not constant, residual {:.3e}",
+                           law="boundary")
     return Multiplier(grid, {"unimodular": worst_mod, "cocycle": worst_coc,
                              "boundary": worst_bnd})
 
@@ -110,8 +111,8 @@ def coboundary(f, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Multiplier:
     if f.size < 3 or f.size % 2 == 0:
         raise GridMismatch(
             f"need an odd number >= 3 of scalars, got {f.size}")
-    nk.require(np.abs(np.abs(f) - 1.0).max(), UNIMODULAR_TOL, NotUnimodular,
-               "family values must have modulus one")
+    nk.require(float(np.abs(np.abs(f) - 1.0).max()), UNIMODULAR_TOL, NotUnimodular,
+               "family values must have modulus one", law="unimodular")
     n = (f.size - 1) // 2
     idx = np.arange(n + 1)
     grid = np.multiply.outer(f[:n + 1], f[:n + 1]) / f[np.add.outer(idx, idx)]
@@ -160,7 +161,7 @@ def trivialize(m: Multiplier) -> np.ndarray:
         f[t + 1] = f[t] / normalized[1, t]
     f = f * base
     nk.require(splitting_residual(m, f), TRIVIALIZE_TOL, TrivializationResidual,
-               "splitting family fails certification, residual {:.3e}")
+               "splitting family fails certification, residual {:.3e}", law="splitting")
     return f
 
 
@@ -182,7 +183,7 @@ class ProjectiveUnitaryFamily:
             if u.shape != (d, d):
                 raise GridMismatch(f"U_{t} has shape {u.shape}, expected {(d, d)}")
             nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(d)), NotUnitary,
-                       "U_{1} is not unitary, residual {0:.3e}", t)
+                       "U_{1} is not unitary, residual {0:.3e}", t, law="unitarity")
         self._scalar_table(self.horizon, tol)
 
     def _scalar_table(self, n: int, tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
@@ -200,7 +201,7 @@ class ProjectiveUnitaryFamily:
         s, t = np.unravel_index(int(score.argmax()), score.shape)
         nk.require(float(score.max()), 1.0, NotScalar,
                    "U_{2} U_{1} is not a scalar multiple of U_{3}, defect {4:.3e}",
-                   s, t, s + t, defect[s, t])
+                   s, t, s + t, defect[s, t], law="scalar")
         lam = np.where(mask, lam, 1.0)
         return lam / np.abs(lam)
 
@@ -210,8 +211,8 @@ def family_from_phases(phases, v,
     """The family U_t = phases[t] v^t for a fixed unitary v."""
     v = nk.as_matrix(v, "v")
     phases = np.asarray(phases, dtype=complex).reshape(-1)
-    nk.require(np.abs(np.abs(phases) - 1.0).max(), UNIMODULAR_TOL, NotUnimodular,
-               "phases must have modulus one")
+    nk.require(float(np.abs(np.abs(phases) - 1.0).max()), UNIMODULAR_TOL, NotUnimodular,
+               "phases must have modulus one", law="unimodular")
     maps = []
     power = np.eye(v.shape[0], dtype=complex)
     for t in range(phases.size):

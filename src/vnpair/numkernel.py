@@ -169,13 +169,14 @@ def integral_trace(trace, bound: float, dim: int) -> int:
 
     The one rounding rule for rank decisions made by traces: a non-finite
     trace, or one further than bound from every integer in [0, dim], raises
-    NonIntegralRank carrying the trace, the rounded rank and the bound.
+    NonIntegralRank, law ``integral_rank``, carrying the trace, the rounded rank,
+    the deviation from it as residual (inf off [0, dim]) and the bound.
     """
     rank = int(round(trace.real)) if np.isfinite(trace) else -1
-    deviation = abs(trace - rank) if 0 <= rank <= dim else float("inf")
+    deviation = float(abs(trace - rank)) if 0 <= rank <= dim else float("inf")
     require(deviation, bound, NonIntegralRank,
             "trace {1:.6g} is not within {2:.3e} of a rank in [0, {3}]",
-            trace, bound, dim, trace=trace, rank=rank, bound=bound)
+            trace, bound, dim, trace=trace, rank=rank, law="integral_rank")
     return rank
 
 

@@ -12,7 +12,6 @@ pairable endomorphisms by an operator cocycle.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -20,8 +19,9 @@ from . import algebra as alg
 from . import correspondence as corr
 from . import endo as endo_mod
 from . import numkernel as nk
-from .errors import (CocycleResidual, NotFaithful, NotIsometric, NotPairedInput, NotUnitary,
-                     NotUnitaryImage, PairingCheckFailed, RelationB, RelationBPrime)
+from .errors import (CocycleResidual, ImageOutsideAlgebra, NotFaithful, NotIsometric,
+                     NotPairedInput, NotUnitary, NotUnitaryImage, PairingCheckFailed, RelationB,
+                     RelationBPrime, VnpairError)
 
 
 class PairingCertificate:
@@ -78,11 +78,12 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
 
     u* b u must equal theta(b) on the basis of B, u b' u* must equal
     theta_prime(b') on the basis of B', and the same relations must hold
-    for u^k against the k-th iterates up to the horizon. Both maps pass
-    ``Endomorphism.validate`` at every horizon before their iterates are
-    compared; law residuals are computed once per map, iterates once per call.
-    B' must be the commutant of B (``correspondence.require_commutant``:
-    within r of it, so [b, b'] is within 2 |b| r of the commutant's law).
+    for u^k against the k-th iterates up to the horizon, which ``_relations``
+    bounds off the first two in closed form. Each map's laws are proven by
+    the same bounds or pass ``Endomorphism.validate``; its span law is
+    checked either way. B' must be the commutant of B
+    (``correspondence.require_commutant``: within r of it, so [b, b'] is
+    within 2 |b| r of the commutant's law).
     """
     horizon = nk.as_horizon(horizon)
     corr.require_commutant(theta.domain, theta_prime.domain, tol)
@@ -93,29 +94,82 @@ def check_pairing(u, theta, theta_prime, horizon: int = 4,
 def _relations(u, theta, theta_prime, horizon: int,
                tol: nk.Tolerance) -> PairingCertificate:
     """``check_pairing`` on domains already compared and an n x n u whose
-    unitarity residual has passed tol.bound(sqrt(n))."""
-    b, bp = theta.domain, theta_prime.domain
-    worst_b = nk.require(nk.worst_norm(u.conj().T @ b.basis @ u - theta.basis_images),
-                         tol.bound(1.0), RelationB, "u* b u does not implement the map "
-                         "on B, residual {:.3e}", law="relation_b")
-    worst_bp = nk.require(nk.worst_norm(u @ bp.basis @ u.conj().T - theta_prime.basis_images),
-                          tol.bound(1.0), RelationBPrime, "u b' u* does not implement the "
-                          "map on B', residual {:.3e}", law="relation_b_prime")
-    # each map is valid, so its iterates are valid as composed
-    theta.validate(tol)
-    theta_prime.validate(tol)
-    uk = list(itertools.accumulate([u] * horizon, np.matmul))[1:]  # u^2, ..., u^horizon
-    # the powers of theta, then those of theta_prime: one map's iterates at a time
-    worst_pow = nk.worst(0.0, *(nk.worst_norm(v.conj().T @ b.basis @ v - f.basis_images)
-                                for v, f in zip(uk, endo_mod.iterates(theta, horizon)[2:])))
-    worst_pow = nk.worst(worst_pow, *(
-        nk.worst_norm(v @ bp.basis @ v.conj().T - f.basis_images)
-        for v, f in zip(uk, endo_mod.iterates(theta_prime, horizon)[2:])))
+    unitarity residual has passed tol.bound(sqrt(n)).
+
+    The stacks R = u* b u - theta(b) over the basis of B and R' = u b' u* -
+    theta_prime(b') over that of B' are the only products formed: u pairs the
+    maps when theta = Ad u* and theta_prime = Ad u (the paper's Remark 1.8),
+    and the rest is read off the two stacks (``_laws_and_powers``). No iterate
+    and no power of u is formed; ``tests/oracles.py`` keeps the dense powers.
+    """
+    (worst_b, rho), (worst_bp, rho_prime) = (
+        _relation(u.conj().T @ theta.domain.basis @ u - theta.basis_images, RelationB,
+                  "relation_b", "u* b u does not implement the map on B", tol),
+        _relation(u @ theta_prime.domain.basis @ u.conj().T - theta_prime.basis_images,
+                  RelationBPrime, "relation_b_prime", "u b' u* does not implement the map "
+                  "on B'", tol))
+    eps = nk.unitarity_residual(u)
+    worst_pow = nk.worst(_laws_and_powers(theta, rho, eps, horizon, tol),
+                         _laws_and_powers(theta_prime, rho_prime, eps, horizon, tol))
     nk.require(worst_pow, tol.bound(1.0), RelationB,
                "powers of u fail to implement the iterates, residual {:.3e}", law="powers")
     return PairingCertificate(unitary=u, residuals={
         "relation_b": worst_b, "relation_b_prime": worst_bp,
         "powers": worst_pow})
+
+
+def _relation(r, error_cls, law: str, what: str, tol: nk.Tolerance) -> tuple[float, float]:
+    """The worst slice of the relation stack r, required within tol.bound(1.0),
+    and the Frobenius norm of the whole stack."""
+    return (nk.require(nk.worst_norm(r), tol.bound(1.0), error_cls, what + ", residual {:.3e}",
+                       law=law), nk.frobenius(r))
+
+
+def _laws_and_powers(f, rho: float, eps: float, horizon: int, tol: nk.Tolerance) -> float:
+    """f's laws, and a bound on its powers against those of Ad (Ad u* for theta,
+    Ad u for theta_prime), from rho = |f - Ad| (Frobenius over f's relation stack)
+    and eps = |u* u - 1| = |u u* - 1| (Frobenius). In exact arithmetic, on the
+    domain of dim d in M_n with projection P, Frobenius norms throughout:
+    |(f - Ad)(x)| <= rho |x| on the domain (Cauchy-Schwarz over the orthonormal
+    basis), |Ad| <= |u|_op^2 <= a = 1 + eps, |f P| <= kappa = a + rho and
+    |(1 - P) f P| <= sigma = sqrt(d) f._span.
+
+    - powers: f^k - Ad^k = sum_{j<k} Ad^j (f P - Ad) f^(k-1-j), and (f P - Ad)
+      y = (f - Ad)(P y) - Ad((1 - P) y) with (1 - P) y = 0 at j = k - 1, so
+      |f^k(b) - Ad^k(b)| <= (rho + a sigma) sum_{j<k} a^j kappa^(k-1-j); at
+      k = horizon this bounds every k from 2 on (0.0 at horizon 1, where no
+      power is compared).
+    - laws, as ``endo.hom_residuals`` reads them on the units e of a frame of
+      the domain (summand i of shape (a_i, m_i), |e| = sqrt(m_i), g_e = Ad(e)):
+      f(e) = g_e - r_e with sum_e |r_e|^2 <= max m_i rho^2 <= n rho^2, and
+      g_j1 g_1k = g_jk + u* e_j1 D e_1k u (D = u u* - 1; for Ad u, D = u* u - 1).
+      unital: f(1) - 1 = (u* u - 1) - r_1, so <= eps + sqrt(n) rho.
+      star: S_jk = r_jk - r_kj*, so <= 2 sqrt(n) rho.
+      multiplicative: Q_jk = -r_jk - u* e_j1 D e_1k u + g_j1 r_1k + r_j1 g_1k
+      - r_j1 r_1k and P = delta r_11 + u* e_1k D e'_j1 u - g_1k r'_j1 - r_1k g'_j1
+      + r_1k r'_j1; with |sum_j g_j1* g_j1|_op <= a^2 a_i, |sum g_1k* g_1k|_op
+      <= a^2 over all units, a_i m_i <= n and max a_i^2 <= d, each of |Q|, |P|
+      is at most a sqrt(d) eps + (1 + 2 a) sqrt(n) rho + n rho^2, so
+      multiplicative <= 2 (a sqrt(d) eps + 3 a sqrt(n) rho + n rho^2).
+
+    When the three bounds are within those of ``Endomorphism.validate`` only the
+    span law, which the relations do not imply, is checked; else ``validate``
+    runs, so every law is proven or evaluated, at validate's order and bounds.
+    """
+    n, d = f.domain.ambient_dim, f.domain.dim
+    a, root_n = 1.0 + eps, np.sqrt(n)
+    if (eps + root_n * rho <= tol.bound(root_n) and 2.0 * root_n * rho <= tol.bound(1.0)
+            and 2.0 * (a * np.sqrt(d) * eps + 3.0 * a * root_n * rho + n * rho * rho)
+            <= tol.bound(1.0)):
+        nk.require(f._span, tol.bound(1.0), ImageOutsideAlgebra,
+                   "image leaves the algebra span, residual {:.3e}", law="span")
+    else:
+        f.validate(tol)
+    if horizon < 2:
+        return 0.0
+    kappa = a + rho
+    return float((rho + a * np.sqrt(d) * f._span) * sum(
+        a ** j * kappa ** (horizon - 1 - j) for j in range(horizon)))
 
 
 def isomorphism_from_pairing(u, theta, theta_prime,
@@ -189,7 +243,8 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
 
 
 def _pairing_of(u, theta, theta_prime, tol: nk.Tolerance) -> PairingCertificate:
-    """Pairing relations and dilation-level map of u, domains compared; relation_b r
+    """Pairing relations, with the maps' laws and powers read off them
+    (``_relations``), and dilation-level map of u, domains compared; relation_b r
     implies eq33_solve <= sqrt(d) r max_i sqrt(a_i / m_i) (``_eq33_residuals``)."""
     try:
         cert = _relations(u, theta, theta_prime, 4, tol)
@@ -220,16 +275,21 @@ def can_pair(theta, theta_prime,
     equal tables are the permutation matrix of sigma and the unitary is read off
     that form (``_unitary_of``) and certified by ``_pairing_of``; at the unitarity
     bound of ``find_isomorphism`` its intertwining laws are the relations up to the
-    unitarity residual. Both maps are validated before any table is read, so
-    NotPaired certifies that the tables of two valid faithful maps differ."""
+    unitarity residual. A paired outcome proves both maps' homomorphism laws off
+    its relation stacks, or evaluates them (``_relations``); both maps are
+    validated before NotPaired is returned, so it certifies that the tables of two
+    valid faithful maps differ, and before an error of the paired branch is raised."""
     return next(_decisions((theta,), theta_prime, tol))
 
 
 def _decisions(thetas, theta_prime, tol: nk.Tolerance):
     """``can_pair`` of each map of thetas against theta_prime, one per next().
-    The maps share one domain basis, so theta_prime's faithfulness, validation
-    and form, and the domain comparison, are read for the first only. Each map
-    is validated before its tables, theta_prime once B' holds the frame of B."""
+    The maps share one domain basis, so theta_prime's faithfulness and form, and
+    the domain comparison, are read for the first only. A paired outcome has
+    proven or evaluated the laws of both maps (``_relations``); both maps are
+    validated before NotPaired is returned and before an error of the paired
+    branch is raised, so a map's own law error comes first, as when each map
+    was validated before its tables."""
     right = None
     for theta in thetas:
         if not endo_mod.is_faithful(theta, tol):
@@ -238,18 +298,25 @@ def _decisions(thetas, theta_prime, tol: nk.Tolerance):
             if not endo_mod.is_faithful(theta_prime, tol):
                 raise NotFaithful("second map is not faithful")
             corr.require_commutant(theta.domain, theta_prime.domain, tol)
-        theta.validate(tol)
-        if right is None:
+        try:
+            if right is None:
+                sig = alg.block_decompose(theta.domain, tol)
+                table = functools.partial(corr.MultiplicityTable, sig.blocks,
+                                          sig._dual.blocks, carrier_dim=theta.domain.ambient_dim)
+                xp, counts = _form(theta_prime, sig._dual, sig)
+                right = table(tuple(zip(*counts)))
+            x, counts = _form(theta, sig, sig._dual)
+            left = table(counts)
+            cert = None if left.counts != right.counts else _pairing_of(
+                _unitary_of(sig, left.counts, x, xp, tol), theta, theta_prime, tol)
+        except VnpairError:
+            theta.validate(tol)
             theta_prime.validate(tol)
-            sig = alg.block_decompose(theta.domain, tol)
-            table = functools.partial(corr.MultiplicityTable, sig.blocks, sig._dual.blocks,
-                                      carrier_dim=theta.domain.ambient_dim)
-            xp, counts = _form(theta_prime, sig._dual, sig)
-            right = table(tuple(zip(*counts)))
-        x, counts = _form(theta, sig, sig._dual)
-        left = table(counts)
-        cert = PairingCertificate() if left.counts != right.counts else _pairing_of(
-            _unitary_of(sig, left.counts, x, xp, tol), theta, theta_prime, tol)
+            raise
+        if cert is None:
+            theta.validate(tol)
+            theta_prime.validate(tol)
+            cert = PairingCertificate()
         cert.table_left, cert.table_right = left, right
         yield cert
 
@@ -341,7 +408,7 @@ def cocycle_link(theta1, theta2, theta_prime, horizon: int,
         raise CocycleResidual(
             f"link is not in the algebra, residual {report.residual:.3e}",
             step=1, residual=float(report.residual))
-    # _decisions validated both maps; theta2's iterates live for one loop only
+    # _decisions proved or evaluated both maps' laws; theta2's iterates live for one loop only
     powers1 = endo_mod.iterates(theta1, horizon)
     family = [c1]
     for s in range(1, horizon):

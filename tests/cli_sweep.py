@@ -6,8 +6,9 @@ defaults, ``--tol 0.5``, ``--horizon 3`` and ``--tol 1e-6``: 1,064 runs, in
 one process. Each run is written as its exit code, status, error entry,
 payload and diagnostics, with ``timing`` dropped and the scene directory
 blanked in the error's location and message. The record also
-counts the block frames built (``algebra._frame``) and the homomorphism law
-evaluations (``endo.hom_residuals``), per run and in total.
+counts, per run and in total, the block frames built (``algebra._frame``),
+the homomorphism law evaluations (``endo.hom_residuals``), the iterate lists
+composed (``endo.iterates``) and the law kernels run (``numkernel.law_residual``).
 
     PYTHONPATH=src python tests/cli_sweep.py sweep.json
     PYTHONPATH=<other checkout>/src python tests/cli_sweep.py other.json
@@ -41,7 +42,7 @@ from vnpair import selftest as st
 
 FLAG_SETS = {"default": [], "tol0.5": ["--tol", "0.5"], "horizon3": ["--horizon", "3"],
              "tol1e-6": ["--tol", "1e-6"]}
-COUNTED = ((alg, "_frame"), (endo, "hom_residuals"))
+COUNTED = ((alg, "_frame"), (endo, "hom_residuals"), (endo, "iterates"), (nk, "law_residual"))
 
 
 def write_scenes(root: pathlib.Path) -> pathlib.Path:
@@ -173,7 +174,7 @@ def _run(argv, root: str) -> dict:
 
 def sweep(root, commands=None, scene_names=None, flag_sets=None) -> dict:
     """Run each command on each scene of root under each flag set (all, by
-    default) and count the frames and law evaluations of each run."""
+    default) and count the calls of each ``COUNTED`` function in each run."""
     root = pathlib.Path(root)
     paths = {p.stem: p for p in sorted(root.glob("*.json"))
              if scene_names is None or p.stem in scene_names}

@@ -82,12 +82,17 @@ faster route replaced, kept so that the faster route has a reference.
   columns with S^1/2 from an eigendecomposition, before
   ``correspondence.require_commutant`` measured that distance in the frame
   of B and ``pairing.can_pair`` read the tables, the unitary and the eq33
-  bound off the automorphism form.
+  bound off the automorphism form;
+- ``dense_powers`` and ``dense_relations``: the powers u^k compared with the
+  iterates of both maps, and the pairing check that validated both maps and
+  compared those powers, before ``pairing._relations`` bounded the powers
+  and the homomorphism laws in closed form off the two relation stacks.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import Sequence
@@ -102,7 +107,8 @@ from vnpair import pairing
 from vnpair import prodsys as ps
 from vnpair import scenes
 from vnpair import selftest
-from vnpair.errors import DimensionMismatch, ProductSystemLawError, SingularInput
+from vnpair.errors import (DimensionMismatch, ProductSystemLawError, RelationB,
+                           RelationBPrime, SingularInput)
 
 
 def mul_constraint(left, right) -> np.ndarray:
@@ -259,6 +265,34 @@ def eq33_reduced_family(u, theta) -> dict:
     u33 = nk.lstsq_map(src, dst)
     return {"eq33_solve": float(np.linalg.norm(u33 @ src - dst)),
             "eq33_match": float(np.linalg.norm(u33 - u))}
+
+
+def dense_powers(u, theta, theta_prime, horizon: int) -> float:
+    """Worst |(u^k)* b u^k - theta^k(b)| over the basis of B and |u^k b' (u^k)*
+    - theta_prime^k(b')| over that of B', k = 2..horizon, from the iterates."""
+    uk = list(itertools.accumulate([u] * horizon, np.matmul))[1:]
+    b, bp = theta.domain, theta_prime.domain
+    worst = nk.worst(0.0, *(nk.worst_norm(v.conj().T @ b.basis @ v - f.basis_images)
+                            for v, f in zip(uk, endo_mod.iterates(theta, horizon)[2:])))
+    return nk.worst(worst, *(nk.worst_norm(v @ bp.basis @ v.conj().T - f.basis_images)
+                             for v, f in zip(uk, endo_mod.iterates(theta_prime, horizon)[2:])))
+
+
+def dense_relations(u, theta, theta_prime, horizon: int, tol=nk.DEFAULT_TOL) -> dict:
+    """``pairing._relations`` as it was: the relations on B and B', then
+    ``validate`` of both maps, then the dense powers, each raising as there."""
+    worst_b = nk.require(nk.worst_norm(u.conj().T @ theta.domain.basis @ u
+                                       - theta.basis_images), tol.bound(1.0), RelationB,
+                         "relation on B, residual {:.3e}", law="relation_b")
+    worst_bp = nk.require(nk.worst_norm(u @ theta_prime.domain.basis @ u.conj().T
+                                        - theta_prime.basis_images), tol.bound(1.0),
+                          RelationBPrime, "relation on B', residual {:.3e}",
+                          law="relation_b_prime")
+    theta.validate(tol)
+    theta_prime.validate(tol)
+    powers = nk.require(dense_powers(u, theta, theta_prime, horizon), tol.bound(1.0),
+                        RelationB, "powers, residual {:.3e}", law="powers")
+    return {"relation_b": worst_b, "relation_b_prime": worst_bp, "powers": powers}
 
 
 def span_distance(x, y) -> float:

@@ -716,6 +716,18 @@ def test_the_sweep_records_a_run_and_diffs_it(scene_dir):
     assert len(cli_sweep.diff(record, other)[0]) == 1
 
 
+def test_every_failing_scene_run_names_its_law_residual_and_bound(scene_dir):
+    """Each of the 36 exit-1 runs of the sweep (14 scenes, 19 commands, 4 flag
+    sets) carries its bound, and the law it failed with its residual, or, for
+    a set of laws checked at once (``numkernel.require_laws``), the failing
+    residuals keyed by law."""
+    runs = cli_sweep.sweep(scene_dir)["runs"]
+    failing = {key: run["error"] for key, run in runs.items() if run["code"] == 1}
+    assert len(failing) == 36
+    assert {key: sorted(error) for key, error in failing.items() if "bound" not in error or not (
+        {"law", "residual"} <= set(error) or error.get("residuals"))} == {}
+
+
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 
@@ -767,11 +779,11 @@ def test_scene_reports_keep_their_golden_shape(scene_dir, emitted):
 
 def test_failure_report_carries_the_residual_and_bound(scene_dir):
     """multbad breaks the cocycle identity by about 5e-3: CocycleViolation
-    carries its residual and bound, and names no law."""
+    names its law, with its residual and bound."""
     report, _ = run_json(["mult-check", "--input", path(scene_dir, "multbad")], 1)
     error = report["error"]
-    assert error["type"] == "CocycleViolation"
-    assert list(error) == ["type", "message", "location", "residual", "bound"]
+    assert (error["type"], error["law"]) == ("CocycleViolation", "cocycle")
+    assert list(error) == ["type", "message", "location", "law", "residual", "bound"]
     assert 1e-3 < error["residual"] and error["bound"] == nk.DEFAULT_TOL.bound(1.0)
 
 

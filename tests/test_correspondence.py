@@ -394,7 +394,9 @@ def test_twisted_laws_bound_the_full_basis_commutation(n, blocks, seed, swap, ki
 
 def test_a_default_commutant_adds_no_commutation_pass(monkeypatch):
     """The default B' is the commutant, whose own law covers [B, B']: no
-    law_residual; a given B' costs one, of the shorter generator list."""
+    law_residual, and none for the commutant given as B', which holds the
+    dual of B's frame; a B' built on its own costs one, of the shorter
+    generator list, and none once it has taken that frame."""
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
     bp = alg.commutant(b)
     theta = endo.from_unitary(b, _turn(6, 1.0, 15, within=b))
@@ -409,7 +411,12 @@ def test_a_default_commutant_adds_no_commutation_pass(monkeypatch):
     e = corr.of_endomorphism(theta)
     assert shapes == [] and e.right_commutant is bp
     corr.of_endomorphism(theta, right_commutant=bp)
-    assert shapes == [(len(b.generators), bp.dim)]
+    assert shapes == []
+    own = alg.VnAlgebra(6, bp.basis[::-1])
+    corr.of_endomorphism(theta, right_commutant=own)
+    assert shapes == [(len(b.generators), own.dim)]
+    corr.of_endomorphism(theta, right_commutant=own)
+    assert shapes == [(len(b.generators), own.dim)]
 
 
 def test_construction_errors_carry_the_law_residual_and_bound():

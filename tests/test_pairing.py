@@ -13,9 +13,9 @@ from vnpair import prodsys as ps
 from vnpair import selftest as st
 from vnpair.errors import (CocycleResidual, DimensionMismatch, DomainMismatch,
                            DomainsNotCommutant, ImageOutsideAlgebra, InvalidCorrespondence,
-                           NotFaithful, NotMultiplicative, NotPairedInput, NotUnitary,
-                           NotUnitaryImage, PairingCheckFailed, RelationB,
-                           RelationBPrime)
+                           NonIntegralRank, NotFaithful, NotMultiplicative, NotPairedInput,
+                           NotUnitary, NotUnitaryImage, PairingCheckFailed, RelationB,
+                           RelationBPrime, VnpairError)
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -255,21 +255,51 @@ def _unchecked(b, seed):
 
 
 def test_pairing_computes_the_laws_of_each_map_once(two_block, monkeypatch):
+    """A verified pairing unitary proves both maps' homomorphism laws off its
+    relation stacks, so neither can_pair nor the check_pairing after it
+    evaluates them; a NotPaired outcome validates both maps, once each."""
     b, bp = two_block
     theta, theta_prime = _unchecked(b, 31), endo.identity(bp)
     calls = _count_law_checks(monkeypatch)
     cert = pr.can_pair(theta, theta_prime)
     assert cert.paired
     assert pr.check_pairing(cert.unitary, theta, theta_prime).paired
-    assert len(calls) == 2
+    assert calls == []
+    frame = nk.random_unitary(6, seed=3)
+    swap = _summand_swap(alg.block_model([(2, 1), (2, 2)], frame), frame)
+    ident = endo.identity(alg.commutant(swap.domain))
+    assert not pr.can_pair(swap, ident).paired
+    assert calls == [swap.domain, ident.domain]
 
 
 def test_cocycle_link_computes_the_laws_of_each_map_once(two_block, monkeypatch):
+    """Both decisions of cocycle_link prove the laws of their maps off the
+    relation stacks: no homomorphism law is evaluated."""
     b, bp = two_block
     theta1, theta2, theta_prime = _unchecked(b, 31), _unchecked(b, 37), endo.identity(bp)
     calls = _count_law_checks(monkeypatch)
     pr.cocycle_link(theta1, theta2, theta_prime, horizon=2)
-    assert len(calls) == 3
+    assert calls == []
+
+
+def _count_iterates(monkeypatch) -> list:
+    calls, real = [], endo.iterates
+    monkeypatch.setattr(endo, "iterates", lambda f, k: calls.append(f) or real(f, k))
+    return calls
+
+
+def test_the_paired_path_forms_no_iterate(two_block, monkeypatch):
+    """can_pair and check_pairing bound the powers off the relation stacks and
+    compose no iterate; cocycle_link composes those of theta1 and theta2 once
+    each, for its family, and none of theta_prime."""
+    b, bp = two_block
+    theta1, theta2, theta_prime = _unchecked(b, 31), _unchecked(b, 37), endo.identity(bp)
+    calls = _count_iterates(monkeypatch)
+    cert = pr.can_pair(theta1, theta_prime)
+    assert pr.check_pairing(cert.unitary, theta1, theta_prime, horizon=6).paired
+    assert calls == []
+    pr.cocycle_link(theta1, theta2, theta_prime, horizon=3)
+    assert calls == [theta1, theta2]
 
 
 def test_can_pair_checks_no_unitary_twice(two_block, monkeypatch):
@@ -614,14 +644,15 @@ def test_cocycle_link_builds_the_partner_side_once(two_block, monkeypatch):
 
 
 def test_one_generator_law_per_decision(monkeypatch):
-    """[B, B'] = 0 is evaluated once per can_pair decision, by
-    ``require_commutant``, and once for both decisions of cocycle_link:
-    the twisted correspondences are built on that proof, not re-checked."""
-    model, b, bp = _fresh_domains(5)
+    """[B, B'] = 0 is evaluated once per pair of fresh domains, by
+    ``require_commutant``: once for can_pair and once for both decisions of
+    cocycle_link. A B' that then holds the dual of B's frame took it after
+    that law passed, so a later decision on the same domains runs none."""
     bases = []
     real = nk.law_residual
     monkeypatch.setattr(nk, "law_residual", lambda lefts, rights, basis: bases.append(
         basis) or real(lefts, rights, basis))
+    model, b, bp = _fresh_domains(5)
 
     def generator_laws():
         return sum(x is b.basis or x is bp.basis for x in bases)
@@ -629,7 +660,26 @@ def test_one_generator_law_per_decision(monkeypatch):
     assert generator_laws() == 1
     bases.clear()
     pr.cocycle_link(_inner(model, b, 31), _inner(model, b, 37), endo.identity(bp), horizon=2)
+    assert generator_laws() == 0
+    model, b, bp = _fresh_domains(6)
+    pr.cocycle_link(_inner(model, b, 31), _inner(model, b, 37), endo.identity(bp), horizon=2)
     assert generator_laws() == 1
+
+
+def test_check_pairing_after_can_pair_runs_no_law_residual(monkeypatch):
+    """On fresh domains can_pair runs the generator law, on the basis of B or
+    B'; the check_pairing of its unitary after it runs no law_residual at all."""
+    model, b, bp = _fresh_domains(7)
+    theta, theta_prime = _inner(model, b, 31), endo.identity(bp)
+    calls = []
+    real = nk.law_residual
+    monkeypatch.setattr(nk, "law_residual", lambda *args: calls.append(args) or real(*args))
+    cert = pr.can_pair(theta, theta_prime)
+    assert cert.paired and [args[2] is b.basis or args[2] is bp.basis
+                            for args in calls].count(True) == 1
+    calls.clear()
+    assert pr.check_pairing(cert.unitary, theta, theta_prime).paired
+    assert calls == []
 
 
 def test_can_pair_checks_each_identity_once(monkeypatch):
@@ -758,3 +808,106 @@ def test_equal_tables_that_are_no_permutation_raise(two_block, monkeypatch):
     monkeypatch.setattr(nk, "integral_trace", lambda trace, bound, dim: 1)
     with pytest.raises(PairingCheckFailed, match="not the permutation"):
         pr.can_pair(_unchecked(b, 31), endo.identity(bp))
+
+
+def test_closed_form_powers_bound_the_dense_powers():
+    """The powers residual of check_pairing, read off the relation stacks, is
+    at least the dense comparison of u^k with the iterates of both maps
+    (``oracles.dense_powers``) on the selftest's paired draws and the bench's
+    paired shapes, at horizons 2, 4 and 6; at horizon 1 no power is compared."""
+    seen = 0
+    for theta, theta_prime in _decision_cases():
+        cert = pr.can_pair(theta, theta_prime)
+        if not cert.paired:
+            continue
+        seen += 1
+        for horizon in (2, 4, 6):
+            got = pr.check_pairing(cert.unitary, theta, theta_prime, horizon).residuals
+            assert got["powers"] >= orc.dense_powers(cert.unitary, theta, theta_prime,
+                                                     horizon) > 0.0
+        assert pr.check_pairing(cert.unitary, theta, theta_prime, 1).residuals["powers"] == 0.0
+    assert seen == 20
+
+
+def _direction(b, seed):
+    """A linear map x -> sum_j G_ij b_j on the basis of b, |G| = 1: images of
+    Frobenius norm 1 over the whole stack, inside b."""
+    rng = np.random.default_rng(seed)
+    g = nk.random_complex((b.dim, b.dim), rng)
+    return np.tensordot(g / np.linalg.norm(g), b.basis, axes=(1, 0))
+
+
+def _verdict(call):
+    """Whether call paired (a returned residual dict counts as paired), or the
+    type of the error it raised."""
+    try:
+        out = call()
+    except VnpairError as exc:
+        return type(exc).__name__
+    return getattr(out, "paired", True)
+
+
+@pytest.mark.parametrize("side", [0.9, 1.1])
+def test_an_implied_law_bound_at_the_law_bound_keeps_the_verdict(two_block, monkeypatch,
+                                                                 side):
+    """theta = Ad w* - rho D, D a unit direction inside B, has relation stack
+    rho D against w, so the implied multiplicative bound is about 6 sqrt(n) rho:
+    at rho = side * 1e-9 / (6 sqrt(n)) it proves the laws (0.9) or does not
+    (1.1), and validate runs. Either way check_pairing and can_pair give the
+    verdict of the dense check, which validates both maps and compares the
+    dense powers (``oracles.dense_relations``)."""
+    b, bp = two_block
+    w = unitary_in(b, 31)
+    rho = side * 1e-9 / (6.0 * np.sqrt(b.ambient_dim))
+    images = w.conj().T @ b.basis @ w - rho * _direction(b, 5)
+    fresh = [endo.Endomorphism(b, images) for _ in range(3)]
+    ident = endo.identity(bp)
+    r = w.conj().T @ b.basis @ w - images
+    assert np.isclose(nk.frobenius(r), rho)
+    calls = _count_law_checks(monkeypatch)
+    dense = _verdict(lambda: orc.dense_relations(w, fresh[0], ident, 4))
+    assert dense is True
+    calls.clear()
+    assert _verdict(lambda: pr.check_pairing(w, fresh[1], ident)) == dense
+    assert len(calls) == (side > 1)
+    assert _verdict(lambda: pr.can_pair(fresh[2], ident)) == dense
+
+
+def _non_multiplicative(b, w, t):
+    """Ad w* + t (x - tr(x) 1 / n) on b: unital, *-preserving, faithful for
+    small t, and not multiplicative."""
+    n = b.ambient_dim
+    traces = np.trace(b.basis, axis1=1, axis2=2)
+    return endo.Endomorphism(b, w.conj().T @ b.basis @ w + t * (
+        b.basis - traces[:, None, None] * np.eye(n) / n))
+
+
+@pytest.mark.parametrize("t", [0.1, 0.9e-9])
+def test_a_faithful_non_multiplicative_map_raises_not_multiplicative(two_block, t):
+    """At t = 0.1 the form of theta fails first (its traces are not ranks); at
+    t = 0.9e-9 its relations with w pass and its laws are not proven. can_pair
+    and cocycle_link, with theta first or second, raise NotMultiplicative, as
+    when both maps were validated before their tables; so does check_pairing
+    where the relations pass, as the dense check does (``oracles.dense_relations``)."""
+    b, bp = two_block
+    w = unitary_in(b, 31)
+    ident = endo.identity(bp)
+
+    def theta():
+        return _non_multiplicative(b, w, t)
+    assert endo.is_faithful(theta())
+    if t > 1e-3:
+        sig = alg.block_decompose(b)
+        with pytest.raises(NonIntegralRank):
+            pr._form(theta(), sig, sig._dual)
+    with pytest.raises(NotMultiplicative):
+        pr.can_pair(theta(), ident)
+    with pytest.raises(NotMultiplicative):
+        pr.cocycle_link(theta(), _unchecked(b, 37), ident, horizon=2)
+    with pytest.raises(NotMultiplicative):
+        pr.cocycle_link(_unchecked(b, 37), theta(), ident, horizon=2)
+    if t < 1e-3:
+        with pytest.raises(NotMultiplicative):
+            orc.dense_relations(w, theta(), ident, 4)
+        with pytest.raises(NotMultiplicative):
+            pr.check_pairing(w, theta(), ident)
