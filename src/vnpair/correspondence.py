@@ -221,39 +221,85 @@ def commutant(e: Correspondence) -> Correspondence:
     return c
 
 
-def tensor_quotient(gram_factor, f: Correspondence,
-                    tol: nk.Tolerance = nk.DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient of the raw tensor space of an element basis x against f, from
-    gram_factor = ``inner_products(x)``.
+def tensor_quotient(gram_factor, f: Correspondence, tol: nk.Tolerance = nk.DEFAULT_TOL,
+                    elements=None) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient of the raw tensor space of an element basis x against f.
 
     The raw spanning family consists of simple tensors x_i (tensor) g_j, g_j
-    the carrier basis of f; their Gram matrix
-    G[(i,j),(k,l)] = rho_f(x_i* x_k)[j,l] is diagonalized and eigenvalues
-    below eps * max(top, 1) are quotiented away. Returns phi, mapping raw
-    coordinates isometrically onto the quotient carrier, and its
-    pseudo-inverse. G depends on x, f.left and f.rho only. A Gram
-    eigenvalue below -cutoff raises GramNotPSD, a quotient that keeps no
-    direction (largest eigenvalue at most the cutoff) EmptyTensorProduct, law
-    ``quotient_rank``, the cutoff its residual and the float below that eigenvalue
-    its bound.
+    the carrier basis of f; their Gram matrix is
+    G[(i,j),(k,l)] = rho_f(x_i* x_k)[j,l]. Given elements = x, where G factors
+    as Phi* Phi (``TensorProduct``), the spectrum is read off one SVD of Phi
+    (``_gram_root``, ``_root_spectrum``), G is never formed and gram_factor is
+    not read; otherwise G is formed from gram_factor = ``inner_products(x)``
+    and diagonalized (``_gram_spectrum``). Either way eigenvalues of G (the
+    squared singular values of Phi) below eps * max(top, 1) are quotiented
+    away. Returns phi, mapping raw coordinates isometrically onto the quotient
+    carrier, and its pseudo-inverse; at full row rank of Phi the carrier is
+    its rows, phi = Phi and phi+ = Phi+. A Gram eigenvalue below -cutoff
+    raises GramNotPSD, law ``gram_psd`` (unreachable where G = Phi* Phi by
+    construction), a quotient that keeps no direction (largest eigenvalue at
+    most the cutoff) EmptyTensorProduct, law ``quotient_rank``, the cutoff
+    its residual and the float below that eigenvalue its bound.
     """
-    de, hf = gram_factor.shape[0], f.carrier_dim
-    # the left action of f on the inner products, which lie in the middle algebra
-    gram = f.rho_of(gram_factor).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
-    lam, vec = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    top = float(lam[-1]) if lam.size else 0.0
+    if elements is None:
+        root = left = None
+        lam, vec = _gram_spectrum(gram_factor, f)
+    else:
+        root = _gram_root(elements, f)
+        left, lam, vec = _root_spectrum(root)
+    top = float(lam.max()) if lam.size else 0.0
     cut = tol.eps * max(top, 1.0)
-    if lam.size:
+    if root is None and lam.size:
         nk.require(-lam[0], cut, GramNotPSD,
                    "Gram matrix eigenvalue {1:.3e} below zero", lam[0], law="gram_psd")
     # a direction survives when the cut lies strictly below the top: at most the float before it
     nk.require(cut, np.nextafter(top, -np.inf), EmptyTensorProduct, "no direction of the "
                "{1}-dimensional raw space survives: largest Gram eigenvalue {2:.3e}, cutoff "
-               "{0:.3e}", de * hf, top, law="quotient_rank")
+               "{0:.3e}", vec.shape[0], top, law="quotient_rank")
     keep = lam > cut
     lam_kept, vec_kept = lam[keep], vec[:, keep]
-    return (np.sqrt(lam_kept)[:, None] * vec_kept.conj().T,
-            vec_kept / np.sqrt(lam_kept)[None, :])
+    pinv = vec_kept / np.sqrt(lam_kept)[None, :]
+    if root is not None and lam_kept.size == root.shape[0]:
+        return root, pinv @ left[:, keep].conj().T
+    return np.sqrt(lam_kept)[:, None] * vec_kept.conj().T, pinv
+
+
+def _gram_spectrum(gram_factor, f: Correspondence) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of the raw Gram matrix, f's left
+    action applied to the inner products, which lie in the middle algebra."""
+    de, hf = gram_factor.shape[0], f.carrier_dim
+    gram = f.rho_of(gram_factor).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
+    return np.linalg.eigh((gram + gram.conj().T) / 2.0)
+
+
+def _root_spectrum(root) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Left singular vectors, squared singular values and right singular
+    vectors (as columns) of Phi: the nonzero spectrum of G = Phi* Phi."""
+    left, sv, vh = np.linalg.svd(root, full_matrices=False)
+    return left, sv * sv, vh.conj().T
+
+
+def _factors(e: Correspondence, f: Correspondence) -> bool:
+    """Whether the Gram matrix of tensor(e, f) is Phi* Phi for ``_gram_root``:
+    (a) f's left action is the defining representation of f.left, or (b) e
+    and f are both twisted (``_maps[0]`` recorded), so e's elements lie in
+    span e.right = f.left and rho_f is the validated map."""
+    return f.rho is f.left.basis or (e._maps[0] is not None and f._maps[0] is not None)
+
+
+def _gram_root(x, f: Correspondence) -> np.ndarray:
+    """Phi = [rho_f(x_1)| ... |rho_f(x_d)], shape (h, d h_f), raw column (k, l).
+
+    Phi* Phi has the blocks rho_f(x_i)* rho_f(x_k). In case (a) of ``_factors``
+    Phi = [x_1| ... |x_d] and that is x_i* x_k, the Gram matrix exactly. In
+    case (b) it is rho_f(x_i* x_k) up to the map's residuals: with s its
+    ``star`` residual and m the bound that ``endo.hom_residuals`` states for
+    its worst |rho(b_a b_b) - rho(b_a) rho(b_b)| over the orthonormal basis
+    of the d-dimensional f.left, each block is off by at most
+    d m + sqrt(d) s |rho_f(x_k)|, as x_i has unit coefficients there.
+    """
+    images = x if f.rho is f.left.basis else f.rho_of(x)
+    return images.transpose(1, 0, 2).reshape(images.shape[1], -1)
 
 
 class TensorProduct:
@@ -261,15 +307,18 @@ class TensorProduct:
 
     The carrier is the quotient of the raw space of simple tensors
     (element of e) x (carrier vector of f) by the null space of its Gram
-    matrix (``tensor_quotient``). ``phi`` maps raw coordinates isometrically
-    onto the quotient carrier. ``memo(fn, reads, *args)``, when given,
+    matrix (``tensor_quotient``, from Phi where the Gram factors, ``_factors``).
+    ``phi`` maps raw coordinates isometrically onto the quotient carrier; at
+    full row rank of Phi it is Phi itself, and in case (a) the lifted left
+    action is then e.rho itself. ``memo(fn, reads, *args)``, when given,
     returns fn(*args) once per fn and identities of the arrays in reads:
-    the inner products read the element basis of e, the quotient those and
-    the left algebra and action of f, a lifted action the quotient, the
-    operators and (left lift) that element basis. In the iterate system
-    E_t = {}_{theta^t}B the pairs with one t share the quotient and lifted B'
-    action, in its commutant system the pairs with one s. ``check=False``
-    skips ``_check_light`` for a caller whose laws imply it (``prodsys._build``).
+    the quotient reads the element basis of e (its inner products, on the
+    Gram route) and the left algebra and action of f, a lifted action the
+    quotient, the operators and (left lift) that element basis. In the
+    iterate system E_t = {}_{theta^t}B the pairs with one t share the
+    quotient and lifted B' action, in its commutant system the pairs with
+    one s. ``check=False`` skips ``_check_light`` for a caller whose laws
+    imply it (``prodsys._build``).
     """
 
     def __init__(self, e: Correspondence, f: Correspondence,
@@ -280,11 +329,17 @@ class TensorProduct:
         self.e = e
         self.f = f
         x = e.element_space
-        gram_factor = memo(inner_products, (x,), x)
-        self.phi, self.phi_pinv = memo(tensor_quotient, (gram_factor, f.left, f.rho),
-                                       gram_factor, f, tol)
+        if _factors(e, f):
+            self.phi, self.phi_pinv = memo(tensor_quotient, (x, f.left, f.rho),
+                                           None, f, tol, x)
+        else:
+            gram_factor = memo(inner_products, (x,), x)
+            self.phi, self.phi_pinv = memo(tensor_quotient, (gram_factor, f.left, f.rho),
+                                           gram_factor, f, tol)
         self.carrier_dim = self.phi.shape[0]
         self.left_basis = x
+        # (op x) g = op (x g): with phi = [x_1| ... |x_d] op lifts to itself
+        self._lifts_as_is = f.rho is f.left.basis and self.carrier_dim == e.carrier_dim
         # phi with its raw axis split into (element index, f-carrier index)
         self._phi3 = self.phi.reshape(self.carrier_dim, x.shape[0], f.carrier_dim)
         quotient = (self.phi, self.phi_pinv)
@@ -297,9 +352,12 @@ class TensorProduct:
             carrier_dim=self.carrier_dim, tol=tol, check=check)
 
     def lift_left(self, op) -> np.ndarray:
-        """Operator op (tensor) id on the quotient, op acting on e's carrier;
-        a stack of operators lifts slice by slice."""
+        """Operator op (tensor) id on the quotient, op acting on e's carrier
+        and keeping its elements; a stack of operators lifts slice by slice.
+        Where phi = [x_1| ... |x_d] (case (a) of ``_factors``, full rank) that is op."""
         op = np.asarray(op, dtype=complex)
+        if self._lifts_as_is:
+            return op
         cd, de, hf = self._phi3.shape
         # mt[..., k, i] = <x_i, op x_k>: op on the element basis of e, transposed
         mt = self.e.element_coefficients(op[..., None, :, :] @ self.e.element_space)

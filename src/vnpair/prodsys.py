@@ -105,25 +105,19 @@ class DiscreteProductSystem:
                 self.prod_matrix(0, t, x0) - member.rho_of(x0)))
             worst["right_marginal"] = nk.worst(worst["right_marginal"], nk.worst_norm(
                 self.prod_matrix(t, 0, member.element_space) - member.element_space))
-        for r in range(self.horizon + 1):
-            for s in range(self.horizon + 1 - r):
-                for t in range(self.horizon + 1 - r - s):
-                    worst["associative"] = nk.worst(
-                        worst["associative"], self.associativity_residual(r, s, t))
+        # (x y) z against x (y z) for x of E_r, y of E_s, over the carrier of
+        # E_t, which spans the triple tensor: once per distinct set of arrays
+        stacks = {key: self.action_stack(*key) for key in self.products}
+        coeffs = {key: self.basis_products(*key)[0] for key in self.products}
+        triples = {}
+        for r, s in self.products:
+            for t in range(self.horizon + 1 - r - s):
+                arrays = (coeffs[(r, s)], stacks[(r + s, t)], stacks[(r, s + t)], stacks[(s, t)])
+                triples.setdefault(tuple(map(id, arrays)), arrays)
+        worst["associative"] = nk.worst(0.0, *(self._terms(_associativity, arrays, *arrays)
+                                               for arrays in triples.values()))
         return nk.require_laws(worst, tol.bound(1.0), ProductSystemLawError,
                                "product system laws violated: {}")
-
-    def associativity_residual(self, r: int, s: int, t: int) -> float:
-        """Worst deviation of (x y) z from x (y z) over all pairs of element
-        basis vectors x of E_r and y of E_s.
-
-        Evaluated against the full carrier of E_t, which spans the triple
-        tensor; equality on these simple tensors is equality of the two
-        composite product maps. Computed once per distinct set of arrays.
-        """
-        arrays = (self.basis_products(r, s)[0], self.action_stack(r + s, t),
-                  self.action_stack(r, s + t), self.action_stack(s, t))
-        return self._terms(_associativity, arrays, *arrays)
 
 
 def _basis_products(stack, ys, basis) -> tuple[np.ndarray, float]:
@@ -139,7 +133,9 @@ def _basis_products(stack, ys, basis) -> tuple[np.ndarray, float]:
 
 
 def _associativity(coeffs, inner, outer_x, outer_y) -> float:
-    """``DiscreteProductSystem.associativity_residual`` from the arrays it reads."""
+    """Worst |(x y) z - x (y z)| over the element bases x of E_r, y of E_s and
+    the carrier of E_t, from the coefficients of x y and the action stacks of
+    (r+s, t), (r, s+t) and (s, t)."""
     h, dm, ht = inner.shape
     dr, (hm, ds, _) = outer_x.shape[1], outer_y.shape
     lhs = coeffs @ inner.transpose(1, 0, 2).reshape(dm, h * ht)
@@ -172,7 +168,7 @@ def _factor(tp, images, tol: nk.Tolerance, what: str) -> np.ndarray:
     nk.require(float(np.linalg.norm(u @ tp.phi - target)),
                tol.bound(float(np.linalg.norm(target))), ProductSystemLawError,
                "{1} does not factor through the tensor quotient, residual {0:.3e}",
-               what)
+               what, law="factors")
     return u
 
 
@@ -423,7 +419,8 @@ def representation_from_right_dilation(p: DiscreteProductSystem, w: RightDilatio
     worst = nk.worst(*(nk.law_residual(w.theta_w(t, comm), comm, images[t])
                        for t in range(p.horizon + 1)))
     nk.require(worst, tol.bound(1.0), ProductSystemLawError,
-               "commutant relation fails for the dilation, residual {:.3e}")
+               "commutant relation fails for the dilation, residual {:.3e}",
+               law="commutant_relation")
     return rep
 
 
@@ -465,7 +462,7 @@ def bhat_system(theta, gamma, horizon: int,
         raise DimensionMismatch(f"vector length {gamma.shape[0]}, ambient is {n}")
     norm = float(np.linalg.norm(gamma))
     nk.require(abs(norm - 1.0), tol.bound(1.0), NotUnitVector,
-               "vector norm {1:.12f} differs from one", norm)
+               "vector norm {1:.12f} differs from one", norm, law="unit_vector")
     if not endo_mod.is_automorphism(theta, tol):
         raise NotFaithful("the map is not an automorphism")
     theta.validate(tol)
@@ -484,7 +481,8 @@ def bhat_system(theta, gamma, horizon: int,
             op = powers[t](spaces[s] * gamma.conj())
             u = spaces[s + t].conj().T @ op @ spaces[t]
             nk.require(nk.unitarity_residual(u), tol.bound(1.0), ProductSystemLawError,
-                       "compressed product ({1},{2}) not unitary, residual {0:.3e}", s, t)
+                       "compressed product ({1},{2}) not unitary, residual {0:.3e}", s, t,
+                       law="unitary")
             products[(s, t)] = u
     _check_associativity(products, horizon, tol)
     units = np.eye(n)[:, :, None] * gamma.conj()  # units[g] = e_g gamma*
@@ -492,11 +490,12 @@ def bhat_system(theta, gamma, horizon: int,
     for t in range(horizon + 1):
         v = (powers[t](units) @ spaces[t])[:, :, 0].T
         nk.require(nk.unitarity_residual(v), tol.bound(1.0), ProductSystemLawError,
-                   "dilation map {1} not unitary, residual {0:.3e}", t)
+                   "dilation map {1} not unitary, residual {0:.3e}", t, law="dilation_unitary")
         dilations.append(v)
         nk.require(nk.worst_norm(v @ b.basis @ v.conj().T - powers[t].basis_images),
                    tol.bound(1.0), ProductSystemLawError,
-                   "dilation {1} does not recover the iterate, residual {0:.3e}", t)
+                   "dilation {1} does not recover the iterate, residual {0:.3e}", t,
+                   law="dilation_iterate")
     return BhatSystem(spaces, products, dilations)
 
 
@@ -509,7 +508,8 @@ def _check_associativity(products, horizon: int, tol: nk.Tolerance) -> None:
             for t in range(horizon + 1 - r - s):
                 nk.require(float(abs(p[(r + s, t)] * p[(r, s)] - p[(r, s + t)] * p[(s, t)])),
                            tol.bound(1.0), ProductSystemLawError, "compressed products not "
-                           "associative at ({1},{2},{3}), residual {0:.3e}", r, s, t)
+                           "associative at ({1},{2},{3}), residual {0:.3e}", r, s, t,
+                           law="associative")
 
 
 def _frame_isometry(b: alg.VnAlgebra, rho_b, tol: nk.Tolerance) -> np.ndarray:
@@ -571,9 +571,9 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
     rho_b = w.rho_basis
     xi = _frame_isometry(b, rho_b, tol)
     nk.require(nk.unitarity_residual(xi), tol.bound(np.sqrt(n)), NotUnitVector,
-               "xi is not an isometry, residual {:.3e}")
+               "xi is not an isometry, residual {:.3e}", law="xi_isometry")
     nk.require(nk.worst_norm(rho_b @ xi - xi @ b.basis), tol.bound(1.0), NotUnitVector,
-               "xi does not intertwine, residual {:.3e}")
+               "xi does not intertwine, residual {:.3e}", law="xi_intertwining")
 
     rep = representation_from_right_dilation(p, w, tol)
     eye = np.eye(n, dtype=complex)
@@ -584,7 +584,7 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
             up @ up.conj().T - w.theta_w(t, proj))))
         nk.require(res, tol.bound(np.sqrt(n)), ProductSystemLawError,
                    "comparison map {1} is not unitary onto theta_w({1}, xi xi*), "
-                   "residual {0:.3e}", t)
+                   "residual {0:.3e}", t, law="comparison_carrier")
     # theta_w(t, xi b' xi*) for every basis element b' of B', per t
     lifted = [w.theta_w(t, xi @ bp.basis @ xi.conj().T) for t in range(p.horizon + 1)]
     worst_b = nk.worst(*(nk.worst_norm(rho_b @ up - up @ p.members[t].rho)
@@ -593,7 +593,7 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
                           for t, up in enumerate(upsilon)))
     nk.require(nk.worst(worst_b, worst_bp), tol.bound(1.0), ProductSystemLawError,
                "comparison maps fail to intertwine, residuals {1:.3e} and {2:.3e}",
-               worst_b, worst_bp)
+               worst_b, worst_bp, law="comparison_intertwining")
 
     # (upsilon_{s+t} x - theta_w(t, upsilon_s x xi*) upsilon_t) y over the
     # element bases, x y being the product of x in F_s and y in F_t
@@ -603,5 +603,6 @@ def commutant_via_dilation(p: DiscreteProductSystem, w: RightDilation,
             diff = upsilon[s + t] @ xs - w.theta_w(t, upsilon[s] @ xs @ xi.conj().T) @ upsilon[t]
             compatible.append(nk.worst_norm(diff[:, None] @ spaces[t][None]))
     nk.require(nk.worst(*compatible), tol.bound(1.0), ProductSystemLawError,
-               "comparison maps are not product compatible, residual {:.3e}")
+               "comparison maps are not product compatible, residual {:.3e}",
+               law="product_compatible")
     return CommutantViaDilation(fsys, upsilon, xi)

@@ -8,7 +8,12 @@ payload and diagnostics, with ``timing`` dropped and the scene directory
 blanked in the error's location and message. The record also
 counts, per run and in total, the block frames built (``algebra._frame``),
 the homomorphism law evaluations (``endo.hom_residuals``), the iterate lists
-composed (``endo.iterates``) and the law kernels run (``numkernel.law_residual``).
+composed (``endo.iterates``), the law kernels run (``numkernel.law_residual``)
+and the tensor quotients (``correspondence.tensor_quotient``), each read off
+a Gram ``eigh`` (``correspondence._gram_spectrum``) or off one SVD of its
+factor (``correspondence._root_spectrum``). A counted function that the
+package under test does not define counts 0: before the factored route, every
+quotient ran its Gram ``eigh`` inside ``tensor_quotient``.
 
     PYTHONPATH=src python tests/cli_sweep.py sweep.json
     PYTHONPATH=<other checkout>/src python tests/cli_sweep.py other.json
@@ -34,6 +39,7 @@ import numpy as np
 
 from vnpair import algebra as alg
 from vnpair import cli
+from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import multiplier as mult
 from vnpair import numkernel as nk
@@ -42,7 +48,8 @@ from vnpair import selftest as st
 
 FLAG_SETS = {"default": [], "tol0.5": ["--tol", "0.5"], "horizon3": ["--horizon", "3"],
              "tol1e-6": ["--tol", "1e-6"]}
-COUNTED = ((alg, "_frame"), (endo, "hom_residuals"), (endo, "iterates"), (nk, "law_residual"))
+COUNTED = ((alg, "_frame"), (endo, "hom_residuals"), (endo, "iterates"), (nk, "law_residual"),
+           (corr, "tensor_quotient"), (corr, "_gram_spectrum"), (corr, "_root_spectrum"))
 
 
 def write_scenes(root: pathlib.Path) -> pathlib.Path:
@@ -179,7 +186,8 @@ def sweep(root, commands=None, scene_names=None, flag_sets=None) -> dict:
     paths = {p.stem: p for p in sorted(root.glob("*.json"))
              if scene_names is None or p.stem in scene_names}
     counts = dict.fromkeys((name for _, name in COUNTED), 0)
-    saved = [(module, name, getattr(module, name)) for module, name in COUNTED]
+    saved = [(module, name, getattr(module, name)) for module, name in COUNTED
+             if hasattr(module, name)]
     for module, name, real in saved:
         def counted(*args, real=real, name=name, **kwargs):
             counts[name] += 1

@@ -86,7 +86,12 @@ faster route replaced, kept so that the faster route has a reference.
 - ``dense_powers`` and ``dense_relations``: the powers u^k compared with the
   iterates of both maps, and the pairing check that validated both maps and
   compared those powers, before ``pairing._relations`` bounded the powers
-  and the homomorphism laws in closed form off the two relation stacks.
+  and the homomorphism laws in closed form off the two relation stacks;
+- ``gram_route`` and ``factored_against_gram``: the tensor quotient read off
+  the eigh of the whole (d h_f)^2 Gram matrix, with its lifted actions, as
+  every ``correspondence.TensorProduct`` formed it before the quotients whose
+  Gram factors as Phi* Phi were read off one SVD of Phi, and the residuals of
+  a tensor against it.
 """
 
 from __future__ import annotations
@@ -701,3 +706,41 @@ def predicted_table(e, f, tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
     a summand M_b of the middle algebra links the copies of (i, b) in e to
     those of (b, k) in f."""
     return central_table(e, tol) @ summand_match(e, f, tol) @ central_table(f, tol)
+
+
+def gram_route(tp, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
+    """The Gram matrix G of the raw tensor space of tp, the quotient of its
+    eigenvalues above eps max(top, 1) and the lifted actions of e and f on it."""
+    e, f = tp.e, tp.f
+    x = e.element_space
+    de, hf = x.shape[0], f.carrier_dim
+    gram = f.rho_of(corr.inner_products(x)).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
+    lam, vec = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    keep = lam > tol.eps * max(float(lam[-1]), 1.0)
+    phi = np.sqrt(lam[keep])[:, None] * vec[:, keep].conj().T
+    pinv = vec[:, keep] / np.sqrt(lam[keep])[None, :]
+    phi3 = phi.reshape(len(phi), de, hf)
+    # op (tensor) id through the coefficients <x_i, op x_k>, id (tensor) op on the carrier of f
+    mt = e.element_coefficients(e.rho[:, None] @ x)
+    rho = (mt[:, None] @ phi3).reshape(len(e.rho), len(phi), -1) @ pinv
+    rho_prime = (phi.reshape(-1, hf) @ f.rho_prime).reshape(len(f.rho_prime), len(phi), -1) @ pinv
+    return {"gram": gram, "phi": phi, "rho": rho, "rho_prime": rho_prime}
+
+
+def factored_against_gram(tp, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
+    """Residuals of a tensor against ``gram_route``: |Phi* Phi - G| for its
+    Gram root Phi, the difference of the kept ranks, and, through the carrier
+    map q = phi_G phi+ (unitary when the kept spaces agree), |q phi - phi_G|,
+    the unitarity of q and the worst |q a q* - a_G| over each lifted action."""
+    ref = gram_route(tp, tol)
+    root = corr._gram_root(tp.e.element_space, tp.f)
+    q = ref["phi"] @ tp.phi_pinv
+    out = {"gram": float(np.linalg.norm(root.conj().T @ root - ref["gram"])),
+           "rank": abs(tp.carrier_dim - len(ref["phi"]))}
+    if out["rank"]:
+        return out
+    out.update(carrier=float(np.linalg.norm(q @ tp.phi - ref["phi"])),
+               unitary=nk.unitarity_residual(q),
+               rho=nk.worst_norm(q @ tp.corr.rho @ q.conj().T - ref["rho"]),
+               rho_prime=nk.worst_norm(q @ tp.corr.rho_prime @ q.conj().T - ref["rho_prime"]))
+    return out

@@ -15,6 +15,7 @@ import cli_sweep
 import oracles as orc
 from vnpair import algebra as alg
 from vnpair import cli
+from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import pairing
@@ -714,6 +715,18 @@ def test_the_sweep_records_a_run_and_diffs_it(scene_dir):
         [], [(run["error"]["residual"], "mult-check multbad default", ".error.residual")])
     other["runs"]["mult-check multbad default"]["error"]["type"] = "ParseError"
     assert len(cli_sweep.diff(record, other)[0]) == 1
+
+
+def test_corr_tensor_scenes_read_their_quotient_off_phi(scene_dir):
+    """The two scenes on which ``corr-tensor`` builds (theta and eta twisted
+    over one algebra) read the quotient off Phi, which agrees with the Gram
+    route (``oracles.factored_against_gram``)."""
+    for name in ("d2", "paired"):
+        scene = scenes.load_scene(path(scene_dir, name))
+        e, f = (corr.of_endomorphism(scene.endomorphism(k)) for k in ("theta", "eta"))
+        assert corr._factors(e, f)
+        res = orc.factored_against_gram(corr.tensor_product(e, f))
+        assert res.pop("rank") == 0 and max(res.values()) <= 1e-12, (name, res)
 
 
 def test_every_failing_scene_run_names_its_law_residual_and_bound(scene_dir):

@@ -654,3 +654,43 @@ def test_require_commutant_at_its_bound(blocks, seed):
 
 def _conjugate(w, a) -> np.ndarray:
     return w @ a.basis[::-1] @ w.conj().T
+
+
+def test_a_commutant_correspondence_over_a_twisted_one_takes_the_gram_route(monkeypatch):
+    """e = commutant of {}_theta B for theta = Ad u*, u in B, has the elements
+    u* B', outside B' = f.left, and is not twisted on its left; so tensor(e, f)
+    with f twisted over B' forms the Gram matrix, since [rho_f(x_i)] would
+    project those elements into B' and miss it."""
+    b = alg.random_algebra(4, [(2, 1), (1, 2)], seed=3)
+    bp = alg.commutant(b)
+    rng = np.random.default_rng(4)
+    e = corr.commutant(corr.of_endomorphism(endo.from_unitary(b, st.unitary_inside(b, rng))))
+    f = corr.of_endomorphism(endo.from_unitary(bp, st.unitary_inside(bp, rng), "direct"))
+    routes = []
+    for name in ("_gram_spectrum", "_root_spectrum"):
+        real = getattr(corr, name)
+        monkeypatch.setattr(corr, name, lambda *args, real=real, name=name:
+                            routes.append(name) or real(*args))
+    tp = corr.TensorProduct(e, f)
+    assert not corr._factors(e, f) and routes == ["_gram_spectrum"]
+    res = orc.factored_against_gram(tp)
+    assert res.pop("gram") > 0.1  # what [rho_f(x_i)] would have given
+    assert res.pop("rank") == 0 and max(res.values()) <= 1e-12, res
+
+
+@pytest.mark.parametrize("ratio, kept", [(0.9, 1), (1.1, 2)])
+def test_a_singular_value_near_the_cut_is_decided_on_its_square(ratio, kept):
+    """Phi = diag(1, s) with s^2 at ratio times the cut eps max(top, 1) = eps:
+    0.9 drops it and 1.1 keeps it, as the Gram route decides on the same
+    spectrum; at full row rank the carrier is Phi's rows, phi = Phi."""
+    tol = nk.Tolerance(1e-3)
+    m2, scalars = alg.full_matrix_algebra(2), alg.trivial_algebra(1)
+    f = corr.Correspondence(m2, scalars, alg.commutant(m2), scalars, m2.basis,
+                            np.eye(2, dtype=complex)[None], 2, check=False)
+    x = np.diag([1.0, np.sqrt(ratio * tol.eps)]).astype(complex)[None]
+    phi, pinv = corr.tensor_quotient(None, f, tol, elements=x)
+    gram_phi, _ = corr.tensor_quotient(corr.inner_products(x), f, tol)
+    assert len(phi) == len(gram_phi) == kept
+    assert np.allclose(pinv @ phi, np.eye(2)) == (kept == 2)
+    if kept == 2:
+        assert np.array_equal(phi, x[0])

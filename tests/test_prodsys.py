@@ -1,4 +1,5 @@
 import ast
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vnpair import correspondence as corr
 from vnpair import endo
 from vnpair import numkernel as nk
 from vnpair import prodsys as ps
+from vnpair import selftest as st
 from vnpair.errors import (DimensionMismatch, InvalidCorrespondence, NotFaithful,
                            NotFullAlgebra, NotUnitVector, NoUnitVector,
                            ProductSystemLawError)
@@ -772,7 +774,9 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
     is evaluated once per (s, t); commutant members share a quotient, the
     lifted B' action and the product per left index, with associativity
     once per (r, s); the dilation of an iterate system needs a single
-    quotient and lifted H action."""
+    quotient and lifted H action. Every quotient is read off the factor Phi
+    of its Gram matrix (``correspondence._root_spectrum``), none off a Gram
+    ``eigh`` (``_gram_spectrum``)."""
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
     alg.commutant(b)  # the algebra's own commutant is not counted
     v = unitary_in(b, 15)
@@ -789,15 +793,17 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
             (corr, "tensor_quotient", "quotients"), (alg, "intertwiners", "kernels"),
             (ps, "_factor", "solves"), (corr.TensorProduct, "lift_left", "left_lifts"),
             (corr.TensorProduct, "lift_right", "right_lifts"),
-            (ps, "_associativity", "associativity")]:
+            (ps, "_associativity", "associativity"), (corr, "_root_spectrum", "factored"),
+            (corr, "_gram_spectrum", "gram")]:
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
     n = horizon
     pairs = (n + 1) * (n + 2) // 2
 
     def counted(build):
         counts.update(dict.fromkeys(("quotients", "kernels", "solves", "left_lifts",
-                                     "right_lifts", "associativity"), 0))
+                                     "right_lifts", "associativity", "factored", "gram"), 0))
         out = build()
+        assert counts.pop("factored") == counts["quotients"] and counts.pop("gram") == 0
         return out, dict(counts)
 
     p, c = counted(lambda: ps.from_endomorphism(theta, horizon))
@@ -1006,24 +1012,25 @@ def test_a_dilation_forms_rho_of_the_basis_once(monkeypatch):
     assert len(bilinear) == built
 
 
-def test_each_element_basis_gets_one_gram_factor_per_build(monkeypatch):
-    """x_i* x_k is formed once per distinct element basis and build: once for
-    the N + 1 quotients of the iterate system, once for its dilation's
-    quotient, once per member of the commutant system; no build keeps it,
-    so the representation forms the one of the iterate system's shared
-    element basis for itself."""
+def test_each_build_factors_its_quotients_and_forms_no_gram_factor(monkeypatch):
+    """Every quotient of a build is read off one SVD of Phi, N + 1 for the
+    iterate system, one for its dilation, N + 1 for the commutant system, so
+    no build forms x_i* x_k; the representation forms the one of the iterate
+    system's shared element basis for itself."""
     _, v, theta = _inner_map()
-    seen = []
-    real = corr.inner_products
+    seen, roots = [], []
+    real, real_root = corr.inner_products, corr._gram_root
     monkeypatch.setattr(corr, "inner_products", lambda x: seen.append(x) or real(x))
+    monkeypatch.setattr(corr, "_gram_root", lambda x, f: roots.append(x) or real_root(x, f))
     p = ps.from_endomorphism(theta, 4)
     x0 = p.members[0].element_space
-    assert [x is x0 for x in seen] == [True]
+    assert seen == [] and [x is x0 for x in roots] == [True] * 5
     w = ps.right_dilation_from_unitary(p, v)
-    assert [x is x0 for x in seen] == [True, True]
-    seen.clear()
+    assert seen == [] and [x is x0 for x in roots] == [True] * 6
+    roots.clear()
     out = ps.commutant_via_dilation(p, w)
-    assert list(map(id, seen)) == [id(m.element_space) for m in out.system.members] + [id(x0)]
+    assert list(map(id, roots)) == [id(m.element_space) for m in out.system.members]
+    assert list(map(id, seen)) == [id(x0)]
 
 
 def test_validate_rejects_a_product_of_the_wrong_shape(inner_system):
@@ -1058,3 +1065,90 @@ def test_iterate_members_are_built_without_their_span_check(monkeypatch):
     assert sum(r is theta.basis_images for r in rows) == 1  # theta's own law
     assert not any(r is q.basis_images for r in rows for q in powers)
     assert len({id(m.right_commutant) for m in p.members}) == 1
+
+
+# ---------------------------------------------------------------------------
+# factored tensor quotients against the Gram route (``oracles.gram_route``)
+
+# (build, blocks, horizon) of the 17 shapes of the prodsys-horizon bench
+# workload; its compression shapes (M_n, blocks [(n, 1)]) form no quotient
+# there, so the commutant system of their iterate system stands in
+HORIZON_SHAPES = [
+    ("from_endomorphism", [(1, 2), (1, 2)], 6),
+    ("commutant_via_dilation", [(1, 2), (1, 2)], 4),
+    ("commutant_system", [(1, 2), (2, 1), (1, 2)], 4),
+    ("commutant_system", [(3, 1)], 6),
+    ("right_dilation_from_unitary", [(1, 2), (2, 2)], 5),
+    ("from_endomorphism", [(1, 2), (2, 2)], 5),
+    ("commutant_via_dilation", [(1, 2), (2, 2)], 4),
+    ("commutant_system", [(1, 2), (1, 2)], 6),
+    ("commutant_system", [(5, 1)], 5),
+    ("right_dilation_from_unitary", [(2, 2), (2, 2)], 4),
+    ("from_endomorphism", [(2, 2), (2, 2)], 4),
+    ("commutant_via_dilation", [(1, 2), (2, 2)], 4),
+    ("commutant_system", [(1, 2), (2, 2)], 5),
+    ("commutant_system", [(6, 1)], 4),
+    ("right_dilation_from_unitary", [(1, 2), (1, 2)], 6),
+    ("from_endomorphism", [(2, 1), (1, 2)], 5),
+    ("commutant_system", [(1, 2), (2, 1), (1, 2)], 4),
+]
+
+
+def _horizon_case(index):
+    """The iterate system of shape index (an automorphism that may permute
+    equal blocks, or a unitary of B where a dilation is built), with the
+    commutant system or the dilation that its build adds, and the unitary."""
+    build, blocks, horizon = HORIZON_SHAPES[index]
+    rng = np.random.default_rng(100 + index)
+    frame = nk.random_unitary(sum(a * m for a, m in blocks), rng)
+    sample = st.AlgebraSample(tuple(blocks), frame, alg.block_model(blocks, frame))
+    dilated = build in ("right_dilation_from_unitary", "commutant_via_dilation")
+    u = st.unitary_inside(sample.algebra, rng) if dilated else st.normalizing_unitary(sample, rng)
+    p = ps.from_endomorphism(endo.from_unitary(sample.algebra, u), horizon)
+    built = {"system": p}
+    if build in ("commutant_system", "commutant_via_dilation"):
+        built["commutant"] = ps.commutant_system(p)
+    if dilated:
+        built["dilation"] = ps.right_dilation_from_unitary(p, u)
+    return built, u
+
+
+@pytest.mark.parametrize("index", range(len(HORIZON_SHAPES)))
+def test_factored_quotients_match_the_gram_route(index):
+    """Every quotient of each build is read off Phi: Phi* Phi is the Gram
+    matrix within rounding, the kept rank is the Gram route's, and the
+    carrier and both lifted actions are that route's up to one unitary."""
+    built, _ = _horizon_case(index)
+    tensors = {id(tp.phi): tp for obj in built.values() for tp in obj.tensors.values()}
+    for tp in tensors.values():
+        assert corr._factors(tp.e, tp.f)
+        res = orc.factored_against_gram(tp)
+        assert res.pop("rank") == 0
+        assert max(res.values()) <= 1e-12, res
+
+
+@pytest.mark.parametrize("index", range(len(HORIZON_SHAPES)))
+def test_canonical_carriers_give_identity_products_and_powers_of_u(index):
+    """At full row rank the carrier is the rows of Phi, so each product of an
+    iterate or commutant system is the identity and the dilation maps of
+    ``right_dilation_from_unitary`` are the powers of u."""
+    built, u = _horizon_case(index)
+    for key in ("system", "commutant"):
+        for product in (built[key].products.values() if key in built else ()):
+            assert np.linalg.norm(product - np.eye(len(product))) <= 1e-13
+    if "dilation" in built:
+        power = np.eye(len(u))
+        for w_t in built["dilation"].maps.values():
+            assert np.linalg.norm(w_t - power) <= 1e-13
+            power = u @ power
+
+
+def test_every_require_of_prodsys_names_its_law():
+    """A failing check reports its law, residual and bound: no ``nk.require``
+    call in ``prodsys`` leaves out ``law=``."""
+    tree = ast.parse(pathlib.Path(ps.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "nk.require"]
+    assert len(calls) == 12
+    assert [node.lineno for node in calls
+            if "law" not in {k.arg for k in node.keywords}] == []
