@@ -281,9 +281,10 @@ def _root_spectrum(root) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _factors(e: Correspondence, f: Correspondence) -> bool:
     """Whether the Gram matrix of tensor(e, f) is Phi* Phi for ``_gram_root``:
-    (a) f's left action is the defining representation of f.left, or (b) e
-    and f are both twisted (``_maps[0]`` recorded), so e's elements lie in
-    span e.right = f.left and rho_f is the validated map."""
+    (a) f's left action is the defining representation of f.left, or (b) e and f
+    are both twisted (``_maps[0]`` a validated map, or the representation that
+    ``prodsys.right_dilation_from_unitary`` checked), so e's elements lie in
+    span e.right = f.left and rho_f is a *-homomorphism."""
     return f.rho is f.left.basis or (e._maps[0] is not None and f._maps[0] is not None)
 
 
@@ -309,9 +310,9 @@ class TensorProduct:
     (element of e) x (carrier vector of f) by the null space of its Gram
     matrix (``tensor_quotient``, from Phi where the Gram factors, ``_factors``).
     ``phi`` maps raw coordinates isometrically onto the quotient carrier; at
-    full row rank of Phi it is Phi itself, and in case (a) the lifted left
-    action is then e.rho itself. ``memo(fn, reads, *args)``, when given,
-    returns fn(*args) once per fn and identities of the arrays in reads:
+    full row rank of Phi (``full``) it is Phi itself, the carrier is its rows and
+    ``lift_left`` closed-form. ``memo(fn, reads, *args)``, when given, returns
+    fn(*args) once per fn and identities of the arrays in reads:
     the quotient reads the element basis of e (its inner products, on the
     Gram route) and the left algebra and action of f, a lifted action the
     quotient, the operators and (left lift) that element basis. In the
@@ -329,7 +330,7 @@ class TensorProduct:
         self.e = e
         self.f = f
         x = e.element_space
-        if _factors(e, f):
+        if factored := _factors(e, f):
             self.phi, self.phi_pinv = memo(tensor_quotient, (x, f.left, f.rho),
                                            None, f, tol, x)
         else:
@@ -338,8 +339,8 @@ class TensorProduct:
                                            gram_factor, f, tol)
         self.carrier_dim = self.phi.shape[0]
         self.left_basis = x
-        # (op x) g = op (x g): with phi = [x_1| ... |x_d] op lifts to itself
-        self._lifts_as_is = f.rho is f.left.basis and self.carrier_dim == e.carrier_dim
+        rows = (e if f.rho is f.left.basis else f).carrier_dim  # of Phi: case (a), (b)
+        self.full = factored and self.carrier_dim == rows
         # phi with its raw axis split into (element index, f-carrier index)
         self._phi3 = self.phi.reshape(self.carrier_dim, x.shape[0], f.carrier_dim)
         quotient = (self.phi, self.phi_pinv)
@@ -354,10 +355,12 @@ class TensorProduct:
     def lift_left(self, op) -> np.ndarray:
         """Operator op (tensor) id on the quotient, op acting on e's carrier
         and keeping its elements; a stack of operators lifts slice by slice.
-        Where phi = [x_1| ... |x_d] (case (a) of ``_factors``, full rank) that is op."""
+        Where phi = Phi (``full``), (op x) g = rho_f(op) rho_f(x) g: op in case (a)
+        of ``_factors``, rho_f(op) in case (b), op keeping span e.right = f.left;
+        otherwise read off <x_i, op x_k> over the element basis of e."""
         op = np.asarray(op, dtype=complex)
-        if self._lifts_as_is:
-            return op
+        if self.full:
+            return op if self.f.rho is self.f.left.basis else self.f.rho_of(op)
         cd, de, hf = self._phi3.shape
         # mt[..., k, i] = <x_i, op x_k>: op on the element basis of e, transposed
         mt = self.e.element_coefficients(op[..., None, :, :] @ self.e.element_space)
@@ -411,11 +414,11 @@ def tensor_commutant_iso(e: Correspondence, f: Correspondence,
     w = nk.lstsq_map(src, dst)
     nk.require(float(np.linalg.norm(w @ src - dst)),
                tol.bound(float(np.linalg.norm(src)), float(np.linalg.norm(dst))),
-               NotIsometric, "spanning identity fails, residual {:.3e}")
+               NotIsometric, "spanning identity fails, residual {:.3e}", law="spanning_identity")
     if w.shape[0] != w.shape[1]:
         raise NotIsometric(f"carrier dimensions differ: {w.shape}")
     nk.require(nk.unitarity_residual(w), tol.bound(np.sqrt(w.shape[0])), NotIsometric,
-               "not unitary, residual {:.3e}")
+               "not unitary, residual {:.3e}", law="unitarity")
     _check_intertwining(w, t1.corr.rho, t2.corr.rho_prime, tol, "left-algebra")
     _check_intertwining(w, t1.corr.rho_prime, t2.corr.rho, tol, "commutant")
     return w
@@ -428,7 +431,7 @@ def _check_intertwining(w, img1, img2, tol: nk.Tolerance, what: str) -> None:
     bounds = np.array([tol.bound(float(v)) for v in np.linalg.norm(img1, axis=(1, 2))])
     k = int(np.argmin(res <= bounds))  # the first failure, else 0
     nk.require(float(res[k]), float(bounds[k]), NotIntertwining,
-               what + " intertwining fails, residual {:.3e}")
+               what + " intertwining fails, residual {:.3e}", law="intertwining")
 
 
 @dataclass(frozen=True)
@@ -520,10 +523,10 @@ def find_isomorphism(e: Correspondence, f: Correspondence,
     u = _joint_frame(f, left_sig, right_sig, te.counts, tol) @ \
         _joint_frame(e, left_sig, right_sig, te.counts, tol).conj().T
     nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(u.shape[0])), NotIsometric,
-               "frame-built unitary is not unitary, residual {:.3e}")
+               "frame-built unitary is not unitary, residual {:.3e}", law="unitarity")
     rho_f, rho_prime_f = f.rho_of(e.left.basis), f.rho_prime_of(e.right_commutant.basis)
     nk.require(nk.worst(nk.worst_norm(u @ e.rho - rho_f @ u),
                         nk.worst_norm(u @ e.rho_prime - rho_prime_f @ u)),
                tol.bound(1.0), NotIntertwining,
-               "frame-built unitary does not intertwine, residual {:.3e}")
+               "frame-built unitary does not intertwine, residual {:.3e}", law="intertwining")
     return IsoDecision(unitary=u, table_left=te, table_right=tf)

@@ -59,13 +59,7 @@ class Endomorphism:
         res = self.law_residuals
         nk.require(res["span"], tol.bound(1.0), ImageOutsideAlgebra,
                    "image leaves the algebra span, residual {:.3e}", law="span")
-        nk.require(res["unital"], tol.bound(np.sqrt(self.domain.ambient_dim)), NotUnital,
-                   "identity maps with residual {:.3e}", law="unital")
-        nk.require(res["multiplicative"], tol.bound(1.0), NotMultiplicative,
-                   "product residual {:.3e} on the frame's matrix units", law="multiplicative")
-        nk.require(res["star"], tol.bound(1.0), NotStar,
-                   "adjoint residual {:.3e} on the frame's matrix units", law="star")
-        return dict(res)
+        return require_hom(res, self.domain.ambient_dim, tol)
 
     def __repr__(self) -> str:
         return f"Endomorphism(ambient_dim={self.domain.ambient_dim}, dim={self.domain.dim})"
@@ -109,6 +103,18 @@ def hom_residuals(domain: alg.VnAlgebra, images) -> dict:
             "star": float(star)}
 
 
+def require_hom(res: dict, h: int, tol: nk.Tolerance) -> dict:
+    """Raise on the first ``hom_residuals`` res of a map into M_h over its bound: unital
+    (tol.bound(sqrt(h))), multiplicative, star (tol.bound(1)); return a copy of res."""
+    nk.require(res["unital"], tol.bound(np.sqrt(h)), NotUnital,
+               "identity maps with residual {:.3e}", law="unital")
+    nk.require(res["multiplicative"], tol.bound(1.0), NotMultiplicative,
+               "product residual {:.3e} on the frame's matrix units", law="multiplicative")
+    nk.require(res["star"], tol.bound(1.0), NotStar,
+               "adjoint residual {:.3e} on the frame's matrix units", law="star")
+    return dict(res)
+
+
 def make(domain: alg.VnAlgebra, images, tol: nk.Tolerance = nk.DEFAULT_TOL) -> Endomorphism:
     """Validated endomorphism from basis images: construct, then ``validate``."""
     theta = Endomorphism(domain, images)
@@ -134,7 +140,7 @@ def from_unitary(domain: alg.VnAlgebra, u, direction: str = "adjoint",
     if u.shape != (n, n):
         raise DimensionMismatch(f"unitary shape {u.shape}, expected {(n, n)}")
     nk.require(nk.unitarity_residual(u), tol.bound(np.sqrt(n)), NotUnitary,
-               "u* u deviates from the identity by {:.3e}")
+               "u* u deviates from the identity by {:.3e}", law="unitarity")
     if direction == "adjoint":
         images = u.conj().T @ domain.basis @ u
     elif direction == "direct":

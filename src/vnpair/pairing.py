@@ -245,12 +245,13 @@ def pairing_from_isomorphism(iso, theta, theta_prime,
 def _pairing_of(u, theta, theta_prime, tol: nk.Tolerance) -> PairingCertificate:
     """Pairing relations, with the maps' laws and powers read off them
     (``_relations``), and dilation-level map of u, domains compared; relation_b r
-    implies eq33_solve <= sqrt(d) r max_i sqrt(a_i / m_i) (``_eq33_residuals``)."""
+    implies eq33_solve <= sqrt(d) r max_i sqrt(a_i / m_i) (``_eq33_residuals``);
+    PairingCheckFailed keeps a failed relation's law, residual and bound."""
     try:
         cert = _relations(u, theta, theta_prime, 4, tol)
     except (RelationB, RelationBPrime) as exc:
-        raise PairingCheckFailed(
-            f"recovered unitary fails the pairing relations: {exc}") from exc
+        raise PairingCheckFailed(f"recovered unitary fails the pairing relations: {exc}",
+                                 law=exc.law, residual=exc.residual, bound=exc.bound) from exc
     cert.residuals.update(nk.require_laws(
         _eq33_residuals(u, theta, tol), tol.bound(np.sqrt(u.shape[0])), PairingCheckFailed,
         "dilation-level map deviates: {}"))

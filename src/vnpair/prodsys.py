@@ -7,13 +7,15 @@ operators, with the factor order reversed relative to the original system),
 the rank-one compression of an automorphism of a full matrix algebra, and
 the commutant system checked against its realization on a dilation space.
 
-All product maps act on quotient tensor carriers; element-level products
-x . y are recovered through the embeddings, and every law is verified on
+All maps act on the rows of Phi = [rho(x_1)| ... |rho(x_d)], the quotient tensor
+carriers, where each is known and none solved for; every law is verified on
 spanning families of simple tensors, as a few matrix products over the
 stacked element bases (one loop level per degree, none per element).
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +37,7 @@ class DiscreteProductSystem:
     Action stacks, basis products and the law terms of ``validate`` stay in
     ``_terms`` (``numkernel.memo``), read again by ``commutant_order_residual``
     and ``SystemRepresentation.validate``. Iterate systems share them per t
-    and commutant systems per s: at horizon N a build solves N+1 products and
+    and commutant systems per s: at horizon N a build lifts N+1 shared actions and
     evaluates associativity on (N+1)(N+2)/2 pairs, not (N+1)(N+2)(N+3)/6 triples.
     """
 
@@ -158,60 +160,48 @@ def _map_laws(memo, u, *pairs) -> tuple[float, float]:
     return res, nk.worst(*(memo(_bilinear, (u, a, b), u, a, b) for a, b in pairs))
 
 
-def _factor(tp, images, tol: nk.Tolerance, what: str) -> np.ndarray:
-    """The map u with u phi = target, target the element-level action on
-    simple tensors: images[k] is the action of the k-th element basis vector
-    of the left factor. The action must factor through the tensor quotient.
-    """
-    target = np.concatenate(images, axis=1)
-    u = target @ tp.phi_pinv
-    nk.require(float(np.linalg.norm(u @ tp.phi - target)),
-               tol.bound(float(np.linalg.norm(target))), ProductSystemLawError,
-               "{1} does not factor through the tensor quotient, residual {0:.3e}",
-               what, law="factors")
-    return u
+def _full_tensor(e, f, memo, what: str, tol: nk.Tolerance):
+    """tensor(e, f) on the build's memo, its carrier the rows of Phi, where the map
+    of what is given (``TensorProduct.full``); else law ``factors``, with no residual
+    and no quotient formed off the factored route (a given rho_H, members not
+    twisted), and on it with the cutoff as residual and the float below the largest
+    squared singular value of Phi dropped as bound (``correspondence.tensor_quotient``)."""
+    if not corr._factors(e, f):
+        raise ProductSystemLawError(f"{what} is given on the rows of Phi, but the tensor "
+                                    f"quotient is not read off Phi", law="factors")
+    tp = corr.TensorProduct(e, f, tol, memo=memo, check=False)
+    if not tp.full:
+        sv2 = corr._root_spectrum(corr._gram_root(tp.left_basis, f))[1]  # as the quotient read
+        dropped = float(sv2[tp.carrier_dim])
+        nk.require(float(tol.eps * max(sv2[0], 1.0)), float(np.nextafter(dropped, -np.inf)),
+                   ProductSystemLawError, "{1}: the tensor quotient keeps {2} of the {3} "
+                   "directions of Phi, dropping squared singular value {4:.17g} at cutoff "
+                   "{0:.17g}", what, tp.carrier_dim, len(sv2), dropped, law="factors")
+    return tp
 
 
-def _build(factors, action, make, what: str, tol: nk.Tolerance):
-    """The build of a product system or a right dilation, on one ``numkernel.memo``.
-
-    The tensor products of the pairs factors[key] = (e, f), each quotient and
-    lifted action computed once per distinct set of arrays it reads; per key
-    the map u with u phi = action(key, element basis of e) (``_factor``,
-    named what % key), once per distinct quotient and action array.
-    make(tensors, maps) gives the object, validated into its own ``_terms``:
-    the memo dies with the build. No tensor is light-checked: validate's ``unitary``
-    and ``bilinear`` laws carry its actions to its target member's; a
-    dilation's tensor lifts a member's action and phi phi+ = 1.
-    """
+def _build(factors, make, what: str, tol: nk.Tolerance):
+    """make(tensors), validated: the tensor products of factors[key] = (e, f) on one
+    ``numkernel.memo``, on whose carriers make gives each map (``_full_tensor``, named
+    what % key). No tensor is light-checked: validate's ``unitary`` and ``bilinear``
+    laws carry its actions to its target member's."""
     memo = nk.memo()
-    tensors = {key: corr.TensorProduct(e, f, tol, memo=memo, check=False)
-               for key, (e, f) in factors.items()}
-    maps = {}
-    for key, tp in tensors.items():
-        images = action(key, tp.e.element_space)
-        maps[key] = memo(_factor, (tp.phi, tp.phi_pinv, images), tp, images, tol, what % key)
-    built = make(tensors, maps)
+    tensors = {key: _full_tensor(e, f, memo, what % key, tol) for key, (e, f) in factors.items()}
+    built = make(tensors)
     built.residuals = built.validate(tol)
     return built
 
 
-def _build_system(algebra, members, action_matrix, source=None,
+def _build_system(algebra, members, source=None,
                   tol: nk.Tolerance = nk.DEFAULT_TOL) -> DiscreteProductSystem:
-    """Tensors and product unitaries from an element-level action (``_build``).
-
-    action_matrix(s, t, xs) takes the stacked element basis xs of E_s and
-    returns, per slice x, the matrix of h -> (x . h) from the carrier of E_t
-    to the carrier of E_{s+t}. For the iterate system E_t = {}_{theta^t}B
-    the pairs with one t share the quotient theta^t(x_i* x_k), the lifted
-    B' action and the product; for the commutant system the pairs with one
-    s share them.
-    """
+    """``_build`` with every product the identity: x . y is the row of Phi of x (tensor) y.
+    The pairs with one t share the quotient and lifted B' action in the iterate
+    system E_t = {}_{theta^t}B, those with one s in the commutant system."""
     n = len(members) - 1
     pairs = {(s, t): (members[s], members[t]) for s in range(n + 1) for t in range(n + 1 - s)}
-    return _build(pairs, lambda key, xs: action_matrix(*key, xs),
-                  lambda *built: DiscreteProductSystem(algebra, members, *built, source=source),
-                  "product (%d,%d)", tol)
+    products = dict.fromkeys(pairs, np.eye(members[0].carrier_dim, dtype=complex))
+    return _build(pairs, lambda tensors: DiscreteProductSystem(
+        algebra, members, tensors, products, source=source), "product (%d,%d)", tol)
 
 
 def from_endomorphism(theta, horizon: int,
@@ -219,8 +209,8 @@ def from_endomorphism(theta, horizon: int,
     """Product system of the iterates of a unital endomorphism.
 
     E_t is the algebra with left action twisted by the t-th iterate; the
-    product sends x (tensor) y to theta^t(x) y. Composites of the validated
-    theta are valid and B' = commutant(B) commutes by its own law: no E_t is checked.
+    product x (tensor) y -> theta^t(x) y is the identity of the rows of Phi. Iterates
+    of the validated theta are valid and B' commutes by its own law: no E_t is checked.
     """
     horizon = nk.as_horizon(horizon)
     b = theta.domain
@@ -230,9 +220,7 @@ def from_endomorphism(theta, horizon: int,
     # B' acts as itself on every member, so all have one element space: span B
     for member in members[1:]:
         member.element_space = members[0].element_space
-    # theta^t(x_k) once per t, so the pairs with one t share one product
-    images = [q(members[0].element_space) for q in powers]
-    return _build_system(b, members, lambda s, t, xs: images[t], source=theta, tol=tol)
+    return _build_system(b, members, source=theta, tol=tol)
 
 
 def commutant_system(p: DiscreteProductSystem,
@@ -249,7 +237,7 @@ def commutant_system(p: DiscreteProductSystem,
     if not endo_mod.is_faithful(p.source, tol):
         raise NotFaithful("generating endomorphism is not faithful")
     members = [corr.commutant(e) for e in p.members]
-    return _build_system(p.commutant_algebra, members, lambda s, t, xs: xs, tol=tol)
+    return _build_system(p.commutant_algebra, members, tol=tol)
 
 
 def commutant_order_residual(p: DiscreteProductSystem, pc: DiscreteProductSystem,
@@ -315,51 +303,36 @@ class RightDilation:
                                "right dilation laws violated: {}")
 
 
-def make_right_dilation(p: DiscreteProductSystem, rho_images, action_matrix,
-                        tol: nk.Tolerance = nk.DEFAULT_TOL) -> RightDilation:
-    """Right dilation from an element-level action on a represented space.
-
-    rho_images are the basis images of a faithful unital representation of
-    the system algebra on H; action_matrix(t, xs) takes the stacked element
-    basis xs of E_t and returns, per slice x, the matrix of
-    h -> w_t(x tensor h) on H. H enters as a correspondence from the system
-    algebra to the scalars, checked for unitality only: its commutant action
-    is the identity. Members with one element space share one tensor
-    quotient with H: for the iterate system, one for every t.
-    """
-    rho_images = np.asarray(rho_images, dtype=complex)
-    h = rho_images.shape[1]
-    scalars = alg.trivial_algebra(1)
-    space = corr.Correspondence(p.algebra, scalars, p.commutant_algebra, scalars, rho_images,
-                                np.eye(h, dtype=complex)[None], h, tol, check=False)
-    corr._check_unital(space, tol)
-    return _build({t: (member, space) for t, member in enumerate(p.members)}, action_matrix,
-                  lambda *built: RightDilation(p, space, *built), "dilation map %d", tol)
-
-
 def right_dilation_from_unitary(p: DiscreteProductSystem, u, rho_images=None,
                                 tol: nk.Tolerance = nk.DEFAULT_TOL) -> RightDilation:
-    """w_t(x tensor g) = u^t rho(x) g for a unitary u on the represented space.
+    """w_t(x tensor g) = u^t rho(x) g for a unitary u on the represented space H.
 
-    rho_images defaults to the identity representation on the ambient space.
-    Valid whenever rho(theta(b)) = u* rho(b) u for the generating map theta;
-    the bilinearity check of the dilation enforces exactly that relation.
+    rho_images default to the identity representation on the ambient space. H, a
+    correspondence to the scalars, is checked for unitality, a given rho then as a
+    *-homomorphism (``endo.require_hom``), recorded as ``_twisted`` records theta:
+    every quotient is read off Phi = [rho(x_1)| ... |rho(x_d)], on whose rows w_t is
+    u^t. Valid whenever rho(theta(b)) = u* rho(b) u, which bilinearity enforces. The
+    iterate system's members share one tensor quotient with H.
     """
     u = nk.as_matrix(u, "u")
-    rho_images = p.algebra.basis if rho_images is None else \
-        np.asarray(rho_images, dtype=complex)
+    given = rho_images is not None
+    rho_images = np.asarray(rho_images, dtype=complex) if given else p.algebra.basis
     h = rho_images.shape[1]
     if u.shape != (h, h):
         raise DimensionMismatch(
             f"unitary has shape {u.shape}, representation acts on dimension {h}")
-    powers = [np.eye(h, dtype=complex)]
-    for _ in range(p.horizon):
-        powers.append(u @ powers[-1])
-
-    def action(t, xs):
-        return powers[t] @ p.algebra.apply(rho_images, xs)
-
-    return make_right_dilation(p, rho_images, action, tol=tol)
+    scalars = alg.trivial_algebra(1)
+    space = corr.Correspondence(p.algebra, scalars, p.commutant_algebra, scalars, rho_images,
+                                np.eye(h, dtype=complex)[None], h, tol, check=False)
+    corr._check_unital(space, tol)
+    if given:
+        laws = endo_mod.require_hom(endo_mod.hom_residuals(p.algebra, rho_images), h, tol)
+        space._maps = (SimpleNamespace(law_residuals=laws), None)
+    powers = {0: np.eye(h, dtype=complex)}
+    for t in range(1, p.horizon + 1):
+        powers[t] = u @ powers[t - 1]
+    return _build(dict(enumerate((member, space) for member in p.members)),
+                  lambda tensors: RightDilation(p, space, tensors, powers), "dilation map %d", tol)
 
 
 class SystemRepresentation:

@@ -209,7 +209,7 @@ def identity_right_dilation(p, tol: nk.Tolerance = nk.DEFAULT_TOL):
     action, as the member-wise commutants of an endomorphism system do; the
     bilinearity check rejects anything else.
     """
-    return ps.make_right_dilation(p, p.algebra.basis, lambda t, xs: xs, tol=tol)
+    return ps.right_dilation_from_unitary(p, np.eye(p.algebra.ambient_dim), tol=tol)
 
 
 
@@ -224,12 +224,20 @@ def dilation_side_system(p, w, tol: nk.Tolerance = nk.DEFAULT_TOL):
     eye = np.eye(b.ambient_dim, dtype=complex)
     upsilon = [rep.eta_of(t, eye) @ xi for t in range(p.horizon + 1)]
 
-    def action(s, t, xs):
-        moved = w.theta_w(t, upsilon[s] @ xs @ xi.conj().T)
-        return upsilon[s + t].conj().T @ moved @ upsilon[t]
-
     members = [corr.commutant(e) for e in p.members]
-    return ps._build_system(p.commutant_algebra, members, action, tol=tol)
+    tensors, products = {}, {}
+    for s, xs in enumerate(m.element_space for m in members):
+        for t in range(p.horizon + 1 - s):
+            tp = tensors[(s, t)] = corr.TensorProduct(members[s], members[t], tol)
+            moved = w.theta_w(t, upsilon[s] @ xs @ xi.conj().T)
+            target = np.concatenate(upsilon[s + t].conj().T @ moved @ upsilon[t], axis=1)
+            products[(s, t)] = target @ tp.phi_pinv
+            nk.require(float(np.linalg.norm(products[(s, t)] @ tp.phi - target)),
+                       tol.bound(float(np.linalg.norm(target))), ProductSystemLawError,
+                       "product does not factor, residual {:.3e}")
+    system = ps.DiscreteProductSystem(p.commutant_algebra, members, tensors, products)
+    system.residuals = system.validate(tol)
+    return system
 
 
 def eq33_spanning_family(u, theta) -> dict:

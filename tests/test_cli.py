@@ -832,6 +832,33 @@ def test_ragged_basis_images_exit_two_with_a_report(tmp_path):
     assert "basis_images[1]: shape (3, 3)" in report["error"]["message"]
 
 
+def test_a_wrapped_relation_failure_report_names_the_law(scene_dir):
+    """pair on the paired scene at --tol 1e-14 fails a relation by rounding;
+    the PairingCheckFailed report carries that relation's law, residual and
+    bound."""
+    report, _ = run_json(["pair", "--input", path(scene_dir, "paired"), "--tol", "1e-14"], 1)
+    error = report["error"]
+    assert error["type"] == "PairingCheckFailed"
+    assert error["law"] in ("relation_b", "relation_b_prime")
+    assert error["residual"] > error["bound"] == 1e-14
+
+
+def test_a_non_unitary_scene_unitary_report_names_the_law(tmp_path):
+    """An endomorphism of a scene conjugating by a u that is not unitary exits
+    1 with NotUnitary, law ``unitarity``, its residual and bound."""
+    gens = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    scene = {"ambient_dim": 2,
+             "algebras": {"a": {"generators": [enc(g) for g in gens]}},
+             "unitaries": {"u": enc(np.array([[1.0, 1.0], [0.0, 1.0]]))},
+             "endomorphisms": {"theta": {"domain": "a", "unitary": "u"}}}
+    scene_path = tmp_path / "shear.json"
+    scene_path.write_text(json.dumps(scene))
+    report, _ = run_json(["endo-validate", "--input", str(scene_path)], 1)
+    error = report["error"]
+    assert (error["type"], error["law"]) == ("NotUnitary", "unitarity")
+    assert error["residual"] > error["bound"] == nk.DEFAULT_TOL.bound(np.sqrt(2))
+
+
 def test_a_relation_failure_report_names_the_law(scene_dir):
     """pair-check on d2 fails relation_b_prime, and the report carries its
     law, residual and bound; so does the non-unitary symmetry-check."""

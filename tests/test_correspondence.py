@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -694,3 +697,15 @@ def test_a_singular_value_near_the_cut_is_decided_on_its_square(ratio, kept):
     assert np.allclose(pinv @ phi, np.eye(2)) == (kept == 2)
     if kept == 2:
         assert np.array_equal(phi, x[0])
+
+
+@pytest.mark.parametrize("module", [corr, endo])
+def test_every_require_names_its_law(module):
+    """No ``nk.require`` call in ``correspondence`` or ``endo`` leaves out
+    ``law=``: ``tensor_commutant_iso``, ``_check_intertwining``,
+    ``find_isomorphism`` and ``endo.from_unitary`` name theirs too."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "nk.require"]
+    assert calls and [node.lineno for node in calls
+                      if "law" not in {k.arg for k in node.keywords}] == []

@@ -911,3 +911,18 @@ def test_a_faithful_non_multiplicative_map_raises_not_multiplicative(two_block, 
             orc.dense_relations(w, theta(), ident, 4)
         with pytest.raises(NotMultiplicative):
             pr.check_pairing(w, theta(), ident)
+
+
+def test_a_relation_below_rounding_keeps_its_law_through_the_wrapper():
+    """The identity pair on C^8 [(2,2),(2,2)] at eps 1e-14: the frame-built
+    unitary fails relation_b by rounding (1.04e-14), and the PairingCheckFailed
+    that wraps it carries that law, residual and bound."""
+    tol = nk.Tolerance(1e-14)
+    b = alg.random_algebra(8, [(2, 2), (2, 2)], seed=1, tol=tol)
+    bp = alg.commutant(b, tol)
+    with pytest.raises(PairingCheckFailed) as info:
+        pr.can_pair(endo.identity(b), endo.identity(bp), tol)
+    err, cause = info.value, info.value.__cause__
+    assert isinstance(cause, RelationB) and err.law == cause.law == "relation_b"
+    assert (err.residual, err.bound) == (cause.residual, cause.bound)
+    assert err.residual > err.bound == 1e-14

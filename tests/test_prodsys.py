@@ -12,7 +12,7 @@ from vnpair import numkernel as nk
 from vnpair import prodsys as ps
 from vnpair import selftest as st
 from vnpair.errors import (DimensionMismatch, InvalidCorrespondence, NotFaithful,
-                           NotFullAlgebra, NotUnitVector, NoUnitVector,
+                           NotFullAlgebra, NotMultiplicative, NotUnitVector, NoUnitVector,
                            ProductSystemLawError)
 
 
@@ -770,13 +770,15 @@ def test_commutant_via_dilation_rejects_a_non_faithful_source():
 @pytest.mark.parametrize("horizon", [4, 6])
 def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizon):
     """Iterate members share one element space and, per right index t, one
-    quotient, one lifted B' action and one product solve, and associativity
-    is evaluated once per (s, t); commutant members share a quotient, the
-    lifted B' action and the product per left index, with associativity
-    once per (r, s); the dilation of an iterate system needs a single
-    quotient and lifted H action. Every quotient is read off the factor Phi
-    of its Gram matrix (``correspondence._root_spectrum``), none off a Gram
-    ``eigh`` (``_gram_spectrum``)."""
+    quotient and one lifted B' action, and associativity is evaluated once
+    per (s, t); commutant members share a quotient and the lifted B' action
+    per left index, with associativity once per (r, s); the dilation of an
+    iterate system needs a single quotient and lifted H action. Every
+    quotient is read off the factor Phi of its Gram matrix
+    (``correspondence._root_spectrum``), none off a Gram ``eigh``
+    (``_gram_spectrum``); every carrier is the rows of Phi, so no map is
+    solved for (``numkernel.lstsq_map``, a product with ``phi_pinv``) and
+    every left action lifts in closed form (``TensorProduct.full``)."""
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
     alg.commutant(b)  # the algebra's own commutant is not counted
     v = unitary_in(b, 15)
@@ -791,35 +793,43 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
 
     for module, name, key in [
             (corr, "tensor_quotient", "quotients"), (alg, "intertwiners", "kernels"),
-            (ps, "_factor", "solves"), (corr.TensorProduct, "lift_left", "left_lifts"),
-            (corr.TensorProduct, "lift_right", "right_lifts"),
+            (nk, "lstsq_map", "solves"), (corr.TensorProduct, "lift_right", "right_lifts"),
             (ps, "_associativity", "associativity"), (corr, "_root_spectrum", "factored"),
             (corr, "_gram_spectrum", "gram")]:
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    lift_left = corr.TensorProduct.lift_left
+
+    def counted_lift(self, op):
+        counts["left_lifts"] += 1
+        counts["closed"] += self.full
+        return lift_left(self, op)
+
+    monkeypatch.setattr(corr.TensorProduct, "lift_left", counted_lift)
     n = horizon
     pairs = (n + 1) * (n + 2) // 2
 
     def counted(build):
-        counts.update(dict.fromkeys(("quotients", "kernels", "solves", "left_lifts",
+        counts.update(dict.fromkeys(("quotients", "kernels", "solves", "left_lifts", "closed",
                                      "right_lifts", "associativity", "factored", "gram"), 0))
         out = build()
         assert counts.pop("factored") == counts["quotients"] and counts.pop("gram") == 0
+        assert counts.pop("closed") == counts["left_lifts"]
         return out, dict(counts)
 
     p, c = counted(lambda: ps.from_endomorphism(theta, horizon))
-    assert c == {"quotients": n + 1, "kernels": 1, "solves": n + 1,
+    assert c == {"quotients": n + 1, "kernels": 1, "solves": 0,
                  "left_lifts": pairs, "right_lifts": n + 1, "associativity": pairs}
     assert len(p.tensors) == pairs
     _, c = counted(lambda: ps.commutant_system(p))
-    assert c == {"quotients": n + 1, "kernels": n + 1, "solves": n + 1,
+    assert c == {"quotients": n + 1, "kernels": n + 1, "solves": 0,
                  "left_lifts": n + 1, "right_lifts": pairs, "associativity": pairs}
     w, c = counted(lambda: ps.right_dilation_from_unitary(p, v))
-    assert c == {"quotients": 1, "kernels": 0, "solves": n + 1,
+    assert c == {"quotients": 1, "kernels": 0, "solves": 0,
                  "left_lifts": n + 1, "right_lifts": 1, "associativity": 0}
     # the commutant system once, with xi and the commutant of the action on
     # H on top; theta_w lifts 3 (n + 1) + pairs operators on H
     _, c = counted(lambda: ps.commutant_via_dilation(p, w))
-    assert c == {"quotients": n + 1, "kernels": n + 3, "solves": n + 1,
+    assert c == {"quotients": n + 1, "kernels": n + 3, "solves": 0,
                  "left_lifts": n + 1, "right_lifts": 2 * pairs + 3 * (n + 1),
                  "associativity": pairs}
 
@@ -1135,12 +1145,74 @@ def test_canonical_carriers_give_identity_products_and_powers_of_u(index):
     built, u = _horizon_case(index)
     for key in ("system", "commutant"):
         for product in (built[key].products.values() if key in built else ()):
-            assert np.linalg.norm(product - np.eye(len(product))) <= 1e-13
+            assert np.array_equal(product, np.eye(len(product)))
     if "dilation" in built:
-        power = np.eye(len(u))
+        power = np.eye(len(u), dtype=complex)
         for w_t in built["dilation"].maps.values():
-            assert np.linalg.norm(w_t - power) <= 1e-13
+            assert np.array_equal(w_t, power)
             power = u @ power
+
+
+@pytest.mark.parametrize("index", range(len(HORIZON_SHAPES)))
+def test_closed_form_left_lift_matches_the_element_basis_formula(index):
+    """At full row rank of Phi the lifted left action is op (case (a)) or
+    rho_f(op) (case (b)); the lift read off <x_i, op x_k> over the element
+    basis of e gives the same stack within 1e-13."""
+    built, _ = _horizon_case(index)
+    tensors = {id(tp.phi): tp for obj in built.values() for tp in obj.tensors.values()}
+    for tp in tensors.values():
+        assert tp.full
+        x = tp.e.element_space
+        moved = np.einsum("aij,bjk->abik", tp.e.rho, x)
+        m = np.einsum("cij,abij->acb", x.conj(), moved)  # m[a, i, k] = <x_i, op_a x_k>
+        raw = np.einsum("piv,aik->apkv", tp._phi3, m)
+        formula = raw.reshape(len(m), tp.carrier_dim, -1) @ tp.phi_pinv
+        assert nk.worst_norm(tp.lift_left(tp.e.rho) - formula) <= 1e-13
+
+
+def test_a_non_multiplicative_representation_is_rejected_before_any_quotient(monkeypatch):
+    """The pinching rho(b) = diag(b) on M_2 is unital and keeps adjoints but
+    is not multiplicative: with theta = id and u = 1 it raises NotMultiplicative,
+    law ``multiplicative``, before a tensor quotient is formed."""
+    m2 = alg.full_matrix_algebra(2)
+    p = ps.from_endomorphism(endo.identity(m2), horizon=2)
+    quotients = []
+    real = corr.tensor_quotient
+    monkeypatch.setattr(corr, "tensor_quotient",
+                        lambda *args, **kw: quotients.append(1) or real(*args, **kw))
+    pinching = np.array([np.diag(np.diag(b)) for b in m2.basis])
+    with pytest.raises(NotMultiplicative) as info:
+        ps.right_dilation_from_unitary(p, np.eye(2), rho_images=pinching)
+    assert info.value.law == "multiplicative"
+    assert info.value.residual > info.value.bound == nk.DEFAULT_TOL.bound(1.0)
+    assert quotients == []
+
+
+def test_a_quotient_that_drops_a_direction_raises_at_its_pair():
+    """B = [(1, 2), (1, 1)] has Phi Phi* with spectrum {1/2, 1/2, 1}; at eps
+    0.6 the quotient of the first pair keeps one of the three directions, so
+    the identity is no map on its carrier: law ``factors`` at product (0,0),
+    the cutoff 0.6 as residual and the float below the dropped 1/2 as bound."""
+    tol = nk.Tolerance(0.6)
+    b = alg.random_algebra(3, [(1, 2), (1, 1)], seed=2, tol=tol)
+    with pytest.raises(ProductSystemLawError, match=r"product \(0,0\).* keeps 1 of the 3") as info:
+        ps.from_endomorphism(endo.identity(b), 2, tol)
+    err = info.value
+    assert err.law == "factors" and err.residual == pytest.approx(0.6, abs=1e-12)
+    assert err.bound == pytest.approx(0.5, abs=1e-12) and err.bound < err.residual
+
+
+def test_a_dilation_off_the_factored_route_names_its_law():
+    """The commutant system of theta = id with a given rho_H = b' (+) b': its
+    members are not twisted, so the quotient with H would be read off the Gram
+    matrix, on whose carrier u^t is not given; the build raises law ``factors``
+    before forming it."""
+    b = alg.random_algebra(4, [(2, 1), (1, 2)], seed=3)
+    pc = ps.commutant_system(ps.from_endomorphism(endo.identity(b), 2))
+    rho = np.array([np.kron(np.eye(2), x) for x in pc.algebra.basis])
+    with pytest.raises(ProductSystemLawError, match="not read off Phi") as info:
+        ps.right_dilation_from_unitary(pc, np.eye(8), rho_images=rho)
+    assert info.value.law == "factors"
 
 
 def test_every_require_of_prodsys_names_its_law():
