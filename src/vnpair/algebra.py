@@ -424,10 +424,11 @@ def _frame(a: VnAlgebra, z, h, g, tol: nk.Tolerance) -> BlockSignature:
     projections = [v @ v.conj().T for v in vs]
     bound = tol.bound(nk.worst_norm(projections))
     nk.require(nk.span_residual(projections, a.flat), bound, DegenerateCenterElement,
-               "cluster projection leaves the algebra, residual {:.3e}")
+               "cluster projection leaves the algebra, residual {:.3e}", law="cluster_span")
     q = sum(i * p for i, p in enumerate(projections))
     nk.require(nk.law_residual(a.basis, a.basis, q[None]), bound, DegenerateCenterElement,
-               "cluster projection does not commute with the algebra, residual {:.3e}")
+               "cluster projection does not commute with the algebra, residual {:.3e}",
+               law="cluster_commutation")
     # sum_j b_j b_j* is (a_i / m_i) 1 on the i-th summand, so its trace
     # against the unit p_i of the summand is a_i^2 = dim p_i A p_i
     gram = (a.basis @ a.basis.conj().transpose(0, 2, 1)).sum(axis=0)
@@ -451,16 +452,17 @@ def _frame(a: VnAlgebra, z, h, g, tol: nk.Tolerance) -> BlockSignature:
             spread = (s[:, 0] - s[:, -1]) / s[:, 0] if s[:, 0].all() else [np.inf]
             nk.require(float(np.max(spread)), tol.eps, DegenerateCenterElement,
                        "links of the generic element are not multiples of unitaries, "
-                       "relative spread {:.3e}")
+                       "relative spread {:.3e}", law="link_spread")
             t = t @ w @ vh
         units.append(t)
     if sum(ai * ai for ai, _ in blocks) != a.dim:
         raise DegenerateCenterElement("block dimension bookkeeping failed")
     frame = np.concatenate([t.transpose(1, 0, 2).reshape(n, -1) for t in units], axis=1)
     nk.require(nk.unitarity_residual(frame), tol.bound(np.sqrt(n)),
-               DegenerateCenterElement, "frame is not unitary, residual {:.3e}")
+               DegenerateCenterElement, "frame is not unitary, residual {:.3e}",
+               law="frame_unitarity")
     nk.require(_units_residual(units, a), tol.bound(1.0), DegenerateCenterElement,
-               "frame matrix units leave the algebra, residual {:.3e}")
+               "frame matrix units leave the algebra, residual {:.3e}", law="frame_units")
     order = sorted(range(len(blocks)), key=functools.cmp_to_key(
         _summand_order(blocks, projections, tol)))
     return BlockSignature(blocks=tuple(blocks[i] for i in order),
@@ -566,7 +568,8 @@ def _legs(a: VnAlgebra, sig: BlockSignature, i: int, images,
     trace = complex(np.trace(pi[0]))
     rank = nk.integral_trace(trace, min(nk.MAX_RANK_SLACK, tol.bound(abs(trace))), len(r))
     nk.require(abs(rank - r.shape[1]), 0, NotIntertwining,
-               "{1} has a range of rank {2}, but trace {3:.6g}", what, r.shape[1], trace.real)
+               "{1} has a range of rank {2}, but trace {3:.6g}", what, r.shape[1], trace.real,
+               law="range_rank")
     return pi @ r
 
 

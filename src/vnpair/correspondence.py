@@ -389,9 +389,7 @@ def tensor_product(e: Correspondence, f: Correspondence,
 
 
 def tensor_commutant_iso(e: Correspondence, f: Correspondence,
-                         tol: nk.Tolerance = nk.DEFAULT_TOL,
-                         tp: TensorProduct | None = None,
-                         tp_swapped: TensorProduct | None = None) -> np.ndarray:
+                         tol: nk.Tolerance = nk.DEFAULT_TOL) -> np.ndarray:
     """Unitary between the carriers witnessing the order-reversing identity.
 
     The commutant of the tensor product of e and f is canonically the tensor
@@ -402,19 +400,8 @@ def tensor_commutant_iso(e: Correspondence, f: Correspondence,
     tensor(e, f) to the carrier of tensor(commutant(f), commutant(e)) and
     is checked to be unitary and to intertwine both actions.
     """
-    t1 = tp if tp is not None else TensorProduct(e, f, tol)
-    t2 = tp_swapped if tp_swapped is not None else \
-        TensorProduct(commutant(f), commutant(e), tol)
-    x = e.element_space
-    yp = t2.e.element_space  # elements of the commutant of f
-    # columns (i, j, g): embed(x_i) y'_j g and embed(y'_j) x_i g
-    src = t1.embed_matrix(x)[:, None] @ yp[None]
-    dst = t2.embed_matrix(yp)[None] @ x[:, None]
-    src, dst = (np.moveaxis(m, 2, 0).reshape(m.shape[2], -1) for m in (src, dst))
-    w = nk.lstsq_map(src, dst)
-    nk.require(float(np.linalg.norm(w @ src - dst)),
-               tol.bound(float(np.linalg.norm(src)), float(np.linalg.norm(dst))),
-               NotIsometric, "spanning identity fails, residual {:.3e}", law="spanning_identity")
+    t1, t2 = TensorProduct(e, f, tol), TensorProduct(commutant(f), commutant(e), tol)
+    w, _ = _identification(t1, t2, tol, solve=True)
     if w.shape[0] != w.shape[1]:
         raise NotIsometric(f"carrier dimensions differ: {w.shape}")
     nk.require(nk.unitarity_residual(w), tol.bound(np.sqrt(w.shape[0])), NotIsometric,
@@ -424,10 +411,26 @@ def tensor_commutant_iso(e: Correspondence, f: Correspondence,
     return w
 
 
+def _identification(t1: TensorProduct, t2: TensorProduct, tol: nk.Tolerance, solve=False):
+    """w: x (tensor) y' g -> y' (tensor) x g over the elements x of t1.e, y' of t2.e
+    and g of the middle space, solved for (solve) or the identity (None), and its
+    residual |w src - dst| within tol.bound(|src|, |dst|), else NotIsometric."""
+    x, yp = t1.e.element_space, t2.e.element_space
+    # columns (i, j, g): embed(x_i) y'_j g and embed(y'_j) x_i g
+    src = t1.embed_matrix(x)[:, None] @ yp[None]
+    dst = t2.embed_matrix(yp)[None] @ x[:, None]
+    src, dst = (np.moveaxis(m, 2, 0).reshape(m.shape[2], -1) for m in (src, dst))
+    w = nk.lstsq_map(src, dst) if solve else None
+    return w, nk.require(
+        float(np.linalg.norm((src if w is None else w @ src) - dst)),
+        tol.bound(float(np.linalg.norm(src)), float(np.linalg.norm(dst))),
+        NotIsometric, "spanning identity fails, residual {:.3e}", law="spanning_identity")
+
+
 def _check_intertwining(w, img1, img2, tol: nk.Tolerance, what: str) -> None:
-    """|w a - b w| within tol.bound(|a|) for each pair (a, b) of the stacks
-    img1, img2, else NotIntertwining naming what and the first failure."""
-    res = np.linalg.norm(w @ img1 - img2 @ w, axis=(1, 2))
+    """|w a - b w| (|a - b| for w None) within tol.bound(|a|) for each pair (a, b)
+    of the stacks img1, img2, else NotIntertwining naming what and the first failure."""
+    res = np.linalg.norm(img1 - img2 if w is None else w @ img1 - img2 @ w, axis=(1, 2))
     bounds = np.array([tol.bound(float(v)) for v in np.linalg.norm(img1, axis=(1, 2))])
     k = int(np.argmin(res <= bounds))  # the first failure, else 0
     nk.require(float(res[k]), float(bounds[k]), NotIntertwining,

@@ -364,7 +364,7 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def range_basis(p, tol: Tolerance, error_cls, what: str) -> np.ndarray:
     """Orthonormal basis q of the range of a numerical projection p; p q = q
-    is required, else error_cls is raised naming what.
+    is required, else error_cls is raised naming what, law ``projection``.
 
     The eigenvalue cutoff is a fixed 0.5, not a Tolerance: the spectrum of a
     projection computed to working precision clusters at 0 and 1. A p far
@@ -373,7 +373,7 @@ def range_basis(p, tol: Tolerance, error_cls, what: str) -> np.ndarray:
     lam, vec = np.linalg.eigh((p + p.conj().T) / 2.0)
     q = vec[:, lam > 0.5]
     require(float(np.linalg.norm(p @ q - q)), tol.bound(1.0), error_cls,
-            "{1} is not a projection, residual {0:.3e}", what)
+            "{1} is not a projection, residual {0:.3e}", what, law="projection")
     return q
 
 

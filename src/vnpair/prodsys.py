@@ -1,16 +1,14 @@
 """Discrete product systems of correspondences over {0, ..., N}.
 
-Members E_t carry bilinear unitary product maps from the interior tensor
-product of E_s and E_t onto E_{s+t}. The main sources are iterates of a
-single endomorphism, the commutant construction (elements multiply as
-operators, with the factor order reversed relative to the original system),
-the rank-one compression of an automorphism of a full matrix algebra, and
-the commutant system checked against its realization on a dilation space.
-
-All maps act on the rows of Phi = [rho(x_1)| ... |rho(x_d)], the quotient tensor
-carriers, where each is known and none solved for; every law is verified on
-spanning families of simple tensors, as a few matrix products over the
-stacked element bases (one loop level per degree, none per element).
+A system is its members E_t and the interior tensor products of E_s and E_t,
+whose carrier, the rows of Phi = [rho(x_1)| ... |rho(x_d)], is that of E_{s+t}:
+the product is the identity there, not a map formed or solved for. The main
+sources are iterates of a single endomorphism, the commutant construction
+(elements multiply as operators, with the factor order reversed relative to the
+original system), the rank-one compression of an automorphism of a full matrix
+algebra, and the commutant system checked against its realization on a dilation
+space. Every law is verified on spanning families of simple tensors, as a few
+matrix products over the stacked element bases (one loop level per degree).
 """
 
 from __future__ import annotations
@@ -27,45 +25,34 @@ from .errors import (DimensionMismatch, NoUnitVector, NotFaithful,
                      NotFullAlgebra, NotUnitVector, ProductSystemLawError)
 
 class DiscreteProductSystem:
-    """Members E_0..E_N with product unitaries on the tensor carriers.
+    """Members E_0..E_N and tensors[(s, t)] = tensor(E_s, E_t), whose carrier, the
+    rows of Phi, is that of E_{s+t}: x (tensor) y -> x . y is the identity there.
 
-    products[(s, t)] maps the carrier of tensor(E_s, E_t) onto the carrier
-    of E_{s+t}; tensors[(s, t)] holds the corresponding quotient structure.
-    E_0 is the identity correspondence of the underlying algebra and the
-    maps with a zero index reduce to the module actions.
-
-    Action stacks, basis products and the law terms of ``validate`` stay in
-    ``_terms`` (``numkernel.memo``), read again by ``commutant_order_residual``
-    and ``SystemRepresentation.validate``. Iterate systems share them per t
-    and commutant systems per s: at horizon N a build lifts N+1 shared actions and
-    evaluates associativity on (N+1)(N+2)/2 pairs, not (N+1)(N+2)(N+3)/6 triples.
+    Basis products and the law terms of ``validate`` stay in ``_terms``
+    (``numkernel.memo``), keyed on the quotients ``tp.phi`` the build shares:
+    iterate systems share them per t and commutant systems per s, so at horizon N
+    associativity is evaluated on (N+1)(N+2)/2 pairs, not (N+1)(N+2)(N+3)/6 triples.
     """
 
-    def __init__(self, algebra, members, tensors, products, source=None):
+    def __init__(self, algebra, members, tensors, source=None):
         self.algebra = algebra
         self.commutant_algebra = members[0].right_commutant
         self.members = list(members)
         self.tensors = dict(tensors)
-        self.products = dict(products)
         self.horizon = len(self.members) - 1
         self.source = source
         self.residuals: dict = {}  # what validate returned at construction
         self._terms = nk.memo()
 
-    def action_stack(self, s: int, t: int) -> np.ndarray:
-        """prod_matrix of every element basis vector of E_s, stacked.
-
-        Shape (carrier of E_{s+t}, element dimension of E_s, carrier of
-        E_t); slice [:, k, :] is the action of the k-th basis element.
-        """
-        u, tp = self.products[(s, t)], self.tensors[(s, t)]
-        return self._terms(np.tensordot, (u, tp.phi), u, tp._phi3, (1, 0))
+    @property
+    def products(self) -> dict:
+        """The product map of each pair (s, t): the identity of the carrier of E_{s+t}."""
+        return {key: np.eye(tp.carrier_dim, dtype=complex) for key, tp in self.tensors.items()}
 
     def prod_matrix(self, s: int, t: int, x) -> np.ndarray:
         """Matrix of h -> (x . h) from the carrier of E_t to that of E_{s+t};
         a stack of elements gives the stack of their matrices."""
-        coeffs = self.members[s].element_coefficients(x)
-        return np.tensordot(coeffs, self.action_stack(s, t), axes=(-1, 1))
+        return self.tensors[(s, t)].embed_matrix(x)
 
     def basis_products(self, s: int, t: int) -> tuple[np.ndarray, float]:
         """Coefficients of every product x_k . y_l of element basis vectors
@@ -73,32 +60,32 @@ class DiscreteProductSystem:
         k * d_t + l, and the worst distance of those products from that span
         (the product closure law). Computed once per distinct set of arrays.
         """
-        stack = self.action_stack(s, t)
+        tp = self.tensors[(s, t)]
         ys, basis = self.members[t].element_space, self.members[s + t].element_space
-        return self._terms(_basis_products, (stack, ys, basis), stack, ys, basis)
+        return self._terms(_basis_products, (tp.phi, ys, basis), tp._phi3, ys, basis)
 
     def multiply(self, s: int, t: int, x, y) -> np.ndarray:
         """Product of an element of E_s with an element of E_t."""
         return self.prod_matrix(s, t, x) @ np.asarray(y, dtype=complex)
 
     def validate(self, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
-        """Check the whole law book; returns worst residuals, raises on failure."""
+        """Check the whole law book; returns worst residuals, raises on failure. The
+        identity products are unitary (0.0) once each carrier is its target's."""
         worst = dict.fromkeys(("unit_member", "unitary", "bilinear", "left_marginal",
                                "right_marginal", "associative", "product_closure"), 0.0)
         e0 = self.members[0]
         worst["unit_member"] = nk.worst(
             float(np.linalg.norm(e0.rho - self.algebra.basis)),
             float(np.linalg.norm(e0.rho_prime - self.commutant_algebra.basis)))
-        for (s, t), u in self.products.items():
-            tp = self.tensors[(s, t)]
+        for (s, t), tp in self.tensors.items():
             target = self.members[s + t]
-            if u.shape != (target.carrier_dim, tp.carrier_dim):
+            if tp.carrier_dim != target.carrier_dim:
                 raise ProductSystemLawError(
-                    f"product ({s},{t}) has shape {u.shape}")
-            res, bil = _map_laws(self._terms, u, (tp.corr.rho, target.rho),
-                                 (tp.corr.rho_prime, target.rho_prime))
-            worst["unitary"] = nk.worst(worst["unitary"], res)
-            worst["bilinear"] = nk.worst(worst["bilinear"], bil)
+                    f"tensor ({s},{t}) has carrier dimension {tp.carrier_dim}, "
+                    f"member {s + t} {target.carrier_dim}")
+            worst["bilinear"] = nk.worst(worst["bilinear"], *(
+                self._terms(_bilinear, (a, b), None, a, b)
+                for a, b in ((tp.corr.rho, target.rho), (tp.corr.rho_prime, target.rho_prime))))
             worst["product_closure"] = nk.worst(worst["product_closure"],
                                                 self.basis_products(s, t)[1])
         x0 = e0.element_space
@@ -109,15 +96,14 @@ class DiscreteProductSystem:
                 self.prod_matrix(t, 0, member.element_space) - member.element_space))
         # (x y) z against x (y z) for x of E_r, y of E_s, over the carrier of
         # E_t, which spans the triple tensor: once per distinct set of arrays
-        stacks = {key: self.action_stack(*key) for key in self.products}
-        coeffs = {key: self.basis_products(*key)[0] for key in self.products}
-        triples = {}
-        for r, s in self.products:
+        tps, terms = self.tensors, []
+        for r, s in tps:
+            coeffs = self.basis_products(r, s)[0]
             for t in range(self.horizon + 1 - r - s):
-                arrays = (coeffs[(r, s)], stacks[(r + s, t)], stacks[(r, s + t)], stacks[(s, t)])
-                triples.setdefault(tuple(map(id, arrays)), arrays)
-        worst["associative"] = nk.worst(0.0, *(self._terms(_associativity, arrays, *arrays)
-                                               for arrays in triples.values()))
+                triple = (tps[(r + s, t)], tps[(r, s + t)], tps[(s, t)])
+                terms.append(self._terms(_associativity, (coeffs, *(tp.phi for tp in triple)),
+                                         coeffs, *(tp._phi3 for tp in triple)))
+        worst["associative"] = nk.worst(0.0, *terms)
         return nk.require_laws(worst, tol.bound(1.0), ProductSystemLawError,
                                "product system laws violated: {}")
 
@@ -136,8 +122,8 @@ def _basis_products(stack, ys, basis) -> tuple[np.ndarray, float]:
 
 def _associativity(coeffs, inner, outer_x, outer_y) -> float:
     """Worst |(x y) z - x (y z)| over the element bases x of E_r, y of E_s and
-    the carrier of E_t, from the coefficients of x y and the action stacks of
-    (r+s, t), (r, s+t) and (s, t)."""
+    the carrier of E_t, from the coefficients of x y and the split quotients
+    ``_phi3`` of (r+s, t), (r, s+t) and (s, t), the actions of the element bases."""
     h, dm, ht = inner.shape
     dr, (hm, ds, _) = outer_x.shape[1], outer_y.shape
     lhs = coeffs @ inner.transpose(1, 0, 2).reshape(dm, h * ht)
@@ -147,7 +133,8 @@ def _associativity(coeffs, inner, outer_x, outer_y) -> float:
 
 
 def _bilinear(u, a, b) -> float:
-    return nk.worst_norm(u @ a - b @ u)
+    """Worst |u a - b u| over the stacks; |a - b| for u None, the identity."""
+    return nk.worst_norm(a - b if u is None else u @ a - b @ u)
 
 
 def _map_laws(memo, u, *pairs) -> tuple[float, float]:
@@ -182,9 +169,9 @@ def _full_tensor(e, f, memo, what: str, tol: nk.Tolerance):
 
 def _build(factors, make, what: str, tol: nk.Tolerance):
     """make(tensors), validated: the tensor products of factors[key] = (e, f) on one
-    ``numkernel.memo``, on whose carriers make gives each map (``_full_tensor``, named
-    what % key). No tensor is light-checked: validate's ``unitary`` and ``bilinear``
-    laws carry its actions to its target member's."""
+    ``numkernel.memo``, on whose carriers each map is given (``_full_tensor``, named
+    what % key). No tensor is light-checked: validate's ``bilinear`` law carries its
+    actions to its target's."""
     memo = nk.memo()
     tensors = {key: _full_tensor(e, f, memo, what % key, tol) for key, (e, f) in factors.items()}
     built = make(tensors)
@@ -194,14 +181,13 @@ def _build(factors, make, what: str, tol: nk.Tolerance):
 
 def _build_system(algebra, members, source=None,
                   tol: nk.Tolerance = nk.DEFAULT_TOL) -> DiscreteProductSystem:
-    """``_build`` with every product the identity: x . y is the row of Phi of x (tensor) y.
+    """``_build`` of the tensors of every pair: x . y is the row of Phi of x (tensor) y.
     The pairs with one t share the quotient and lifted B' action in the iterate
     system E_t = {}_{theta^t}B, those with one s in the commutant system."""
     n = len(members) - 1
     pairs = {(s, t): (members[s], members[t]) for s in range(n + 1) for t in range(n + 1 - s)}
-    products = dict.fromkeys(pairs, np.eye(members[0].carrier_dim, dtype=complex))
     return _build(pairs, lambda tensors: DiscreteProductSystem(
-        algebra, members, tensors, products, source=source), "product (%d,%d)", tol)
+        algebra, members, tensors, source=source), "product (%d,%d)", tol)
 
 
 def from_endomorphism(theta, horizon: int,
@@ -243,22 +229,18 @@ def commutant_system(p: DiscreteProductSystem,
 def commutant_order_residual(p: DiscreteProductSystem, pc: DiscreteProductSystem,
                              s: int, t: int,
                              tol: nk.Tolerance = nk.DEFAULT_TOL) -> float:
-    """Deviation of the commutant product from the swapped original product.
-
-    Composing the canonical carrier identification of tensor(F_t, F_s) with
-    tensor(E_s, E_t) against the product of the original system must give
-    the commutant product for the index pair (t, s). The identification
-    reads the element bases, quotients and lifted actions of one t, so it is
-    solved once per t on ``pc._terms``; its intertwining with the lifts of
-    theta^s(B), which read s too, is checked for every pair.
-    """
+    """Spanning residual |x y' g - theta^t(y') x g| of the canonical identification
+    x (tensor) y' g -> y' (tensor) x g of tensor(F_t, F_s) with tensor(E_s, E_t), the
+    identity of their one carrier (``correspondence._identification``), once per t,
+    whose arrays it reads, on ``pc._terms``; both intertwinings of the identity are
+    checked there once per distinct pair of arrays."""
     t1, t2 = pc.tensors[(t, s)], p.tensors[(s, t)]
-    reads = (pc.members[t].element_space, t2.e.element_space, t1.phi, t2.phi,
-             t1.corr.rho, t2.corr.rho_prime, tol)
-    w = pc._terms(corr.tensor_commutant_iso, reads, pc.members[t], pc.members[s], tol, t1, t2)
-    pc._terms(corr._check_intertwining, (w, t1.corr.rho_prime, t2.corr.rho, tol),
-              w, t1.corr.rho_prime, t2.corr.rho, tol, "commutant")
-    return float(np.linalg.norm(p.products[(s, t)] @ w - pc.products[(t, s)]))
+    residual = pc._terms(corr._identification, (t1.e.element_space, t2.e.element_space,
+                                                t1.phi, t2.phi, tol), t1, t2, tol)[1]
+    for a, b, what in ((t1.corr.rho, t2.corr.rho_prime, "left-algebra"),
+                       (t1.corr.rho_prime, t2.corr.rho, "commutant")):
+        pc._terms(corr._check_intertwining, (a, b, tol), None, a, b, tol, what)
+    return residual
 
 
 class RightDilation:

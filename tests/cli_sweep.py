@@ -11,7 +11,8 @@ the homomorphism law evaluations (``endo.hom_residuals``), the iterate lists
 composed (``endo.iterates``), the law kernels run (``numkernel.law_residual``)
 and the tensor quotients (``correspondence.tensor_quotient``), each read off
 a Gram ``eigh`` (``correspondence._gram_spectrum``) or off one SVD of its
-factor (``correspondence._root_spectrum``). A counted function that the
+factor (``correspondence._root_spectrum``), and the maps solved by least
+squares (``numkernel.lstsq_map``). A counted function that the
 package under test does not define counts 0: before the factored route, every
 quotient ran its Gram ``eigh`` inside ``tensor_quotient``.
 
@@ -49,7 +50,8 @@ from vnpair import selftest as st
 FLAG_SETS = {"default": [], "tol0.5": ["--tol", "0.5"], "horizon3": ["--horizon", "3"],
              "tol1e-6": ["--tol", "1e-6"]}
 COUNTED = ((alg, "_frame"), (endo, "hom_residuals"), (endo, "iterates"), (nk, "law_residual"),
-           (corr, "tensor_quotient"), (corr, "_gram_spectrum"), (corr, "_root_spectrum"))
+           (corr, "tensor_quotient"), (corr, "_gram_spectrum"), (corr, "_root_spectrum"),
+           (nk, "lstsq_map"))
 
 
 def write_scenes(root: pathlib.Path) -> pathlib.Path:

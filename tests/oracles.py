@@ -10,9 +10,12 @@ faster route replaced, kept so that the faster route has a reference.
 - ``identity_right_dilation``: the dilation through which the eq33
   residual of ``vnpair.pairing`` was first defined;
 - ``dilation_side_system``: the product system on the dilation space in
-  the coordinates of the comparison maps, built from its per-pair actions,
-  before ``prodsys.commutant_via_dilation`` returned the commutant system
-  those maps are checked against;
+  the coordinates of the comparison maps, with the product solved from its
+  per-pair actions, before ``prodsys.commutant_via_dilation`` returned the
+  commutant system those maps are checked against;
+- ``order_identification``: the identification of tensor(F_t, F_s) with
+  tensor(E_s, E_t) solved by least squares, as ``prodsys.commutant_order_residual``
+  solved it before it took the identity of their one carrier;
 - ``eq33_spanning_family``: that residual solved on the full d^2 n column
   family, before its reduction to d n columns;
 - ``projection_distance``: span equality of two algebras through their dense
@@ -214,10 +217,11 @@ def identity_right_dilation(p, tol: nk.Tolerance = nk.DEFAULT_TOL):
 
 
 def dilation_side_system(p, w, tol: nk.Tolerance = nk.DEFAULT_TOL):
-    """The commutant members with x in F_s acting on F_t by
-    upsilon_{s+t}* theta_w(t, upsilon_s x xi*) upsilon_t, the comparison
-    maps upsilon_t = eta_t(1) xi read off the dilation w, one action array
-    and one product solve per index pair."""
+    """(system, products): the commutant members and their tensors, validated, and
+    the product of each index pair solved from the action of x in F_s on F_t,
+    upsilon_{s+t}* theta_w(t, upsilon_s x xi*) upsilon_t, the comparison maps
+    upsilon_t = eta_t(1) xi read off the dilation w: one action array and one
+    product solve per index pair."""
     b = p.algebra
     xi = ps._frame_isometry(b, w.rho_of(b.basis), tol)
     rep = ps.representation_from_right_dilation(p, w, tol)
@@ -235,9 +239,23 @@ def dilation_side_system(p, w, tol: nk.Tolerance = nk.DEFAULT_TOL):
             nk.require(float(np.linalg.norm(products[(s, t)] @ tp.phi - target)),
                        tol.bound(float(np.linalg.norm(target))), ProductSystemLawError,
                        "product does not factor, residual {:.3e}")
-    system = ps.DiscreteProductSystem(p.commutant_algebra, members, tensors, products)
+    system = ps.DiscreteProductSystem(p.commutant_algebra, members, tensors)
     system.residuals = system.validate(tol)
-    return system
+    return system, products
+
+
+def order_identification(p, pc, s: int, t: int) -> np.ndarray:
+    """The map from the carrier of tensor(F_t, F_s) (pc) to that of
+    tensor(E_s, E_t) (p) sending x (tensor) y' g to y' (tensor) x g, solved by
+    least squares on one column block per pair of element basis vectors x of
+    F_t and y' of E_s, g running over the middle space."""
+    t1, t2 = pc.tensors[(t, s)], p.tensors[(s, t)]
+    src, dst = [], []
+    for x in t1.e.element_space:
+        for y in t2.e.element_space:
+            src.append(t1.embed_matrix(x) @ y)
+            dst.append(t2.embed_matrix(y) @ x)
+    return nk.lstsq_map(np.concatenate(src, axis=1), np.concatenate(dst, axis=1))
 
 
 def eq33_spanning_family(u, theta) -> dict:

@@ -626,11 +626,11 @@ def _digest(arg) -> str:
 def test_each_law_is_evaluated_once_per_command(scene_dir, monkeypatch, scene):
     """The law ledger: from scene load through the command's handler, no
     law kernel (span, commutation, factored commutation, the homomorphism
-    laws) and no span comparison runs twice on the same arrays."""
+    laws, intertwining) and no span comparison runs twice on the same arrays."""
     ledger, recording, repeats = [], [], {}
     for module, name in ((nk, "span_residual"), (nk, "law_residual"),
                          (nk, "factored_law_residual"), (endo, "hom_residuals"),
-                         (alg, "equals")):
+                         (alg, "equals"), (corr, "_check_intertwining")):
         real = getattr(module, name)
 
         def spy(*args, real=real, name=name):

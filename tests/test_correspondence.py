@@ -506,16 +506,20 @@ def test_a_joint_unit_of_the_wrong_rank_does_not_intertwine():
         corr.find_isomorphism(bad, good)
 
 
-def test_order_reversal_between_carriers_of_different_dimension_is_not_isometric():
+def test_order_reversal_between_carriers_of_different_dimension_is_not_isometric(monkeypatch):
     """A quotient carrier with one direction more than the swapped one (a zero
-    row appended to phi) passes the spanning identity, but no unitary maps it
-    onto the smaller carrier."""
+    row appended to every embedding of an element of e) passes the spanning
+    identity, but no unitary maps it onto the smaller carrier."""
     e = identity_corr(alg.random_algebra(4, [(1, 2), (1, 2)], seed=3))
-    tp = corr.TensorProduct(e, e)
-    tp.phi = np.vstack([tp.phi, np.zeros((1, tp.phi.shape[1]))])
-    tp._phi3 = tp.phi.reshape(tp.carrier_dim + 1, *tp._phi3.shape[1:])
+    embed = corr.TensorProduct.embed_matrix
+
+    def padded(self, x):
+        m = embed(self, x)
+        return m if self.e is not e else np.concatenate([m, np.zeros_like(m[..., :1, :])], -2)
+
+    monkeypatch.setattr(corr.TensorProduct, "embed_matrix", padded)
     with pytest.raises(NotIsometric, match="carrier dimensions differ"):
-        corr.tensor_commutant_iso(e, e, tp=tp)
+        corr.tensor_commutant_iso(e, e)
 
 
 def test_a_given_commuting_algebra_smaller_than_the_commutant_is_rejected():

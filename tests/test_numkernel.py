@@ -244,6 +244,17 @@ def test_require_laws_attaches_the_failing_laws_and_bound():
     assert info.value.residuals["b"] == 2.0
 
 
+def test_every_require_of_the_package_names_its_law():
+    """A failing check reports its law, residual and bound: no ``require`` call
+    in the package leaves out ``law=``."""
+    calls = [(path.name, node) for path in sorted(pathlib.Path(nk.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("require", "nk.require")]
+    assert len({name for name, _ in calls}) >= 8
+    assert [(name, node.lineno) for name, node in calls
+            if "law" not in {k.arg for k in node.keywords}] == []
+
+
 def test_worst_keeps_nan_wherever_it_comes():
     nan = float("nan")
     assert nk.worst(1.0, 3.0, 2.0) == 3.0 and nk.worst(0.0) == 0.0

@@ -11,11 +11,11 @@ from vnpair import numkernel as nk
 from vnpair import pairing as pr
 from vnpair import prodsys as ps
 from vnpair import selftest as st
-from vnpair.errors import (CocycleResidual, DimensionMismatch, DomainMismatch,
-                           DomainsNotCommutant, ImageOutsideAlgebra, InvalidCorrespondence,
-                           NonIntegralRank, NotFaithful, NotMultiplicative, NotPairedInput,
-                           NotUnitary, NotUnitaryImage, PairingCheckFailed, RelationB,
-                           RelationBPrime, VnpairError)
+from vnpair.errors import (CocycleResidual, DegenerateCenterElement, DimensionMismatch,
+                           DomainMismatch, DomainsNotCommutant, ImageOutsideAlgebra,
+                           InvalidCorrespondence, NonIntegralRank, NotFaithful, NotMultiplicative,
+                           NotPairedInput, NotUnitary, NotUnitaryImage, PairingCheckFailed,
+                           RelationB, RelationBPrime, VnpairError)
 
 SWAP = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -926,3 +926,17 @@ def test_a_relation_below_rounding_keeps_its_law_through_the_wrapper():
     assert isinstance(cause, RelationB) and err.law == cause.law == "relation_b"
     assert (err.residual, err.bound) == (cause.residual, cause.bound)
     assert err.residual > err.bound == 1e-14
+
+
+def test_frame_units_that_leave_the_algebra_by_rounding_name_their_law():
+    """The identity pair on C^64 [(4,8),(8,4)] at eps 1e-14: B's frame, built
+    at that tolerance, has matrix units that leave the algebra by rounding
+    (1.02e-14), and the DegenerateCenterElement carries law ``frame_units``,
+    its residual and bound."""
+    b = alg.random_algebra(64, [(4, 8), (8, 4)], seed=1)
+    bp = alg.commutant(b)
+    with pytest.raises(DegenerateCenterElement, match="frame matrix units leave") as info:
+        pr.can_pair(endo.identity(b), endo.identity(bp), nk.Tolerance(1e-14))
+    err = info.value
+    assert err.law == "frame_units" and err.residual > err.bound == 1e-14
+    assert f"{err.residual:.3e}" in str(err)

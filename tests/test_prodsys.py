@@ -1,5 +1,5 @@
 import ast
-import pathlib
+import copy
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ from vnpair import numkernel as nk
 from vnpair import prodsys as ps
 from vnpair import selftest as st
 from vnpair.errors import (DimensionMismatch, InvalidCorrespondence, NotFaithful,
-                           NotFullAlgebra, NotMultiplicative, NotUnitVector, NoUnitVector,
-                           ProductSystemLawError)
+                           NotFullAlgebra, NotIsometric, NotMultiplicative, NotUnitVector,
+                           NoUnitVector, ProductSystemLawError)
 
 
 def unitary_in(b, seed):
@@ -77,11 +77,14 @@ def test_prod_matrix_matches_multiply():
     assert np.allclose(p.prod_matrix(1, 1, x) @ y, p.multiply(1, 1, x, y))
 
 
-def test_action_stack_is_cached():
+def test_basis_products_are_cached_per_quotient():
+    """The basis products of a pair are kept on the system, keyed on the
+    quotient it shares with the pairs of its right index."""
     d2 = diag_algebra_2()
     p = ps.from_endomorphism(endo.identity(d2), horizon=1)
-    first = p.action_stack(1, 0)
-    assert p.action_stack(1, 0) is first
+    first = p.basis_products(1, 0)
+    assert p.basis_products(1, 0) is first
+    assert p.basis_products(0, 0) is first
 
 
 def test_validate_reports_small_residuals(inner_system):
@@ -143,16 +146,23 @@ def test_left_dilation_recovers_left_action(inner_system):
             assert np.linalg.norm(v @ tp.lift_left(b) @ v.conj().T - img) < 1e-10
 
 
-def test_validate_rejects_a_nan_product(inner_system):
-    """A NaN entry in one product map used to vanish from every worst-case
-    residual, since max(0.0, nan) is 0.0."""
+def _with_action(p, t, rho):
+    """p with member t acting on the left by the basis images rho."""
+    member = copy.copy(p.members[t])
+    member.rho = rho
+    members = [*p.members[:t], member, *p.members[t + 1:]]
+    return ps.DiscreteProductSystem(p.algebra, members, p.tensors, source=p.source)
+
+
+def test_validate_rejects_a_nan_member_action(inner_system):
+    """A NaN entry in the left action of one member used to vanish from every
+    worst-case residual, since max(0.0, nan) is 0.0."""
     _, _, _, p = inner_system
-    u = p.products[(1, 1)].copy()
-    u[0, 0] = np.nan
-    q = ps.DiscreteProductSystem(p.algebra, p.members, p.tensors,
-                                 {**p.products, (1, 1): u}, source=p.source)
-    with pytest.raises(ProductSystemLawError, match="unitary"):
-        q.validate()
+    rho = p.members[2].rho.copy()
+    rho[0][0, 0] = np.nan
+    with pytest.raises(ProductSystemLawError, match="bilinear") as info:
+        _with_action(p, 2, rho).validate()
+    assert np.isnan(info.value.residuals["bilinear"])
 
 
 def test_right_dilation_from_unitary(inner_system):
@@ -421,10 +431,10 @@ def _oracle_associativity(p, r, s, t):
     ys = p.members[s].element_space
     basis = p.members[r + s].element_space
     flat = basis.reshape(basis.shape[0], -1)
-    first = p.action_stack(r, s)
-    inner = p.action_stack(r + s, t)
-    outer_x = p.action_stack(r, s + t)
-    outer_y = p.action_stack(s, t)
+    first = p.tensors[(r, s)]._phi3
+    inner = p.tensors[(r + s, t)]._phi3
+    outer_x = p.tensors[(r, s + t)]._phi3
+    outer_y = p.tensors[(s, t)]._phi3
     worst = 0.0
     for k in range(first.shape[1]):
         prods = np.einsum("ac,lcn->lan", first[:, k, :], ys)
@@ -473,7 +483,7 @@ def _oracle_system(p):
         basis = p.members[s + t].element_space
         flat = basis.reshape(basis.shape[0], -1)
         ys = p.members[t].element_space
-        stack = p.action_stack(s, t)
+        stack = p.tensors[(s, t)]._phi3
         for k in range(stack.shape[1]):
             prods = np.einsum("ac,lcn->lan", stack[:, k, :], ys)
             worst["product_closure"] = nk.worst(worst["product_closure"],
@@ -569,7 +579,7 @@ def parity_cases():
         if n < 8:
             out.append((ps.commutant_system(p), None))
         if n != 6:
-            out.append((orc.dilation_side_system(p, w), None))
+            out.append((orc.dilation_side_system(p, w)[0], None))
     return out
 
 
@@ -592,15 +602,16 @@ def test_stacked_laws_match_the_per_element_oracle(parity_cases):
 def test_commutant_via_dilation_returns_the_dilation_side_system(parity_cases):
     """The system on the dilation space, built from the action
     upsilon_{s+t}* theta_w(t, upsilon_s x xi*) upsilon_t of every pair, is
-    the returned commutant system: its products agree within 1e-12, and the
-    residual keys and element bases are the same."""
+    the returned commutant system: the products solved from those actions are
+    its identity products within 1e-12, and the residual keys and element bases
+    are the same."""
     cases = [(p, w) for p, w in parity_cases if w is not None]
     assert len(cases) == 3
     for p, w in cases:
         cv = ps.commutant_via_dilation(p, w)
-        side = orc.dilation_side_system(p, w)
-        assert list(cv.system.products) == list(side.products)
-        for key, u in side.products.items():
+        side, solved = orc.dilation_side_system(p, w)
+        assert list(cv.system.products) == list(solved)
+        for key, u in solved.items():
             assert np.linalg.norm(cv.system.products[key] - u) <= 1e-12, key
         assert list(cv.system.residuals) == list(side.residuals)
         for nu_t, member in zip(cv.nu, side.members, strict=True):
@@ -629,12 +640,11 @@ def _assert_same_failures(error, oracle):
     _same(ast.literal_eval(str(error).split(": ", 1)[1]), failing)
 
 
-def test_a_perturbed_product_fails_the_same_laws(inner_system):
+def test_a_perturbed_member_action_fails_the_same_laws(inner_system):
     _, _, _, p = inner_system
-    u = p.products[(1, 2)].copy()
-    u[:, 1] += 1e-3
-    q = ps.DiscreteProductSystem(p.algebra, p.members, p.tensors,
-                                 {**p.products, (1, 2): u}, source=p.source)
+    rho = p.members[3].rho.copy()
+    rho[1] += 1e-3
+    q = _with_action(p, 3, rho)
     with pytest.raises(ProductSystemLawError) as info:
         q.validate()
     _assert_same_failures(info.value, _oracle_system(q))
@@ -979,27 +989,71 @@ def _inner_map():
     return b, v, endo.from_unitary(b, v)
 
 
-def test_order_reversal_is_solved_once_per_right_index(monkeypatch):
-    """The identification of tensor(F_t, F_s) with tensor(E_s, E_t) reads the
-    arrays of t alone: at horizon 4 it is solved 5 times for the 15 pairs,
-    while its intertwining with the pair's own lifts of theta^s(B) is checked
-    for each pair. The residuals equal those of one solve per pair."""
+def test_order_reversal_is_evaluated_once_per_right_index(monkeypatch):
+    """The identification of tensor(F_t, F_s) with tensor(E_s, E_t) is the
+    identity of their one carrier. Its spanning identity reads the arrays of t
+    alone: at horizon 4 it is evaluated 5 times for the 15 pairs, as is its
+    intertwining of the lifted B' actions, while that of the pair's own lifts
+    of theta^s(B) is checked for each pair; nothing is solved for. The
+    residuals equal those evaluated pair by pair."""
     p = ps.from_endomorphism(_inner_map()[2], 4)
     q = ps.commutant_system(p)
     pairs = [(s, t) for s in range(5) for t in range(5 - s)]
-    fresh = [float(np.linalg.norm(p.products[(s, t)] @ corr.tensor_commutant_iso(
-        q.members[t], q.members[s], nk.DEFAULT_TOL, tp=q.tensors[(t, s)],
-        tp_swapped=p.tensors[(s, t)]) - q.products[(t, s)])) for s, t in pairs]
-    solves, checks = [], []
-    iso, check = corr.tensor_commutant_iso, corr._check_intertwining
-    monkeypatch.setattr(corr, "tensor_commutant_iso",
-                        lambda *args: solves.append(args[0]) or iso(*args))
+    fresh = [corr._identification(q.tensors[(t, s)], p.tensors[(s, t)], nk.DEFAULT_TOL)[1]
+             for s, t in pairs]
+    spans, checks, solves = [], [], []
+    ident, check, lstsq = corr._identification, corr._check_intertwining, nk.lstsq_map
+    monkeypatch.setattr(corr, "_identification",
+                        lambda *args: spans.append(args[0]) or ident(*args))
     monkeypatch.setattr(corr, "_check_intertwining",
                         lambda *args: checks.append(args[-1]) or check(*args))
+    monkeypatch.setattr(nk, "lstsq_map", lambda *args: solves.append(1) or lstsq(*args))
     shared = [ps.commutant_order_residual(p, q, s, t) for s, t in pairs]
-    assert shared == fresh
-    assert solves == [q.members[t] for t in range(5)]
-    assert checks.count("commutant") == 5 + 15 and checks.count("left-algebra") == 5
+    assert shared == fresh and solves == []
+    assert spans == [q.tensors[(t, 0)] for t in range(5)]
+    assert checks.count("left-algebra") == 5 and checks.count("commutant") == 15
+
+
+# (blocks, horizon) of the from_endomorphism and commutant_system slots of the
+# prodsys-horizon benchmark: fe-a4 and cs-a4, cs-d6 and cs-d6b, fe-c6 and
+# cs-c6, fe-e8, fe-b4
+ORDER_SHAPES = [([(1, 2), (1, 2)], 6), ([(1, 2), (2, 1), (1, 2)], 4),
+                ([(1, 2), (2, 2)], 5), ([(2, 2), (2, 2)], 4), ([(2, 1), (1, 2)], 5)]
+
+
+@pytest.mark.parametrize("blocks, horizon", ORDER_SHAPES)
+def test_the_solved_order_identification_is_the_identity(blocks, horizon):
+    """On an automorphism that may permute equal blocks, the least-squares
+    identification of tensor(F_t, F_s) with tensor(E_s, E_t) is the identity
+    within 1e-13 for every pair, which ``commutant_order_residual`` takes."""
+    rng = np.random.default_rng(horizon)
+    frame = nk.random_unitary(sum(a * m for a, m in blocks), rng)
+    sample = st.AlgebraSample(tuple(blocks), frame, alg.block_model(blocks, frame))
+    theta = endo.from_unitary(sample.algebra, st.normalizing_unitary(sample, rng))
+    p = ps.from_endomorphism(theta, horizon)
+    q = ps.commutant_system(p)
+    for s in range(horizon + 1):
+        for t in range(horizon + 1 - s):
+            w = orc.order_identification(p, q, s, t)
+            assert np.linalg.norm(w - np.eye(len(w))) <= 1e-13, (s, t)
+
+
+def test_a_perturbed_commutant_element_fails_the_spanning_identity(inner_system,
+                                                                   commutant_of_inner):
+    """An element basis of F_1 moved off the intertwiners of theta: x y' g and
+    theta(y') x g part, and the order reversal raises NotIsometric, law
+    ``spanning_identity``."""
+    _, _, _, p = inner_system
+    pc = commutant_of_inner
+    tp = copy.copy(pc.tensors[(1, 1)])
+    tp.e = copy.copy(tp.e)
+    tp.e.element_space = tp.e.element_space.copy()
+    tp.e.element_space[0, 0, 0] += 1e-3
+    q = ps.DiscreteProductSystem(pc.algebra, pc.members, {**pc.tensors, (1, 1): tp})
+    with pytest.raises(NotIsometric, match="spanning identity") as info:
+        ps.commutant_order_residual(p, q, 1, 1)
+    assert info.value.law == "spanning_identity"
+    assert not info.value.residual <= info.value.bound
 
 
 def test_a_dilation_forms_rho_of_the_basis_once(monkeypatch):
@@ -1043,12 +1097,18 @@ def test_each_build_factors_its_quotients_and_forms_no_gram_factor(monkeypatch):
     assert list(map(id, seen)) == [id(x0)]
 
 
-def test_validate_rejects_a_product_of_the_wrong_shape(inner_system):
+def test_validate_rejects_a_tensor_of_the_wrong_carrier(inner_system):
+    """A quotient carrier with one direction more than its target member's (a
+    zero row appended to phi) is refused by name, before a law reads it."""
     _, _, _, p = inner_system
-    products = dict(p.products)
-    products[(1, 1)] = products[(1, 1)][:, :-1]
-    bad = ps.DiscreteProductSystem(p.algebra, p.members, p.tensors, products, source=p.source)
-    with pytest.raises(ProductSystemLawError, match=r"product \(1,1\) has shape"):
+    tp = copy.copy(p.tensors[(1, 1)])
+    tp.phi = np.vstack([tp.phi, np.zeros((1, tp.phi.shape[1]))])
+    tp.carrier_dim += 1
+    tp._phi3 = tp.phi.reshape(tp.carrier_dim, *tp._phi3.shape[1:])
+    bad = ps.DiscreteProductSystem(p.algebra, p.members, {**p.tensors, (1, 1): tp},
+                                   source=p.source)
+    with pytest.raises(ProductSystemLawError,
+                       match=r"tensor \(1,1\) has carrier dimension 5, member 2 4"):
         bad.validate()
 
 
@@ -1213,14 +1273,3 @@ def test_a_dilation_off_the_factored_route_names_its_law():
     with pytest.raises(ProductSystemLawError, match="not read off Phi") as info:
         ps.right_dilation_from_unitary(pc, np.eye(8), rho_images=rho)
     assert info.value.law == "factors"
-
-
-def test_every_require_of_prodsys_names_its_law():
-    """A failing check reports its law, residual and bound: no ``nk.require``
-    call in ``prodsys`` leaves out ``law=``."""
-    tree = ast.parse(pathlib.Path(ps.__file__).read_text())
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and ast.unparse(node.func) == "nk.require"]
-    assert len(calls) == 12
-    assert [node.lineno for node in calls
-            if "law" not in {k.arg for k in node.keywords}] == []
