@@ -22,7 +22,7 @@ from . import algebra as alg
 from . import endo as endo_mod
 from . import numkernel as nk
 from .errors import (AlgebraMismatch, DimensionMismatch, DomainsNotCommutant,
-                     EmptyTensorProduct, GramNotPSD, InvalidCorrespondence,
+                     EmptyTensorProduct, InvalidCorrespondence,
                      NotIntertwining, NotIsometric)
 
 
@@ -221,55 +221,31 @@ def commutant(e: Correspondence) -> Correspondence:
     return c
 
 
-def tensor_quotient(gram_factor, f: Correspondence, tol: nk.Tolerance = nk.DEFAULT_TOL,
-                    elements=None) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient of the raw tensor space of an element basis x against f.
-
-    The raw spanning family consists of simple tensors x_i (tensor) g_j, g_j
-    the carrier basis of f; their Gram matrix is
-    G[(i,j),(k,l)] = rho_f(x_i* x_k)[j,l]. Given elements = x, where G factors
-    as Phi* Phi (``TensorProduct``), the spectrum is read off one SVD of Phi
-    (``_gram_root``, ``_root_spectrum``), G is never formed and gram_factor is
-    not read; otherwise G is formed from gram_factor = ``inner_products(x)``
-    and diagonalized (``_gram_spectrum``). Either way eigenvalues of G (the
-    squared singular values of Phi) below eps * max(top, 1) are quotiented
-    away. Returns phi, mapping raw coordinates isometrically onto the quotient
-    carrier, and its pseudo-inverse; at full row rank of Phi the carrier is
-    its rows, phi = Phi and phi+ = Phi+. A Gram eigenvalue below -cutoff
-    raises GramNotPSD, law ``gram_psd`` (unreachable where G = Phi* Phi by
-    construction), a quotient that keeps no direction (largest eigenvalue at
-    most the cutoff) EmptyTensorProduct, law ``quotient_rank``, the cutoff
-    its residual and the float below that eigenvalue its bound.
+def tensor_quotient(root, tol: nk.Tolerance = nk.DEFAULT_TOL) -> tuple:
+    """Quotient of the raw tensor space of tensor(e, f), read off a root Phi of the
+    Gram matrix G[(i,j),(k,l)] = rho_f(x_i* x_k)[j,l] of the simple tensors
+    x_i (tensor) g_j (``_gram_root``): G = Phi* Phi is positive by construction and
+    never formed, and squared singular values of Phi below eps * max(top, 1) are
+    quotiented away. Returns phi, mapping raw coordinates isometrically onto the
+    quotient carrier, its pseudo-inverse, the kept left singular vectors U of Phi
+    (None at full row rank, where the carrier is its rows: phi = Phi, phi+ = Phi+)
+    and the squared singular values, descending. A quotient that keeps no direction
+    raises EmptyTensorProduct, law ``quotient_rank``, the cutoff its residual and the
+    float below the largest squared singular value its bound.
     """
-    if elements is None:
-        root = left = None
-        lam, vec = _gram_spectrum(gram_factor, f)
-    else:
-        root = _gram_root(elements, f)
-        left, lam, vec = _root_spectrum(root)
+    left, lam, vec = _root_spectrum(root)
     top = float(lam.max()) if lam.size else 0.0
     cut = tol.eps * max(top, 1.0)
-    if root is None and lam.size:
-        nk.require(-lam[0], cut, GramNotPSD,
-                   "Gram matrix eigenvalue {1:.3e} below zero", lam[0], law="gram_psd")
     # a direction survives when the cut lies strictly below the top: at most the float before it
     nk.require(cut, np.nextafter(top, -np.inf), EmptyTensorProduct, "no direction of the "
                "{1}-dimensional raw space survives: largest Gram eigenvalue {2:.3e}, cutoff "
-               "{0:.3e}", vec.shape[0], top, law="quotient_rank")
+               "{0:.3e}", root.shape[1], top, law="quotient_rank")
     keep = lam > cut
     lam_kept, vec_kept = lam[keep], vec[:, keep]
     pinv = vec_kept / np.sqrt(lam_kept)[None, :]
-    if root is not None and lam_kept.size == root.shape[0]:
-        return root, pinv @ left[:, keep].conj().T
-    return np.sqrt(lam_kept)[:, None] * vec_kept.conj().T, pinv
-
-
-def _gram_spectrum(gram_factor, f: Correspondence) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of the raw Gram matrix, f's left
-    action applied to the inner products, which lie in the middle algebra."""
-    de, hf = gram_factor.shape[0], f.carrier_dim
-    gram = f.rho_of(gram_factor).transpose(0, 2, 1, 3).reshape(de * hf, de * hf)
-    return np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    if lam_kept.size == root.shape[0]:
+        return root, pinv @ left[:, keep].conj().T, None, lam
+    return np.sqrt(lam_kept)[:, None] * vec_kept.conj().T, pinv, left[:, keep], lam
 
 
 def _root_spectrum(root) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,7 +256,7 @@ def _root_spectrum(root) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _factors(e: Correspondence, f: Correspondence) -> bool:
-    """Whether the Gram matrix of tensor(e, f) is Phi* Phi for ``_gram_root``:
+    """Whether Phi of tensor(e, f) is [rho_f(x_1)| ... |rho_f(x_d)] (``_gram_root``):
     (a) f's left action is the defining representation of f.left, or (b) e and f
     are both twisted (``_maps[0]`` a validated map, or the representation that
     ``prodsys.right_dilation_from_unitary`` checked), so e's elements lie in
@@ -288,19 +264,39 @@ def _factors(e: Correspondence, f: Correspondence) -> bool:
     return f.rho is f.left.basis or (e._maps[0] is not None and f._maps[0] is not None)
 
 
-def _gram_root(x, f: Correspondence) -> np.ndarray:
-    """Phi = [rho_f(x_1)| ... |rho_f(x_d)], shape (h, d h_f), raw column (k, l).
+def _gram_root(e: Correspondence, f: Correspondence, tol: nk.Tolerance) -> np.ndarray:
+    """Phi with Phi* Phi = G for the element basis x of e, raw column (k, l).
 
-    Phi* Phi has the blocks rho_f(x_i)* rho_f(x_k). In case (a) of ``_factors``
-    Phi = [x_1| ... |x_d] and that is x_i* x_k, the Gram matrix exactly. In
-    case (b) it is rho_f(x_i* x_k) up to the map's residuals: with s its
-    ``star`` residual and m the bound that ``endo.hom_residuals`` states for
-    its worst |rho(b_a b_b) - rho(b_a) rho(b_b)| over the orthonormal basis
-    of the d-dimensional f.left, each block is off by at most
-    d m + sqrt(d) s |rho_f(x_k)|, as x_i has unit coefficients there.
+    In case (a) of ``_factors`` Phi = [x_1| ... |x_d], and x_i* x_k is the
+    Gram matrix exactly. In case (b) Phi = [rho_f(x_1)| ... |rho_f(x_d)], shape
+    (h_f, d h_f), and rho_f(x_i)* rho_f(x_k) is rho_f(x_i* x_k) up to the map's
+    residuals: with s its ``star`` residual and m the bound that
+    ``endo.hom_residuals`` states for its worst |rho(b_a b_b) - rho(b_a) rho(b_b)|
+    over the orthonormal basis of the d-dimensional f.left, each block is off by
+    at most d m + sqrt(d) s |rho_f(x_k)|, as x_i has unit coefficients there.
+    Otherwise (c) rho_f(y) = sum_q V_q* y V_q (``_stinespring``) and Phi has the
+    rows (q, .) of [x_1 V_q| ... |x_d V_q], shape (K h, d h_f).
     """
-    images = x if f.rho is f.left.basis else f.rho_of(x)
-    return images.transpose(1, 0, 2).reshape(images.shape[1], -1)
+    x = e.element_space
+    if _factors(e, f):
+        images = _on_rows(f, x)[:, None]
+    else:
+        images = x[:, None] @ _stinespring(f, tol)[None]
+    return images.transpose(1, 2, 0, 3).reshape(-1, x.shape[0] * f.carrier_dim)
+
+
+def _on_rows(f: Correspondence, op) -> np.ndarray:
+    """L(op) of ``lift_left`` in cases (a) and (b) of ``_factors``: op, rho_f(op)."""
+    return op if f.rho is f.left.basis else f.rho_of(op)
+
+
+def _stinespring(f: Correspondence, tol: nk.Tolerance) -> np.ndarray:
+    """V_q = sqrt(a_i) x^i_1q over the intertwiners b x = x rho_f(b) of f.left
+    (``algebra.intertwiners``, which checks rho_f), shape (K, n, h_f): then
+    sum_q V_q* V_q = 1 and sum_q V_q* y V_q = rho_f(y) for y in f.left."""
+    parts = alg.intertwiners(f.left, None, f.rho, tol)
+    blocks = alg.block_decompose(f.left, tol).blocks
+    return np.concatenate([np.sqrt(a) * x[0] for x, (a, _) in zip(parts, blocks)])
 
 
 class TensorProduct:
@@ -308,18 +304,17 @@ class TensorProduct:
 
     The carrier is the quotient of the raw space of simple tensors
     (element of e) x (carrier vector of f) by the null space of its Gram
-    matrix (``tensor_quotient``, from Phi where the Gram factors, ``_factors``).
-    ``phi`` maps raw coordinates isometrically onto the quotient carrier; at
-    full row rank of Phi (``full``) it is Phi itself, the carrier is its rows and
-    ``lift_left`` closed-form. ``memo(fn, reads, *args)``, when given, returns
-    fn(*args) once per fn and identities of the arrays in reads:
-    the quotient reads the element basis of e (its inner products, on the
-    Gram route) and the left algebra and action of f, a lifted action the
-    quotient, the operators and (left lift) that element basis. In the
-    iterate system E_t = {}_{theta^t}B the pairs with one t share the
-    quotient and lifted B' action, in its commutant system the pairs with
-    one s. ``check=False`` skips ``_check_light`` for a caller whose laws
-    imply it (``prodsys._build``).
+    matrix, read off the spectrum of a root Phi (``tensor_quotient``,
+    ``_gram_root``). ``phi`` maps raw coordinates isometrically onto the
+    quotient carrier; at full row rank of Phi (``full``) it is Phi itself and
+    the carrier is its rows. ``spectrum`` holds the squared singular values of
+    Phi. ``memo(fn, reads, *args)``, when given, returns fn(*args) once per fn
+    and identities of the arrays in reads: Phi and its quotient read the
+    element basis of e and the left algebra and action of f, a lifted action
+    the quotient and the operators. In the iterate system E_t = {}_{theta^t}B
+    the pairs with one t share the quotient and lifted B' action, in its
+    commutant system the pairs with one s. ``check=False`` skips
+    ``_check_light`` for a caller whose laws imply it (``prodsys._build``).
     """
 
     def __init__(self, e: Correspondence, f: Correspondence,
@@ -330,24 +325,20 @@ class TensorProduct:
         self.e = e
         self.f = f
         x = e.element_space
-        if factored := _factors(e, f):
-            self.phi, self.phi_pinv = memo(tensor_quotient, (x, f.left, f.rho),
-                                           None, f, tol, x)
-        else:
-            gram_factor = memo(inner_products, (x,), x)
-            self.phi, self.phi_pinv = memo(tensor_quotient, (gram_factor, f.left, f.rho),
-                                           gram_factor, f, tol)
+        root = memo(_gram_root, (x, f.left, f.rho), e, f, tol)
+        self.phi, self.phi_pinv, self._kept, self.spectrum = memo(
+            tensor_quotient, (root,), root, tol)
         self.carrier_dim = self.phi.shape[0]
         self.left_basis = x
-        rows = (e if f.rho is f.left.basis else f).carrier_dim  # of Phi: case (a), (b)
-        self.full = factored and self.carrier_dim == rows
+        self.full = self._kept is None
+        self._rows = root.shape[0]
         # phi with its raw axis split into (element index, f-carrier index)
         self._phi3 = self.phi.reshape(self.carrier_dim, x.shape[0], f.carrier_dim)
         quotient = (self.phi, self.phi_pinv)
         self.corr = Correspondence(
             left=e.left, right=f.right,
             left_commutant=e.left_commutant, right_commutant=f.right_commutant,
-            rho=memo(TensorProduct.lift_left, (x, *quotient, e.rho), self, e.rho),
+            rho=memo(TensorProduct.lift_left, (*quotient, e.rho), self, e.rho),
             rho_prime=memo(TensorProduct.lift_right, (*quotient, f.rho_prime), self,
                            f.rho_prime),
             carrier_dim=self.carrier_dim, tol=tol, check=check)
@@ -355,17 +346,15 @@ class TensorProduct:
     def lift_left(self, op) -> np.ndarray:
         """Operator op (tensor) id on the quotient, op acting on e's carrier
         and keeping its elements; a stack of operators lifts slice by slice.
-        Where phi = Phi (``full``), (op x) g = rho_f(op) rho_f(x) g: op in case (a)
-        of ``_factors``, rho_f(op) in case (b), op keeping span e.right = f.left;
-        otherwise read off <x_i, op x_k> over the element basis of e."""
+        (op x) (tensor) g sits in the rows of Phi as L(op) Phi (``_gram_root``):
+        L(op) is op in case (a), rho_f(op) in case (b), op keeping
+        span e.right = f.left, and 1_K (tensor) op in case (c). So the lift is
+        L(op) at full row rank and U* L(op) U below it, which is
+        phi (M (tensor) 1) phi+ as Phi V_r = U_r Sigma_r."""
         op = np.asarray(op, dtype=complex)
-        if self.full:
-            return op if self.f.rho is self.f.left.basis else self.f.rho_of(op)
-        cd, de, hf = self._phi3.shape
-        # mt[..., k, i] = <x_i, op x_k>: op on the element basis of e, transposed
-        mt = self.e.element_coefficients(op[..., None, :, :] @ self.e.element_space)
-        raw = mt[..., None, :, :] @ self._phi3  # raw[..., p, k, v]
-        return raw.reshape(op.shape[:-2] + (cd, de * hf)) @ self.phi_pinv
+        lifted = _on_rows(self.f, op) if _factors(self.e, self.f) else \
+            np.kron(np.eye(self._rows // self.e.carrier_dim), op)
+        return lifted if self.full else self._kept.conj().T @ lifted @ self._kept
 
     def lift_right(self, op) -> np.ndarray:
         """Operator id (tensor) op on the quotient, op acting on f's carrier;
@@ -402,8 +391,8 @@ def tensor_commutant_iso(e: Correspondence, f: Correspondence,
     """
     t1, t2 = TensorProduct(e, f, tol), TensorProduct(commutant(f), commutant(e), tol)
     w, _ = _identification(t1, t2, tol, solve=True)
-    if w.shape[0] != w.shape[1]:
-        raise NotIsometric(f"carrier dimensions differ: {w.shape}")
+    nk.require(abs(w.shape[0] - w.shape[1]), 0, NotIsometric,
+               "carrier dimensions differ: {1}", w.shape, law="carrier_dimension")
     nk.require(nk.unitarity_residual(w), tol.bound(np.sqrt(w.shape[0])), NotIsometric,
                "not unitary, residual {:.3e}", law="unitarity")
     _check_intertwining(w, t1.corr.rho, t2.corr.rho_prime, tol, "left-algebra")
@@ -499,8 +488,9 @@ def _joint_frame(e: Correspondence, left_sig, right_sig, counts,
                 continue
             r = nk.range_basis(left[0] @ right[0], tol, NotIntertwining,
                                f"joint unit ({i},{j})")
-            if r.shape[1] != c:
-                raise NotIntertwining(f"joint unit ({i},{j}) has rank {r.shape[1]}, not {c}")
+            nk.require(abs(r.shape[1] - c), 0, NotIntertwining,
+                       "joint unit ({1},{2}) has rank {3}, not {4}", i, j, r.shape[1], c,
+                       law="joint_rank")
             cols.append((left[:, None] @ right[None] @ r).transpose(2, 0, 1, 3).reshape(
                 e.carrier_dim, -1))
     return np.concatenate(cols, axis=1)

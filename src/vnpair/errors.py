@@ -104,10 +104,6 @@ class InvalidCorrespondence(VnpairError):
     """A stored commuting pair violates a correspondence law, named on it."""
 
 
-class GramNotPSD(VnpairError):
-    """An interior-tensor Gram matrix has a significantly negative eigenvalue."""
-
-
 class EmptyTensorProduct(VnpairError):
     """No eigenvalue of an interior-tensor Gram matrix survives the cutoff."""
 

@@ -150,15 +150,15 @@ def _map_laws(memo, u, *pairs) -> tuple[float, float]:
 def _full_tensor(e, f, memo, what: str, tol: nk.Tolerance):
     """tensor(e, f) on the build's memo, its carrier the rows of Phi, where the map
     of what is given (``TensorProduct.full``); else law ``factors``, with no residual
-    and no quotient formed off the factored route (a given rho_H, members not
-    twisted), and on it with the cutoff as residual and the float below the largest
-    squared singular value of Phi dropped as bound (``correspondence.tensor_quotient``)."""
+    and no quotient formed off cases (a) and (b) of ``correspondence._factors`` (a given
+    rho_H, members not twisted), and on them with the cutoff as residual and the float
+    below the largest dropped squared singular value of Phi as bound (``spectrum``)."""
     if not corr._factors(e, f):
         raise ProductSystemLawError(f"{what} is given on the rows of Phi, but the tensor "
                                     f"quotient is not read off Phi", law="factors")
     tp = corr.TensorProduct(e, f, tol, memo=memo, check=False)
     if not tp.full:
-        sv2 = corr._root_spectrum(corr._gram_root(tp.left_basis, f))[1]  # as the quotient read
+        sv2 = tp.spectrum
         dropped = float(sv2[tp.carrier_dim])
         nk.require(float(tol.eps * max(sv2[0], 1.0)), float(np.nextafter(dropped, -np.inf)),
                    ProductSystemLawError, "{1}: the tensor quotient keeps {2} of the {3} "

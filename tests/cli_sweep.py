@@ -9,12 +9,16 @@ blanked in the error's location and message. The record also
 counts, per run and in total, the block frames built (``algebra._frame``),
 the homomorphism law evaluations (``endo.hom_residuals``), the iterate lists
 composed (``endo.iterates``), the law kernels run (``numkernel.law_residual``)
-and the tensor quotients (``correspondence.tensor_quotient``), each read off
-a Gram ``eigh`` (``correspondence._gram_spectrum``) or off one SVD of its
-factor (``correspondence._root_spectrum``), and the maps solved by least
-squares (``numkernel.lstsq_map``). A counted function that the
-package under test does not define counts 0: before the factored route, every
-quotient ran its Gram ``eigh`` inside ``tensor_quotient``.
+and the tensor quotients (``correspondence.tensor_quotient``), the SVDs of
+their roots Phi (``correspondence._root_spectrum``) and the roots read off
+the intertwiners of a general left action (``correspondence._stinespring``),
+and the maps solved by least squares (``numkernel.lstsq_map``). The last
+kind counts 0 on the sweep: the commands tensor twisted correspondences and
+their commutants, cases (a) and (b) of ``correspondence._factors``, and only
+``tensor_commutant_iso`` on general ones, which no command calls. A counted
+function that the package under test does not define counts 0: before the
+factored route, every quotient ran its Gram ``eigh`` inside
+``tensor_quotient``.
 
     PYTHONPATH=src python tests/cli_sweep.py sweep.json
     PYTHONPATH=<other checkout>/src python tests/cli_sweep.py other.json
@@ -50,7 +54,7 @@ from vnpair import selftest as st
 FLAG_SETS = {"default": [], "tol0.5": ["--tol", "0.5"], "horizon3": ["--horizon", "3"],
              "tol1e-6": ["--tol", "1e-6"]}
 COUNTED = ((alg, "_frame"), (endo, "hom_residuals"), (endo, "iterates"), (nk, "law_residual"),
-           (corr, "tensor_quotient"), (corr, "_gram_spectrum"), (corr, "_root_spectrum"),
+           (corr, "tensor_quotient"), (corr, "_root_spectrum"), (corr, "_stinespring"),
            (nk, "lstsq_map"))
 
 

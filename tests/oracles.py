@@ -92,9 +92,12 @@ faster route replaced, kept so that the faster route has a reference.
   and the homomorphism laws in closed form off the two relation stacks;
 - ``gram_route`` and ``factored_against_gram``: the tensor quotient read off
   the eigh of the whole (d h_f)^2 Gram matrix, with its lifted actions, as
-  every ``correspondence.TensorProduct`` formed it before the quotients whose
-  Gram factors as Phi* Phi were read off one SVD of Phi, and the residuals of
-  a tensor against it.
+  every ``correspondence.TensorProduct`` formed it before each quotient was
+  read off one SVD of a root Phi, and the residuals of a tensor against it;
+- ``element_basis_lift``: the left action lifted through <x_i, op x_k> over
+  the element basis of e, as ``TensorProduct.lift_left`` formed it on the
+  Gram route and below full rank before it read U* L(op) U off the rows of
+  Phi.
 """
 
 from __future__ import annotations
@@ -753,13 +756,25 @@ def gram_route(tp, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
     return {"gram": gram, "phi": phi, "rho": rho, "rho_prime": rho_prime}
 
 
+def element_basis_lift(tp, op) -> np.ndarray:
+    """op (tensor) id on the quotient carrier of tp, phi (M (tensor) 1) phi+ for
+    M[i, k] = <x_i, op x_k> over the element basis of e, as
+    ``TensorProduct.lift_left`` read it off the Gram route and below full rank;
+    a stack of operators lifts slice by slice."""
+    op = np.asarray(op, dtype=complex)
+    cd, de, hf = tp._phi3.shape
+    mt = tp.e.element_coefficients(op[..., None, :, :] @ tp.e.element_space)
+    raw = mt[..., None, :, :] @ tp._phi3  # raw[..., p, k, v]
+    return raw.reshape(op.shape[:-2] + (cd, de * hf)) @ tp.phi_pinv
+
+
 def factored_against_gram(tp, tol: nk.Tolerance = nk.DEFAULT_TOL) -> dict:
     """Residuals of a tensor against ``gram_route``: |Phi* Phi - G| for its
     Gram root Phi, the difference of the kept ranks, and, through the carrier
     map q = phi_G phi+ (unitary when the kept spaces agree), |q phi - phi_G|,
     the unitarity of q and the worst |q a q* - a_G| over each lifted action."""
     ref = gram_route(tp, tol)
-    root = corr._gram_root(tp.e.element_space, tp.f)
+    root = corr._gram_root(tp.e, tp.f, tol)
     q = ref["phi"] @ tp.phi_pinv
     out = {"gram": float(np.linalg.norm(root.conj().T @ root - ref["gram"])),
            "rank": abs(tp.carrier_dim - len(ref["phi"]))}

@@ -792,8 +792,9 @@ def test_coefficients_reject_a_wrong_shape_or_a_non_finite_matrix():
 
 def test_every_map_given_by_basis_images_is_applied_by_the_algebra(monkeypatch):
     """Endomorphism.__call__, hom_residuals, intertwiners with a
-    representation, rho_of and tensor_quotient reach VnAlgebra.apply and
-    VnAlgebra.coefficients."""
+    representation, rho_of and the root Phi of a tensor of twisted
+    correspondences (``correspondence._gram_root``, case (b)) reach
+    VnAlgebra.apply and VnAlgebra.coefficients."""
     b = alg.random_algebra(4, [(1, 2), (1, 2)], seed=3)
     theta = endo.identity(b)
     e = corr.of_endomorphism(theta)
@@ -809,7 +810,7 @@ def test_every_map_given_by_basis_images_is_applied_by_the_algebra(monkeypatch):
     for call in [lambda: theta(b.basis[1]), lambda: endo.hom_residuals(b, theta.basis_images),
                  lambda: alg.intertwiners(b, theta.basis_images, None),
                  lambda: e.rho_of(b.basis[1]),
-                 lambda: corr.tensor_quotient(corr.inner_products(x), e)]:
+                 lambda: corr._gram_root(e, e, nk.DEFAULT_TOL)]:
         calls.clear()
         call()
         assert set(calls) == {"apply", "coefficients"}

@@ -502,8 +502,9 @@ def test_a_joint_unit_of_the_wrong_rank_does_not_intertwine():
 
     bad = over_scalars(np.diag([1.0, 0.25, 0.25, 0.25, 0.25]))
     good = over_scalars(np.diag([1.0, 1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(NotIntertwining, match=r"has rank 1, not 2"):
+    with pytest.raises(NotIntertwining, match=r"has rank 1, not 2") as info:
         corr.find_isomorphism(bad, good)
+    assert (info.value.law, info.value.residual, info.value.bound) == ("joint_rank", 1, 0)
 
 
 def test_order_reversal_between_carriers_of_different_dimension_is_not_isometric(monkeypatch):
@@ -518,8 +519,9 @@ def test_order_reversal_between_carriers_of_different_dimension_is_not_isometric
         return m if self.e is not e else np.concatenate([m, np.zeros_like(m[..., :1, :])], -2)
 
     monkeypatch.setattr(corr.TensorProduct, "embed_matrix", padded)
-    with pytest.raises(NotIsometric, match="carrier dimensions differ"):
+    with pytest.raises(NotIsometric, match=r"carrier dimensions differ: \(4, 5\)") as info:
         corr.tensor_commutant_iso(e, e)
+    assert (info.value.law, info.value.residual, info.value.bound) == ("carrier_dimension", 1, 0)
 
 
 def test_a_given_commuting_algebra_smaller_than_the_commutant_is_rejected():
@@ -663,44 +665,120 @@ def _conjugate(w, a) -> np.ndarray:
     return w @ a.basis[::-1] @ w.conj().T
 
 
-def test_a_commutant_correspondence_over_a_twisted_one_takes_the_gram_route(monkeypatch):
+def test_a_commutant_correspondence_over_a_twisted_one_takes_route_c(monkeypatch):
     """e = commutant of {}_theta B for theta = Ad u*, u in B, has the elements
     u* B', outside B' = f.left, and is not twisted on its left; so tensor(e, f)
-    with f twisted over B' forms the Gram matrix, since [rho_f(x_i)] would
-    project those elements into B' and miss it."""
+    with f twisted over B' reads Phi off rho_f(y) = sum_q V_q* y V_q
+    (``_stinespring``, case (c)), since [rho_f(x_i)] would project those
+    elements into B' and miss the Gram matrix."""
     b = alg.random_algebra(4, [(2, 1), (1, 2)], seed=3)
     bp = alg.commutant(b)
     rng = np.random.default_rng(4)
     e = corr.commutant(corr.of_endomorphism(endo.from_unitary(b, st.unitary_inside(b, rng))))
     f = corr.of_endomorphism(endo.from_unitary(bp, st.unitary_inside(bp, rng), "direct"))
     routes = []
-    for name in ("_gram_spectrum", "_root_spectrum"):
+    for name in ("_stinespring", "_root_spectrum"):
         real = getattr(corr, name)
         monkeypatch.setattr(corr, name, lambda *args, real=real, name=name:
                             routes.append(name) or real(*args))
     tp = corr.TensorProduct(e, f)
-    assert not corr._factors(e, f) and routes == ["_gram_spectrum"]
+    assert not corr._factors(e, f) and routes == ["_stinespring", "_root_spectrum"]
+    wrong = f.rho_of(e.element_space).transpose(1, 0, 2).reshape(f.carrier_dim, -1)
+    assert np.linalg.norm(wrong.conj().T @ wrong - orc.gram_route(tp)["gram"]) > 0.1
     res = orc.factored_against_gram(tp)
-    assert res.pop("gram") > 0.1  # what [rho_f(x_i)] would have given
     assert res.pop("rank") == 0 and max(res.values()) <= 1e-12, res
+
+
+def _commutant_order_draw(seed):
+    """(e, f) of case 0 of the selftest's ``tensor-commutant-order`` at seed."""
+    index = [p.name for p in st.PROPERTIES].index("tensor-commutant-order")
+    drawn = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corr, "tensor_commutant_iso",
+                   lambda e, f, tol: drawn.append((e, f)) or np.eye(1))
+        _, measure = st.PROPERTIES[index].build(
+            np.random.default_rng([seed, index, 0]), nk.DEFAULT_TOL, 0)
+        measure()
+    return drawn[0]
+
+
+@pytest.fixture(scope="module")
+def order_tensors():
+    """Both tensors of ``tensor_commutant_iso`` on the draws of seeds 0-9."""
+    out = []
+    for seed in range(10):
+        e, f = _commutant_order_draw(seed)
+        out += [corr.TensorProduct(e, f), corr.TensorProduct(corr.commutant(f), corr.commutant(e))]
+    return out
+
+
+def test_route_c_matches_the_gram_route_on_sampled_correspondences(order_tensors):
+    """On general correspondences Phi* Phi is the Gram matrix within
+    rounding, V is an isometry, the kept rank is the Gram route's, and the
+    carrier and both lifted actions are that route's up to one unitary."""
+    for tp in order_tensors:
+        assert not corr._factors(tp.e, tp.f)
+        v = corr._stinespring(tp.f, nk.DEFAULT_TOL)
+        assert nk.worst_norm(np.einsum("qij,qik->jk", v.conj(), v) - np.eye(len(v[0, 0]))) \
+            <= 1e-12
+        res = orc.factored_against_gram(tp)
+        assert res.pop("rank") == 0 and max(res.values()) <= 1e-12, res
+
+
+def test_the_closed_form_lift_below_full_rank_is_the_element_basis_lift(order_tensors):
+    """Below full row rank of Phi, U* L(op) U is phi (M (tensor) 1) phi+ read
+    off <x_i, op x_k> over the element basis (``oracles.element_basis_lift``);
+    at eps 0.6, B = [(1, 2), (1, 1)] keeps 1 of 3 directions of {}_theta B (x)
+    {}_theta B (case (b)) and 2 of 3 of its commutant's (case (a))."""
+    tol = nk.Tolerance(0.6)
+    b = alg.random_algebra(3, [(1, 2), (1, 1)], seed=2, tol=tol)
+    twisted = corr.of_endomorphism(endo.from_unitary(b, np.eye(3)), tol=tol)
+    small = [corr.TensorProduct(e, e, tol) for e in (twisted, corr.commutant(twisted))]
+    cases = [(corr._factors(tp.e, tp.f), tp.f.rho is tp.f.left.basis) for tp in small]
+    assert cases == [(True, False), (True, True)]
+    assert [(tp.carrier_dim, len(tp.spectrum)) for tp in small] == [(1, 3), (2, 3)]
+    below = [tp for tp in order_tensors if not tp.full] + small
+    assert len(below) >= 10
+    for tp in below:
+        assert nk.worst_norm(tp.lift_left(tp.e.rho) - orc.element_basis_lift(tp, tp.e.rho)) \
+            <= 1e-12
+
+
+def test_a_tensor_over_a_non_multiplicative_left_action_is_rejected():
+    """f over M_2 with the pinching rho(b) = diag(b), unital and commuting
+    with the scalars, fails its own ``rho_multiplicative`` law; tensor(e, f)
+    reads its Phi off the intertwiners of rho_f, where rho_f(e_11) is no
+    projection: NotIntertwining, law ``projection``."""
+    m2 = alg.full_matrix_algebra(2)
+    scalars = alg.commutant(m2)
+    e = corr.commutant(corr.of_endomorphism(endo.identity(scalars)))
+    pinching = np.array([np.diag(np.diag(b)) for b in m2.basis])
+    f = corr.Correspondence(m2, m2, scalars, scalars, pinching, scalars.basis, 2)
+    with pytest.raises(InvalidCorrespondence, match="rho_multiplicative"):
+        f.validate()
+    with pytest.raises(NotIntertwining, match="not a projection") as info:
+        corr.TensorProduct(e, f)
+    err = info.value
+    assert err.law == "projection" and abs(err.residual - 0.49) <= 0.01
+    assert err.bound == nk.DEFAULT_TOL.bound(1.0)
 
 
 @pytest.mark.parametrize("ratio, kept", [(0.9, 1), (1.1, 2)])
 def test_a_singular_value_near_the_cut_is_decided_on_its_square(ratio, kept):
     """Phi = diag(1, s) with s^2 at ratio times the cut eps max(top, 1) = eps:
-    0.9 drops it and 1.1 keeps it, as the Gram route decides on the same
-    spectrum; at full row rank the carrier is Phi's rows, phi = Phi."""
+    0.9 drops it and 1.1 keeps it, as the eigenvalues of G = Phi* Phi decide;
+    at full row rank the carrier is Phi's rows, phi = Phi, and no U is kept."""
     tol = nk.Tolerance(1e-3)
-    m2, scalars = alg.full_matrix_algebra(2), alg.trivial_algebra(1)
-    f = corr.Correspondence(m2, scalars, alg.commutant(m2), scalars, m2.basis,
-                            np.eye(2, dtype=complex)[None], 2, check=False)
-    x = np.diag([1.0, np.sqrt(ratio * tol.eps)]).astype(complex)[None]
-    phi, pinv = corr.tensor_quotient(None, f, tol, elements=x)
-    gram_phi, _ = corr.tensor_quotient(corr.inner_products(x), f, tol)
-    assert len(phi) == len(gram_phi) == kept
+    root = np.diag([1.0, np.sqrt(ratio * tol.eps)]).astype(complex)
+    phi, pinv, left, spectrum = corr.tensor_quotient(root, tol)
+    gram = np.linalg.eigvalsh(root.conj().T @ root)
+    assert len(phi) == np.count_nonzero(gram > tol.eps * max(gram.max(), 1.0)) == kept
+    assert np.allclose(spectrum, gram[::-1], rtol=0, atol=1e-15)
     assert np.allclose(pinv @ phi, np.eye(2)) == (kept == 2)
     if kept == 2:
-        assert np.array_equal(phi, x[0])
+        assert np.array_equal(phi, root) and left is None
+    else:
+        assert np.allclose(left @ phi, root @ pinv @ phi)
 
 
 @pytest.mark.parametrize("module", [corr, endo])

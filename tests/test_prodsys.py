@@ -784,9 +784,10 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
     per (s, t); commutant members share a quotient and the lifted B' action
     per left index, with associativity once per (r, s); the dilation of an
     iterate system needs a single quotient and lifted H action. Every
-    quotient is read off the factor Phi of its Gram matrix
-    (``correspondence._root_spectrum``), none off a Gram ``eigh``
-    (``_gram_spectrum``); every carrier is the rows of Phi, so no map is
+    quotient is read off one SVD of its root Phi
+    (``correspondence._root_spectrum``), none through the intertwiners of a
+    general left action (``_stinespring``, case (c)); every carrier is the
+    rows of Phi, so no map is
     solved for (``numkernel.lstsq_map``, a product with ``phi_pinv``) and
     every left action lifts in closed form (``TensorProduct.full``)."""
     b = alg.random_algebra(6, [(1, 2), (2, 2)], seed=5)
@@ -805,7 +806,7 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
             (corr, "tensor_quotient", "quotients"), (alg, "intertwiners", "kernels"),
             (nk, "lstsq_map", "solves"), (corr.TensorProduct, "lift_right", "right_lifts"),
             (ps, "_associativity", "associativity"), (corr, "_root_spectrum", "factored"),
-            (corr, "_gram_spectrum", "gram")]:
+            (corr, "_stinespring", "stinespring")]:
         monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
     lift_left = corr.TensorProduct.lift_left
 
@@ -820,9 +821,11 @@ def test_builds_compute_each_quotient_and_element_space_once(monkeypatch, horizo
 
     def counted(build):
         counts.update(dict.fromkeys(("quotients", "kernels", "solves", "left_lifts", "closed",
-                                     "right_lifts", "associativity", "factored", "gram"), 0))
+                                     "right_lifts", "associativity", "factored",
+                                     "stinespring"), 0))
         out = build()
-        assert counts.pop("factored") == counts["quotients"] and counts.pop("gram") == 0
+        assert counts.pop("factored") == counts["quotients"]
+        assert counts.pop("stinespring") == 0
         assert counts.pop("closed") == counts["left_lifts"]
         return out, dict(counts)
 
@@ -1085,7 +1088,8 @@ def test_each_build_factors_its_quotients_and_forms_no_gram_factor(monkeypatch):
     seen, roots = [], []
     real, real_root = corr.inner_products, corr._gram_root
     monkeypatch.setattr(corr, "inner_products", lambda x: seen.append(x) or real(x))
-    monkeypatch.setattr(corr, "_gram_root", lambda x, f: roots.append(x) or real_root(x, f))
+    monkeypatch.setattr(corr, "_gram_root",
+                        lambda e, f, tol: roots.append(e.element_space) or real_root(e, f, tol))
     p = ps.from_endomorphism(theta, 4)
     x0 = p.members[0].element_space
     assert seen == [] and [x is x0 for x in roots] == [True] * 5
@@ -1264,9 +1268,9 @@ def test_a_quotient_that_drops_a_direction_raises_at_its_pair():
 
 def test_a_dilation_off_the_factored_route_names_its_law():
     """The commutant system of theta = id with a given rho_H = b' (+) b': its
-    members are not twisted, so the quotient with H would be read off the Gram
-    matrix, on whose carrier u^t is not given; the build raises law ``factors``
-    before forming it."""
+    members are not twisted, so the quotient with H would be read off the rows
+    (q, .) of case (c) (``correspondence._gram_root``), on which u^t is not
+    given; the build raises law ``factors`` before forming it."""
     b = alg.random_algebra(4, [(2, 1), (1, 2)], seed=3)
     pc = ps.commutant_system(ps.from_endomorphism(endo.identity(b), 2))
     rho = np.array([np.kron(np.eye(2), x) for x in pc.algebra.basis])
